@@ -9,6 +9,8 @@ use sebdb_bench::datagen::{
     join_bed, onoff_bed, range_bed, tracking2_bed, tracking_bed, Placement,
 };
 use sebdb_bench::workload::{run_q2, run_q3, run_q4, run_q5, run_q6};
+use sebdb_sql::{BoundPredicate, BoundPredicateKind, LogicalPlan};
+use sebdb_types::Value;
 
 fn placements() -> impl Strategy<Value = Placement> {
     prop_oneof![
@@ -80,6 +82,37 @@ proptest! {
         let bed = range_bed(blocks, per_block, hits, placement, seed);
         for strat in [Phys::Scan, Phys::Bitmap, Phys::Layered, Phys::Auto] {
             prop_assert_eq!(run_q4(&bed, strat).len(), hits, "{:?}", strat);
+        }
+    }
+
+    #[test]
+    fn range_paths_return_identical_ordered_rows(
+        blocks in 2u64..10,
+        per_block in 1usize..16,
+        hits in 0usize..50,
+        placement in placements(),
+        seed in any::<u64>(),
+        lo in 0i64..12_000,
+        span in 0i64..120_000,
+    ) {
+        // Random ranges over the filler and hit bands: whichever path
+        // the planner resolves to, and whichever is forced, the answer
+        // is the scan's rows in the scan's (chain) order.
+        let bed = range_bed(blocks, per_block, hits, placement, seed);
+        let schema = sebdb_bench::schema::donate();
+        let plan = LogicalPlan::Query {
+            predicates: vec![BoundPredicate {
+                column: schema.resolve("amount").unwrap(),
+                kind: BoundPredicateKind::Between(Value::decimal(lo), Value::decimal(lo + span)),
+            }],
+            schema,
+            projection: vec![],
+            window: None,
+        };
+        let exec = bed.executor();
+        let scan = exec.execute(&plan, Phys::Scan).unwrap().rows;
+        for strat in [Phys::Auto, Phys::Layered, Phys::Bitmap] {
+            prop_assert_eq!(&exec.execute(&plan, strat).unwrap().rows, &scan, "{:?}", strat);
         }
     }
 

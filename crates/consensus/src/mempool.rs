@@ -163,14 +163,17 @@ impl Mempool {
         };
         let all_valid = {
             let txs: Vec<&Transaction> = batch.iter().map(|(tx, _)| tx).collect();
-            sebdb_parallel::par_find_first(&txs, 16, |tx| (!verify(tx)).then_some(())).is_none()
+            sebdb_parallel::par_find_first(&txs, sebdb_parallel::FLOOR_PREAD, |tx| {
+                (!verify(tx)).then_some(())
+            })
+            .is_none()
         };
         if all_valid {
             return batch;
         }
         let verdicts: Vec<bool> = {
             let txs: Vec<&Transaction> = batch.iter().map(|(tx, _)| tx).collect();
-            sebdb_parallel::par_map(&txs, 16, |tx| verify(tx))
+            sebdb_parallel::par_map(&txs, sebdb_parallel::FLOOR_PREAD, |tx| verify(tx))
         };
         batch
             .into_iter()

@@ -1,11 +1,10 @@
 //! `EXPLAIN`: render the physical decisions for a plan without
-//! executing it — which access path the cost model picks, which
-//! indexes serve it, and how many candidate blocks the first level
-//! leaves after pruning.
+//! fetching a tuple — which access path the probe-first planner
+//! resolves to, the result size it counted, how many candidate blocks
+//! the first level leaves after pruning, and the costs it compared.
 
-use super::range::column_name;
+use super::range::RangeProbe;
 use super::{ExecError, Executor, QueryResult, Strategy};
-use sebdb_index::KeyPredicate;
 use sebdb_sql::LogicalPlan;
 use sebdb_types::Value;
 
@@ -20,9 +19,46 @@ impl Executor<'_> {
         })
     }
 
+    /// One line for the probe-first decision: the path, `p` (exact, or
+    /// where the walk was abandoned), the candidate counts, and the
+    /// three costs compared.
+    fn describe_probe(&self, probe: &RangeProbe) -> String {
+        let path = match probe.path {
+            Strategy::Layered => "layered",
+            Strategy::Bitmap => "bitmap",
+            _ => "scan",
+        };
+        let costs = format!(
+            "scan({} blocks) {:.0}, bitmap({} blocks) {:.0}",
+            probe.n,
+            self.cost.cost_scan(probe.n),
+            probe.k,
+            self.cost.cost_bitmap(probe.k)
+        );
+        let Some((_, col)) = &probe.driver else {
+            return format!("{path}: no usable layered index; costs: {costs}");
+        };
+        let p = if probe.path == Strategy::Layered {
+            format!("p = {} exact", probe.ptrs.len())
+        } else {
+            format!(
+                "layered abandoned at p >= {} after {} blocks",
+                probe.ptrs.len(),
+                probe.blocks_probed
+            )
+        };
+        format!(
+            "{path}: layered index on {col}, {p}; {} candidate blocks ({} frozen); \
+             costs: layered {:.0}, {costs}",
+            probe.candidates,
+            probe.frozen_candidates,
+            self.cost
+                .cost_layered_paged(probe.ptrs.len() as u64, probe.frozen_candidates)
+        )
+    }
+
     fn describe(&self, plan: &LogicalPlan, depth: usize, out: &mut Vec<String>) {
         let pad = "  ".repeat(depth);
-        let height = self.ledger.height();
         match plan {
             LogicalPlan::CreateTable(s) => {
                 out.push(format!("{pad}CreateTable {} (via consensus)", s.name));
@@ -36,29 +72,16 @@ impl Executor<'_> {
                 window,
                 ..
             } => {
-                let indexed = predicates.iter().find_map(|p| {
-                    let (lo, hi) = p.index_bounds()?;
-                    let col = column_name(schema, p)?;
-                    self.ledger
-                        .with_layered(Some(&schema.name), &col, |idx| {
-                            idx.candidate_blocks(&KeyPredicate::Range(lo, hi))
-                                .count_ones()
-                        })
-                        .map(|cand| (col, cand))
-                });
-                let k = self
-                    .ledger
-                    .with_table_index(|ti| ti.blocks_for_table(&schema.name))
-                    .count_ones();
-                match indexed {
-                    Some((col, cand)) => out.push(format!(
-                        "{pad}Query {} [layered index on {col}: {cand} of {height} candidate blocks; bitmap fallback: {k}]",
-                        schema.name
+                // The same probe `run_query` executes under `Auto`:
+                // index-only, so nothing is fetched here either.
+                let mask = self.ledger.window_mask(*window);
+                match self.probe_range(schema, predicates, &mask, Strategy::Auto) {
+                    Ok(probe) => out.push(format!(
+                        "{pad}Query {} [{}]",
+                        schema.name,
+                        self.describe_probe(&probe)
                     )),
-                    None => out.push(format!(
-                        "{pad}Query {} [no usable layered index; bitmap: {k} of {height} blocks]",
-                        schema.name
-                    )),
+                    Err(e) => out.push(format!("{pad}Query {} [{e}]", schema.name)),
                 }
                 for p in predicates {
                     out.push(format!("{pad}  predicate on {:?}", p.column));
@@ -123,7 +146,3 @@ impl Executor<'_> {
         }
     }
 }
-
-/// Convenience: marker so Strategy is referenced (explain ignores the
-/// requested strategy — it reports what Auto would consider).
-pub(super) const _EXPLAIN_IGNORES_STRATEGY: Option<Strategy> = None;

@@ -130,27 +130,31 @@ impl Executor<'_> {
         // and the probe order match the sequential plan.
         let bids: Vec<u64> = blocks.iter_ones().map(|b| b as u64).collect();
         type Partial = (Vec<(Value, Transaction)>, Vec<Transaction>);
-        let partials = sebdb_parallel::par_map(&bids, 1, |&bid| -> Result<Partial, ExecError> {
-            let block = self.ledger.read_block(bid)?;
-            let mut build_part = Vec::new();
-            let mut probe_part = Vec::new();
-            for tx in &block.transactions {
-                if !in_window(tx.ts, window) {
-                    continue;
-                }
-                if tx.tname.eq_ignore_ascii_case(&right.name) {
-                    if let Some(v) = tx.get(right_col) {
-                        if v != Value::Null {
-                            build_part.push((v, tx.clone()));
+        let partials = sebdb_parallel::par_map(
+            &bids,
+            sebdb_parallel::FLOOR_BLOCK,
+            |&bid| -> Result<Partial, ExecError> {
+                let block = self.ledger.read_block(bid)?;
+                let mut build_part = Vec::new();
+                let mut probe_part = Vec::new();
+                for tx in &block.transactions {
+                    if !in_window(tx.ts, window) {
+                        continue;
+                    }
+                    if tx.tname.eq_ignore_ascii_case(&right.name) {
+                        if let Some(v) = tx.get(right_col) {
+                            if v != Value::Null {
+                                build_part.push((v, tx.clone()));
+                            }
                         }
                     }
+                    if tx.tname.eq_ignore_ascii_case(&left.name) {
+                        probe_part.push(tx.clone());
+                    }
                 }
-                if tx.tname.eq_ignore_ascii_case(&left.name) {
-                    probe_part.push(tx.clone());
-                }
-            }
-            Ok((build_part, probe_part))
-        });
+                Ok((build_part, probe_part))
+            },
+        );
         let mut build: HashMap<Value, Vec<Transaction>> = HashMap::new();
         let mut probe_side: Vec<Transaction> = Vec::new();
         for partial in partials {
@@ -162,23 +166,24 @@ impl Executor<'_> {
         }
         // Probe phase: pure lookups, parallel over probe tuples; each
         // produces its match rows which concatenate in probe order.
-        let row_batches = sebdb_parallel::par_map(&probe_side, 16, |ltx| {
-            let mut rows = Vec::new();
-            let Some(v) = ltx.get(left_col) else {
-                return rows;
-            };
-            if v == Value::Null {
-                return rows;
-            }
-            if let Some(matches) = build.get(&v) {
-                for rtx in matches {
-                    let mut row = materialize(ltx);
-                    row.extend(materialize(rtx));
-                    rows.push(row);
+        let row_batches =
+            sebdb_parallel::par_map(&probe_side, sebdb_parallel::FLOOR_TUPLE, |ltx| {
+                let mut rows = Vec::new();
+                let Some(v) = ltx.get(left_col) else {
+                    return rows;
+                };
+                if v == Value::Null {
+                    return rows;
                 }
-            }
-            rows
-        });
+                if let Some(matches) = build.get(&v) {
+                    for rtx in matches {
+                        let mut row = materialize(ltx);
+                        row.extend(materialize(rtx));
+                        rows.push(row);
+                    }
+                }
+                rows
+            });
         out.rows.extend(row_batches.into_iter().flatten());
         Ok(())
     }
@@ -265,7 +270,7 @@ impl Executor<'_> {
             }
         }
         let txs = self.ledger.read_txs_grouped(&ptrs)?;
-        let rows = sebdb_parallel::par_map(&matched, 16, |&(lp, rp)| {
+        let rows = sebdb_parallel::par_map(&matched, sebdb_parallel::FLOOR_TUPLE, |&(lp, rp)| {
             let ltx: &Arc<Transaction> = &txs[ptr_slot[&lp]];
             let rtx: &Arc<Transaction> = &txs[ptr_slot[&rp]];
             if !in_window(ltx.ts, window) || !in_window(rtx.ts, window) {

@@ -146,20 +146,24 @@ impl Executor<'_> {
                     });
                 }
                 let txs = self.ledger.read_txs_grouped(&ptrs)?;
-                let row_batches = sebdb_parallel::par_map(&matched, 16, |(p, off_range)| {
-                    let tx = &txs[ptr_slot[p]];
-                    if !in_window(tx.ts, window) {
-                        return Vec::new();
-                    }
-                    off_rows[off_range.clone()]
-                        .iter()
-                        .map(|off| {
-                            let mut row = materialize(tx);
-                            row.extend(off.clone());
-                            row
-                        })
-                        .collect::<Vec<_>>()
-                });
+                let row_batches = sebdb_parallel::par_map(
+                    &matched,
+                    sebdb_parallel::FLOOR_TUPLE,
+                    |(p, off_range)| {
+                        let tx = &txs[ptr_slot[p]];
+                        if !in_window(tx.ts, window) {
+                            return Vec::new();
+                        }
+                        off_rows[off_range.clone()]
+                            .iter()
+                            .map(|off| {
+                                let mut row = materialize(tx);
+                                row.extend(off.clone());
+                                row
+                            })
+                            .collect::<Vec<_>>()
+                    },
+                );
                 out.rows.extend(row_batches.into_iter().flatten());
             }
             Strategy::Bitmap | Strategy::Scan => {
@@ -183,7 +187,7 @@ impl Executor<'_> {
                 let bids: Vec<u64> = blocks.iter_ones().map(|b| b as u64).collect();
                 let per_block = sebdb_parallel::par_map(
                     &bids,
-                    1,
+                    sebdb_parallel::FLOOR_BLOCK,
                     |&bid| -> Result<Vec<Vec<Value>>, ExecError> {
                         let block = self.ledger.read_block(bid)?;
                         let mut rows = Vec::new();

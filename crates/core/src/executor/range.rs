@@ -7,6 +7,34 @@ use sebdb_sql::BoundPredicate;
 use sebdb_storage::TxPtr;
 use sebdb_types::{TableSchema, Timestamp, Value};
 
+/// What [`Executor::probe_range`] decided for one single-table query
+/// and the numbers it decided on. `EXPLAIN` prints these; `run_query`
+/// executes them.
+pub(super) struct RangeProbe {
+    /// The resolved access path (never [`Strategy::Auto`]). `Layered`
+    /// exactly when the index walk finished inside its budget.
+    pub path: Strategy,
+    /// Position of the predicate driving the layered index and the
+    /// indexed column's name, when an index serves the query.
+    pub driver: Option<(usize, String)>,
+    /// Matching tuple pointers. When `path` is `Layered` this is the
+    /// exact answer set (`p` of Eq. 3) in chain order; when the walk
+    /// was abandoned it holds what had been collected by then.
+    pub ptrs: Vec<TxPtr>,
+    /// Candidate blocks the second-level walk visited.
+    pub blocks_probed: u64,
+    /// First level ∧ window mask: blocks a layered answer must probe.
+    pub candidates: u64,
+    /// Candidates below the index's frozen height; each pages one
+    /// level-1 index block through the index-block cache.
+    pub frozen_candidates: u64,
+    /// Blocks inside the window (`n` of Eq. 1).
+    pub n: u64,
+    /// Blocks inside the window holding the table (`k` of Eq. 2; left
+    /// at `n` when the layered path was forced and nothing is compared).
+    pub k: u64,
+}
+
 impl Executor<'_> {
     pub(super) fn run_query(
         &self,
@@ -16,6 +44,91 @@ impl Executor<'_> {
         window: Option<(Timestamp, Timestamp)>,
         strategy: Strategy,
     ) -> Result<QueryResult, ExecError> {
+        let mut out = QueryResult::empty(if projection.is_empty() {
+            full_header(schema)
+        } else {
+            projection.to_vec()
+        });
+        let mask = self.ledger.window_mask(window);
+        let path = match strategy {
+            Strategy::Auto | Strategy::Layered => {
+                let probe = self.probe_range(schema, predicates, &mask, strategy)?;
+                if let (Strategy::Layered, Some((driver, _))) = (probe.path, &probe.driver) {
+                    out.rows = self.fetch_rows(
+                        schema,
+                        projection,
+                        predicates,
+                        window,
+                        *driver,
+                        &probe.ptrs,
+                    )?;
+                    return Ok(out);
+                }
+                probe.path
+            }
+            forced => forced,
+        };
+        let blocks = if path == Strategy::Bitmap {
+            self.table_blocks(schema).and(&mask)
+        } else {
+            mask
+        };
+        // Each candidate block scans independently; per-block row
+        // batches concatenate in block order, so the output matches
+        // the sequential scan row for row. The scan is
+        // partition-granular: only the table's relation partition is
+        // fetched, and the table-name filter below drops any
+        // co-located relations sharing its extent.
+        let chunks = self.scan_relation(&blocks, &schema.name, |tx| {
+            if !tx.tname.eq_ignore_ascii_case(&schema.name) {
+                return Ok(None);
+            }
+            if !in_window(tx.ts, window) {
+                return Ok(None);
+            }
+            if predicates.iter().all(|p| p.matches(|c| tx.get(c))) {
+                Ok(Some(project(schema, projection, materialize(tx))?))
+            } else {
+                Ok(None)
+            }
+        });
+        for chunk in chunks {
+            out.rows.extend(chunk?);
+        }
+        Ok(out)
+    }
+
+    fn table_blocks(&self, schema: &TableSchema) -> Bitmap {
+        self.ledger
+            .with_table_index(|ti| ti.blocks_for_table(&schema.name))
+    }
+
+    /// Probe-first planning (§IV-B, Eqs. 1–3). The result size `p` is
+    /// not estimated: the layered index is walked — index-only, no
+    /// tuple is read — and `p` is counted, for as long as the cost
+    /// model still prefers the layered path at the count so far:
+    ///
+    /// 1. `candidates = first level ∧ window mask`, computed once;
+    /// 2. if paging the frozen candidates' index blocks alone (`p = 0`)
+    ///    already loses to `min(cost_scan(n), cost_bitmap(k))`, the
+    ///    layered path is rejected unprobed;
+    /// 3. otherwise the second level is walked block by block and
+    ///    abandoned as soon as Eq. 3 at the pointers collected so far
+    ///    loses — the waste is at most the crossover the equations
+    ///    define (≈ 26 pointers per table block at the default
+    ///    [`sebdb_index::cost::CostParams`]);
+    /// 4. a walk that finishes is the layered answer, `p` exact.
+    ///
+    /// `Strategy::Layered` runs the same walk without the budget.
+    /// Pointers come back sorted by `(block, position)`, so a layered
+    /// answer is in chain order like the bitmap and scan answers.
+    pub(super) fn probe_range(
+        &self,
+        schema: &TableSchema,
+        predicates: &[BoundPredicate],
+        mask: &Bitmap,
+        strategy: Strategy,
+    ) -> Result<RangeProbe, ExecError> {
         // Which predicate can drive a layered index?
         let indexed = predicates.iter().enumerate().find_map(|(i, p)| {
             let (lo, hi) = p.index_bounds()?;
@@ -24,106 +137,110 @@ impl Executor<'_> {
                 .with_layered(Some(&schema.name), &column_name, |_| ())?;
             Some((i, column_name, KeyPredicate::Range(lo, hi)))
         });
-
-        let strategy = match strategy {
-            Strategy::Auto => self.choose_path(schema, indexed.as_ref().map(|(_, c, k)| (c, k))),
-            s => s,
+        let n = mask.count_ones() as u64;
+        // A forced layered query never weighs the block paths, so it
+        // does not page the table bitmap for `k` either.
+        let k = match strategy {
+            Strategy::Layered => n,
+            _ => self.table_blocks(schema).and(mask).count_ones() as u64,
         };
-
-        let mut out = QueryResult::empty(if projection.is_empty() {
-            full_header(schema)
+        let cheaper_block_path = if k < n {
+            Strategy::Bitmap
         } else {
-            projection.to_vec()
-        });
+            Strategy::Scan
+        };
+        let mut probe = RangeProbe {
+            path: cheaper_block_path,
+            driver: None,
+            ptrs: Vec::new(),
+            blocks_probed: 0,
+            candidates: 0,
+            frozen_candidates: 0,
+            n,
+            k,
+        };
+        let Some((driver, column_name, key_pred)) = indexed else {
+            if strategy == Strategy::Layered {
+                return Err(ExecError::Unsupported(format!(
+                    "no layered index on table '{}' serves this predicate",
+                    schema.name
+                )));
+            }
+            // Without a usable layered index it is bitmap vs scan.
+            return Ok(probe);
+        };
+        // The cost model's verdict at `p` pointers; a forced layered
+        // query walks to the end whatever it costs.
+        let layered_holds = |p: usize, frozen: u64| {
+            strategy == Strategy::Layered
+                || self.cost.choose_paged(n, k, p as u64, frozen) == AccessPath::Layered
+        };
+        self.ledger
+            .with_layered(Some(&schema.name), &column_name, |idx| {
+                let cand = idx.candidate_blocks(&key_pred).and(mask);
+                let base = idx.frozen_height();
+                let frozen = cand.iter_ones().take_while(|&b| (b as u64) < base).count() as u64;
+                probe.candidates = cand.count_ones() as u64;
+                probe.frozen_candidates = frozen;
+                if !layered_holds(0, frozen) {
+                    return;
+                }
+                for bid in cand.iter_ones() {
+                    probe.ptrs.extend(idx.search_block(bid as u64, &key_pred));
+                    probe.blocks_probed += 1;
+                    if !layered_holds(probe.ptrs.len(), frozen) {
+                        return;
+                    }
+                }
+                probe.path = Strategy::Layered;
+            })
+            .ok_or_else(|| ExecError::Unsupported(format!("index on {} vanished", schema.name)))?;
+        probe.driver = Some((driver, column_name));
+        if probe.path == Strategy::Layered {
+            probe.ptrs.sort_unstable();
+        }
+        Ok(probe)
+    }
 
-        match strategy {
-            Strategy::Layered => {
-                let Some((driver, column_name, key_pred)) = indexed else {
-                    return Err(ExecError::Unsupported(format!(
-                        "no layered index on table '{}' serves this predicate",
-                        schema.name
-                    )));
-                };
-                let mask = self.ledger.window_mask(window);
-                let ptrs: Vec<TxPtr> = self
-                    .ledger
-                    .with_layered(Some(&schema.name), &column_name, |idx| {
-                        let cand = idx.candidate_blocks(&key_pred).and(&mask);
-                        let mut ptrs = Vec::new();
-                        for bid in cand.iter_ones() {
-                            ptrs.extend(idx.search_block(bid as u64, &key_pred));
-                        }
-                        ptrs
-                    })
-                    .ok_or_else(|| {
-                        ExecError::Unsupported(format!("index on {} vanished", schema.name))
-                    })?;
-                // Batch-fetch the pointed-at tuples (blocks decoded in
-                // parallel), then filter and materialize rows across
-                // workers; both stages preserve pointer order.
-                let txs = self.ledger.read_txs_grouped(&ptrs)?;
-                let rows = sebdb_parallel::par_map(
-                    &txs,
-                    16,
-                    |tx| -> Result<Option<Vec<Value>>, ExecError> {
-                        if !tx.tname.eq_ignore_ascii_case(&schema.name) {
-                            return Ok(None);
-                        }
-                        if !in_window(tx.ts, window) {
-                            return Ok(None);
-                        }
-                        // Re-check every predicate (the driver is implied,
-                        // the others must still be applied).
-                        let ok = predicates
-                            .iter()
-                            .enumerate()
-                            .all(|(i, p)| i == driver || p.matches(|c| tx.get(c)));
-                        if ok {
-                            Ok(Some(project(schema, projection, materialize(tx))?))
-                        } else {
-                            Ok(None)
-                        }
-                    },
-                );
-                for row in rows {
-                    if let Some(row) = row? {
-                        out.rows.push(row);
-                    }
+    /// The layered path's second half: batch-fetches the probed
+    /// pointers, then filters and materializes rows; both stages
+    /// preserve pointer order.
+    fn fetch_rows(
+        &self,
+        schema: &TableSchema,
+        projection: &[String],
+        predicates: &[BoundPredicate],
+        window: Option<(Timestamp, Timestamp)>,
+        driver: usize,
+        ptrs: &[TxPtr],
+    ) -> Result<Vec<Vec<Value>>, ExecError> {
+        let txs = self.ledger.read_txs_grouped(ptrs)?;
+        let rows = sebdb_parallel::par_map(
+            &txs,
+            sebdb_parallel::FLOOR_TUPLE,
+            |tx| -> Result<Option<Vec<Value>>, ExecError> {
+                if !tx.tname.eq_ignore_ascii_case(&schema.name) {
+                    return Ok(None);
                 }
-            }
-            Strategy::Bitmap | Strategy::Scan => {
-                let mask = self.ledger.window_mask(window);
-                let blocks = if strategy == Strategy::Bitmap {
-                    self.ledger
-                        .with_table_index(|ti| ti.blocks_for_table(&schema.name))
-                        .and(&mask)
+                if !in_window(tx.ts, window) {
+                    return Ok(None);
+                }
+                // Re-check every predicate (the driver is implied,
+                // the others must still be applied).
+                let ok = predicates
+                    .iter()
+                    .enumerate()
+                    .all(|(i, p)| i == driver || p.matches(|c| tx.get(c)));
+                if ok {
+                    Ok(Some(project(schema, projection, materialize(tx))?))
                 } else {
-                    mask
-                };
-                // Each candidate block scans independently; per-block
-                // row batches concatenate in block order, so the
-                // output matches the sequential scan row for row. The
-                // scan is partition-granular: only the table's relation
-                // partition is fetched, and the table-name filter below
-                // drops any co-located relations sharing its extent.
-                let chunks = self.scan_relation(&blocks, &schema.name, |tx| {
-                    if !tx.tname.eq_ignore_ascii_case(&schema.name) {
-                        return Ok(None);
-                    }
-                    if !in_window(tx.ts, window) {
-                        return Ok(None);
-                    }
-                    if predicates.iter().all(|p| p.matches(|c| tx.get(c))) {
-                        Ok(Some(project(schema, projection, materialize(tx))?))
-                    } else {
-                        Ok(None)
-                    }
-                });
-                for chunk in chunks {
-                    out.rows.extend(chunk?);
+                    Ok(None)
                 }
-            }
-            Strategy::Auto => unreachable!("resolved above"),
+            },
+        );
+        let mut out = Vec::with_capacity(rows.len());
+        for row in rows {
+            out.extend(row?);
         }
         Ok(out)
     }
@@ -142,7 +259,7 @@ impl Executor<'_> {
         let runs: Vec<&[u64]> = bids
             .chunks(sebdb_storage::readahead_blocks().max(1))
             .collect();
-        sebdb_parallel::par_map(&runs, 1, |run| {
+        sebdb_parallel::par_map(&runs, sebdb_parallel::FLOOR_RUN, |run| {
             let fetched = self.ledger.read_blocks_span(run)?;
             let mut rows = Vec::new();
             for block in fetched {
@@ -171,7 +288,7 @@ impl Executor<'_> {
         let runs: Vec<&[u64]> = bids
             .chunks(sebdb_storage::readahead_blocks().max(1))
             .collect();
-        sebdb_parallel::par_map(&runs, 1, |run| {
+        sebdb_parallel::par_map(&runs, sebdb_parallel::FLOOR_RUN, |run| {
             let fetched = self.ledger.read_relation_txs(run, table)?;
             let mut rows = Vec::new();
             for txs in fetched {
@@ -183,57 +300,6 @@ impl Executor<'_> {
             }
             Ok(rows)
         })
-    }
-
-    /// Cost-based path choice (Eqs. 1–3): `n` = chain height, `k` =
-    /// bitmap candidate count, `p` = result-size estimate from the
-    /// layered index's first level.
-    fn choose_path(
-        &self,
-        schema: &TableSchema,
-        indexed: Option<(&String, &KeyPredicate)>,
-    ) -> Strategy {
-        let n = self.ledger.height();
-        let k = self
-            .ledger
-            .with_table_index(|ti| ti.blocks_for_table(&schema.name))
-            .count_ones() as u64;
-        let Some((column_name, key_pred)) = indexed else {
-            // Without a usable layered index it is bitmap vs scan.
-            return if k < n {
-                Strategy::Bitmap
-            } else {
-                Strategy::Scan
-            };
-        };
-        // Estimate p: candidate blocks × average per-block hits. We use
-        // the first level only (cheap): candidate blocks × (tx / block
-        // of this table) scaled by bucket selectivity ≈ candidates ×
-        // small constant. A coarse but monotone estimate is enough for
-        // the crossover to appear.
-        let (candidate_blocks, frozen_probes) = self
-            .ledger
-            .with_layered(Some(&schema.name), column_name, |idx| {
-                let cand = idx.candidate_blocks(key_pred);
-                // Candidates below the frozen height each page one
-                // level-1 index block (the per-block entry list) through
-                // the index-block cache; tail candidates probe resident
-                // structures for free.
-                let base = idx.frozen_height();
-                let frozen = cand.iter_ones().take_while(|&b| (b as u64) < base).count() as u64;
-                (cand.count_ones() as u64, frozen)
-            })
-            .unwrap_or((0, 0));
-        // Without per-index cardinality stats we charge a fixed
-        // per-candidate-block hit estimate; monotone in selectivity,
-        // which is all the crossover needs.
-        const EST_HITS_PER_BLOCK: u64 = 64;
-        let p = candidate_blocks * EST_HITS_PER_BLOCK;
-        match self.cost.choose_paged(n, k, p, frozen_probes) {
-            AccessPath::Scan => Strategy::Scan,
-            AccessPath::Bitmap => Strategy::Bitmap,
-            AccessPath::Layered => Strategy::Layered,
-        }
     }
 }
 

@@ -127,7 +127,7 @@ impl Executor<'_> {
                     ptrs.extend(self.tracked_ptrs_in_block(bid as u64, &operator, operation));
                 }
                 let txs = self.ledger.read_txs_grouped(&ptrs)?;
-                let rows = sebdb_parallel::par_map(&txs, 16, |tx| {
+                let rows = sebdb_parallel::par_map(&txs, sebdb_parallel::FLOOR_TUPLE, |tx| {
                     (in_window(tx.ts, window) && !is_internal(&tx.tname))
                         .then(|| super::materialize(tx))
                 });

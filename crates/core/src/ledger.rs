@@ -524,9 +524,11 @@ impl Ledger {
             // MAC checks are independent per transaction; verify them
             // across workers and report the first (lowest-index)
             // failure, exactly as the sequential scan would.
-            let bad = sebdb_parallel::par_find_first(&block.transactions, 64, |tx| {
-                (!verify(tx)).then_some(tx.tid)
-            });
+            let bad = sebdb_parallel::par_find_first(
+                &block.transactions,
+                sebdb_parallel::FLOOR_PREAD,
+                |tx| (!verify(tx)).then_some(tx.tid),
+            );
             if let Some((_, tid)) = bad {
                 return Err(LedgerError::BadBlock(format!(
                     "block {} carries transaction {tid} with an invalid signature",
@@ -578,38 +580,32 @@ impl Ledger {
     }
 
     fn index_block(&self, block: &Block) {
-        // The four index families live behind separate locks and never
-        // read each other, so they update concurrently. ALI updates
-        // (Merkle work per bucket) dominate; giving them their own
-        // worker overlaps them with the cheap bitmap updates.
-        sebdb_parallel::join_all!(
-            || {
-                // Guarded so the restart replay (which resumes at the
-                // lowest frozen height across ALL families) can feed
-                // blocks an up-to-date block-index checkpoint already
-                // covers; the other families skip covered blocks
-                // internally.
-                let mut bi = self.block_index.write();
-                if block.header.height >= bi.len() as u64 {
-                    bi.append(block);
-                }
-            },
-            || self.table_index.write().update(block),
-            || {
-                for shard in &self.shards {
-                    for idx in shard.layered.write().values_mut() {
-                        idx.update(block);
-                    }
-                }
-            },
-            || {
-                for shard in &self.shards {
-                    for ali in shard.alis.write().values_mut() {
-                        ali.update(block);
-                    }
-                }
+        // The four index families update in order on the caller's
+        // thread: the pipeline's lanes already are the parallelism,
+        // and on small blocks a family's update costs less than the
+        // spawn that would overlap it.
+        {
+            // Guarded so the restart replay (which resumes at the
+            // lowest frozen height across ALL families) can feed
+            // blocks an up-to-date block-index checkpoint already
+            // covers; the other families skip covered blocks
+            // internally.
+            let mut bi = self.block_index.write();
+            if block.header.height >= bi.len() as u64 {
+                bi.append(block);
             }
-        );
+        }
+        self.table_index.write().update(block);
+        for shard in &self.shards {
+            for idx in shard.layered.write().values_mut() {
+                idx.update(block);
+            }
+        }
+        for shard in &self.shards {
+            for ali in shard.alis.write().values_mut() {
+                ali.update(block);
+            }
+        }
     }
 
     /// Partitions a block's tuples by (lowercased) relation name:
@@ -636,20 +632,14 @@ impl Ledger {
             hook(block);
         }
         let chain = &self.shards[INDEX_SHARDS];
-        sebdb_parallel::join_all!(
-            || self.block_index.write().append(block),
-            || self.table_index.write().update(block),
-            || {
-                for idx in chain.layered.write().values_mut() {
-                    idx.update(block);
-                }
-            },
-            || {
-                for ali in chain.alis.write().values_mut() {
-                    ali.update(block);
-                }
-            }
-        );
+        self.block_index.write().append(block);
+        self.table_index.write().update(block);
+        for idx in chain.layered.write().values_mut() {
+            idx.update(block);
+        }
+        for ali in chain.alis.write().values_mut() {
+            ali.update(block);
+        }
         if self.checkpoint_due(block.header.height + 1)
             || self.bytes_due(|| self.chain_families_memory_bytes())
         {

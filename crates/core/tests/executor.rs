@@ -412,3 +412,264 @@ fn auto_strategy_picks_layered_for_selective_queries() {
         "auto should not scan all blocks (read {blocks_read})"
     );
 }
+
+fn probe_dir(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("sebdb-exec-{tag}-{}", std::process::id()))
+}
+
+/// 40 blocks × 100 `donate` rows where block `b` holds the amounts
+/// `i * 40 + b`: every block spans the whole value range, so every
+/// histogram bucket lists every block and the layered index's first
+/// level prunes nothing — the planner has to be right without it.
+fn uninformative_first_level(
+    tag: &str,
+    index_cache_blocks: Option<usize>,
+) -> (Ledger, TableSchema) {
+    let dir = probe_dir(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = sebdb_storage::StoreConfig {
+        index_cache_blocks,
+        ..sebdb_storage::StoreConfig::default()
+    };
+    let l = Ledger::new(
+        Arc::new(BlockStore::open(&dir, cfg).unwrap()),
+        MacKeypair::from_key([3; 32]),
+    )
+    .unwrap();
+    let groups: Vec<Vec<(&str, KeyId, Vec<Value>)>> = (0..40)
+        .map(|b| {
+            (0..100)
+                .map(|i| ("donate", A, vec![Value::decimal(i * 40 + b)]))
+                .collect()
+        })
+        .collect();
+    append_blocks(&l, groups);
+    let s = schema("donate", &[("amount", DataType::Decimal)]);
+    l.create_layered_index(&s, "amount", None).unwrap();
+    (l, s)
+}
+
+fn amount_between(s: &TableSchema, lo: i64, hi: i64, window: Option<(u64, u64)>) -> LogicalPlan {
+    LogicalPlan::Query {
+        predicates: vec![BoundPredicate {
+            column: s.resolve("amount").unwrap(),
+            kind: BoundPredicateKind::Between(Value::decimal(lo), Value::decimal(hi)),
+        }],
+        schema: s.clone(),
+        projection: vec![],
+        window,
+    }
+}
+
+/// Runs `plan` under `strategy` on a fresh executor; returns the rows
+/// and the payload bytes the store fetched for them.
+fn rows_and_bytes(l: &Ledger, plan: &LogicalPlan, strategy: Strategy) -> (Vec<Vec<Value>>, u64) {
+    l.store().stats.reset();
+    let rows = Executor::new(l, None).execute(plan, strategy).unwrap().rows;
+    (rows, l.store().stats.bytes_read())
+}
+
+fn explain(l: &Ledger, plan: &LogicalPlan) -> String {
+    let out = Executor::new(l, None)
+        .execute(
+            &LogicalPlan::Explain(Box::new(plan.clone())),
+            Strategy::Auto,
+        )
+        .unwrap();
+    out.rows[0][0].to_string()
+}
+
+/// The pointer count at which `EXPLAIN` says the index walk gave up.
+fn abandon_point(explain: &str) -> u64 {
+    let tail = explain
+        .split("abandoned at p >= ")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no abandon point in: {explain}"));
+    tail.split(' ').next().unwrap().parse().unwrap()
+}
+
+/// Every access path returns `want` rows, identical as ordered vectors.
+fn assert_all_paths_agree(l: &Ledger, plan: &LogicalPlan, want: usize) {
+    let (scan, _) = rows_and_bytes(l, plan, Strategy::Scan);
+    assert_eq!(scan.len(), want);
+    for strat in [Strategy::Bitmap, Strategy::Layered, Strategy::Auto] {
+        let (rows, _) = rows_and_bytes(l, plan, strat);
+        assert_eq!(rows, scan, "{strat:?} differs from the scan answer");
+    }
+}
+
+#[test]
+fn auto_counts_the_result_when_the_first_level_prunes_nothing() {
+    let (l, s) = uninformative_first_level("probe-selective", None);
+    // Five rows, in blocks 0..=4; all 40 blocks are candidates.
+    let plan = amount_between(&s, 1000, 1004, None);
+    assert_all_paths_agree(&l, &plan, 5);
+    let (_, auto_bytes) = rows_and_bytes(&l, &plan, Strategy::Auto);
+    let (_, bitmap_bytes) = rows_and_bytes(&l, &plan, Strategy::Bitmap);
+    assert!(
+        auto_bytes < bitmap_bytes,
+        "a 5-row answer must not cost the chain: auto read {auto_bytes} B, bitmap {bitmap_bytes} B"
+    );
+    let text = explain(&l, &plan);
+    assert!(text.contains("layered: "), "{text}");
+    assert!(text.contains("p = 5 exact"), "{text}");
+    assert!(text.contains("40 candidate blocks (0 frozen)"), "{text}");
+    let _ = std::fs::remove_dir_all(probe_dir("probe-selective"));
+}
+
+#[test]
+fn auto_abandons_the_probe_within_budget_on_a_wide_range() {
+    let (l, s) = uninformative_first_level("probe-wide", None);
+    // Half the table: 50 rows in every block.
+    let plan = amount_between(&s, 0, 1999, None);
+    assert_all_paths_agree(&l, &plan, 2000);
+    // The probe reads no tuple, so giving up on it costs no I/O: auto
+    // fetches exactly what the block path it falls back to fetches.
+    let (_, auto_bytes) = rows_and_bytes(&l, &plan, Strategy::Auto);
+    let (_, scan_bytes) = rows_and_bytes(&l, &plan, Strategy::Scan);
+    assert_eq!(auto_bytes, scan_bytes);
+    let text = explain(&l, &plan);
+    assert!(text.contains("Query donate [scan: "), "{text}");
+    // Eq. 3 crosses Eq. 2 at 26 pointers per table block; the walk may
+    // overshoot by one block's hits (100 here) and no more.
+    let p = abandon_point(&text);
+    assert!((26 * 40..=26 * 40 + 100).contains(&p), "{text}");
+    let _ = std::fs::remove_dir_all(probe_dir("probe-wide"));
+}
+
+#[test]
+fn auto_probes_only_the_window_over_a_frozen_index() {
+    let (l, s) = uninformative_first_level("probe-frozen", Some(8));
+    assert!(l.checkpoint_indexes().unwrap() > 0, "nothing was frozen");
+    // Tuples of blocks 10..=29; the (conservative) block mask adds
+    // block 9, so 21 of the 40 blocks are inside the window.
+    let window = Some((10_000, 29_999));
+
+    let selective = amount_between(&s, 1010, 1014, window);
+    assert_all_paths_agree(&l, &selective, 5);
+    let (_, auto_bytes) = rows_and_bytes(&l, &selective, Strategy::Auto);
+    let (_, bitmap_bytes) = rows_and_bytes(&l, &selective, Strategy::Bitmap);
+    assert!(
+        auto_bytes < bitmap_bytes,
+        "auto read {auto_bytes} B, bitmap {bitmap_bytes} B"
+    );
+    let text = explain(&l, &selective);
+    assert!(text.contains("p = 5 exact"), "{text}");
+    // Blocks outside the window are neither probed nor charged for.
+    assert!(text.contains("21 candidate blocks (21 frozen)"), "{text}");
+    assert!(text.contains("scan(21 blocks)"), "{text}");
+
+    let wide = amount_between(&s, 0, 1999, window);
+    assert_all_paths_agree(&l, &wide, 1000);
+    let text = explain(&l, &wide);
+    assert!(text.contains("Query donate [scan: "), "{text}");
+    let p = abandon_point(&text);
+    assert!(p <= 26 * 21 + 100, "{text}");
+    let _ = std::fs::remove_dir_all(probe_dir("probe-frozen"));
+}
+
+/// Every call site that still fans out does so above its floor, and
+/// returns what the sequential loop returns: a chain long enough to
+/// cross the per-block and per-`pread` floors, with enough matching
+/// rows to cross the per-tuple floor, queried at worker caps 1 and 4
+/// (so each parallel branch runs in every CI pass, whatever
+/// `SEBDB_THREADS` says).
+#[test]
+fn sites_above_their_floors_fan_out_and_match_sequential() {
+    use sebdb_parallel::{FLOOR_BLOCK, FLOOR_PREAD, FLOOR_RUN, FLOOR_TUPLE};
+    let blocks = 2 * FLOOR_PREAD as i64 + 8;
+    let transfers_per_block = 4;
+    let rows = (blocks * transfers_per_block) as usize;
+    // Grouped fetch: one group per block. Block-granular maps: one item
+    // per block or per readahead run. Row maps: one item per row.
+    assert!(blocks as usize >= 2 * FLOOR_BLOCK.max(FLOOR_PREAD));
+    assert!(blocks as usize / sebdb_storage::readahead_blocks() >= 2 * FLOOR_RUN);
+    assert!(rows >= 2 * FLOOR_TUPLE);
+
+    let l = ledger();
+    let groups: Vec<Vec<(&str, KeyId, Vec<Value>)>> = (0..blocks)
+        .map(|b| {
+            let org = Value::str(format!("org{b:04}"));
+            let mut txs: Vec<(&str, KeyId, Vec<Value>)> = (0..transfers_per_block)
+                .map(|i| {
+                    let amount = Value::decimal(b * transfers_per_block + i);
+                    ("transfer", A, vec![org.clone(), amount])
+                })
+                .collect();
+            txs.push(("distribute", B, vec![org]));
+            txs
+        })
+        .collect();
+    append_blocks(&l, groups);
+    let transfer = schema(
+        "transfer",
+        &[
+            ("organization", DataType::Str),
+            ("amount", DataType::Decimal),
+        ],
+    );
+    let distribute = schema("distribute", &[("organization", DataType::Str)]);
+    l.create_layered_index(&transfer, "amount", None).unwrap();
+    l.create_layered_index(&transfer, "organization", None)
+        .unwrap();
+    l.create_layered_index(&distribute, "organization", None)
+        .unwrap();
+
+    let db = Arc::new(OffchainDb::new());
+    let org_columns = vec![Column::new("organization", DataType::Str)];
+    db.create_table("orginfo", org_columns.clone()).unwrap();
+    let conn = db.connect();
+    for b in 0..blocks {
+        conn.insert("orginfo", vec![Value::str(format!("org{b:04}"))])
+            .unwrap();
+    }
+
+    let plans = [
+        // Layered: grouped fetch + row map; scan/bitmap: relation runs.
+        amount_between(&transfer, 0, rows as i64, None),
+        // Layered: row map; scan: block runs.
+        LogicalPlan::Trace {
+            window: None,
+            operator: Some(Value::Bytes(A.as_bytes().to_vec())),
+            operation: None,
+        },
+        // Scan: hash-join build per block + probe per row; layered:
+        // matched-pair row map.
+        LogicalPlan::OnChainJoin {
+            left_col: transfer.resolve("organization").unwrap(),
+            right_col: distribute.resolve("organization").unwrap(),
+            left: transfer.clone(),
+            right: distribute,
+            window: None,
+        },
+        // Scan: per-block probe map; layered: matched row map.
+        LogicalPlan::OnOffJoin {
+            on_col: transfer.resolve("organization").unwrap(),
+            on_table: transfer.clone(),
+            off_table: "orginfo".into(),
+            off_col: 0,
+            off_columns: org_columns,
+            window: None,
+        },
+    ];
+    let run_all = || {
+        let exec = Executor::new(&l, Some(&conn));
+        let mut results = Vec::new();
+        for plan in &plans {
+            for strat in [Strategy::Scan, Strategy::Layered] {
+                // Every plan answers with one row per transfer.
+                let result = exec.execute(plan, strat).unwrap().rows;
+                assert_eq!(result.len(), rows, "{strat:?}");
+                results.push(result);
+            }
+        }
+        results
+    };
+    let ambient = sebdb_parallel::max_threads();
+    sebdb_parallel::set_max_threads(1);
+    let sequential = run_all();
+    sebdb_parallel::set_max_threads(4);
+    let parallel = run_all();
+    sebdb_parallel::set_max_threads(ambient);
+    assert_eq!(sequential, parallel);
+}

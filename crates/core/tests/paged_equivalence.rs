@@ -155,6 +155,26 @@ fn suites(schemas: &SchemaManager) -> Vec<(String, LogicalPlan, Strategy)> {
             strat,
         ));
     }
+    // Seeded random ranges over donate3's amounts (0..97) under the
+    // planner and both extremes it can resolve to.
+    let mut seed = 0x5EBD_B013u64;
+    for i in 0..6 {
+        seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let lo = (seed >> 33) as i64 % 97;
+        let span = (seed >> 13) as i64 % 60;
+        for strat in [Strategy::Scan, Strategy::Layered, Strategy::Auto] {
+            out.push((
+                format!("rand{i}/{strat:?}"),
+                query(
+                    &s3,
+                    BoundPredicateKind::Between(Value::decimal(lo), Value::decimal(lo + span)),
+                ),
+                strat,
+            ));
+        }
+    }
     out.push((
         "tracking/Layered".into(),
         LogicalPlan::Trace {
@@ -200,6 +220,21 @@ fn assert_suites_match(
     for ((name, a), (_, b)) in reference.iter().zip(got) {
         assert_eq!(a, b, "{ctx}: {name} diverged from the resident reference");
         assert!(!a.is_empty(), "{ctx}: {name} reference suite is empty");
+    }
+    // Single-table queries: every access path of one query (suites
+    // named `<query>/<strategy>`) returns the same ordered row vector.
+    let q4 = |name: &str| {
+        ["point/", "range/", "rand"]
+            .iter()
+            .any(|p| name.starts_with(p))
+    };
+    for (name, rows) in got.iter().filter(|(name, _)| q4(name)) {
+        let query = name.split('/').next();
+        let (first, first_rows) = got
+            .iter()
+            .find(|(n, _)| n.split('/').next() == query)
+            .unwrap();
+        assert_eq!(rows, first_rows, "{ctx}: {name} differs from {first}");
     }
 }
 

@@ -14,14 +14,6 @@
 
 use crate::sha256::{Digest, Sha256};
 
-/// Below this many digests in a level, hashing runs sequentially:
-/// SHA-256 over 65 bytes is ~100ns, so small levels never amortize a
-/// thread handoff.
-const PAR_LEVEL_THRESHOLD: usize = 64;
-
-/// Minimum leaves handed to one worker when leaf-hashing in parallel.
-const MIN_LEAVES_PER_THREAD: usize = 32;
-
 /// Hashes a leaf payload.
 pub fn leaf_hash(data: &[u8]) -> Digest {
     let mut h = Sha256::new();
@@ -78,24 +70,20 @@ impl MerkleProof {
 
 /// Hashes one level into its parent level: adjacent pairs are combined
 /// with [`node_hash`], an odd trailing node is promoted unchanged.
-/// Large levels fan the pair hashing out over `threads` workers; the
-/// output is identical to the sequential reduction either way.
+/// Levels large enough to pay for a spawn fan the pair hashing out
+/// over `threads` workers; the output is identical to the sequential
+/// reduction either way.
 fn reduce_level(prev: &[Digest], threads: usize) -> Vec<Digest> {
     let pairs = prev.len() / 2;
-    let mut next: Vec<Digest> = if threads > 1 && prev.len() >= PAR_LEVEL_THRESHOLD {
-        sebdb_parallel::par_chunks(pairs, threads, MIN_LEAVES_PER_THREAD, |range| {
+    let mut next: Vec<Digest> =
+        sebdb_parallel::par_chunks(pairs, threads, sebdb_parallel::FLOOR_TUPLE, |range| {
             range
                 .map(|i| node_hash(&prev[2 * i], &prev[2 * i + 1]))
                 .collect::<Vec<Digest>>()
         })
         .into_iter()
         .flatten()
-        .collect()
-    } else {
-        (0..pairs)
-            .map(|i| node_hash(&prev[2 * i], &prev[2 * i + 1]))
-            .collect()
-    };
+        .collect();
     if prev.len() % 2 == 1 {
         next.push(prev[prev.len() - 1]);
     }
@@ -104,13 +92,9 @@ fn reduce_level(prev: &[Digest], threads: usize) -> Vec<Digest> {
 
 /// Hashes raw leaf payloads, in parallel when there are enough of them.
 fn hash_leaves<T: AsRef<[u8]> + Sync>(leaves: &[T], threads: usize) -> Vec<Digest> {
-    if threads > 1 && leaves.len() >= PAR_LEVEL_THRESHOLD {
-        sebdb_parallel::par_map_with_threads(leaves, threads, MIN_LEAVES_PER_THREAD, |l| {
-            leaf_hash(l.as_ref())
-        })
-    } else {
-        leaves.iter().map(|l| leaf_hash(l.as_ref())).collect()
-    }
+    sebdb_parallel::par_map_with_threads(leaves, threads, sebdb_parallel::FLOOR_TUPLE, |l| {
+        leaf_hash(l.as_ref())
+    })
 }
 
 impl MerkleTree {
@@ -301,10 +285,13 @@ mod tests {
 
     #[test]
     fn parallel_root_matches_sequential_for_all_small_sizes() {
-        // Straddles the parallel threshold (64) and both parities at
-        // every level; explicit thread counts so the global cap is
-        // irrelevant.
-        for n in 0..=257usize {
+        // Small trees of both parities at every level, then sizes
+        // straddling the leaf fan-out (2 × floor leaves) and the
+        // first-level fan-out (2 × floor pairs); explicit thread
+        // counts so the global cap is irrelevant.
+        let f = sebdb_parallel::FLOOR_TUPLE;
+        let straddle = [2 * f - 1, 2 * f, 2 * f + 1, 4 * f - 1, 4 * f, 4 * f + 3];
+        for n in (0..=33usize).chain(straddle) {
             let ls = leaves(n);
             let seq = MerkleTree::from_leaves_with_threads(&ls, 1);
             for threads in [2usize, 3, 4, 8] {
@@ -321,7 +308,8 @@ mod tests {
 
     #[test]
     fn parallel_proofs_match_sequential() {
-        for n in [64usize, 65, 128, 200, 257] {
+        let f = sebdb_parallel::FLOOR_TUPLE;
+        for n in [64usize, 257, 2 * f + 1, 4 * f + 3] {
             let ls = leaves(n);
             let seq = MerkleTree::from_leaves_with_threads(&ls, 1);
             let par = MerkleTree::from_leaves_with_threads(&ls, 4);

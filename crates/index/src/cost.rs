@@ -11,6 +11,13 @@
 //!
 //! "If the size of query result is large, using table-level bitmap
 //! index may outperform layered index since random I/O is slow."
+//!
+//! `p` is not estimated. The range executor walks the layered index
+//! (index-only) and asks [`CostParams::choose_paged`] after every
+//! candidate block whether the layered path still wins at the pointers
+//! counted so far; it stops at the first "no". The walk therefore
+//! collects at most `min(C_scan, C_bitmap) / (t_S + t_T)` pointers
+//! before giving up — about 26 per table block at the defaults.
 
 /// Device/deployment parameters of the cost model.
 #[derive(Debug, Clone, Copy)]
@@ -169,15 +176,15 @@ impl CostParams {
     }
 
     /// Picks the cheapest path given the chain height `n`, the bitmap
-    /// candidate count `k`, and the estimated result cardinality `p`,
-    /// with a fully resident layered index (`index_blocks = 0`).
+    /// candidate count `k`, and the result cardinality `p` (counted by
+    /// the caller's index probe, or its running count mid-probe), with
+    /// a fully resident layered index (`index_blocks = 0`).
     pub fn choose(&self, n: u64, k: u64, p: u64) -> AccessPath {
         self.choose_paged(n, k, p, 0)
     }
 
     /// [`Self::choose`] for a disk-resident layered index that must
-    /// page in an estimated `index_blocks` level-1 index blocks along
-    /// the way. The scan and bitmap paths never consult the layered
+    /// page in `index_blocks` level-1 index blocks along the way. The scan and bitmap paths never consult the layered
     /// index, so only the layered term moves.
     pub fn choose_paged(&self, n: u64, k: u64, p: u64, index_blocks: u64) -> AccessPath {
         let scan = self.cost_scan(n);
@@ -278,6 +285,18 @@ mod tests {
         assert_eq!(cold.choose(n, k, p), AccessPath::Layered);
         assert_eq!(cold.choose_paged(n, k, p, 0), AccessPath::Layered);
         assert_eq!(cold.choose_paged(n, k, p, 100_000), AccessPath::Bitmap);
+    }
+
+    #[test]
+    fn probe_waste_is_bounded_by_the_crossover() {
+        // The probe-first planner abandons its index walk at the first
+        // p where Layered stops winning. At the defaults that is 26
+        // pointers per table block, whatever the chain length.
+        let c = CostParams::default();
+        for k in [1u64, 40, 4_000] {
+            let last_win = (0..).find(|&p| c.choose(2 * k, k, p + 1) != AccessPath::Layered);
+            assert_eq!(last_win.map(|p| p / k), Some(25), "k = {k}");
+        }
     }
 
     #[test]

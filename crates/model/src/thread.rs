@@ -61,14 +61,3 @@ impl<T> JoinHandle<T> {
         }
     }
 }
-
-/// Model version of `sebdb_parallel::par_invoke`: runs every task on
-/// its own model thread and joins them all. (The real primitive caps
-/// workers and reuses the caller's thread; the model explores the
-/// fully concurrent shape, which over-approximates it.)
-pub fn par_invoke(tasks: Vec<Box<dyn FnOnce() + Send + 'static>>) {
-    let handles: Vec<JoinHandle<()>> = tasks.into_iter().map(spawn).collect();
-    for handle in handles {
-        handle.join();
-    }
-}

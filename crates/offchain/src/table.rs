@@ -104,7 +104,7 @@ impl OffTable {
         sebdb_parallel::par_chunks(
             self.rows.len(),
             sebdb_parallel::max_threads(),
-            1024,
+            sebdb_parallel::FLOOR_TUPLE,
             |range| {
                 self.rows[range]
                     .iter()
@@ -179,7 +179,7 @@ impl OffTable {
         sebdb_parallel::par_chunks(
             self.rows.len(),
             sebdb_parallel::max_threads(),
-            4096,
+            sebdb_parallel::FLOOR_TUPLE,
             |range| {
                 let vals = self.rows[range]
                     .iter()

@@ -48,13 +48,39 @@ pub fn set_max_threads(n: usize) {
     MAX_THREADS.store(n.max(1), Ordering::Relaxed);
 }
 
+/// Per-worker floors by the cost class of one item. A `par_*` call
+/// fans out only when every worker gets about half a millisecond of
+/// work — some ten times what opening a `thread::scope` and joining
+/// one worker costs (22 µs at best, 25 µs median, 37 µs p90 on the
+/// idle two-core host the numbers were taken on) — so a call site
+/// names the class of its items and the input size decides. The
+/// measured per-item costs and the sites in each class are tabled in
+/// DESIGN.md §8.
+///
+/// Half a microsecond an item and under: materialising, encoding,
+/// hashing or probing one tuple, one Merkle node.
+pub const FLOOR_TUPLE: usize = 1024;
+/// One to two microseconds an item: one tuple-sized `pread` group, one
+/// MAC verification.
+pub const FLOOR_PREAD: usize = 256;
+/// Tens of microseconds an item: reading and decoding one block.
+pub const FLOOR_BLOCK: usize = 8;
+/// Half a millisecond an item and up: one readahead run of blocks, one
+/// `fsync`.
+pub const FLOOR_RUN: usize = 1;
+// The cost classes are ordered: cheaper items need more of them.
+const _: () =
+    assert!(FLOOR_TUPLE > FLOOR_PREAD && FLOOR_PREAD > FLOOR_BLOCK && FLOOR_BLOCK > FLOOR_RUN);
+
 /// Workers to use for `len` items given a per-thread floor: no point
-/// spinning up a thread for less than `min_per_thread` items.
+/// spinning up a thread for less than `min_per_thread` items. The
+/// arithmetic saturates, so `usize::MAX` means "never fan out".
 fn workers_for(len: usize, threads: usize, min_per_thread: usize) -> usize {
-    if threads <= 1 || len < 2 * min_per_thread.max(1) {
+    let floor = min_per_thread.max(1);
+    if threads <= 1 || len < floor.saturating_mul(2) {
         return 1;
     }
-    threads.min(len / min_per_thread.max(1)).max(1)
+    threads.min(len / floor)
 }
 
 /// Maps `items` to a new vector, preserving order. Chunks are handed
@@ -173,38 +199,6 @@ where
     first
 }
 
-/// Runs independent closures concurrently (one thread each beyond the
-/// first) and waits for all of them. With a cap of 1 they run in
-/// order on the caller's thread.
-pub fn par_invoke(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
-    if max_threads() <= 1 || tasks.len() <= 1 {
-        for task in tasks {
-            task();
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        let mut iter = tasks.into_iter();
-        let first = iter.next();
-        let handles: Vec<_> = iter.map(|task| scope.spawn(task)).collect();
-        // Run one task on the calling thread instead of parking it.
-        if let Some(task) = first {
-            task();
-        }
-        for handle in handles {
-            handle.join().expect("parallel task panicked");
-        }
-    });
-}
-
-/// Convenience macro for [`par_invoke`]: `join_all!(|| a(), || b())`.
-#[macro_export]
-macro_rules! join_all {
-    ($($task:expr),+ $(,)?) => {
-        $crate::par_invoke(vec![$(Box::new($task)),+])
-    };
-}
-
 /// Spawns a named long-lived service thread (appliers, consensus
 /// replicas, network pumps). This is the one sanctioned way to start
 /// an OS thread outside this crate — the repo lint forbids raw
@@ -275,18 +269,27 @@ mod tests {
     }
 
     #[test]
-    fn invoke_runs_all_tasks() {
-        let _guard = CAP_LOCK.lock().unwrap();
-        set_max_threads(4);
-        let a = Mutex::new(0u32);
-        let b = Mutex::new(0u32);
-        join_all!(|| *a.lock().unwrap() += 1, || *b.lock().unwrap() += 2);
-        assert_eq!(*a.lock().unwrap(), 1);
-        assert_eq!(*b.lock().unwrap(), 2);
-        set_max_threads(1);
-        join_all!(|| *a.lock().unwrap() += 1, || *b.lock().unwrap() += 2);
-        assert_eq!(*a.lock().unwrap(), 2);
-        assert_eq!(*b.lock().unwrap(), 4);
+    fn workers_for_fans_out_from_twice_the_floor() {
+        for floor in [FLOOR_TUPLE, FLOOR_PREAD, FLOOR_BLOCK, FLOOR_RUN] {
+            // Below: one item short of two workers' worth stays put.
+            assert_eq!(workers_for(2 * floor - 1, 8, floor), 1, "floor {floor}");
+            // At: exactly two workers, each with a full floor.
+            assert_eq!(workers_for(2 * floor, 8, floor), 2, "floor {floor}");
+            // Above: one worker per floor's worth, up to the cap.
+            assert_eq!(workers_for(5 * floor, 8, floor), 5, "floor {floor}");
+            assert_eq!(workers_for(100 * floor, 8, floor), 8, "floor {floor}");
+            // A cap of one never fans out.
+            assert_eq!(workers_for(100 * floor, 1, floor), 1, "floor {floor}");
+        }
+    }
+
+    #[test]
+    fn workers_for_saturates() {
+        // "Never fan out" must not overflow the doubling.
+        assert_eq!(workers_for(usize::MAX, 8, usize::MAX), 1);
+        assert_eq!(workers_for(usize::MAX, 8, usize::MAX / 2 + 1), 1);
+        // A zero floor is treated as one.
+        assert_eq!(workers_for(2, 8, 0), 2);
     }
 
     #[test]

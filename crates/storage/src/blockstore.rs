@@ -1104,10 +1104,12 @@ impl BlockStore {
     /// store height (blocks arrive strictly in order).
     ///
     /// On disk the chain record and every touched partition's extent
-    /// fan out across `sebdb-parallel` workers (each partition has its
-    /// own writer lock, so the bytes each file receives are identical
-    /// under any scheduling); the chain-order manifest record is the
-    /// commit point, written only after every partition write landed.
+    /// are written in order — or, under `sync_writes`, fanned out
+    /// across `sebdb-parallel` workers so the fsyncs overlap (each
+    /// partition has its own writer lock, so the bytes each file
+    /// receives are identical under any scheduling); the chain-order
+    /// manifest record is the commit point, written only after every
+    /// partition write landed.
     /// A failed append leaves torn partition state that restart replay
     /// heals; the in-memory view is untouched.
     pub fn append(&self, block: &Block) -> Result<()> {
@@ -1131,37 +1133,43 @@ impl BlockStore {
                 let enc = encode_partitioned(block, self.partitions);
                 let mut jobs: Vec<usize> = vec![CHAIN_PARTITION];
                 jobs.extend((0..self.partitions).filter(|&p| !enc.extents[p].is_empty()));
-                let written =
-                    sebdb_parallel::par_map(&jobs, 1, |&job| -> Result<(usize, Location)> {
-                        self.check_fault(WriteStep::PartitionWrite(job))?;
-                        if job == CHAIN_PARTITION {
-                            let mut w = chain_writer.lock();
-                            let loc = w.append(&enc.chain)?;
+                let write_job = |&job: &usize| -> Result<(usize, Location)> {
+                    self.check_fault(WriteStep::PartitionWrite(job))?;
+                    if job == CHAIN_PARTITION {
+                        let mut w = chain_writer.lock();
+                        let loc = w.append(&enc.chain)?;
+                        if self.config.sync_writes {
+                            w.sync()?;
+                        } else {
+                            w.flush()?;
+                        }
+                        Ok((job, loc))
+                    } else {
+                        let part = &parts[job];
+                        let loc = {
+                            let mut w = part.writer.lock();
+                            let loc = w.append(&enc.extents[job])?;
                             if self.config.sync_writes {
                                 w.sync()?;
                             } else {
                                 w.flush()?;
                             }
-                            Ok((job, loc))
-                        } else {
-                            let part = &parts[job];
-                            let loc = {
-                                let mut w = part.writer.lock();
-                                let loc = w.append(&enc.extents[job])?;
-                                if self.config.sync_writes {
-                                    w.sync()?;
-                                } else {
-                                    w.flush()?;
-                                }
-                                loc
-                            };
-                            self.check_fault(WriteStep::OffsetsWrite(job))?;
-                            let mut o = part.offsets.lock();
-                            o.write_all(&offsets_record(bid, &enc.offsets[job]))?;
-                            o.flush()?;
-                            Ok((job, loc))
-                        }
-                    });
+                            loc
+                        };
+                        self.check_fault(WriteStep::OffsetsWrite(job))?;
+                        let mut o = part.offsets.lock();
+                        o.write_all(&offsets_record(bid, &enc.offsets[job]))?;
+                        o.flush()?;
+                        Ok((job, loc))
+                    }
+                };
+                // Parallel fsyncs are worth a spawn; buffered appends
+                // (microseconds each) are not.
+                let written: Vec<Result<(usize, Location)>> = if self.config.sync_writes {
+                    sebdb_parallel::par_map(&jobs, sebdb_parallel::FLOOR_RUN, write_job)
+                } else {
+                    jobs.iter().map(write_job).collect()
+                };
                 let mut chain_loc = None;
                 let mut part_locs: Vec<(u8, Location)> = Vec::with_capacity(jobs.len() - 1);
                 for r in written {
@@ -1760,7 +1768,9 @@ impl CachedStore {
             groups[gi].1.push((pos, ptr));
         }
         let fetched =
-            sebdb_parallel::par_map(&groups, 1, |(bid, members)| self.read_group(*bid, members));
+            sebdb_parallel::par_map(&groups, sebdb_parallel::FLOOR_PREAD, |(bid, members)| {
+                self.read_group(*bid, members)
+            });
         let mut out: Vec<Option<Arc<Transaction>>> = vec![None; ptrs.len()];
         for group in fetched {
             for (pos, tx) in group? {

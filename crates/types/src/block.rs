@@ -95,7 +95,7 @@ pub struct Block {
 /// Encodes each transaction to its canonical bytes (the Merkle
 /// leaves), fanning out across workers for large bodies.
 fn encode_tx_leaves(transactions: &[Transaction]) -> Vec<Vec<u8>> {
-    sebdb_parallel::par_map(transactions, 32, |t| t.to_bytes())
+    sebdb_parallel::par_map(transactions, sebdb_parallel::FLOOR_TUPLE, |t| t.to_bytes())
 }
 
 impl Block {

@@ -9,9 +9,9 @@
 //!
 //! 1. `spawn`  — no `thread::spawn` outside `crates/parallel` and
 //!    `crates/model`. Everything else goes through
-//!    `sebdb_parallel::spawn_service` / `par_invoke`, so every service
-//!    thread inherits naming, panic routing, and the `SEBDB_THREADS=1`
-//!    sequential fallback.
+//!    `sebdb_parallel::spawn_service` or the `par_*` primitives, so
+//!    every service thread inherits naming and panic routing and every
+//!    fan-out the `SEBDB_THREADS=1` sequential fallback.
 //! 2. `sleep`  — no `thread::sleep` (sleep-based polling hides lost
 //!    wakeups; use a Condvar). Deliberate *simulation* delays (network
 //!    latency, execution cost) are allowlisted.
@@ -27,6 +27,12 @@
 //!    the model checker's instrumented primitives — including the
 //!    happens-before race detector's clock propagation — cover every
 //!    lock the engine actually takes.
+//!
+//! 6. `par-floor` — a `par_map` / `par_map_with_threads` /
+//!    `par_chunks` / `par_find_first` call outside `crates/parallel`
+//!    passes a named `sebdb_parallel::FLOOR_*` cost-class constant as
+//!    its per-worker floor, never an integer literal: a floor of `1`
+//!    spawns threads for microseconds of work (DESIGN §8).
 //!
 //! The allowlist lives in `tools/lint/allowlist.txt`; each line is
 //! `<rule> <path> <count>`. The file is capped at 25 entries and every
@@ -55,6 +61,18 @@ const CLOCK_FILE: &str = "crates/consensus/src/traits.rs";
 /// instrumented primitives (and the race detector's internal state) on
 /// them by necessity.
 const STD_SYNC_ALLOWED_DIRS: &[&str] = &["shims/", "crates/model/"];
+
+/// The fan-out primitives (up to the opening parenthesis) and the
+/// position of each one's per-worker floor argument.
+const PAR_PRIMITIVES: &[(&str, usize)] = &[
+    ("par_map_with_threads(", 2),
+    ("par_map(", 1),
+    ("par_chunks(", 2),
+    ("par_find_first(", 1),
+];
+
+/// The crate that defines the primitives (and may pass floors through).
+const PAR_FLOOR_EXEMPT_DIR: &str = "crates/parallel/";
 
 /// The banned `std::sync` lock types (`Arc`, atomics, and `OnceLock`
 /// remain fine everywhere — they are not lock-discipline state the
@@ -199,7 +217,10 @@ fn load_allowlist(path: &Path) -> Result<Vec<AllowEntry>, String> {
                 i + 1
             ));
         };
-        if !matches!(rule, "spawn" | "sleep" | "unwrap" | "clock" | "std-sync") {
+        if !matches!(
+            rule,
+            "spawn" | "sleep" | "unwrap" | "clock" | "std-sync" | "par-floor"
+        ) {
             return Err(format!("allowlist line {}: unknown rule `{rule}`", i + 1));
         }
         let count: usize = count
@@ -306,6 +327,64 @@ fn check_file(rel: &str, source: &str, out: &mut Vec<Violation>) {
             });
         }
     }
+    if !rel.starts_with(PAR_FLOOR_EXEMPT_DIR) {
+        for (i, floor) in unnamed_floors(&stripped) {
+            if !test_lines[i] {
+                out.push(Violation {
+                    rule: "par-floor",
+                    path: rel.to_string(),
+                    line: i + 1,
+                    text: format!(
+                        "fan-out floor `{floor}` is not a sebdb_parallel::FLOOR_* constant: {}",
+                        original_lines.get(i).copied().unwrap_or_default()
+                    ),
+                });
+            }
+        }
+    }
+}
+
+/// Every call of a fan-out primitive in `stripped` whose floor
+/// argument is not a `FLOOR_*` constant, as (0-based line, argument).
+/// Calls span lines, so this walks the whole source, not one line.
+fn unnamed_floors(stripped: &str) -> Vec<(usize, String)> {
+    let mut out = Vec::new();
+    for &(name, floor_pos) in PAR_PRIMITIVES {
+        for (at, _) in stripped.match_indices(name) {
+            let before = stripped[..at].chars().next_back();
+            if before.is_some_and(|c| c.is_alphanumeric() || c == '_') {
+                continue; // e.g. `par_map(` inside `my_par_map(`
+            }
+            // Split the call's arguments at top-level commas.
+            let mut args = vec![String::new()];
+            let mut depth = 0i32;
+            for ch in stripped[at + name.len()..].chars() {
+                match ch {
+                    '(' | '[' | '{' => depth += 1,
+                    ')' | ']' | '}' if depth == 0 => break,
+                    ')' | ']' | '}' => depth -= 1,
+                    ',' if depth == 0 => {
+                        args.push(String::new());
+                        continue;
+                    }
+                    _ => {}
+                }
+                if let Some(arg) = args.last_mut() {
+                    arg.push(ch);
+                }
+            }
+            let floor = args.get(floor_pos).map_or("", |a| a.trim());
+            let constant = floor.rsplit("::").next().unwrap_or(floor);
+            let named = constant.starts_with("FLOOR_")
+                && constant.chars().all(|c| c.is_ascii_uppercase() || c == '_');
+            if !named {
+                let line = stripped[..at].matches('\n').count();
+                out.push((line, floor.to_string()));
+            }
+        }
+    }
+    out.sort();
+    out
 }
 
 /// True if one of the six lines above `idx` (or the line itself)
@@ -552,6 +631,43 @@ mod tests {
             check_file(dir, src, &mut v);
             assert!(v.is_empty(), "{dir}: {:?}", v.len());
         }
+    }
+
+    #[test]
+    fn flags_literal_fan_out_floors() {
+        // A literal floor trips the rule wherever it sits in the call,
+        // across lines and for every primitive.
+        for src in [
+            "fn f() { sebdb_parallel::par_map(&xs, 1, |x| x + 1); }\n",
+            "fn f() {\n    par_map(\n        &xs,\n        16,\n        |x| g(x, 2),\n    );\n}\n",
+            "fn f() { par_chunks(n, threads, 4096, |r| r.len()); }\n",
+            "fn f() { par_find_first(&xs, MIN, |x| x.then_some(())); }\n",
+            "fn f() { par_map_with_threads(&xs, t, 2 * FLOOR_TUPLE, |x| *x); }\n",
+        ] {
+            let mut v = Vec::new();
+            check_file("crates/core/src/x.rs", src, &mut v);
+            assert_eq!(v.len(), 1, "{src}");
+            assert_eq!(v[0].rule, "par-floor");
+        }
+        let named = "fn f() {\n    sebdb_parallel::par_map(&xs, sebdb_parallel::FLOOR_BLOCK, |x| g(x, 1));\n    \
+                     par_chunks(n, max_threads(), FLOOR_TUPLE, |r| r.len());\n}\n";
+        let mut v = Vec::new();
+        check_file("crates/core/src/x.rs", named, &mut v);
+        assert!(v.is_empty(), "named floors must pass");
+        // The defining crate and test code are exempt.
+        let literal = "fn f() { par_map(&xs, 1, |x| x + 1); }\n";
+        for path in ["crates/parallel/src/lib.rs", "crates/bench/benches/x.rs"] {
+            let mut v = Vec::new();
+            check_file(path, literal, &mut v);
+            assert!(v.is_empty(), "{path} must be exempt");
+        }
+        let mut v = Vec::new();
+        check_file(
+            "crates/core/src/x.rs",
+            "#[cfg(test)]\nmod tests {\n    fn t() { par_map(&xs, 4, |x| *x); }\n}\n",
+            &mut v,
+        );
+        assert!(v.is_empty(), "test-masked literal floors must be exempt");
     }
 
     #[test]
