@@ -10,7 +10,7 @@
 //!   without checkpoints it replays every block and grows linearly.
 //! * **Bounded residency** — a probed frozen index pages level-1 blocks
 //!   through the shared cache, so resident index bytes stay bounded by
-//!   `SEBDB_INDEX_CACHE_BLOCKS` where the `cache=∞` (capacity 0)
+//!   `StoreConfig::index_cache_blocks` where the `cache=∞` (capacity 0)
 //!   reference grows with the number of distinct blocks touched —
 //!   Eq. 3's per-block transfer term applied to the index itself.
 //!

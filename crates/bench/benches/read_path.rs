@@ -144,9 +144,7 @@ fn run_tuples(store: &Arc<BlockStore>, mode: &str, ptrs: &[TxPtr]) {
 fn run_relation(store: &Arc<BlockStore>, mode: &str, nblocks: u64) {
     let cached = CachedStore::new(Arc::clone(store), mode_of(mode));
     let bids: Vec<u64> = (0..nblocks).collect();
-    let runs: Vec<&[u64]> = bids
-        .chunks(sebdb_storage::readahead_blocks().max(1))
-        .collect();
+    let runs: Vec<&[u64]> = bids.chunks(sebdb_storage::READAHEAD_BLOCKS).collect();
     let fetched = sebdb_parallel::par_map(&runs, 1, |run| cached.read_relation_txs(run, TABLES[0]));
     let mut rows = 0usize;
     for batches in fetched {
@@ -165,9 +163,7 @@ fn run_relation(store: &Arc<BlockStore>, mode: &str, nblocks: u64) {
 fn run_blocks(store: &Arc<BlockStore>, mode: &str, nblocks: u64) {
     let cached = CachedStore::new(Arc::clone(store), mode_of(mode));
     let bids: Vec<u64> = (0..nblocks).collect();
-    let runs: Vec<&[u64]> = bids
-        .chunks(sebdb_storage::readahead_blocks().max(1))
-        .collect();
+    let runs: Vec<&[u64]> = bids.chunks(sebdb_storage::READAHEAD_BLOCKS).collect();
     let fetched = sebdb_parallel::par_map(&runs, 1, |run| cached.read_blocks_span(run));
     for blocks in fetched {
         for b in blocks.expect("span read") {

@@ -71,13 +71,6 @@ pub enum TmMsg {
     },
 }
 
-fn tm_trace(f: impl FnOnce() -> String) {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    if *ON.get_or_init(|| std::env::var("SEBDB_TM_TRACE").is_ok()) {
-        eprintln!("[tm] {}", f());
-    }
-}
-
 fn msg_height(msg: &TmMsg) -> u64 {
     match msg {
         TmMsg::Proposal { height, .. }
@@ -322,12 +315,6 @@ impl Validator {
     }
 
     fn handle(&mut self, from: NodeId, msg: TmMsg) {
-        tm_trace(|| {
-            format!(
-                "v{} h{} r{} {:?} <- {from}: {msg:?}",
-                self.id, self.height, self.round, self.step
-            )
-        });
         if msg_height(&msg) == self.height + 1 {
             self.parked.push((from, msg));
             return;
@@ -489,12 +476,6 @@ impl Validator {
                 let has_traffic = !self.mempool.lock().is_empty()
                     || !self.state.proposals.is_empty()
                     || !self.state.prevotes.is_empty();
-                tm_trace(|| {
-                    format!(
-                        "v{} h{} r{} propose-deadline traffic={has_traffic}",
-                        self.id, self.height, self.round
-                    )
-                });
                 if has_traffic && self.state.sent_prevote.insert(round) {
                     self.step = Step::Prevote;
                     self.broadcast_and_self(TmMsg::Prevote {

@@ -256,9 +256,7 @@ impl Executor<'_> {
         per_tx: impl Fn(&sebdb_types::Transaction) -> Result<Option<Vec<Value>>, ExecError> + Sync,
     ) -> Vec<Result<Vec<Vec<Value>>, ExecError>> {
         let bids: Vec<u64> = blocks.iter_ones().map(|b| b as u64).collect();
-        let runs: Vec<&[u64]> = bids
-            .chunks(sebdb_storage::readahead_blocks().max(1))
-            .collect();
+        let runs: Vec<&[u64]> = bids.chunks(sebdb_storage::READAHEAD_BLOCKS).collect();
         sebdb_parallel::par_map(&runs, sebdb_parallel::FLOOR_RUN, |run| {
             let fetched = self.ledger.read_blocks_span(run)?;
             let mut rows = Vec::new();
@@ -285,9 +283,7 @@ impl Executor<'_> {
         per_tx: impl Fn(&sebdb_types::Transaction) -> Result<Option<Vec<Value>>, ExecError> + Sync,
     ) -> Vec<Result<Vec<Vec<Value>>, ExecError>> {
         let bids: Vec<u64> = blocks.iter_ones().map(|b| b as u64).collect();
-        let runs: Vec<&[u64]> = bids
-            .chunks(sebdb_storage::readahead_blocks().max(1))
-            .collect();
+        let runs: Vec<&[u64]> = bids.chunks(sebdb_storage::READAHEAD_BLOCKS).collect();
         sebdb_parallel::par_map(&runs, sebdb_parallel::FLOOR_RUN, |run| {
             let fetched = self.ledger.read_relation_txs(run, table)?;
             let mut rows = Vec::new();

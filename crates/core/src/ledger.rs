@@ -102,37 +102,6 @@ struct IndexShard {
 /// paper sets the histogram depth to 100 in §VII-D).
 pub const DEFAULT_HISTOGRAM_BUCKETS: usize = 100;
 
-/// Environment variable selecting the index-checkpoint cadence: every
-/// `N` indexed blocks each index family freezes its state into an
-/// on-disk checkpoint and drops its resident tail. `0` (the default)
-/// disables automatic checkpointing.
-pub const INDEX_CHECKPOINT_EVERY_ENV: &str = "SEBDB_INDEX_CHECKPOINT_EVERY";
-
-fn checkpoint_every_from_env() -> u64 {
-    std::env::var(INDEX_CHECKPOINT_EVERY_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
-}
-
-/// Environment variable selecting the adaptive index-checkpoint
-/// threshold in bytes: once an index scope's resident
-/// (`memory_bytes()`) footprint crosses it after a block, that scope
-/// freezes into an on-disk checkpoint and drops its tail — cadence
-/// driven by memory pressure instead of block count. `0` (the
-/// default) leaves the every-N cadence of
-/// [`INDEX_CHECKPOINT_EVERY_ENV`] alone. The threshold should sit
-/// comfortably above a scope's frozen fence/meta footprint (a few KB
-/// per family), which stays resident across checkpoints.
-pub const INDEX_CHECKPOINT_BYTES_ENV: &str = "SEBDB_INDEX_CHECKPOINT_BYTES";
-
-fn checkpoint_bytes_from_env() -> u64 {
-    std::env::var(INDEX_CHECKPOINT_BYTES_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
-}
-
 /// Checks a transaction's `Sig` system attribute against the sender's
 /// registered key material ("Sig guarantees unforgeability of
 /// transactions", §IV-A). Returning `false` rejects the whole block.
@@ -173,11 +142,10 @@ pub struct Ledger {
     /// Concurrency tests use it to panic or park the indexer stage at
     /// a precise block boundary; production paths never install one.
     index_fault: RwLock<Option<Box<IndexFaultHook>>>,
-    /// Automatic index-checkpoint cadence in blocks (`0` = disabled);
-    /// seeded from [`INDEX_CHECKPOINT_EVERY_ENV`].
+    /// Automatic index-checkpoint cadence in blocks (`0` = disabled).
     checkpoint_every: AtomicU64,
     /// Adaptive checkpoint threshold in resident bytes (`0` =
-    /// disabled); seeded from [`INDEX_CHECKPOINT_BYTES_ENV`].
+    /// disabled).
     checkpoint_bytes: AtomicU64,
     /// Registered incremental materialized `TRACE` views (see
     /// [`crate::views`]).
@@ -209,8 +177,8 @@ impl Ledger {
             height_watch: Mutex::new(()),
             height_cv: Condvar::new(),
             index_fault: RwLock::new(None),
-            checkpoint_every: AtomicU64::new(checkpoint_every_from_env()),
-            checkpoint_bytes: AtomicU64::new(checkpoint_bytes_from_env()),
+            checkpoint_every: AtomicU64::new(0),
+            checkpoint_bytes: AtomicU64::new(0),
             views: crate::views::ViewEngine::default(),
         };
         // Attach frozen prefixes first: each valid index checkpoint
@@ -689,9 +657,10 @@ impl Ledger {
         every > 0 && covered.is_multiple_of(every)
     }
 
-    /// Sets the automatic index-checkpoint cadence in blocks (`0`
-    /// disables it; the constructor seeds it from
-    /// [`INDEX_CHECKPOINT_EVERY_ENV`]).
+    /// Sets the automatic index-checkpoint cadence: every `every`
+    /// indexed blocks each index family freezes its state into an
+    /// on-disk checkpoint and drops its resident tail (`0`, the
+    /// default, disables it).
     pub fn set_checkpoint_every(&self, every: u64) {
         self.checkpoint_every.store(every, Ordering::Relaxed);
     }
@@ -706,8 +675,10 @@ impl Ledger {
     }
 
     /// Sets the adaptive index-checkpoint threshold in resident bytes
-    /// (`0` disables it; the constructor seeds it from
-    /// [`INDEX_CHECKPOINT_BYTES_ENV`]). Scope-granular: the sequential
+    /// (`0`, the default, disables it): a scope whose footprint crosses
+    /// it after a block freezes and drops its tail. It should sit well
+    /// above a scope's frozen fence/meta footprint (a few KB per
+    /// family), which stays resident. Scope-granular: the sequential
     /// applier checks the whole footprint, lane 0 checks the chain
     /// families, and each relation lane checks the shards it owns — so
     /// under a lane pipeline only the scope that actually grew pays

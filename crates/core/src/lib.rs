@@ -37,14 +37,10 @@ pub mod views;
 pub use access::{AccessController, AccessDenied, Permission};
 pub use contract::{Contract, ContractError, ContractRegistry};
 pub use executor::{ExecError, Executor, QueryResult, Strategy};
-pub use ledger::{
-    shard_of, Ledger, LedgerError, INDEX_CHECKPOINT_BYTES_ENV, INDEX_CHECKPOINT_EVERY_ENV,
-    INDEX_SHARDS,
-};
+pub use ledger::{shard_of, Ledger, LedgerError, INDEX_SHARDS};
 pub use node::{ExecOutcome, NodeError, SebdbNode};
 pub use pipeline::{
-    applier_lanes_from_env, auto_applier_lanes, auto_pipeline_depth, pipeline_depth_from_env,
-    ApplierHealth, ApplyPipeline, APPLIER_LANES_ENV, DEFAULT_PIPELINE_DEPTH, PIPELINE_DEPTH_ENV,
+    auto_applier_lanes, auto_pipeline_depth, ApplierHealth, ApplyPipeline, DEFAULT_PIPELINE_DEPTH,
 };
 pub use schema_mgr::{SchemaManager, SCHEMA_TABLE};
 pub use thin_client::{

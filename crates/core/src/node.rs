@@ -9,9 +9,7 @@
 use crate::access::{AccessController, Permission};
 use crate::executor::{ExecError, Executor, QueryResult, Strategy};
 use crate::ledger::Ledger;
-use crate::pipeline::{
-    applier_lanes_from_env, pipeline_depth_from_env, ApplierHealth, ApplyPipeline,
-};
+use crate::pipeline::{auto_applier_lanes, auto_pipeline_depth, ApplierHealth, ApplyPipeline};
 use crate::schema_mgr::SchemaManager;
 use parking_lot::RwLock;
 use sebdb_consensus::traits::now_ms;
@@ -127,10 +125,11 @@ pub struct SebdbNode {
 impl SebdbNode {
     /// Starts a node: subscribes to the consensus stream and begins
     /// applying ordered blocks to the ledger and schema catalog through
-    /// the staged write pipeline (depth from `SEBDB_PIPELINE_DEPTH`,
-    /// default 2: sealing block N overlaps indexing block N−1; lane
-    /// count from `SEBDB_APPLIER_LANES`, auto-tuned to the core
-    /// count). On a disk-backed store the persist stage additionally
+    /// the staged write pipeline, its depth and indexer lane count
+    /// derived from the host's core count ([`auto_pipeline_depth`],
+    /// [`auto_applier_lanes`]: sequential on one core; otherwise
+    /// sealing block N overlaps indexing block N−1 across one lane per
+    /// core). On a disk-backed store the persist stage additionally
     /// fans each block's tuples across the store's per-relation
     /// partition segments (`StoreConfig::partitions`), committed by a
     /// single chain-order manifest record.
@@ -140,39 +139,7 @@ impl SebdbNode {
         offchain: Option<OffchainConnection>,
         identity: MacKeypair,
     ) -> Result<Arc<Self>, NodeError> {
-        Self::start_with_config(
-            store,
-            consensus,
-            offchain,
-            identity,
-            pipeline_depth_from_env(),
-            applier_lanes_from_env(),
-        )
-    }
-
-    /// [`Self::start`] with an explicit pipeline depth (1 = sequential
-    /// applier; N ≥ 2 = staged pipeline with N blocks in flight) and a
-    /// single indexer lane.
-    pub fn start_with_depth(
-        store: Arc<BlockStore>,
-        consensus: Arc<dyn Consensus>,
-        offchain: Option<OffchainConnection>,
-        identity: MacKeypair,
-        depth: usize,
-    ) -> Result<Arc<Self>, NodeError> {
-        Self::start_with_config(store, consensus, offchain, identity, depth, 1)
-    }
-
-    /// [`Self::start`] with explicit pipeline depth AND applier lane
-    /// count (depth 1 × lanes 1 = the sequential reference applier).
-    pub fn start_with_config(
-        store: Arc<BlockStore>,
-        consensus: Arc<dyn Consensus>,
-        offchain: Option<OffchainConnection>,
-        identity: MacKeypair,
-        depth: usize,
-        lanes: usize,
-    ) -> Result<Arc<Self>, NodeError> {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let ledger = Arc::new(
             Ledger::new(store, identity.clone()).map_err(|e| NodeError::Other(e.to_string()))?,
         );
@@ -184,8 +151,8 @@ impl SebdbNode {
             Arc::clone(&schemas),
             consensus.subscribe(),
             Arc::clone(&stopped),
-            depth,
-            lanes,
+            auto_pipeline_depth(cores),
+            auto_applier_lanes(cores),
         );
         let health = Arc::clone(pipeline.health());
 

@@ -49,13 +49,14 @@
 //! so a view never observes a height above [`Ledger::height`] (see
 //! [`crate::views`]).
 //!
-//! Knobs: `SEBDB_PIPELINE_DEPTH` bounds blocks in flight past the
-//! consensus stream (depth 1 + lanes 1 is the sequential
-//! single-thread reference). `SEBDB_APPLIER_LANES` sets the lane
-//! count; unset, it auto-tunes from `available_parallelism` (1 on a
-//! single core, else `min(cores, INDEX_SHARDS)`). Lanes = 1 runs the
-//! three stages with a single indexer lane — byte-identical chains,
-//! identical query results.
+//! Shape: `depth` bounds blocks in flight past the consensus stream
+//! and `lanes` is the indexer lane count, both arguments of
+//! [`ApplyPipeline::start_with_lanes`] (depth 1 + lanes 1 is the
+//! sequential single-thread reference). The node derives both from
+//! `available_parallelism` ([`auto_pipeline_depth`],
+//! [`auto_applier_lanes`]). Lanes = 1 runs the three stages with a
+//! single indexer lane — byte-identical chains, identical query
+//! results.
 //!
 //! Failure mode: any stage error or panic poisons the shared
 //! [`ApplierHealth`] with a message naming the stage, wakes every
@@ -75,12 +76,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Environment knob naming the pipeline depth (blocks in flight).
-pub const PIPELINE_DEPTH_ENV: &str = "SEBDB_PIPELINE_DEPTH";
-
-/// Environment knob naming the applier lane count.
-pub const APPLIER_LANES_ENV: &str = "SEBDB_APPLIER_LANES";
-
 /// Default pipeline depth: one block sealing while one block indexes.
 pub const DEFAULT_PIPELINE_DEPTH: usize = 2;
 
@@ -96,23 +91,6 @@ pub fn auto_pipeline_depth(cores: usize) -> usize {
     }
 }
 
-/// Resolves the pipeline depth from `SEBDB_PIPELINE_DEPTH` (clamped to
-/// ≥ 1). When the knob is unset, auto-tunes from
-/// [`std::thread::available_parallelism`] via [`auto_pipeline_depth`].
-pub fn pipeline_depth_from_env() -> usize {
-    std::env::var(PIPELINE_DEPTH_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or_else(|| {
-            auto_pipeline_depth(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-            )
-        })
-}
-
 /// Picks an applier lane count for a host with `cores` CPUs: a single
 /// core gets the sequential reference (1 lane — parallel index
 /// maintenance would just time-slice); more cores get one lane per
@@ -123,23 +101,6 @@ pub fn auto_applier_lanes(cores: usize) -> usize {
     } else {
         cores.min(INDEX_SHARDS)
     }
-}
-
-/// Resolves the applier lane count from `SEBDB_APPLIER_LANES` (clamped
-/// to `1..=INDEX_SHARDS`). When the knob is unset, auto-tunes from
-/// [`std::thread::available_parallelism`] via [`auto_applier_lanes`].
-pub fn applier_lanes_from_env() -> usize {
-    std::env::var(APPLIER_LANES_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.clamp(1, INDEX_SHARDS))
-        .unwrap_or_else(|| {
-            auto_applier_lanes(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-            )
-        })
 }
 
 /// Shared applier health: write-once poisoned state carrying the error
@@ -205,27 +166,13 @@ pub struct ApplyPipeline {
 
 impl ApplyPipeline {
     /// Starts the pipeline over `source` (the totally-ordered block
-    /// stream from consensus) with the lane count from
-    /// [`applier_lanes_from_env`]. `depth` ≤ 1 with one lane runs the
-    /// sequential single-thread applier; otherwise the three-stage
-    /// pipeline with `depth − 1` blocks of inter-stage buffer. The
+    /// stream from consensus) with `lanes` relation-sharded indexer
+    /// lanes (clamped to `1..=INDEX_SHARDS`). `depth` ≤ 1 **and**
+    /// `lanes` ≤ 1 is the sequential single-thread reference; any
+    /// other combination runs seal | persist | index over bounded
+    /// channels with `depth − 1` blocks of inter-stage buffer. The
     /// pipeline stops when `stopped` is raised, `source` disconnects,
     /// or a stage fails (poisoning `health`).
-    pub fn start(
-        ledger: Arc<Ledger>,
-        schemas: Arc<SchemaManager>,
-        source: Receiver<OrderedBlock>,
-        stopped: Arc<AtomicBool>,
-        depth: usize,
-    ) -> ApplyPipeline {
-        Self::start_with_lanes(ledger, schemas, source, stopped, depth, 1)
-    }
-
-    /// [`Self::start`] with an explicit applier lane count (clamped to
-    /// `1..=INDEX_SHARDS`). `depth` ≤ 1 **and** `lanes` ≤ 1 is the
-    /// sequential reference; any other combination runs
-    /// seal | persist | index over bounded channels with `lanes`
-    /// relation-sharded indexer lanes.
     pub fn start_with_lanes(
         ledger: Arc<Ledger>,
         schemas: Arc<SchemaManager>,
@@ -656,8 +603,14 @@ mod tests {
         let schemas = Arc::new(SchemaManager::new(None));
         let stopped = Arc::new(AtomicBool::new(false));
         let (tx, rx) = unbounded();
-        let mut pipe =
-            ApplyPipeline::start(Arc::clone(&ledger), schemas, rx, Arc::clone(&stopped), 2);
+        let mut pipe = ApplyPipeline::start_with_lanes(
+            Arc::clone(&ledger),
+            schemas,
+            rx,
+            Arc::clone(&stopped),
+            2,
+            1,
+        );
         // A gap in the sequence is a seal error: seq 5 against height 0.
         tx.send(ordered(5, 2)).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -693,8 +646,14 @@ mod tests {
         let schemas = Arc::new(SchemaManager::new(None));
         let stopped = Arc::new(AtomicBool::new(false));
         let (tx, rx) = unbounded();
-        let mut pipe =
-            ApplyPipeline::start(Arc::clone(&ledger), schemas, rx, Arc::clone(&stopped), 3);
+        let mut pipe = ApplyPipeline::start_with_lanes(
+            Arc::clone(&ledger),
+            schemas,
+            rx,
+            Arc::clone(&stopped),
+            3,
+            1,
+        );
         for seq in 0..4 {
             tx.send(ordered(seq, 2)).unwrap();
         }
@@ -769,14 +728,6 @@ mod tests {
     }
 
     #[test]
-    fn env_depth_parsing_clamps() {
-        // Not touching the real env (tests run threaded): only the
-        // default path is exercised here.
-        assert_eq!(DEFAULT_PIPELINE_DEPTH, 2);
-        assert!(pipeline_depth_from_env() >= 1);
-    }
-
-    #[test]
     fn auto_depth_single_core_is_sequential() {
         assert_eq!(auto_pipeline_depth(0), 1);
         assert_eq!(auto_pipeline_depth(1), 1);
@@ -795,21 +746,5 @@ mod tests {
         assert_eq!(auto_applier_lanes(2), 2);
         assert_eq!(auto_applier_lanes(8), INDEX_SHARDS);
         assert_eq!(auto_applier_lanes(64), INDEX_SHARDS);
-    }
-
-    #[test]
-    fn env_unset_matches_auto_tuned_depth() {
-        if std::env::var(PIPELINE_DEPTH_ENV).is_err() {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            assert_eq!(pipeline_depth_from_env(), auto_pipeline_depth(cores));
-        }
-        if std::env::var(APPLIER_LANES_ENV).is_err() {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            assert_eq!(applier_lanes_from_env(), auto_applier_lanes(cores));
-        }
     }
 }

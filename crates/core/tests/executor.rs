@@ -583,7 +583,7 @@ fn sites_above_their_floors_fan_out_and_match_sequential() {
     // Grouped fetch: one group per block. Block-granular maps: one item
     // per block or per readahead run. Row maps: one item per row.
     assert!(blocks as usize >= 2 * FLOOR_BLOCK.max(FLOOR_PREAD));
-    assert!(blocks as usize / sebdb_storage::readahead_blocks() >= 2 * FLOOR_RUN);
+    assert!(blocks as usize / sebdb_storage::READAHEAD_BLOCKS >= 2 * FLOOR_RUN);
     assert!(rows >= 2 * FLOOR_TUPLE);
 
     let l = ledger();

@@ -354,12 +354,13 @@ fn crash_between_stages_restarts_consistent_and_pipeline_continues() {
     }
     let stopped = Arc::new(AtomicBool::new(false));
     let (tx, rx) = crossbeam::channel::unbounded();
-    let mut pipe = ApplyPipeline::start(
+    let mut pipe = ApplyPipeline::start_with_lanes(
         Arc::clone(&ledger),
         Arc::clone(&schemas),
         rx,
         Arc::clone(&stopped),
         3,
+        1,
     );
     for b in &blocks[11..] {
         tx.send(b.clone()).unwrap();

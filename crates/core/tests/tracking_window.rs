@@ -1,6 +1,6 @@
 //! Window-boundary semantics of tracking (`TRACE`), pinned across all
 //! three physical strategies, plus the adaptive index-checkpoint
-//! cadence (`SEBDB_INDEX_CHECKPOINT_BYTES`) and the operator-operand
+//! cadence (`Ledger::set_checkpoint_bytes`) and the operator-operand
 //! error contract.
 //!
 //! Both window edges are inclusive (§V-A: `t_s ≤ ts ≤ t_e`); a window
@@ -175,8 +175,8 @@ fn string_operator_reaching_the_executor_is_one_uniform_error() {
     }
 }
 
-/// Adaptive cadence: with `SEBDB_INDEX_CHECKPOINT_BYTES` active (here
-/// via the setter) every append that pushes the resident footprint
+/// Adaptive cadence: with `set_checkpoint_bytes` active every append
+/// that pushes the resident footprint
 /// over the threshold publishes fresh checkpoints, so a restart
 /// replays no chain blocks; with the byte threshold unset and no
 /// every-N cadence, the same chain replays everything on open.
@@ -217,35 +217,4 @@ fn byte_threshold_drives_checkpoint_cadence() {
     // Threshold disabled (and every-N unset): nothing was frozen, so
     // the open must replay the whole chain.
     assert!(run(0) >= 10, "no cadence configured yet blocks were frozen");
-}
-
-/// The environment variable seeds the threshold at construction.
-#[test]
-fn byte_threshold_env_var_is_honored() {
-    let dir = std::env::temp_dir().join(format!("sebdb-bytesenv-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cfg = StoreConfig {
-        sync_writes: false,
-        ..StoreConfig::default()
-    };
-    std::env::set_var(sebdb::INDEX_CHECKPOINT_BYTES_ENV, "1");
-    let ledger = Ledger::new(
-        Arc::new(BlockStore::open(&dir, cfg.clone()).unwrap()),
-        signer(),
-    );
-    std::env::remove_var(sebdb::INDEX_CHECKPOINT_BYTES_ENV);
-    let ledger = ledger.unwrap();
-    for seq in 0..4 {
-        ledger.append_ordered(block_at(seq)).unwrap();
-    }
-    drop(ledger);
-    let store = Arc::new(BlockStore::open(&dir, cfg).unwrap());
-    store.stats.reset();
-    let reopened = Ledger::new(Arc::clone(&store), signer()).unwrap();
-    assert_eq!(reopened.height(), 4);
-    assert!(
-        store.stats.snapshot().0 <= 1,
-        "env-seeded byte cadence left a replay tail"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,7 +9,9 @@
 //! Every primitive degrades to the exact sequential algorithm when the
 //! effective thread count is 1 (the default can be overridden with
 //! `SEBDB_THREADS` or [`set_max_threads`]), so single-threaded runs
-//! reproduce the pre-parallel engine byte for byte.
+//! reproduce the pre-parallel engine byte for byte. `SEBDB_THREADS` is
+//! the only environment variable the engine reads, and this file the
+//! only place that reads it (lint rule `env`).
 
 mod tracked;
 

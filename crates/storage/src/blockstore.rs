@@ -31,43 +31,12 @@ use sebdb_types::{Block, BlockHeader, BlockId, Codec, Decoder, Encoder, Transact
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Environment knob naming the sequential-scan readahead window (max
-/// consecutive blocks fetched with one coalesced positioned read).
-pub const READAHEAD_ENV: &str = "SEBDB_READAHEAD";
-
-/// Default readahead window when [`READAHEAD_ENV`] is unset.
-pub const DEFAULT_READAHEAD_BLOCKS: usize = 8;
-
-static READAHEAD: AtomicUsize = AtomicUsize::new(0); // 0 = uninitialized
-
-fn default_readahead() -> usize {
-    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var(READAHEAD_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|n| n.max(1))
-            .unwrap_or(DEFAULT_READAHEAD_BLOCKS)
-    })
-}
-
-/// Current readahead window in blocks (≥ 1; 1 disables coalescing so
-/// sequential scans read block by block, the pre-coalescing behaviour).
-pub fn readahead_blocks() -> usize {
-    match READAHEAD.load(Ordering::Relaxed) {
-        0 => default_readahead(),
-        n => n,
-    }
-}
-
-/// Overrides the readahead window (clamped to ≥ 1). Benchmarks and
-/// equivalence tests sweep this.
-pub fn set_readahead_blocks(n: usize) {
-    READAHEAD.store(n.max(1), Ordering::Relaxed);
-}
+/// Sequential-scan readahead window: the most consecutive blocks
+/// fetched with one coalesced positioned read.
+pub const READAHEAD_BLOCKS: usize = 8;
 
 /// Number of fixed relation partitions — the same constant as the
 /// ledger's `INDEX_SHARDS`, so a relation's tuples and its index
@@ -77,22 +46,6 @@ pub const RELATION_PARTITIONS: usize = 8;
 /// Sentinel partition id naming the chain partition (the per-block
 /// header ‖ routes records) in [`WriteStep::PartitionWrite`].
 pub const CHAIN_PARTITION: usize = RELATION_PARTITIONS;
-
-/// Environment knob selecting the partition count for newly created
-/// disk stores (clamped to `1..=`[`RELATION_PARTITIONS`]; existing
-/// stores keep the count recorded in their manifest header).
-pub const STORE_PARTITIONS_ENV: &str = "SEBDB_STORE_PARTITIONS";
-
-fn default_partitions() -> usize {
-    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var(STORE_PARTITIONS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|n| n.clamp(1, RELATION_PARTITIONS))
-            .unwrap_or(RELATION_PARTITIONS)
-    })
-}
 
 /// The fixed relation partition a (lowercased) table name hashes to.
 /// This is the single source of truth for relation → slice mapping:
@@ -162,14 +115,13 @@ pub struct StoreConfig {
     /// Fsync every appended block (off for benchmarks).
     pub sync_writes: bool,
     /// Relation partition count for newly created stores (clamped to
-    /// `1..=`[`RELATION_PARTITIONS`]). 1 = the sequential reference
+    /// `1..=`[`RELATION_PARTITIONS`], the default). 1 = the reference
     /// layout (every relation shares one partition). Reopening an
     /// existing store keeps the count in its manifest header.
     pub partitions: usize,
     /// Total level-1 index blocks the index-block cache may keep
     /// resident (`Some(0)` = unbounded, the `cache=∞` reference);
-    /// `None` reads [`crate::indexseg::INDEX_CACHE_BLOCKS_ENV`] or
-    /// falls back to the default bounded capacity.
+    /// `None` = [`crate::indexseg::DEFAULT_INDEX_CACHE_BLOCKS`].
     pub index_cache_blocks: Option<usize>,
 }
 
@@ -178,7 +130,7 @@ impl Default for StoreConfig {
         StoreConfig {
             segment_size: 256 * 1024 * 1024,
             sync_writes: false,
-            partitions: default_partitions(),
+            partitions: RELATION_PARTITIONS,
             index_cache_blocks: None,
         }
     }
@@ -422,14 +374,6 @@ const MANIFEST_REC_PART: usize = 18;
 /// missing or torn records are reconstructed on open from the chain
 /// record's routes and the extent bytes.
 const OFFSETS: &str = "txoffsets.idx";
-/// The pre-partitioning single-sequence manifest (root of the store
-/// dir); its presence triggers the one-shot migration.
-const V1_MANIFEST: &str = "manifest.idx";
-/// One v1 manifest record: bid(8) seg(4) off(8) len(4).
-const V1_MANIFEST_REC: usize = 24;
-/// The v1 root-level offset table (same file name the partitions use,
-/// but at the store root rather than inside `part-*/`).
-const V1_TXTAB: &str = "txoffsets.idx";
 
 fn chain_dir(dir: &Path) -> PathBuf {
     dir.join("chain")
@@ -499,21 +443,6 @@ fn decode_chain_record(bytes: &[u8], bid: u64) -> Result<(BlockHeader, Vec<u8>)>
 }
 
 impl BlockStore {
-    /// Opens (or creates) a disk-backed store in `dir`, replaying the
-    /// chain-order manifest (longest valid prefix wins), truncating
-    /// every partition to the manifest's view, and reconstructing any
-    /// missing or torn per-partition offset tables. A store in the
-    /// pre-partitioning single-sequence format is migrated in place
-    /// first (one shot, restart-safe: the old manifest is only removed
-    /// once the partitioned layout is fully written).
-    pub fn open(dir: &Path, config: StoreConfig) -> Result<Self> {
-        std::fs::create_dir_all(dir)?;
-        if dir.join(V1_MANIFEST).exists() {
-            Self::migrate_v1(dir, &config)?;
-        }
-        Self::open_v2(dir, config)
-    }
-
     /// Creates a memory-backed store (tests, pure-CPU benchmarks).
     /// Blocks are held encoded; reads decode, so access-path costs stay
     /// realistic.
@@ -526,8 +455,12 @@ impl BlockStore {
     pub fn in_memory_with(config: StoreConfig) -> Self {
         let partitions = config.partitions.clamp(1, RELATION_PARTITIONS);
         let stats = Arc::new(IoStats::default());
-        let index_cache =
-            IndexBlockCache::new(config.index_cache_blocks.unwrap_or(0), Arc::clone(&stats));
+        let index_cache = IndexBlockCache::new(
+            config
+                .index_cache_blocks
+                .unwrap_or(indexseg::DEFAULT_INDEX_CACHE_BLOCKS),
+            Arc::clone(&stats),
+        );
         BlockStore {
             backend: Backend::Memory {
                 blocks: RwLock::new(Vec::new()),
@@ -541,64 +474,12 @@ impl BlockStore {
         }
     }
 
-    /// Migrates a single-sequence (v1) store to the partitioned layout:
-    /// reads every block through the old manifest, appends it through
-    /// the new path, then removes the old root-level files. Idempotent:
-    /// an interrupted migration leaves the v1 manifest in place, and
-    /// the next open wipes the partial v2 state and starts over.
-    fn migrate_v1(dir: &Path, config: &StoreConfig) -> Result<()> {
-        let _ = std::fs::remove_file(dir.join(BLOCK_MANIFEST));
-        let _ = std::fs::remove_dir_all(chain_dir(dir));
-        for p in 0..RELATION_PARTITIONS {
-            let _ = std::fs::remove_dir_all(part_dir(dir, p));
-        }
-        let locations = Self::replay_v1_manifest(&dir.join(V1_MANIFEST))?;
-        let v1 = SegmentSet::new(dir);
-        let store = Self::open_v2(dir, config.clone())?;
-        for (bid, loc) in locations.iter().enumerate() {
-            let bytes = v1.read(*loc)?;
-            let block = Block::from_bytes(&bytes)
-                .map_err(|e| StorageError::Corrupt(format!("migrating block {bid}: {e}")))?;
-            store.append(&block)?;
-        }
-        drop(store);
-        std::fs::remove_file(dir.join(V1_MANIFEST))?;
-        let _ = std::fs::remove_file(dir.join(V1_TXTAB));
-        if let Ok(rd) = std::fs::read_dir(dir) {
-            for entry in rd.flatten() {
-                let name = entry.file_name();
-                if name.to_string_lossy().starts_with("seg-") && entry.path().is_file() {
-                    let _ = std::fs::remove_file(entry.path());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn replay_v1_manifest(path: &PathBuf) -> Result<Vec<Location>> {
-        let mut locations = Vec::new();
-        let Ok(mut f) = File::open(path) else {
-            return Ok(locations);
-        };
-        let mut buf = Vec::new();
-        f.read_to_end(&mut buf)?;
-        for (i, rec) in buf.chunks_exact(V1_MANIFEST_REC).enumerate() {
-            let bid = u64::from_le_bytes(fixed::<8>(&rec[0..8]));
-            if bid != i as u64 {
-                return Err(StorageError::Corrupt(format!(
-                    "v1 manifest record {i} has bid {bid}"
-                )));
-            }
-            locations.push(Location {
-                segment: u32::from_le_bytes(fixed::<4>(&rec[8..12])),
-                offset: u64::from_le_bytes(fixed::<8>(&rec[12..20])),
-                len: u32::from_le_bytes(fixed::<4>(&rec[20..24])),
-            });
-        }
-        Ok(locations)
-    }
-
-    fn open_v2(dir: &Path, config: StoreConfig) -> Result<Self> {
+    /// Opens (or creates) a disk-backed store in `dir`, replaying the
+    /// chain-order manifest (longest valid prefix wins), truncating
+    /// every partition to the manifest's view, and reconstructing any
+    /// missing or torn per-partition offset tables.
+    pub fn open(dir: &Path, config: StoreConfig) -> Result<Self> {
+        std::fs::create_dir_all(dir)?;
         let manifest_path = dir.join(BLOCK_MANIFEST);
         let mut buf = Vec::new();
         if let Ok(mut f) = File::open(&manifest_path) {
@@ -708,7 +589,7 @@ impl BlockStore {
         let index_cache = IndexBlockCache::new(
             config
                 .index_cache_blocks
-                .unwrap_or_else(IndexBlockCache::capacity_from_env),
+                .unwrap_or(indexseg::DEFAULT_INDEX_CACHE_BLOCKS),
             Arc::clone(&stats),
         );
         Ok(BlockStore {
@@ -1857,7 +1738,7 @@ impl CachedStore {
 
     /// Reads a run of consecutive blocks, coalescing physically
     /// contiguous cache misses into span reads of at most
-    /// [`readahead_blocks`] blocks each — the sequential-scan readahead
+    /// [`READAHEAD_BLOCKS`] blocks each — the sequential-scan readahead
     /// of Figs. 11–12. Results come back in `bids` order.
     pub fn read_blocks_span(&self, bids: &[BlockId]) -> Result<Vec<Arc<Block>>> {
         if bids.len() <= 1 {
@@ -1874,7 +1755,7 @@ impl CachedStore {
             }
             misses.push((slot, bid));
         }
-        let window = readahead_blocks().max(1);
+        let window = READAHEAD_BLOCKS;
         let mut run_start = 0usize;
         while run_start < misses.len() {
             let mut run_end = run_start + 1;

@@ -214,35 +214,35 @@ fn shard_of(key: u64) -> usize {
 /// discipline (DESIGN.md §14).
 type Shard<K, V> = Mutex<Tracked<Lru<K, V>>>;
 
-/// Thread-safe block cache: recently read whole blocks, lock-striped
-/// across [`CACHE_SHARDS`] independent LRUs.
-pub struct BlockCache {
-    shards: Vec<Shard<BlockId, Arc<Block>>>,
+/// Thread-safe byte-budgeted cache, lock-striped across
+/// [`CACHE_SHARDS`] independent LRUs.
+pub struct ShardedLru<K, V> {
+    shards: Vec<Shard<K, V>>,
 }
 
-impl BlockCache {
-    /// Creates a block cache with a byte budget (split across shards).
+impl<K: Copy + Eq + Hash + Into<u64>, V: Clone> ShardedLru<K, V> {
+    /// Creates a cache with a byte budget (split across shards).
     pub fn new(capacity_bytes: usize) -> Self {
         let per_shard = (capacity_bytes / CACHE_SHARDS).max(1);
-        BlockCache {
+        ShardedLru {
             shards: (0..CACHE_SHARDS)
                 .map(|_| Mutex::new(Tracked::new(Lru::new(per_shard))))
                 .collect(),
         }
     }
 
-    /// Fetches a cached block.
-    pub fn get(&self, bid: BlockId) -> Option<Arc<Block>> {
-        self.shards[shard_of(bid)]
+    /// Fetches a cached value.
+    pub fn get(&self, key: K) -> Option<V> {
+        self.shards[shard_of(key.into())]
             .lock()
-            .with_mut(|lru| lru.get(&bid).cloned())
+            .with_mut(|lru| lru.get(&key).cloned())
     }
 
-    /// Caches a block, charged at its serialized size.
-    pub fn put(&self, bid: BlockId, block: Arc<Block>, size: usize) {
-        self.shards[shard_of(bid)]
+    /// Caches a value, charged at its serialized size.
+    pub fn put(&self, key: K, value: V, size: usize) {
+        self.shards[shard_of(key.into())]
             .lock()
-            .with_mut(|lru| lru.put(bid, block, size));
+            .with_mut(|lru| lru.put(key, value, size));
     }
 
     /// (hits, misses), aggregated over shards.
@@ -253,7 +253,7 @@ impl BlockCache {
         })
     }
 
-    /// Drops all cached blocks.
+    /// Drops everything cached.
     pub fn clear(&self) {
         for shard in &self.shards {
             shard.lock().with_mut(Lru::clear);
@@ -261,54 +261,12 @@ impl BlockCache {
     }
 }
 
-/// Thread-safe transaction cache: recently read individual transactions
-/// (keyed by tid), the winning strategy for index-driven queries in
-/// Fig. 22. Lock-striped like [`BlockCache`].
-pub struct TxCache {
-    shards: Vec<Shard<TxId, Arc<Transaction>>>,
-}
+/// Block cache: recently read whole blocks.
+pub type BlockCache = ShardedLru<BlockId, Arc<Block>>;
 
-impl TxCache {
-    /// Creates a transaction cache with a byte budget (split across
-    /// shards).
-    pub fn new(capacity_bytes: usize) -> Self {
-        let per_shard = (capacity_bytes / CACHE_SHARDS).max(1);
-        TxCache {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(Tracked::new(Lru::new(per_shard))))
-                .collect(),
-        }
-    }
-
-    /// Fetches a cached transaction.
-    pub fn get(&self, tid: TxId) -> Option<Arc<Transaction>> {
-        self.shards[shard_of(tid)]
-            .lock()
-            .with_mut(|lru| lru.get(&tid).cloned())
-    }
-
-    /// Caches a transaction, charged at its serialized size.
-    pub fn put(&self, tid: TxId, tx: Arc<Transaction>, size: usize) {
-        self.shards[shard_of(tid)]
-            .lock()
-            .with_mut(|lru| lru.put(tid, tx, size));
-    }
-
-    /// (hits, misses), aggregated over shards.
-    pub fn stats(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(h, m), s| {
-            let (sh, sm) = s.lock().with(Lru::stats);
-            (h + sh, m + sm)
-        })
-    }
-
-    /// Drops all cached transactions.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().with_mut(Lru::clear);
-        }
-    }
-}
+/// Transaction cache: recently read individual transactions (keyed by
+/// tid), the winning strategy for index-driven queries in Fig. 22.
+pub type TxCache = ShardedLru<TxId, Arc<Transaction>>;
 
 #[cfg(test)]
 mod tests {
@@ -432,6 +390,39 @@ mod tests {
             alive <= 10,
             "budget 1000B holds at most 10 x 100B, saw {alive}"
         );
+    }
+
+    #[test]
+    fn block_and_tx_caches_are_independent_and_split_the_budget() {
+        let blocks = BlockCache::new(8 * 100);
+        let txs = TxCache::new(8 * 100);
+        let block = Arc::new(Block::seal(
+            sebdb_crypto::sha256::Digest::ZERO,
+            0,
+            0,
+            vec![],
+            |_| vec![],
+        ));
+        let tx = Arc::new(Transaction::new(
+            1,
+            sebdb_crypto::sig::KeyId([0; 8]),
+            "donate",
+            vec![],
+        ));
+        // Same key in both: each cache counts only its own traffic.
+        blocks.put(7, Arc::clone(&block), 100);
+        assert!(blocks.get(7).is_some());
+        assert!(txs.get(7).is_none());
+        assert_eq!(blocks.stats(), (1, 0));
+        assert_eq!(txs.stats(), (0, 1));
+        // The budget is split evenly: one shard holds 800 / 8 bytes,
+        // so a 101-byte entry is not cached though 800 would hold it.
+        txs.put(7, Arc::clone(&tx), 100);
+        txs.put(8, Arc::clone(&tx), 101);
+        blocks.put(8, block, 101);
+        assert!(txs.get(7).is_some());
+        assert!(txs.get(8).is_none());
+        assert!(blocks.get(8).is_none());
     }
 
     #[test]

@@ -34,10 +34,8 @@ pub const INDEX_MAGIC: &[u8; 8] = b"SEBDBIX1";
 pub const INDEX_BLOCK_TARGET: usize = 4 * 1024;
 /// Subdirectory of the store holding index checkpoints.
 pub const INDEX_CHECKPOINT_DIR: &str = "indexcp";
-/// Cache-capacity override: total cached level-1 blocks across all
-/// checkpoint files (0 = unbounded, the `cache=∞` reference).
-pub const INDEX_CACHE_BLOCKS_ENV: &str = "SEBDB_INDEX_CACHE_BLOCKS";
-/// Default bounded capacity when the env var is unset.
+/// Index-block cache capacity (total cached level-1 blocks across all
+/// checkpoint files) when `StoreConfig::index_cache_blocks` is `None`.
 pub const DEFAULT_INDEX_CACHE_BLOCKS: usize = 1024;
 /// Cache shards (same fan-out as the segment handle cache).
 const CACHE_SHARDS: usize = 8;
@@ -346,15 +344,6 @@ impl IndexBlockCache {
             stats,
             next_file_id: AtomicU64::new(1),
         })
-    }
-
-    /// Capacity from the environment (or the default) when the store
-    /// config leaves it unset.
-    pub fn capacity_from_env() -> usize {
-        std::env::var(INDEX_CACHE_BLOCKS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_INDEX_CACHE_BLOCKS)
     }
 
     /// Configured total block capacity (0 = unbounded).

@@ -13,13 +13,12 @@ pub mod indexseg;
 pub mod segment;
 
 pub use blockstore::{
-    partition_of, readahead_blocks, set_readahead_blocks, BlockStore, CacheMode, CachedStore,
-    IoStats, StoreConfig, TxPtr, WriteStep, CHAIN_PARTITION, DEFAULT_READAHEAD_BLOCKS,
-    READAHEAD_ENV, RELATION_PARTITIONS, STORE_PARTITIONS_ENV,
+    partition_of, BlockStore, CacheMode, CachedStore, IoStats, StoreConfig, TxPtr, WriteStep,
+    CHAIN_PARTITION, READAHEAD_BLOCKS, RELATION_PARTITIONS,
 };
-pub use cache::{BlockCache, Lru, TxCache};
+pub use cache::{BlockCache, Lru, ShardedLru, TxCache};
 pub use indexseg::{
     IndexBlockCache, IndexCheckpoint, PagedIndexReader, DEFAULT_INDEX_CACHE_BLOCKS,
-    INDEX_CACHE_BLOCKS_ENV, INDEX_CHECKPOINT_DIR,
+    INDEX_CHECKPOINT_DIR,
 };
 pub use segment::{Location, ReadGauges, ReadProbe, SegmentSet, SegmentWriter, StorageError};

@@ -1,19 +1,17 @@
-//! Crash-recovery and migration contracts for the partitioned layout.
+//! Crash-recovery contracts for the partitioned layout.
 //!
 //! The chain-order manifest is the commit point of an append: a crash
 //! torn at *any* write boundary — a partition extent, a per-partition
 //! offsets record, the chain record, or the manifest record itself —
 //! must heal on the next open with the store rolled back to the last
 //! fully-committed block, and the healed store must keep serving
-//! byte-identical blocks and accept new appends. A store written in
-//! the pre-partitioning single-sequence (v1) format migrates in place
-//! on first open, after which single-relation scans are strictly
-//! cheaper in `bytes_read` than the unpartitioned layout.
+//! byte-identical blocks and accept new appends. Single-relation scans
+//! are strictly cheaper in `bytes_read` than the unpartitioned layout.
 
 use sebdb_crypto::sha256::Digest;
 use sebdb_storage::{
-    partition_of, BlockStore, IndexCheckpoint, SegmentWriter, StoreConfig, WriteStep,
-    CHAIN_PARTITION, INDEX_CHECKPOINT_DIR,
+    partition_of, BlockStore, IndexCheckpoint, StoreConfig, WriteStep, CHAIN_PARTITION,
+    INDEX_CHECKPOINT_DIR,
 };
 use sebdb_types::{Block, Codec, Transaction, Value};
 use std::path::{Path, PathBuf};
@@ -191,94 +189,6 @@ fn manifest_ahead_of_partition_data_rolls_back_on_reopen() {
         assert_chain_identical(&store, &tables, ntx, 4, &victim.display().to_string());
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-/// Hand-writes a chain in the single-sequence v1 format: root-level
-/// segment files holding whole-block encodings, indexed by a root
-/// `manifest.idx` of `bid(8) seg(4) off(8) len(4)` records.
-fn write_v1_store(dir: &Path, blocks: &[Block]) {
-    std::fs::create_dir_all(dir).unwrap();
-    let mut w = SegmentWriter::open(dir, 4096, None).unwrap();
-    let mut manifest = Vec::new();
-    for (bid, b) in blocks.iter().enumerate() {
-        let loc = w.append(&b.to_bytes()).unwrap();
-        manifest.extend_from_slice(&(bid as u64).to_le_bytes());
-        manifest.extend_from_slice(&loc.segment.to_le_bytes());
-        manifest.extend_from_slice(&loc.offset.to_le_bytes());
-        manifest.extend_from_slice(&loc.len.to_le_bytes());
-    }
-    w.sync().unwrap();
-    std::fs::write(dir.join("manifest.idx"), &manifest).unwrap();
-}
-
-/// Opening a v1 store migrates it in place: same blocks byte for byte,
-/// v1 root files gone, second open skips the migration, and the
-/// migrated layout's single-relation scans undercut the unpartitioned
-/// baseline in `bytes_read`.
-#[test]
-fn v1_single_sequence_store_migrates_on_open() {
-    let tables = spanning_tables();
-    let ntx = 6;
-    let nblocks = 5u64;
-    let blocks: Vec<Block> = (0..nblocks).map(|h| block(h, &tables, ntx)).collect();
-    let dir = tmpdir("migrate");
-    write_v1_store(&dir, &blocks);
-
-    let store = BlockStore::open(&dir, cfg()).unwrap();
-    assert_eq!(store.height(), nblocks);
-    assert_chain_identical(&store, &tables, ntx, nblocks, "migrated");
-    assert!(
-        !dir.join("manifest.idx").exists(),
-        "v1 manifest must be removed after migration"
-    );
-    let root_segs = std::fs::read_dir(&dir)
-        .unwrap()
-        .flatten()
-        .filter(|e| e.file_name().to_string_lossy().starts_with("seg-") && e.path().is_file())
-        .count();
-    assert_eq!(root_segs, 0, "v1 root segment files must be removed");
-    drop(store);
-
-    // Second open: plain v2 open, nothing left to migrate, and the
-    // store still appends.
-    let store = BlockStore::open(&dir, cfg()).unwrap();
-    assert_eq!(store.height(), nblocks);
-    store.append(&block(nblocks, &tables, ntx)).unwrap();
-    assert_chain_identical(&store, &tables, ntx, nblocks + 1, "reopened");
-
-    // The migration bought relation-granular reads: scanning one table
-    // moves strictly fewer bytes than the same scan on an equivalent
-    // unpartitioned (partitions = 1) store.
-    let flat_dir = tmpdir("migrate-flat");
-    let flat = BlockStore::open(
-        &flat_dir,
-        StoreConfig {
-            partitions: 1,
-            ..cfg()
-        },
-    )
-    .unwrap();
-    for b in &blocks {
-        flat.append(b).unwrap();
-    }
-    flat.append(&block(nblocks, &tables, ntx)).unwrap();
-    let bids: Vec<u64> = (0..=nblocks).collect();
-    store.stats.reset();
-    let part_rows = store.read_relation_txs(&bids, tables[0]).unwrap();
-    let part_bytes = store.stats.bytes_read();
-    flat.stats.reset();
-    let flat_rows = flat.read_relation_txs(&bids, tables[0]).unwrap();
-    let flat_bytes = flat.stats.bytes_read();
-    assert_eq!(
-        rows_digest(&part_rows, tables[0]),
-        rows_digest(&flat_rows, tables[0])
-    );
-    assert!(
-        part_bytes < flat_bytes,
-        "migrated relation scan read {part_bytes} bytes, unpartitioned baseline {flat_bytes}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&flat_dir);
 }
 
 /// A deterministic multi-block index checkpoint: enough distinct

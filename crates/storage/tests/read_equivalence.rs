@@ -4,10 +4,9 @@
 //! grouped reads return byte-identical transactions vs one-by-one
 //! `read_tx` across every `CacheMode`, whether the worker pool is
 //! sequential (`SEBDB_THREADS=1`) or parallel, and whether the chain
-//! carries an on-disk transaction offset table or was written by the
-//! old manifest-only format (reconstruction on open). The `IoStats`
-//! bytes counter pins tuple reads to tuple granularity on both
-//! backends.
+//! carries an on-disk transaction offset table or lost it
+//! (reconstruction on open). The `IoStats` bytes counter pins tuple
+//! reads to tuple granularity on both backends.
 
 use sebdb_crypto::sha256::Digest;
 use sebdb_storage::{BlockCache, BlockStore, CacheMode, CachedStore, StoreConfig, TxCache, TxPtr};
@@ -149,9 +148,9 @@ fn partition_offset_tables(dir: &std::path::Path) -> Vec<PathBuf> {
     found
 }
 
-/// A chain whose per-partition offset-table files are missing (written
-/// by the manifest-only era, or lost) opens via full reconstruction
-/// from the chain records' routes and serves identical reads.
+/// A chain whose per-partition offset-table files are missing (a lost
+/// table) opens via full reconstruction from the chain records' routes
+/// and serves identical reads.
 #[test]
 fn old_format_chain_reconstructs_offset_table() {
     let _guard = threads_lock().lock().unwrap();

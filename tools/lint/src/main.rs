@@ -33,6 +33,11 @@
 //!    passes a named `sebdb_parallel::FLOOR_*` cost-class constant as
 //!    its per-worker floor, never an integer literal: a floor of `1`
 //!    spawns threads for microseconds of work (DESIGN §8).
+//! 7. `env` — no `env::var` / `env::var_os` / `env::vars` under
+//!    `crates/` outside `crates/parallel/src/lib.rs` (`SEBDB_THREADS`,
+//!    the one engine setting read from the environment) and
+//!    `crates/bench/` (harness switches): every other setting is a
+//!    constructor argument or a setter (DESIGN "Configuration").
 //!
 //! The allowlist lives in `tools/lint/allowlist.txt`; each line is
 //! `<rule> <path> <count>`. The file is capped at 25 entries and every
@@ -55,6 +60,13 @@ const UNWRAP_SCOPE: &[&str] = &["crates/core/", "crates/storage/", "crates/conse
 
 /// The single sanctioned wall-clock read (the node clock, `now_ms`).
 const CLOCK_FILE: &str = "crates/consensus/src/traits.rs";
+
+/// The single sanctioned environment read (`SEBDB_THREADS`).
+const ENV_FILE: &str = "crates/parallel/src/lib.rs";
+
+/// Harness code whose switches (`SEBDB_BENCH_SMOKE`) are not engine
+/// settings.
+const ENV_EXEMPT_DIR: &str = "crates/bench/";
 
 /// Directories whose non-test code may use the raw `std::sync` lock
 /// primitives: the shims wrap them, and the model checker builds its
@@ -219,7 +231,7 @@ fn load_allowlist(path: &Path) -> Result<Vec<AllowEntry>, String> {
         };
         if !matches!(
             rule,
-            "spawn" | "sleep" | "unwrap" | "clock" | "std-sync" | "par-floor"
+            "spawn" | "sleep" | "unwrap" | "clock" | "std-sync" | "par-floor" | "env"
         ) {
             return Err(format!("allowlist line {}: unknown rule `{rule}`", i + 1));
         }
@@ -306,6 +318,20 @@ fn check_file(rel: &str, source: &str, out: &mut Vec<Violation>) {
                 path: rel.to_string(),
                 line: lineno,
                 text: format!("direct wall-clock read (route through the node clock): {shown}"),
+            });
+        }
+        // `env::var` is a prefix of `var_os`, `vars` and `vars_os` (and
+        // of no other `std::env` item: `temp_dir`, `current_dir` pass).
+        if line.contains("env::var")
+            && rel.starts_with("crates/")
+            && rel != ENV_FILE
+            && !rel.starts_with(ENV_EXEMPT_DIR)
+        {
+            out.push(Violation {
+                rule: "env",
+                path: rel.to_string(),
+                line: lineno,
+                text: format!("environment read (take a constructor argument): {shown}"),
             });
         }
         // Catches direct paths (`std::sync::Mutex<...>`) and import
@@ -604,7 +630,8 @@ mod tests {
     #[test]
     fn flags_each_rule() {
         let src = "fn f() {\n    std::thread::spawn(|| ());\n    std::thread::sleep(d);\n    \
-                   x.unwrap();\n    std::time::SystemTime::now();\n}\n";
+                   x.unwrap();\n    std::time::SystemTime::now();\n    \
+                   std::env::var(\"X\");\n}\n";
         let mut v = Vec::new();
         check_file("crates/core/src/x.rs", src, &mut v);
         let rules: Vec<&str> = v.iter().map(|v| v.rule).collect();
@@ -612,6 +639,30 @@ mod tests {
         assert!(rules.contains(&"sleep"));
         assert!(rules.contains(&"unwrap-no-invariant"));
         assert!(rules.contains(&"clock"));
+        assert!(rules.contains(&"env"));
+    }
+
+    #[test]
+    fn env_reads_allowed_in_parallel_bench_tests_and_for_dirs() {
+        let src = "fn f() { std::env::var(\"X\"); }\n";
+        for path in [
+            "crates/parallel/src/lib.rs",
+            "crates/bench/src/figures.rs",
+            "crates/core/tests/x.rs",
+            "shims/proptest/src/test_runner.rs",
+        ] {
+            let mut v = Vec::new();
+            check_file(path, src, &mut v);
+            assert!(v.is_empty(), "{path} must be exempt");
+        }
+        let mut v = Vec::new();
+        check_file(
+            "crates/core/src/foo.rs",
+            "fn real() { std::env::temp_dir(); std::env::current_dir(); }\n\
+             #[cfg(test)]\nmod tests {\n    fn t() { std::env::var(\"X\"); }\n}\n",
+            &mut v,
+        );
+        assert!(v.is_empty(), "directory lookups and test-masked reads pass");
     }
 
     #[test]
