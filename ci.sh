@@ -52,6 +52,15 @@ SEBDB_THREADS=1 cargo test -q -p sebdb --test paged_equivalence
 echo "==> SEBDB_THREADS=4 cargo test -q -p sebdb --test paged_equivalence"
 SEBDB_THREADS=4 cargo test -q -p sebdb --test paged_equivalence
 
+# Join equivalence at both worker counts: the late-materialized hash
+# arms must return the nested-loop rows, in order, whether their
+# projected relation scans run inline or fan out (cap 4 is the only
+# pass in which they fan out on a 1-2-CPU host).
+echo "==> SEBDB_THREADS=1 cargo test -q -p sebdb --test join_equivalence"
+SEBDB_THREADS=1 cargo test -q -p sebdb --test join_equivalence
+echo "==> SEBDB_THREADS=4 cargo test -q -p sebdb --test join_equivalence"
+SEBDB_THREADS=4 cargo test -q -p sebdb --test join_equivalence
+
 # Third pass with the parking_lot shim's lock-order cycle detector
 # compiled in: any lock-acquisition-order inversion anywhere in the
 # suite panics with both witness stacks.

@@ -6,7 +6,7 @@
 use super::range::RangeProbe;
 use super::{ExecError, Executor, QueryResult, Strategy};
 use sebdb_sql::LogicalPlan;
-use sebdb_types::Value;
+use sebdb_types::{ColumnRef, TableSchema, Timestamp, Value};
 
 impl Executor<'_> {
     /// Describes `plan` as rows of text (one step per row).
@@ -57,6 +57,40 @@ impl Executor<'_> {
         )
     }
 
+    /// The join decision `run_onchain_join` / `run_onoff_join` make
+    /// under `Auto`: the arm, why, and — for the hash arm — how many
+    /// blocks the table-level bitmap leaves to scan on each on-chain
+    /// side.
+    fn describe_join(
+        &self,
+        sides: &[(&TableSchema, ColumnRef)],
+        window: Option<(Timestamp, Timestamp)>,
+        layered: &str,
+    ) -> String {
+        let choice = self.choose_join(sides, Strategy::Auto);
+        if choice.arm == Strategy::Layered {
+            return format!("layered, {layered}; {}", choice.reason);
+        }
+        let mask = self.ledger.window_mask(window);
+        let scans: Vec<String> = sides
+            .iter()
+            .map(|(schema, _)| {
+                format!(
+                    "{} in {}",
+                    schema.name,
+                    self.hash_arm_blocks(&schema.name, &mask, choice.arm)
+                        .count_ones()
+                )
+            })
+            .collect();
+        format!(
+            "bitmap hash join, late-materialized; {}; scans {} of {} blocks",
+            choice.reason,
+            scans.join(", "),
+            mask.count_ones()
+        )
+    }
+
     fn describe(&self, plan: &LogicalPlan, depth: usize, out: &mut Vec<String>) {
         let pad = "  ".repeat(depth);
         match plan {
@@ -90,20 +124,39 @@ impl Executor<'_> {
                     out.push(format!("{pad}  window [{s}, {e}]"));
                 }
             }
-            LogicalPlan::OnChainJoin { left, right, .. } => {
+            LogicalPlan::OnChainJoin {
+                left,
+                right,
+                left_col,
+                right_col,
+                window,
+            } => {
                 out.push(format!(
-                    "{pad}OnChainJoin {} ⋈ {} [Algorithm 2: first-level pair pruning + per-block sort-merge]",
-                    left.name, right.name
+                    "{pad}OnChainJoin {} ⋈ {} [{}]",
+                    left.name,
+                    right.name,
+                    self.describe_join(
+                        &[(left, *left_col), (right, *right_col)],
+                        *window,
+                        "Algorithm 2: first-level pair pruning + per-block sort-merge",
+                    )
                 ));
             }
             LogicalPlan::OnOffJoin {
                 on_table,
+                on_col,
                 off_table,
+                window,
                 ..
             } => {
                 out.push(format!(
-                    "{pad}OnOffJoin onchain.{} ⋈ offchain.{off_table} [Algorithm 3: off-chain range prunes blocks]",
-                    on_table.name
+                    "{pad}OnOffJoin onchain.{} ⋈ offchain.{off_table} [{}]",
+                    on_table.name,
+                    self.describe_join(
+                        &[(on_table, *on_col)],
+                        *window,
+                        "Algorithm 3: off-chain range prunes blocks",
+                    )
                 ));
             }
             LogicalPlan::Trace {

@@ -2,20 +2,33 @@
 //!
 //! Three physical plans, matching the paper's comparison (Fig. 13/14):
 //!
-//! * **scan** — one-pass hash join over every block;
-//! * **bitmap** — the same hash join but only over blocks the
-//!   table-level index marks as containing either relation;
+//! * **scan** — one-pass hash join over both relations' partitions of
+//!   every block, projected on the join columns; only matched tuples
+//!   are decoded ([`super::hash`]);
+//! * **bitmap** — the same hash join but each relation is scanned only
+//!   in the blocks the table-level index marks as containing it;
 //! * **layered** — Algorithm 2 proper: first-level bitmaps select the
 //!   candidate blocks per relation, histogram-bucket intersection
 //!   prunes block *pairs*, and each surviving pair is joined by
 //!   sort-merge over the per-block second-level trees (whose leaves
 //!   are already in key order).
 
-use super::range::in_window;
+use super::hash::{assemble, decode_matched, in_order, keyed_tuples, probe_extents, KeyTable};
+use super::range::{column_name, in_window};
 use super::{materialize, ExecError, Executor, QueryResult, Strategy};
-use sebdb_types::{ColumnRef, TableSchema, Timestamp, Transaction, Value};
-use std::collections::HashMap;
-use std::sync::Arc;
+use sebdb_index::Bitmap;
+use sebdb_storage::READAHEAD_BLOCKS;
+use sebdb_types::{ColumnRef, TableSchema, Timestamp, Value};
+
+/// How a join will run: the arm [`Strategy::Auto`] resolves to (a
+/// forced strategy resolves to itself) and why. `EXPLAIN` prints
+/// this; `run_onchain_join` and `run_onoff_join` execute it.
+pub(super) struct JoinChoice {
+    /// The resolved arm (never [`Strategy::Auto`]).
+    pub arm: Strategy,
+    /// Why `Auto` resolved the way it did, or that the arm was forced.
+    pub reason: String,
+}
 
 /// Sort-merge over two sorted `(value, ptr)` runs, appending every
 /// matched pointer pair (duplicate-run cross products included) in the
@@ -61,6 +74,48 @@ fn join_header(left: &TableSchema, right: &TableSchema) -> Vec<String> {
 }
 
 impl Executor<'_> {
+    /// Resolves a join's arm from its on-chain sides (two for an
+    /// on-chain join, one for on-chain ⋈ off-chain): layered
+    /// (Algorithm 2 / 3) when every join column carries a layered
+    /// index, else the bitmap-pruned hash join. No cost model yet
+    /// (ROADMAP item 8).
+    pub(super) fn choose_join(
+        &self,
+        sides: &[(&TableSchema, ColumnRef)],
+        strategy: Strategy,
+    ) -> JoinChoice {
+        let unindexed: Vec<String> = sides
+            .iter()
+            .filter(|(schema, col)| self.layered_index_name(schema, *col).is_none())
+            .map(|(schema, col)| {
+                let col = column_name(schema, *col).unwrap_or_default();
+                format!("{}.{col}: no layered index", schema.name)
+            })
+            .collect();
+        let (arm, reason) = match strategy {
+            Strategy::Auto if unindexed.is_empty() => (
+                Strategy::Layered,
+                "every on-chain join column has a layered index".to_string(),
+            ),
+            Strategy::Auto => (Strategy::Bitmap, unindexed.join(", ")),
+            forced => (forced, "forced".to_string()),
+        };
+        JoinChoice { arm, reason }
+    }
+
+    /// The blocks a hash arm scans for `table` inside `mask`: all of
+    /// them under `Scan`, the ones the table-level bitmap marks under
+    /// `Bitmap`.
+    pub(super) fn hash_arm_blocks(&self, table: &str, mask: &Bitmap, arm: Strategy) -> Bitmap {
+        match arm {
+            Strategy::Bitmap => self
+                .ledger
+                .with_table_index(|ti| ti.blocks_for_table(table))
+                .and(mask),
+            _ => mask.clone(),
+        }
+    }
+
     #[allow(clippy::too_many_arguments)]
     pub(super) fn run_onchain_join(
         &self,
@@ -71,35 +126,21 @@ impl Executor<'_> {
         window: Option<(Timestamp, Timestamp)>,
         strategy: Strategy,
     ) -> Result<QueryResult, ExecError> {
-        let strategy = match strategy {
-            Strategy::Auto => {
-                // Prefer the layered plan when both join columns are
-                // indexed; otherwise bitmap.
-                let both_indexed = self.join_index_name(left, left_col).is_some()
-                    && self.join_index_name(right, right_col).is_some();
-                if both_indexed {
-                    Strategy::Layered
-                } else {
-                    Strategy::Bitmap
-                }
-            }
-            s => s,
-        };
+        let choice = self.choose_join(&[(left, left_col), (right, right_col)], strategy);
         let mut out = QueryResult::empty(join_header(left, right));
-        match strategy {
-            Strategy::Scan | Strategy::Bitmap => {
-                self.hash_join(left, right, left_col, right_col, window, strategy, &mut out)?
-            }
+        match choice.arm {
             Strategy::Layered => {
                 self.layered_join(left, right, left_col, right_col, window, &mut out)?
             }
-            Strategy::Auto => unreachable!(),
+            arm => self.hash_join(left, right, left_col, right_col, window, arm, &mut out)?,
         }
         Ok(out)
     }
 
     /// One-pass hash join (§V-B): build on the right relation, probe
-    /// with the left.
+    /// with the left. Both sides are projected relation-partition
+    /// scans; the build side's extents stay resident and the matched
+    /// tuples of either side are decoded from them once each.
     #[allow(clippy::too_many_arguments)]
     fn hash_join(
         &self,
@@ -108,83 +149,34 @@ impl Executor<'_> {
         left_col: ColumnRef,
         right_col: ColumnRef,
         window: Option<(Timestamp, Timestamp)>,
-        strategy: Strategy,
+        arm: Strategy,
         out: &mut QueryResult,
     ) -> Result<(), ExecError> {
         let mask = self.ledger.window_mask(window);
-        let blocks = if strategy == Strategy::Bitmap {
-            // Only blocks holding either relation are read.
-            let l = self
-                .ledger
-                .with_table_index(|ti| ti.blocks_for_table(&left.name));
-            let r = self
-                .ledger
-                .with_table_index(|ti| ti.blocks_for_table(&right.name));
-            l.or(&r).and(&mask)
-        } else {
-            mask
+        let bids = |blocks: &Bitmap| blocks.iter_ones().map(|b| b as u64).collect::<Vec<u64>>();
+        let l_blocks = self.hash_arm_blocks(&left.name, &mask, arm);
+        let r_blocks = self.hash_arm_blocks(&right.name, &mask, arm);
+        // Relations sharing a partition (a self-join, `partitions: 1`,
+        // or a hash collision) come back from one scan: read it once
+        // for both sides.
+        let shared = self.ledger.store().co_located(&left.name, &right.name);
+        let resident = match shared {
+            true => self.scan_raw(&bids(&l_blocks.or(&r_blocks)), &right.name)?,
+            false => self.scan_raw(&bids(&r_blocks), &right.name)?,
         };
-        // Build phase: each block is read and partitioned into
-        // build/probe tuples independently across workers; partials
-        // merge in block order, so the build table's per-key run order
-        // and the probe order match the sequential plan.
-        let bids: Vec<u64> = blocks.iter_ones().map(|b| b as u64).collect();
-        type Partial = (Vec<(Value, Transaction)>, Vec<Transaction>);
-        let partials = sebdb_parallel::par_map(
-            &bids,
-            sebdb_parallel::FLOOR_BLOCK,
-            |&bid| -> Result<Partial, ExecError> {
-                let block = self.ledger.read_block(bid)?;
-                let mut build_part = Vec::new();
-                let mut probe_part = Vec::new();
-                for tx in &block.transactions {
-                    if !in_window(tx.ts, window) {
-                        continue;
-                    }
-                    if tx.tname.eq_ignore_ascii_case(&right.name) {
-                        if let Some(v) = tx.get(right_col) {
-                            if v != Value::Null {
-                                build_part.push((v, tx.clone()));
-                            }
-                        }
-                    }
-                    if tx.tname.eq_ignore_ascii_case(&left.name) {
-                        probe_part.push(tx.clone());
-                    }
-                }
-                Ok((build_part, probe_part))
-            },
-        );
-        let mut build: HashMap<Value, Vec<Transaction>> = HashMap::new();
-        let mut probe_side: Vec<Transaction> = Vec::new();
-        for partial in partials {
-            let (build_part, probe_part) = partial?;
-            for (v, tx) in build_part {
-                build.entry(v).or_default().push(tx);
-            }
-            probe_side.extend(probe_part);
-        }
-        // Probe phase: pure lookups, parallel over probe tuples; each
-        // produces its match rows which concatenate in probe order.
-        let row_batches =
-            sebdb_parallel::par_map(&probe_side, sebdb_parallel::FLOOR_TUPLE, |ltx| {
-                let mut rows = Vec::new();
-                let Some(v) = ltx.get(left_col) else {
-                    return rows;
-                };
-                if v == Value::Null {
-                    return rows;
-                }
-                if let Some(matches) = build.get(&v) {
-                    for rtx in matches {
-                        let mut row = materialize(ltx);
-                        row.extend(materialize(rtx));
-                        rows.push(row);
-                    }
-                }
-                rows
-            });
-        out.rows.extend(row_batches.into_iter().flatten());
+        let entries = keyed_tuples(&resident, &right.name, right_col, window)?;
+        let build = KeyTable::build(entries.iter().map(|e| e.key).collect());
+        let probed = if shared {
+            let runs: Vec<&[_]> = resident.chunks(READAHEAD_BLOCKS).collect();
+            in_order(sebdb_parallel::par_map(
+                &runs,
+                sebdb_parallel::FLOOR_BLOCK,
+                |run| probe_extents(run, &left.name, left_col, window, &build),
+            ))?
+        } else {
+            self.probe_relation(&bids(&l_blocks), &left.name, left_col, window, &build)?
+        };
+        out.rows = assemble(&probed, &decode_matched(&entries, &probed)?);
         Ok(())
     }
 
@@ -200,10 +192,10 @@ impl Executor<'_> {
         window: Option<(Timestamp, Timestamp)>,
         out: &mut QueryResult,
     ) -> Result<(), ExecError> {
-        let l_col = self.join_index_name(left, left_col).ok_or_else(|| {
+        let l_col = self.layered_index_name(left, left_col).ok_or_else(|| {
             ExecError::Unsupported(format!("no layered index on {}'s join column", left.name))
         })?;
-        let r_col = self.join_index_name(right, right_col).ok_or_else(|| {
+        let r_col = self.layered_index_name(right, right_col).ok_or_else(|| {
             ExecError::Unsupported(format!("no layered index on {}'s join column", right.name))
         })?;
         let mask = self.ledger.window_mask(window);
@@ -259,20 +251,9 @@ impl Executor<'_> {
         // Phase two batch-fetches every distinct pointer (distinct
         // blocks decoded across workers) and materializes the matched
         // rows in pair order.
-        let mut ptr_slot: HashMap<sebdb_storage::TxPtr, usize> = HashMap::new();
-        let mut ptrs: Vec<sebdb_storage::TxPtr> = Vec::new();
-        for &(lp, rp) in &matched {
-            for p in [lp, rp] {
-                ptr_slot.entry(p).or_insert_with(|| {
-                    ptrs.push(p);
-                    ptrs.len() - 1
-                });
-            }
-        }
-        let txs = self.ledger.read_txs_grouped(&ptrs)?;
-        let rows = sebdb_parallel::par_map(&matched, sebdb_parallel::FLOOR_TUPLE, |&(lp, rp)| {
-            let ltx: &Arc<Transaction> = &txs[ptr_slot[&lp]];
-            let rtx: &Arc<Transaction> = &txs[ptr_slot[&rp]];
+        let txs = self.fetch_distinct(matched.iter().flat_map(|&(lp, rp)| [lp, rp]))?;
+        let rows = sebdb_parallel::par_map(&matched, sebdb_parallel::FLOOR_TUPLE, |(lp, rp)| {
+            let (ltx, rtx) = (&txs[lp], &txs[rp]);
             if !in_window(ltx.ts, window) || !in_window(rtx.ts, window) {
                 return None;
             }
@@ -283,20 +264,141 @@ impl Executor<'_> {
         out.rows.extend(rows.into_iter().flatten());
         Ok(())
     }
+}
 
-    /// The index-registry column name for a join column, when a layered
-    /// index exists on it.
-    fn join_index_name(&self, schema: &TableSchema, col: ColumnRef) -> Option<String> {
-        let name = match col {
-            ColumnRef::App(i) => schema.columns.get(i)?.name.to_ascii_lowercase(),
-            ColumnRef::SenId => "sen_id".to_string(),
-            ColumnRef::Tname => "tname".to_string(),
-            ColumnRef::Tid => "tid".to_string(),
-            ColumnRef::Ts => "ts".to_string(),
-            ColumnRef::Sig => return None,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Ledger;
+    use sebdb_consensus::OrderedBlock;
+    use sebdb_crypto::sig::{KeyId, MacKeypair};
+    use sebdb_storage::{BlockStore, StoreConfig};
+    use sebdb_types::{Column, DataType, Transaction};
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    fn table(name: &str, cols: &[&str]) -> TableSchema {
+        TableSchema::new(
+            name,
+            cols.iter()
+                .map(|c| Column::new(*c, DataType::Str))
+                .collect(),
+        )
+    }
+
+    /// Where a hash join's time goes, phase by phase, on a chain shaped
+    /// like the benchmark's `query` workload (160 blocks × 200 tuples
+    /// on disk: half `donate`, a quarter each `transfer` and
+    /// `distribute`, organizations drawn so a few hundred pairs join).
+    /// The phases are `hash_join`'s own calls in its own order, so they
+    /// must add up to the rows `execute` returns; run with
+    /// `cargo test --release -p sebdb q5_phase_split -- --nocapture`
+    /// for the timings EXPERIMENTS.md quotes.
+    #[test]
+    fn q5_phase_split() {
+        let dir = std::env::temp_dir().join(format!("sebdb-q5-phases-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = BlockStore::open(&dir, StoreConfig::default()).unwrap();
+        let ledger = Ledger::new(Arc::new(store), MacKeypair::from_key([3; 32])).unwrap();
+        let mut state = 11u64;
+        let mut below = |n: u64| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
         };
-        self.ledger
-            .with_layered(Some(&schema.name), &name, |_| ())
-            .map(|_| name)
+        let s = |c: char, n: u64| Value::Str(format!("{c}{n}"));
+        for b in 0..160u64 {
+            let txs = (0..200u64)
+                .map(|slot| {
+                    let (donor, org) = (s('d', below(100_000)), s('o', below(128_000)));
+                    let amount = Value::decimal(below(1_000_000) as i64);
+                    let (tname, values) = match below(4) {
+                        0 => ("transfer", vec![s('p', 3), donor, org, amount]),
+                        1 => (
+                            "distribute",
+                            vec![s('p', 3), donor, org, s('e', below(64_000)), amount],
+                        ),
+                        _ => ("donate", vec![donor, s('p', 3), amount]),
+                    };
+                    let mut tx = Transaction::new(b * 1000 + slot, KeyId([7; 8]), tname, values);
+                    tx.tid = b * 200 + slot + 1;
+                    tx.sig = vec![1; 33];
+                    tx
+                })
+                .collect();
+            ledger
+                .append_ordered(OrderedBlock {
+                    seq: b,
+                    timestamp_ms: (b + 1) * 1000,
+                    txs,
+                })
+                .unwrap();
+        }
+        let left = table("transfer", &["project", "donor", "organization", "amount"]);
+        let right = table(
+            "distribute",
+            &["project", "donor", "organization", "donee", "amount"],
+        );
+        let (col, window) = (ColumnRef::App(2), None);
+        let exec = Executor::new(&ledger, None);
+        let bids: Vec<u64> = (0..ledger.height()).collect();
+
+        let mut phases = [0u128; 6];
+        let mut whole = Vec::new();
+        let mut rows = Vec::new();
+        // A debug build is here for the row check, not the timings.
+        const ROUNDS: u128 = if cfg!(debug_assertions) { 2 } else { 20 };
+        for _ in 0..ROUNDS {
+            let t = Instant::now();
+            let want = exec
+                .run_onchain_join(&left, &right, col, col, window, Strategy::Bitmap)
+                .unwrap();
+            whole.push(t.elapsed().as_micros());
+
+            let mut lap = Instant::now();
+            let mut mark = |phase: usize| {
+                phases[phase] += lap.elapsed().as_micros();
+                lap = Instant::now();
+            };
+            let resident = exec.scan_raw(&bids, &right.name).unwrap();
+            mark(0);
+            let entries = keyed_tuples(&resident, &right.name, col, window).unwrap();
+            mark(1);
+            let build = KeyTable::build(entries.iter().map(|e| e.key).collect());
+            mark(2);
+            let probed = exec
+                .probe_relation(&bids, &left.name, col, window, &build)
+                .unwrap();
+            mark(3);
+            let build_rows = decode_matched(&entries, &probed).unwrap();
+            mark(4);
+            rows = assemble(&probed, &build_rows);
+            mark(5);
+            assert_eq!(rows, want.rows);
+        }
+        assert!(rows.len() > 100, "{} rows", rows.len());
+        whole.sort_unstable();
+        let names = [
+            "scan right partition",
+            "project right",
+            "build",
+            "scan + project + probe left, decode its matches",
+            "decode matched right",
+            "assemble rows",
+        ];
+        println!(
+            "Q5 bitmap hash join, {} rows, mean of {ROUNDS}:",
+            rows.len()
+        );
+        for (name, total) in names.iter().zip(phases) {
+            println!("  {:>5} µs  {name}", total / ROUNDS);
+        }
+        println!(
+            "  {:>5} µs  phases; execute() median {} µs",
+            phases.iter().sum::<u128>() / ROUNDS,
+            whole[whole.len() / 2]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,6 +7,7 @@
 //! force one); [`Strategy::Auto`] applies the cost model of Eqs. 1–3.
 
 pub mod explain;
+mod hash;
 pub mod join;
 pub mod onoff;
 pub mod range;
@@ -16,7 +17,10 @@ use crate::ledger::{Ledger, LedgerError};
 use sebdb_index::cost::CostParams;
 use sebdb_offchain::OffchainConnection;
 use sebdb_sql::{BoundBlockSelector, LogicalPlan, SqlError};
-use sebdb_types::{TableSchema, Transaction, TypeError, Value};
+use sebdb_storage::TxPtr;
+use sebdb_types::{ColumnRef, TableSchema, Transaction, TypeError, Value};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A rectangular (or, for tracking, ragged) result set.
 #[derive(Debug, Clone, PartialEq)]
@@ -206,6 +210,34 @@ impl<'a> Executor<'a> {
                 Ok(result)
             }
         }
+    }
+
+    /// The index-registry name of `col` when `schema` has a layered
+    /// index on it.
+    fn layered_index_name(&self, schema: &TableSchema, col: ColumnRef) -> Option<String> {
+        let name = range::column_name(schema, col)?;
+        self.ledger
+            .with_layered(Some(&schema.name), &name, |_| ())
+            .map(|_| name)
+    }
+
+    /// Batch-fetches every distinct pointer in `ptrs` once (grouped by
+    /// block, distinct blocks across workers) — the second phase of
+    /// the layered joins, whose sort-merge phase collects matched
+    /// pointers without touching storage.
+    fn fetch_distinct(
+        &self,
+        ptrs: impl Iterator<Item = TxPtr>,
+    ) -> Result<HashMap<TxPtr, Arc<Transaction>>, ExecError> {
+        let mut distinct: Vec<TxPtr> = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        for p in ptrs {
+            if seen.insert(p) {
+                distinct.push(p);
+            }
+        }
+        let txs = self.ledger.read_txs_grouped(&distinct)?;
+        Ok(distinct.into_iter().zip(txs).collect())
     }
 
     /// `GET BLOCK` (Q7): resolve via the block-level index, return a

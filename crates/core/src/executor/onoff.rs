@@ -8,10 +8,11 @@
 //! sort-merge joined against the sorted off-chain rows using the
 //! second-level leaves.
 
+use super::hash::{assemble, KeyTable};
 use super::range::in_window;
 use super::{materialize, ExecError, Executor, QueryResult, Strategy};
 use sebdb_index::Bitmap;
-use sebdb_types::{Column, ColumnRef, TableSchema, Timestamp, Value};
+use sebdb_types::{Column, ColumnRef, Decoder, Encoder, TableSchema, Timestamp, Value};
 
 fn onoff_header(on: &TableSchema, off_table: &str, off_columns: &[Column]) -> Vec<String> {
     on.full_column_names()
@@ -50,32 +51,9 @@ impl Executor<'_> {
         if off_rows.is_empty() {
             return Ok(out);
         }
-
-        let index_name = match on_col {
-            ColumnRef::App(i) => on_table.columns.get(i).map(|c| c.name.to_ascii_lowercase()),
-            ColumnRef::SenId => Some("sen_id".into()),
-            ColumnRef::Tname => Some("tname".into()),
-            _ => None,
-        };
-        let has_index = index_name
-            .as_deref()
-            .and_then(|n| self.ledger.with_layered(Some(&on_table.name), n, |_| ()))
-            .is_some();
-
-        let strategy = match strategy {
-            Strategy::Auto => {
-                if has_index {
-                    Strategy::Layered
-                } else {
-                    Strategy::Bitmap
-                }
-            }
-            s => s,
-        };
-
-        match strategy {
+        match self.choose_join(&[(on_table, on_col)], strategy).arm {
             Strategy::Layered => {
-                let index_name = index_name.filter(|_| has_index).ok_or_else(|| {
+                let index_name = self.layered_index_name(on_table, on_col).ok_or_else(|| {
                     ExecError::Unsupported(format!(
                         "no layered index on {}'s join column",
                         on_table.name
@@ -136,21 +114,12 @@ impl Executor<'_> {
                 // Phase two batch-fetches every distinct pointer
                 // (distinct blocks decoded across workers) and
                 // materializes matched rows in merge order.
-                let mut ptr_slot: std::collections::HashMap<sebdb_storage::TxPtr, usize> =
-                    std::collections::HashMap::new();
-                let mut ptrs: Vec<sebdb_storage::TxPtr> = Vec::new();
-                for (p, _) in &matched {
-                    ptr_slot.entry(*p).or_insert_with(|| {
-                        ptrs.push(*p);
-                        ptrs.len() - 1
-                    });
-                }
-                let txs = self.ledger.read_txs_grouped(&ptrs)?;
+                let txs = self.fetch_distinct(matched.iter().map(|(p, _)| *p))?;
                 let row_batches = sebdb_parallel::par_map(
                     &matched,
                     sebdb_parallel::FLOOR_TUPLE,
                     |(p, off_range)| {
-                        let tx = &txs[ptr_slot[p]];
+                        let tx = &txs[p];
                         if !in_window(tx.ts, window) {
                             return Vec::new();
                         }
@@ -166,54 +135,35 @@ impl Executor<'_> {
                 );
                 out.rows.extend(row_batches.into_iter().flatten());
             }
-            Strategy::Bitmap | Strategy::Scan => {
+            arm => {
                 let mask = self.ledger.window_mask(window);
-                let blocks = if strategy == Strategy::Bitmap {
-                    self.ledger
-                        .with_table_index(|ti| ti.blocks_for_table(&on_table.name))
-                        .and(&mask)
-                } else {
-                    mask
-                };
-                // Hash the off-chain rows by join key, then probe with
-                // on-chain tuples block-by-block across workers; each
-                // block's matches concatenate in block order, matching
-                // the sequential plan.
-                let mut build: std::collections::HashMap<Value, Vec<&Vec<Value>>> =
-                    std::collections::HashMap::new();
-                for row in &off_rows {
-                    build.entry(row[off_col].clone()).or_default().push(row);
-                }
-                let bids: Vec<u64> = blocks.iter_ones().map(|b| b as u64).collect();
-                let per_block = sebdb_parallel::par_map(
-                    &bids,
-                    sebdb_parallel::FLOOR_BLOCK,
-                    |&bid| -> Result<Vec<Vec<Value>>, ExecError> {
-                        let block = self.ledger.read_block(bid)?;
-                        let mut rows = Vec::new();
-                        for tx in &block.transactions {
-                            if !tx.tname.eq_ignore_ascii_case(&on_table.name)
-                                || !in_window(tx.ts, window)
-                            {
-                                continue;
-                            }
-                            let Some(v) = tx.get(on_col) else { continue };
-                            if let Some(matches) = build.get(&v) {
-                                for off in matches {
-                                    let mut row = materialize(tx);
-                                    row.extend((*off).clone());
-                                    rows.push(row);
-                                }
-                            }
-                        }
-                        Ok(rows)
-                    },
-                );
-                for rows in per_block {
-                    out.rows.extend(rows?);
-                }
+                let bids: Vec<u64> = self
+                    .hash_arm_blocks(&on_table.name, &mask, arm)
+                    .iter_ones()
+                    .map(|b| b as u64)
+                    .collect();
+                // Hash the off-chain rows by join key — encoded once
+                // into `arena`, so on-chain keys compare as stored —
+                // then stream the on-chain partition through the probe;
+                // only matched tuples are decoded.
+                let mut arena = Encoder::new();
+                let starts: Vec<usize> = off_rows
+                    .iter()
+                    .map(|row| {
+                        let at = arena.len();
+                        arena.put_value(&row[off_col]);
+                        at
+                    })
+                    .collect();
+                let arena = arena.finish();
+                let keys = starts
+                    .iter()
+                    .map(|&at| Decoder::new(&arena[at..]).get_raw_value())
+                    .collect::<Result<_, _>>()?;
+                let build = KeyTable::build(keys);
+                let probed = self.probe_relation(&bids, &on_table.name, on_col, window, &build)?;
+                out.rows = assemble(&probed, &off_rows);
             }
-            Strategy::Auto => unreachable!(),
         }
         Ok(out)
     }

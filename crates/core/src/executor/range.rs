@@ -5,7 +5,7 @@ use super::{full_header, materialize, project, ExecError, Executor, QueryResult,
 use sebdb_index::{AccessPath, Bitmap, KeyPredicate};
 use sebdb_sql::BoundPredicate;
 use sebdb_storage::TxPtr;
-use sebdb_types::{TableSchema, Timestamp, Value};
+use sebdb_types::{ColumnRef, TableSchema, Timestamp, Value};
 
 /// What [`Executor::probe_range`] decided for one single-table query
 /// and the numbers it decided on. `EXPLAIN` prints these; `run_query`
@@ -132,7 +132,7 @@ impl Executor<'_> {
         // Which predicate can drive a layered index?
         let indexed = predicates.iter().enumerate().find_map(|(i, p)| {
             let (lo, hi) = p.index_bounds()?;
-            let column_name = column_name(schema, p)?;
+            let column_name = column_name(schema, p.column)?;
             self.ledger
                 .with_layered(Some(&schema.name), &column_name, |_| ())?;
             Some((i, column_name, KeyPredicate::Range(lo, hi)))
@@ -306,11 +306,10 @@ pub(super) fn in_window(ts: Timestamp, window: Option<(Timestamp, Timestamp)>) -
     }
 }
 
-/// Recovers the column *name* a bound predicate constrains (needed to
-/// address the layered-index registry).
-pub(super) fn column_name(schema: &TableSchema, pred: &BoundPredicate) -> Option<String> {
-    use sebdb_types::ColumnRef;
-    Some(match pred.column {
+/// The *name* the layered-index registry knows a column by — the one
+/// mapping every operator addresses the registry through.
+pub(super) fn column_name(schema: &TableSchema, col: ColumnRef) -> Option<String> {
+    Some(match col {
         ColumnRef::Tid => "tid".into(),
         ColumnRef::Ts => "ts".into(),
         ColumnRef::Sig => "sig".into(),

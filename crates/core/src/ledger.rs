@@ -18,7 +18,9 @@ use sebdb_index::{
     Bitmap, BlockLevelIndex, EqualDepthHistogram, LayeredIndex, TableBitmapIndex,
 };
 use sebdb_parallel::Tracked;
-use sebdb_storage::{BlockCache, BlockStore, CacheMode, CachedStore, StorageError, TxCache, TxPtr};
+use sebdb_storage::{
+    BlockCache, BlockStore, CacheMode, CachedStore, RawExtent, StorageError, TxCache, TxPtr,
+};
 use sebdb_types::{Block, BlockId, ColumnRef, TableSchema, Timestamp, Transaction, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -406,6 +408,19 @@ impl Ledger {
         table: &str,
     ) -> Result<Vec<Vec<(u32, Transaction)>>, LedgerError> {
         Ok(self.cached.read().read_relation_txs(bids, table)?)
+    }
+
+    /// [`Self::read_relation_txs`] without the decoding: each block's
+    /// partition extent as stored, for scans that project tuples and
+    /// decode only the ones they return (the hash joins). Always reads
+    /// the store — cached blocks are decoded ones, no use here — and
+    /// leaves the cache as it was.
+    pub fn scan_relation_raw(
+        &self,
+        bids: &[BlockId],
+        table: &str,
+    ) -> Result<Vec<RawExtent>, LedgerError> {
+        Ok(self.store.scan_relation_raw(bids, table)?)
     }
 
     /// Seals an ordered batch into the next block without appending it

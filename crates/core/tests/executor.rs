@@ -307,6 +307,140 @@ fn onoff_join_duplicates_and_empty_sides() {
     assert!(exec.execute(&plan, Strategy::Layered).unwrap().is_empty());
 }
 
+/// `NULL = NULL` is not a match: a `NULL` key on either side joins
+/// nothing under any strategy. (The on-off hash arm used to probe
+/// without the guard, so `Scan`/`Bitmap` paired an on-chain `NULL`
+/// donee with an off-chain `NULL` key and `Layered` did not.)
+#[test]
+fn null_keys_never_join_under_any_strategy() {
+    let l = ledger();
+    append_blocks(
+        &l,
+        vec![
+            vec![
+                ("transfer", A, vec![Value::Null]),
+                ("transfer", A, vec![Value::str("x")]),
+            ],
+            vec![
+                ("distribute", B, vec![Value::Null]),
+                ("distribute", B, vec![Value::str("x")]),
+            ],
+        ],
+    );
+    let left = schema("transfer", &[("organization", DataType::Str)]);
+    let right = schema("distribute", &[("organization", DataType::Str)]);
+    l.create_layered_index(&left, "organization", None).unwrap();
+    l.create_layered_index(&right, "organization", None)
+        .unwrap();
+    let db = Arc::new(OffchainDb::new());
+    let off_columns = vec![Column::new("organization", DataType::Str)];
+    db.create_table("orginfo", off_columns.clone()).unwrap();
+    let conn = db.connect();
+    conn.insert("orginfo", vec![Value::Null]).unwrap();
+    conn.insert("orginfo", vec![Value::str("x")]).unwrap();
+    let exec = Executor::new(&l, Some(&conn));
+    let q5 = LogicalPlan::OnChainJoin {
+        left_col: left.resolve("organization").unwrap(),
+        right_col: right.resolve("organization").unwrap(),
+        left,
+        right: right.clone(),
+        window: None,
+    };
+    let q6 = LogicalPlan::OnOffJoin {
+        on_col: right.resolve("organization").unwrap(),
+        on_table: right,
+        off_table: "orginfo".into(),
+        off_col: 0,
+        off_columns,
+        window: None,
+    };
+    for plan in [&q5, &q6] {
+        let scan = exec.execute(plan, Strategy::Scan).unwrap().rows;
+        assert_eq!(scan.len(), 1, "only the \"x\" pair joins");
+        for strat in [Strategy::Bitmap, Strategy::Layered, Strategy::Auto] {
+            assert_eq!(exec.execute(plan, strat).unwrap().rows, scan, "{strat:?}");
+        }
+    }
+}
+
+/// `EXPLAIN` prints the arm a join resolves to, not the algorithm it
+/// would have liked to run: with zero or one indexed side `Auto` is
+/// the bitmap hash join and says which column lacks its index and how
+/// many blocks each side scans; with both indexed it is Algorithm 2.
+#[test]
+fn explain_names_the_join_arm_auto_resolves_to() {
+    let l = ledger();
+    append_blocks(
+        &l,
+        vec![
+            vec![("transfer", A, vec![Value::str("x")])],
+            vec![("distribute", B, vec![Value::str("x")])],
+            vec![
+                ("transfer", A, vec![Value::str("y")]),
+                ("distribute", B, vec![Value::str("y")]),
+            ],
+            vec![("donate", A, vec![Value::str("z")])],
+        ],
+    );
+    let left = schema("transfer", &[("organization", DataType::Str)]);
+    let right = schema("distribute", &[("organization", DataType::Str)]);
+    let plan = LogicalPlan::OnChainJoin {
+        left_col: left.resolve("organization").unwrap(),
+        right_col: right.resolve("organization").unwrap(),
+        left: left.clone(),
+        right: right.clone(),
+        window: None,
+    };
+    let none = explain(&l, &plan);
+    assert!(none.contains("bitmap hash join"), "{none}");
+    assert!(
+        none.contains("transfer.organization: no layered index")
+            && none.contains("distribute.organization: no layered index"),
+        "{none}"
+    );
+    assert!(
+        none.contains("scans transfer in 2, distribute in 2 of 4 blocks"),
+        "{none}"
+    );
+    assert!(!none.contains("Algorithm 2"), "{none}");
+
+    l.create_layered_index(&left, "organization", None).unwrap();
+    let one = explain(&l, &plan);
+    assert!(one.contains("bitmap hash join"), "{one}");
+    assert!(
+        !one.contains("transfer.organization: no layered index")
+            && one.contains("distribute.organization: no layered index"),
+        "{one}"
+    );
+
+    l.create_layered_index(&right, "organization", None)
+        .unwrap();
+    let both = explain(&l, &plan);
+    assert!(both.contains("layered, Algorithm 2"), "{both}");
+    assert!(!both.contains("hash join"), "{both}");
+
+    // The on-off join resolves on its one on-chain side — including a
+    // system column (`ts`), which the old inline mapping did not know.
+    let on_off = |col: &str| LogicalPlan::OnOffJoin {
+        on_col: right.resolve(col).unwrap(),
+        on_table: right.clone(),
+        off_table: "orginfo".into(),
+        off_col: 0,
+        off_columns: vec![Column::new("organization", DataType::Str)],
+        window: None,
+    };
+    let indexed = explain(&l, &on_off("organization"));
+    assert!(indexed.contains("layered, Algorithm 3"), "{indexed}");
+    let by_ts = explain(&l, &on_off("ts"));
+    assert!(
+        by_ts.contains("distribute.ts: no layered index; scans distribute in 2 of 4 blocks"),
+        "{by_ts}"
+    );
+    l.create_layered_index(&right, "ts", None).unwrap();
+    let by_ts = explain(&l, &on_off("ts"));
+    assert!(by_ts.contains("layered, Algorithm 3"), "{by_ts}");
+}
+
 #[test]
 fn onoff_join_without_offchain_connection_errors() {
     let l = ledger();

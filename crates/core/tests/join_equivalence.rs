@@ -1,0 +1,376 @@
+//! The joins return what a nested loop returns.
+//!
+//! One seeded chain — duplicate keys on both sides, `NULL` keys, each
+//! relation absent from some blocks — is joined under every strategy,
+//! on both backends, flat (`partitions: 1`, relations co-located) and
+//! partitioned, behind every cache mode. The two hash arms
+//! (`Scan`, `Bitmap`) must return **the same ordered row vector** as a
+//! nested loop over `read_block` written here; `Layered` the same rows
+//! as a sorted multiset. The hash arms decode only what they return:
+//! on a partitioned disk store their `bytes_read` is the two
+//! relations' partition extents, not the blocks.
+//!
+//! `ci.sh` runs this file at `SEBDB_THREADS=1` and `=4`: the chain is
+//! long enough (17 readahead runs) for the projected scans to fan out
+//! at the second cap.
+
+use sebdb::{Executor, Ledger, Strategy};
+use sebdb_consensus::OrderedBlock;
+use sebdb_crypto::sig::{KeyId, MacKeypair};
+use sebdb_offchain::{OffchainConnection, OffchainDb};
+use sebdb_sql::LogicalPlan;
+use sebdb_storage::{partition_of, BlockStore, StoreConfig};
+use sebdb_types::{Codec, Column, ColumnRef, DataType, TableSchema, Timestamp, Transaction, Value};
+use std::sync::Arc;
+
+const BLOCKS: u64 = 136;
+
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+    }
+
+    /// One of 24 organizations, or `NULL` one time in eight.
+    fn key(&mut self, prefix: &str) -> Value {
+        match self.below(8) {
+            0 => Value::Null,
+            _ => Value::Str(format!("{prefix}{}", self.below(24))),
+        }
+    }
+}
+
+fn transfer() -> TableSchema {
+    TableSchema::new(
+        "transfer",
+        vec![
+            Column::new("organization", DataType::Str),
+            Column::new("amount", DataType::Decimal),
+        ],
+    )
+}
+
+fn distribute() -> TableSchema {
+    TableSchema::new(
+        "distribute",
+        vec![
+            Column::new("organization", DataType::Str),
+            Column::new("donee", DataType::Str),
+        ],
+    )
+}
+
+fn doneeinfo_columns() -> Vec<Column> {
+    vec![
+        Column::new("donee", DataType::Str),
+        Column::new("income", DataType::Decimal),
+    ]
+}
+
+/// Block `b`, tuple `slot` is sent at `b * 1000 + slot`. `transfer` is
+/// absent from every fifth block, `distribute` from every seventh;
+/// `donate` fills the rest of each block.
+fn build_chain(ledger: &Ledger) {
+    let mut rng = Rng(0x5eb_db18);
+    let mut tid = 1;
+    for b in 0..BLOCKS {
+        let txs: Vec<Transaction> = (0..12)
+            .map(|slot| {
+                let (tname, values) = match rng.below(3) {
+                    0 if b % 5 != 0 => (
+                        "transfer",
+                        vec![rng.key("org"), Value::decimal(rng.below(900) as i64)],
+                    ),
+                    1 if b % 7 != 0 => ("distribute", vec![rng.key("org"), rng.key("donee")]),
+                    _ => ("donate", vec![Value::str("filler"), Value::decimal(1)]),
+                };
+                let sender = KeyId([1 + rng.below(3) as u8; 8]);
+                let mut tx = Transaction::new(b * 1000 + slot, sender, tname, values);
+                tx.tid = tid;
+                tx.sig = vec![tid as u8; 7];
+                tid += 1;
+                tx
+            })
+            .collect();
+        ledger
+            .append_ordered(OrderedBlock {
+                seq: b,
+                timestamp_ms: (b + 1) * 1000,
+                txs,
+            })
+            .unwrap();
+    }
+    ledger
+        .create_layered_index(&transfer(), "organization", None)
+        .unwrap();
+    ledger
+        .create_layered_index(&distribute(), "organization", None)
+        .unwrap();
+    ledger
+        .create_layered_index(&distribute(), "donee", None)
+        .unwrap();
+}
+
+/// Off-chain donees: duplicates, a `NULL` key, keys no tuple carries.
+fn offchain() -> OffchainConnection {
+    let db = Arc::new(OffchainDb::new());
+    db.create_table("doneeinfo", doneeinfo_columns()).unwrap();
+    let conn = db.connect();
+    for i in 0..30i64 {
+        let key = match i {
+            7 => Value::Null,
+            _ => Value::Str(format!("donee{}", i % 20 + 10)),
+        };
+        conn.insert("doneeinfo", vec![key, Value::decimal(i)])
+            .unwrap();
+    }
+    conn
+}
+
+fn row_of(tx: &Transaction) -> Vec<Value> {
+    let mut row = vec![
+        Value::Int(tx.tid as i64),
+        Value::Timestamp(tx.ts),
+        Value::Bytes(tx.sig.clone()),
+        Value::Bytes(tx.sender.as_bytes().to_vec()),
+        Value::Str(tx.tname.clone()),
+    ];
+    row.extend(tx.values.iter().cloned());
+    row
+}
+
+/// `table`'s tuples inside `window`, in chain order, straight from
+/// whole-block reads.
+fn tuples_of(
+    ledger: &Ledger,
+    table: &str,
+    window: Option<(Timestamp, Timestamp)>,
+) -> Vec<Transaction> {
+    (0..ledger.height())
+        .flat_map(|b| ledger.store().read(b).unwrap().transactions.clone())
+        .filter(|tx| tx.tname == table)
+        .filter(|tx| window.is_none_or(|(s, e)| tx.ts >= s && tx.ts <= e))
+        .collect()
+}
+
+/// The reference join: for each left tuple in chain order, each right
+/// row in its order, paired when the keys are equal and not `NULL`.
+fn nested_loop<R>(
+    left: &[Transaction],
+    left_col: ColumnRef,
+    right: &[R],
+    right_key: impl Fn(&R) -> Option<Value>,
+    right_row: impl Fn(&R) -> Vec<Value>,
+) -> Vec<Vec<Value>> {
+    let mut out = Vec::new();
+    for l in left {
+        let Some(key) = l.get(left_col).filter(|k| *k != Value::Null) else {
+            continue;
+        };
+        for r in right {
+            if right_key(r).as_ref() == Some(&key) {
+                let mut row = row_of(l);
+                row.extend(right_row(r));
+                out.push(row);
+            }
+        }
+    }
+    out
+}
+
+struct Case {
+    name: &'static str,
+    plan: LogicalPlan,
+    want: Vec<Vec<Value>>,
+}
+
+fn cases(ledger: &Ledger, conn: &OffchainConnection) -> Vec<Case> {
+    let (t, d) = (transfer(), distribute());
+    let org = ColumnRef::App(0);
+    let donee = ColumnRef::App(1);
+    // Cuts block 20 and block 90 in the middle.
+    let partial = Some((20_004, 90_006));
+    let mut out = Vec::new();
+    for (name, window) in [("q5", None), ("q5 windowed", partial)] {
+        out.push(Case {
+            name,
+            plan: LogicalPlan::OnChainJoin {
+                left: t.clone(),
+                right: d.clone(),
+                left_col: org,
+                right_col: org,
+                window,
+            },
+            want: nested_loop(
+                &tuples_of(ledger, "transfer", window),
+                org,
+                &tuples_of(ledger, "distribute", window),
+                |r| r.get(org),
+                row_of,
+            ),
+        });
+    }
+    let transfers = tuples_of(ledger, "transfer", None);
+    out.push(Case {
+        name: "q5 self-join",
+        plan: LogicalPlan::OnChainJoin {
+            left: t.clone(),
+            right: t.clone(),
+            left_col: org,
+            right_col: org,
+            window: None,
+        },
+        want: nested_loop(&transfers, org, &transfers, |r| r.get(org), row_of),
+    });
+    let (_, off_rows) = conn.sorted_by("doneeinfo", "donee").unwrap();
+    for (name, window) in [("q6", None), ("q6 windowed", partial)] {
+        out.push(Case {
+            name,
+            plan: LogicalPlan::OnOffJoin {
+                on_table: d.clone(),
+                on_col: donee,
+                off_table: "doneeinfo".into(),
+                off_col: 0,
+                off_columns: doneeinfo_columns(),
+                window,
+            },
+            want: nested_loop(
+                &tuples_of(ledger, "distribute", window),
+                donee,
+                &off_rows,
+                |r| Some(r[0].clone()),
+                Vec::clone,
+            ),
+        });
+    }
+    out
+}
+
+fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+    rows.sort();
+    rows
+}
+
+fn dir(tag: &str) -> std::path::PathBuf {
+    let d = std::env::temp_dir().join(format!("sebdb-joineq-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    d
+}
+
+fn ledger_on(store: BlockStore) -> Ledger {
+    let ledger = Ledger::new(Arc::new(store), MacKeypair::from_key([3; 32])).unwrap();
+    build_chain(&ledger);
+    ledger
+}
+
+#[test]
+fn joins_return_the_nested_loop_rows_everywhere() {
+    let conn = offchain();
+    for partitions in [8usize, 1] {
+        let config = StoreConfig {
+            partitions,
+            ..StoreConfig::default()
+        };
+        let disk = dir(&format!("p{partitions}"));
+        let ledgers = [
+            (
+                "memory",
+                ledger_on(BlockStore::in_memory_with(config.clone())),
+            ),
+            ("disk", ledger_on(BlockStore::open(&disk, config).unwrap())),
+        ];
+        for (backend, ledger) in &ledgers {
+            let co_located = ledger.store().co_located("transfer", "distribute");
+            assert_eq!(co_located, partitions == 1, "the chain's premise");
+            let cases = cases(ledger, &conn);
+            for case in &cases {
+                assert!(
+                    case.want.len() > 20,
+                    "{}: {} rows",
+                    case.name,
+                    case.want.len()
+                );
+            }
+            for cache in ["none", "block", "tx"] {
+                match cache {
+                    "block" => ledger.use_block_cache(1 << 20),
+                    "tx" => ledger.use_tx_cache(1 << 20),
+                    _ => {}
+                }
+                let exec = Executor::new(ledger, Some(&conn));
+                // Twice, so the second pass meets a warm cache.
+                for pass in 0..2 {
+                    for case in &cases {
+                        let at = format!(
+                            "{} on {backend}, p{partitions}, cache {cache}, pass {pass}",
+                            case.name
+                        );
+                        for arm in [Strategy::Scan, Strategy::Bitmap] {
+                            let got = exec.execute(&case.plan, arm).unwrap().rows;
+                            assert!(got == case.want, "{arm:?} {at}: {} rows", got.len());
+                        }
+                        let layered = exec.execute(&case.plan, Strategy::Layered).unwrap();
+                        assert!(
+                            sorted(layered.rows) == sorted(case.want.clone()),
+                            "Layered {at}"
+                        );
+                    }
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&disk);
+    }
+}
+
+/// The win as a count: a bitmap hash join on a partitioned disk store
+/// fetches the two relations' partition extents — each relation's
+/// tuples in the blocks that hold it — and nothing of the rest of
+/// those blocks.
+#[test]
+fn bitmap_hash_join_reads_two_partitions_not_the_blocks() {
+    let disk = dir("bytes");
+    let ledger = ledger_on(BlockStore::open(&disk, StoreConfig::default()).unwrap());
+    let store = ledger.store();
+    let route = |table: &str| partition_of(table) % store.partitions();
+    assert_ne!(route("transfer"), route("distribute"));
+    let (mut extents, mut blocks) = (0u64, 0u64);
+    for b in 0..ledger.height() {
+        let block = store.read(b).unwrap();
+        let mut scanned = false;
+        for table in ["transfer", "distribute"] {
+            if block.transactions.iter().any(|tx| tx.tname == table) {
+                scanned = true;
+                extents += block
+                    .transactions
+                    .iter()
+                    .filter(|tx| route(&tx.tname) == route(table))
+                    .map(|tx| tx.to_bytes().len() as u64)
+                    .sum::<u64>();
+            }
+        }
+        if scanned {
+            blocks += store.block_size(b).unwrap() as u64;
+        }
+    }
+    let plan = LogicalPlan::OnChainJoin {
+        left: transfer(),
+        right: distribute(),
+        left_col: ColumnRef::App(0),
+        right_col: ColumnRef::App(0),
+        window: None,
+    };
+    store.stats.reset();
+    let rows = Executor::new(&ledger, None)
+        .execute(&plan, Strategy::Bitmap)
+        .unwrap();
+    assert!(!rows.is_empty());
+    let read = store.stats.bytes_read();
+    assert_eq!(read, extents);
+    assert!(read < blocks, "{read} of {blocks} block bytes");
+    println!("bitmap Q5 bytes_read: {read} (partition extents) vs {blocks} (scanned blocks)");
+    let _ = std::fs::remove_dir_all(&disk);
+}

@@ -27,7 +27,10 @@ use crate::segment::{
 };
 use parking_lot::{Mutex, RwLock};
 use sebdb_parallel::Tracked;
-use sebdb_types::{Block, BlockHeader, BlockId, Codec, Decoder, Encoder, Transaction};
+use sebdb_types::{
+    Block, BlockHeader, BlockId, Codec, ColumnRef, Decoder, Encoder, RawValue, Transaction,
+    TxProjection, TypeError,
+};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -331,6 +334,90 @@ fn encode_partitioned(block: &Block, partitions: usize) -> EncodedBlock {
         extents: extents.into_iter().map(Encoder::finish).collect(),
         offsets,
         locs,
+    }
+}
+
+/// One block's share of a relation-partition scan: the bytes its
+/// tuples sit in, still encoded, and where each one is.
+#[derive(Debug, Default)]
+pub struct RawExtent {
+    bid: BlockId,
+    /// Disk: the coalesced span read for this block's run (shared by
+    /// the run's blocks). Memory: the block's canonical encoding.
+    bytes: Arc<Vec<u8>>,
+    /// `(canonical index, start in bytes, length)`, canonical order.
+    tuples: Vec<(u32, usize, u32)>,
+}
+
+impl RawExtent {
+    /// Places `tuples` — `(canonical index, offset, length)` relative
+    /// to the extent at `bytes[base..base + len]` — and checks each
+    /// against the extent, so [`Self::tuples`] can slice unchecked.
+    fn new(
+        bid: BlockId,
+        bytes: Arc<Vec<u8>>,
+        (base, len): (usize, usize),
+        tuples: impl Iterator<Item = OffsetRec>,
+    ) -> Result<Self> {
+        let len = len.min(bytes.len().saturating_sub(base));
+        let tuples = tuples
+            .map(|(canon, off, tlen)| {
+                if off as usize + tlen as usize > len {
+                    return Err(StorageError::Corrupt(format!(
+                        "block {bid}: tuple {canon} overruns its extent"
+                    )));
+                }
+                Ok((canon, base + off as usize, tlen))
+            })
+            .collect::<Result<_>>()?;
+        Ok(RawExtent { bid, bytes, tuples })
+    }
+
+    /// The block this extent belongs to.
+    pub fn bid(&self) -> BlockId {
+        self.bid
+    }
+
+    /// Every tuple of the partition in this block, in canonical order.
+    pub fn tuples(&self) -> impl Iterator<Item = RawTuple<'_>> + '_ {
+        self.tuples.iter().map(|&(canon, start, len)| RawTuple {
+            bid: self.bid,
+            canon,
+            bytes: &self.bytes[start..start + len as usize],
+        })
+    }
+}
+
+/// One still-encoded transaction of a [`RawExtent`]. A tuple that does
+/// not parse is [`StorageError::Corrupt`], named by block and position.
+#[derive(Debug, Clone, Copy)]
+pub struct RawTuple<'a> {
+    bid: BlockId,
+    /// Position within the block body.
+    pub canon: u32,
+    /// The transaction's canonical encoding.
+    pub bytes: &'a [u8],
+}
+
+impl<'a> RawTuple<'a> {
+    /// Reads the send time and relation without decoding the tuple.
+    pub fn project(&self) -> Result<TxProjection<'a>> {
+        TxProjection::parse(self.bytes).map_err(|e| self.corrupt(e))
+    }
+
+    /// One column of a tuple [`Self::project`]ed from `self`, still
+    /// encoded.
+    pub fn column(&self, head: &TxProjection<'a>, col: ColumnRef) -> Result<Option<RawValue<'a>>> {
+        head.column(col).map_err(|e| self.corrupt(e))
+    }
+
+    /// Fully decodes the tuple.
+    pub fn decode(&self) -> Result<Transaction> {
+        Transaction::from_bytes(self.bytes).map_err(|e| self.corrupt(e))
+    }
+
+    fn corrupt(&self, e: TypeError) -> StorageError {
+        StorageError::Corrupt(format!("tx {}/{}: {e}", self.bid, self.canon))
     }
 }
 
@@ -850,6 +937,12 @@ impl BlockStore {
         self.partitions
     }
 
+    /// True when relations `a` and `b` route to the same partition, so
+    /// one [`Self::scan_relation_raw`] returns the tuples of both.
+    pub fn co_located(&self, a: &str, b: &str) -> bool {
+        route_of(a, self.partitions) == route_of(b, self.partitions)
+    }
+
     /// The store's shared index-block cache tier.
     pub fn index_cache(&self) -> &Arc<IndexBlockCache> {
         &self.index_cache
@@ -1146,10 +1239,15 @@ impl BlockStore {
 
     /// Fetches `locs` from `reader`, coalescing contiguity runs (same
     /// segment, back-to-back offsets, combined span ≤ `u32::MAX`) into
-    /// single positioned reads. Returns one byte vector per location,
-    /// in input order; `bytes_read` is charged per span.
-    fn read_coalesced(&self, reader: &SegmentSet, locs: &[Location]) -> Result<Vec<Vec<u8>>> {
-        let mut out = Vec::with_capacity(locs.len());
+    /// single positioned reads, and hands each run — the positions of
+    /// its locations in `locs`, and the span read for them — to
+    /// `each`. `bytes_read` is charged per span.
+    fn read_runs(
+        &self,
+        reader: &SegmentSet,
+        locs: &[Location],
+        mut each: impl FnMut(std::ops::Range<usize>, Vec<u8>) -> Result<()>,
+    ) -> Result<()> {
         let mut run_start = 0usize;
         while run_start < locs.len() {
             let mut run_end = run_start + 1;
@@ -1175,12 +1273,24 @@ impl BlockStore {
             self.stats
                 .bytes_read
                 .fetch_add(span.len() as u64, Ordering::Relaxed);
-            for loc in &locs[run_start..run_end] {
+            each(run_start..run_end, span)?;
+            run_start = run_end;
+        }
+        Ok(())
+    }
+
+    /// [`Self::read_runs`] cut into one byte vector per location, in
+    /// input order.
+    fn read_coalesced(&self, reader: &SegmentSet, locs: &[Location]) -> Result<Vec<Vec<u8>>> {
+        let mut out = Vec::with_capacity(locs.len());
+        self.read_runs(reader, locs, |run, span| {
+            let first = locs[run.start];
+            for loc in &locs[run] {
                 let rel = (loc.offset - first.offset) as usize;
                 out.push(span[rel..rel + loc.len as usize].to_vec());
             }
-            run_start = run_end;
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -1406,21 +1516,20 @@ impl BlockStore {
         }
     }
 
-    /// Reads, for each block in `bids`, only the tuples of `table`'s
-    /// relation partition — the per-relation scan that stops paying for
-    /// unrelated relations' bytes. Returns `(canonical index, tx)`
-    /// pairs in canonical order per block (blocks without the partition
-    /// yield empty vectors). Note: at partition counts below the table
-    /// count, co-located relations share an extent, so callers still
-    /// filter by table name; canonical indexes let them keep block-
-    /// order semantics. Charges one `blocks_read` per block and only
-    /// the partition extents' `bytes_read` (no `txs_read`, matching
-    /// full-scan accounting).
-    pub fn read_relation_txs(
-        &self,
-        bids: &[BlockId],
-        table: &str,
-    ) -> Result<Vec<Vec<(u32, Transaction)>>> {
+    /// Fetches, for each block in `bids`, `table`'s relation partition
+    /// extent **undecoded**, with the place of every tuple in it — the
+    /// per-relation scan that stops paying for unrelated relations'
+    /// bytes, for callers that decide per tuple whether to decode.
+    /// Returns one [`RawExtent`] per block, in `bids` order (blocks
+    /// without the partition yield empty ones), tuples in canonical
+    /// order. Note: at partition counts below the table count,
+    /// co-located relations share an extent, so callers still filter by
+    /// table name; canonical indexes let them keep block-order
+    /// semantics. Charges one `blocks_read` per block and only the
+    /// partition extents' `bytes_read` (no `txs_read`, matching
+    /// full-scan accounting). Never consults a cache: cached blocks
+    /// are decoded ones.
+    pub fn scan_relation_raw(&self, bids: &[BlockId], table: &str) -> Result<Vec<RawExtent>> {
         if bids.is_empty() {
             return Ok(Vec::new());
         }
@@ -1462,28 +1571,33 @@ impl BlockStore {
                         plocs.push(*loc);
                     }
                 }
-                let extents = self.read_coalesced(&parts[route as usize].reader, &plocs)?;
-                let mut out: Vec<Vec<(u32, Transaction)>> = vec![Vec::new(); bids.len()];
-                for (k, ext) in items.into_iter().zip(extents) {
-                    let bid = bids[k];
-                    let mut txs = Vec::new();
-                    for (canon, l) in locs[k].iter().enumerate() {
-                        if l.part != route {
-                            continue;
-                        }
-                        let s = l.off as usize;
-                        let t = s + l.len as usize;
-                        if t > ext.len() {
-                            return Err(StorageError::Corrupt(format!(
-                                "block {bid}: tuple {canon} overruns its extent"
-                            )));
-                        }
-                        let tx = Transaction::from_bytes(&ext[s..t])
-                            .map_err(|e| StorageError::Corrupt(format!("tx {bid}/{canon}: {e}")))?;
-                        txs.push((canon as u32, tx));
+                let mut out: Vec<RawExtent> = bids
+                    .iter()
+                    .map(|&bid| RawExtent {
+                        bid,
+                        ..RawExtent::default()
+                    })
+                    .collect();
+                self.read_runs(&parts[route as usize].reader, &plocs, |run, span| {
+                    // The run's blocks share the span; none copies out
+                    // of it.
+                    let span = Arc::new(span);
+                    let first = plocs[run.start];
+                    for i in run {
+                        let k = items[i];
+                        let extent = (
+                            (plocs[i].offset - first.offset) as usize,
+                            plocs[i].len as usize,
+                        );
+                        let tuples = locs[k]
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, l)| l.part == route)
+                            .map(|(canon, l)| (canon as u32, l.off, l.len));
+                        out[k] = RawExtent::new(bids[k], Arc::clone(&span), extent, tuples)?;
                     }
-                    out[k] = txs;
-                }
+                    Ok(())
+                })?;
                 Ok(out)
             }
             Backend::Memory { blocks } => {
@@ -1491,26 +1605,35 @@ impl BlockStore {
                 bids.iter()
                     .map(|&b| {
                         let m = guard.get(b as usize).ok_or(StorageError::NotFound(b))?;
-                        let mut txs = Vec::new();
-                        let mut charged = 0u64;
-                        for (i, &r) in m.routes.iter().enumerate() {
-                            if r != route {
-                                continue;
-                            }
-                            let (off, len) = m.tx_ranges[i];
-                            charged += len as u64;
-                            let tx = Transaction::from_bytes(
-                                &m.bytes[off as usize..(off + len) as usize],
-                            )
-                            .map_err(|e| StorageError::Corrupt(format!("tx {b}/{i}: {e}")))?;
-                            txs.push((i as u32, tx));
-                        }
+                        let tuples = m
+                            .routes
+                            .iter()
+                            .zip(m.tx_ranges.iter())
+                            .enumerate()
+                            .filter(|(_, (&r, _))| r == route)
+                            .map(|(i, (_, &(off, len)))| (i as u32, off, len));
+                        let ext =
+                            RawExtent::new(b, Arc::clone(&m.bytes), (0, m.bytes.len()), tuples)?;
+                        let charged: u64 = ext.tuples.iter().map(|t| t.2 as u64).sum();
                         self.stats.bytes_read.fetch_add(charged, Ordering::Relaxed);
-                        Ok(txs)
+                        Ok(ext)
                     })
                     .collect()
             }
         }
+    }
+
+    /// [`Self::scan_relation_raw`] with every tuple decoded: `(canonical
+    /// index, tx)` pairs in canonical order per block.
+    pub fn read_relation_txs(
+        &self,
+        bids: &[BlockId],
+        table: &str,
+    ) -> Result<Vec<Vec<(u32, Transaction)>>> {
+        self.scan_relation_raw(bids, table)?
+            .iter()
+            .map(|ext| ext.tuples().map(|t| Ok((t.canon, t.decode()?))).collect())
+            .collect()
     }
 
     /// Shared read instrumentation (opens, in-flight gauges, probe)

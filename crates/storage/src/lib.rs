@@ -13,8 +13,8 @@ pub mod indexseg;
 pub mod segment;
 
 pub use blockstore::{
-    partition_of, BlockStore, CacheMode, CachedStore, IoStats, StoreConfig, TxPtr, WriteStep,
-    CHAIN_PARTITION, READAHEAD_BLOCKS, RELATION_PARTITIONS,
+    partition_of, BlockStore, CacheMode, CachedStore, IoStats, RawExtent, RawTuple, StoreConfig,
+    TxPtr, WriteStep, CHAIN_PARTITION, READAHEAD_BLOCKS, RELATION_PARTITIONS,
 };
 pub use cache::{BlockCache, Lru, ShardedLru, TxCache};
 pub use indexseg::{

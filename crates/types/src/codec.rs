@@ -123,6 +123,24 @@ impl Encoder {
     }
 }
 
+/// One attribute value still in its encoded form: the type tag and a
+/// borrow of the payload bytes (a string's or byte string's length
+/// prefix is the slice length). The encoding is canonical, so two
+/// `RawValue`s are equal exactly when the [`Value`]s they decode to
+/// are — which makes them hash-join keys that cost no allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RawValue<'a> {
+    pub(crate) tag: u8,
+    pub(crate) payload: &'a [u8],
+}
+
+impl RawValue<'_> {
+    /// True for SQL `NULL` (tag 0).
+    pub fn is_null(&self) -> bool {
+        self.tag == 0
+    }
+}
+
 /// Zero-copy cursor over encoded bytes with typed `get_*` helpers.
 pub struct Decoder<'a> {
     buf: &'a [u8],
@@ -214,6 +232,40 @@ impl<'a> Decoder<'a> {
                 })
             }
         })
+    }
+
+    /// Reads a tagged value without decoding it: the tag and a borrow
+    /// of the payload. Walks the same bytes as [`Self::get_value`] and
+    /// fails on the same truncations and tags, but allocates nothing
+    /// and does not check a string payload's UTF-8.
+    pub fn get_raw_value(&mut self) -> Result<RawValue<'a>, TypeError> {
+        let tag = self.get_u8("value tag")?;
+        let payload: &'a [u8] = match tag {
+            0 => &[],
+            1 => self.take(8, "int value")?,
+            2 => self.take(8, "decimal value")?,
+            3 => self.get_bytes("string value")?,
+            // `get_value` reads any non-zero byte as `true`; fold the
+            // payload the same way so equal values have equal bytes.
+            4 => match self.get_u8("bool value")? {
+                0 => &[0],
+                _ => &[1],
+            },
+            5 => self.take(8, "timestamp value")?,
+            6 => self.get_bytes("bytes value")?,
+            tag => {
+                return Err(TypeError::BadTag {
+                    context: "value",
+                    tag,
+                })
+            }
+        };
+        Ok(RawValue { tag, payload })
+    }
+
+    /// Steps over one tagged value.
+    pub fn skip_value(&mut self) -> Result<(), TypeError> {
+        self.get_raw_value().map(drop)
     }
 
     /// Reads a count-prefixed slice of values.

@@ -15,8 +15,8 @@ pub mod tx;
 pub mod value;
 
 pub use block::{Block, BlockHeader};
-pub use codec::{Codec, Decoder, Encoder};
+pub use codec::{Codec, Decoder, Encoder, RawValue};
 pub use error::TypeError;
 pub use schema::{Column, ColumnRef, TableSchema};
-pub use tx::{BlockId, Timestamp, Transaction, TxId};
+pub use tx::{BlockId, Timestamp, Transaction, TxId, TxProjection};
 pub use value::{DataType, Value};

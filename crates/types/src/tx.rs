@@ -6,7 +6,7 @@
 //! type = table name), followed by the user-defined application
 //! attributes.
 
-use crate::codec::{Codec, Decoder, Encoder};
+use crate::codec::{Codec, Decoder, Encoder, RawValue};
 use crate::error::TypeError;
 use crate::schema::ColumnRef;
 use crate::value::Value;
@@ -87,6 +87,79 @@ impl Transaction {
     /// enforce the configured block size).
     pub fn byte_len(&self) -> usize {
         self.to_bytes().len()
+    }
+}
+
+/// What a scan needs to know about an encoded transaction before it
+/// decides to decode it: the send time and the relation, read by
+/// [`Self::parse`], and one column as a [`RawValue`], read by
+/// [`Self::column`]. Nothing is allocated. `parse` stops at the
+/// relation name so a scan can drop a co-located relation's tuple
+/// after a few loads; `column` walks the length prefixes of the rest,
+/// so between them they fail wherever [`Transaction::from_bytes`]
+/// would, bar the UTF-8 of string values stepped over.
+#[derive(Clone, Copy)]
+pub struct TxProjection<'a> {
+    /// Client-side send timestamp (ms).
+    pub ts: Timestamp,
+    /// Transaction type, i.e. the table this tuple belongs to.
+    pub tname: &'a str,
+    /// The whole encoding: `tid(8) ‖ ts(8) ‖ len(4) ‖ sig ‖ sen_id(8) ‖
+    /// len(4) ‖ tname ‖ count(4) ‖ values`, checked by `parse` as far
+    /// as `values_at`.
+    buf: &'a [u8],
+    sig_end: usize,
+    values_at: usize,
+}
+
+impl<'a> TxProjection<'a> {
+    /// Reads the system attributes of one transaction's encoding.
+    pub fn parse(buf: &'a [u8]) -> Result<Self, TypeError> {
+        let mut dec = Decoder::new(buf);
+        dec.get_raw(8, "tid")?;
+        let ts = dec.get_u64("ts")?;
+        dec.get_bytes("sig")?;
+        let sig_end = buf.len() - dec.remaining();
+        dec.get_raw(8, "sen_id")?;
+        let tname = dec.get_str("tname")?;
+        Ok(TxProjection {
+            ts,
+            tname,
+            buf,
+            sig_end,
+            values_at: buf.len() - dec.remaining(),
+        })
+    }
+
+    /// The column `col` as [`Transaction::get`] would return it, still
+    /// encoded; `None` for an out-of-range application column.
+    pub fn column(&self, col: ColumnRef) -> Result<Option<RawValue<'a>>, TypeError> {
+        // Tags as `Encoder::put_value` writes them for the `Value`
+        // each system column materializes to.
+        let mut column = match col {
+            ColumnRef::Tid => Some((1, &self.buf[..8])),
+            ColumnRef::Ts => Some((5, &self.buf[8..16])),
+            ColumnRef::Sig => Some((6, &self.buf[20..self.sig_end])),
+            ColumnRef::SenId => Some((6, &self.buf[self.sig_end..self.sig_end + 8])),
+            ColumnRef::Tname => Some((3, self.tname.as_bytes())),
+            ColumnRef::App(_) => None,
+        }
+        .map(|(tag, payload)| RawValue { tag, payload });
+        let mut dec = Decoder::new(&self.buf[self.values_at..]);
+        let count = dec.get_u32("value count")? as usize;
+        for i in 0..count {
+            if col == ColumnRef::App(i) {
+                column = Some(dec.get_raw_value()?);
+            } else {
+                dec.skip_value()?;
+            }
+        }
+        if !dec.is_exhausted() {
+            return Err(TypeError::SchemaMismatch {
+                detail: format!("{} trailing bytes after decode", dec.remaining()),
+            });
+        }
+        Ok(column)
     }
 }
 
@@ -194,6 +267,175 @@ mod tests {
         );
         assert_eq!(tx.get(ColumnRef::App(2)), Some(Value::decimal(100)));
         assert_eq!(tx.get(ColumnRef::App(9)), None);
+    }
+
+    /// xorshift64*: the projection tests need seeded, not shrinking,
+    /// inputs.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn value(&mut self) -> Value {
+            let len = self.below(4) as usize * self.below(6) as usize;
+            match self.below(7) {
+                0 => Value::Null,
+                1 => Value::Int(self.next() as i64),
+                2 => Value::Decimal(self.next() as i64),
+                3 => Value::Str("é".repeat(len)),
+                4 => Value::Bool(self.below(2) == 1),
+                5 => Value::Timestamp(self.next()),
+                _ => Value::Bytes((0..len).map(|_| self.next() as u8).collect()),
+            }
+        }
+
+        fn tx(&mut self) -> Transaction {
+            let ncols = self.below(9) as usize;
+            let mut tx = Transaction::new(
+                self.next(),
+                KeyId(self.next().to_le_bytes()),
+                ["donate", "transfer", ""][self.below(3) as usize],
+                (0..ncols).map(|_| self.value()).collect(),
+            );
+            tx.tid = self.next();
+            tx.sig = (0..self.below(40)).map(|_| self.next() as u8).collect();
+            tx
+        }
+    }
+
+    const ALL_COLUMNS: [ColumnRef; 15] = [
+        ColumnRef::Tid,
+        ColumnRef::Ts,
+        ColumnRef::Sig,
+        ColumnRef::SenId,
+        ColumnRef::Tname,
+        ColumnRef::App(0),
+        ColumnRef::App(1),
+        ColumnRef::App(2),
+        ColumnRef::App(3),
+        ColumnRef::App(4),
+        ColumnRef::App(5),
+        ColumnRef::App(6),
+        ColumnRef::App(7),
+        ColumnRef::App(8),
+        ColumnRef::App(usize::MAX),
+    ];
+
+    #[test]
+    fn projection_agrees_with_full_decode() {
+        let mut rng = Rng(0x5eb_db18);
+        for _ in 0..500 {
+            let tx = rng.tx();
+            let bytes = tx.to_bytes();
+            let decoded = Transaction::from_bytes(&bytes).unwrap();
+            for col in ALL_COLUMNS {
+                let p = TxProjection::parse(&bytes).unwrap();
+                assert_eq!(p.ts, decoded.ts);
+                assert_eq!(p.tname, decoded.tname);
+                let column = p.column(col).unwrap();
+                // The expected column, taken through the encoder.
+                let mut enc = Encoder::new();
+                let want = decoded.get(col);
+                if let Some(v) = &want {
+                    enc.put_value(v);
+                }
+                let buf = enc.finish();
+                let want_raw = want
+                    .as_ref()
+                    .map(|_| Decoder::new(&buf).get_raw_value().unwrap());
+                assert_eq!(column, want_raw, "{col:?} of {tx:?}");
+                assert_eq!(column.map(|c| c.is_null()), want.map(|v| v == Value::Null));
+            }
+        }
+    }
+
+    #[test]
+    fn raw_values_are_equal_exactly_when_values_are() {
+        let mut rng = Rng(77);
+        let values: Vec<Value> = (0..200).map(|_| rng.value()).collect();
+        let encoded: Vec<Vec<u8>> = values
+            .iter()
+            .map(|v| {
+                let mut enc = Encoder::new();
+                enc.put_value(v);
+                enc.finish()
+            })
+            .collect();
+        let raws: Vec<RawValue<'_>> = encoded
+            .iter()
+            .map(|b| Decoder::new(b).get_raw_value().unwrap())
+            .collect();
+        for (i, a) in values.iter().enumerate() {
+            for (j, b) in values.iter().enumerate() {
+                assert_eq!(a == b, raws[i] == raws[j], "{a:?} vs {b:?}");
+            }
+        }
+        // A bool written by a foreign encoder as any non-zero byte
+        // decodes to `true`; its raw form must agree.
+        let odd = Decoder::new(&[4, 9]).get_raw_value().unwrap();
+        let canonical = Decoder::new(&[4, 1]).get_raw_value().unwrap();
+        assert_eq!(odd, canonical);
+    }
+
+    fn project(buf: &[u8], col: ColumnRef) -> Result<Option<RawValue<'_>>, TypeError> {
+        TxProjection::parse(buf)?.column(col)
+    }
+
+    #[test]
+    fn projection_of_damaged_bytes_is_a_typed_error() {
+        let mut rng = Rng(4242);
+        for _ in 0..60 {
+            let tx = rng.tx();
+            let bytes = tx.to_bytes();
+            for col in ALL_COLUMNS {
+                for cut in 0..bytes.len() {
+                    assert!(
+                        project(&bytes[..cut], col).is_err(),
+                        "prefix {cut}/{} of {tx:?} on {col:?}",
+                        bytes.len()
+                    );
+                }
+            }
+            // Overwrite each value's tag in turn with every bad tag.
+            let mut at = bytes.len() - {
+                let mut enc = Encoder::new();
+                tx.values.iter().for_each(|v| enc.put_value(v));
+                enc.len()
+            };
+            for v in &tx.values {
+                for bad in [7u8, 8, 0x7f, 0xff] {
+                    let mut damaged = bytes.clone();
+                    damaged[at] = bad;
+                    for col in ALL_COLUMNS {
+                        assert_eq!(
+                            project(&damaged, col),
+                            Err(TypeError::BadTag {
+                                context: "value",
+                                tag: bad
+                            })
+                        );
+                    }
+                }
+                let mut enc = Encoder::new();
+                enc.put_value(v);
+                at += enc.len();
+            }
+            let mut longer = bytes.clone();
+            longer.push(0);
+            assert!(matches!(
+                project(&longer, ColumnRef::Tid),
+                Err(TypeError::SchemaMismatch { .. })
+            ));
+        }
     }
 
     #[test]
