@@ -14,12 +14,13 @@ use sebdb_consensus::OrderedBlock;
 use sebdb_crypto::sha256::Digest;
 use sebdb_crypto::sig::{MacKeypair, Signer};
 use sebdb_index::{
-    column_slug, family_ali, family_block, family_layered, family_table, AuthenticatedLayeredIndex,
-    Bitmap, BlockLevelIndex, EqualDepthHistogram, LayeredIndex, TableBitmapIndex,
+    column_slug, family_block, family_table, AuthenticatedLayeredIndex, Bitmap, BlockLevelIndex,
+    EqualDepthHistogram, Layered, LayeredIndex, SecondLevel, TableBitmapIndex,
 };
 use sebdb_parallel::Tracked;
 use sebdb_storage::{
-    BlockCache, BlockStore, CacheMode, CachedStore, RawExtent, StorageError, TxCache, TxPtr,
+    BlockCache, BlockStore, CacheMode, CachedStore, IndexCheckpoint, PagedIndexReader, RawExtent,
+    StorageError, TxCache, TxPtr,
 };
 use sebdb_types::{Block, BlockId, ColumnRef, TableSchema, Timestamp, Transaction, Value};
 use std::collections::HashMap;
@@ -80,6 +81,15 @@ pub fn shard_of(table: &str) -> usize {
     sebdb_storage::partition_of(table)
 }
 
+/// The registry key of the index on `table.column` (names fold to
+/// lower case).
+fn index_key(table: Option<&str>, column: &str) -> IndexKey {
+    (
+        table.map(str::to_ascii_lowercase),
+        column.to_ascii_lowercase(),
+    )
+}
+
 /// The shard an index key lives in: per-table keys hash their table,
 /// system (`None`-table) keys live in the extra chain shard
 /// ([`INDEX_SHARDS`], owned by lane 0 alongside the block-level and
@@ -91,13 +101,95 @@ fn shard_of_key(key: &IndexKey) -> usize {
     }
 }
 
+/// The layered index families over one kind of second-level tree
+/// living in one shard, behind their own lock.
+type Families<S> = RwLock<HashMap<IndexKey, Layered<S>>>;
+
 /// One relation shard: the layered and authenticated index families of
 /// the tables hashing to it, each behind its own lock so applier lanes
-/// maintain disjoint shards with zero contention.
+/// maintain disjoint shards with zero contention. Every operation over
+/// "all families of the shard" is one generic function applied to the
+/// two maps in this order.
 #[derive(Default)]
 struct IndexShard {
     layered: RwLock<HashMap<IndexKey, LayeredIndex>>,
     alis: RwLock<HashMap<IndexKey, AuthenticatedLayeredIndex>>,
+}
+
+impl IndexShard {
+    /// Lowest height any family of the shard has state for.
+    fn covered_floor(&self) -> u64 {
+        fn floor<S: SecondLevel>(families: &Families<S>) -> u64 {
+            let covered = families.read().values().map(Layered::covered).min();
+            covered.unwrap_or(u64::MAX)
+        }
+        floor(&self.layered).min(floor(&self.alis))
+    }
+
+    /// Indexes `block` into every family. With `rows` (the block's
+    /// relation → tuple positions partition) each per-table family is
+    /// handed exactly its rows; without, each family filters the block.
+    fn update(&self, block: &Block, rows: Option<&HashMap<String, Vec<u32>>>) {
+        fn update<S: SecondLevel>(
+            families: &Families<S>,
+            block: &Block,
+            rows: Option<&HashMap<String, Vec<u32>>>,
+        ) {
+            for (key, idx) in families.write().iter_mut() {
+                match rows {
+                    Some(rows) => {
+                        let covered = key.0.as_deref().and_then(|t| rows.get(t));
+                        idx.update_rows(block, covered.map_or(&[], |r| r.as_slice()));
+                    }
+                    None => idx.update(block),
+                }
+            }
+        }
+        update(&self.layered, block, rows);
+        update(&self.alis, block, rows);
+    }
+
+    /// Resident bytes of the shard's families.
+    fn memory_bytes(&self) -> usize {
+        fn bytes<S: SecondLevel>(families: &Families<S>) -> usize {
+            families.read().values().map(Layered::memory_bytes).sum()
+        }
+        bytes(&self.layered) + bytes(&self.alis)
+    }
+
+    /// Freezes every family behind a checkpoint published through
+    /// `ledger`'s store. Returns how many checkpoints were published
+    /// (none when the backend keeps families resident).
+    fn checkpoint(&self, ledger: &Ledger) -> Result<usize, LedgerError> {
+        fn freeze<S: SecondLevel>(
+            families: &Families<S>,
+            ledger: &Ledger,
+        ) -> Result<usize, LedgerError> {
+            let mut published = 0;
+            for idx in families.write().values_mut() {
+                if let Some(r) = ledger.publish_checkpoint(&idx.checkpoint())? {
+                    idx.adopt_frozen(r);
+                    published += 1;
+                }
+            }
+            Ok(published)
+        }
+        Ok(freeze(&self.layered, ledger)? + freeze(&self.alis, ledger)?)
+    }
+}
+
+/// Starts the family of `(table, col)` over `S`-trees cold: continuous
+/// over `hist` when there is one, discrete otherwise.
+fn cold_family<S: SecondLevel>(
+    table: Option<&str>,
+    col: ColumnRef,
+    hist: Option<&EqualDepthHistogram>,
+) -> Layered<S> {
+    let table = table.map(str::to_string);
+    match hist {
+        Some(h) => Layered::new_continuous(table, col, h.clone()),
+        None => Layered::new_discrete(table, col),
+    }
 }
 
 /// Number of histogram buckets for continuous layered indexes (the
@@ -197,34 +289,16 @@ impl Ledger {
             *ledger.table_index.write() = TableBitmapIndex::from_frozen(r);
             frozen_loaded += 1;
         }
-        {
-            let chain = &ledger.shards[INDEX_SHARDS];
-            let mut layered = chain.layered.write();
-            let mut alis = chain.alis.write();
-            for (name, col) in [("sen_id", ColumnRef::SenId), ("tname", ColumnRef::Tname)] {
-                let idx = match ledger
-                    .store
-                    .load_index_checkpoint(&family_layered(None, name))?
-                {
-                    Some(r) => {
-                        frozen_loaded += 1;
-                        LayeredIndex::from_frozen(None, col, r)
-                    }
-                    None => LayeredIndex::new_discrete(None, col),
-                };
-                layered.insert((None, name.into()), idx);
-                let ali = match ledger
-                    .store
-                    .load_index_checkpoint(&family_ali(None, name))?
-                {
-                    Some(r) => {
-                        frozen_loaded += 1;
-                        AuthenticatedLayeredIndex::from_frozen(None, col, r)
-                    }
-                    None => AuthenticatedLayeredIndex::new_discrete(None, col),
-                };
-                alis.insert((None, name.into()), ali);
-            }
+        let chain = &ledger.shards[INDEX_SHARDS];
+        for col in [ColumnRef::SenId, ColumnRef::Tname] {
+            let key: IndexKey = (None, column_slug(&col));
+            let layered: Option<LayeredIndex> = ledger.reattach_family(None, col)?;
+            let ali: Option<AuthenticatedLayeredIndex> = ledger.reattach_family(None, col)?;
+            frozen_loaded += usize::from(layered.is_some()) + usize::from(ali.is_some());
+            let layered = layered.unwrap_or_else(|| cold_family(None, col, None));
+            chain.layered.write().insert(key.clone(), layered);
+            let ali = ali.unwrap_or_else(|| cold_family(None, col, None));
+            chain.alis.write().insert(key, ali);
         }
         // Rebuild indexes from blocks past the lowest frozen height
         // (restart path). A crash between persist and index leaves
@@ -271,14 +345,21 @@ impl Ledger {
         let mut floor = self.block_index.read().len() as u64;
         floor = floor.min(self.table_index.read().blocks_seen());
         for shard in &self.shards {
-            for idx in shard.layered.read().values() {
-                floor = floor.min(idx.covered());
-            }
-            for ali in shard.alis.read().values() {
-                floor = floor.min(ali.covered());
-            }
+            floor = floor.min(shard.covered_floor());
         }
         floor
+    }
+
+    /// The family of `(table, col)` over `S`-trees behind its published
+    /// checkpoint, if the store holds a valid one.
+    fn reattach_family<S: SecondLevel>(
+        &self,
+        table: Option<&str>,
+        col: ColumnRef,
+    ) -> Result<Option<Layered<S>>, LedgerError> {
+        let family = S::family(table, &column_slug(&col));
+        let frozen = self.store.load_index_checkpoint(&family)?;
+        Ok(frozen.map(|r| Layered::from_frozen(table.map(str::to_string), col, r)))
     }
 
     /// Applied chain height: every block below it is persisted and
@@ -580,14 +661,7 @@ impl Ledger {
         }
         self.table_index.write().update(block);
         for shard in &self.shards {
-            for idx in shard.layered.write().values_mut() {
-                idx.update(block);
-            }
-        }
-        for shard in &self.shards {
-            for ali in shard.alis.write().values_mut() {
-                ali.update(block);
-            }
+            shard.update(block, None);
         }
     }
 
@@ -614,15 +688,9 @@ impl Ledger {
         if let Some(hook) = self.index_fault.read().as_ref() {
             hook(block);
         }
-        let chain = &self.shards[INDEX_SHARDS];
         self.block_index.write().append(block);
         self.table_index.write().update(block);
-        for idx in chain.layered.write().values_mut() {
-            idx.update(block);
-        }
-        for ali in chain.alis.write().values_mut() {
-            ali.update(block);
-        }
+        self.shards[INDEX_SHARDS].update(block, None);
         if self.checkpoint_due(block.header.height + 1)
             || self.bytes_due(|| self.chain_families_memory_bytes())
         {
@@ -643,24 +711,16 @@ impl Ledger {
         block: &Block,
         rows: &HashMap<String, Vec<u32>>,
     ) {
-        const NO_ROWS: &[u32] = &[];
         for (s, shard) in self.shards.iter().enumerate().take(INDEX_SHARDS) {
-            if s % lanes != lane {
-                continue;
-            }
-            for (key, idx) in shard.layered.write().iter_mut() {
-                let covered = key.0.as_deref().and_then(|t| rows.get(t));
-                idx.update_rows(block, covered.map_or(NO_ROWS, |r| r.as_slice()));
-            }
-            for (key, ali) in shard.alis.write().iter_mut() {
-                let covered = key.0.as_deref().and_then(|t| rows.get(t));
-                ali.update_rows(block, covered.map_or(NO_ROWS, |r| r.as_slice()));
+            if s % lanes == lane {
+                shard.update(block, Some(rows));
             }
         }
         let every_due = self.checkpoint_due(block.header.height + 1);
         for s in (0..INDEX_SHARDS).filter(|s| s % lanes == lane) {
-            if every_due || self.bytes_due(|| self.shard_memory_bytes(s)) {
-                let _ = self.checkpoint_shard(s);
+            let shard = &self.shards[s];
+            if every_due || self.bytes_due(|| shard.memory_bytes()) {
+                let _ = shard.checkpoint(self);
             }
         }
     }
@@ -708,24 +768,7 @@ impl Ledger {
     fn chain_families_memory_bytes(&self) -> usize {
         self.block_index.read().memory_bytes()
             + self.table_index.read().memory_bytes()
-            + self.shard_memory_bytes(INDEX_SHARDS)
-    }
-
-    /// Resident bytes of one index shard's layered/ALI families.
-    fn shard_memory_bytes(&self, s: usize) -> usize {
-        let shard = &self.shards[s];
-        shard
-            .layered
-            .read()
-            .values()
-            .map(|i| i.memory_bytes())
-            .sum::<usize>()
-            + shard
-                .alis
-                .read()
-                .values()
-                .map(|a| a.memory_bytes())
-                .sum::<usize>()
+            + self.shards[INDEX_SHARDS].memory_bytes()
     }
 
     /// Writes one family's checkpoint behind the `.tmp` → rename commit
@@ -733,8 +776,8 @@ impl Ledger {
     /// keeps every family fully resident).
     fn publish_checkpoint(
         &self,
-        cp: &sebdb_storage::IndexCheckpoint,
-    ) -> Result<Option<sebdb_storage::PagedIndexReader>, LedgerError> {
+        cp: &IndexCheckpoint,
+    ) -> Result<Option<PagedIndexReader>, LedgerError> {
         self.store.write_index_checkpoint(cp)?;
         Ok(self.store.load_index_checkpoint(&cp.family)?)
     }
@@ -761,39 +804,7 @@ impl Ledger {
                 published += 1;
             }
         }
-        Ok(published + self.checkpoint_shard_slot(INDEX_SHARDS)?)
-    }
-
-    /// Freezes every layered/ALI family living in relation shard `s`
-    /// (`s < INDEX_SHARDS`). Lane `s % lanes` of a pipeline owns the
-    /// shard, so distinct lanes checkpoint disjoint families.
-    pub fn checkpoint_shard(&self, s: usize) -> Result<usize, LedgerError> {
-        assert!(s < INDEX_SHARDS, "relation shard out of range");
-        self.checkpoint_shard_slot(s)
-    }
-
-    fn checkpoint_shard_slot(&self, s: usize) -> Result<usize, LedgerError> {
-        let shard = &self.shards[s];
-        let mut published = 0;
-        {
-            let mut layered = shard.layered.write();
-            for idx in layered.values_mut() {
-                if let Some(r) = self.publish_checkpoint(&idx.checkpoint())? {
-                    idx.adopt_frozen(r);
-                    published += 1;
-                }
-            }
-        }
-        {
-            let mut alis = shard.alis.write();
-            for ali in alis.values_mut() {
-                if let Some(r) = self.publish_checkpoint(&ali.checkpoint())? {
-                    ali.adopt_frozen(r);
-                    published += 1;
-                }
-            }
-        }
-        Ok(published)
+        Ok(published + self.shards[INDEX_SHARDS].checkpoint(self)?)
     }
 
     /// Freezes every index family into an on-disk checkpoint (chain
@@ -802,8 +813,8 @@ impl Ledger {
     /// were published (0 on the in-memory backend).
     pub fn checkpoint_indexes(&self) -> Result<usize, LedgerError> {
         let mut published = self.checkpoint_chain_families()?;
-        for s in 0..INDEX_SHARDS {
-            published += self.checkpoint_shard_slot(s)?;
+        for shard in &self.shards[..INDEX_SHARDS] {
+            published += shard.checkpoint(self)?;
         }
         Ok(published)
     }
@@ -817,18 +828,7 @@ impl Ledger {
         let mut bytes =
             self.block_index.read().memory_bytes() + self.table_index.read().memory_bytes();
         for shard in &self.shards {
-            bytes += shard
-                .layered
-                .read()
-                .values()
-                .map(|i| i.memory_bytes())
-                .sum::<usize>();
-            bytes += shard
-                .alis
-                .read()
-                .values()
-                .map(|a| a.memory_bytes())
-                .sum::<usize>();
+            bytes += shard.memory_bytes();
         }
         bytes
     }
@@ -915,10 +915,7 @@ impl Ledger {
         let col = schema
             .resolve(column)
             .map_err(|e| LedgerError::BadIndex(e.to_string()))?;
-        let key: IndexKey = (
-            Some(schema.name.to_ascii_lowercase()),
-            column.to_ascii_lowercase(),
-        );
+        let key = index_key(Some(&schema.name), column);
         let shard = &self.shards[shard_of_key(&key)];
         if shard.layered.read().contains_key(&key) {
             return Ok(());
@@ -928,13 +925,9 @@ impl Ledger {
         // family; reattaching the frozen prefix turns the replay below
         // into a tail replay. The histogram travels in the checkpoint
         // meta, so sampling only happens when a family starts cold.
-        let slug = column_slug(&col);
-        let frozen_layered = self
-            .store
-            .load_index_checkpoint(&family_layered(Some(&schema.name), &slug))?;
-        let frozen_ali = self
-            .store
-            .load_index_checkpoint(&family_ali(Some(&schema.name), &slug))?;
+        let table = Some(schema.name.as_str());
+        let frozen_layered: Option<LayeredIndex> = self.reattach_family(table, col)?;
+        let frozen_ali: Option<AuthenticatedLayeredIndex> = self.reattach_family(table, col)?;
         let hist = if continuous && (frozen_layered.is_none() || frozen_ali.is_none()) {
             let sample = match sample {
                 Some(s) => s,
@@ -947,22 +940,8 @@ impl Ledger {
         } else {
             None
         };
-        let mut layered = match (frozen_layered, &hist) {
-            (Some(r), _) => LayeredIndex::from_frozen(Some(schema.name.clone()), col, r),
-            (None, Some(h)) => {
-                LayeredIndex::new_continuous(Some(schema.name.clone()), col, h.clone())
-            }
-            (None, None) => LayeredIndex::new_discrete(Some(schema.name.clone()), col),
-        };
-        let mut ali = match (frozen_ali, hist) {
-            (Some(r), _) => {
-                AuthenticatedLayeredIndex::from_frozen(Some(schema.name.clone()), col, r)
-            }
-            (None, Some(h)) => {
-                AuthenticatedLayeredIndex::new_continuous(Some(schema.name.clone()), col, h)
-            }
-            (None, None) => AuthenticatedLayeredIndex::new_discrete(Some(schema.name.clone()), col),
-        };
+        let mut layered = frozen_layered.unwrap_or_else(|| cold_family(table, col, hist.as_ref()));
+        let mut ali = frozen_ali.unwrap_or_else(|| cold_family(table, col, hist.as_ref()));
         // Replay only applied blocks: a block the pipeline has persisted
         // but not yet indexed will reach the new index through
         // `index_appended` once it is registered below. (Index creation
@@ -1008,10 +987,7 @@ impl Ledger {
         column: &str,
         f: impl FnOnce(&LayeredIndex) -> R,
     ) -> Option<R> {
-        let key: IndexKey = (
-            table.map(|t| t.to_ascii_lowercase()),
-            column.to_ascii_lowercase(),
-        );
+        let key = index_key(table, column);
         self.shards[shard_of_key(&key)]
             .layered
             .read()
@@ -1026,10 +1002,7 @@ impl Ledger {
         column: &str,
         f: impl FnOnce(&AuthenticatedLayeredIndex) -> R,
     ) -> Option<R> {
-        let key: IndexKey = (
-            table.map(|t| t.to_ascii_lowercase()),
-            column.to_ascii_lowercase(),
-        );
+        let key = index_key(table, column);
         self.shards[shard_of_key(&key)].alis.read().get(&key).map(f)
     }
 

@@ -1,11 +1,14 @@
 //! ALI — the Authenticated Layered Index (§VI).
 //!
 //! The layered index with the per-block second-level B⁺-tree replaced
-//! by an [`MbTree`]. "Since each block maintains the second level
-//! index, each block height corresponds to a snapshot": a query at
-//! height `h` touches only blocks `< h`, and the auxiliary full node's
-//! digest is the hash of the concatenation of the MB-tree roots of
-//! exactly the blocks the query must visit.
+//! by an [`MbTree`] — literally: [`AuthenticatedLayeredIndex`] is
+//! [`Layered`] over MB-trees, so the first level, the frozen/tail seam
+//! and the checkpoint merge are `layered.rs`'s, and this file holds
+//! only what is authenticated. "Since each block maintains the second
+//! level index, each block height corresponds to a snapshot": a query
+//! at height `h` touches only blocks `< h`, and the auxiliary full
+//! node's digest is the hash of the concatenation of the MB-tree roots
+//! of exactly the blocks the query must visit.
 //!
 //! Paged backend (DESIGN §13): frozen blocks keep their sorted leaf
 //! entries and 32-byte MB-roots in the checkpoint. Roots answer
@@ -15,35 +18,69 @@
 //! sorted list, so the rebuilt tree is byte-identical).
 
 use crate::bitmap::Bitmap;
-use crate::histogram::EqualDepthHistogram;
-use crate::layered::KeyPredicate;
+use crate::layered::{KeyPredicate, Layered, SecondLevel};
 use crate::mbtree::{AuthEntry, MbTree, RangeProof, VerifyError, DEFAULT_FANOUT};
 use crate::paged::{
-    auth_entries_bytes, auth_entries_from_bytes, bid_key, bitmap_bytes, bitmap_from_bytes,
-    bucket_key, column_slug, decode_value_key, family_ali, frozen_bitmap, read_fail, value_key,
-    TAG_ALL_BLOCKS, TAG_BLOCK_BUCKETS, TAG_BLOCK_ENTRIES, TAG_BLOCK_ROOT, TAG_VALUE_BLOCKS,
+    auth_entries_bytes, auth_entries_from_bytes, bid_key, family_ali, value_resident_bytes,
+    CheckpointBuilder, TAG_BLOCK_ENTRIES, TAG_BLOCK_ROOT,
 };
 use sebdb_crypto::sha256::{Digest, Sha256};
-use sebdb_storage::{IndexCheckpoint, PagedIndexReader, TxPtr};
-use sebdb_types::{Block, BlockId, ColumnRef, Decoder, Encoder, Value};
-use std::collections::{BTreeMap, HashMap};
+use sebdb_storage::TxPtr;
+use sebdb_types::{Block, BlockId, Decoder, Encoder, TypeError, Value};
 
-/// Authenticated layered index over one attribute.
-#[derive(Debug)]
-pub struct AuthenticatedLayeredIndex {
-    /// Table filter (`None` = all tables, for system columns).
-    pub table: Option<String>,
-    /// Indexed column.
-    pub column: ColumnRef,
-    fanout: usize,
-    /// Continuous first level; bitmaps are tail-relative
-    /// (slot = bid − base).
-    first_continuous: Option<(EqualDepthHistogram, Vec<Option<Bitmap>>)>,
-    /// Discrete first level; bitmaps are tail-relative.
-    first_discrete: Option<HashMap<Value, Bitmap>>,
-    /// Per-block MB-trees for the tail (slot = bid − base).
-    trees: Vec<Option<MbTree>>,
-    frozen: Option<(PagedIndexReader, u64)>,
+/// Authenticated layered index over one attribute: per-block MB-trees
+/// below the layered index's first level.
+pub type AuthenticatedLayeredIndex = Layered<MbTree>;
+
+impl SecondLevel for MbTree {
+    const WIDTH: usize = DEFAULT_FANOUT;
+
+    fn family(table: Option<&str>, column: &str) -> Vec<u8> {
+        family_ali(table, column)
+    }
+
+    /// Clients rebuild frozen trees and verify proofs with the fanout,
+    /// so it travels in the checkpoint.
+    fn put_meta_prefix(fanout: usize, enc: &mut Encoder) {
+        enc.put_u32(fanout as u32);
+    }
+
+    fn get_meta_prefix(dec: &mut Decoder<'_>) -> Result<usize, TypeError> {
+        Ok(dec.get_u32("ali meta fanout")? as usize)
+    }
+
+    fn build(fanout: usize, block: &Block, keyed: Vec<(Value, TxPtr)>) -> Self {
+        let entries = keyed
+            .into_iter()
+            .map(|(key, ptr)| AuthEntry {
+                key,
+                tx_hash: block.transactions[ptr.index as usize].hash(),
+                ptr,
+            })
+            .collect();
+        MbTree::build(entries, fanout)
+    }
+
+    fn checkpoint_entries(&self, bid: BlockId, cp: &mut CheckpointBuilder) {
+        cp.put(
+            bid_key(TAG_BLOCK_ENTRIES, bid),
+            auth_entries_bytes(self.entries()),
+        );
+        cp.put(
+            bid_key(TAG_BLOCK_ROOT, bid),
+            self.root().as_bytes().to_vec(),
+        );
+    }
+
+    fn memory_bytes(&self) -> usize {
+        let leaves: usize = self
+            .entries()
+            .iter()
+            .map(|e| value_resident_bytes(&e.key) + 32 + 16)
+            .sum();
+        // Interior digest levels: ≈ n/(fanout-1) digests.
+        leaves + self.len() * 32 / self.fanout().saturating_sub(1).max(1)
+    }
 }
 
 /// The verification object returned by a full node for one
@@ -107,318 +144,51 @@ pub fn auxiliary_digest(roots: &[(BlockId, Digest)]) -> Digest {
     h.finalize()
 }
 
-/// Checkpoint meta: fanout + kind tag (+ histogram bounds when
-/// continuous).
-fn encode_meta(fanout: usize, continuous: Option<&EqualDepthHistogram>) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_u32(fanout as u32);
-    match continuous {
-        Some(hist) => {
-            enc.put_u8(0);
-            enc.put_u32(hist.bounds().len() as u32);
-            for b in hist.bounds() {
-                enc.put_i64(*b);
-            }
-        }
-        None => enc.put_u8(1),
-    }
-    enc.finish()
-}
-
-/// Rebuilds `(fanout, continuous histogram)` out of checkpoint meta.
-fn decode_meta(meta: &[u8]) -> (usize, Option<EqualDepthHistogram>) {
-    let mut dec = Decoder::new(meta);
-    let parse = |dec: &mut Decoder<'_>| -> Result<
-        (usize, Option<EqualDepthHistogram>),
-        sebdb_types::TypeError,
-    > {
-        let fanout = dec.get_u32("ali meta fanout")? as usize;
-        match dec.get_u8("ali meta kind")? {
-            0 => {
-                let n = dec.get_u32("ali meta bounds")?;
-                let mut bounds = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    bounds.push(dec.get_i64("ali meta bound")?);
-                }
-                Ok((fanout, Some(EqualDepthHistogram::from_bounds(bounds))))
-            }
-            _ => Ok((fanout, None)),
-        }
-    };
-    match parse(&mut dec) {
-        Ok(v) => v,
-        Err(e) => panic!("ali checkpoint meta failed to decode: {e}"),
-    }
-}
-
 impl AuthenticatedLayeredIndex {
-    /// Continuous-attribute ALI.
-    pub fn new_continuous(
-        table: Option<String>,
-        column: ColumnRef,
-        hist: EqualDepthHistogram,
-    ) -> Self {
-        AuthenticatedLayeredIndex {
-            table,
-            column,
-            fanout: DEFAULT_FANOUT,
-            first_continuous: Some((hist, Vec::new())),
-            first_discrete: None,
-            trees: Vec::new(),
-            frozen: None,
-        }
-    }
-
-    /// Discrete-attribute ALI.
-    pub fn new_discrete(table: Option<String>, column: ColumnRef) -> Self {
-        AuthenticatedLayeredIndex {
-            table,
-            column,
-            fanout: DEFAULT_FANOUT,
-            first_continuous: None,
-            first_discrete: Some(HashMap::new()),
-            trees: Vec::new(),
-            frozen: None,
-        }
-    }
-
-    /// Rebuilds an ALI from a frozen checkpoint; fanout and kind come
-    /// from the checkpoint meta, the tail starts empty.
-    pub fn from_frozen(table: Option<String>, column: ColumnRef, reader: PagedIndexReader) -> Self {
-        let (fanout, hist) = decode_meta(reader.meta());
-        let base = reader.height();
-        AuthenticatedLayeredIndex {
-            table,
-            column,
-            fanout,
-            first_discrete: hist.is_none().then(HashMap::new),
-            first_continuous: hist.map(|h| (h, Vec::new())),
-            trees: Vec::new(),
-            frozen: Some((reader, base)),
-        }
-    }
-
-    /// Freezes the state covered so far behind a newly written
-    /// checkpoint; the reader must cover exactly [`Self::covered`].
-    pub fn adopt_frozen(&mut self, reader: PagedIndexReader) {
-        assert_eq!(
-            reader.height(),
-            self.covered(),
-            "adopting a checkpoint that does not match the indexed height"
-        );
-        let base = reader.height();
-        if let Some((_, entries)) = &mut self.first_continuous {
-            entries.clear();
-        }
-        if let Some(per_value) = &mut self.first_discrete {
-            per_value.clear();
-        }
-        self.trees.clear();
-        self.frozen = Some((reader, base));
-    }
-
-    /// First tail block: blocks below this are frozen.
-    fn base(&self) -> u64 {
-        self.frozen.as_ref().map(|(_, b)| *b).unwrap_or(0)
-    }
-
-    /// Chain height this index has state for (`base + tail length`).
-    pub fn covered(&self) -> u64 {
-        self.base() + self.trees.len() as u64
-    }
-
-    /// The family name of this index's checkpoint file.
-    pub fn family(&self) -> Vec<u8> {
-        family_ali(self.table.as_deref(), &column_slug(&self.column))
-    }
-
     /// MB-tree fanout (needed by clients to verify).
     pub fn fanout(&self) -> usize {
-        self.fanout
-    }
-
-    /// Indexes a newly chained block.
-    pub fn update(&mut self, block: &Block) {
-        let rows: Vec<u32> = block
-            .transactions
-            .iter()
-            .enumerate()
-            .filter(|(_, tx)| match &self.table {
-                Some(t) => tx.tname.eq_ignore_ascii_case(t),
-                None => true,
-            })
-            .map(|(i, _)| i as u32)
-            .collect();
-        self.update_rows(block, &rows);
-    }
-
-    /// Per-relation maintenance entry point: indexes a newly chained
-    /// block from a pre-partitioned tuple set (see
-    /// [`crate::LayeredIndex::update_rows`]). `rows` are the ascending
-    /// positions of the block's transactions belonging to this index's
-    /// relation; the caller guarantees they are exactly the covered
-    /// positions, making this equivalent to [`Self::update`].
-    pub fn update_rows(&mut self, block: &Block, rows: &[u32]) {
-        let bid = block.header.height;
-        let base = self.base();
-        if bid < base {
-            return;
-        }
-        let slot = (bid - base) as usize;
-        if self.trees.len() <= slot {
-            self.trees.resize_with(slot + 1, || None);
-            if let Some((_, entries)) = &mut self.first_continuous {
-                entries.resize_with(slot + 1, || None);
-            }
-        }
-        let mut auth_entries: Vec<AuthEntry> = Vec::new();
-        for &i in rows {
-            let Some(tx) = block.transactions.get(i as usize) else {
-                continue;
-            };
-            let Some(v) = tx.get(self.column) else {
-                continue;
-            };
-            if v == Value::Null {
-                continue;
-            }
-            auth_entries.push(AuthEntry {
-                key: v,
-                tx_hash: tx.hash(),
-                ptr: TxPtr {
-                    block: bid as BlockId,
-                    index: i,
-                },
-            });
-        }
-        if auth_entries.is_empty() {
-            return;
-        }
-        if let Some((hist, entries)) = &mut self.first_continuous {
-            let mut bucket_map = Bitmap::with_capacity(hist.bucket_count());
-            for e in &auth_entries {
-                if let Some(rank) = e.key.numeric_rank() {
-                    bucket_map.set(hist.bucket_of(rank));
-                }
-            }
-            entries[slot] = Some(bucket_map);
-        }
-        if let Some(per_value) = &mut self.first_discrete {
-            for e in &auth_entries {
-                per_value.entry(e.key.clone()).or_default().set(slot);
-            }
-        }
-        self.trees[slot] = Some(MbTree::build(auth_entries, self.fanout));
-    }
-
-    /// Blocks with any indexed entries (frozen ∪ tail), absolute.
-    fn all_blocks(&self) -> Bitmap {
-        let mut out = match &self.frozen {
-            Some((r, _)) => frozen_bitmap(r, "ali all-blocks bitmap", &[TAG_ALL_BLOCKS]),
-            None => Bitmap::new(),
-        };
-        let base = self.base() as usize;
-        for (slot, t) in self.trees.iter().enumerate() {
-            if t.is_some() {
-                out.set(base + slot);
-            }
-        }
-        out
-    }
-
-    /// First-level pruning, as in the plain layered index.
-    pub fn candidate_blocks(&self, pred: &KeyPredicate) -> Bitmap {
-        let base = self.base() as usize;
-        if let Some((hist, entries)) = &self.first_continuous {
-            let (lo, hi) = pred.bounds();
-            let (Some(lo_r), Some(hi_r)) = (lo.numeric_rank(), hi.numeric_rank()) else {
-                // Non-numeric probe on a continuous index: no pruning.
-                return self.all_blocks();
-            };
-            let range = hist.buckets_for_range(lo_r, hi_r);
-            let mut probe = Bitmap::with_capacity(hist.bucket_count());
-            probe.set_range(*range.start(), *range.end());
-            let mut out = Bitmap::new();
-            if let Some((r, _)) = &self.frozen {
-                for bucket in range {
-                    out.or_assign(&frozen_bitmap(r, "ali bucket bitmap", &bucket_key(bucket)));
-                }
-            }
-            for (slot, e) in entries.iter().enumerate() {
-                if let Some(e) = e {
-                    if e.intersects(&probe) {
-                        out.set(base + slot);
-                    }
-                }
-            }
-            return out;
-        }
-        if let Some(per_value) = &self.first_discrete {
-            return match pred {
-                KeyPredicate::Eq(v) => {
-                    let mut out = match &self.frozen {
-                        Some((r, _)) => frozen_bitmap(r, "ali value bitmap", &value_key(v)),
-                        None => Bitmap::new(),
-                    };
-                    if let Some(bits) = per_value.get(v) {
-                        out.or_assign_shifted(bits, base);
-                    }
-                    out
-                }
-                KeyPredicate::Range(lo, hi) => {
-                    let mut out = Bitmap::new();
-                    if let Some((r, _)) = &self.frozen {
-                        read_fail(
-                            "ali value sweep",
-                            r.scan_prefix(&[TAG_VALUE_BLOCKS], &mut |k, bytes| {
-                                let v = decode_value_key(k);
-                                if &v >= lo && &v <= hi {
-                                    out.or_assign(&bitmap_from_bytes(bytes));
-                                }
-                            }),
-                        );
-                    }
-                    for (v, bits) in per_value {
-                        if v >= lo && v <= hi {
-                            out.or_assign_shifted(bits, base);
-                        }
-                    }
-                    out
-                }
-            };
-        }
-        Bitmap::new()
+        self.width()
     }
 
     /// The MB-tree root of block `bid` (ZERO if the block has no
     /// indexed entries). Frozen blocks answer from their stored root
     /// without touching leaf data.
     pub fn mb_root(&self, bid: BlockId) -> Digest {
-        let base = self.base();
-        if bid < base {
-            let Some((r, _)) = &self.frozen else {
-                return Digest::ZERO;
-            };
-            return match read_fail("ali mb root", r.get(&bid_key(TAG_BLOCK_ROOT, bid))) {
-                Some(bytes) => {
-                    let mut d = [0u8; 32];
-                    d.copy_from_slice(&bytes[..32]);
-                    Digest(d)
-                }
-                None => Digest::ZERO,
-            };
+        if let Some(tree) = self.tail_tree(bid) {
+            return tree.root();
         }
-        match self.trees.get((bid - base) as usize) {
-            Some(Some(t)) => t.root(),
-            _ => Digest::ZERO,
+        match self.frozen_entry(TAG_BLOCK_ROOT, bid) {
+            Some(bytes) => {
+                let mut d = [0u8; 32];
+                d.copy_from_slice(&bytes[..32]);
+                Digest(d)
+            }
+            None => Digest::ZERO,
         }
     }
 
     /// Rebuilds one frozen block's MB-tree from its stored leaf level.
     fn frozen_tree(&self, bid: BlockId) -> Option<MbTree> {
-        let (r, _) = self.frozen.as_ref()?;
-        read_fail("ali block entries", r.get(&bid_key(TAG_BLOCK_ENTRIES, bid)))
-            .map(|bytes| MbTree::build(auth_entries_from_bytes(&bytes), self.fanout))
+        self.frozen_entry(TAG_BLOCK_ENTRIES, bid)
+            .map(|bytes| MbTree::build(auth_entries_from_bytes(&bytes), self.width()))
+    }
+
+    /// The blocks a query at snapshot `height` must visit, ascending:
+    /// first-level candidates inside the window mask and below `height`.
+    fn visited_blocks(
+        &self,
+        pred: &KeyPredicate,
+        window_mask: Option<&Bitmap>,
+        height: BlockId,
+    ) -> Vec<BlockId> {
+        let mut cand = self.candidate_blocks(pred);
+        if let Some(mask) = window_mask {
+            cand = cand.and(mask);
+        }
+        cand.iter_ones()
+            .map(|bid| bid as BlockId)
+            .take_while(|&bid| bid < height)
+            .collect()
     }
 
     /// Phase 1 (full node): execute `pred` over blocks `mask ∩
@@ -429,35 +199,23 @@ impl AuthenticatedLayeredIndex {
         window_mask: Option<&Bitmap>,
         height: BlockId,
     ) -> QueryVo {
-        let mut cand = self.candidate_blocks(pred);
-        if let Some(mask) = window_mask {
-            cand = cand.and(mask);
-        }
         let (lo, hi) = pred.bounds();
-        let base = self.base();
         let mut per_block = Vec::new();
-        for bid in cand.iter_ones() {
-            if bid as BlockId >= height {
-                break;
-            }
+        for bid in self.visited_blocks(pred, window_mask, height) {
             let rebuilt;
-            let tree = if (bid as BlockId) < base {
-                match self.frozen_tree(bid as BlockId) {
+            let tree = match self.tail_tree(bid) {
+                Some(t) => t,
+                None => match self.frozen_tree(bid) {
                     Some(t) => {
                         rebuilt = t;
                         &rebuilt
                     }
                     None => continue,
-                }
-            } else {
-                match self.trees.get(bid - base as usize) {
-                    Some(Some(t)) => t,
-                    _ => continue,
-                }
+                },
             };
             let (results, proof) = tree.range_query(lo, hi);
             per_block.push(BlockVo {
-                block: bid as BlockId,
+                block: bid,
                 results,
                 proof,
                 mb_root: tree.root(),
@@ -474,113 +232,12 @@ impl AuthenticatedLayeredIndex {
         window_mask: Option<&Bitmap>,
         height: BlockId,
     ) -> Digest {
-        let mut cand = self.candidate_blocks(pred);
-        if let Some(mask) = window_mask {
-            cand = cand.and(mask);
-        }
-        let roots: Vec<(BlockId, Digest)> = cand
-            .iter_ones()
-            .take_while(|&bid| (bid as BlockId) < height)
-            .map(|bid| (bid as BlockId, self.mb_root(bid as BlockId)))
+        let roots: Vec<(BlockId, Digest)> = self
+            .visited_blocks(pred, window_mask, height)
+            .into_iter()
+            .map(|bid| (bid, self.mb_root(bid)))
             .collect();
         auxiliary_digest(&roots)
-    }
-
-    /// Resident bytes (tail structures + frozen fence/meta top level).
-    pub fn memory_bytes(&self) -> usize {
-        let mut bytes = std::mem::size_of::<Self>();
-        if let Some((hist, entries)) = &self.first_continuous {
-            bytes += hist.bounds().len() * 8;
-            for e in entries.iter().flatten() {
-                bytes += e.byte_len();
-            }
-        }
-        if let Some(per_value) = &self.first_discrete {
-            for (v, bits) in per_value {
-                bytes += crate::paged::value_resident_bytes(v) + bits.byte_len();
-            }
-        }
-        for tree in self.trees.iter().flatten() {
-            for e in tree.entries() {
-                bytes += crate::paged::value_resident_bytes(&e.key) + 32 + 16;
-            }
-            // Interior digest levels: ≈ n/(fanout-1) digests.
-            bytes += tree.len() * 32 / self.fanout.saturating_sub(1).max(1);
-        }
-        if let Some((r, _)) = &self.frozen {
-            bytes += r.memory_bytes();
-        }
-        bytes
-    }
-
-    /// Freezes the complete state (frozen ∪ tail) into one checkpoint
-    /// covering `[0, covered)`.
-    pub fn checkpoint(&self) -> IndexCheckpoint {
-        let mut map: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        if let Some((r, _)) = &self.frozen {
-            read_fail(
-                "ali checkpoint sweep",
-                r.scan_range(&[], None, &mut |k, v| {
-                    map.insert(k.to_vec(), v.to_vec());
-                }),
-            );
-        }
-        let base = self.base();
-        if let Some((hist, entries)) = &self.first_continuous {
-            let mut bucket_blocks: Vec<Bitmap> = vec![Bitmap::new(); hist.bucket_count()];
-            for (slot, e) in entries.iter().enumerate() {
-                let Some(e) = e else { continue };
-                map.insert(
-                    bid_key(TAG_BLOCK_BUCKETS, base + slot as u64),
-                    bitmap_bytes(e),
-                );
-                for bucket in e.iter_ones() {
-                    bucket_blocks[bucket].set(base as usize + slot);
-                }
-            }
-            for (bucket, tail_bits) in bucket_blocks.iter().enumerate() {
-                if tail_bits.is_empty() {
-                    continue;
-                }
-                let key = bucket_key(bucket);
-                let mut merged = map
-                    .get(&key)
-                    .map(|b| bitmap_from_bytes(b))
-                    .unwrap_or_default();
-                merged.or_assign(tail_bits);
-                map.insert(key, bitmap_bytes(&merged));
-            }
-        }
-        if let Some(per_value) = &self.first_discrete {
-            for (v, tail_bits) in per_value {
-                let key = value_key(v);
-                let mut merged = map
-                    .get(&key)
-                    .map(|b| bitmap_from_bytes(b))
-                    .unwrap_or_default();
-                merged.or_assign_shifted(tail_bits, base as usize);
-                map.insert(key, bitmap_bytes(&merged));
-            }
-        }
-        for (slot, tree) in self.trees.iter().enumerate() {
-            let Some(tree) = tree else { continue };
-            let bid = base + slot as u64;
-            map.insert(
-                bid_key(TAG_BLOCK_ENTRIES, bid),
-                auth_entries_bytes(tree.entries()),
-            );
-            map.insert(
-                bid_key(TAG_BLOCK_ROOT, bid),
-                tree.root().as_bytes().to_vec(),
-            );
-        }
-        map.insert(vec![TAG_ALL_BLOCKS], bitmap_bytes(&self.all_blocks()));
-        IndexCheckpoint {
-            family: self.family(),
-            height: self.covered(),
-            meta: encode_meta(self.fanout, self.first_continuous.as_ref().map(|(h, _)| h)),
-            entries: map.into_iter().collect(),
-        }
     }
 }
 
@@ -609,8 +266,9 @@ pub fn verify_query_vo(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EqualDepthHistogram;
     use sebdb_crypto::sig::KeyId;
-    use sebdb_types::Transaction;
+    use sebdb_types::{ColumnRef, Transaction};
 
     fn block(height: u64, amounts: &[i64]) -> Block {
         let txs = amounts

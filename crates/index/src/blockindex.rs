@@ -12,9 +12,9 @@
 //! prefix is served from an on-disk checkpoint whose fence-pointer top
 //! level plays the role of the tree's internal nodes.
 
-use crate::paged::{family_block, read_fail};
+use crate::paged::{decode_fail, family_block, read_fail, CheckpointBuilder};
 use sebdb_storage::{IndexCheckpoint, PagedIndexReader};
-use sebdb_types::{Block, BlockId, Decoder, Encoder, Timestamp, TxId};
+use sebdb_types::{Block, BlockId, Decoder, Encoder, Timestamp, TxId, TypeError};
 
 /// The composite key `(bid, first_tid, block_ts)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -37,11 +37,9 @@ fn key_bytes(k: &BlockKey) -> (Vec<u8>, Vec<u8>) {
 }
 
 fn key_from_bytes(key: &[u8], value: &[u8]) -> BlockKey {
-    let parse = || -> Result<BlockKey, sebdb_types::TypeError> {
-        let bid = u64::from_be_bytes(key.try_into().map_err(|_| {
-            sebdb_types::TypeError::UnexpectedEof {
-                context: "block index key",
-            }
+    let parse = || -> Result<BlockKey, TypeError> {
+        let bid = u64::from_be_bytes(key.try_into().map_err(|_| TypeError::UnexpectedEof {
+            context: "block index key",
         })?);
         let mut dec = Decoder::new(value);
         Ok(BlockKey {
@@ -50,10 +48,7 @@ fn key_from_bytes(key: &[u8], value: &[u8]) -> BlockKey {
             ts: dec.get_u64("block index ts")?,
         })
     };
-    match parse() {
-        Ok(k) => k,
-        Err(e) => panic!("block index checkpoint entry failed to decode: {e}"),
-    }
+    decode_fail("block index entry", parse())
 }
 
 /// Block-level index: resolves bid / tid / timestamp probes to blocks.
@@ -77,17 +72,14 @@ impl BlockLevelIndex {
     pub fn from_frozen(reader: PagedIndexReader) -> Self {
         let last = (!reader.meta().is_empty()).then(|| {
             let mut dec = Decoder::new(reader.meta());
-            let parse = |d: &mut Decoder<'_>| -> Result<BlockKey, sebdb_types::TypeError> {
+            let mut parse = || -> Result<BlockKey, TypeError> {
                 Ok(BlockKey {
-                    bid: d.get_u64("block index meta bid")?,
-                    tid: d.get_u64("block index meta tid")?,
-                    ts: d.get_u64("block index meta ts")?,
+                    bid: dec.get_u64("block index meta bid")?,
+                    tid: dec.get_u64("block index meta tid")?,
+                    ts: dec.get_u64("block index meta ts")?,
                 })
             };
-            match parse(&mut dec) {
-                Ok(k) => k,
-                Err(e) => panic!("block index checkpoint meta failed to decode: {e}"),
-            }
+            decode_fail("block index meta", parse())
         });
         BlockLevelIndex {
             tail: Vec::new(),
@@ -244,18 +236,10 @@ impl BlockLevelIndex {
 
     /// Freezes the complete state (frozen ∪ tail) into one checkpoint.
     pub fn checkpoint(&self) -> IndexCheckpoint {
-        let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(self.len());
-        if let Some(f) = &self.frozen {
-            read_fail(
-                "block index checkpoint sweep",
-                f.scan_range(&[], None, &mut |k, v| {
-                    entries.push((k.to_vec(), v.to_vec()));
-                }),
-            );
-        }
+        let mut cp = CheckpointBuilder::sweep("block index", self.frozen.as_ref());
         for k in &self.tail {
             let (key, val) = key_bytes(k);
-            entries.push((key, val));
+            cp.put(key, val);
         }
         let meta = match &self.last {
             Some(k) => {
@@ -267,12 +251,7 @@ impl BlockLevelIndex {
             }
             None => Vec::new(),
         };
-        IndexCheckpoint {
-            family: family_block(),
-            height: self.len() as u64,
-            meta,
-            entries,
-        }
+        cp.finish(family_block(), self.len() as u64, meta)
     }
 }
 

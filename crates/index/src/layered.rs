@@ -1,4 +1,5 @@
-//! The layered index (§IV-B, Fig. 4).
+//! The layered index (§IV-B, Fig. 4) — and, over a different second
+//! level, the authenticated layered index (§VI).
 //!
 //! Two levels:
 //!
@@ -8,9 +9,12 @@
 //!   (bit *k* set iff the block holds a transaction whose value falls
 //!   in bucket *k*). For a *discrete* attribute there is one bitmap
 //!   per distinct value (bit *i* set iff block *i* holds that value).
-//! * **Second level** is one per-block B⁺-tree on the attribute, built
-//!   by bulk loading when the block is chained — append-only, never
-//!   rebalanced.
+//! * **Second level** is one tree per block on the attribute, built
+//!   in bulk when the block is chained — append-only, never
+//!   rebalanced. Which tree is the [`SecondLevel`] parameter of
+//!   [`Layered`]: a B⁺-tree gives [`LayeredIndex`], an MB-tree gives
+//!   [`crate::AuthenticatedLayeredIndex`] (`ali.rs`). Everything in
+//!   this file but the B⁺-tree `impl`s at the bottom is shared by both.
 //!
 //! Queries intersect the first level with a block mask (e.g. a time
 //! window from the block-level index) to prune blocks, then use the
@@ -28,13 +32,14 @@ use crate::bitmap::Bitmap;
 use crate::bptree::BPlusTree;
 use crate::histogram::EqualDepthHistogram;
 use crate::paged::{
-    bid_key, bitmap_bytes, bitmap_from_bytes, bucket_key, column_slug, decode_value_key,
-    entries_bytes, entries_from_bytes, family_layered, frozen_bitmap, read_fail, value_key,
-    TAG_ALL_BLOCKS, TAG_BLOCK_BUCKETS, TAG_BLOCK_ENTRIES, TAG_VALUE_BLOCKS,
+    bid_key, bitmap_bytes, bitmap_from_bytes, bucket_key, column_slug, decode_fail,
+    decode_value_key, entries_bytes, entries_from_bytes, family_layered, frozen_bitmap, read_fail,
+    value_key, value_resident_bytes, CheckpointBuilder, TAG_ALL_BLOCKS, TAG_BLOCK_BUCKETS,
+    TAG_BLOCK_ENTRIES, TAG_VALUE_BLOCKS,
 };
 use sebdb_storage::{IndexCheckpoint, PagedIndexReader, TxPtr};
-use sebdb_types::{Block, BlockId, ColumnRef, Decoder, Encoder, Transaction, Value};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use sebdb_types::{Block, BlockId, ColumnRef, Decoder, Encoder, Transaction, TypeError, Value};
+use std::collections::{HashMap, HashSet};
 
 /// Order of second-level trees: sized so a 4 KB page holds one node of
 /// ~64-byte entries (the paper's MB-tree page size, §VII-A).
@@ -65,6 +70,37 @@ impl KeyPredicate {
     }
 }
 
+/// One block's second-level tree: what a [`Layered`] index keeps per
+/// tail block and freezes per block into its checkpoint. The first
+/// level, the frozen/tail seam and the checkpoint merge do not depend
+/// on which tree this is.
+pub trait SecondLevel: Sized + std::fmt::Debug {
+    /// Node width (B⁺-tree order / MB-tree fanout) of a new index.
+    const WIDTH: usize;
+
+    /// Checkpoint family name of an index over this tree.
+    fn family(table: Option<&str>, column: &str) -> Vec<u8>;
+
+    /// Writes what the checkpoint meta carries ahead of the first-level
+    /// kind (nothing, unless a reader of the trees needs the width).
+    fn put_meta_prefix(_width: usize, _enc: &mut Encoder) {}
+
+    /// Reads the width back from the head of the checkpoint meta.
+    fn get_meta_prefix(_dec: &mut Decoder<'_>) -> Result<usize, TypeError> {
+        Ok(Self::WIDTH)
+    }
+
+    /// Builds `block`'s tree from its indexed `(value, pointer)` pairs,
+    /// given in block order.
+    fn build(width: usize, block: &Block, keyed: Vec<(Value, TxPtr)>) -> Self;
+
+    /// Adds block `bid`'s frozen form to a checkpoint.
+    fn checkpoint_entries(&self, bid: BlockId, cp: &mut CheckpointBuilder);
+
+    /// Resident bytes of this tree.
+    fn memory_bytes(&self) -> usize;
+}
+
 #[derive(Debug)]
 enum FirstLevel {
     Continuous {
@@ -80,18 +116,11 @@ enum FirstLevel {
     },
 }
 
-/// The frozen prefix of a paged layered index.
-#[derive(Debug)]
-struct Frozen {
-    reader: PagedIndexReader,
-    /// Blocks `[0, base)` are served from the checkpoint.
-    base: u64,
-}
-
 /// A layered index on one attribute of one table (or of *all* tables
-/// for the system columns `SenID` / `Tname`, which drive tracking).
+/// for the system columns `SenID` / `Tname`, which drive tracking),
+/// over per-block second-level trees of type `S`.
 #[derive(Debug)]
-pub struct LayeredIndex {
+pub struct Layered<S: SecondLevel> {
     /// Table the index covers; `None` indexes every table (system
     /// columns only).
     pub table: Option<String>,
@@ -99,14 +128,21 @@ pub struct LayeredIndex {
     pub column: ColumnRef,
     first: FirstLevel,
     /// Per-block second-level trees for the tail, slot = `bid - base`.
-    second: Vec<Option<BPlusTree<Value, TxPtr>>>,
-    order: usize,
-    frozen: Option<Frozen>,
+    second: Vec<Option<S>>,
+    width: usize,
+    /// The frozen prefix: blocks below the reader's height are served
+    /// from its checkpoint.
+    frozen: Option<PagedIndexReader>,
 }
 
-/// Checkpoint meta: kind tag (+ histogram bounds when continuous).
-fn encode_meta(first: &FirstLevel) -> Vec<u8> {
+/// The layered index of §IV-B: per-block B⁺-trees below the first level.
+pub type LayeredIndex = Layered<BPlusTree<Value, TxPtr>>;
+
+/// Checkpoint meta: the tree's prefix, then the kind tag (+ histogram
+/// bounds when continuous).
+fn encode_meta<S: SecondLevel>(width: usize, first: &FirstLevel) -> Vec<u8> {
     let mut enc = Encoder::new();
+    S::put_meta_prefix(width, &mut enc);
     match first {
         FirstLevel::Continuous { hist, .. } => {
             enc.put_u8(0);
@@ -120,34 +156,46 @@ fn encode_meta(first: &FirstLevel) -> Vec<u8> {
     enc.finish()
 }
 
-/// Rebuilds the (empty-tail) first level out of checkpoint meta.
-fn decode_meta(meta: &[u8]) -> FirstLevel {
+/// Rebuilds the width and the (empty-tail) first level out of
+/// checkpoint meta.
+fn decode_meta<S: SecondLevel>(meta: &[u8]) -> (usize, FirstLevel) {
     let mut dec = Decoder::new(meta);
-    let parse = |dec: &mut Decoder<'_>| -> Result<FirstLevel, sebdb_types::TypeError> {
-        match dec.get_u8("layered meta kind")? {
+    let mut parse = || -> Result<(usize, FirstLevel), TypeError> {
+        let width = S::get_meta_prefix(&mut dec)?;
+        let first = match dec.get_u8("layered meta kind")? {
             0 => {
                 let n = dec.get_u32("layered meta bounds")?;
                 let mut bounds = Vec::with_capacity(n as usize);
                 for _ in 0..n {
                     bounds.push(dec.get_i64("layered meta bound")?);
                 }
-                Ok(FirstLevel::Continuous {
+                FirstLevel::Continuous {
                     hist: EqualDepthHistogram::from_bounds(bounds),
                     entries: Vec::new(),
-                })
+                }
             }
-            _ => Ok(FirstLevel::Discrete {
+            _ => FirstLevel::Discrete {
                 per_value: HashMap::new(),
-            }),
-        }
+            },
+        };
+        Ok((width, first))
     };
-    match parse(&mut dec) {
-        Ok(f) => f,
-        Err(e) => panic!("layered index checkpoint meta failed to decode: {e}"),
-    }
+    decode_fail("layered index meta", parse())
 }
 
-impl LayeredIndex {
+impl<S: SecondLevel> Layered<S> {
+    /// An empty, fully resident index over `first`.
+    fn cold(table: Option<String>, column: ColumnRef, first: FirstLevel) -> Self {
+        Layered {
+            table,
+            column,
+            first,
+            second: Vec::new(),
+            width: S::WIDTH,
+            frozen: None,
+        }
+    }
+
     /// Creates a continuous-attribute index with a pre-sampled
     /// histogram (§IV-B: "created by sampling historical transactions
     /// during index creating").
@@ -156,45 +204,28 @@ impl LayeredIndex {
         column: ColumnRef,
         hist: EqualDepthHistogram,
     ) -> Self {
-        LayeredIndex {
-            table,
-            column,
-            first: FirstLevel::Continuous {
-                hist,
-                entries: Vec::new(),
-            },
-            second: Vec::new(),
-            order: SECOND_LEVEL_ORDER,
-            frozen: None,
-        }
+        let entries = Vec::new();
+        Self::cold(table, column, FirstLevel::Continuous { hist, entries })
     }
 
     /// Creates a discrete-attribute index.
     pub fn new_discrete(table: Option<String>, column: ColumnRef) -> Self {
-        LayeredIndex {
-            table,
-            column,
-            first: FirstLevel::Discrete {
-                per_value: HashMap::new(),
-            },
-            second: Vec::new(),
-            order: SECOND_LEVEL_ORDER,
-            frozen: None,
-        }
+        let per_value = HashMap::new();
+        Self::cold(table, column, FirstLevel::Discrete { per_value })
     }
 
-    /// Rebuilds an index from a frozen checkpoint: kind and histogram
-    /// come from the checkpoint meta, the tail starts empty at the
-    /// checkpoint height.
+    /// Rebuilds an index from a frozen checkpoint: width, kind and
+    /// histogram come from the checkpoint meta, the tail starts empty
+    /// at the checkpoint height.
     pub fn from_frozen(table: Option<String>, column: ColumnRef, reader: PagedIndexReader) -> Self {
-        let base = reader.height();
-        LayeredIndex {
+        let (width, first) = decode_meta::<S>(reader.meta());
+        Layered {
             table,
             column,
-            first: decode_meta(reader.meta()),
+            first,
             second: Vec::new(),
-            order: SECOND_LEVEL_ORDER,
-            frozen: Some(Frozen { reader, base }),
+            width,
+            frozen: Some(reader),
         }
     }
 
@@ -207,18 +238,17 @@ impl LayeredIndex {
             self.covered(),
             "adopting a checkpoint that does not match the indexed height"
         );
-        let base = reader.height();
         match &mut self.first {
             FirstLevel::Continuous { entries, .. } => entries.clear(),
             FirstLevel::Discrete { per_value } => per_value.clear(),
         }
         self.second.clear();
-        self.frozen = Some(Frozen { reader, base });
+        self.frozen = Some(reader);
     }
 
     /// First tail block: blocks below this are frozen.
     fn base(&self) -> u64 {
-        self.frozen.as_ref().map(|f| f.base).unwrap_or(0)
+        self.frozen.as_ref().map_or(0, PagedIndexReader::height)
     }
 
     /// Chain height this index has state for (`base + tail length`).
@@ -237,7 +267,26 @@ impl LayeredIndex {
 
     /// The family name of this index's checkpoint file.
     pub fn family(&self) -> Vec<u8> {
-        family_layered(self.table.as_deref(), &column_slug(&self.column))
+        S::family(self.table.as_deref(), &column_slug(&self.column))
+    }
+
+    /// Node width of the second-level trees.
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Block `bid`'s resident tree (`None` for a frozen block and for
+    /// one with no indexed transactions).
+    pub(crate) fn tail_tree(&self, bid: BlockId) -> Option<&S> {
+        let slot = bid.checked_sub(self.base())?;
+        self.second.get(slot as usize)?.as_ref()
+    }
+
+    /// Frozen block `bid`'s checkpoint entry under `tag` (`None` for a
+    /// tail block and for one with no such entry).
+    pub(crate) fn frozen_entry(&self, tag: u8, bid: BlockId) -> Option<Vec<u8>> {
+        let f = self.frozen.as_ref().filter(|f| bid < f.height())?;
+        read_fail("layered block entry", f.get(&bid_key(tag, bid)))
     }
 
     /// Whether `tx` is covered by this index.
@@ -324,30 +373,16 @@ impl LayeredIndex {
                 }
             }
         }
-
-        keyed.sort_by(|a, b| a.0.cmp(&b.0));
-        self.second[slot] = Some(BPlusTree::bulk_load(self.order, keyed));
-    }
-
-    /// The frozen block-bucket bitmap of block `bid`, if any
-    /// (continuous indexes).
-    fn frozen_block_buckets(&self, bid: BlockId) -> Option<Bitmap> {
-        let f = self.frozen.as_ref()?;
-        if bid >= f.base {
-            return None;
-        }
-        read_fail(
-            "layered first level",
-            f.reader.get(&bid_key(TAG_BLOCK_BUCKETS, bid)),
-        )
-        .map(|bytes| bitmap_from_bytes(&bytes))
+        self.second[slot] = Some(S::build(self.width, block, keyed));
     }
 
     /// Block `bid`'s bucket bitmap, wherever it lives (continuous).
     fn block_buckets(&self, bid: BlockId) -> Option<Bitmap> {
         let base = self.base();
         if bid < base {
-            return self.frozen_block_buckets(bid);
+            return self
+                .frozen_entry(TAG_BLOCK_BUCKETS, bid)
+                .map(|bytes| bitmap_from_bytes(&bytes));
         }
         let FirstLevel::Continuous { entries, .. } = &self.first else {
             return None;
@@ -359,7 +394,7 @@ impl LayeredIndex {
     /// the frozen checkpoint and the tail.
     fn value_blocks(&self, v: &Value) -> Bitmap {
         let mut out = match &self.frozen {
-            Some(f) => frozen_bitmap(&f.reader, "layered value bitmap", &value_key(v)),
+            Some(f) => frozen_bitmap(f, "layered value bitmap", &value_key(v)),
             None => Bitmap::new(),
         };
         if let FirstLevel::Discrete { per_value } = &self.first {
@@ -388,16 +423,14 @@ impl LayeredIndex {
             };
             read_fail(
                 "layered value sweep",
-                frozen
-                    .reader
-                    .scan_prefix(&[TAG_VALUE_BLOCKS], &mut |k, v| visit(k, v)),
+                frozen.scan_prefix(&[TAG_VALUE_BLOCKS], &mut |k, v| visit(k, v)),
             );
             // Tail-only values follow; frozen values were all merged
             // above, so skip any tail value the checkpoint already has.
             for (v, tail) in per_value {
                 if read_fail(
                     "layered value probe",
-                    frozen.reader.get(&value_key(v)).map(|r| r.is_some()),
+                    frozen.get(&value_key(v)).map(|r| r.is_some()),
                 ) {
                     continue;
                 }
@@ -431,7 +464,7 @@ impl LayeredIndex {
                     // frozen half in O(buckets in range) block reads.
                     for bucket in range {
                         out.or_assign(&frozen_bitmap(
-                            &f.reader,
+                            f,
                             "layered bucket bitmap",
                             &bucket_key(bucket),
                         ));
@@ -466,70 +499,18 @@ impl LayeredIndex {
     /// `First_level_bitmap(I)` of Algorithms 2 and 3.
     pub fn all_blocks(&self) -> Bitmap {
         let mut out = match &self.frozen {
-            Some(f) => frozen_bitmap(&f.reader, "layered all-blocks bitmap", &[TAG_ALL_BLOCKS]),
+            Some(f) => frozen_bitmap(f, "layered all-blocks bitmap", &[TAG_ALL_BLOCKS]),
             None => Bitmap::new(),
         };
+        // A tail block has a tree exactly when it has a first-level
+        // entry, whichever kind the first level is.
         let base = self.base() as usize;
-        match &self.first {
-            FirstLevel::Continuous { entries, .. } => {
-                for (slot, e) in entries.iter().enumerate() {
-                    if e.is_some() {
-                        out.set(base + slot);
-                    }
-                }
-            }
-            FirstLevel::Discrete { per_value } => {
-                for bits in per_value.values() {
-                    out.or_assign_shifted(bits, base);
-                }
+        for (slot, tree) in self.second.iter().enumerate() {
+            if tree.is_some() {
+                out.set(base + slot);
             }
         }
         out
-    }
-
-    /// Second-level search within one block: pointers to transactions
-    /// whose value matches `pred`, in value order.
-    pub fn search_block(&self, bid: BlockId, pred: &KeyPredicate) -> Vec<TxPtr> {
-        let (lo, hi) = pred.bounds();
-        let base = self.base();
-        if bid < base {
-            let entries = self.frozen_block_entries(bid);
-            let start = entries.partition_point(|(v, _)| v < lo);
-            let end = entries.partition_point(|(v, _)| v <= hi);
-            return entries[start..end].iter().map(|(_, p)| *p).collect();
-        }
-        let Some(Some(tree)) = self.second.get((bid - base) as usize) else {
-            return Vec::new();
-        };
-        tree.range(Some(lo), Some(hi)).map(|(_, p)| *p).collect()
-    }
-
-    /// One frozen block's sorted second-level entries (empty when the
-    /// block holds none).
-    fn frozen_block_entries(&self, bid: BlockId) -> Vec<(Value, TxPtr)> {
-        let Some(f) = &self.frozen else {
-            return Vec::new();
-        };
-        read_fail(
-            "layered second level",
-            f.reader.get(&bid_key(TAG_BLOCK_ENTRIES, bid)),
-        )
-        .map(|bytes| entries_from_bytes(&bytes))
-        .unwrap_or_default()
-    }
-
-    /// All (value, pointer) pairs of one block in value order — the
-    /// sorted leaf scan the per-block sort-merge joins rely on
-    /// ("transactions are sorted at the leaf level").
-    pub fn block_sorted_entries(&self, bid: BlockId) -> Vec<(Value, TxPtr)> {
-        let base = self.base();
-        if bid < base {
-            return self.frozen_block_entries(bid);
-        }
-        match self.second.get((bid - base) as usize) {
-            Some(Some(tree)) => tree.iter().map(|(k, p)| (k.clone(), *p)).collect(),
-            _ => Vec::new(),
-        }
     }
 
     /// The numeric (lo, hi) envelope of block `bid`'s first-level entry
@@ -558,7 +539,7 @@ impl LayeredIndex {
     /// Block-pair pruning for on-chain join (Algorithm 2): do blocks
     /// `bid_r` (this index) and `bid_s` (the `other` index) possibly
     /// share join keys?
-    pub fn blocks_intersect(&self, bid_r: BlockId, other: &LayeredIndex, bid_s: BlockId) -> bool {
+    pub fn blocks_intersect(&self, bid_r: BlockId, other: &Self, bid_s: BlockId) -> bool {
         match (&self.first, &other.first) {
             (FirstLevel::Continuous { hist, .. }, FirstLevel::Continuous { hist: hist_s, .. }) => {
                 let (Some(er), Some(es)) = (self.block_buckets(bid_r), other.block_buckets(bid_s))
@@ -605,7 +586,7 @@ impl LayeredIndex {
     pub fn join_pairs(
         &self,
         mask_r: &Bitmap,
-        other: &LayeredIndex,
+        other: &Self,
         mask_s: &Bitmap,
     ) -> Vec<(BlockId, BlockId)> {
         match (&self.first, &other.first) {
@@ -702,17 +683,15 @@ impl LayeredIndex {
             }
             FirstLevel::Discrete { per_value } => {
                 for (v, bits) in per_value {
-                    bytes += crate::paged::value_resident_bytes(v) + bits.byte_len();
+                    bytes += value_resident_bytes(v) + bits.byte_len();
                 }
             }
         }
         for tree in self.second.iter().flatten() {
-            for (v, _) in tree.iter() {
-                bytes += crate::paged::value_resident_bytes(v) + std::mem::size_of::<TxPtr>() + 16;
-            }
+            bytes += tree.memory_bytes();
         }
         if let Some(f) = &self.frozen {
-            bytes += f.reader.memory_bytes();
+            bytes += f.memory_bytes();
         }
         bytes
     }
@@ -722,68 +701,100 @@ impl LayeredIndex {
     /// compaction would do, run by the indexer lane that owns this
     /// family.
     pub fn checkpoint(&self) -> IndexCheckpoint {
-        let mut map: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        if let Some(f) = &self.frozen {
-            read_fail(
-                "layered checkpoint sweep",
-                f.reader.scan_range(&[], None, &mut |k, v| {
-                    map.insert(k.to_vec(), v.to_vec());
-                }),
-            );
-        }
+        let mut cp = CheckpointBuilder::sweep("layered", self.frozen.as_ref());
         let base = self.base();
         match &self.first {
             FirstLevel::Continuous { hist, entries } => {
                 let mut bucket_blocks: Vec<Bitmap> = vec![Bitmap::new(); hist.bucket_count()];
                 for (slot, e) in entries.iter().enumerate() {
                     let Some(e) = e else { continue };
-                    map.insert(
+                    cp.put(
                         bid_key(TAG_BLOCK_BUCKETS, base + slot as u64),
                         bitmap_bytes(e),
                     );
                     for bucket in e.iter_ones() {
-                        bucket_blocks[bucket].set(base as usize + slot);
+                        bucket_blocks[bucket].set(slot);
                     }
                 }
                 for (bucket, tail_bits) in bucket_blocks.iter().enumerate() {
-                    if tail_bits.is_empty() {
-                        continue;
+                    if !tail_bits.is_empty() {
+                        cp.or_tail(bucket_key(bucket), tail_bits);
                     }
-                    let key = bucket_key(bucket);
-                    let mut merged = map
-                        .get(&key)
-                        .map(|b| bitmap_from_bytes(b))
-                        .unwrap_or_default();
-                    merged.or_assign(tail_bits);
-                    map.insert(key, bitmap_bytes(&merged));
                 }
             }
             FirstLevel::Discrete { per_value } => {
                 for (v, tail_bits) in per_value {
-                    let key = value_key(v);
-                    let mut merged = map
-                        .get(&key)
-                        .map(|b| bitmap_from_bytes(b))
-                        .unwrap_or_default();
-                    merged.or_assign_shifted(tail_bits, base as usize);
-                    map.insert(key, bitmap_bytes(&merged));
+                    cp.or_tail(value_key(v), tail_bits);
                 }
             }
         }
         for (slot, tree) in self.second.iter().enumerate() {
-            let Some(tree) = tree else { continue };
-            let entries: Vec<(Value, TxPtr)> = tree.iter().map(|(k, p)| (k.clone(), *p)).collect();
-            map.insert(
-                bid_key(TAG_BLOCK_ENTRIES, base + slot as u64),
-                entries_bytes(&entries),
-            );
+            if let Some(tree) = tree {
+                tree.checkpoint_entries(base + slot as u64, &mut cp);
+            }
         }
-        map.insert(vec![TAG_ALL_BLOCKS], bitmap_bytes(&self.all_blocks()));
-        IndexCheckpoint {
-            family: self.family(),
-            height: self.covered(),
-            meta: encode_meta(&self.first),
-            entries: map.into_iter().collect(),
+        cp.put(vec![TAG_ALL_BLOCKS], bitmap_bytes(&self.all_blocks()));
+        cp.finish(
+            self.family(),
+            self.covered(),
+            encode_meta::<S>(self.width, &self.first),
+        )
+    }
+}
+
+impl SecondLevel for BPlusTree<Value, TxPtr> {
+    const WIDTH: usize = SECOND_LEVEL_ORDER;
+
+    fn family(table: Option<&str>, column: &str) -> Vec<u8> {
+        family_layered(table, column)
+    }
+
+    fn build(width: usize, _block: &Block, mut keyed: Vec<(Value, TxPtr)>) -> Self {
+        keyed.sort_by(|a, b| a.0.cmp(&b.0));
+        BPlusTree::bulk_load(width, keyed)
+    }
+
+    fn checkpoint_entries(&self, bid: BlockId, cp: &mut CheckpointBuilder) {
+        let entries: Vec<(Value, TxPtr)> = self.iter().map(|(k, p)| (k.clone(), *p)).collect();
+        cp.put(bid_key(TAG_BLOCK_ENTRIES, bid), entries_bytes(&entries));
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.iter()
+            .map(|(v, _)| value_resident_bytes(v) + std::mem::size_of::<TxPtr>() + 16)
+            .sum()
+    }
+}
+
+impl LayeredIndex {
+    /// Second-level search within one block: pointers to transactions
+    /// whose value matches `pred`, in value order.
+    pub fn search_block(&self, bid: BlockId, pred: &KeyPredicate) -> Vec<TxPtr> {
+        let (lo, hi) = pred.bounds();
+        if let Some(tree) = self.tail_tree(bid) {
+            return tree.range(Some(lo), Some(hi)).map(|(_, p)| *p).collect();
+        }
+        let entries = self.frozen_block_entries(bid);
+        let start = entries.partition_point(|(v, _)| v < lo);
+        let end = entries.partition_point(|(v, _)| v <= hi);
+        entries[start..end].iter().map(|(_, p)| *p).collect()
+    }
+
+    /// One frozen block's sorted second-level entries (empty when the
+    /// block holds none).
+    fn frozen_block_entries(&self, bid: BlockId) -> Vec<(Value, TxPtr)> {
+        self.frozen_entry(TAG_BLOCK_ENTRIES, bid)
+            .map(|bytes| entries_from_bytes(&bytes))
+            .unwrap_or_default()
+    }
+
+    /// All (value, pointer) pairs of one block in value order — the
+    /// sorted leaf scan the per-block sort-merge joins rely on
+    /// ("transactions are sorted at the leaf level").
+    pub fn block_sorted_entries(&self, bid: BlockId) -> Vec<(Value, TxPtr)> {
+        match self.tail_tree(bid) {
+            Some(tree) => tree.iter().map(|(k, p)| (k.clone(), *p)).collect(),
+            None => self.frozen_block_entries(bid),
         }
     }
 }

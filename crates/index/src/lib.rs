@@ -6,12 +6,18 @@
 //!   `(bid, tid, Ts)`;
 //! * [`tableindex::TableBitmapIndex`] — table-level bitmaps over blocks
 //!   (plus sender bitmaps for tracking);
-//! * [`layered::LayeredIndex`] — the two-level layered index
-//!   (histogram/value bitmaps above, bulk-loaded per-block B⁺-trees
-//!   below);
-//! * [`mbtree::MbTree`] + [`ali::AuthenticatedLayeredIndex`] — the
-//!   authenticated variant for thin clients, with soundness- and
-//!   completeness-checking range proofs;
+//! * [`layered::Layered`] — the two-level layered index, written once
+//!   (histogram/value bitmaps above, one bulk-built tree per block
+//!   below) and generic over that per-block tree, the
+//!   [`layered::SecondLevel`]: over B⁺-trees it is
+//!   [`layered::LayeredIndex`], over [`mbtree::MbTree`]s it is
+//!   [`ali::AuthenticatedLayeredIndex`], the authenticated variant for
+//!   thin clients, with soundness- and completeness-checking range
+//!   proofs (`ali.rs` holds only the MB-tree `SecondLevel` impl and
+//!   the VO protocol);
+//! * [`paged`] — what every family's paged backend shares: key tags,
+//!   entry codecs, family names and the one checkpoint merge
+//!   ([`paged::CheckpointBuilder`]);
 //! * [`cost::CostParams`] — the select cost model (Eqs. 1–3) driving
 //!   access-path choice.
 
@@ -34,7 +40,7 @@ pub use blockindex::{BlockKey, BlockLevelIndex};
 pub use bptree::BPlusTree;
 pub use cost::{AccessPath, CostParams};
 pub use histogram::EqualDepthHistogram;
-pub use layered::{KeyPredicate, LayeredIndex};
+pub use layered::{KeyPredicate, Layered, LayeredIndex, SecondLevel};
 pub use mbtree::{AuthEntry, MbTree, RangeProof, VerifyError};
 pub use paged::{column_slug, family_ali, family_block, family_layered, family_table};
 pub use tableindex::TableBitmapIndex;

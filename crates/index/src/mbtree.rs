@@ -181,6 +181,11 @@ impl MbTree {
             .unwrap_or(Digest::ZERO)
     }
 
+    /// Children per interior node.
+    pub(crate) fn fanout(&self) -> usize {
+        self.fanout
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -18,8 +18,9 @@
 //! here means bytes rotted underneath a validated file).
 
 use crate::bitmap::Bitmap;
-use sebdb_storage::{PagedIndexReader, StorageError, TxPtr};
-use sebdb_types::{ColumnRef, Decoder, Encoder, Value};
+use sebdb_storage::{IndexCheckpoint, PagedIndexReader, StorageError, TxPtr};
+use sebdb_types::{ColumnRef, Decoder, Encoder, TypeError, Value};
+use std::collections::BTreeMap;
 
 /// Key tag: the family's precomputed all-blocks bitmap.
 pub const TAG_ALL_BLOCKS: u8 = 0x00;
@@ -108,6 +109,16 @@ pub fn read_fail<T>(what: &str, r: Result<T, StorageError>) -> T {
     }
 }
 
+/// Unwraps the decode of a checkpoint entry or meta blob. Fail-stop
+/// for the same reason as [`read_fail`]: the bytes passed the file's
+/// checksums, so a malformed one was written by a different format.
+pub fn decode_fail<T>(what: &str, r: Result<T, TypeError>) -> T {
+    match r {
+        Ok(v) => v,
+        Err(e) => panic!("paged {what} failed to decode: {e}"),
+    }
+}
+
 /// `tag ‖ bid(u64 BE)` — per-block entry key (BE keeps byte order =
 /// numeric order within the tag).
 pub fn bid_key(tag: u8, bid: u64) -> Vec<u8> {
@@ -138,11 +149,7 @@ pub fn value_key(v: &Value) -> Vec<u8> {
 
 /// Decodes the `Value` out of a [`value_key`]-shaped key.
 pub fn decode_value_key(key: &[u8]) -> Value {
-    let mut dec = Decoder::new(&key[1..]);
-    match dec.get_value() {
-        Ok(v) => v,
-        Err(e) => panic!("paged index value key failed to decode: {e}"),
-    }
+    decode_fail("index value key", Decoder::new(&key[1..]).get_value())
 }
 
 /// Serializes a bitmap as its raw words, little-endian.
@@ -170,6 +177,63 @@ pub fn frozen_bitmap(reader: &PagedIndexReader, what: &str, key: &[u8]) -> Bitma
         .unwrap_or_default()
 }
 
+/// A full-rewrite checkpoint under construction — the merge every
+/// family's `checkpoint()` runs: the frozen prefix swept into a sorted
+/// map, the resident tail written over it.
+pub struct CheckpointBuilder {
+    map: BTreeMap<Vec<u8>, Vec<u8>>,
+    /// First tail block: tail bitmaps are relative to it.
+    base: usize,
+}
+
+impl CheckpointBuilder {
+    /// Starts from every entry of `frozen` (from nothing when the
+    /// family is fully resident). `what` names the family in the
+    /// fail-stop message.
+    pub fn sweep(what: &str, frozen: Option<&PagedIndexReader>) -> Self {
+        let mut map = BTreeMap::new();
+        if let Some(f) = frozen {
+            read_fail(
+                &format!("{what} checkpoint sweep"),
+                f.scan_range(&[], None, &mut |k, v| {
+                    map.insert(k.to_vec(), v.to_vec());
+                }),
+            );
+        }
+        CheckpointBuilder {
+            map,
+            base: frozen.map_or(0, |f| f.height() as usize),
+        }
+    }
+
+    /// Writes one entry.
+    pub fn put(&mut self, key: Vec<u8>, value: Vec<u8>) {
+        self.map.insert(key, value);
+    }
+
+    /// ORs a tail-relative bitmap (bit `i` = block `base + i`) over
+    /// the frozen absolute bitmap stored under `key`, if any.
+    pub fn or_tail(&mut self, key: Vec<u8>, tail: &Bitmap) {
+        let mut bits = self
+            .map
+            .get(&key)
+            .map(|b| bitmap_from_bytes(b))
+            .unwrap_or_default();
+        bits.or_assign_shifted(tail, self.base);
+        self.map.insert(key, bitmap_bytes(&bits));
+    }
+
+    /// The finished checkpoint, entries in key order.
+    pub fn finish(self, family: Vec<u8>, height: u64, meta: Vec<u8>) -> IndexCheckpoint {
+        IndexCheckpoint {
+            family,
+            height,
+            meta,
+            entries: self.map.into_iter().collect(),
+        }
+    }
+}
+
 /// Serializes a sorted `(Value, TxPtr)` list (one block's second-level
 /// entries).
 pub fn entries_bytes(entries: &[(Value, TxPtr)]) -> Vec<u8> {
@@ -186,7 +250,7 @@ pub fn entries_bytes(entries: &[(Value, TxPtr)]) -> Vec<u8> {
 /// Decodes [`entries_bytes`] output.
 pub fn entries_from_bytes(bytes: &[u8]) -> Vec<(Value, TxPtr)> {
     let mut dec = Decoder::new(bytes);
-    let parse = |dec: &mut Decoder<'_>| -> Result<Vec<(Value, TxPtr)>, sebdb_types::TypeError> {
+    let mut parse = || -> Result<Vec<(Value, TxPtr)>, TypeError> {
         let n = dec.get_u32("paged entries count")?;
         let mut out = Vec::with_capacity(n as usize);
         for _ in 0..n {
@@ -197,10 +261,7 @@ pub fn entries_from_bytes(bytes: &[u8]) -> Vec<(Value, TxPtr)> {
         }
         Ok(out)
     };
-    match parse(&mut dec) {
-        Ok(v) => v,
-        Err(e) => panic!("paged second-level entries failed to decode: {e}"),
-    }
+    decode_fail("second-level entries", parse())
 }
 
 /// Serializes a sorted [`AuthEntry`] list (one block's MB-tree leaf
@@ -222,30 +283,26 @@ pub fn auth_entries_bytes(entries: &[crate::mbtree::AuthEntry]) -> Vec<u8> {
 pub fn auth_entries_from_bytes(bytes: &[u8]) -> Vec<crate::mbtree::AuthEntry> {
     use sebdb_crypto::sha256::Digest;
     let mut dec = Decoder::new(bytes);
-    let parse =
-        |dec: &mut Decoder<'_>| -> Result<Vec<crate::mbtree::AuthEntry>, sebdb_types::TypeError> {
-            let n = dec.get_u32("paged auth entries count")?;
-            let mut out = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                let key = dec.get_value()?;
-                let mut hash = [0u8; 32];
-                for b in &mut hash {
-                    *b = dec.get_u8("paged auth entry hash")?;
-                }
-                let block = dec.get_u64("paged auth entry block")?;
-                let index = dec.get_u32("paged auth entry index")?;
-                out.push(crate::mbtree::AuthEntry {
-                    key,
-                    tx_hash: Digest(hash),
-                    ptr: TxPtr { block, index },
-                });
+    let mut parse = || -> Result<Vec<crate::mbtree::AuthEntry>, TypeError> {
+        let n = dec.get_u32("paged auth entries count")?;
+        let mut out = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            let key = dec.get_value()?;
+            let mut hash = [0u8; 32];
+            for b in &mut hash {
+                *b = dec.get_u8("paged auth entry hash")?;
             }
-            Ok(out)
-        };
-    match parse(&mut dec) {
-        Ok(v) => v,
-        Err(e) => panic!("paged auth entries failed to decode: {e}"),
-    }
+            let block = dec.get_u64("paged auth entry block")?;
+            let index = dec.get_u32("paged auth entry index")?;
+            out.push(crate::mbtree::AuthEntry {
+                key,
+                tx_hash: Digest(hash),
+                ptr: TxPtr { block, index },
+            });
+        }
+        Ok(out)
+    };
+    decode_fail("auth entries", parse())
 }
 
 #[cfg(test)]

@@ -12,11 +12,11 @@
 //! absolute bitmaps in an on-disk checkpoint, merged on query.
 
 use crate::bitmap::Bitmap;
-use crate::paged::{bitmap_bytes, bitmap_from_bytes, family_table, frozen_bitmap, read_fail};
+use crate::paged::{family_table, frozen_bitmap, read_fail, CheckpointBuilder};
 use sebdb_crypto::sig::KeyId;
 use sebdb_storage::{IndexCheckpoint, PagedIndexReader};
 use sebdb_types::Block;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Key tag: `0x00 ‖ lowercased table name` → absolute block bitmap.
 const TAG_TABLE: u8 = 0x00;
@@ -168,36 +168,14 @@ impl TableBitmapIndex {
     /// Freezes the complete state (frozen ∪ tail) into one checkpoint
     /// covering `[0, blocks_seen)`.
     pub fn checkpoint(&self) -> IndexCheckpoint {
-        let mut map: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        if let Some(f) = &self.frozen {
-            read_fail(
-                "table bitmap checkpoint sweep",
-                f.scan_range(&[], None, &mut |k, v| {
-                    map.insert(k.to_vec(), v.to_vec());
-                }),
-            );
-        }
-        let base = self.base() as usize;
-        let mut merge = |key: Vec<u8>, tail: &Bitmap| {
-            let mut bits = map
-                .get(&key)
-                .map(|b| bitmap_from_bytes(b))
-                .unwrap_or_default();
-            bits.or_assign_shifted(tail, base);
-            map.insert(key, bitmap_bytes(&bits));
-        };
+        let mut cp = CheckpointBuilder::sweep("table bitmap", self.frozen.as_ref());
         for (name, bits) in &self.per_table {
-            merge(table_key(name), bits);
+            cp.or_tail(table_key(name), bits);
         }
         for (sender, bits) in &self.per_sender {
-            merge(sender_key(sender), bits);
+            cp.or_tail(sender_key(sender), bits);
         }
-        IndexCheckpoint {
-            family: family_table(),
-            height: self.blocks_seen,
-            meta: Vec::new(),
-            entries: map.into_iter().collect(),
-        }
+        cp.finish(family_table(), self.blocks_seen, Vec::new())
     }
 }
 

@@ -1,7 +1,9 @@
 //! Model of the `IndexBlockCache` (crates/storage/indexseg.rs): a
 //! sharded map of lazily-loaded level-1 index blocks with an inflight
-//! set + condvar deduplicating concurrent first-loads, LRU-by-tick
-//! eviction, and loads performed outside the shard lock.
+//! set + condvar deduplicating concurrent first-loads, exact-LRU
+//! eviction (the model keeps a last-touch tick per block, production
+//! the store's intrusive-list `Lru`: the same victim either way), and
+//! loads performed outside the shard lock.
 //!
 //! Invariants under test: however concurrent first-reads interleave,
 //! each (file, block) is loaded from disk at most once while resident

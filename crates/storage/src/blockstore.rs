@@ -22,6 +22,7 @@
 
 use crate::cache::{BlockCache, TxCache};
 use crate::indexseg::{self, IndexBlockCache, IndexCheckpoint, PagedIndexReader};
+use crate::publish;
 use crate::segment::{
     segment_path, Location, ReadGauges, Result, SegmentSet, SegmentWriter, StorageError,
 };
@@ -88,6 +89,9 @@ pub enum WriteStep {
     /// About to publish an index checkpoint (the `.tmp` → `.icp`
     /// rename — the checkpoint's commit point).
     IndexPublish,
+    /// About to publish the view registrations (the `.tmp` →
+    /// `viewreg.idx` rename).
+    ViewRegPublish,
 }
 
 /// Fault hook signature: return `true` to fail the append at `step`.
@@ -444,7 +448,6 @@ const BLOCK_MANIFEST: &str = "blockmanifest.idx";
 /// Persisted tracking-view registrations (see
 /// [`BlockStore::save_view_registrations`]).
 const VIEW_REGISTRATIONS: &str = "viewreg.idx";
-const VIEW_REGISTRATIONS_TMP: &str = "viewreg.idx.tmp";
 /// Manifest magic, versioned with the record format.
 const MANIFEST_MAGIC: &[u8; 8] = b"SEBDBMF1";
 /// Manifest header: magic(8) ‖ partitions(2) ‖ reserved(6).
@@ -668,10 +671,11 @@ impl BlockStore {
             tables.push(table);
         }
         let tx_locs = Self::assemble_tx_locs(&entries, &tables)?;
-        // Torn index-checkpoint writers (never published) leave `.tmp`
-        // artifacts; sweep them so the directory holds only committed
-        // checkpoints.
-        indexseg::sweep_tmp_checkpoints(&dir.join(indexseg::INDEX_CHECKPOINT_DIR));
+        // Torn publishers (an index checkpoint, the view registrations)
+        // leave `.tmp` artifacts; sweep them so the store holds only
+        // committed files.
+        publish::sweep_unpublished(dir);
+        publish::sweep_unpublished(&dir.join(indexseg::INDEX_CHECKPOINT_DIR));
         let stats = Arc::new(IoStats::default());
         let index_cache = IndexBlockCache::new(
             config
@@ -995,12 +999,10 @@ impl BlockStore {
             Arc::clone(&self.stats),
         ) {
             Ok(reader) if reader.height() <= self.height() => Ok(Some(reader)),
-            Ok(_stale) => {
-                indexseg::discard_checkpoint(&path, &self.index_cache, None);
-                Ok(None)
-            }
-            Err(StorageError::Corrupt(_)) => {
-                indexseg::discard_checkpoint(&path, &self.index_cache, None);
+            // Healing: ahead of the manifest, or corrupt. The stale
+            // reader takes its cached blocks with it when it drops.
+            Ok(_) | Err(StorageError::Corrupt(_)) => {
+                let _ = std::fs::remove_file(&path);
                 Ok(None)
             }
             Err(e) => Err(e),
@@ -1018,18 +1020,12 @@ impl BlockStore {
         let Some(dir) = &self.dir else {
             return Ok(());
         };
-        let path = dir.join(VIEW_REGISTRATIONS);
-        let tmp = dir.join(VIEW_REGISTRATIONS_TMP);
-        {
-            let mut f = BufWriter::new(File::create(&tmp)?);
-            f.write_all(bytes)?;
-            f.flush()?;
-            if self.config.sync_writes {
-                f.get_ref().sync_all()?;
-            }
-        }
-        std::fs::rename(&tmp, &path)?;
-        Ok(())
+        publish::publish_atomically(
+            &dir.join(VIEW_REGISTRATIONS),
+            self.config.sync_writes,
+            |file| Ok(file.write_all(bytes)?),
+            || self.check_fault(WriteStep::ViewRegPublish),
+        )
     }
 
     /// Loads the persisted tracking-view registrations, if any

@@ -31,7 +31,9 @@ pub struct Lru<K, V> {
 
 struct Entry<K, V> {
     key: K,
-    value: V,
+    /// `None` once the slot sits on the free list, so an evicted value
+    /// is dropped at eviction rather than when its slot is reused.
+    value: Option<V>,
     size: usize,
     prev: usize,
     next: usize,
@@ -110,7 +112,7 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
                     self.unlink(idx);
                     self.push_front(idx);
                 }
-                Some(&self.slab[idx].value)
+                self.slab[idx].value.as_ref()
             }
             None => {
                 self.misses += 1;
@@ -121,7 +123,16 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
 
     /// Non-promoting, non-counting peek (for tests/introspection).
     pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|&idx| &self.slab[idx].value)
+        self.map
+            .get(key)
+            .and_then(|&idx| self.slab[idx].value.as_ref())
+    }
+
+    /// The cached values, in no particular order.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
+        self.map
+            .values()
+            .filter_map(|&idx| self.slab[idx].value.as_ref())
     }
 
     /// Inserts `key -> value` accounting `size` bytes, evicting LRU
@@ -133,32 +144,27 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         }
         if let Some(idx) = self.map.get(&key).copied() {
             self.bytes = self.bytes - self.slab[idx].size + size;
-            self.slab[idx].value = value;
+            self.slab[idx].value = Some(value);
             self.slab[idx].size = size;
             if idx != self.head {
                 self.unlink(idx);
                 self.push_front(idx);
             }
         } else {
+            let entry = Entry {
+                key: key.clone(),
+                value: Some(value),
+                size,
+                prev: NIL,
+                next: NIL,
+            };
             let idx = match self.free.pop() {
                 Some(i) => {
-                    self.slab[i] = Entry {
-                        key: key.clone(),
-                        value,
-                        size,
-                        prev: NIL,
-                        next: NIL,
-                    };
+                    self.slab[i] = entry;
                     i
                 }
                 None => {
-                    self.slab.push(Entry {
-                        key: key.clone(),
-                        value,
-                        size,
-                        prev: NIL,
-                        next: NIL,
-                    });
+                    self.slab.push(entry);
                     self.slab.len() - 1
                 }
             };
@@ -166,21 +172,33 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
             self.push_front(idx);
             self.bytes += size;
         }
-        while self.bytes > self.capacity_bytes {
-            self.evict_one();
+        while self.bytes > self.capacity_bytes && self.tail != NIL {
+            self.remove_at(self.tail);
         }
     }
 
-    fn evict_one(&mut self) {
-        let idx = self.tail;
-        if idx == NIL {
-            return;
-        }
+    /// Drops the entry in slab slot `idx` and frees the slot.
+    fn remove_at(&mut self, idx: usize) {
         self.unlink(idx);
         self.bytes -= self.slab[idx].size;
+        self.slab[idx].value = None;
         let key = self.slab[idx].key.clone();
         self.map.remove(&key);
         self.free.push(idx);
+    }
+
+    /// Drops every entry whose key `keep` rejects; the survivors keep
+    /// their recency order.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
+        let doomed: Vec<usize> = self
+            .map
+            .iter()
+            .filter(|(key, _)| !keep(key))
+            .map(|(_, &idx)| idx)
+            .collect();
+        for idx in doomed {
+            self.remove_at(idx);
+        }
     }
 
     /// Drops everything.
@@ -335,6 +353,27 @@ mod tests {
         assert_eq!(lru.bytes(), 0);
         lru.put(2, 2, 10);
         assert!(lru.peek(&2).is_some());
+    }
+
+    #[test]
+    fn retain_drops_rejected_keys_and_keeps_recency() {
+        let mut lru: Lru<u32, Arc<u32>> = Lru::new(40);
+        let doomed = Arc::new(2);
+        lru.put(1, Arc::new(1), 10);
+        lru.put(2, Arc::clone(&doomed), 10);
+        lru.put(3, Arc::new(3), 10);
+        lru.put(4, Arc::new(4), 10);
+        lru.retain(|k| k % 2 == 1);
+        assert_eq!((lru.len(), lru.bytes()), (2, 20));
+        assert!(lru.peek(&2).is_none() && lru.peek(&4).is_none());
+        // The value is dropped with its entry, not when the slot is reused.
+        assert_eq!(Arc::strong_count(&doomed), 1);
+        // 1 is still the least recently used of the survivors.
+        lru.put(5, Arc::new(5), 10);
+        lru.put(6, Arc::new(6), 10);
+        lru.put(7, Arc::new(7), 10);
+        assert!(lru.peek(&1).is_none());
+        assert!(lru.peek(&3).is_some());
     }
 
     #[test]

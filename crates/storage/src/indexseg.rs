@@ -11,17 +11,20 @@
 //! O(chain).
 //!
 //! Durability follows the store's commit-point discipline: a checkpoint
-//! is written to a `.tmp` file and published by a single atomic rename,
-//! and a published file whose height runs ahead of the block manifest
-//! (the real commit point) is discarded on open. Any torn or stale
+//! is written and published by the store's one `.tmp` → rename
+//! publisher (`publish.rs`), and a published file whose height runs
+//! ahead of the block manifest (the real commit point) is discarded on
+//! open. Any torn or stale
 //! artifact heals by deletion — the family simply replays the chain
 //! tail it would have replayed anyway.
 
 use crate::blockstore::{IoStats, WriteStep};
+use crate::cache::Lru;
+use crate::publish::publish_atomically;
 use crate::segment::{read_exact_at, Result, StorageError};
 use parking_lot::{Condvar, Mutex};
 use sebdb_parallel::Tracked;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -156,10 +159,21 @@ pub(crate) fn write_checkpoint(
     fault: &dyn Fn(WriteStep) -> Result<()>,
 ) -> Result<()> {
     std::fs::create_dir_all(dir)?;
-    let final_path = dir.join(checkpoint_file_name(&cp.family));
-    let tmp_path = final_path.with_extension("icp.tmp");
+    publish_atomically(
+        &dir.join(checkpoint_file_name(&cp.family)),
+        sync_writes,
+        |file| write_checkpoint_body(file, cp, fault),
+        || fault(WriteStep::IndexPublish),
+    )
+}
 
-    let mut file = File::create(&tmp_path)?;
+/// The checkpoint file's bytes: magic, level-1 blocks, then the fence
+/// table + meta + footer tail.
+fn write_checkpoint_body(
+    file: &mut File,
+    cp: &IndexCheckpoint,
+    fault: &dyn Fn(WriteStep) -> Result<()>,
+) -> Result<()> {
     file.write_all(INDEX_MAGIC)?;
     let mut off = INDEX_MAGIC.len() as u64;
 
@@ -175,55 +189,27 @@ pub(crate) fn write_checkpoint(
     let mut body = Vec::with_capacity(INDEX_BLOCK_TARGET + 256);
     let mut first_key: Vec<u8> = Vec::new();
     let mut count = 0u32;
-    let flush = |file: &mut File,
-                 off: &mut u64,
-                 body: &mut Vec<u8>,
-                 first_key: &mut Vec<u8>,
-                 count: &mut u32,
-                 fences: &mut Vec<FenceRec>|
-     -> Result<()> {
-        if body.is_empty() {
-            return Ok(());
-        }
-        fault(WriteStep::IndexBlockWrite(fences.len()))?;
-        file.write_all(body)?;
-        fences.push(FenceRec {
-            first_key: std::mem::take(first_key),
-            off: *off,
-            len: body.len() as u32,
-            count: *count,
-            checksum: fnv1a(body),
-        });
-        *off += body.len() as u64;
-        body.clear();
-        *count = 0;
-        Ok(())
-    };
-    for (key, value) in &cp.entries {
+    for (i, (key, value)) in cp.entries.iter().enumerate() {
         if body.is_empty() {
             first_key = key.clone();
         }
         encode_entry(&mut body, key, value);
         count += 1;
-        if body.len() >= INDEX_BLOCK_TARGET {
-            flush(
-                &mut file,
-                &mut off,
-                &mut body,
-                &mut first_key,
-                &mut count,
-                &mut fences,
-            )?;
+        if body.len() >= INDEX_BLOCK_TARGET || i + 1 == cp.entries.len() {
+            fault(WriteStep::IndexBlockWrite(fences.len()))?;
+            file.write_all(&body)?;
+            fences.push(FenceRec {
+                first_key: std::mem::take(&mut first_key),
+                off,
+                len: body.len() as u32,
+                count,
+                checksum: fnv1a(&body),
+            });
+            off += body.len() as u64;
+            body.clear();
+            count = 0;
         }
     }
-    flush(
-        &mut file,
-        &mut off,
-        &mut body,
-        &mut first_key,
-        &mut count,
-        &mut fences,
-    )?;
 
     // Fence table + meta + footer, checksummed as one tail so open-time
     // validation is O(fences) without touching any level-1 block.
@@ -251,30 +237,7 @@ pub(crate) fn write_checkpoint(
     put_u64(&mut tail, checksum);
     tail.extend_from_slice(INDEX_MAGIC);
     file.write_all(&tail)?;
-    file.flush()?;
-    if sync_writes {
-        file.sync_all()?;
-    }
-    drop(file);
-
-    // The publishing rename is the checkpoint's commit point.
-    fault(WriteStep::IndexPublish)?;
-    std::fs::rename(&tmp_path, &final_path)?;
     Ok(())
-}
-
-/// Removes stale `.tmp` checkpoint artifacts (torn writers that never
-/// reached their publishing rename).
-pub(crate) fn sweep_tmp_checkpoints(dir: &Path) {
-    let Ok(rd) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in rd.flatten() {
-        let p = entry.path();
-        if p.extension().is_some_and(|e| e == "tmp") {
-            let _ = std::fs::remove_file(&p);
-        }
-    }
 }
 
 /// One fence-pointer record: the fully-loaded top level of a checkpoint.
@@ -317,28 +280,34 @@ pub struct IndexBlockCache {
     next_file_id: AtomicU64,
 }
 
-/// One shard: resident blocks, in-flight single-flight keys, and the
-/// LRU tick, each under a zero-cost [`Tracked`] marker — the model
-/// checker's index-cache suite wraps the same three fields in its
-/// race-detecting twin (DESIGN.md §14).
-#[derive(Default)]
+/// One shard: resident blocks keyed by `(file, block_no)` in the
+/// store's one LRU structure (each block charged 1 against the shard's
+/// block budget) and the in-flight single-flight keys, each under a
+/// zero-cost [`Tracked`] marker — the model checker's index-cache suite
+/// wraps the same state in its race-detecting twin (DESIGN.md §14).
 struct CacheShard {
-    map: Tracked<ResidentBlocks>,
+    resident: Tracked<Lru<(u64, u32), Arc<IndexBlock>>>,
     inflight: Tracked<HashSet<(u64, u32)>>,
-    tick: Tracked<u64>,
 }
-
-/// Resident level-1 blocks keyed by `(family, block_no)`, each tagged
-/// with its last-touch LRU tick.
-type ResidentBlocks = HashMap<(u64, u32), (Arc<IndexBlock>, u64)>;
 
 impl IndexBlockCache {
     /// A cache holding at most `capacity` blocks (0 = unbounded),
     /// reporting hits/misses into `stats`.
     pub fn new(capacity: usize, stats: Arc<IoStats>) -> Arc<IndexBlockCache> {
+        // The bound each shard enforces locally.
+        let per_shard = match capacity {
+            0 => usize::MAX,
+            n => std::cmp::max(1, n / CACHE_SHARDS),
+        };
         Arc::new(IndexBlockCache {
             shards: (0..CACHE_SHARDS)
-                .map(|_| (Mutex::new(CacheShard::default()), Condvar::new()))
+                .map(|_| {
+                    let shard = CacheShard {
+                        resident: Tracked::new(Lru::new(per_shard)),
+                        inflight: Tracked::new(HashSet::new()),
+                    };
+                    (Mutex::new(shard), Condvar::new())
+                })
                 .collect(),
             capacity,
             stats,
@@ -361,15 +330,6 @@ impl IndexBlockCache {
         (packed.wrapping_mul(0x9E3779B97F4A7C15) >> 32) as usize % CACHE_SHARDS
     }
 
-    /// Per-shard capacity: the bound each shard enforces locally.
-    fn shard_capacity(&self) -> usize {
-        if self.capacity == 0 {
-            0
-        } else {
-            std::cmp::max(1, self.capacity / CACHE_SHARDS)
-        }
-    }
-
     /// Returns the cached block or loads it via `load`, single-flight.
     pub fn get_or_load(
         &self,
@@ -381,17 +341,7 @@ impl IndexBlockCache {
         let (lock, cv) = &self.shards[Self::shard_of(key)];
         let mut shard = lock.lock();
         loop {
-            let now = shard.tick.with_mut(|t| {
-                *t += 1;
-                *t
-            });
-            let hit = shard.map.with_mut(|m| {
-                m.get_mut(&key).map(|(block, tick)| {
-                    *tick = now;
-                    Arc::clone(block)
-                })
-            });
-            if let Some(block) = hit {
+            if let Some(block) = shard.resident.with_mut(|r| r.get(&key).cloned()) {
                 drop(shard);
                 self.stats.index_cache_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(block);
@@ -408,52 +358,33 @@ impl IndexBlockCache {
         drop(shard);
 
         // The pread + parse happen outside the shard lock.
-        let loaded = load();
+        let loaded = load().map(Arc::new);
 
         let mut shard = lock.lock();
         shard.inflight.with_mut(|i| i.remove(&key));
-        let out = match loaded {
-            Ok(block) => {
-                let block = Arc::new(block);
-                let tick = shard.tick.with_mut(|t| {
-                    *t += 1;
-                    *t
-                });
-                let cap = self.shard_capacity();
-                shard.map.with_mut(|m| {
-                    m.insert(key, (Arc::clone(&block), tick));
-                    while cap != 0 && m.len() > cap {
-                        // Evict the least-recently-used entry (linear
-                        // scan: shards are small at realistic
-                        // capacities).
-                        let Some(victim) = m.iter().min_by_key(|(_, (_, t))| *t).map(|(k, _)| *k)
-                        else {
-                            break;
-                        };
-                        m.remove(&victim);
-                    }
-                });
-                self.stats
-                    .index_cache_misses
-                    .fetch_add(1, Ordering::Relaxed);
-                Ok(block)
-            }
-            Err(e) => Err(e),
-        };
+        if let Ok(block) = &loaded {
+            shard
+                .resident
+                .with_mut(|r| r.put(key, Arc::clone(block), 1));
+            self.stats
+                .index_cache_misses
+                .fetch_add(1, Ordering::Relaxed);
+        }
         // Waiters must always be woken — on failure they retry the load
         // themselves instead of sleeping forever.
         cv.notify_all();
         drop(shard);
-        out
+        loaded
     }
 
-    /// Drops every cached block belonging to `file_id` (a replaced
-    /// checkpoint's blocks must never serve a newer reader).
+    /// Drops every cached block belonging to `file_id`: once its reader
+    /// is gone nothing can ask for them again, and they must not hold
+    /// capacity against the live files.
     fn invalidate_file(&self, file_id: u64) {
         for (lock, _) in &self.shards {
             lock.lock()
-                .map
-                .with_mut(|m| m.retain(|(f, _), _| *f != file_id));
+                .resident
+                .with_mut(|r| r.retain(|(f, _)| *f != file_id));
         }
     }
 
@@ -461,7 +392,7 @@ impl IndexBlockCache {
     pub fn resident_blocks(&self) -> usize {
         self.shards
             .iter()
-            .map(|(l, _)| l.lock().map.with(HashMap::len))
+            .map(|(l, _)| l.lock().resident.with(Lru::len))
             .sum()
     }
 
@@ -471,8 +402,8 @@ impl IndexBlockCache {
             .iter()
             .map(|(l, _)| {
                 l.lock()
-                    .map
-                    .with(|m| m.values().map(|(b, _)| b.byte_len()).sum::<usize>())
+                    .resident
+                    .with(|r| r.values().map(|b| b.byte_len()).sum::<usize>())
             })
             .sum()
     }
@@ -765,13 +696,12 @@ impl PagedIndexReader {
     }
 }
 
-/// Drops a checkpoint file (healing path: torn, stale, or ahead of the
-/// manifest commit point) and invalidates any of its cached blocks.
-pub(crate) fn discard_checkpoint(path: &Path, cache: &IndexBlockCache, file_id: Option<u64>) {
-    if let Some(id) = file_id {
-        cache.invalidate_file(id);
+/// A replaced or closed checkpoint's blocks leave the cache with its
+/// reader: file ids are never reused, so nothing could hit them again.
+impl Drop for PagedIndexReader {
+    fn drop(&mut self) {
+        self.cache.invalidate_file(self.file_id);
     }
-    let _ = std::fs::remove_file(path);
 }
 
 #[cfg(test)]
@@ -915,6 +845,40 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_reader_takes_its_blocks_out_of_the_cache() {
+        let dir = tmpdir("stranded");
+        let cp = cp(2000);
+        let path = dir.join(checkpoint_file_name(&cp.family));
+        let stats = Arc::new(IoStats::default());
+        // Unbounded: only invalidation can ever free a block.
+        let cache = IndexBlockCache::new(0, Arc::clone(&stats));
+        let read_some = |r: &PagedIndexReader| {
+            for i in (0..2000u64).step_by(100) {
+                assert!(r.get(&i.to_be_bytes()).unwrap().is_some());
+            }
+        };
+        write_checkpoint(&dir, &cp, false, &no_fault).unwrap();
+        let r = PagedIndexReader::open(&path, Arc::clone(&cache), Arc::clone(&stats)).unwrap();
+        read_some(&r);
+        let one_file = cache.resident_blocks();
+        assert!(one_file > 1, "the probes must span several blocks");
+        drop(r);
+        assert_eq!(cache.resident_blocks(), 0);
+        assert_eq!(cache.resident_bytes(), 0);
+        // Re-checkpointing (what a cadence tick does: publish, re-open,
+        // let go of the superseded reader) does not grow residency.
+        let mut live = PagedIndexReader::open(&path, Arc::clone(&cache), Arc::clone(&stats));
+        for _ in 0..2 {
+            read_some(live.as_ref().unwrap());
+            write_checkpoint(&dir, &cp, false, &no_fault).unwrap();
+            live = PagedIndexReader::open(&path, Arc::clone(&cache), Arc::clone(&stats));
+            read_some(live.as_ref().unwrap());
+            assert_eq!(cache.resident_blocks(), one_file);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn torn_tail_is_rejected() {
         let dir = tmpdir("torn");
         let cp = cp(300);
@@ -964,7 +928,7 @@ mod tests {
             assert!(format!("{err}").contains("injected write fault"));
             // Nothing published.
             assert!(!dir.join(checkpoint_file_name(&cp.family)).exists());
-            sweep_tmp_checkpoints(&dir);
+            crate::publish::sweep_unpublished(&dir);
         }
         // A clean retry succeeds after any torn attempt.
         write_checkpoint(&dir, &cp, false, &no_fault).unwrap();

@@ -10,6 +10,7 @@
 pub mod blockstore;
 pub mod cache;
 pub mod indexseg;
+mod publish;
 pub mod segment;
 
 pub use blockstore::{

@@ -281,6 +281,30 @@ fn crash_at_every_index_checkpoint_boundary_heals_on_reopen() {
     }
 }
 
+/// The view-registration file goes through the same publisher: a crash
+/// before its rename leaves the previous registrations loading, and the
+/// reopen sweeps the torn `.tmp`.
+#[test]
+fn crash_before_the_view_registration_rename_keeps_the_previous_file() {
+    let dir = tmpdir("viewreg");
+    let tmp = dir.join("viewreg.idx.tmp");
+    {
+        let store = BlockStore::open(&dir, cfg()).unwrap();
+        store.save_view_registrations(b"first").unwrap();
+        store.set_write_fault(Some(Box::new(|s| s == WriteStep::ViewRegPublish)));
+        let err = store.save_view_registrations(b"second").unwrap_err();
+        assert!(err.to_string().contains("injected write fault"), "{err}");
+        assert!(tmp.exists(), "the torn body stays behind until reopen");
+        assert_eq!(store.load_view_registrations().unwrap().unwrap(), b"first");
+    }
+    let store = BlockStore::open(&dir, cfg()).unwrap();
+    assert!(!tmp.exists(), "torn .tmp survived the reopen sweep");
+    assert_eq!(store.load_view_registrations().unwrap().unwrap(), b"first");
+    store.save_view_registrations(b"second").unwrap();
+    assert_eq!(store.load_view_registrations().unwrap().unwrap(), b"second");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Longest-valid-prefix discipline for checkpoints vs the manifest: a
 /// checkpoint committed at height 4 whose chain is later rolled back
 /// to height 3 (torn tail extent) is *stale* — the reopen must discard

@@ -2,7 +2,7 @@
 //!
 //! Zero dependencies by design: the rules are substring checks over
 //! comment- and string-stripped source with `#[cfg(test)]` / `#[test]`
-//! items masked out, which is exactly enough for the four invariants we
+//! items masked out, which is exactly enough for the invariants we
 //! enforce and keeps the tool buildable offline in seconds.
 //!
 //! Rules (non-test code only):
@@ -38,6 +38,10 @@
 //!    the one engine setting read from the environment) and
 //!    `crates/bench/` (harness switches): every other setting is a
 //!    constructor argument or a setter (DESIGN "Configuration").
+//! 8. `rename` — no `fs::rename` outside the store's publisher
+//!    (`crates/storage/src/publish.rs`): a file replaced as a whole
+//!    goes through `publish_atomically`, so the `.tmp` → fsync →
+//!    rename → directory-fsync protocol and its crash step exist once.
 //!
 //! The allowlist lives in `tools/lint/allowlist.txt`; each line is
 //! `<rule> <path> <count>`. The file is capped at 25 entries and every
@@ -63,6 +67,9 @@ const CLOCK_FILE: &str = "crates/consensus/src/traits.rs";
 
 /// The single sanctioned environment read (`SEBDB_THREADS`).
 const ENV_FILE: &str = "crates/parallel/src/lib.rs";
+
+/// The single sanctioned `fs::rename` (`publish_atomically`).
+const RENAME_FILE: &str = "crates/storage/src/publish.rs";
 
 /// Harness code whose switches (`SEBDB_BENCH_SMOKE`) are not engine
 /// settings.
@@ -231,7 +238,7 @@ fn load_allowlist(path: &Path) -> Result<Vec<AllowEntry>, String> {
         };
         if !matches!(
             rule,
-            "spawn" | "sleep" | "unwrap" | "clock" | "std-sync" | "par-floor" | "env"
+            "spawn" | "sleep" | "unwrap" | "clock" | "std-sync" | "par-floor" | "env" | "rename"
         ) {
             return Err(format!("allowlist line {}: unknown rule `{rule}`", i + 1));
         }
@@ -332,6 +339,14 @@ fn check_file(rel: &str, source: &str, out: &mut Vec<Violation>) {
                 path: rel.to_string(),
                 line: lineno,
                 text: format!("environment read (take a constructor argument): {shown}"),
+            });
+        }
+        if line.contains("fs::rename") && rel != RENAME_FILE {
+            out.push(Violation {
+                rule: "rename",
+                path: rel.to_string(),
+                line: lineno,
+                text: format!("direct fs::rename (use publish_atomically): {shown}"),
             });
         }
         // Catches direct paths (`std::sync::Mutex<...>`) and import
@@ -631,7 +646,7 @@ mod tests {
     fn flags_each_rule() {
         let src = "fn f() {\n    std::thread::spawn(|| ());\n    std::thread::sleep(d);\n    \
                    x.unwrap();\n    std::time::SystemTime::now();\n    \
-                   std::env::var(\"X\");\n}\n";
+                   std::env::var(\"X\");\n    std::fs::rename(a, b);\n}\n";
         let mut v = Vec::new();
         check_file("crates/core/src/x.rs", src, &mut v);
         let rules: Vec<&str> = v.iter().map(|v| v.rule).collect();
@@ -640,6 +655,10 @@ mod tests {
         assert!(rules.contains(&"unwrap-no-invariant"));
         assert!(rules.contains(&"clock"));
         assert!(rules.contains(&"env"));
+        assert!(rules.contains(&"rename"));
+        let mut v = Vec::new();
+        check_file(RENAME_FILE, "fn f() { std::fs::rename(a, b); }\n", &mut v);
+        assert!(v.is_empty(), "the publisher is the one rename site");
     }
 
     #[test]
