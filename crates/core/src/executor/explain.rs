@@ -1,7 +1,7 @@
 //! `EXPLAIN`: render the physical decisions for a plan without
 //! fetching a tuple — which access path the probe-first planner
-//! resolves to, the result size it counted, how many candidate blocks
-//! the first level leaves after pruning, and the costs it compared.
+//! resolves to, the result size it counted, how many index blocks and
+//! rows the probe touched for it, and the costs it compared.
 
 use super::range::RangeProbe;
 use super::{ExecError, Executor, QueryResult, Strategy};
@@ -20,8 +20,9 @@ impl Executor<'_> {
     }
 
     /// One line for the probe-first decision: the path, `p` (exact, or
-    /// where the walk was abandoned), the candidate counts, and the
-    /// three costs compared.
+    /// where the probe was abandoned), the index blocks the range spans
+    /// and the rows scanned for the rows kept, and the three costs
+    /// compared.
     fn describe_probe(&self, probe: &RangeProbe) -> String {
         let path = match probe.path {
             Strategy::Layered => "layered",
@@ -41,19 +42,17 @@ impl Executor<'_> {
         let p = if probe.path == Strategy::Layered {
             format!("p = {} exact", probe.ptrs.len())
         } else {
-            format!(
-                "layered abandoned at p >= {} after {} blocks",
-                probe.ptrs.len(),
-                probe.blocks_probed
-            )
+            format!("layered abandoned at p >= {}", probe.ptrs.len())
         };
         format!(
-            "{path}: layered index on {col}, {p}; {} candidate blocks ({} frozen); \
+            "{path}: layered index on {col}, {p}; {} index blocks spanned, \
+             {} of {} rows scanned kept by the block mask; \
              costs: layered {:.0}, {costs}",
-            probe.candidates,
-            probe.frozen_candidates,
+            probe.index_blocks,
+            probe.ptrs.len(),
+            probe.rows_scanned,
             self.cost
-                .cost_layered_paged(probe.ptrs.len() as u64, probe.frozen_candidates)
+                .cost_layered_paged(probe.ptrs.len() as u64, probe.index_blocks)
         )
     }
 

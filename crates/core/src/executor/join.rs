@@ -9,9 +9,9 @@
 //!   in the blocks the table-level index marks as containing it;
 //! * **layered** — Algorithm 2 proper: first-level bitmaps select the
 //!   candidate blocks per relation, histogram-bucket intersection
-//!   prunes block *pairs*, and each surviving pair is joined by
-//!   sort-merge over the per-block second-level trees (whose leaves
-//!   are already in key order).
+//!   prunes block *pairs*, and the blocks of the surviving pairs are
+//!   joined by one sort-merge over their second-level entries (which
+//!   the index hands out in key order).
 
 use super::hash::{assemble, decode_matched, in_order, keyed_tuples, probe_extents, KeyTable};
 use super::range::{column_name, in_window};
@@ -181,8 +181,8 @@ impl Executor<'_> {
     }
 
     /// Algorithm 2: candidate blocks per relation from the first-level
-    /// bitmaps, block-pair pruning via `intersect`, per-pair sort-merge
-    /// over the second-level leaves.
+    /// bitmaps, block-pair pruning via `intersect`, one sort-merge over
+    /// the second-level leaves of the blocks that survive.
     fn layered_join(
         &self,
         left: &TableSchema,
@@ -213,41 +213,21 @@ impl Executor<'_> {
             })
             .unwrap_or_default();
 
-        // Lines 11–12: per-pair sort-merge over the second-level leaves.
-        // Phase one walks the sorted runs and collects matched pointer
-        // pairs without touching storage (entries of a left block are
-        // fetched once and reused across its pairs — pairs arrive
-        // sorted by left block).
+        // Lines 11–12: sort-merge over the second-level leaves. Phase
+        // one merges the sorted entries of every block a surviving pair
+        // names, one run per side, and collects matched pointer pairs
+        // without touching storage. A pruned pair holds no match (the
+        // first level has no false negatives), so merging whole sides
+        // finds exactly the matches of the surviving pairs.
+        let side = |schema: &TableSchema, col: &str, blocks: Bitmap| {
+            self.ledger
+                .with_layered(Some(&schema.name), col, |idx| idx.sorted_entries(&blocks))
+                .ok_or_else(|| ExecError::Unsupported(format!("index on {} vanished", schema.name)))
+        };
+        let l_entries = side(left, &l_col, pairs.iter().map(|p| p.0 as usize).collect())?;
+        let r_entries = side(right, &r_col, pairs.iter().map(|p| p.1 as usize).collect())?;
         let mut matched: Vec<(sebdb_storage::TxPtr, sebdb_storage::TxPtr)> = Vec::new();
-        let mut cached_left: Option<(u64, Vec<(Value, sebdb_storage::TxPtr)>)> = None;
-        for (b_l, b_r) in pairs {
-            let l_entries: &[(Value, sebdb_storage::TxPtr)] = match &mut cached_left {
-                Some((b, entries)) if *b == b_l => entries,
-                cache => {
-                    let entries = self
-                        .ledger
-                        .with_layered(Some(&left.name), &l_col, |idx| {
-                            idx.block_sorted_entries(b_l)
-                        })
-                        .ok_or_else(|| {
-                            ExecError::Unsupported(format!("index on {} vanished", left.name))
-                        })?;
-                    &cache.insert((b_l, entries)).1
-                }
-            };
-            if l_entries.is_empty() {
-                continue;
-            }
-            let r_entries = self
-                .ledger
-                .with_layered(Some(&right.name), &r_col, |idx| {
-                    idx.block_sorted_entries(b_r)
-                })
-                .ok_or_else(|| {
-                    ExecError::Unsupported(format!("index on {} vanished", right.name))
-                })?;
-            sort_merge_pairs(l_entries, r_entries.as_slice(), &mut matched);
-        }
+        sort_merge_pairs(&l_entries, &r_entries, &mut matched);
         // Phase two batch-fetches every distinct pointer (distinct
         // blocks decoded across workers) and materializes the matched
         // rows in pair order.

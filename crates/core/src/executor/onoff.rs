@@ -4,8 +4,8 @@
 //! ODBC/JDBC-shaped connection, pre-sorted on the join attribute; the
 //! on-chain side is pruned by the layered index's first level against
 //! the off-chain `(min, max)` range (continuous) or the OR of the
-//! distinct-value bitmaps (discrete), then each surviving block is
-//! sort-merge joined against the sorted off-chain rows using the
+//! distinct-value bitmaps (discrete), then the surviving blocks are
+//! sort-merge joined against the sorted off-chain rows using their
 //! second-level leaves.
 
 use super::hash::{assemble, KeyTable};
@@ -95,22 +95,20 @@ impl Executor<'_> {
                         ExecError::Unsupported(format!("index on {} vanished", on_table.name))
                     })?
                     .and(&mask);
-                // Lines 8–13: per-block sort-merge against the sorted
-                // off-chain rows. Phase one walks the sorted runs and
-                // collects matched (pointer, off-row range) pairs
-                // without touching storage.
+                // Lines 8–13: sort-merge against the sorted off-chain
+                // rows. Phase one walks the surviving blocks' sorted
+                // entries and collects matched (pointer, off-row range)
+                // pairs without touching storage.
+                let entries = self
+                    .ledger
+                    .with_layered(Some(&on_table.name), &index_name, |idx| {
+                        idx.sorted_entries(&blocks)
+                    })
+                    .ok_or_else(|| {
+                        ExecError::Unsupported(format!("index on {} vanished", on_table.name))
+                    })?;
                 let mut matched: Vec<(sebdb_storage::TxPtr, std::ops::Range<usize>)> = Vec::new();
-                for bid in blocks.iter_ones() {
-                    let entries = self
-                        .ledger
-                        .with_layered(Some(&on_table.name), &index_name, |idx| {
-                            idx.block_sorted_entries(bid as u64)
-                        })
-                        .ok_or_else(|| {
-                            ExecError::Unsupported(format!("index on {} vanished", on_table.name))
-                        })?;
-                    merge_block_with_off(&entries, &off_rows, off_col, &mut matched);
-                }
+                merge_with_off(&entries, &off_rows, off_col, &mut matched);
                 // Phase two batch-fetches every distinct pointer
                 // (distinct blocks decoded across workers) and
                 // materializes matched rows in merge order.
@@ -169,11 +167,11 @@ impl Executor<'_> {
     }
 }
 
-/// Sort-merge one block's sorted index entries against the sorted
-/// off-chain rows, collecting each matched pointer with the range of
-/// off-chain rows it joins — no storage reads; the caller batch-fetches
-/// all matched transactions grouped by block afterwards.
-fn merge_block_with_off(
+/// Sort-merge sorted index entries against the sorted off-chain rows,
+/// collecting each matched pointer with the range of off-chain rows it
+/// joins — no storage reads; the caller batch-fetches all matched
+/// transactions grouped by block afterwards.
+fn merge_with_off(
     entries: &[(Value, sebdb_storage::TxPtr)],
     off_rows: &[Vec<Value>],
     off_col: usize,

@@ -21,13 +21,16 @@ pub(super) struct RangeProbe {
     /// exact answer set (`p` of Eq. 3) in chain order; when the walk
     /// was abandoned it holds what had been collected by then.
     pub ptrs: Vec<TxPtr>,
-    /// Candidate blocks the second-level walk visited.
-    pub blocks_probed: u64,
-    /// First level ∧ window mask: blocks a layered answer must probe.
-    pub candidates: u64,
-    /// Candidates below the index's frozen height; each pages one
-    /// level-1 index block through the index-block cache.
-    pub frozen_candidates: u64,
+    /// Level-1 blocks of the index's frozen run that the predicate's
+    /// value range spans (0 when the index is fully resident): what the
+    /// layered path is charged for paging, known from the fences before
+    /// anything is read.
+    pub index_blocks: u64,
+    /// Matching index rows the probe looked at; `ptrs.len()` of them
+    /// lay in blocks inside the window. The frozen run is ordered by
+    /// value, so a narrow window over a wide range scans more rows
+    /// than it keeps — the probe's wasted work.
+    pub rows_scanned: u64,
     /// Blocks inside the window (`n` of Eq. 1).
     pub n: u64,
     /// Blocks inside the window holding the table (`k` of Eq. 2; left
@@ -108,18 +111,20 @@ impl Executor<'_> {
     /// tuple is read — and `p` is counted, for as long as the cost
     /// model still prefers the layered path at the count so far:
     ///
-    /// 1. `candidates = first level ∧ window mask`, computed once;
-    /// 2. if paging the frozen candidates' index blocks alone (`p = 0`)
-    ///    already loses to `min(cost_scan(n), cost_bitmap(k))`, the
-    ///    layered path is rejected unprobed;
-    /// 3. otherwise the second level is walked block by block and
-    ///    abandoned as soon as Eq. 3 at the pointers collected so far
-    ///    loses — the waste is at most the crossover the equations
-    ///    define (≈ 26 pointers per table block at the default
-    ///    [`sebdb_index::cost::CostParams`]);
-    /// 4. a walk that finishes is the layered answer, `p` exact.
+    /// 1. the level-1 blocks of the frozen run that the value range
+    ///    spans are counted from the fences (no I/O); if paging them
+    ///    alone (`p = 0`) already loses to
+    ///    `min(cost_scan(n), cost_bitmap(k))`, the layered path is
+    ///    rejected unprobed;
+    /// 2. otherwise one budgeted [`sebdb_index::LayeredIndex::probe`]
+    ///    under the window mask scans that run and searches the
+    ///    resident trees, and is abandoned as soon as Eq. 3 at the
+    ///    pointers kept so far loses — the waste is at most the
+    ///    crossover the equations define (≈ 26 pointers per table block
+    ///    at the default [`sebdb_index::cost::CostParams`]);
+    /// 3. a probe that finishes is the layered answer, `p` exact.
     ///
-    /// `Strategy::Layered` runs the same walk without the budget.
+    /// `Strategy::Layered` runs the same probe without the budget.
     /// Pointers come back sorted by `(block, position)`, so a layered
     /// answer is in chain order like the bitmap and scan answers.
     pub(super) fn probe_range(
@@ -153,9 +158,8 @@ impl Executor<'_> {
             path: cheaper_block_path,
             driver: None,
             ptrs: Vec::new(),
-            blocks_probed: 0,
-            candidates: 0,
-            frozen_candidates: 0,
+            index_blocks: 0,
+            rows_scanned: 0,
             n,
             k,
         };
@@ -169,36 +173,28 @@ impl Executor<'_> {
             // Without a usable layered index it is bitmap vs scan.
             return Ok(probe);
         };
-        // The cost model's verdict at `p` pointers; a forced layered
-        // query walks to the end whatever it costs.
-        let layered_holds = |p: usize, frozen: u64| {
-            strategy == Strategy::Layered
-                || self.cost.choose_paged(n, k, p as u64, frozen) == AccessPath::Layered
-        };
         self.ledger
             .with_layered(Some(&schema.name), &column_name, |idx| {
-                let cand = idx.candidate_blocks(&key_pred).and(mask);
-                let base = idx.frozen_height();
-                let frozen = cand.iter_ones().take_while(|&b| (b as u64) < base).count() as u64;
-                probe.candidates = cand.count_ones() as u64;
-                probe.frozen_candidates = frozen;
-                if !layered_holds(0, frozen) {
+                let spanned = idx.index_blocks_spanned(&key_pred);
+                probe.index_blocks = spanned;
+                // The cost model's verdict at `p` pointers; a forced
+                // layered query probes to the end whatever it costs.
+                let layered_holds = |p: usize| {
+                    strategy == Strategy::Layered
+                        || self.cost.choose_paged(n, k, p as u64, spanned) == AccessPath::Layered
+                };
+                if !layered_holds(0) {
                     return;
                 }
-                for bid in cand.iter_ones() {
-                    probe.ptrs.extend(idx.search_block(bid as u64, &key_pred));
-                    probe.blocks_probed += 1;
-                    if !layered_holds(probe.ptrs.len(), frozen) {
-                        return;
-                    }
+                let found = idx.probe(&key_pred, mask, layered_holds);
+                if found.complete {
+                    probe.path = Strategy::Layered;
                 }
-                probe.path = Strategy::Layered;
+                probe.ptrs = found.ptrs;
+                probe.rows_scanned = found.scanned;
             })
             .ok_or_else(|| ExecError::Unsupported(format!("index on {} vanished", schema.name)))?;
         probe.driver = Some((driver, column_name));
-        if probe.path == Strategy::Layered {
-            probe.ptrs.sort_unstable();
-        }
         Ok(probe)
     }
 

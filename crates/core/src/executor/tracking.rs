@@ -13,7 +13,6 @@ use sebdb_index::{Bitmap, KeyPredicate};
 use sebdb_sql::TraceSpec;
 use sebdb_storage::TxPtr;
 use sebdb_types::{BlockId, Timestamp, Value};
-use std::collections::HashSet;
 
 /// Internal transaction types (schema sync) are invisible to tracking.
 fn is_internal(tname: &str) -> bool {
@@ -97,35 +96,41 @@ impl Executor<'_> {
             Strategy::Layered => {
                 // Algorithm 1, lines 1–4: window mask ∧ first-level
                 // bitmaps of the SenID / Tname indexes.
+                let dims: Vec<(&str, KeyPredicate)> = [
+                    operator.map(|op| ("sen_id", Value::Bytes(op.as_bytes().to_vec()))),
+                    operation.map(|tname| ("tname", Value::str(tname))),
+                ]
+                .into_iter()
+                .flatten()
+                .map(|(column, v)| (column, KeyPredicate::Eq(v)))
+                .collect();
                 let mut mask = self.ledger.window_mask_at(window, height);
-                if let Some(op) = &operator {
-                    let pred = KeyPredicate::Eq(Value::Bytes(op.as_bytes().to_vec()));
+                for (column, pred) in &dims {
                     let b = self
                         .ledger
-                        .with_layered(None, "sen_id", |idx| idx.candidate_blocks(&pred))
+                        .with_layered(None, column, |idx| idx.candidate_blocks(pred))
                         .ok_or_else(|| {
-                            ExecError::Unsupported("system sen_id index missing".into())
+                            ExecError::Unsupported(format!("system {column} index missing"))
                         })?;
                     mask = mask.and(&b);
                 }
-                if let Some(tname) = operation {
-                    let pred = KeyPredicate::Eq(Value::str(tname));
-                    let b = self
+                // Lines 6–13: intersect the second-level pointer sets
+                // of the two indexes under the mask (each in chain
+                // order); then batch-read all surviving pointers at
+                // once (blocks fetched across workers) and materialize
+                // in pointer order.
+                let mut ptrs: Option<Vec<TxPtr>> = None;
+                for (column, pred) in &dims {
+                    let mut found = self
                         .ledger
-                        .with_layered(None, "tname", |idx| idx.candidate_blocks(&pred))
-                        .ok_or_else(|| {
-                            ExecError::Unsupported("system tname index missing".into())
-                        })?;
-                    mask = mask.and(&b);
+                        .with_layered(None, column, |idx| idx.search(pred, &mask))
+                        .unwrap_or_default();
+                    if let Some(other) = ptrs {
+                        found.retain(|p| other.binary_search(p).is_ok());
+                    }
+                    ptrs = Some(found);
                 }
-                // Lines 6–13: per block, intersect the second-level
-                // pointer sets of the two indexes; then batch-read all
-                // surviving pointers at once (blocks fetched across
-                // workers) and materialize in pointer order.
-                let mut ptrs: Vec<TxPtr> = Vec::new();
-                for bid in mask.iter_ones() {
-                    ptrs.extend(self.tracked_ptrs_in_block(bid as u64, &operator, operation));
-                }
+                let ptrs = ptrs.unwrap_or_default();
                 let txs = self.ledger.read_txs_grouped(&ptrs)?;
                 let rows = sebdb_parallel::par_map(&txs, sebdb_parallel::FLOOR_TUPLE, |tx| {
                     (in_window(tx.ts, window) && !is_internal(&tx.tname))
@@ -156,38 +161,6 @@ impl Executor<'_> {
             Strategy::Auto => unreachable!(),
         }
         Ok(out)
-    }
-
-    /// Second-level intersection for one block (Algorithm 1 lines 7–9).
-    fn tracked_ptrs_in_block(
-        &self,
-        bid: u64,
-        operator: &Option<KeyId>,
-        operation: Option<&str>,
-    ) -> Vec<TxPtr> {
-        let by_sender: Option<Vec<TxPtr>> = operator.as_ref().map(|op| {
-            let pred = KeyPredicate::Eq(Value::Bytes(op.as_bytes().to_vec()));
-            self.ledger
-                .with_layered(None, "sen_id", |idx| idx.search_block(bid, &pred))
-                .unwrap_or_default()
-        });
-        let by_tname: Option<Vec<TxPtr>> = operation.map(|tname| {
-            let pred = KeyPredicate::Eq(Value::str(tname));
-            self.ledger
-                .with_layered(None, "tname", |idx| idx.search_block(bid, &pred))
-                .unwrap_or_default()
-        });
-        let mut ptrs = match (by_sender, by_tname) {
-            (Some(a), Some(b)) => {
-                let set: HashSet<TxPtr> = a.into_iter().collect();
-                b.into_iter().filter(|p| set.contains(p)).collect()
-            }
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => Vec::new(),
-        };
-        ptrs.sort();
-        ptrs
     }
 
     fn scan_blocks_for_trace(

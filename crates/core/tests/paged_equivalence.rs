@@ -14,8 +14,9 @@
 use sebdb::{ApplyPipeline, Executor, Ledger, QueryResult, SchemaManager, Strategy};
 use sebdb_consensus::OrderedBlock;
 use sebdb_crypto::sig::{KeyId, MacKeypair};
+use sebdb_index::{Bitmap, KeyPredicate};
 use sebdb_sql::{BoundPredicate, BoundPredicateKind, CompareOp, LogicalPlan};
-use sebdb_storage::{BlockStore, StoreConfig};
+use sebdb_storage::{BlockStore, StoreConfig, TxPtr};
 use sebdb_types::{Codec, Column, DataType, TableSchema, Transaction, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -386,5 +387,269 @@ fn open_replays_only_the_tail_behind_checkpoints() {
         "checkpointed open replayed {block_reads} block(s); expected at most the tip read"
     );
     assert!(ledger.index_memory_bytes() > 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Appends `blocks` one by one on the caller's thread. With `freeze_at`
+/// the `donate3`/`donate4` amount indexes are created and every family
+/// is frozen just before that block, so what follows is a resident
+/// tail behind a frozen prefix.
+fn append_all(
+    store: Arc<BlockStore>,
+    blocks: &[OrderedBlock],
+    freeze_at: Option<u64>,
+) -> (Ledger, SchemaManager) {
+    let ledger = Ledger::new(store, signer()).unwrap();
+    let schemas = SchemaManager::new(None);
+    for b in blocks {
+        if freeze_at == Some(b.seq) {
+            index_amount(&ledger, &schemas);
+            assert!(ledger.checkpoint_indexes().unwrap() > 0);
+        }
+        schemas.apply_block(&ledger.append_ordered(b.clone()).unwrap());
+    }
+    index_amount(&ledger, &schemas);
+    (ledger, schemas)
+}
+
+/// What the executors ask a layered index: `search` under a block mask
+/// and `sorted_entries` of a block set.
+type IndexAnswers = Vec<(String, Vec<TxPtr>, Vec<(Value, TxPtr)>)>;
+
+/// `Eq` and `Range` on a continuous and on both discrete indexes × no
+/// mask, a sparse mask and a mask crossing block `seam`.
+fn index_answers(ledger: &Ledger, seam: usize) -> IndexAnswers {
+    let range = |lo, hi| KeyPredicate::Range(Value::decimal(lo), Value::decimal(hi));
+    let probes = [
+        (
+            Some("donate3"),
+            "amount",
+            KeyPredicate::Eq(Value::decimal(42)),
+        ),
+        (Some("donate3"), "amount", range(10, 60)),
+        (Some("donate4"), "amount", range(42, 42)),
+        (None, "tname", KeyPredicate::Eq(Value::str("donate3"))),
+        (
+            None,
+            "tname",
+            KeyPredicate::Range(Value::str("donate2"), Value::str("donate5")),
+        ),
+        (
+            None,
+            "sen_id",
+            KeyPredicate::Eq(Value::Bytes(SENDER.as_bytes().to_vec())),
+        ),
+    ];
+    let masks = [
+        ("all", (0..BLOCKS as usize).collect::<Bitmap>()),
+        ("sparse", (0..BLOCKS as usize).step_by(7).collect()),
+        ("seam", (seam - 6..seam + 6).collect()),
+    ];
+    let mut out = Vec::new();
+    for (table, column, pred) in &probes {
+        for (mask_name, mask) in &masks {
+            let name = format!("{table:?}.{column} {pred:?} under {mask_name}");
+            let (found, entries) = ledger
+                .with_layered(*table, column, |idx| {
+                    (idx.search(pred, mask), idx.sorted_entries(mask))
+                })
+                .unwrap_or_else(|| panic!("no index for {name}"));
+            assert!(found.iter().all(|p| mask.get(p.block as usize)), "{name}");
+            assert!(found.windows(2).all(|w| w[0] < w[1]), "{name}: chain order");
+            out.push((name, found, entries));
+        }
+    }
+    out
+}
+
+/// The index calls under the executors — a frozen value-ordered run
+/// merged with resident per-block trees — return what the fully
+/// resident per-block trees return, as ordered vectors: duplicate
+/// values across blocks, masks on either side of and across the seam,
+/// and an index-block cache from unbounded down to one block.
+#[test]
+fn search_and_sorted_entries_match_the_resident_index() {
+    // `donate3` has rows in blocks 30..80 and `donate4` in 40..90: both
+    // indexes are populated on either side of the seam.
+    const SEAM: u64 = 60;
+    let blocks = mixed_blocks(BLOCKS);
+    let (reference, _) = append_all(Arc::new(BlockStore::in_memory()), &blocks, None);
+    let want = index_answers(&reference, SEAM as usize);
+    let hits = |name: &str| {
+        let found = want.iter().find(|(n, ..)| n.contains(name)).unwrap();
+        found.1.len()
+    };
+    assert!(hits("Eq(Decimal(420000)) under all") > 1, "no duplicates");
+    assert!(hits("Range(Decimal(100000), Decimal(600000)) under seam") > 1);
+    for cache_blocks in [0, 1, 8] {
+        let dir = std::env::temp_dir().join(format!(
+            "sebdb-pagedeq-seam-c{cache_blocks}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = StoreConfig {
+            sync_writes: false,
+            index_cache_blocks: Some(cache_blocks),
+            ..StoreConfig::default()
+        };
+        let store = Arc::new(BlockStore::open(&dir, cfg).unwrap());
+        let (paged, _) = append_all(Arc::clone(&store), &blocks, Some(SEAM));
+        // A frozen prefix up to the seam, a resident tail past it.
+        let family = sebdb_index::family_layered(Some("donate3"), "app1");
+        let frozen = store.load_index_checkpoint(&family).unwrap();
+        assert_eq!(frozen.map(|r| r.height()), Some(SEAM));
+        let covered = paged.with_layered(Some("donate3"), "amount", |idx| idx.covered());
+        assert_eq!(covered, Some(BLOCKS));
+        store.stats.reset();
+        let got = index_answers(&paged, SEAM as usize);
+        assert!(
+            store.stats.index_cache_counts().1 > 0,
+            "cache {cache_blocks}: nothing was paged"
+        );
+        for (want, got) in want.iter().zip(&got) {
+            assert_eq!(want, got, "cache {cache_blocks}: {}", want.0);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A chain of `blocks` five-tuple `donate` blocks whose amounts are a
+/// permutation of `0..blocks * 5`, every index frozen, reopened so the
+/// index-block cache is cold. Returns the index-block misses of one
+/// probe for the twenty amounts `1000..=1019` under the whole-chain
+/// mask, and how many pointers it found.
+fn cold_probe_misses(blocks: u64) -> (u64, usize) {
+    let dir = std::env::temp_dir().join(format!(
+        "sebdb-pagedeq-shape-{blocks}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = StoreConfig {
+        sync_writes: false,
+        ..StoreConfig::default()
+    };
+    let schema = donate_schema(0);
+    let rows = blocks * 5;
+    {
+        let store = Arc::new(BlockStore::open(&dir, cfg.clone()).unwrap());
+        let ledger = Ledger::new(store, signer()).unwrap();
+        for seq in 0..blocks {
+            let txs = (0..5)
+                .map(|i| {
+                    // 7919 is prime and `rows` is 2^a·5^b: a permutation.
+                    let amount = (seq * 5 + i) * 7919 % rows;
+                    let values = vec![Value::str("d"), Value::decimal(amount as i64)];
+                    let mut tx = Transaction::new(10_000 + seq, SENDER, &schema.name, values);
+                    tx.tid = seq * 5 + i + 1;
+                    tx
+                })
+                .collect();
+            let timestamp_ms = 10_000 + seq;
+            ledger
+                .append_ordered(OrderedBlock {
+                    seq,
+                    timestamp_ms,
+                    txs,
+                })
+                .unwrap();
+        }
+        ledger
+            .create_layered_index(&schema, "amount", None)
+            .unwrap();
+        assert!(ledger.checkpoint_indexes().unwrap() > 0);
+    }
+    let store = Arc::new(BlockStore::open(&dir, cfg).unwrap());
+    let ledger = Ledger::new(Arc::clone(&store), signer()).unwrap();
+    ledger
+        .create_layered_index(&schema, "amount", None)
+        .unwrap();
+    let mask = ledger.window_mask(None);
+    let pred = KeyPredicate::Range(Value::decimal(1000), Value::decimal(1019));
+    store.stats.reset();
+    let found = ledger
+        .with_layered(Some(&schema.name), "amount", |idx| {
+            idx.probe(&pred, &mask, |_| true)
+        })
+        .unwrap();
+    assert!(found.complete);
+    assert_eq!(found.scanned, 20, "the whole-chain mask keeps every row");
+    let misses = store.stats.index_cache_counts().1;
+    let _ = std::fs::remove_dir_all(&dir);
+    (misses, found.ptrs.len())
+}
+
+/// The frozen probe reads the index blocks its answer spans — one or
+/// two for twenty adjacent values — and a chain twice as long reads
+/// exactly as many. (Per-block entries read one per chain block.)
+#[test]
+fn a_frozen_range_probe_reads_what_it_returns_not_the_chain() {
+    let (misses, rows) = cold_probe_misses(2_000);
+    assert_eq!(rows, 20);
+    assert!(
+        (1..=2).contains(&misses),
+        "{misses} index blocks for 20 rows"
+    );
+    assert_eq!(cold_probe_misses(4_000), (misses, 20));
+}
+
+/// A checkpoint in the previous layout (magic `SEBDBIX1`: per-block
+/// entry lists, fixed-width lengths) is not migrated: it fails `open`
+/// as corrupt, is deleted, and the families replay the chain — after
+/// which every suite answers as it did before.
+#[test]
+fn an_old_format_checkpoint_is_deleted_and_replayed() {
+    let blocks = mixed_blocks(60);
+    let dir = std::env::temp_dir().join(format!("sebdb-pagedeq-heal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = StoreConfig {
+        sync_writes: false,
+        ..StoreConfig::default()
+    };
+    let want = {
+        let store = Arc::new(BlockStore::open(&dir, cfg.clone()).unwrap());
+        let (ledger, schemas) = append_all(store, &blocks, None);
+        assert!(ledger.checkpoint_indexes().unwrap() > 0);
+        run_suites(&Executor::new(&ledger, None), &schemas)
+    };
+    let icps = || -> Vec<std::path::PathBuf> {
+        std::fs::read_dir(dir.join("indexcp"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "icp"))
+            .collect()
+    };
+    let published = icps();
+    assert!(published.len() >= 8, "{} checkpoints", published.len());
+    for path in &published {
+        let mut bytes = std::fs::read(path).unwrap();
+        let end = bytes.len();
+        assert_eq!(&bytes[..8], b"SEBDBIX2");
+        bytes[..8].copy_from_slice(b"SEBDBIX1");
+        bytes[end - 8..].copy_from_slice(b"SEBDBIX1");
+        std::fs::write(path, bytes).unwrap();
+    }
+    let store = Arc::new(BlockStore::open(&dir, cfg.clone()).unwrap());
+    store.stats.reset();
+    let ledger = Ledger::new(Arc::clone(&store), signer()).unwrap();
+    assert!(
+        store.stats.snapshot().0 >= 60,
+        "the open did not replay the chain"
+    );
+    let schemas = SchemaManager::new(None);
+    for bid in 0..ledger.height() {
+        schemas.apply_block(&ledger.read_block(bid).unwrap());
+    }
+    index_amount(&ledger, &schemas);
+    assert_eq!(icps(), Vec::<std::path::PathBuf>::new());
+    let got = run_suites(&Executor::new(&ledger, None), &schemas);
+    assert_suites_match(&want, &got, "healed");
+    // The next checkpoint is written in the current layout and reopens.
+    assert!(ledger.checkpoint_indexes().unwrap() >= published.len());
+    drop((ledger, store));
+    let store = Arc::new(BlockStore::open(&dir, cfg).unwrap());
+    let ledger = Ledger::new(store, signer()).unwrap();
+    index_amount(&ledger, &schemas);
+    let got = run_suites(&Executor::new(&ledger, None), &schemas);
+    assert_suites_match(&want, &got, "re-frozen");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -109,6 +109,31 @@ impl Bitmap {
         })
     }
 
+    /// Position of the first bit at or after `from` that is `set`.
+    fn next_bit(&self, from: usize, set: bool) -> Option<usize> {
+        let mut mask = !0u64 << (from % 64);
+        for (wi, &w) in self.words.iter().enumerate().skip(from / 64) {
+            let hits = if set { w } else { !w } & mask;
+            if hits != 0 {
+                return Some(wi * 64 + hits.trailing_zeros() as usize);
+            }
+            mask = !0;
+        }
+        None
+    }
+
+    /// The maximal runs of consecutive set bits as inclusive
+    /// `(first, last)` pairs, ascending — a word at a time, so a dense
+    /// mask costs its words, not its bits.
+    pub fn runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let mut from = 0;
+        std::iter::from_fn(move || {
+            let first = self.next_bit(from, true)?;
+            from = self.next_bit(first, false).unwrap_or(self.words.len() * 64);
+            Some((first, from - 1))
+        })
+    }
+
     /// Sets all bits in `[lo, hi]` (inclusive). Used to build the
     /// time-window block mask from the block-level index.
     pub fn set_range(&mut self, lo: usize, hi: usize) {
@@ -195,6 +220,16 @@ mod tests {
     }
 
     #[test]
+    fn runs_cross_word_boundaries() {
+        let mut b = Bitmap::from_bits([0, 2, 3]);
+        b.set_range(60, 130);
+        b.set(191);
+        let runs: Vec<_> = b.runs().collect();
+        assert_eq!(runs, vec![(0, 0), (2, 3), (60, 130), (191, 191)]);
+        assert_eq!(Bitmap::new().runs().count(), 0);
+    }
+
+    #[test]
     fn empty_checks() {
         assert!(Bitmap::new().is_empty());
         assert!(Bitmap::with_capacity(100).is_empty());
@@ -213,6 +248,10 @@ mod tests {
             prop_assert_eq!(a.or(&b).iter_ones().collect::<std::collections::HashSet<_>>(), or);
             prop_assert_eq!(a.intersects(&b), !and.is_empty());
             prop_assert_eq!(a.count_ones(), bits.len());
+            let runs: Vec<(usize, usize)> = a.runs().collect();
+            let covered: Vec<usize> = runs.iter().flat_map(|&(f, l)| f..=l).collect();
+            prop_assert_eq!(covered, a.iter_ones().collect::<Vec<_>>());
+            prop_assert!(runs.windows(2).all(|w| w[0].1 + 1 < w[1].0), "runs must be maximal");
         }
     }
 }

@@ -20,6 +20,13 @@
 //! window from the block-level index) to prune blocks, then use the
 //! per-block trees to fetch exactly the matching transactions.
 //!
+//! The per-block trees buy cheap appends, and the resident tail keeps
+//! them. Freezing a [`LayeredIndex`] merges them into one key per row,
+//! ordered `(value, block, position)`: the same rows, so the same
+//! answers, but a probe reads the index blocks its answer spans however
+//! long the chain. An authenticated index stays per block when frozen,
+//! as its proofs are (§VI).
+//!
 //! **Paged backend** (DESIGN §13): the index can carry a frozen
 //! on-disk checkpoint covering blocks `[0, base)`; the structures here
 //! then hold only the tail `[base, covered)`, indexed relative to
@@ -32,14 +39,15 @@ use crate::bitmap::Bitmap;
 use crate::bptree::BPlusTree;
 use crate::histogram::EqualDepthHistogram;
 use crate::paged::{
-    bid_key, bitmap_bytes, bitmap_from_bytes, bucket_key, column_slug, decode_fail,
-    decode_value_key, entries_bytes, entries_from_bytes, family_layered, frozen_bitmap, read_fail,
+    bid_key, bitmap_bytes, bitmap_from_bytes, bucket_key, column_slug, decode_entry_key,
+    decode_fail, decode_value_key, entry_key, entry_ptr, family_layered, frozen_bitmap, read_fail,
     value_key, value_resident_bytes, CheckpointBuilder, TAG_ALL_BLOCKS, TAG_BLOCK_BUCKETS,
-    TAG_BLOCK_ENTRIES, TAG_VALUE_BLOCKS,
+    TAG_ENTRY, TAG_VALUE_BLOCKS,
 };
 use sebdb_storage::{IndexCheckpoint, PagedIndexReader, TxPtr};
 use sebdb_types::{Block, BlockId, ColumnRef, Decoder, Encoder, Transaction, TypeError, Value};
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 
 /// Order of second-level trees: sized so a 4 KB page holds one node of
 /// ~64-byte entries (the paper's MB-tree page size, §VII-A).
@@ -256,15 +264,6 @@ impl<S: SecondLevel> Layered<S> {
         self.base() + self.second.len() as u64
     }
 
-    /// Height of the frozen prefix: probes into blocks below this page
-    /// on-disk index blocks through the index-block cache; `0` when the
-    /// index is fully resident. The planner uses this to charge the
-    /// paged access path (Eq. 3's transfer term applied to the index
-    /// itself).
-    pub fn frozen_height(&self) -> u64 {
-        self.base()
-    }
-
     /// The family name of this index's checkpoint file.
     pub fn family(&self) -> Vec<u8> {
         S::family(self.table.as_deref(), &column_slug(&self.column))
@@ -393,16 +392,7 @@ impl<S: SecondLevel> Layered<S> {
     /// The absolute block bitmap of one discrete value, merged across
     /// the frozen checkpoint and the tail.
     fn value_blocks(&self, v: &Value) -> Bitmap {
-        let mut out = match &self.frozen {
-            Some(f) => frozen_bitmap(f, "layered value bitmap", &value_key(v)),
-            None => Bitmap::new(),
-        };
-        if let FirstLevel::Discrete { per_value } = &self.first {
-            if let Some(bits) = per_value.get(v) {
-                out.or_assign_shifted(bits, self.base() as usize);
-            }
-        }
-        out
+        self.candidate_blocks(&KeyPredicate::Eq(v.clone()))
     }
 
     /// Visits every distinct discrete value with its merged absolute
@@ -420,10 +410,11 @@ impl<S: SecondLevel> Layered<S> {
                     bits.or_assign_shifted(tail, base);
                 }
                 f(&v, &bits);
+                ControlFlow::Continue(())
             };
             read_fail(
                 "layered value sweep",
-                frozen.scan_prefix(&[TAG_VALUE_BLOCKS], &mut |k, v| visit(k, v)),
+                frozen.scan_prefix(&[TAG_VALUE_BLOCKS], &mut visit),
             );
             // Tail-only values follow; frozen values were all merged
             // above, so skip any tail value the checkpoint already has.
@@ -445,54 +436,77 @@ impl<S: SecondLevel> Layered<S> {
         }
     }
 
-    /// First-level filter: blocks that may contain values matching
-    /// `pred` ("blocks without query results are filtered").
-    pub fn candidate_blocks(&self, pred: &KeyPredicate) -> Bitmap {
+    /// The histogram buckets a predicate's bounds cover (`None` for a
+    /// non-numeric probe, which a histogram cannot prune).
+    fn buckets_for(
+        hist: &EqualDepthHistogram,
+        pred: &KeyPredicate,
+    ) -> Option<std::ops::RangeInclusive<usize>> {
+        let (lo, hi) = pred.bounds();
+        Some(hist.buckets_for_range(lo.numeric_rank()?, hi.numeric_rank()?))
+    }
+
+    /// First-level filter over the resident tail alone: tail blocks
+    /// that may contain values matching `pred`.
+    fn tail_candidates(&self, pred: &KeyPredicate) -> Bitmap {
+        let base = self.base() as usize;
+        let mut out = Bitmap::new();
         match &self.first {
             FirstLevel::Continuous { hist, entries } => {
-                let (lo, hi) = pred.bounds();
-                let (Some(lo_r), Some(hi_r)) = (lo.numeric_rank(), hi.numeric_rank()) else {
-                    // Non-numeric probe on a continuous index: no pruning.
-                    return self.all_blocks();
-                };
-                let range = hist.buckets_for_range(lo_r, hi_r);
+                // A non-numeric probe is not pruned: every bucket.
+                let all = 0..=hist.bucket_count();
+                let range = Self::buckets_for(hist, pred).unwrap_or(all);
                 let mut probe = Bitmap::with_capacity(hist.bucket_count());
                 probe.set_range(*range.start(), *range.end());
-                let mut out = Bitmap::new();
-                if let Some(f) = &self.frozen {
-                    // The inverted bucket→blocks entries answer the
-                    // frozen half in O(buckets in range) block reads.
-                    for bucket in range {
-                        out.or_assign(&frozen_bitmap(
-                            f,
-                            "layered bucket bitmap",
-                            &bucket_key(bucket),
-                        ));
-                    }
-                }
-                let base = self.base() as usize;
                 for (slot, entry) in entries.iter().enumerate() {
-                    if let Some(e) = entry {
-                        if e.intersects(&probe) {
-                            out.set(base + slot);
-                        }
+                    if entry.as_ref().is_some_and(|e| e.intersects(&probe)) {
+                        out.set(base + slot);
                     }
                 }
-                out
             }
-            FirstLevel::Discrete { .. } => match pred {
-                KeyPredicate::Eq(v) => self.value_blocks(v),
-                KeyPredicate::Range(lo, hi) => {
-                    let mut out = Bitmap::new();
-                    self.for_each_value(|v, bits| {
-                        if v >= lo && v <= hi {
-                            out.or_assign(bits);
-                        }
-                    });
-                    out
+            FirstLevel::Discrete { per_value } => match pred {
+                KeyPredicate::Eq(v) => {
+                    if let Some(bits) = per_value.get(v) {
+                        out.or_assign_shifted(bits, base);
+                    }
+                }
+                KeyPredicate::Range(..) => {
+                    for (_, bits) in per_value.iter().filter(|(v, _)| pred.matches(v)) {
+                        out.or_assign_shifted(bits, base);
+                    }
                 }
             },
         }
+        out
+    }
+
+    /// First-level filter: blocks that may contain values matching
+    /// `pred` ("blocks without query results are filtered").
+    pub fn candidate_blocks(&self, pred: &KeyPredicate) -> Bitmap {
+        let mut out = self.tail_candidates(pred);
+        let Some(f) = &self.frozen else {
+            return out;
+        };
+        let mut or = |what, key: &[u8]| out.or_assign(&frozen_bitmap(f, what, key));
+        match (&self.first, pred) {
+            // The inverted bucket→blocks entries answer the frozen
+            // half in O(buckets in range) block reads.
+            (FirstLevel::Continuous { hist, .. }, _) => match Self::buckets_for(hist, pred) {
+                Some(range) => range.for_each(|b| or("layered bucket bitmap", &bucket_key(b))),
+                None => or("layered all-blocks bitmap", &[TAG_ALL_BLOCKS]),
+            },
+            (_, KeyPredicate::Eq(v)) => or("layered value bitmap", &value_key(v)),
+            (_, KeyPredicate::Range(..)) => read_fail(
+                "layered value sweep",
+                f.scan_prefix(&[TAG_VALUE_BLOCKS], &mut |key, bytes| {
+                    if pred.matches(&decode_value_key(key)) {
+                        out.or_assign(&bitmap_from_bytes(bytes));
+                    }
+                    ControlFlow::Continue(())
+                }),
+            ),
+        }
+        out
     }
 
     /// Blocks containing any indexed transaction — the
@@ -655,7 +669,7 @@ impl<S: SecondLevel> Layered<S> {
     pub fn blocks_for_values<'a>(&self, values: impl Iterator<Item = &'a Value>) -> Bitmap {
         let mut out = Bitmap::new();
         for v in values {
-            out.or_assign(&self.candidate_blocks(&KeyPredicate::Eq(v.clone())));
+            out.or_assign(&self.value_blocks(v));
         }
         out
     }
@@ -754,9 +768,12 @@ impl SecondLevel for BPlusTree<Value, TxPtr> {
         BPlusTree::bulk_load(width, keyed)
     }
 
-    fn checkpoint_entries(&self, bid: BlockId, cp: &mut CheckpointBuilder) {
-        let entries: Vec<(Value, TxPtr)> = self.iter().map(|(k, p)| (k.clone(), *p)).collect();
-        cp.put(bid_key(TAG_BLOCK_ENTRIES, bid), entries_bytes(&entries));
+    /// One key per row: merged with every other block's, they are the
+    /// frozen value-ordered run.
+    fn checkpoint_entries(&self, _bid: BlockId, cp: &mut CheckpointBuilder) {
+        for (value, ptr) in self.iter() {
+            cp.put(entry_key(value, *ptr), Vec::new());
+        }
     }
 
     fn memory_bytes(&self) -> usize {
@@ -766,36 +783,170 @@ impl SecondLevel for BPlusTree<Value, TxPtr> {
     }
 }
 
+/// What [`LayeredIndex::probe`] found.
+#[derive(Debug, Default)]
+pub struct Probe {
+    /// Pointers to the matching rows inside the block mask: all of
+    /// them, in chain order, when `complete`; those collected before
+    /// the budget ran out otherwise.
+    pub ptrs: Vec<TxPtr>,
+    /// Matching index rows looked at, inside the mask or not. The
+    /// frozen run is ordered by value, not by block, so a narrow mask
+    /// over a wide value range scans rows it does not keep.
+    pub scanned: u64,
+    /// Whether the probe ran to the end.
+    pub complete: bool,
+}
+
 impl LayeredIndex {
-    /// Second-level search within one block: pointers to transactions
-    /// whose value matches `pred`, in value order.
-    pub fn search_block(&self, bid: BlockId, pred: &KeyPredicate) -> Vec<TxPtr> {
+    /// The two ends of the frozen run's keys for `pred` within blocks
+    /// `b0..=b1`.
+    fn run_bounds(pred: &KeyPredicate, b0: u64, b1: u64) -> (Vec<u8>, Vec<u8>) {
         let (lo, hi) = pred.bounds();
+        let at = |block, index| TxPtr { block, index };
+        (entry_key(lo, at(b0, 0)), entry_key(hi, at(b1, u32::MAX)))
+    }
+
+    /// The frozen block intervals a probe under the mask `blocks`
+    /// seeks. Keys order `(value, block)`: for one value every run of
+    /// set bits is one contiguous stretch of keys, so an `Eq` probe
+    /// costs its mask, not the value's rows; a range of values
+    /// interleaves blocks, so it is one stretch from the first masked
+    /// block to the last, filtered by the mask.
+    fn frozen_runs(&self, pred: &KeyPredicate, blocks: &Bitmap) -> Vec<(u64, u64)> {
+        let base = self.base();
+        let mut runs = blocks
+            .runs()
+            .map(|(first, last)| (first as u64, last as u64))
+            .take_while(|&(first, _)| first < base)
+            .map(|(first, last)| (first, last.min(base - 1)));
+        match pred {
+            KeyPredicate::Eq(_) => runs.collect(),
+            KeyPredicate::Range(..) => {
+                let Some((first, last)) = runs.next() else {
+                    return Vec::new();
+                };
+                vec![(first, runs.last().map_or(last, |(_, last)| last))]
+            }
+        }
+    }
+
+    /// Second-level search under a block mask and a budget: pointers to
+    /// the rows of the blocks set in `blocks` whose value matches
+    /// `pred`. `holds(p)` is asked as pointers are kept (`p` of them so
+    /// far: after each one off the frozen run, after each resident
+    /// tree's) and ends the probe by answering `false`.
+    ///
+    /// The frozen half is a scan of the value-ordered run filtered by
+    /// the mask — it reads the index blocks the answer spans and never
+    /// consults the first level; the tail half asks the first level
+    /// which resident trees can match and searches those.
+    pub fn probe(
+        &self,
+        pred: &KeyPredicate,
+        blocks: &Bitmap,
+        mut holds: impl FnMut(usize) -> bool,
+    ) -> Probe {
+        let mut probe = Probe::default();
+        if let Some(f) = &self.frozen {
+            for (b0, b1) in self.frozen_runs(pred, blocks) {
+                let (from, to) = Self::run_bounds(pred, b0, b1);
+                let mut flow = ControlFlow::Continue(());
+                let mut visit = |key: &[u8], _: &[u8]| {
+                    probe.scanned += 1;
+                    let ptr = entry_ptr(key);
+                    if blocks.get(ptr.block as usize) {
+                        probe.ptrs.push(ptr);
+                        if !holds(probe.ptrs.len()) {
+                            flow = ControlFlow::Break(());
+                        }
+                    }
+                    flow
+                };
+                read_fail(
+                    "layered run scan",
+                    f.scan_range(&from, Some(&to), &mut visit),
+                );
+                if flow.is_break() {
+                    return probe;
+                }
+            }
+        }
+        let (lo, hi) = pred.bounds();
+        for bid in self.tail_candidates(pred).and(blocks).iter_ones() {
+            let before = probe.ptrs.len();
+            self.tree_hits(bid as BlockId, lo, hi, &mut probe.ptrs);
+            let hits = probe.ptrs.len() - before;
+            probe.scanned += hits as u64;
+            if hits > 0 && !holds(probe.ptrs.len()) {
+                return probe;
+            }
+        }
+        probe.ptrs.sort_unstable();
+        probe.complete = true;
+        probe
+    }
+
+    /// Appends block `bid`'s resident matches for `[lo, hi]` to `out`.
+    /// Its own small function on purpose: inlined into `probe`'s loop
+    /// the tree descent compiled ≈ 9 ns per tree slower, which 160
+    /// resident candidate trees turn into 8 % of a point query.
+    fn tree_hits(&self, bid: BlockId, lo: &Value, hi: &Value, out: &mut Vec<TxPtr>) {
         if let Some(tree) = self.tail_tree(bid) {
-            return tree.range(Some(lo), Some(hi)).map(|(_, p)| *p).collect();
+            out.extend(tree.range(Some(lo), Some(hi)).map(|(_, p)| *p));
         }
-        let entries = self.frozen_block_entries(bid);
-        let start = entries.partition_point(|(v, _)| v < lo);
-        let end = entries.partition_point(|(v, _)| v <= hi);
-        entries[start..end].iter().map(|(_, p)| *p).collect()
     }
 
-    /// One frozen block's sorted second-level entries (empty when the
-    /// block holds none).
-    fn frozen_block_entries(&self, bid: BlockId) -> Vec<(Value, TxPtr)> {
-        self.frozen_entry(TAG_BLOCK_ENTRIES, bid)
-            .map(|bytes| entries_from_bytes(&bytes))
-            .unwrap_or_default()
+    /// [`Self::probe`] without a budget: every matching pointer inside
+    /// `blocks`, in chain order.
+    pub fn search(&self, pred: &KeyPredicate, blocks: &Bitmap) -> Vec<TxPtr> {
+        self.probe(pred, blocks, |_| true).ptrs
     }
 
-    /// All (value, pointer) pairs of one block in value order — the
-    /// sorted leaf scan the per-block sort-merge joins rely on
-    /// ("transactions are sorted at the leaf level").
-    pub fn block_sorted_entries(&self, bid: BlockId) -> Vec<(Value, TxPtr)> {
-        match self.tail_tree(bid) {
-            Some(tree) => tree.iter().map(|(k, p)| (k.clone(), *p)).collect(),
-            None => self.frozen_block_entries(bid),
+    /// Second-level search within one block.
+    pub fn search_block(&self, bid: BlockId, pred: &KeyPredicate) -> Vec<TxPtr> {
+        self.search(pred, &Bitmap::from_bits([bid as usize]))
+    }
+
+    /// Level-1 index blocks of the frozen run that a probe for `pred`
+    /// reads at most, from the fences alone (0 when fully resident) —
+    /// what the planner charges the layered path before probing.
+    pub fn index_blocks_spanned(&self, pred: &KeyPredicate) -> u64 {
+        self.frozen.as_ref().map_or(0, |f| {
+            let (from, to) = Self::run_bounds(pred, 0, u64::MAX);
+            f.blocks_spanned(&from, &to) as u64
+        })
+    }
+
+    /// All (value, pointer) pairs of the blocks set in `blocks`, in
+    /// `(value, block, position)` order — the sorted leaf scan the
+    /// sort-merge joins rely on ("transactions are sorted at the leaf
+    /// level"): one sweep of the frozen run filtered by the mask, the
+    /// masked tail trees merged in.
+    pub fn sorted_entries(&self, blocks: &Bitmap) -> Vec<(Value, TxPtr)> {
+        let mut out = Vec::new();
+        let base = self.base();
+        // No sweep of the run for a mask wholly inside the tail.
+        let masked = blocks.iter_ones().next().is_some_and(|b| (b as u64) < base);
+        if let Some(f) = self.frozen.as_ref().filter(|_| masked) {
+            read_fail(
+                "layered run sweep",
+                f.scan_prefix(&[TAG_ENTRY], &mut |key, _| {
+                    if blocks.get(entry_ptr(key).block as usize) {
+                        out.push(decode_entry_key(key));
+                    }
+                    ControlFlow::Continue(())
+                }),
+            );
         }
+        for (slot, tree) in self.second.iter().enumerate() {
+            if let Some(tree) = tree.as_ref().filter(|_| blocks.get(base as usize + slot)) {
+                out.extend(tree.iter().map(|(k, p)| (k.clone(), *p)));
+            }
+        }
+        // The sweep is already in order and every tree is a sorted run.
+        out.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        out
     }
 }
 
@@ -943,10 +1094,50 @@ mod tests {
     fn sorted_entries_are_sorted() {
         let mut idx = amount_index();
         idx.update(&block(0, &[30, 10, 20, 40, 5], "donate"));
-        let entries = idx.block_sorted_entries(0);
-        assert_eq!(entries.len(), 5);
-        assert!(entries.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert!(idx.block_sorted_entries(7).is_empty());
+        idx.update(&block(1, &[20, 7], "donate"));
+        let all = Bitmap::from_bits([0, 1, 7]);
+        let entries = idx.sorted_entries(&all);
+        assert_eq!(entries.len(), 7);
+        assert!(entries.windows(2).all(|w| w[0] <= w[1]));
+        // Equal values of different blocks are adjacent, chain order.
+        let twenties: Vec<u64> = entries
+            .iter()
+            .filter(|(v, _)| *v == Value::decimal(20))
+            .map(|(_, p)| p.block)
+            .collect();
+        assert_eq!(twenties, vec![0, 1]);
+        assert_eq!(idx.sorted_entries(&Bitmap::from_bits([1])).len(), 2);
+        assert!(idx.sorted_entries(&Bitmap::from_bits([7])).is_empty());
+    }
+
+    #[test]
+    fn search_honours_the_mask_and_the_budget() {
+        let mut idx = amount_index();
+        idx.update(&block(0, &[10, 20, 30], "donate"));
+        idx.update(&block(1, &[25, 15], "donate"));
+        idx.update(&block(2, &[20], "donate"));
+        let pred = KeyPredicate::Range(Value::decimal(15), Value::decimal(25));
+        let at = |block, index| TxPtr { block, index };
+        let all = Bitmap::from_bits([0, 1, 2]);
+        // Chain order, whatever order the values come in.
+        assert_eq!(
+            idx.search(&pred, &all),
+            vec![at(0, 1), at(1, 0), at(1, 1), at(2, 0)]
+        );
+        assert_eq!(
+            idx.search(&pred, &Bitmap::from_bits([0, 2])),
+            vec![at(0, 1), at(2, 0)]
+        );
+        assert_eq!(idx.search_block(1, &pred), vec![at(1, 0), at(1, 1)]);
+        // A budget of two pointers stops the probe after the tree
+        // that brings the third.
+        let cut = idx.probe(&pred, &all, |p| p <= 2);
+        assert!(!cut.complete);
+        assert_eq!(cut.ptrs.len(), 3);
+        let whole = idx.probe(&pred, &all, |_| true);
+        assert!(whole.complete);
+        assert_eq!((whole.ptrs.len(), whole.scanned), (4, 4));
+        assert_eq!(idx.index_blocks_spanned(&pred), 0, "nothing is frozen");
     }
 
     #[test]
@@ -987,7 +1178,7 @@ mod tests {
         assert_eq!(cp.family, family_layered(Some("donate"), "app2"));
         // Sorted, unique keys — the checkpoint writer's contract.
         assert!(cp.entries.windows(2).all(|w| w[0].0 < w[1].0));
-        // all-blocks + 2 × (block buckets + block entries) + bucket inversions.
-        assert!(cp.entries.len() >= 5);
+        // all-blocks + 2 × block buckets + 3 rows + bucket inversions.
+        assert!(cp.entries.len() >= 7);
     }
 }

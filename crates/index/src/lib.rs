@@ -8,7 +8,8 @@
 //!   (plus sender bitmaps for tracking);
 //! * [`layered::Layered`] — the two-level layered index, written once
 //!   (histogram/value bitmaps above, one bulk-built tree per block
-//!   below) and generic over that per-block tree, the
+//!   below; a frozen [`layered::LayeredIndex`] merges its trees into
+//!   one value-ordered run) and generic over that per-block tree, the
 //!   [`layered::SecondLevel`]: over B⁺-trees it is
 //!   [`layered::LayeredIndex`], over [`mbtree::MbTree`]s it is
 //!   [`ali::AuthenticatedLayeredIndex`], the authenticated variant for
@@ -40,7 +41,7 @@ pub use blockindex::{BlockKey, BlockLevelIndex};
 pub use bptree::BPlusTree;
 pub use cost::{AccessPath, CostParams};
 pub use histogram::EqualDepthHistogram;
-pub use layered::{KeyPredicate, Layered, LayeredIndex, SecondLevel};
+pub use layered::{KeyPredicate, Layered, LayeredIndex, Probe, SecondLevel};
 pub use mbtree::{AuthEntry, MbTree, RangeProof, VerifyError};
 pub use paged::{column_slug, family_ali, family_block, family_layered, family_table};
 pub use tableindex::TableBitmapIndex;

@@ -21,6 +21,7 @@ use crate::bitmap::Bitmap;
 use sebdb_storage::{IndexCheckpoint, PagedIndexReader, StorageError, TxPtr};
 use sebdb_types::{ColumnRef, Decoder, Encoder, TypeError, Value};
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 
 /// Key tag: the family's precomputed all-blocks bitmap.
 pub const TAG_ALL_BLOCKS: u8 = 0x00;
@@ -30,8 +31,8 @@ pub const TAG_BLOCK_BUCKETS: u8 = 0x01;
 /// Key tag: `0x02 ‖ enc(Value)` → the value's absolute block bitmap
 /// (discrete first level).
 pub const TAG_VALUE_BLOCKS: u8 = 0x02;
-/// Key tag: `0x03 ‖ bid(u64 BE)` → the block's sorted second-level
-/// entry list.
+/// Key tag: `0x03 ‖ bid(u64 BE)` → the block's sorted MB-tree leaf
+/// level (authenticated families only: a VO is per block, §VI).
 pub const TAG_BLOCK_ENTRIES: u8 = 0x03;
 /// Key tag: `0x04 ‖ bucket(u32 BE)` → the bucket's absolute block
 /// bitmap (continuous first level, inverted — the candidate-block
@@ -39,6 +40,12 @@ pub const TAG_BLOCK_ENTRIES: u8 = 0x03;
 pub const TAG_BUCKET_BLOCKS: u8 = 0x04;
 /// Key tag: `0x05 ‖ bid(u64 BE)` → the block's 32-byte MB-tree root.
 pub const TAG_BLOCK_ROOT: u8 = 0x05;
+
+/// Key tag: `0x06 ‖ orderkey(value) ‖ bid(u64 BE) ‖ index(u32 BE)` →
+/// nothing: one indexed row of a plain layered family. Byte order is
+/// `(value, block, position)` order, so the frozen second level is one
+/// value-ordered run and equal values of different blocks are adjacent.
+pub const TAG_ENTRY: u8 = 0x06;
 
 /// Unit separator between family-name components.
 const FAMILY_SEP: u8 = 0x1f;
@@ -152,6 +159,41 @@ pub fn decode_value_key(key: &[u8]) -> Value {
     decode_fail("index value key", Decoder::new(&key[1..]).get_value())
 }
 
+/// Bytes a [`TxPtr`] takes at the end of an [`entry_key`].
+const PTR_LEN: usize = 12;
+
+/// [`TAG_ENTRY`] key of the row at `ptr` holding `v`.
+pub fn entry_key(v: &Value, ptr: TxPtr) -> Vec<u8> {
+    let mut enc = Encoder::with_capacity(1 + 9 + PTR_LEN);
+    enc.put_u8(TAG_ENTRY);
+    enc.put_orderkey(v);
+    enc.put_raw(&ptr.block.to_be_bytes());
+    enc.put_raw(&ptr.index.to_be_bytes());
+    enc.finish()
+}
+
+/// The pointer an [`entry_key`] ends with (the value is not decoded).
+pub fn entry_ptr(key: &[u8]) -> TxPtr {
+    let parse = || {
+        let ptr = key.get(key.len().checked_sub(PTR_LEN)?..)?;
+        Some(TxPtr {
+            block: u64::from_be_bytes(ptr[..8].try_into().ok()?),
+            index: u32::from_be_bytes(ptr[8..].try_into().ok()?),
+        })
+    };
+    let context = "entry pointer";
+    decode_fail(
+        "second-level entry key",
+        parse().ok_or(TypeError::UnexpectedEof { context }),
+    )
+}
+
+/// Decodes an [`entry_key`] whole.
+pub fn decode_entry_key(key: &[u8]) -> (Value, TxPtr) {
+    let value = Decoder::new(key.get(1..).unwrap_or_default()).get_orderkey();
+    (decode_fail("second-level entry key", value), entry_ptr(key))
+}
+
 /// Serializes a bitmap as its raw words, little-endian.
 pub fn bitmap_bytes(b: &Bitmap) -> Vec<u8> {
     let mut out = Vec::with_capacity(b.words().len() * 8);
@@ -178,10 +220,12 @@ pub fn frozen_bitmap(reader: &PagedIndexReader, what: &str, key: &[u8]) -> Bitma
 }
 
 /// A full-rewrite checkpoint under construction — the merge every
-/// family's `checkpoint()` runs: the frozen prefix swept into a sorted
-/// map, the resident tail written over it.
+/// family's `checkpoint()` runs: the frozen prefix swept out in key
+/// order, what the resident tail writes kept sorted beside it, the two
+/// merged once at the end.
 pub struct CheckpointBuilder {
-    map: BTreeMap<Vec<u8>, Vec<u8>>,
+    frozen: Vec<(Vec<u8>, Vec<u8>)>,
+    tail: BTreeMap<Vec<u8>, Vec<u8>>,
     /// First tail block: tail bitmaps are relative to it.
     base: usize,
 }
@@ -191,77 +235,59 @@ impl CheckpointBuilder {
     /// family is fully resident). `what` names the family in the
     /// fail-stop message.
     pub fn sweep(what: &str, frozen: Option<&PagedIndexReader>) -> Self {
-        let mut map = BTreeMap::new();
+        let mut swept = Vec::new();
         if let Some(f) = frozen {
+            swept.reserve(f.entry_count() as usize);
             read_fail(
                 &format!("{what} checkpoint sweep"),
                 f.scan_range(&[], None, &mut |k, v| {
-                    map.insert(k.to_vec(), v.to_vec());
+                    swept.push((k.to_vec(), v.to_vec()));
+                    ControlFlow::Continue(())
                 }),
             );
         }
         CheckpointBuilder {
-            map,
+            frozen: swept,
+            tail: BTreeMap::new(),
             base: frozen.map_or(0, |f| f.height() as usize),
         }
     }
 
-    /// Writes one entry.
+    /// Writes one entry (over the frozen one under the same key).
     pub fn put(&mut self, key: Vec<u8>, value: Vec<u8>) {
-        self.map.insert(key, value);
+        self.tail.insert(key, value);
     }
 
     /// ORs a tail-relative bitmap (bit `i` = block `base + i`) over
     /// the frozen absolute bitmap stored under `key`, if any.
     pub fn or_tail(&mut self, key: Vec<u8>, tail: &Bitmap) {
-        let mut bits = self
-            .map
-            .get(&key)
-            .map(|b| bitmap_from_bytes(b))
-            .unwrap_or_default();
+        let mut bits = match self.frozen.binary_search_by(|(k, _)| k.cmp(&key)) {
+            Ok(at) => bitmap_from_bytes(&self.frozen[at].1),
+            Err(_) => Bitmap::new(),
+        };
         bits.or_assign_shifted(tail, self.base);
-        self.map.insert(key, bitmap_bytes(&bits));
+        self.put(key, bitmap_bytes(&bits));
     }
 
     /// The finished checkpoint, entries in key order.
     pub fn finish(self, family: Vec<u8>, height: u64, meta: Vec<u8>) -> IndexCheckpoint {
+        let mut entries = Vec::with_capacity(self.frozen.len() + self.tail.len());
+        let mut frozen = self.frozen.into_iter().peekable();
+        for (key, value) in self.tail {
+            while let Some(carried) = frozen.next_if(|(k, _)| *k < key) {
+                entries.push(carried);
+            }
+            frozen.next_if(|(k, _)| *k == key);
+            entries.push((key, value));
+        }
+        entries.extend(frozen);
         IndexCheckpoint {
             family,
             height,
             meta,
-            entries: self.map.into_iter().collect(),
+            entries,
         }
     }
-}
-
-/// Serializes a sorted `(Value, TxPtr)` list (one block's second-level
-/// entries).
-pub fn entries_bytes(entries: &[(Value, TxPtr)]) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_u32(entries.len() as u32);
-    for (v, p) in entries {
-        enc.put_value(v);
-        enc.put_u64(p.block);
-        enc.put_u32(p.index);
-    }
-    enc.finish()
-}
-
-/// Decodes [`entries_bytes`] output.
-pub fn entries_from_bytes(bytes: &[u8]) -> Vec<(Value, TxPtr)> {
-    let mut dec = Decoder::new(bytes);
-    let mut parse = || -> Result<Vec<(Value, TxPtr)>, TypeError> {
-        let n = dec.get_u32("paged entries count")?;
-        let mut out = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let v = dec.get_value()?;
-            let block = dec.get_u64("paged entry block")?;
-            let index = dec.get_u32("paged entry index")?;
-            out.push((v, TxPtr { block, index }));
-        }
-        Ok(out)
-    };
-    decode_fail("second-level entries", parse())
 }
 
 /// Serializes a sorted [`AuthEntry`] list (one block's MB-tree leaf
@@ -332,12 +358,45 @@ mod tests {
     }
 
     #[test]
-    fn entries_roundtrip() {
-        let entries = vec![
-            (Value::decimal(1), TxPtr { block: 7, index: 0 }),
-            (Value::decimal(2), TxPtr { block: 7, index: 3 }),
+    fn entry_keys_roundtrip_and_sort_by_value_then_pointer() {
+        let at = |block, index| TxPtr { block, index };
+        let rows = [
+            (Value::decimal(-3), at(9, 0)),
+            (Value::decimal(1), at(2, 7)),
+            (Value::decimal(1), at(7, 0)),
+            (Value::decimal(1), at(7, 3)),
+            (Value::decimal(2), at(0, 0)),
         ];
-        assert_eq!(entries_from_bytes(&entries_bytes(&entries)), entries);
+        let keys: Vec<Vec<u8>> = rows.iter().map(|(v, p)| entry_key(v, *p)).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        for ((v, p), key) in rows.iter().zip(&keys) {
+            assert_eq!(decode_entry_key(key), (v.clone(), *p));
+            assert_eq!(entry_ptr(key), *p);
+        }
+    }
+
+    #[test]
+    fn builder_merges_the_tail_over_the_sweep() {
+        let mut cp = CheckpointBuilder {
+            frozen: vec![
+                (vec![1], vec![10]),
+                (vec![3], bitmap_bytes(&Bitmap::from_bits([0]))),
+                (vec![5], vec![50]),
+            ],
+            tail: BTreeMap::new(),
+            base: 4,
+        };
+        cp.put(vec![0], vec![0]);
+        cp.put(vec![5], vec![55]);
+        cp.put(vec![9], vec![90]);
+        cp.or_tail(vec![3], &Bitmap::from_bits([1]));
+        cp.or_tail(vec![4], &Bitmap::from_bits([0]));
+        let done = cp.finish(Vec::new(), 6, Vec::new());
+        let keys: Vec<u8> = done.entries.iter().map(|(k, _)| k[0]).collect();
+        assert_eq!(keys, vec![0, 1, 3, 4, 5, 9]);
+        assert_eq!(done.entries[2].1, bitmap_bytes(&Bitmap::from_bits([0, 5])));
+        assert_eq!(done.entries[3].1, bitmap_bytes(&Bitmap::from_bits([4])));
+        assert_eq!(done.entries[4].1, vec![55]);
     }
 
     #[test]

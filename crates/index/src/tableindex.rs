@@ -145,6 +145,7 @@ impl TableBitmapIndex {
                 "table bitmap name sweep",
                 f.scan_prefix(&[TAG_TABLE], &mut |k, _| {
                     names.push(String::from_utf8_lossy(&k[1..]).into_owned());
+                    std::ops::ControlFlow::Continue(())
                 }),
             );
         }

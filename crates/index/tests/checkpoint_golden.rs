@@ -5,10 +5,12 @@
 //! SHA-256 over `family ‖ height ‖ meta ‖ entries` of each family's
 //! `checkpoint()` — once with the index fully resident, once with a
 //! frozen prefix attached through a temp store and a resident tail.
-//! The constants were recorded at the commit before the two indexes
-//! were merged into one generic `Layered<S>`; a refactor of the first
-//! level, the meta codec or `checkpoint()` that moves one byte of an
-//! `.icp` file fails here.
+//! The two authenticated constants were recorded at the commit before
+//! the two indexes were merged into one generic `Layered<S>`; the two
+//! plain ones when a frozen `LayeredIndex` became one key per row
+//! (`TAG_ENTRY`), which the authenticated families did not follow. A
+//! refactor of the first level, the meta codec or `checkpoint()` that
+//! moves one byte of an `.icp` file fails here.
 
 use sebdb_crypto::sha256::{Digest, Sha256};
 use sebdb_crypto::sig::KeyId;
@@ -134,12 +136,12 @@ fn digests(blocks: &[Block], store: Option<&BlockStore>) -> [String; 4] {
     ]
 }
 
-/// Recorded at the parent of the `Layered<S>` refactor. A full-rewrite
-/// checkpoint of frozen ∪ tail holds what a fully resident index would
-/// write, so one set of constants serves both runs.
+/// A full-rewrite checkpoint of frozen ∪ tail holds what a fully
+/// resident index would write, so one set of constants serves both
+/// runs.
 const GOLDEN: [&str; 4] = [
-    "6465459345bc31d0fd7d5797fb2a5c910e4444b270f2263ff6ea7c46ac6bb49a",
-    "deb90584dd2b051c65e939f860d89b9cc817e097df63ea686f44fbb2e59eebe1",
+    "59461ec2d74ab709f974e498af342fae355e997f1de37e1d72fdc1401d59c053",
+    "a72c97965b9557fc96caa21d51728f4f170b286bec096551c2b73da054d2773a",
     "de9bd91bc1e9b637490be1a800daef2c04018bcbda2f3f050a2f41151354896e",
     "e93e14490f33ab65f9605eece8e232c2fc02f811daa191a740026337d3f1cc5e",
 ];

@@ -27,12 +27,13 @@ use sebdb_parallel::Tracked;
 use std::collections::HashSet;
 use std::fs::File;
 use std::io::Write;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Checkpoint file magic, versioned with the format.
-pub const INDEX_MAGIC: &[u8; 8] = b"SEBDBIX1";
+pub const INDEX_MAGIC: &[u8; 8] = b"SEBDBIX2";
 /// Target payload size of one level-1 index block (one disk page).
 pub const INDEX_BLOCK_TARGET: usize = 4 * 1024;
 /// Subdirectory of the store holding index checkpoints.
@@ -104,48 +105,42 @@ fn get_u32(buf: &[u8], at: usize) -> Option<u32> {
     Some(u32::from_be_bytes(bytes))
 }
 
-fn get_u16(buf: &[u8], at: usize) -> Option<u16> {
-    let bytes: [u8; 2] = buf.get(at..at + 2)?.try_into().ok()?;
-    Some(u16::from_be_bytes(bytes))
+/// Appends `v` as a LEB128 varint: the lengths of keys and values, so
+/// a run of many short entries pays one byte per length.
+fn put_varint(buf: &mut Vec<u8>, mut v: usize) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+/// Reads a [`put_varint`] length at `*at`, advancing it; `None` when
+/// it is truncated or wider than the `u32` offsets can address.
+fn get_varint(buf: &[u8], at: &mut usize) -> Option<usize> {
+    let mut v = 0u64;
+    for shift in (0..35).step_by(7) {
+        let b = *buf.get(*at)?;
+        *at += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b & 0x80 == 0 {
+            return u32::try_from(v).ok().map(|v| v as usize);
+        }
+    }
+    None
 }
 
 fn corrupt(path: &Path, what: &str) -> StorageError {
     StorageError::Corrupt(format!("index checkpoint {}: {what}", path.display()))
 }
 
-/// Serializes one entry into a level-1 block body.
+/// Serializes one entry into a level-1 block body: both lengths, then
+/// the key and the value back to back.
 fn encode_entry(out: &mut Vec<u8>, key: &[u8], value: &[u8]) {
-    out.extend_from_slice(&(key.len() as u16).to_be_bytes());
+    put_varint(out, key.len());
+    put_varint(out, value.len());
     out.extend_from_slice(key);
-    out.extend_from_slice(&(value.len() as u32).to_be_bytes());
     out.extend_from_slice(value);
-}
-
-/// Parses a level-1 block body back into entries.
-fn decode_entries(path: &Path, bytes: &[u8], count: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-    let mut entries = Vec::with_capacity(count);
-    let mut at = 0usize;
-    for _ in 0..count {
-        let klen = get_u16(bytes, at).ok_or_else(|| corrupt(path, "truncated entry key len"))?;
-        at += 2;
-        let key = bytes
-            .get(at..at + klen as usize)
-            .ok_or_else(|| corrupt(path, "truncated entry key"))?
-            .to_vec();
-        at += klen as usize;
-        let vlen = get_u32(bytes, at).ok_or_else(|| corrupt(path, "truncated entry value len"))?;
-        at += 4;
-        let value = bytes
-            .get(at..at + vlen as usize)
-            .ok_or_else(|| corrupt(path, "truncated entry value"))?
-            .to_vec();
-        at += vlen as usize;
-        entries.push((key, value));
-    }
-    if at != bytes.len() {
-        return Err(corrupt(path, "level-1 block has trailing bytes"));
-    }
-    Ok(entries)
 }
 
 /// Writes `cp` into `dir` behind the `.tmp` → rename commit point.
@@ -221,7 +216,7 @@ fn write_checkpoint_body(
         put_u32(&mut tail, f.len);
         put_u32(&mut tail, f.count);
         put_u64(&mut tail, f.checksum);
-        tail.extend_from_slice(&(f.first_key.len() as u16).to_be_bytes());
+        put_varint(&mut tail, f.first_key.len());
         tail.extend_from_slice(&f.first_key);
     }
     let meta_off = fence_off + tail.len() as u64;
@@ -252,18 +247,65 @@ struct Fence {
     checksum: u64,
 }
 
-/// One lazily-loaded, parsed level-1 index block.
+/// One lazily-loaded level-1 index block: the bytes as read from the
+/// file plus a table of where each entry's key and value sit in them.
 #[derive(Debug)]
 pub struct IndexBlock {
-    /// The block's sorted entries.
-    pub entries: Vec<(Vec<u8>, Vec<u8>)>,
-    bytes: usize,
+    buf: Vec<u8>,
+    /// Per entry `[key start, value start, value end)` into `buf`.
+    slots: Vec<[u32; 3]>,
 }
 
 impl IndexBlock {
-    /// Approximate resident size in bytes.
+    /// Indexes a level-1 block body of `count` entries.
+    fn parse(path: &Path, buf: Vec<u8>, count: usize) -> Result<IndexBlock> {
+        let mut slots = Vec::with_capacity(count);
+        let mut at = 0usize;
+        for _ in 0..count {
+            let lens = get_varint(&buf, &mut at).zip(get_varint(&buf, &mut at));
+            let extent = lens.and_then(|(klen, vlen)| {
+                let value_at = at.checked_add(klen)?;
+                let end = value_at.checked_add(vlen)?;
+                // A block is at most `u32::MAX` long (its fence says
+                // so), so offsets inside it fit the table.
+                (end <= buf.len()).then_some((value_at, end))
+            });
+            let (value_at, end) = extent.ok_or_else(|| corrupt(path, "truncated level-1 entry"))?;
+            slots.push([at as u32, value_at as u32, end as u32]);
+            at = end;
+        }
+        if at != buf.len() {
+            return Err(corrupt(path, "level-1 block has trailing bytes"));
+        }
+        Ok(IndexBlock { buf, slots })
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn key(&self, i: usize) -> &[u8] {
+        let [k, v, _] = self.slots[i];
+        &self.buf[k as usize..v as usize]
+    }
+
+    fn value(&self, i: usize) -> &[u8] {
+        let [_, v, end] = self.slots[i];
+        &self.buf[v as usize..end as usize]
+    }
+
+    /// How many leading entries have a key `before` holds for (it must
+    /// hold for a prefix of the key-sorted entries).
+    fn partition_point(&self, before: impl Fn(&[u8]) -> bool) -> usize {
+        self.slots
+            .partition_point(|&[k, v, _]| before(&self.buf[k as usize..v as usize]))
+    }
+
+    /// Resident size in bytes: the buffer and the offset table.
     pub fn byte_len(&self) -> usize {
-        self.bytes
+        std::mem::size_of::<Self>()
+            + self.buf.capacity()
+            + self.slots.capacity() * std::mem::size_of::<[u32; 3]>()
     }
 }
 
@@ -409,6 +451,10 @@ impl IndexBlockCache {
     }
 }
 
+/// What a scan calls with each `(key, value)` it visits, in key order;
+/// `Break` ends the scan before the next entry (and the next block).
+pub type EntryVisitor<'a> = dyn FnMut(&[u8], &[u8]) -> ControlFlow<()> + 'a;
+
 /// A reader over one published checkpoint file: the fence array and
 /// meta blob are resident; level-1 blocks are served through the
 /// store's [`IndexBlockCache`].
@@ -488,13 +534,14 @@ impl PagedIndexReader {
             let count = get_u32(&tail, at + 12).ok_or_else(|| corrupt(path, "truncated fence"))?;
             let checksum =
                 get_u64(&tail, at + 16).ok_or_else(|| corrupt(path, "truncated fence"))?;
-            let klen = get_u16(&tail, at + 24).ok_or_else(|| corrupt(path, "truncated fence"))?;
-            at += 26;
+            at += 24;
+            let klen =
+                get_varint(&tail, &mut at).ok_or_else(|| corrupt(path, "truncated fence"))?;
             let first_key = tail
-                .get(at..at + klen as usize)
+                .get(at..at + klen)
                 .ok_or_else(|| corrupt(path, "truncated fence key"))?
                 .to_vec();
-            at += klen as usize;
+            at += klen;
             // invariant-style validation: extents tile the data region
             // in order and never reach into the fence table.
             if off != prev_end || u64::from(len) == 0 || off + u64::from(len) > fence_off {
@@ -581,11 +628,7 @@ impl PagedIndexReader {
             self.stats
                 .bytes_read
                 .fetch_add(u64::from(len), Ordering::Relaxed);
-            let entries = decode_entries(&self.path, &buf, count as usize)?;
-            Ok(IndexBlock {
-                entries,
-                bytes: buf.len(),
-            })
+            IndexBlock::parse(&self.path, buf, count as usize)
         })
     }
 
@@ -604,13 +647,8 @@ impl PagedIndexReader {
             return Ok(None);
         };
         let block = self.block(i)?;
-        match block
-            .entries
-            .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-        {
-            Ok(pos) => Ok(Some(block.entries[pos].1.clone())),
-            Err(_) => Ok(None),
-        }
+        let at = block.partition_point(|k| k < key);
+        Ok((at < block.len() && block.key(at) == key).then(|| block.value(at).to_vec()))
     }
 
     /// Greatest entry with key ≤ `key`.
@@ -619,10 +657,11 @@ impl PagedIndexReader {
             return Ok(None);
         };
         let block = self.block(i)?;
-        let n = block.entries.partition_point(|(k, _)| k.as_slice() <= key);
+        let n = block.partition_point(|k| k <= key);
         // The fence guarantees first_key <= key, so n >= 1 whenever the
         // block is non-empty (fences never describe empty blocks).
-        Ok(n.checked_sub(1).map(|p| block.entries[p].clone()))
+        Ok(n.checked_sub(1)
+            .map(|p| (block.key(p).to_vec(), block.value(p).to_vec())))
     }
 
     /// The entry at global index `idx` (entries numbered across blocks
@@ -639,60 +678,62 @@ impl PagedIndexReader {
             .get(i)
             .ok_or_else(|| corrupt(&self.path, "entry index out of range"))?;
         let block = self.block(i)?;
-        Ok(block.entries.get((idx - fence.start) as usize).cloned())
+        let at = (idx - fence.start) as usize;
+        Ok((at < block.len()).then(|| (block.key(at).to_vec(), block.value(at).to_vec())))
     }
 
-    /// Visits every entry with `lo ≤ key` and (when `hi` is set)
-    /// `key ≤ hi`, in key order.
-    pub fn scan_range(
+    /// Visits, in key order, every entry from the first with `lo ≤ key`
+    /// up to the first for which `past` holds (`past` must stay true
+    /// from there on) or at which the visitor breaks. Starts with one
+    /// binary search of the fences and one of the first block.
+    fn scan(
         &self,
         lo: &[u8],
-        hi: Option<&[u8]>,
-        f: &mut dyn FnMut(&[u8], &[u8]),
+        past: &dyn Fn(&[u8]) -> bool,
+        f: &mut EntryVisitor<'_>,
     ) -> Result<()> {
         let start = self.fence_for(lo).unwrap_or(0);
-        for i in start..self.fences.len() {
-            if let Some(hi) = hi {
-                if self.fences[i].first_key.as_slice() > hi {
-                    break;
-                }
-            }
-            let block = self.block(i)?;
-            for (k, v) in &block.entries {
-                if k.as_slice() < lo {
-                    continue;
-                }
-                if let Some(hi) = hi {
-                    if k.as_slice() > hi {
-                        return Ok(());
-                    }
-                }
-                f(k, v);
-            }
-        }
-        Ok(())
-    }
-
-    /// Visits every entry whose key starts with `prefix`, in key order.
-    pub fn scan_prefix(&self, prefix: &[u8], f: &mut dyn FnMut(&[u8], &[u8])) -> Result<()> {
-        let start = self.fence_for(prefix).unwrap_or(0);
-        for i in start..self.fences.len() {
-            let first = &self.fences[i].first_key;
-            if first.as_slice() > prefix && !first.starts_with(prefix) {
+        for (i, fence) in self.fences.iter().enumerate().skip(start) {
+            let first = fence.first_key.as_slice();
+            if first >= lo && past(first) {
                 break;
             }
             let block = self.block(i)?;
-            for (k, v) in &block.entries {
-                if k.as_slice() < prefix {
-                    continue;
-                }
-                if !k.starts_with(prefix) {
+            let from = match i == start {
+                true => block.partition_point(|k| k < lo),
+                false => 0,
+            };
+            for e in from..block.len() {
+                let key = block.key(e);
+                if past(key) || f(key, block.value(e)).is_break() {
                     return Ok(());
                 }
-                f(k, v);
             }
         }
         Ok(())
+    }
+
+    /// Visits every entry with `lo ≤ key` and (when `hi` is set)
+    /// `key ≤ hi`, in key order, until the visitor breaks.
+    pub fn scan_range(&self, lo: &[u8], hi: Option<&[u8]>, f: &mut EntryVisitor<'_>) -> Result<()> {
+        self.scan(lo, &|key| hi.is_some_and(|hi| key > hi), f)
+    }
+
+    /// Visits every entry whose key starts with `prefix`, in key order,
+    /// until the visitor breaks.
+    pub fn scan_prefix(&self, prefix: &[u8], f: &mut EntryVisitor<'_>) -> Result<()> {
+        self.scan(prefix, &|key| !key.starts_with(prefix), f)
+    }
+
+    /// How many level-1 blocks [`Self::scan_range`] over `[lo, hi]`
+    /// would read — from the fences alone, no I/O. What a planner
+    /// charges a range probe before running it.
+    pub fn blocks_spanned(&self, lo: &[u8], hi: &[u8]) -> usize {
+        let start = self.fence_for(lo).unwrap_or(0);
+        let end = self
+            .fences
+            .partition_point(|f| f.first_key.as_slice() <= hi);
+        end.saturating_sub(start)
     }
 }
 
@@ -771,7 +812,10 @@ mod tests {
         r.scan_range(
             &100u64.to_be_bytes(),
             Some(&110u64.to_be_bytes()),
-            &mut |k, _| seen.push(u64::from_be_bytes(k.try_into().unwrap())),
+            &mut |k, _| {
+                seen.push(u64::from_be_bytes(k.try_into().unwrap()));
+                ControlFlow::Continue(())
+            },
         )
         .unwrap();
         assert_eq!(seen, (100..=110).collect::<Vec<_>>());
@@ -803,9 +847,65 @@ mod tests {
             assert_eq!(k[0], 2);
             assert_eq!(v, &[2u8; 8]);
             n += 1;
+            ControlFlow::Continue(())
         })
         .unwrap();
         assert_eq!(n, 200);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A scan seeks its start (it does not walk to it), reads only the
+    /// blocks its range spans — which the fences alone predict — and
+    /// stops where the visitor says.
+    #[test]
+    fn scans_seek_stop_early_and_span_what_the_fences_say() {
+        let dir = tmpdir("seek");
+        let cp = cp(2000);
+        write_checkpoint(&dir, &cp, false, &no_fault).unwrap();
+        let stats = Arc::new(IoStats::default());
+        let cache = IndexBlockCache::new(0, Arc::clone(&stats));
+        let path = dir.join(checkpoint_file_name(&cp.family));
+        let r = PagedIndexReader::open(&path, Arc::clone(&cache), Arc::clone(&stats)).unwrap();
+        let key = |i: u64| i.to_be_bytes();
+        let misses = || stats.index_cache_misses.load(Ordering::Relaxed);
+
+        // Entry 1 500 sits deep in the file: one block is read for it.
+        let mut seen = Vec::new();
+        r.scan_range(&key(1500), Some(&key(1502)), &mut |k, _| {
+            seen.push(u64::from_be_bytes(k.try_into().unwrap()));
+            ControlFlow::Continue(())
+        })
+        .unwrap();
+        assert_eq!(seen, vec![1500, 1501, 1502]);
+        assert_eq!(r.blocks_spanned(&key(1500), &key(1502)), 1);
+        assert_eq!(misses(), 1);
+        // The one resident block is charged its bytes and its offset
+        // table (~90 entries of ~45 B fill a 4 KB block).
+        assert!(cache.resident_bytes() >= INDEX_BLOCK_TARGET + 80 * 12);
+
+        // An open-ended scan the visitor breaks reads no further block.
+        let mut taken = 0;
+        r.scan_range(&key(1500), None, &mut |_, _| {
+            taken += 1;
+            match taken {
+                3 => ControlFlow::Break(()),
+                _ => ControlFlow::Continue(()),
+            }
+        })
+        .unwrap();
+        assert_eq!((taken, misses()), (3, 1));
+
+        // A range over several blocks reads exactly the ones it spans.
+        stats.reset();
+        let spanned = r.blocks_spanned(&key(100), &key(900));
+        assert!(spanned > 2 && spanned < r.fence_count());
+        r.scan_range(&key(100), Some(&key(900)), &mut |_, _| {
+            ControlFlow::Continue(())
+        })
+        .unwrap();
+        assert_eq!(misses(), spanned as u64);
+        assert_eq!(r.blocks_spanned(&key(5000), &key(6000)), 1);
+        assert_eq!(r.blocks_spanned(&key(900), &key(100)), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

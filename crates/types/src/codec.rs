@@ -114,6 +114,56 @@ impl Encoder {
         }
     }
 
+    /// Writes `v` in its order-preserving form, the one encoding whose
+    /// byte order is [`Value`]'s order: `orderkey(a) < orderkey(b)`
+    /// exactly when `a < b`. The type tag [`Self::put_value`] writes,
+    /// then integers sign-flipped big-endian and strings / byte strings
+    /// with every `0x00` escaped as `0x00 0x01` and a `0x00 0x00`
+    /// terminator. No key is a prefix of another, so whatever bytes
+    /// follow a key (a block id, a position) never reorder two
+    /// different values — what lets an index keep `value ‖ pointer`
+    /// keys in one sorted run.
+    pub fn put_orderkey(&mut self, v: &Value) {
+        let flip = |i: i64| (i as u64 ^ 1 << 63).to_be_bytes();
+        match v {
+            Value::Null => self.put_u8(0),
+            Value::Int(i) => {
+                self.put_u8(1);
+                self.put_raw(&flip(*i));
+            }
+            Value::Decimal(d) => {
+                self.put_u8(2);
+                self.put_raw(&flip(*d));
+            }
+            Value::Str(s) => {
+                self.put_u8(3);
+                self.put_escaped(s.as_bytes());
+            }
+            Value::Bool(b) => {
+                self.put_u8(4);
+                self.put_u8(*b as u8);
+            }
+            Value::Timestamp(t) => {
+                self.put_u8(5);
+                self.put_raw(&t.to_be_bytes());
+            }
+            Value::Bytes(b) => {
+                self.put_u8(6);
+                self.put_escaped(b);
+            }
+        }
+    }
+
+    fn put_escaped(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.buf.push(b);
+            if b == 0 {
+                self.buf.push(1);
+            }
+        }
+        self.buf.extend_from_slice(&[0, 0]);
+    }
+
     /// Writes a slice of values with a count prefix.
     pub fn put_values(&mut self, vs: &[Value]) {
         self.put_u32(vs.len() as u32);
@@ -263,6 +313,49 @@ impl<'a> Decoder<'a> {
         Ok(RawValue { tag, payload })
     }
 
+    /// Reads a value written by [`Encoder::put_orderkey`], leaving the
+    /// cursor on the byte after it.
+    pub fn get_orderkey(&mut self) -> Result<Value, TypeError> {
+        let unflip = |u: u64| (u ^ 1 << 63) as i64;
+        Ok(match self.get_u8("orderkey tag")? {
+            0 => Value::Null,
+            1 => Value::Int(unflip(self.get_be_u64("int orderkey")?)),
+            2 => Value::Decimal(unflip(self.get_be_u64("decimal orderkey")?)),
+            3 => Value::Str(
+                String::from_utf8(self.get_escaped("string orderkey")?)
+                    .map_err(|_| TypeError::BadUtf8)?,
+            ),
+            4 => Value::Bool(self.get_u8("bool orderkey")? != 0),
+            5 => Value::Timestamp(self.get_be_u64("timestamp orderkey")?),
+            6 => Value::Bytes(self.get_escaped("bytes orderkey")?),
+            tag => {
+                return Err(TypeError::BadTag {
+                    context: "orderkey",
+                    tag,
+                })
+            }
+        })
+    }
+
+    fn get_be_u64(&mut self, context: &'static str) -> Result<u64, TypeError> {
+        let b = self.take(8, context)?;
+        Ok(u64::from_be_bytes(b.try_into().unwrap()))
+    }
+
+    fn get_escaped(&mut self, context: &'static str) -> Result<Vec<u8>, TypeError> {
+        let mut out = Vec::new();
+        loop {
+            match self.get_u8(context)? {
+                0 => match self.get_u8(context)? {
+                    0 => return Ok(out),
+                    1 => out.push(0),
+                    tag => return Err(TypeError::BadTag { context, tag }),
+                },
+                b => out.push(b),
+            }
+        }
+    }
+
     /// Steps over one tagged value.
     pub fn skip_value(&mut self) -> Result<(), TypeError> {
         self.get_raw_value().map(drop)
@@ -373,6 +466,39 @@ mod tests {
         ]
     }
 
+    /// Values that crowd each other in key order: integer extremes and
+    /// neighbours of zero, and short strings / byte strings over an
+    /// alphabet of the escape byte, its escape, a plain byte and the
+    /// highest one — so prefixes, embedded zeros and ties are common.
+    fn arb_order_value() -> impl Strategy<Value = Value> {
+        use proptest::collection::vec;
+        use proptest::prop::sample::select;
+        let ints = || {
+            prop_oneof![
+                any::<i64>(),
+                select(vec![i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX]),
+            ]
+        };
+        prop_oneof![
+            arb_value(),
+            ints().prop_map(Value::Int),
+            ints().prop_map(Value::Decimal),
+            select(vec![0, 1, 1 << 63, u64::MAX]).prop_map(Value::Timestamp),
+            vec(
+                select(vec!['\0', '\u{1}', 'a', '\u{ff}', '\u{10ffff}']),
+                0..4
+            )
+            .prop_map(|cs| Value::Str(cs.into_iter().collect())),
+            vec(select(vec![0x00u8, 0x01, 0x61, 0xff]), 0..4).prop_map(Value::Bytes),
+        ]
+    }
+
+    fn orderkey(v: &Value) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_orderkey(v);
+        e.finish()
+    }
+
     proptest! {
         #[test]
         fn value_roundtrip(v in arb_value()) {
@@ -391,6 +517,32 @@ mod tests {
             let buf = e.finish();
             let mut d = Decoder::new(&buf);
             prop_assert_eq!(d.get_values().unwrap(), vs);
+        }
+
+        #[test]
+        fn orderkey_order_is_value_order(
+            a in arb_order_value(),
+            b in arb_order_value(),
+            tail_a in proptest::collection::vec(any::<u8>(), 0..13),
+            tail_b in proptest::collection::vec(any::<u8>(), 0..13),
+        ) {
+            let (ka, kb) = (orderkey(&a), orderkey(&b));
+            prop_assert_eq!(ka.cmp(&kb), a.cmp(&b));
+            // Whatever follows the key, two different values keep their
+            // order (and one value's keys order by what follows).
+            let with = |k: &[u8], tail: &[u8]| [k, tail].concat();
+            let want = a.cmp(&b).then_with(|| tail_a.cmp(&tail_b));
+            prop_assert_eq!(with(&ka, &tail_a).cmp(&with(&kb, &tail_b)), want);
+            // And it decodes, stopping where the suffix starts.
+            let framed = with(&ka, &tail_a);
+            let mut d = Decoder::new(&framed);
+            prop_assert_eq!(d.get_orderkey().unwrap(), a);
+            prop_assert_eq!(d.remaining(), tail_a.len());
+        }
+
+        #[test]
+        fn orderkey_decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+            let _ = Decoder::new(&bytes).get_orderkey();
         }
 
         #[test]
