@@ -108,6 +108,15 @@ for j in BENCH_*.json; do
   grep -q '"cpus":' "$j" || { echo "ci: $j missing \"cpus\""; exit 1; }
 done
 
+# The two-phase authenticated protocol on real nodes (three of them on
+# one orderer): an honest answer must verify against two auxiliary
+# digests and a hidden result must be refused.
+echo "==> cargo run --release --example thin_client_verify -p sebdb"
+out="$(cargo run -q --release --example thin_client_verify -p sebdb)"
+for line in 'verification passed ✓' 'tampered response rejected ✓'; do
+  grep -qF "$line" <<<"$out" || { echo "ci: thin_client_verify did not print '$line'"; exit 1; }
+done
+
 # The end-to-end benchmark package builds against the engine's public
 # surface through one adapter (benchmark/src/engine.rs); a reshaped
 # engine must fail here, not in the measuring pipeline.

@@ -5,19 +5,31 @@
 //! node, which executes over the ALI and returns results + VO + the
 //! snapshot height `h`; phase 2 relays `(query, h)` to one or more
 //! *auxiliary* full nodes, which return a digest over the MB-tree
-//! roots of exactly the blocks the query must visit. The client
+//! roots of exactly the blocks the query visits. The client
 //! verifies soundness and completeness from the VO and cross-checks
 //! the digest(s). [`byzantine_risk`] implements Eq. (4)–(6): the
 //! probability that `m` matching digests out of `n` sampled auxiliary
 //! nodes are all from Byzantine nodes.
 //!
-//! The *basic* comparison approach (Figs. 17–19) ships every candidate
+//! Probe first, prove second: the visited blocks are the blocks below
+//! `h` that *hold a match*, found by one probe of the ALI's plain twin
+//! ([`visited_blocks`], the only source of a visited set), not the
+//! blocks a histogram could not rule out. That set is a function of the
+//! chain alone, so every honest replica — whatever its histogram was
+//! sampled from, whatever it has frozen — derives the same one, and the
+//! agreed digest vouches for it: a server that hides, invents, reorders
+//! or repeats a block answers with roots that hash to something else.
+//! Inside a visited block completeness is still the MB-tree's boundary
+//! proof. A VO is therefore one `BlockVo` per block with a result
+//! (DESIGN §4).
+//!
+//! The *basic* comparison approach (Figs. 17–19) ships every
 //! block whole; the client recomputes each block's transaction Merkle
 //! root against its stored header.
 
 use crate::ledger::Ledger;
 use sebdb_crypto::sha256::Digest;
-use sebdb_index::{verify_query_vo, KeyPredicate, QueryVo, VerifyError};
+use sebdb_index::{verify_query_vo, Bitmap, KeyPredicate, QueryVo, VerifyError};
 use sebdb_types::{BlockHeader, BlockId, Codec, Timestamp, Transaction};
 
 /// What a full node returns in phase 1.
@@ -39,6 +51,26 @@ impl AuthenticatedResponse {
     }
 }
 
+/// The blocks an authenticated query on `(table, column)` visits at
+/// snapshot `height`: those inside `window` and below `height` holding
+/// a row that matches `pred`, read off the plain twin of the ALI
+/// (`create_layered_index` builds both; its frozen half is one
+/// value-ordered run, so the probe costs the result, not the chain).
+/// Both phases call this and nothing else decides a visited set.
+fn visited_blocks(
+    ledger: &Ledger,
+    table: Option<&str>,
+    column: &str,
+    pred: &KeyPredicate,
+    window: Option<(Timestamp, Timestamp)>,
+    height: BlockId,
+) -> Option<Bitmap> {
+    let mask = ledger.window_mask_at(window, height);
+    ledger.with_layered(table, column, |twin| {
+        Bitmap::from_bits(twin.search(pred, &mask).iter().map(|p| p.block as usize))
+    })
+}
+
 /// Server-side phase 1: execute `pred` on `(table, column)`'s ALI at
 /// the current height.
 pub fn serve_authenticated_query(
@@ -49,19 +81,20 @@ pub fn serve_authenticated_query(
     window: Option<(Timestamp, Timestamp)>,
 ) -> Option<AuthenticatedResponse> {
     let height = ledger.height();
-    let mask = ledger.window_mask(window);
+    let visited = visited_blocks(ledger, table, column, pred, window, height)?;
     let (vo, fanout) = ledger.with_ali(table, column, |ali| {
         (
-            ali.authenticated_query(pred, Some(&mask), height),
+            ali.authenticated_query(pred, Some(&visited), height),
             ali.fanout(),
         )
     })?;
-    // Materialize the result transactions the VO points at.
-    let mut transactions = Vec::new();
-    for ptr in vo.result_ptrs() {
-        let tx = ledger.read_tx(ptr).ok()?;
-        transactions.push((*tx).clone());
-    }
+    // Materialize the result transactions the VO points at, in VO order.
+    let transactions = ledger
+        .read_txs_grouped(&vo.result_ptrs())
+        .ok()?
+        .iter()
+        .map(|tx| Transaction::clone(tx))
+        .collect();
     Some(AuthenticatedResponse {
         transactions,
         vo,
@@ -79,10 +112,8 @@ pub fn serve_auxiliary_digest(
     window: Option<(Timestamp, Timestamp)>,
     height: BlockId,
 ) -> Option<Digest> {
-    let mask = ledger.window_mask(window);
-    ledger.with_ali(table, column, |ali| {
-        ali.auxiliary_query(pred, Some(&mask), height)
-    })
+    let visited = visited_blocks(ledger, table, column, pred, window, height)?;
+    ledger.with_ali(table, column, |ali| ali.auxiliary_query(&visited, height))
 }
 
 /// A phase-1 response for an authenticated *join* (§VI: "It is
@@ -240,13 +271,16 @@ impl ThinClient {
             .iter()
             .flat_map(|b| b.results.iter())
             .collect();
-        if entries.len() != response.transactions.len() {
-            return Err(ClientVerifyError::TxHashMismatch { index: 0 });
-        }
-        for (i, (tx, entry)) in response.transactions.iter().zip(entries).enumerate() {
+        for (i, (tx, entry)) in response.transactions.iter().zip(&entries).enumerate() {
             if tx.hash() != entry.tx_hash {
                 return Err(ClientVerifyError::TxHashMismatch { index: i });
             }
+        }
+        // Every pair matched; a payload or an entry left over sits at
+        // the first position the shorter side does not reach.
+        if entries.len() != response.transactions.len() {
+            let index = entries.len().min(response.transactions.len());
+            return Err(ClientVerifyError::TxHashMismatch { index });
         }
         Ok(())
     }

@@ -8,14 +8,20 @@
 //! level index, each block height corresponds to a snapshot": a query
 //! at height `h` touches only blocks `< h`, and the auxiliary full
 //! node's digest is the hash of the concatenation of the MB-tree roots
-//! of exactly the blocks the query must visit.
+//! of exactly the blocks the query visits.
+//!
+//! Those are the blocks holding a match, and which they are is handed
+//! in, not looked up here: the serving node probes the plain twin for
+//! them (`thin_client.rs`) and hands both phases that set, so a VO
+//! carries one [`BlockVo`] per block with a result, a query costs its
+//! result and the first level of this index is not read by any query.
 //!
 //! Paged backend (DESIGN §13): frozen blocks keep their sorted leaf
 //! entries and 32-byte MB-roots in the checkpoint. Roots answer
-//! auxiliary/pruning queries without touching leaf data; a frozen
-//! block's tree is rebuilt from its stored leaves only when a VO must
-//! be produced for it (`MbTree::build` sorts stably over the already
-//! sorted list, so the rebuilt tree is byte-identical).
+//! auxiliary queries without touching leaf data; a frozen block's tree
+//! is rebuilt from its stored leaves only when a VO must be produced
+//! for it (`MbTree::build` sorts stably over the already sorted list,
+//! so the rebuilt tree is byte-identical).
 
 use crate::bitmap::Bitmap;
 use crate::layered::{KeyPredicate, Layered, SecondLevel};
@@ -144,27 +150,38 @@ pub fn auxiliary_digest(roots: &[(BlockId, Digest)]) -> Digest {
     h.finalize()
 }
 
+/// The blocks of `set` below the snapshot `height`, ascending — the
+/// order both phases walk and the digest hashes.
+fn below(set: &Bitmap, height: BlockId) -> impl Iterator<Item = BlockId> + '_ {
+    set.iter_ones()
+        .map(|bid| bid as BlockId)
+        .take_while(move |&bid| bid < height)
+}
+
 impl AuthenticatedLayeredIndex {
     /// MB-tree fanout (needed by clients to verify).
     pub fn fanout(&self) -> usize {
         self.width()
     }
 
-    /// The MB-tree root of block `bid` (ZERO if the block has no
-    /// indexed entries). Frozen blocks answer from their stored root
+    /// The MB-tree root of a block that has a tree (`None` for one with
+    /// no indexed entries). Frozen blocks answer from their stored root
     /// without touching leaf data.
-    pub fn mb_root(&self, bid: BlockId) -> Digest {
+    fn block_root(&self, bid: BlockId) -> Option<Digest> {
         if let Some(tree) = self.tail_tree(bid) {
-            return tree.root();
+            return Some(tree.root());
         }
-        match self.frozen_entry(TAG_BLOCK_ROOT, bid) {
-            Some(bytes) => {
-                let mut d = [0u8; 32];
-                d.copy_from_slice(&bytes[..32]);
-                Digest(d)
-            }
-            None => Digest::ZERO,
-        }
+        self.frozen_entry(TAG_BLOCK_ROOT, bid).map(|bytes| {
+            let mut d = [0u8; 32];
+            d.copy_from_slice(&bytes[..32]);
+            Digest(d)
+        })
+    }
+
+    /// The MB-tree root of block `bid` (ZERO if the block has no
+    /// indexed entries).
+    pub fn mb_root(&self, bid: BlockId) -> Digest {
+        self.block_root(bid).unwrap_or(Digest::ZERO)
     }
 
     /// Rebuilds one frozen block's MB-tree from its stored leaf level.
@@ -173,35 +190,30 @@ impl AuthenticatedLayeredIndex {
             .map(|bytes| MbTree::build(auth_entries_from_bytes(&bytes), self.width()))
     }
 
-    /// The blocks a query at snapshot `height` must visit, ascending:
-    /// first-level candidates inside the window mask and below `height`.
-    fn visited_blocks(
-        &self,
-        pred: &KeyPredicate,
-        window_mask: Option<&Bitmap>,
-        height: BlockId,
-    ) -> Vec<BlockId> {
-        let mut cand = self.candidate_blocks(pred);
-        if let Some(mask) = window_mask {
-            cand = cand.and(mask);
-        }
-        cand.iter_ones()
-            .map(|bid| bid as BlockId)
-            .take_while(|&bid| bid < height)
-            .collect()
-    }
-
-    /// Phase 1 (full node): execute `pred` over blocks `mask ∩
-    /// candidates` below `height`, producing the VO.
+    /// Phase 1 (full node): execute `pred` at snapshot `height`,
+    /// producing the VO — one [`BlockVo`] per block of `blocks` (of the
+    /// chain, handed none) below `height` that holds a match, ascending.
+    /// A handed block with no tree or no match has nothing to prove and
+    /// is left out, so any superset of the blocks holding a match yields
+    /// the same VO; handed exactly those, the query costs the result.
+    /// The first level is not asked.
     pub fn authenticated_query(
         &self,
         pred: &KeyPredicate,
-        window_mask: Option<&Bitmap>,
+        blocks: Option<&Bitmap>,
         height: BlockId,
     ) -> QueryVo {
         let (lo, hi) = pred.bounds();
+        let all;
+        let blocks = match blocks {
+            Some(set) => set,
+            None => {
+                all = Bitmap::from_bits(0..height as usize);
+                &all
+            }
+        };
         let mut per_block = Vec::new();
-        for bid in self.visited_blocks(pred, window_mask, height) {
+        for bid in below(blocks, height) {
             let rebuilt;
             let tree = match self.tail_tree(bid) {
                 Some(t) => t,
@@ -214,6 +226,9 @@ impl AuthenticatedLayeredIndex {
                 },
             };
             let (results, proof) = tree.range_query(lo, hi);
+            if results.is_empty() {
+                continue;
+            }
             per_block.push(BlockVo {
                 block: bid,
                 results,
@@ -224,18 +239,14 @@ impl AuthenticatedLayeredIndex {
         QueryVo { height, per_block }
     }
 
-    /// Phase 2 (auxiliary full node): recompute the digest for the same
-    /// query at the snapshot `height` the client relays.
-    pub fn auxiliary_query(
-        &self,
-        pred: &KeyPredicate,
-        window_mask: Option<&Bitmap>,
-        height: BlockId,
-    ) -> Digest {
-        let roots: Vec<(BlockId, Digest)> = self
-            .visited_blocks(pred, window_mask, height)
-            .into_iter()
-            .map(|bid| (bid, self.mb_root(bid)))
+    /// Phase 2 (auxiliary full node): the digest over the roots of the
+    /// `visited` blocks below the snapshot `height` the client relays.
+    /// Roots alone cannot tell which blocks hold a match, so `visited`
+    /// must be exactly those — the set phase 1 proves; a block with no
+    /// tree has no root and is left out, as phase 1 leaves it out.
+    pub fn auxiliary_query(&self, visited: &Bitmap, height: BlockId) -> Digest {
+        let roots: Vec<(BlockId, Digest)> = below(visited, height)
+            .filter_map(|bid| Some((bid, self.block_root(bid)?)))
             .collect();
         auxiliary_digest(&roots)
     }
@@ -303,6 +314,11 @@ mod tests {
         ali
     }
 
+    /// The blocks a VO proves: what phase 2 is handed.
+    fn visited(vo: &QueryVo) -> Bitmap {
+        Bitmap::from_bits(vo.per_block.iter().map(|b| b.block as usize))
+    }
+
     #[test]
     fn two_phase_protocol_end_to_end() {
         let ali = ali_with_blocks(&[&[10, 20, 500], &[510, 520], &[900, 950]]);
@@ -311,7 +327,7 @@ mod tests {
         let vo = ali.authenticated_query(&pred, None, 3);
         assert_eq!(vo.result_ptrs().len(), 3); // 500, 510, 520
                                                // Phase 2: auxiliary node.
-        let digest = ali.auxiliary_query(&pred, None, 3);
+        let digest = ali.auxiliary_query(&visited(&vo), 3);
         // Client verifies.
         verify_query_vo(&vo, &pred, &digest, ali.fanout()).unwrap();
     }
@@ -322,7 +338,7 @@ mod tests {
         let pred = KeyPredicate::Eq(Value::decimal(100));
         let vo = ali.authenticated_query(&pred, None, 2);
         assert_eq!(vo.per_block.len(), 2, "height 2 snapshot sees blocks 0,1");
-        let digest = ali.auxiliary_query(&pred, None, 2);
+        let digest = ali.auxiliary_query(&visited(&vo), 2);
         verify_query_vo(&vo, &pred, &digest, ali.fanout()).unwrap();
     }
 
@@ -331,8 +347,8 @@ mod tests {
         let ali = ali_with_blocks(&[&[100], &[100], &[100]]);
         let pred = KeyPredicate::Eq(Value::decimal(100));
         let mut vo = ali.authenticated_query(&pred, None, 3);
+        let digest = ali.auxiliary_query(&visited(&vo), 3);
         vo.per_block.remove(1); // malicious full node hides a block
-        let digest = ali.auxiliary_query(&pred, None, 3);
         assert!(verify_query_vo(&vo, &pred, &digest, ali.fanout()).is_err());
     }
 
@@ -341,8 +357,8 @@ mod tests {
         let ali = ali_with_blocks(&[&[100, 200]]);
         let pred = KeyPredicate::Range(Value::decimal(50), Value::decimal(250));
         let mut vo = ali.authenticated_query(&pred, None, 1);
+        let digest = ali.auxiliary_query(&visited(&vo), 1);
         vo.per_block[0].results[0].tx_hash = sebdb_crypto::sha256(b"fake");
-        let digest = ali.auxiliary_query(&pred, None, 1);
         assert!(verify_query_vo(&vo, &pred, &digest, ali.fanout()).is_err());
     }
 
@@ -351,8 +367,8 @@ mod tests {
         let ali = ali_with_blocks(&[&[100, 110, 120]]);
         let pred = KeyPredicate::Range(Value::decimal(90), Value::decimal(130));
         let mut vo = ali.authenticated_query(&pred, None, 1);
+        let digest = ali.auxiliary_query(&visited(&vo), 1);
         vo.per_block[0].results.remove(1);
-        let digest = ali.auxiliary_query(&pred, None, 1);
         assert!(verify_query_vo(&vo, &pred, &digest, ali.fanout()).is_err());
     }
 
@@ -364,8 +380,52 @@ mod tests {
         mask.set(1);
         let vo = ali.authenticated_query(&pred, Some(&mask), 3);
         assert_eq!(vo.per_block.len(), 1);
-        let digest = ali.auxiliary_query(&pred, Some(&mask), 3);
+        let digest = ali.auxiliary_query(&mask, 3);
         verify_query_vo(&vo, &pred, &digest, ali.fanout()).unwrap();
+    }
+
+    /// A handed-in set may name blocks with no tree or no match (the
+    /// harness hands the whole window mask). Phase 1 proves nothing for
+    /// either, so every superset of the blocks holding a match yields
+    /// one VO; phase 2 has no root for a block with no tree and leaves
+    /// it out too, so the two agree on it — resident and frozen alike,
+    /// byte for byte.
+    #[test]
+    fn both_phases_leave_out_a_handed_block_with_no_tree() {
+        let chain: [&[i64]; 5] = [&[100], &[], &[100, 300], &[300], &[]];
+        let mut ali = ali_with_blocks(&chain);
+        let pred = KeyPredicate::Eq(Value::decimal(100));
+        let dir = std::env::temp_dir().join(format!("sebdb-ali-skip-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = sebdb_storage::BlockStore::open(&dir, Default::default()).unwrap();
+        for (h, amounts) in chain.iter().enumerate() {
+            store.append(&block(h as u64, amounts)).unwrap();
+        }
+        let mut resident = None;
+        for frozen in [false, true] {
+            if frozen {
+                let cp = ali.checkpoint();
+                store.write_index_checkpoint(&cp).unwrap();
+                ali.adopt_frozen(store.load_index_checkpoint(&cp.family).unwrap().unwrap());
+            }
+            let vo = ali.authenticated_query(&pred, None, 5);
+            assert_eq!(visited(&vo), Bitmap::from_bits([0, 2]), "frozen = {frozen}");
+            // Blocks 1 and 4 have no tree, block 3 no match.
+            for handed in [vec![0, 2], vec![0, 1, 2, 4], vec![0, 1, 2, 3, 4, 5, 6]] {
+                let handed = Bitmap::from_bits(handed);
+                let again = ali.authenticated_query(&pred, Some(&handed), 5);
+                assert_eq!(format!("{again:?}"), format!("{vo:?}"));
+            }
+            let digest = ali.auxiliary_query(&Bitmap::from_bits([0, 1, 2, 4]), 5);
+            let roots = [(0, ali.mb_root(0)), (2, ali.mb_root(2))];
+            assert_eq!(digest, auxiliary_digest(&roots), "frozen = {frozen}");
+            verify_query_vo(&vo, &pred, &digest, ali.fanout()).unwrap();
+            // Freezing moves no byte of the answer.
+            let answer = (format!("{vo:?}"), digest);
+            assert_eq!(*resident.get_or_insert(answer.clone()), answer);
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -377,7 +437,7 @@ mod tests {
         let pred = KeyPredicate::Eq(sender);
         let vo = ali.authenticated_query(&pred, None, 2);
         assert_eq!(vo.result_ptrs().len(), 3);
-        let digest = ali.auxiliary_query(&pred, None, 2);
+        let digest = ali.auxiliary_query(&visited(&vo), 2);
         verify_query_vo(&vo, &pred, &digest, ali.fanout()).unwrap();
     }
 

@@ -380,3 +380,505 @@ mod authenticated_join {
         );
     }
 }
+
+/// What §VI's trust argument rests on once the visited set is "the
+/// blocks holding a match": every honest replica derives the same set —
+/// hence the same digest and the same VO bytes — from the chain alone,
+/// whatever its histogram was sampled from and whatever it has frozen;
+/// and no edit of a VO survives the agreed digest.
+mod visited_set {
+    use super::*;
+    use sebdb::AuthenticatedResponse;
+    use sebdb_crypto::sha256::Digest;
+    use sebdb_index::{Bitmap, BlockVo, MbTree};
+    use sebdb_storage::StoreConfig;
+    use std::path::PathBuf;
+
+    /// Rows per block: enough that a narrow range leaves unrevealed
+    /// leaves (a fringe) on both sides of a block's proof.
+    const PER_BLOCK: u64 = 8;
+    /// Amounts are drawn from `0..AMOUNTS`, so a 12-wide range matches
+    /// ≈ 2 % of rows: a handful of blocks out of dozens.
+    const AMOUNTS: u64 = 600;
+
+    /// splitmix64: seeded, so a failing round replays.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// `blocks` ordered blocks of `donate` rows with seeded amounts;
+    /// blocks from `far_from` on draw theirs from `10 × AMOUNTS` up, out
+    /// of reach of every range the tests issue. Every seventh block
+    /// holds `transfer` rows only (no `donate` tree).
+    fn stream(seed: u64, blocks: u64, far_from: u64) -> Vec<OrderedBlock> {
+        let mut rng = Rng(seed);
+        (0..blocks)
+            .map(|b| {
+                let txs = (0..PER_BLOCK)
+                    .map(|i| {
+                        let near = rng.next() % AMOUNTS;
+                        let amount = if b < far_from {
+                            near
+                        } else {
+                            near + 10 * AMOUNTS
+                        };
+                        let sender = if near.is_multiple_of(3) {
+                            ORG1
+                        } else {
+                            KeyId([2; 8])
+                        };
+                        let tname = if b % 7 == 6 { "transfer" } else { "donate" };
+                        let values = vec![
+                            Value::str("jack"),
+                            Value::str("education"),
+                            Value::decimal(amount as i64),
+                        ];
+                        let mut t = Transaction::new(b * 1000 + i, sender, tname, values);
+                        t.tid = b * PER_BLOCK + i + 1;
+                        t
+                    })
+                    .collect();
+                OrderedBlock {
+                    seq: b,
+                    timestamp_ms: (b + 1) * 1000,
+                    txs,
+                }
+            })
+            .collect()
+    }
+
+    /// A replica on its own store (a temp directory when `frozen_at`
+    /// asks for checkpoints, which the memory backend does not keep).
+    struct Replica {
+        ledger: Ledger,
+        dir: Option<PathBuf>,
+    }
+
+    impl Drop for Replica {
+        fn drop(&mut self) {
+            if let Some(dir) = &self.dir {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
+    }
+
+    /// Feeds `stream` to a fresh ledger whose `donate.amount` histogram
+    /// is seeded from `sample`, freezing every index after the blocks
+    /// below each height in `frozen_at`.
+    fn replica(
+        name: &str,
+        stream: &[OrderedBlock],
+        sample: Vec<i64>,
+        frozen_at: &[u64],
+    ) -> Replica {
+        let dir = (!frozen_at.is_empty()).then(|| {
+            let dir =
+                std::env::temp_dir().join(format!("sebdb-auth-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
+        });
+        let store = match &dir {
+            Some(dir) => {
+                let cfg = StoreConfig {
+                    sync_writes: false,
+                    ..StoreConfig::default()
+                };
+                BlockStore::open(dir, cfg).unwrap()
+            }
+            None => BlockStore::in_memory(),
+        };
+        let ledger = Ledger::new(Arc::new(store), MacKeypair::from_key([1; 32])).unwrap();
+        ledger
+            .create_layered_index(&donate_schema(), "amount", Some(sample))
+            .unwrap();
+        for block in stream {
+            if frozen_at.contains(&block.seq) {
+                assert!(ledger.checkpoint_indexes().unwrap() > 0);
+            }
+            ledger.append_ordered(block.clone()).unwrap();
+        }
+        if frozen_at.contains(&(stream.len() as u64)) {
+            assert!(ledger.checkpoint_indexes().unwrap() > 0);
+        }
+        Replica { ledger, dir }
+    }
+
+    /// Three histogram seedings: spread over the stored ranks, the
+    /// benchmark's unit mistake (whole units against ranks scaled by
+    /// 10⁴ — every amount lands in the last bucket and the first level
+    /// prunes nothing), and a skew that crowds the buckets at the low
+    /// end.
+    fn samples() -> [Vec<i64>; 3] {
+        let rank = |a: u64| Value::decimal(a as i64).numeric_rank().unwrap();
+        [
+            (0..AMOUNTS).map(rank).collect(),
+            (0..AMOUNTS as i64).collect(),
+            (0..AMOUNTS).map(|a| rank(a * a / AMOUNTS / 8)).collect(),
+        ]
+    }
+
+    type Query = (Option<&'static str>, &'static str, KeyPredicate);
+
+    fn amount(pred: KeyPredicate) -> Query {
+        (Some("donate"), "amount", pred)
+    }
+
+    /// Phase 1 on `node`. Every answer these tests obtain passes
+    /// through here, so Fig. 17's shape is asserted for every range
+    /// issued: a VO names a block only for a result in it.
+    fn serve(node: &Replica, (table, column, pred): &Query) -> AuthenticatedResponse {
+        let response = serve_authenticated_query(&node.ledger, *table, column, pred, None).unwrap();
+        let rows = response.transactions.len();
+        assert!(
+            response.vo.per_block.len() <= rows,
+            "{} BlockVos for {rows} rows of {pred:?}",
+            response.vo.per_block.len()
+        );
+        assert!(response.vo.per_block.iter().all(|b| !b.results.is_empty()));
+        response
+    }
+
+    /// Phase 2 on `node`, at the height the answer claims.
+    fn digest(node: &Replica, (table, column, pred): &Query, height: u64) -> Digest {
+        serve_auxiliary_digest(&node.ledger, *table, column, pred, None, height).unwrap()
+    }
+
+    /// The whole client side: relay the answer's height to `aux`,
+    /// verify against what comes back.
+    fn client_accepts(response: &AuthenticatedResponse, query: &Query, aux: &Replica) -> bool {
+        let d = digest(aux, query, response.vo.height);
+        ThinClient::new()
+            .verify(&query.2, response, &[d, d], 2)
+            .is_ok()
+    }
+
+    /// Rows of the first `height` blocks of `stream` a query returns.
+    fn oracle(stream: &[OrderedBlock], (table, _, pred): &Query, height: u64) -> usize {
+        stream[..height as usize]
+            .iter()
+            .flat_map(|b| &b.txs)
+            .filter(|tx| match table {
+                Some(t) => tx.tname == *t && pred.matches(&tx.values[2]),
+                None => pred.matches(&Value::Bytes(tx.sender.as_bytes().to_vec())),
+            })
+            .count()
+    }
+
+    /// A seeded 12-wide range that returns something at `height`.
+    fn matching_range(rng: &mut Rng, stream: &[OrderedBlock], height: u64) -> Query {
+        loop {
+            let lo = rng.below(AMOUNTS as usize) as i64;
+            let query = amount(amount_range(lo, lo + 11));
+            if oracle(stream, &query, height) > 0 {
+                return query;
+            }
+        }
+    }
+
+    #[test]
+    fn replicas_agree_whatever_their_histogram_and_whatever_they_froze() {
+        const H: u64 = 42;
+        let seed = 0x5eb_db21;
+        let chain = stream(seed, H + 6, u64::MAX);
+        let [spread, unit_mistake, skewed] = samples();
+        let snapshot = &chain[..H as usize];
+        let nodes = [
+            replica("resident", snapshot, spread.clone(), &[]),
+            replica("half", snapshot, unit_mistake, &[H / 2]),
+            replica("whole", snapshot, skewed, &[H]),
+        ];
+        // Past the snapshot, and frozen past it too.
+        let ahead = replica("ahead", &chain, spread, &[H / 3, H + 3]);
+
+        let mut rng = Rng(seed);
+        let mut queries: Vec<Query> = (0..12)
+            .map(|_| matching_range(&mut rng, &chain, H))
+            .collect();
+        queries.push(amount(amount_range(0, 10 * AMOUNTS as i64)));
+        queries.push(amount(amount_range(3 * AMOUNTS as i64, 4 * AMOUNTS as i64)));
+        queries.push(amount(KeyPredicate::Eq(Value::decimal(
+            rng.below(AMOUNTS as usize) as i64,
+        ))));
+        let org1 = Value::Bytes(ORG1.as_bytes().to_vec());
+        queries.push((None, "sen_id", KeyPredicate::Eq(org1)));
+
+        for query in &queries {
+            let answers: Vec<AuthenticatedResponse> =
+                nodes.iter().map(|n| serve(n, query)).collect();
+            assert_eq!(
+                answers[0].transactions.len(),
+                oracle(&chain, query, H),
+                "{query:?}"
+            );
+            let digests: Vec<Digest> = nodes
+                .iter()
+                .chain([&ahead])
+                .map(|n| digest(n, query, H))
+                .collect();
+            assert!(digests.windows(2).all(|w| w[0] == w[1]), "{query:?}");
+            for answer in &answers {
+                assert_eq!(answer.vo.height, H);
+                // Resident, half frozen, all frozen: the same bytes.
+                assert_eq!(format!("{:?}", answer.vo), format!("{:?}", answers[0].vo));
+                assert_eq!(answer.transactions, answers[0].transactions);
+                for aux in nodes.iter().chain([&ahead]) {
+                    assert!(client_accepts(answer, query, aux), "{query:?}");
+                }
+            }
+        }
+    }
+
+    /// One edit of an honest answer, as a lying full node would make
+    /// it. `None` when this answer has nothing of the kind to edit.
+    type Mutation =
+        fn(&Replica, &Query, &mut Rng, AuthenticatedResponse) -> Option<AuthenticatedResponse>;
+
+    /// Payload positions of `per_block[at]`'s results.
+    fn payloads(r: &AuthenticatedResponse, at: usize) -> std::ops::Range<usize> {
+        let start: usize = r.vo.per_block[..at].iter().map(|b| b.results.len()).sum();
+        start..start + r.vo.per_block[at].results.len()
+    }
+
+    /// A genuine non-membership proof for a block the query does not
+    /// visit — what the per-candidate protocol used to ship: the block's
+    /// own MB-tree (rebuilt from its leaves, root checked against the
+    /// node's) proves that nothing in it matches. The proof is honest;
+    /// its place in the answer is not.
+    fn honest_vo_of_a_block_without_a_match(
+        node: &Replica,
+        (table, column, pred): &Query,
+        r: &AuthenticatedResponse,
+    ) -> Option<BlockVo> {
+        let everything = amount_range(-1, 100 * AMOUNTS as i64);
+        let (lo, hi) = pred.bounds();
+        (0..r.vo.height)
+            .filter(|bid| r.vo.per_block.iter().all(|b| b.block != *bid))
+            .find_map(|bid| {
+                let only = Bitmap::from_bits([bid as usize]);
+                node.ledger.with_ali(*table, column, |ali| {
+                    let whole = ali.authenticated_query(&everything, Some(&only), r.vo.height);
+                    let leaves = whole.per_block.into_iter().next()?.results;
+                    let tree = MbTree::build(leaves, ali.fanout());
+                    assert_eq!(tree.root(), ali.mb_root(bid));
+                    let (results, proof) = tree.range_query(lo, hi);
+                    assert!(results.is_empty());
+                    MbTree::verify_range(&tree.root(), lo, hi, &results, &proof, ali.fanout())
+                        .unwrap();
+                    Some(BlockVo {
+                        block: bid,
+                        results,
+                        proof,
+                        mb_root: tree.root(),
+                    })
+                })?
+            })
+    }
+
+    fn insert_in_order(r: &mut AuthenticatedResponse, vo: BlockVo) {
+        let at = r.vo.per_block.partition_point(|b| b.block < vo.block);
+        r.vo.per_block.insert(at, vo);
+    }
+
+    const MUTATIONS: [(&str, Mutation); 12] = [
+        ("drop a BlockVo with its payloads", |_, _, rng, mut r| {
+            let at = rng.below(r.vo.per_block.len());
+            r.transactions.drain(payloads(&r, at));
+            r.vo.per_block.remove(at);
+            Some(r)
+        }),
+        (
+            "duplicate a BlockVo with its payloads",
+            |_, _, rng, mut r| {
+                let at = rng.below(r.vo.per_block.len());
+                let span = payloads(&r, at);
+                let copy: Vec<Transaction> = r.transactions[span.clone()].to_vec();
+                r.transactions.splice(span.end..span.end, copy);
+                let vo = r.vo.per_block[at].clone();
+                r.vo.per_block.insert(at, vo);
+                Some(r)
+            },
+        ),
+        (
+            "swap two adjacent BlockVos with their payloads",
+            |_, _, rng, mut r| {
+                if r.vo.per_block.len() < 2 {
+                    return None;
+                }
+                let at = rng.below(r.vo.per_block.len() - 1);
+                let (first, second) = (payloads(&r, at), payloads(&r, at + 1));
+                r.transactions[first.start..second.end].rotate_left(first.len());
+                r.vo.per_block.swap(at, at + 1);
+                Some(r)
+            },
+        ),
+        (
+            "add an honestly proved empty BlockVo",
+            |node, query, _, mut r| {
+                let vo = honest_vo_of_a_block_without_a_match(node, query, &r)?;
+                insert_in_order(&mut r, vo);
+                Some(r)
+            },
+        ),
+        (
+            "add an empty BlockVo for a block with no tree",
+            |_, _, _, mut r| {
+                let bid = (0..r.vo.height).find(|b| b % 7 == 6)?;
+                let mut vo = r.vo.per_block[0].clone();
+                vo.block = bid;
+                vo.results.clear();
+                vo.mb_root = Digest::ZERO;
+                vo.proof.total = 0;
+                insert_in_order(&mut r, vo);
+                Some(r)
+            },
+        ),
+        ("drop a result with its payload", |_, _, rng, mut r| {
+            let at = rng.below(r.vo.per_block.len());
+            let i = rng.below(r.vo.per_block[at].results.len());
+            r.transactions.remove(payloads(&r, at).start + i);
+            r.vo.per_block[at].results.remove(i);
+            Some(r)
+        }),
+        ("drop a payload alone", |_, _, rng, mut r| {
+            r.transactions.remove(rng.below(r.transactions.len()));
+            Some(r)
+        }),
+        ("alter a result's hash", |_, _, rng, mut r| {
+            let at = rng.below(r.vo.per_block.len());
+            let i = rng.below(r.vo.per_block[at].results.len());
+            r.vo.per_block[at].results[i].tx_hash = sha256(b"forged");
+            Some(r)
+        }),
+        ("swap a payload for another row's", |node, _, rng, mut r| {
+            let i = rng.below(r.transactions.len());
+            let other = node
+                .ledger
+                .read_block(rng.below(r.vo.height as usize) as u64)
+                .unwrap();
+            let other = other.transactions[rng.below(PER_BLOCK as usize)].clone();
+            if other == r.transactions[i] {
+                return None;
+            }
+            r.transactions[i] = other;
+            Some(r)
+        }),
+        ("truncate a fringe", |_, _, rng, mut r| {
+            let at = rng.below(r.vo.per_block.len());
+            let side = r.vo.per_block[at]
+                .proof
+                .fringe
+                .iter_mut()
+                .flat_map(|(left, right)| [left, right])
+                .find(|side| !side.is_empty())?;
+            side.pop();
+            Some(r)
+        }),
+        ("claim a lower height", |_, _, rng, mut r| {
+            // At or below the last visited block: the auxiliaries,
+            // asked at the claimed height, stop short of it.
+            let last = r.vo.per_block.last().unwrap().block;
+            r.vo.height = rng.below(last as usize + 1) as u64;
+            Some(r)
+        }),
+        ("move a BlockVo to another block id", |_, _, rng, mut r| {
+            let at = rng.below(r.vo.per_block.len());
+            r.vo.per_block[at].block += 1;
+            Some(r)
+        }),
+    ];
+
+    #[test]
+    fn no_mutation_of_a_vo_survives_the_agreed_digest() {
+        const H: u64 = 36;
+        const ROUNDS: usize = 24;
+        let seed = 0xa11_5eed;
+        let chain = stream(seed, H, u64::MAX);
+        let [spread, unit_mistake, _] = samples();
+        let beds = [
+            (
+                "resident",
+                replica("mut-resident", &chain, unit_mistake, &[]),
+            ),
+            ("frozen", replica("mut-frozen", &chain, spread, &[H])),
+        ];
+        let mut rng = Rng(seed);
+        let mut applied = [0usize; MUTATIONS.len()];
+        for round in 0..ROUNDS {
+            let query = matching_range(&mut rng, &chain, H);
+            for (bed, node) in &beds {
+                // The other bed is the auxiliary: a different store,
+                // histogram and freeze state vouch for this one's VO.
+                let aux = &beds.iter().find(|(name, _)| name != bed).unwrap().1;
+                let honest = serve(node, &query);
+                let at = format!("seed {seed:#x} round {round} bed {bed} query {:?}", query.2);
+                assert!(
+                    client_accepts(&honest, &query, aux),
+                    "honest answer refused: {at}"
+                );
+                for (m, (what, mutate)) in MUTATIONS.iter().enumerate() {
+                    let Some(forged) = mutate(node, &query, &mut rng, honest.clone()) else {
+                        continue;
+                    };
+                    applied[m] += 1;
+                    assert!(
+                        !client_accepts(&forged, &query, aux),
+                        "accepted after '{what}': {at}"
+                    );
+                }
+            }
+        }
+        for ((what, _), n) in MUTATIONS.iter().zip(applied) {
+            assert!(
+                n >= ROUNDS,
+                "'{what}' applied only {n} times (seed {seed:#x})"
+            );
+        }
+    }
+
+    /// Fig. 17: the VO grows with the result, not with the chain. The
+    /// second half of the doubled chain holds rows, none in range, under
+    /// a histogram that cannot tell (the per-candidate protocol shipped
+    /// a non-membership proof for each of its blocks).
+    #[test]
+    fn vo_bytes_for_a_fixed_result_do_not_grow_when_the_chain_doubles() {
+        const H: u64 = 30;
+        let seed = 0xf16_0017;
+        let chain = stream(seed, 2 * H, H);
+        let [_, unit_mistake, _] = samples();
+        let mut rng = Rng(seed);
+        let queries: Vec<Query> = (0..8)
+            .map(|_| matching_range(&mut rng, &chain, H))
+            .collect();
+        let sizes = |blocks: u64, frozen_at: &[u64]| -> Vec<(usize, usize, usize)> {
+            let node = replica(
+                &format!("grow-{blocks}-{}", frozen_at.len()),
+                &chain[..blocks as usize],
+                unit_mistake.clone(),
+                frozen_at,
+            );
+            queries
+                .iter()
+                .map(|q| {
+                    let r = serve(&node, q);
+                    assert!(client_accepts(&r, q, &node));
+                    (r.transactions.len(), r.vo.per_block.len(), r.vo_bytes())
+                })
+                .collect()
+        };
+        let short = sizes(H, &[]);
+        assert_eq!(sizes(2 * H, &[]), short, "resident (seed {seed:#x})");
+        assert_eq!(sizes(2 * H, &[2 * H]), short, "frozen (seed {seed:#x})");
+    }
+}
