@@ -15,7 +15,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 # wall-clock site, single environment read, and the std-sync lock ban
 # (engine locks must go through the parking_lot shim so the model
 # checker and lock-order detector cover them — DESIGN §14). Allowlist:
-# tools/lint/allowlist.txt.
+# tools/lint/allowlist.txt. Rule `loc` holds the non-test Rust lines
+# under crates/ + tools/ to tools/lint/loc_budget.txt.
 echo "==> cargo run -q -p sebdb-lint"
 cargo run -q -p sebdb-lint
 

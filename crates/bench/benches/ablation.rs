@@ -4,16 +4,13 @@
 //!   configurable for different precisions" (§IV-B); deeper histograms
 //!   prune more blocks at higher first-level cost;
 //! * **MB-tree fanout** — the 4 KB page choice (§VII-A) trades proof
-//!   width (flat trees) against proof depth (binary-ish trees);
-//! * **second-level bulk load vs incremental insert** — blocks are
-//!   immutable, so bulk loading is the paper's choice ("leaf nodes are
-//!   kept full").
+//!   width (flat trees) against proof depth (binary-ish trees).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sebdb_crypto::sha256::Digest;
 use sebdb_crypto::sig::KeyId;
 use sebdb_index::mbtree::{AuthEntry, MbTree};
-use sebdb_index::{BPlusTree, EqualDepthHistogram, KeyPredicate, LayeredIndex};
+use sebdb_index::{EqualDepthHistogram, KeyPredicate, LayeredIndex};
 use sebdb_storage::TxPtr;
 use sebdb_types::{Block, ColumnRef, Transaction, Value};
 use std::time::Duration;
@@ -117,32 +114,5 @@ fn mbtree_fanout(c: &mut Criterion) {
     group.finish();
 }
 
-/// Bulk load vs incremental insert for per-block second-level trees.
-fn second_level_build(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_second_level_build");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(300));
-    let n = 10_000usize;
-    let mut entries: Vec<(u64, u64)> = (0..n as u64)
-        .map(|i| ((i * 2_654_435_761) % 1_000_003, i))
-        .collect();
-    entries.sort();
-    group.bench_function("bulk_load_sorted", |b| {
-        b.iter(|| BPlusTree::bulk_load(64, entries.clone()).len())
-    });
-    group.bench_function("incremental_insert", |b| {
-        b.iter(|| {
-            let mut t = BPlusTree::with_order(64);
-            for (k, v) in &entries {
-                t.insert(*k, *v);
-            }
-            t.len()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, histogram_depth, mbtree_fanout, second_level_build);
+criterion_group!(benches, histogram_depth, mbtree_fanout);
 criterion_main!(benches);

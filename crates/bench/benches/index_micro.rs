@@ -1,11 +1,11 @@
 //! Microbenchmarks of the index substrates (ablation material for
-//! DESIGN.md's design choices): B⁺-tree bulk load vs insert, bitmap
-//! AND, histogram bucketing, Merkle root, MB-tree proof round trips.
+//! DESIGN.md's design choices): bitmap AND, histogram bucketing,
+//! Merkle root, MB-tree proof round trips.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use sebdb_crypto::merkle::merkle_root;
 use sebdb_index::mbtree::{AuthEntry, MbTree};
-use sebdb_index::{BPlusTree, Bitmap, EqualDepthHistogram};
+use sebdb_index::{Bitmap, EqualDepthHistogram};
 use sebdb_storage::TxPtr;
 use sebdb_types::Value;
 use std::time::Duration;
@@ -15,27 +15,6 @@ fn configure(group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::W
         .sample_size(10)
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(300));
-}
-
-fn bptree_build(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bptree_build");
-    configure(&mut group);
-    for n in [1_000usize, 10_000] {
-        let entries: Vec<(u64, u64)> = (0..n as u64).map(|i| (i, i)).collect();
-        group.bench_with_input(BenchmarkId::new("bulk_load", n), &entries, |b, e| {
-            b.iter(|| BPlusTree::bulk_load(64, e.clone()).len())
-        });
-        group.bench_with_input(BenchmarkId::new("insert", n), &entries, |b, e| {
-            b.iter(|| {
-                let mut t = BPlusTree::with_order(64);
-                for (k, v) in e {
-                    t.insert(*k, *v);
-                }
-                t.len()
-            })
-        });
-    }
-    group.finish();
 }
 
 fn bitmap_ops(c: &mut Criterion) {
@@ -110,11 +89,5 @@ fn merkle_and_mbtree(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bptree_build,
-    bitmap_ops,
-    histogram_bucketing,
-    merkle_and_mbtree
-);
+criterion_group!(benches, bitmap_ops, histogram_bucketing, merkle_and_mbtree);
 criterion_main!(benches);

@@ -8,8 +8,8 @@
 //! Each experiment gets a [`TestBed`]: an in-memory ledger populated
 //! with `blocks × txs_per_block` transactions, the *hit* transactions
 //! (those a query will return) placed across blocks per the selected
-//! [`Placement`], plus the off-chain tables and the layered/ALI
-//! indexes the workload needs.
+//! [`Placement`], plus the off-chain tables and the layered indexes
+//! the workload needs.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -346,7 +346,7 @@ pub fn tracking2_bed(
 
 /// Bed for Q4 (range query on `donate.amount`): `hits` donations in
 /// the reserved `[HIT_LO, HIT_HI]` band, fillers below it; creates the
-/// layered index (and ALI) on `donate.amount`.
+/// layered index on `donate.amount`.
 pub fn range_bed(
     blocks: u64,
     txs_per_block: usize,

@@ -5,7 +5,7 @@
 use crate::datagen::{TestBed, HIT_HI, HIT_LO, ORG1};
 use sebdb::{QueryResult, Strategy};
 use sebdb_consensus::traits::now_ms;
-use sebdb_consensus::{Consensus, OrderedBlock};
+use sebdb_consensus::Consensus;
 use sebdb_crypto::sig::KeyId;
 use sebdb_sql::{BoundPredicate, BoundPredicateKind, CompareOp, LogicalPlan};
 use sebdb_types::{Timestamp, Transaction, Value};
@@ -201,12 +201,6 @@ pub fn run_write_benchmark(
         },
         committed,
     }
-}
-
-/// Drains `engine`'s ordered stream into a sink so blocks don't queue
-/// unboundedly during write benches. Returns a stopper.
-pub fn drain_blocks(engine: &Arc<dyn Consensus>) -> crossbeam::channel::Receiver<OrderedBlock> {
-    engine.subscribe()
 }
 
 #[cfg(test)]

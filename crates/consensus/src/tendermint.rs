@@ -542,7 +542,6 @@ pub struct TendermintEngine {
     ingest: Option<Arc<Mempool>>,
     shared: Arc<TmShared>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    n: usize,
 }
 
 impl TendermintEngine {
@@ -701,13 +700,7 @@ impl TendermintEngine {
             ingest,
             shared,
             threads: Mutex::new(threads),
-            n,
         })
-    }
-
-    /// Validator count.
-    pub fn validator_count(&self) -> usize {
-        self.n
     }
 
     /// Installs (or clears) the batch admission MAC verifier. Only

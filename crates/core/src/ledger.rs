@@ -3,26 +3,27 @@
 //! One `Ledger` per node. It seals ordered batches from the consensus
 //! layer into blocks, appends them to the block store (the single copy
 //! of on-chain data), keeps the chain linkage verified, and maintains
-//! all four index structures of §IV-B/§VI on every append:
-//! block-level B⁺-tree, table-level bitmaps, layered indexes, and
-//! authenticated layered indexes (ALIs). The two system tracking
-//! indexes on `SenID` and `Tname` ("created on all tables for all
-//! historical transactions", §V-A) exist from genesis.
+//! every index structure of §IV-B/§VI on every append: block-level
+//! B⁺-tree, table-level bitmaps, and one layered index per indexed
+//! column — authenticated, so the same index answers plain and
+//! thin-client queries. The two system tracking indexes on `SenID` and
+//! `Tname` ("created on all tables for all historical transactions",
+//! §V-A) exist from genesis.
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use sebdb_consensus::OrderedBlock;
 use sebdb_crypto::sha256::Digest;
 use sebdb_crypto::sig::{MacKeypair, Signer};
 use sebdb_index::{
-    column_slug, family_block, family_table, AuthenticatedLayeredIndex, Bitmap, BlockLevelIndex,
-    EqualDepthHistogram, Layered, LayeredIndex, SecondLevel, TableBitmapIndex,
+    column_slug, family_block, family_layered, family_table, Bitmap, BlockLevelIndex,
+    EqualDepthHistogram, LayeredIndex, TableBitmapIndex,
 };
 use sebdb_parallel::Tracked;
 use sebdb_storage::{
     BlockCache, BlockStore, CacheMode, CachedStore, IndexCheckpoint, PagedIndexReader, RawExtent,
     StorageError, TxCache, TxPtr,
 };
-use sebdb_types::{Block, BlockId, ColumnRef, TableSchema, Timestamp, Transaction, Value};
+use sebdb_types::{Block, BlockId, ColumnRef, TableSchema, Timestamp, Transaction};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -101,94 +102,59 @@ fn shard_of_key(key: &IndexKey) -> usize {
     }
 }
 
-/// The layered index families over one kind of second-level tree
-/// living in one shard, behind their own lock.
-type Families<S> = RwLock<HashMap<IndexKey, Layered<S>>>;
-
-/// One relation shard: the layered and authenticated index families of
-/// the tables hashing to it, each behind its own lock so applier lanes
-/// maintain disjoint shards with zero contention. Every operation over
-/// "all families of the shard" is one generic function applied to the
-/// two maps in this order.
+/// One relation shard: the layered indexes of the tables hashing to it,
+/// behind their own lock so applier lanes maintain disjoint shards with
+/// zero contention.
 #[derive(Default)]
 struct IndexShard {
     layered: RwLock<HashMap<IndexKey, LayeredIndex>>,
-    alis: RwLock<HashMap<IndexKey, AuthenticatedLayeredIndex>>,
 }
 
 impl IndexShard {
-    /// Lowest height any family of the shard has state for.
+    /// Lowest height any index of the shard has state for.
     fn covered_floor(&self) -> u64 {
-        fn floor<S: SecondLevel>(families: &Families<S>) -> u64 {
-            let covered = families.read().values().map(Layered::covered).min();
-            covered.unwrap_or(u64::MAX)
-        }
-        floor(&self.layered).min(floor(&self.alis))
+        let covered = self
+            .layered
+            .read()
+            .values()
+            .map(LayeredIndex::covered)
+            .min();
+        covered.unwrap_or(u64::MAX)
     }
 
-    /// Indexes `block` into every family. With `rows` (the block's
-    /// relation → tuple positions partition) each per-table family is
-    /// handed exactly its rows; without, each family filters the block.
+    /// Indexes `block` into every index. With `rows` (the block's
+    /// relation → tuple positions partition) each per-table index is
+    /// handed exactly its rows; without, each index filters the block.
     fn update(&self, block: &Block, rows: Option<&HashMap<String, Vec<u32>>>) {
-        fn update<S: SecondLevel>(
-            families: &Families<S>,
-            block: &Block,
-            rows: Option<&HashMap<String, Vec<u32>>>,
-        ) {
-            for (key, idx) in families.write().iter_mut() {
-                match rows {
-                    Some(rows) => {
-                        let covered = key.0.as_deref().and_then(|t| rows.get(t));
-                        idx.update_rows(block, covered.map_or(&[], |r| r.as_slice()));
-                    }
-                    None => idx.update(block),
+        for (key, idx) in self.layered.write().iter_mut() {
+            match rows {
+                Some(rows) => {
+                    let covered = key.0.as_deref().and_then(|t| rows.get(t));
+                    idx.update_rows(block, covered.map_or(&[], |r| r.as_slice()));
                 }
+                None => idx.update(block),
             }
         }
-        update(&self.layered, block, rows);
-        update(&self.alis, block, rows);
     }
 
-    /// Resident bytes of the shard's families.
+    /// Resident bytes of the shard's indexes.
     fn memory_bytes(&self) -> usize {
-        fn bytes<S: SecondLevel>(families: &Families<S>) -> usize {
-            families.read().values().map(Layered::memory_bytes).sum()
-        }
-        bytes(&self.layered) + bytes(&self.alis)
+        let layered = self.layered.read();
+        layered.values().map(LayeredIndex::memory_bytes).sum()
     }
 
-    /// Freezes every family behind a checkpoint published through
+    /// Freezes every index behind a checkpoint published through
     /// `ledger`'s store. Returns how many checkpoints were published
-    /// (none when the backend keeps families resident).
+    /// (none when the backend keeps indexes resident).
     fn checkpoint(&self, ledger: &Ledger) -> Result<usize, LedgerError> {
-        fn freeze<S: SecondLevel>(
-            families: &Families<S>,
-            ledger: &Ledger,
-        ) -> Result<usize, LedgerError> {
-            let mut published = 0;
-            for idx in families.write().values_mut() {
-                if let Some(r) = ledger.publish_checkpoint(&idx.checkpoint())? {
-                    idx.adopt_frozen(r);
-                    published += 1;
-                }
+        let mut published = 0;
+        for idx in self.layered.write().values_mut() {
+            if let Some(r) = ledger.publish_checkpoint(&idx.checkpoint())? {
+                idx.adopt_frozen(r);
+                published += 1;
             }
-            Ok(published)
         }
-        Ok(freeze(&self.layered, ledger)? + freeze(&self.alis, ledger)?)
-    }
-}
-
-/// Starts the family of `(table, col)` over `S`-trees cold: continuous
-/// over `hist` when there is one, discrete otherwise.
-fn cold_family<S: SecondLevel>(
-    table: Option<&str>,
-    col: ColumnRef,
-    hist: Option<&EqualDepthHistogram>,
-) -> Layered<S> {
-    let table = table.map(str::to_string);
-    match hist {
-        Some(h) => Layered::new_continuous(table, col, h.clone()),
-        None => Layered::new_discrete(table, col),
+        Ok(published)
     }
 }
 
@@ -238,9 +204,6 @@ pub struct Ledger {
     index_fault: RwLock<Option<Box<IndexFaultHook>>>,
     /// Automatic index-checkpoint cadence in blocks (`0` = disabled).
     checkpoint_every: AtomicU64,
-    /// Adaptive checkpoint threshold in resident bytes (`0` =
-    /// disabled).
-    checkpoint_bytes: AtomicU64,
     /// Registered incremental materialized `TRACE` views (see
     /// [`crate::views`]).
     views: crate::views::ViewEngine,
@@ -272,7 +235,6 @@ impl Ledger {
             height_cv: Condvar::new(),
             index_fault: RwLock::new(None),
             checkpoint_every: AtomicU64::new(0),
-            checkpoint_bytes: AtomicU64::new(0),
             views: crate::views::ViewEngine::default(),
         };
         // Attach frozen prefixes first: each valid index checkpoint
@@ -292,13 +254,10 @@ impl Ledger {
         let chain = &ledger.shards[INDEX_SHARDS];
         for col in [ColumnRef::SenId, ColumnRef::Tname] {
             let key: IndexKey = (None, column_slug(&col));
-            let layered: Option<LayeredIndex> = ledger.reattach_family(None, col)?;
-            let ali: Option<AuthenticatedLayeredIndex> = ledger.reattach_family(None, col)?;
-            frozen_loaded += usize::from(layered.is_some()) + usize::from(ali.is_some());
-            let layered = layered.unwrap_or_else(|| cold_family(None, col, None));
-            chain.layered.write().insert(key.clone(), layered);
-            let ali = ali.unwrap_or_else(|| cold_family(None, col, None));
-            chain.alis.write().insert(key, ali);
+            let frozen = ledger.reattach_index(None, col)?;
+            frozen_loaded += usize::from(frozen.is_some());
+            let index = frozen.unwrap_or_else(|| LayeredIndex::new_discrete(None, col));
+            chain.layered.write().insert(key, index);
         }
         // Rebuild indexes from blocks past the lowest frozen height
         // (restart path). A crash between persist and index leaves
@@ -350,16 +309,16 @@ impl Ledger {
         floor
     }
 
-    /// The family of `(table, col)` over `S`-trees behind its published
-    /// checkpoint, if the store holds a valid one.
-    fn reattach_family<S: SecondLevel>(
+    /// The index on `(table, col)` behind its published checkpoint, if
+    /// the store holds a valid one.
+    fn reattach_index(
         &self,
         table: Option<&str>,
         col: ColumnRef,
-    ) -> Result<Option<Layered<S>>, LedgerError> {
-        let family = S::family(table, &column_slug(&col));
+    ) -> Result<Option<LayeredIndex>, LedgerError> {
+        let family = family_layered(table, &column_slug(&col));
         let frozen = self.store.load_index_checkpoint(&family)?;
-        Ok(frozen.map(|r| Layered::from_frozen(table.map(str::to_string), col, r)))
+        Ok(frozen.map(|r| LayeredIndex::from_frozen(table.map(str::to_string), col, r)))
     }
 
     /// Applied chain height: every block below it is persisted and
@@ -626,9 +585,7 @@ impl Ledger {
                 block.header.height
             );
         }
-        if self.checkpoint_due(block.header.height + 1)
-            || self.bytes_due(|| self.index_memory_bytes())
-        {
+        if self.checkpoint_due(block.header.height + 1) {
             // Best-effort: a failed or interrupted checkpoint leaves
             // the previous one in place and heals at the next open.
             let _ = self.checkpoint_indexes();
@@ -682,8 +639,8 @@ impl Ledger {
 
     /// Lane 0's chain-level share of indexing `block`: the fault hook,
     /// the block-level B⁺-tree, the table bitmaps, and the chain shard
-    /// (system `None`-table layered/ALI indexes, which walk every
-    /// tuple). Blocks must arrive in height order.
+    /// (system `None`-table layered indexes, which walk every tuple).
+    /// Blocks must arrive in height order.
     pub fn index_chain_lane(&self, block: &Block) {
         if let Some(hook) = self.index_fault.read().as_ref() {
             hook(block);
@@ -691,9 +648,7 @@ impl Ledger {
         self.block_index.write().append(block);
         self.table_index.write().update(block);
         self.shards[INDEX_SHARDS].update(block, None);
-        if self.checkpoint_due(block.header.height + 1)
-            || self.bytes_due(|| self.chain_families_memory_bytes())
-        {
+        if self.checkpoint_due(block.header.height + 1) {
             let _ = self.checkpoint_chain_families();
         }
     }
@@ -716,11 +671,9 @@ impl Ledger {
                 shard.update(block, Some(rows));
             }
         }
-        let every_due = self.checkpoint_due(block.header.height + 1);
-        for s in (0..INDEX_SHARDS).filter(|s| s % lanes == lane) {
-            let shard = &self.shards[s];
-            if every_due || self.bytes_due(|| shard.memory_bytes()) {
-                let _ = shard.checkpoint(self);
+        if self.checkpoint_due(block.header.height + 1) {
+            for s in (0..INDEX_SHARDS).filter(|s| s % lanes == lane) {
+                let _ = self.shards[s].checkpoint(self);
             }
         }
     }
@@ -738,37 +691,6 @@ impl Ledger {
     /// default, disables it).
     pub fn set_checkpoint_every(&self, every: u64) {
         self.checkpoint_every.store(every, Ordering::Relaxed);
-    }
-
-    /// Whether the adaptive byte-threshold cadence fires for a scope
-    /// currently holding `bytes()` resident bytes. The footprint is
-    /// only computed when the threshold is enabled — the default path
-    /// costs one relaxed load per block.
-    fn bytes_due(&self, bytes: impl FnOnce() -> usize) -> bool {
-        let threshold = self.checkpoint_bytes.load(Ordering::Relaxed);
-        threshold > 0 && bytes() as u64 >= threshold
-    }
-
-    /// Sets the adaptive index-checkpoint threshold in resident bytes
-    /// (`0`, the default, disables it): a scope whose footprint crosses
-    /// it after a block freezes and drops its tail. It should sit well
-    /// above a scope's frozen fence/meta footprint (a few KB per
-    /// family), which stays resident. Scope-granular: the sequential
-    /// applier checks the whole footprint, lane 0 checks the chain
-    /// families, and each relation lane checks the shards it owns — so
-    /// under a lane pipeline only the scope that actually grew pays
-    /// for a freeze.
-    pub fn set_checkpoint_bytes(&self, bytes: u64) {
-        self.checkpoint_bytes.store(bytes, Ordering::Relaxed);
-    }
-
-    /// Resident bytes of the chain-level scope: the block-level
-    /// B⁺-tree, the table bitmaps, and the chain shard's system
-    /// indexes (lane 0's checkpoint scope).
-    fn chain_families_memory_bytes(&self) -> usize {
-        self.block_index.read().memory_bytes()
-            + self.table_index.read().memory_bytes()
-            + self.shards[INDEX_SHARDS].memory_bytes()
     }
 
     /// Writes one family's checkpoint behind the `.tmp` → rename commit
@@ -887,25 +809,10 @@ impl Ledger {
         }
     }
 
-    /// Applied height as seen by readers of `table` alone: the height
-    /// of the lane owning that relation's shard when a lane vector is
-    /// installed, else the scalar applied height. Single-relation
-    /// reads could safely use this (it only runs ahead of the min);
-    /// cross-relation reads must use [`Self::height`].
-    pub fn relation_applied_height(&self, table: &str) -> BlockId {
-        match self.applied_vector() {
-            Some(vec) if !vec.is_empty() => {
-                let lane = shard_of(&table.to_ascii_lowercase()) % vec.len();
-                vec[lane].load(Ordering::Acquire).max(self.height())
-            }
-            _ => self.height(),
-        }
-    }
-
-    /// Creates a layered index (and its ALI twin) on
-    /// `table.column`, replaying all existing blocks. For continuous
-    /// attributes the equal-depth histogram is sampled from history
-    /// (§IV-B); with no history yet, the `sample` override seeds it.
+    /// Creates the layered index on `table.column`, replaying all
+    /// existing blocks. For continuous attributes the equal-depth
+    /// histogram is sampled from history (§IV-B); with no history yet,
+    /// the `sample` override seeds it.
     pub fn create_layered_index(
         &self,
         schema: &TableSchema,
@@ -920,41 +827,36 @@ impl Ledger {
         if shard.layered.read().contains_key(&key) {
             return Ok(());
         }
-        let continuous = col.data_type(schema).is_continuous();
         // A previous run of this node may have checkpointed the same
         // family; reattaching the frozen prefix turns the replay below
         // into a tail replay. The histogram travels in the checkpoint
         // meta, so sampling only happens when a family starts cold.
-        let table = Some(schema.name.as_str());
-        let frozen_layered: Option<LayeredIndex> = self.reattach_family(table, col)?;
-        let frozen_ali: Option<AuthenticatedLayeredIndex> = self.reattach_family(table, col)?;
-        let hist = if continuous && (frozen_layered.is_none() || frozen_ali.is_none()) {
-            let sample = match sample {
-                Some(s) => s,
-                None => self.sample_ranks(schema, col)?,
-            };
-            Some(EqualDepthHistogram::from_sample(
-                sample,
-                DEFAULT_HISTOGRAM_BUCKETS,
-            ))
-        } else {
-            None
+        let mut index = match self.reattach_index(Some(&schema.name), col)? {
+            Some(frozen) => frozen,
+            None => {
+                let table = Some(schema.name.clone());
+                if col.data_type(schema).is_continuous() {
+                    let sample = match sample {
+                        Some(s) => s,
+                        None => self.sample_ranks(schema, col)?,
+                    };
+                    let hist = EqualDepthHistogram::from_sample(sample, DEFAULT_HISTOGRAM_BUCKETS);
+                    LayeredIndex::new_continuous(table, col, hist)
+                } else {
+                    LayeredIndex::new_discrete(table, col)
+                }
+            }
         };
-        let mut layered = frozen_layered.unwrap_or_else(|| cold_family(table, col, hist.as_ref()));
-        let mut ali = frozen_ali.unwrap_or_else(|| cold_family(table, col, hist.as_ref()));
         // Replay only applied blocks: a block the pipeline has persisted
         // but not yet indexed will reach the new index through
         // `index_appended` once it is registered below. (Index creation
         // is a control-plane operation; callers run it with the applier
-        // quiescent, as before.) Each structure skips blocks its frozen
-        // prefix already covers.
-        for bid in layered.covered().min(ali.covered())..self.height() {
+        // quiescent, as before.) The frozen prefix is not replayed.
+        for bid in index.covered()..self.height() {
             let block = self.store.read(bid)?;
-            layered.update(&block);
-            ali.update(&block);
+            index.update(&block);
         }
-        shard.layered.write().insert(key.clone(), layered);
-        shard.alis.write().insert(key, ali);
+        shard.layered.write().insert(key, index);
         Ok(())
     }
 
@@ -995,15 +897,15 @@ impl Ledger {
             .map(f)
     }
 
-    /// Runs `f` with the ALI on `(table, column)`, if any.
+    /// [`Self::with_layered`] under the name the frozen benchmark
+    /// harness calls; goes when the harness is re-pinned (ROADMAP item 1).
     pub fn with_ali<R>(
         &self,
         table: Option<&str>,
         column: &str,
-        f: impl FnOnce(&AuthenticatedLayeredIndex) -> R,
+        f: impl FnOnce(&LayeredIndex) -> R,
     ) -> Option<R> {
-        let key = index_key(table, column);
-        self.shards[shard_of_key(&key)].alis.read().get(&key).map(f)
+        self.with_layered(table, column, f)
     }
 
     /// Runs `f` with the block-level index.
@@ -1088,12 +990,6 @@ impl Ledger {
             .map(|bid| Ok(self.store.read(bid)?.header.clone()))
             .collect()
     }
-
-    /// Looks up transactions by exact sender-id value through the
-    /// system tracking index (helper for the executor).
-    pub fn sender_value(sender: &sebdb_crypto::sig::KeyId) -> Value {
-        Value::Bytes(sender.as_bytes().to_vec())
-    }
 }
 
 #[cfg(test)]
@@ -1101,7 +997,7 @@ mod tests {
     use super::*;
     use sebdb_consensus::traits::now_ms;
     use sebdb_crypto::sig::KeyId;
-    use sebdb_types::{Column, DataType};
+    use sebdb_types::{Column, DataType, Value};
 
     fn signer() -> MacKeypair {
         MacKeypair::from_key([9u8; 32])

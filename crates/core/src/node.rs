@@ -172,11 +172,6 @@ impl SebdbNode {
         Ok(node)
     }
 
-    /// The applier pipeline's health flag (poisoned when a stage died).
-    pub fn applier_health(&self) -> &Arc<ApplierHealth> {
-        &self.health
-    }
-
     /// The node's own sender id.
     pub fn id(&self) -> KeyId {
         self.identity.key_id()
@@ -349,21 +344,6 @@ impl SebdbNode {
             tid: committed.tid,
             block: committed.seq,
         })
-    }
-
-    /// Submits a pre-built transaction (used by benchmark clients);
-    /// returns when committed, without waiting for local apply.
-    pub fn submit_transaction(
-        &self,
-        mut tx: Transaction,
-        signer: &MacKeypair,
-    ) -> Result<sebdb_consensus::CommitAck, NodeError> {
-        tx.sig = signer.sign(&tx.signing_payload()).to_bytes();
-        self.consensus
-            .submit(tx)
-            .recv_timeout(self.apply_timeout)
-            .map_err(|_| NodeError::ApplyTimeout)?
-            .map_err(NodeError::Consensus)
     }
 
     fn wait_applied(&self, seq: u64) -> Result<(), NodeError> {

@@ -2,8 +2,8 @@
 //!
 //! A thin client stores only block headers. To query, it runs the
 //! paper's two-phase protocol: phase 1 asks a randomly chosen full
-//! node, which executes over the ALI and returns results + VO + the
-//! snapshot height `h`; phase 2 relays `(query, h)` to one or more
+//! node, which executes over the layered index and returns results +
+//! VO + the snapshot height `h`; phase 2 relays `(query, h)` to one or more
 //! *auxiliary* full nodes, which return a digest over the MB-tree
 //! roots of exactly the blocks the query visits. The client
 //! verifies soundness and completeness from the VO and cross-checks
@@ -12,7 +12,7 @@
 //! nodes are all from Byzantine nodes.
 //!
 //! Probe first, prove second: the visited blocks are the blocks below
-//! `h` that *hold a match*, found by one probe of the ALI's plain twin
+//! `h` that *hold a match*, found by one plain probe of the index
 //! ([`visited_blocks`], the only source of a visited set), not the
 //! blocks a histogram could not rule out. That set is a function of the
 //! chain alone, so every honest replica — whatever its histogram was
@@ -29,7 +29,7 @@
 
 use crate::ledger::Ledger;
 use sebdb_crypto::sha256::Digest;
-use sebdb_index::{verify_query_vo, Bitmap, KeyPredicate, QueryVo, VerifyError};
+use sebdb_index::{verify_query_vo, Bitmap, KeyPredicate, LayeredIndex, QueryVo, VerifyError};
 use sebdb_types::{BlockHeader, BlockId, Codec, Timestamp, Transaction};
 
 /// What a full node returns in phase 1.
@@ -51,27 +51,17 @@ impl AuthenticatedResponse {
     }
 }
 
-/// The blocks an authenticated query on `(table, column)` visits at
-/// snapshot `height`: those inside `window` and below `height` holding
-/// a row that matches `pred`, read off the plain twin of the ALI
-/// (`create_layered_index` builds both; its frozen half is one
-/// value-ordered run, so the probe costs the result, not the chain).
-/// Both phases call this and nothing else decides a visited set.
-fn visited_blocks(
-    ledger: &Ledger,
-    table: Option<&str>,
-    column: &str,
-    pred: &KeyPredicate,
-    window: Option<(Timestamp, Timestamp)>,
-    height: BlockId,
-) -> Option<Bitmap> {
-    let mask = ledger.window_mask_at(window, height);
-    ledger.with_layered(table, column, |twin| {
-        Bitmap::from_bits(twin.search(pred, &mask).iter().map(|p| p.block as usize))
-    })
+/// The blocks an authenticated query visits at snapshot `height`: those
+/// inside `mask` holding a row that matches `pred`, read off the
+/// index's sorted leaves (its frozen half is one value-ordered run, so
+/// the probe costs the result, not the chain). Both phases call this
+/// under the guard they prove under, and nothing else decides a visited
+/// set.
+fn visited_blocks(index: &LayeredIndex, pred: &KeyPredicate, mask: &Bitmap) -> Bitmap {
+    Bitmap::from_bits(index.search(pred, mask).iter().map(|p| p.block as usize))
 }
 
-/// Server-side phase 1: execute `pred` on `(table, column)`'s ALI at
+/// Server-side phase 1: execute `pred` on `(table, column)`'s index at
 /// the current height.
 pub fn serve_authenticated_query(
     ledger: &Ledger,
@@ -81,11 +71,12 @@ pub fn serve_authenticated_query(
     window: Option<(Timestamp, Timestamp)>,
 ) -> Option<AuthenticatedResponse> {
     let height = ledger.height();
-    let visited = visited_blocks(ledger, table, column, pred, window, height)?;
-    let (vo, fanout) = ledger.with_ali(table, column, |ali| {
+    let mask = ledger.window_mask_at(window, height);
+    let (vo, fanout) = ledger.with_layered(table, column, |index| {
+        let visited = visited_blocks(index, pred, &mask);
         (
-            ali.authenticated_query(pred, Some(&visited), height),
-            ali.fanout(),
+            index.authenticated_query(pred, Some(&visited), height),
+            index.fanout(),
         )
     })?;
     // Materialize the result transactions the VO points at, in VO order.
@@ -112,8 +103,10 @@ pub fn serve_auxiliary_digest(
     window: Option<(Timestamp, Timestamp)>,
     height: BlockId,
 ) -> Option<Digest> {
-    let visited = visited_blocks(ledger, table, column, pred, window, height)?;
-    ledger.with_ali(table, column, |ali| ali.auxiliary_query(&visited, height))
+    let mask = ledger.window_mask_at(window, height);
+    ledger.with_layered(table, column, |index| {
+        index.auxiliary_query(&visited_blocks(index, pred, &mask), height)
+    })
 }
 
 /// A phase-1 response for an authenticated *join* (§VI: "It is
@@ -132,7 +125,7 @@ pub struct AuthenticatedJoinResponse {
 }
 
 /// Serves phase 1 of an authenticated join of `left` ⋈ `right` on
-/// their ALI-indexed columns (full key range — completeness of the
+/// their indexed columns (full key range — completeness of the
 /// join needs both relations whole within the window).
 pub fn serve_authenticated_join(
     ledger: &Ledger,

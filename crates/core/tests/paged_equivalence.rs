@@ -239,7 +239,7 @@ fn assert_suites_match(
     }
 }
 
-/// Builds the per-table layered/ALI pairs both sides query through
+/// Builds the per-table layered indexes both sides query through
 /// (both join operands, so the layered join plan has its indexes).
 fn index_amount(ledger: &Ledger, schemas: &SchemaManager) {
     for table in ["donate3", "donate4"] {
@@ -592,10 +592,11 @@ fn a_frozen_range_probe_reads_what_it_returns_not_the_chain() {
     assert_eq!(cold_probe_misses(4_000), (misses, 20));
 }
 
-/// A checkpoint in the previous layout (magic `SEBDBIX1`: per-block
-/// entry lists, fixed-width lengths) is not migrated: it fails `open`
-/// as corrupt, is deleted, and the families replay the chain — after
-/// which every suite answers as it did before.
+/// A checkpoint in an earlier layout (magic `SEBDBIX2`: a plain and an
+/// authenticated file per column; `SEBDBIX1`: per-block entry lists,
+/// fixed-width lengths) is not migrated and never adopted: it fails
+/// `open` as corrupt, is deleted, and the families replay the chain —
+/// after which every suite answers as it did before.
 #[test]
 fn an_old_format_checkpoint_is_deleted_and_replayed() {
     let blocks = mixed_blocks(60);
@@ -619,13 +620,16 @@ fn an_old_format_checkpoint_is_deleted_and_replayed() {
             .collect()
     };
     let published = icps();
-    assert!(published.len() >= 8, "{} checkpoints", published.len());
-    for path in &published {
+    // One file per family: block, table, the two system columns and
+    // the two indexed `amount`s.
+    assert_eq!(published.len(), 6);
+    for (i, path) in published.iter().enumerate() {
         let mut bytes = std::fs::read(path).unwrap();
         let end = bytes.len();
-        assert_eq!(&bytes[..8], b"SEBDBIX2");
-        bytes[..8].copy_from_slice(b"SEBDBIX1");
-        bytes[end - 8..].copy_from_slice(b"SEBDBIX1");
+        assert_eq!(&bytes[..8], b"SEBDBIX3");
+        let old = [b"SEBDBIX2", b"SEBDBIX1"][i % 2];
+        bytes[..8].copy_from_slice(old);
+        bytes[end - 8..].copy_from_slice(old);
         std::fs::write(path, bytes).unwrap();
     }
     let store = Arc::new(BlockStore::open(&dir, cfg.clone()).unwrap());

@@ -1,7 +1,6 @@
 //! Window-boundary semantics of tracking (`TRACE`), pinned across all
-//! three physical strategies, plus the adaptive index-checkpoint
-//! cadence (`Ledger::set_checkpoint_bytes`) and the operator-operand
-//! error contract.
+//! three physical strategies, plus the operator-operand error
+//! contract.
 //!
 //! Both window edges are inclusive (§V-A: `t_s ≤ ts ≤ t_e`); a window
 //! that selects no timestamps yields an empty result, not an error;
@@ -173,48 +172,4 @@ fn string_operator_reaching_the_executor_is_one_uniform_error() {
             );
         }
     }
-}
-
-/// Adaptive cadence: with `set_checkpoint_bytes` active every append
-/// that pushes the resident footprint
-/// over the threshold publishes fresh checkpoints, so a restart
-/// replays no chain blocks; with the byte threshold unset and no
-/// every-N cadence, the same chain replays everything on open.
-#[test]
-fn byte_threshold_drives_checkpoint_cadence() {
-    let cfg = StoreConfig {
-        sync_writes: false,
-        ..StoreConfig::default()
-    };
-    let run = |bytes: u64| -> u64 {
-        let dir = std::env::temp_dir().join(format!(
-            "sebdb-bytescadence-{}-{}",
-            bytes,
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let store = Arc::new(BlockStore::open(&dir, cfg.clone()).unwrap());
-            let ledger = Ledger::new(store, signer()).unwrap();
-            ledger.set_checkpoint_bytes(bytes);
-            for seq in 0..10 {
-                ledger.append_ordered(block_at(seq)).unwrap();
-            }
-        }
-        let store = Arc::new(BlockStore::open(&dir, cfg.clone()).unwrap());
-        store.stats.reset();
-        let ledger = Ledger::new(Arc::clone(&store), signer()).unwrap();
-        assert_eq!(ledger.height(), 10);
-        // Either way the reopened chain answers tracking correctly.
-        assert_eq!(trace_rows(&ledger, None, Strategy::Layered).len(), 30);
-        let reads = store.stats.snapshot().0;
-        let _ = std::fs::remove_dir_all(&dir);
-        reads
-    };
-    // Threshold of one byte: every block crosses it, checkpoints are
-    // always fresh, open replays only the tip-hash read.
-    assert!(run(1) <= 1, "byte-driven cadence left a replay tail");
-    // Threshold disabled (and every-N unset): nothing was frozen, so
-    // the open must replay the whole chain.
-    assert!(run(0) >= 10, "no cadence configured yet blocks were frozen");
 }

@@ -1,5 +1,5 @@
-//! The layered index (§IV-B, Fig. 4) — and, over a different second
-//! level, the authenticated layered index (§VI).
+//! The layered index (§IV-B, Fig. 4), authenticated (§VI): one index
+//! per column serves plain probes and proofs from the same leaves.
 //!
 //! Two levels:
 //!
@@ -9,23 +9,23 @@
 //!   (bit *k* set iff the block holds a transaction whose value falls
 //!   in bucket *k*). For a *discrete* attribute there is one bitmap
 //!   per distinct value (bit *i* set iff block *i* holds that value).
-//! * **Second level** is one tree per block on the attribute, built
-//!   in bulk when the block is chained — append-only, never
-//!   rebalanced. Which tree is the [`SecondLevel`] parameter of
-//!   [`Layered`]: a B⁺-tree gives [`LayeredIndex`], an MB-tree gives
-//!   [`crate::AuthenticatedLayeredIndex`] (`ali.rs`). Everything in
-//!   this file but the B⁺-tree `impl`s at the bottom is shared by both.
+//! * **Second level** is one [`MbTree`] per block on the attribute,
+//!   built in bulk when the block is chained — append-only, never
+//!   rebalanced. Its key-sorted leaf level is the paper's per-block
+//!   B⁺-tree (a plain range is a binary search over it); its digest
+//!   levels are what §VI adds, read only by the authenticated queries
+//!   in `ali.rs`.
 //!
 //! Queries intersect the first level with a block mask (e.g. a time
 //! window from the block-level index) to prune blocks, then use the
 //! per-block trees to fetch exactly the matching transactions.
 //!
 //! The per-block trees buy cheap appends, and the resident tail keeps
-//! them. Freezing a [`LayeredIndex`] merges them into one key per row,
-//! ordered `(value, block, position)`: the same rows, so the same
-//! answers, but a probe reads the index blocks its answer spans however
-//! long the chain. An authenticated index stays per block when frozen,
-//! as its proofs are (§VI).
+//! them. Freezing merges their leaves into one key per row, ordered
+//! `(value, block, position)`: the same rows, so the same answers, but
+//! a probe reads the index blocks its answer spans however long the
+//! chain. Beside that run a checkpoint keeps each block's leaf list
+//! and MB-root, because a proof is per block (§VI).
 //!
 //! **Paged backend** (DESIGN §13): the index can carry a frozen
 //! on-disk checkpoint covering blocks `[0, base)`; the structures here
@@ -36,22 +36,18 @@
 //! `cache=∞` reference.
 
 use crate::bitmap::Bitmap;
-use crate::bptree::BPlusTree;
 use crate::histogram::EqualDepthHistogram;
+use crate::mbtree::{AuthEntry, MbTree, DEFAULT_FANOUT};
 use crate::paged::{
-    bid_key, bitmap_bytes, bitmap_from_bytes, bucket_key, column_slug, decode_entry_key,
-    decode_fail, decode_value_key, entry_key, entry_ptr, family_layered, frozen_bitmap, read_fail,
-    value_key, value_resident_bytes, CheckpointBuilder, TAG_ALL_BLOCKS, TAG_BLOCK_BUCKETS,
-    TAG_ENTRY, TAG_VALUE_BLOCKS,
+    auth_entries_bytes, bid_key, bitmap_bytes, bitmap_from_bytes, bucket_key, column_slug,
+    decode_entry_key, decode_fail, decode_value_key, entry_key, entry_ptr, family_layered,
+    frozen_bitmap, read_fail, value_key, value_resident_bytes, CheckpointBuilder, TAG_ALL_BLOCKS,
+    TAG_BLOCK_BUCKETS, TAG_BLOCK_ENTRIES, TAG_BLOCK_ROOT, TAG_ENTRY, TAG_VALUE_BLOCKS,
 };
 use sebdb_storage::{IndexCheckpoint, PagedIndexReader, TxPtr};
 use sebdb_types::{Block, BlockId, ColumnRef, Decoder, Encoder, Transaction, TypeError, Value};
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
-
-/// Order of second-level trees: sized so a 4 KB page holds one node of
-/// ~64-byte entries (the paper's MB-tree page size, §VII-A).
-pub const SECOND_LEVEL_ORDER: usize = 64;
 
 /// A simple predicate over the indexed attribute.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,37 +74,6 @@ impl KeyPredicate {
     }
 }
 
-/// One block's second-level tree: what a [`Layered`] index keeps per
-/// tail block and freezes per block into its checkpoint. The first
-/// level, the frozen/tail seam and the checkpoint merge do not depend
-/// on which tree this is.
-pub trait SecondLevel: Sized + std::fmt::Debug {
-    /// Node width (B⁺-tree order / MB-tree fanout) of a new index.
-    const WIDTH: usize;
-
-    /// Checkpoint family name of an index over this tree.
-    fn family(table: Option<&str>, column: &str) -> Vec<u8>;
-
-    /// Writes what the checkpoint meta carries ahead of the first-level
-    /// kind (nothing, unless a reader of the trees needs the width).
-    fn put_meta_prefix(_width: usize, _enc: &mut Encoder) {}
-
-    /// Reads the width back from the head of the checkpoint meta.
-    fn get_meta_prefix(_dec: &mut Decoder<'_>) -> Result<usize, TypeError> {
-        Ok(Self::WIDTH)
-    }
-
-    /// Builds `block`'s tree from its indexed `(value, pointer)` pairs,
-    /// given in block order.
-    fn build(width: usize, block: &Block, keyed: Vec<(Value, TxPtr)>) -> Self;
-
-    /// Adds block `bid`'s frozen form to a checkpoint.
-    fn checkpoint_entries(&self, bid: BlockId, cp: &mut CheckpointBuilder);
-
-    /// Resident bytes of this tree.
-    fn memory_bytes(&self) -> usize;
-}
-
 #[derive(Debug)]
 enum FirstLevel {
     Continuous {
@@ -125,10 +90,9 @@ enum FirstLevel {
 }
 
 /// A layered index on one attribute of one table (or of *all* tables
-/// for the system columns `SenID` / `Tname`, which drive tracking),
-/// over per-block second-level trees of type `S`.
+/// for the system columns `SenID` / `Tname`, which drive tracking).
 #[derive(Debug)]
-pub struct Layered<S: SecondLevel> {
+pub struct LayeredIndex {
     /// Table the index covers; `None` indexes every table (system
     /// columns only).
     pub table: Option<String>,
@@ -136,21 +100,20 @@ pub struct Layered<S: SecondLevel> {
     pub column: ColumnRef,
     first: FirstLevel,
     /// Per-block second-level trees for the tail, slot = `bid - base`.
-    second: Vec<Option<S>>,
-    width: usize,
+    second: Vec<Option<MbTree>>,
+    /// MB-tree fanout: clients rebuild roots and a frozen block's tree
+    /// is rebuilt with it, so it travels in the checkpoint meta.
+    fanout: usize,
     /// The frozen prefix: blocks below the reader's height are served
     /// from its checkpoint.
     frozen: Option<PagedIndexReader>,
 }
 
-/// The layered index of §IV-B: per-block B⁺-trees below the first level.
-pub type LayeredIndex = Layered<BPlusTree<Value, TxPtr>>;
-
-/// Checkpoint meta: the tree's prefix, then the kind tag (+ histogram
-/// bounds when continuous).
-fn encode_meta<S: SecondLevel>(width: usize, first: &FirstLevel) -> Vec<u8> {
+/// Checkpoint meta: the fanout, then the kind tag (+ histogram bounds
+/// when continuous).
+fn encode_meta(fanout: usize, first: &FirstLevel) -> Vec<u8> {
     let mut enc = Encoder::new();
-    S::put_meta_prefix(width, &mut enc);
+    enc.put_u32(fanout as u32);
     match first {
         FirstLevel::Continuous { hist, .. } => {
             enc.put_u8(0);
@@ -164,12 +127,12 @@ fn encode_meta<S: SecondLevel>(width: usize, first: &FirstLevel) -> Vec<u8> {
     enc.finish()
 }
 
-/// Rebuilds the width and the (empty-tail) first level out of
+/// Rebuilds the fanout and the (empty-tail) first level out of
 /// checkpoint meta.
-fn decode_meta<S: SecondLevel>(meta: &[u8]) -> (usize, FirstLevel) {
+fn decode_meta(meta: &[u8]) -> (usize, FirstLevel) {
     let mut dec = Decoder::new(meta);
     let mut parse = || -> Result<(usize, FirstLevel), TypeError> {
-        let width = S::get_meta_prefix(&mut dec)?;
+        let fanout = dec.get_u32("layered meta fanout")? as usize;
         let first = match dec.get_u8("layered meta kind")? {
             0 => {
                 let n = dec.get_u32("layered meta bounds")?;
@@ -186,20 +149,20 @@ fn decode_meta<S: SecondLevel>(meta: &[u8]) -> (usize, FirstLevel) {
                 per_value: HashMap::new(),
             },
         };
-        Ok((width, first))
+        Ok((fanout, first))
     };
     decode_fail("layered index meta", parse())
 }
 
-impl<S: SecondLevel> Layered<S> {
+impl LayeredIndex {
     /// An empty, fully resident index over `first`.
     fn cold(table: Option<String>, column: ColumnRef, first: FirstLevel) -> Self {
-        Layered {
+        LayeredIndex {
             table,
             column,
             first,
             second: Vec::new(),
-            width: S::WIDTH,
+            fanout: DEFAULT_FANOUT,
             frozen: None,
         }
     }
@@ -222,17 +185,17 @@ impl<S: SecondLevel> Layered<S> {
         Self::cold(table, column, FirstLevel::Discrete { per_value })
     }
 
-    /// Rebuilds an index from a frozen checkpoint: width, kind and
+    /// Rebuilds an index from a frozen checkpoint: fanout, kind and
     /// histogram come from the checkpoint meta, the tail starts empty
     /// at the checkpoint height.
     pub fn from_frozen(table: Option<String>, column: ColumnRef, reader: PagedIndexReader) -> Self {
-        let (width, first) = decode_meta::<S>(reader.meta());
-        Layered {
+        let (fanout, first) = decode_meta(reader.meta());
+        LayeredIndex {
             table,
             column,
             first,
             second: Vec::new(),
-            width,
+            fanout,
             frozen: Some(reader),
         }
     }
@@ -266,17 +229,17 @@ impl<S: SecondLevel> Layered<S> {
 
     /// The family name of this index's checkpoint file.
     pub fn family(&self) -> Vec<u8> {
-        S::family(self.table.as_deref(), &column_slug(&self.column))
+        family_layered(self.table.as_deref(), &column_slug(&self.column))
     }
 
-    /// Node width of the second-level trees.
-    pub(crate) fn width(&self) -> usize {
-        self.width
+    /// MB-tree fanout (needed by clients to verify).
+    pub fn fanout(&self) -> usize {
+        self.fanout
     }
 
     /// Block `bid`'s resident tree (`None` for a frozen block and for
     /// one with no indexed transactions).
-    pub(crate) fn tail_tree(&self, bid: BlockId) -> Option<&S> {
+    pub(crate) fn tail_tree(&self, bid: BlockId) -> Option<&MbTree> {
         let slot = bid.checked_sub(self.base())?;
         self.second.get(slot as usize)?.as_ref()
     }
@@ -333,46 +296,45 @@ impl<S: SecondLevel> Layered<S> {
             }
         }
 
-        let mut keyed: Vec<(Value, TxPtr)> = Vec::new();
+        let mut leaves: Vec<AuthEntry> = Vec::new();
         for &i in rows {
             let Some(tx) = block.transactions.get(i as usize) else {
                 continue;
             };
-            let Some(v) = tx.get(self.column) else {
+            let Some(key) = tx.get(self.column) else {
                 continue;
             };
-            if v == Value::Null {
+            if key == Value::Null {
                 continue;
             }
-            keyed.push((
-                v,
-                TxPtr {
+            leaves.push(AuthEntry {
+                key,
+                tx_hash: tx.hash(),
+                ptr: TxPtr {
                     block: bid as BlockId,
                     index: i,
                 },
-            ));
+            });
         }
-        if keyed.is_empty() {
+        if leaves.is_empty() {
             return;
         }
 
         match &mut self.first {
             FirstLevel::Continuous { hist, entries } => {
                 let mut bucket_map = Bitmap::with_capacity(hist.bucket_count());
-                for (v, _) in &keyed {
-                    if let Some(rank) = v.numeric_rank() {
-                        bucket_map.set(hist.bucket_of(rank));
-                    }
+                for rank in leaves.iter().filter_map(|e| e.key.numeric_rank()) {
+                    bucket_map.set(hist.bucket_of(rank));
                 }
                 entries[slot] = Some(bucket_map);
             }
             FirstLevel::Discrete { per_value } => {
-                for (v, _) in &keyed {
-                    per_value.entry(v.clone()).or_default().set(slot);
+                for e in &leaves {
+                    per_value.entry(e.key.clone()).or_default().set(slot);
                 }
             }
         }
-        self.second[slot] = Some(S::build(self.width, block, keyed));
+        self.second[slot] = Some(MbTree::build(leaves, self.fanout));
     }
 
     /// Block `bid`'s bucket bitmap, wherever it lives (continuous).
@@ -525,29 +487,6 @@ impl<S: SecondLevel> Layered<S> {
             }
         }
         out
-    }
-
-    /// The numeric (lo, hi) envelope of block `bid`'s first-level entry
-    /// (continuous indexes only): the union of its set buckets' bounds.
-    /// `None` on either side means unbounded.
-    pub fn block_rank_envelope(&self, bid: BlockId) -> Option<(Option<i64>, Option<i64>)> {
-        let FirstLevel::Continuous { hist, .. } = &self.first else {
-            return None;
-        };
-        let entry = self.block_buckets(bid)?;
-        let mut lo: Option<Option<i64>> = None;
-        let mut hi: Option<Option<i64>> = None;
-        for bucket in entry.iter_ones() {
-            let (bl, bh) = hist.bucket_bounds(bucket);
-            if lo.is_none() {
-                lo = Some(bl);
-            }
-            hi = Some(bh);
-        }
-        match (lo, hi) {
-            (Some(l), Some(h)) => Some((l, h)),
-            _ => None,
-        }
     }
 
     /// Block-pair pruning for on-chain join (Algorithm 2): do blocks
@@ -742,44 +681,30 @@ impl<S: SecondLevel> Layered<S> {
                 }
             }
         }
+        // One key per row — merged with every other block's, the
+        // value-ordered run plain probes scan — and, per block, the
+        // leaf list and root a proof is built from.
         for (slot, tree) in self.second.iter().enumerate() {
-            if let Some(tree) = tree {
-                tree.checkpoint_entries(base + slot as u64, &mut cp);
+            let Some(tree) = tree else { continue };
+            let bid = base + slot as u64;
+            for e in tree.entries() {
+                cp.put(entry_key(&e.key, e.ptr), Vec::new());
             }
+            cp.put(
+                bid_key(TAG_BLOCK_ENTRIES, bid),
+                auth_entries_bytes(tree.entries()),
+            );
+            cp.put(
+                bid_key(TAG_BLOCK_ROOT, bid),
+                tree.root().as_bytes().to_vec(),
+            );
         }
         cp.put(vec![TAG_ALL_BLOCKS], bitmap_bytes(&self.all_blocks()));
         cp.finish(
             self.family(),
             self.covered(),
-            encode_meta::<S>(self.width, &self.first),
+            encode_meta(self.fanout, &self.first),
         )
-    }
-}
-
-impl SecondLevel for BPlusTree<Value, TxPtr> {
-    const WIDTH: usize = SECOND_LEVEL_ORDER;
-
-    fn family(table: Option<&str>, column: &str) -> Vec<u8> {
-        family_layered(table, column)
-    }
-
-    fn build(width: usize, _block: &Block, mut keyed: Vec<(Value, TxPtr)>) -> Self {
-        keyed.sort_by(|a, b| a.0.cmp(&b.0));
-        BPlusTree::bulk_load(width, keyed)
-    }
-
-    /// One key per row: merged with every other block's, they are the
-    /// frozen value-ordered run.
-    fn checkpoint_entries(&self, _bid: BlockId, cp: &mut CheckpointBuilder) {
-        for (value, ptr) in self.iter() {
-            cp.put(entry_key(value, *ptr), Vec::new());
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.iter()
-            .map(|(v, _)| value_resident_bytes(v) + std::mem::size_of::<TxPtr>() + 16)
-            .sum()
     }
 }
 
@@ -893,7 +818,7 @@ impl LayeredIndex {
     /// resident candidate trees turn into 8 % of a point query.
     fn tree_hits(&self, bid: BlockId, lo: &Value, hi: &Value, out: &mut Vec<TxPtr>) {
         if let Some(tree) = self.tail_tree(bid) {
-            out.extend(tree.range(Some(lo), Some(hi)).map(|(_, p)| *p));
+            out.extend(tree.range(lo, hi).iter().map(|e| e.ptr));
         }
     }
 
@@ -941,7 +866,7 @@ impl LayeredIndex {
         }
         for (slot, tree) in self.second.iter().enumerate() {
             if let Some(tree) = tree.as_ref().filter(|_| blocks.get(base as usize + slot)) {
-                out.extend(tree.iter().map(|(k, p)| (k.clone(), *p)));
+                out.extend(tree.entries().iter().map(|e| (e.key.clone(), e.ptr)));
             }
         }
         // The sweep is already in order and every tree is a sorted run.
@@ -1138,23 +1063,6 @@ mod tests {
         assert!(whole.complete);
         assert_eq!((whole.ptrs.len(), whole.scanned), (4, 4));
         assert_eq!(idx.index_blocks_spanned(&pred), 0, "nothing is frozen");
-    }
-
-    #[test]
-    fn rank_envelope() {
-        let mut idx = amount_index();
-        idx.update(&block(0, &[100, 200], "donate"));
-        let (lo, hi) = idx.block_rank_envelope(0).unwrap();
-        // Envelope must contain the actual values.
-        let v100 = Value::decimal(100).numeric_rank().unwrap();
-        let v200 = Value::decimal(200).numeric_rank().unwrap();
-        if let Some(lo) = lo {
-            assert!(lo < v100);
-        }
-        if let Some(hi) = hi {
-            assert!(hi >= v200);
-        }
-        assert!(idx.block_rank_envelope(3).is_none());
     }
 
     #[test]

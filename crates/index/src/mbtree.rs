@@ -1,9 +1,11 @@
-//! Merkle B-tree (MB-tree) — the authenticated second level of the ALI
-//! (§VI).
+//! Merkle B-tree (MB-tree) — the second level of the layered index
+//! (§IV-B, §VI).
 //!
 //! "MB-tree is a combination of B⁺-tree and Merkle Hash Tree, where
 //! each leaf node contains the hash value of \[the\] record, and each
 //! internal node stores the hash of the concatenation of its children."
+//! The B⁺-tree half is the key-sorted leaf level: a plain range
+//! ([`MbTree::range`]) is a binary search over it and reads no digest.
 //!
 //! Blocks are immutable, so each per-block MB-tree is *static*: built
 //! once by bulk loading, fanout `F` per node (the 4 KB page of
@@ -13,6 +15,7 @@
 //! through boundary entries, exactly as in the MB-tree range protocol
 //! of Li et al., SIGMOD'06).
 
+use crate::paged::value_resident_bytes;
 use sebdb_crypto::sha256::{Digest, Sha256};
 use sebdb_storage::TxPtr;
 use sebdb_types::{Encoder, Value};
@@ -181,11 +184,6 @@ impl MbTree {
             .unwrap_or(Digest::ZERO)
     }
 
-    /// Children per interior node.
-    pub(crate) fn fanout(&self) -> usize {
-        self.fanout
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -199,6 +197,35 @@ impl MbTree {
     /// The entries (sorted by key).
     pub fn entries(&self) -> &[AuthEntry] {
         &self.entries
+    }
+
+    /// Resident bytes: the leaves plus ≈ n/(fanout-1) interior digests.
+    pub fn memory_bytes(&self) -> usize {
+        let leaves: usize = self
+            .entries
+            .iter()
+            .map(|e| value_resident_bytes(&e.key) + 32 + 16)
+            .sum();
+        leaves + self.len() * 32 / self.fanout.saturating_sub(1).max(1)
+    }
+
+    /// Leaf positions `[i, j)` of the entries with `lo ≤ key ≤ hi`: one
+    /// descent to `lo`, then a walk along the leaves to the first key
+    /// past `hi` — every caller reads the span it gets, so the walk is
+    /// no extra order of work, and a probe that finds nothing in this
+    /// block (most of them) pays one comparison for it.
+    fn span(&self, lo: &Value, hi: &Value) -> (usize, usize) {
+        let i = self.entries.partition_point(|e| e.key < *lo);
+        let matching = self.entries[i..].iter().take_while(|e| e.key <= *hi);
+        (i, i + matching.count())
+    }
+
+    /// The entries with `lo ≤ key ≤ hi`, unproven — the plain read of
+    /// the leaf level. Equal keys come in block-position order (the
+    /// build sort is stable).
+    pub fn range(&self, lo: &Value, hi: &Value) -> &[AuthEntry] {
+        let (i, j) = self.span(lo, hi);
+        &self.entries[i..j]
     }
 
     /// Answers `lo ≤ key ≤ hi`, returning the matching entries and a
@@ -217,8 +244,7 @@ impl MbTree {
                 },
             );
         }
-        let i = self.entries.partition_point(|e| e.key < *lo);
-        let j = self.entries.partition_point(|e| e.key <= *hi); // exclusive
+        let (i, j) = self.span(lo, hi);
         let results: Vec<AuthEntry> = self.entries[i..j].to_vec();
 
         // Revealed index range [a, b] includes the boundaries.
@@ -508,6 +534,40 @@ mod tests {
         let t = tree(&[5, 5, 5, 7, 7, 9], 3);
         assert_eq!(check(&t, 5, 5), vec![5, 5, 5]);
         assert_eq!(check(&t, 6, 8), vec![7, 7]);
+    }
+
+    /// The leaf level read plainly is the B⁺-tree range it replaced:
+    /// equal keys stay in block-position order, and it is the slice
+    /// `range_query` proves.
+    #[test]
+    fn plain_range_keeps_equal_keys_in_position_order_and_matches_the_proven_one() {
+        let keys = [7, 5, 9, 5, 7, 5, 1];
+        let entries: Vec<AuthEntry> = keys
+            .iter()
+            .enumerate()
+            .map(|(pos, &k)| AuthEntry {
+                ptr: TxPtr {
+                    block: 3,
+                    index: pos as u32,
+                },
+                ..entry(k)
+            })
+            .collect();
+        let t = MbTree::build(entries, 3);
+        let positions = |lo, hi| -> Vec<u32> {
+            let plain = t.range(&Value::Int(lo), &Value::Int(hi));
+            let (proven, _) = t.range_query(&Value::Int(lo), &Value::Int(hi));
+            assert_eq!(plain, proven, "[{lo}, {hi}]");
+            plain.iter().map(|e| e.ptr.index).collect()
+        };
+        assert_eq!(positions(5, 5), vec![1, 3, 5]);
+        assert_eq!(positions(5, 7), vec![1, 3, 5, 0, 4]);
+        assert_eq!(positions(0, 9), vec![6, 1, 3, 5, 0, 4, 2]);
+        assert_eq!(positions(6, 6), Vec::<u32>::new());
+        assert_eq!(positions(8, 4), Vec::<u32>::new(), "inverted bounds");
+        assert!(tree(&[], 3)
+            .range(&Value::Int(0), &Value::Int(9))
+            .is_empty());
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! here means bytes rotted underneath a validated file).
 
 use crate::bitmap::Bitmap;
+use sebdb_crypto::sha256::Digest;
 use sebdb_storage::{IndexCheckpoint, PagedIndexReader, StorageError, TxPtr};
 use sebdb_types::{ColumnRef, Decoder, Encoder, TypeError, Value};
 use std::collections::BTreeMap;
@@ -32,7 +33,7 @@ pub const TAG_BLOCK_BUCKETS: u8 = 0x01;
 /// (discrete first level).
 pub const TAG_VALUE_BLOCKS: u8 = 0x02;
 /// Key tag: `0x03 ‖ bid(u64 BE)` → the block's sorted MB-tree leaf
-/// level (authenticated families only: a VO is per block, §VI).
+/// level (what a proof is built from: a VO is per block, §VI).
 pub const TAG_BLOCK_ENTRIES: u8 = 0x03;
 /// Key tag: `0x04 ‖ bucket(u32 BE)` → the bucket's absolute block
 /// bitmap (continuous first level, inverted — the candidate-block
@@ -42,7 +43,7 @@ pub const TAG_BUCKET_BLOCKS: u8 = 0x04;
 pub const TAG_BLOCK_ROOT: u8 = 0x05;
 
 /// Key tag: `0x06 ‖ orderkey(value) ‖ bid(u64 BE) ‖ index(u32 BE)` →
-/// nothing: one indexed row of a plain layered family. Byte order is
+/// nothing: one indexed row of a layered family. Byte order is
 /// `(value, block, position)` order, so the frozen second level is one
 /// value-ordered run and equal values of different blocks are adjacent.
 pub const TAG_ENTRY: u8 = 0x06;
@@ -60,8 +61,10 @@ pub fn family_table() -> Vec<u8> {
     b"table".to_vec()
 }
 
-fn family_scoped(prefix: &[u8], table: Option<&str>, column: &str) -> Vec<u8> {
-    let mut name = prefix.to_vec();
+/// Family name of one layered index (`table = None` for the system
+/// columns indexed across all tables).
+pub fn family_layered(table: Option<&str>, column: &str) -> Vec<u8> {
+    let mut name = b"layered".to_vec();
     name.push(FAMILY_SEP);
     if let Some(t) = table {
         name.extend_from_slice(t.as_bytes());
@@ -69,17 +72,6 @@ fn family_scoped(prefix: &[u8], table: Option<&str>, column: &str) -> Vec<u8> {
     name.push(FAMILY_SEP);
     name.extend_from_slice(column.as_bytes());
     name
-}
-
-/// Family name of one layered index (`table = None` for the system
-/// columns indexed across all tables).
-pub fn family_layered(table: Option<&str>, column: &str) -> Vec<u8> {
-    family_scoped(b"layered", table, column)
-}
-
-/// Family name of one authenticated layered index.
-pub fn family_ali(table: Option<&str>, column: &str) -> Vec<u8> {
-    family_scoped(b"ali", table, column)
 }
 
 /// Stable textual name of a column reference, used in family names
@@ -305,24 +297,27 @@ pub fn auth_entries_bytes(entries: &[crate::mbtree::AuthEntry]) -> Vec<u8> {
     enc.finish()
 }
 
+/// Reads one 32-byte digest.
+pub fn get_digest(dec: &mut Decoder<'_>, context: &'static str) -> Result<Digest, TypeError> {
+    let mut digest = [0u8; 32];
+    digest.copy_from_slice(dec.get_raw(32, context)?);
+    Ok(Digest(digest))
+}
+
 /// Decodes [`auth_entries_bytes`] output.
 pub fn auth_entries_from_bytes(bytes: &[u8]) -> Vec<crate::mbtree::AuthEntry> {
-    use sebdb_crypto::sha256::Digest;
     let mut dec = Decoder::new(bytes);
     let mut parse = || -> Result<Vec<crate::mbtree::AuthEntry>, TypeError> {
         let n = dec.get_u32("paged auth entries count")?;
         let mut out = Vec::with_capacity(n as usize);
         for _ in 0..n {
             let key = dec.get_value()?;
-            let mut hash = [0u8; 32];
-            for b in &mut hash {
-                *b = dec.get_u8("paged auth entry hash")?;
-            }
+            let tx_hash = get_digest(&mut dec, "paged auth entry hash")?;
             let block = dec.get_u64("paged auth entry block")?;
             let index = dec.get_u32("paged auth entry index")?;
             out.push(crate::mbtree::AuthEntry {
                 key,
-                tx_hash: Digest(hash),
+                tx_hash,
                 ptr: TxPtr { block, index },
             });
         }
@@ -406,8 +401,7 @@ mod tests {
             family_table(),
             family_layered(None, "sen_id"),
             family_layered(Some("donate"), "amount"),
-            family_ali(None, "sen_id"),
-            family_ali(Some("donate"), "amount"),
+            family_layered(Some("donate"), "donor"),
         ];
         for (i, a) in names.iter().enumerate() {
             for (j, b) in names.iter().enumerate() {

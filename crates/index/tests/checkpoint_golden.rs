@@ -1,20 +1,25 @@
 //! Format stability of the layered-index checkpoints (DESIGN §13).
 //!
 //! Builds one small fixed chain, indexes it with a continuous and a
-//! discrete `LayeredIndex` and `AuthenticatedLayeredIndex`, and pins a
-//! SHA-256 over `family ‖ height ‖ meta ‖ entries` of each family's
-//! `checkpoint()` — once with the index fully resident, once with a
-//! frozen prefix attached through a temp store and a resident tail.
-//! The two authenticated constants were recorded at the commit before
-//! the two indexes were merged into one generic `Layered<S>`; the two
-//! plain ones when a frozen `LayeredIndex` became one key per row
-//! (`TAG_ENTRY`), which the authenticated families did not follow. A
-//! refactor of the first level, the meta codec or `checkpoint()` that
-//! moves one byte of an `.icp` file fails here.
+//! discrete `LayeredIndex`, and pins a SHA-256 over `family ‖ height ‖
+//! meta ‖ entries` of each one's `checkpoint()` — once with the index
+//! fully resident, once with a frozen prefix attached through a temp
+//! store and a resident tail. A refactor of the first level, the meta
+//! codec or `checkpoint()` that moves one byte of an `.icp` file fails
+//! here.
+//!
+//! The file is the merge of the two a column had while a plain and an
+//! authenticated index were kept side by side. The per-tag constants
+//! were recorded at the last commit that wrote both, before the merge:
+//! the per-block leaf lists (`0x03`) and MB-roots (`0x05`) are the
+//! authenticated file's, the value-ordered run (`0x06`) is the plain
+//! file's and the first-level tags were the same in both, byte for
+//! byte — as are the VO and the auxiliary digest of one query per
+//! index.
 
-use sebdb_crypto::sha256::{Digest, Sha256};
+use sebdb_crypto::sha256::{sha256, Digest, Sha256};
 use sebdb_crypto::sig::KeyId;
-use sebdb_index::{AuthenticatedLayeredIndex, EqualDepthHistogram, LayeredIndex};
+use sebdb_index::{Bitmap, EqualDepthHistogram, KeyPredicate, LayeredIndex};
 use sebdb_storage::{BlockStore, IndexCheckpoint, StoreConfig};
 use sebdb_types::{Block, ColumnRef, Transaction, Value};
 
@@ -66,89 +71,183 @@ fn histogram() -> EqualDepthHistogram {
     EqualDepthHistogram::from_sample(sample, 8)
 }
 
-fn hex_digest(cp: &IndexCheckpoint) -> String {
+fn hex(d: Digest) -> String {
+    d.as_bytes().iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Hashes `entries` framed by length, after `prefix` framed the same way.
+fn framed_digest<'a>(
+    prefix: &[&[u8]],
+    entries: impl Iterator<Item = &'a (Vec<u8>, Vec<u8>)>,
+) -> String {
     let mut h = Sha256::new();
     let mut framed = |bytes: &[u8]| {
         h.update(&(bytes.len() as u64).to_le_bytes());
         h.update(bytes);
     };
-    framed(&cp.family);
-    framed(&cp.height.to_le_bytes());
-    framed(&cp.meta);
-    framed(&(cp.entries.len() as u64).to_le_bytes());
-    for (k, v) in &cp.entries {
+    prefix.iter().for_each(|p| framed(p));
+    for (k, v) in entries {
         framed(k);
         framed(v);
     }
-    h.finalize()
-        .as_bytes()
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect()
+    hex(h.finalize())
 }
 
-/// Drives one index over the chain and digests its final checkpoint.
-/// With a store, `[0, FROZEN)` is checkpointed, published and adopted
-/// as the frozen prefix before the tail is indexed. A macro because the
-/// two index types share method names, not a trait.
-macro_rules! final_digest {
-    ($idx:expr, $blocks:expr, $store:expr) => {{
-        let mut idx = $idx;
-        let store: Option<&BlockStore> = $store;
-        for b in $blocks.iter() {
-            if let (Some(store), FROZEN) = (store, b.header.height) {
-                let cp = idx.checkpoint();
-                assert_eq!(cp.height, FROZEN);
-                store.write_index_checkpoint(&cp).unwrap();
-                idx.adopt_frozen(store.load_index_checkpoint(&cp.family).unwrap().unwrap());
-            }
-            idx.update(b);
+fn hex_digest(cp: &IndexCheckpoint) -> String {
+    let count = (cp.entries.len() as u64).to_le_bytes();
+    let prefix: [&[u8]; 4] = [&cp.family, &cp.height.to_le_bytes(), &cp.meta, &count];
+    framed_digest(&prefix, cp.entries.iter())
+}
+
+/// The digest of the entries under one key tag, and how many there are.
+fn tag_digest(cp: &IndexCheckpoint, tag: u8) -> (usize, String) {
+    let tagged = || cp.entries.iter().filter(|(k, _)| k[0] == tag);
+    (tagged().count(), framed_digest(&[], tagged()))
+}
+
+/// Drives one index over the chain. With a store, `[0, FROZEN)` is
+/// checkpointed, published and adopted as the frozen prefix before the
+/// tail is indexed.
+fn indexed(mut idx: LayeredIndex, blocks: &[Block], store: Option<&BlockStore>) -> LayeredIndex {
+    for b in blocks {
+        if let (Some(store), FROZEN) = (store, b.header.height) {
+            let cp = idx.checkpoint();
+            assert_eq!(cp.height, FROZEN);
+            store.write_index_checkpoint(&cp).unwrap();
+            idx.adopt_frozen(store.load_index_checkpoint(&cp.family).unwrap().unwrap());
         }
-        hex_digest(&idx.checkpoint())
-    }};
+        idx.update(b);
+    }
+    idx
 }
 
-/// The four families under test: continuous and discrete, plain and
-/// authenticated.
-fn digests(blocks: &[Block], store: Option<&BlockStore>) -> [String; 4] {
-    let donate = || Some("donate".to_string());
+/// The two indexes under test: continuous and discrete.
+fn indexes(blocks: &[Block], store: Option<&BlockStore>) -> [LayeredIndex; 2] {
+    let amount =
+        LayeredIndex::new_continuous(Some("donate".into()), ColumnRef::App(1), histogram());
+    let sender = LayeredIndex::new_discrete(None, ColumnRef::SenId);
     [
-        final_digest!(
-            LayeredIndex::new_continuous(donate(), ColumnRef::App(1), histogram()),
-            blocks,
-            store
-        ),
-        final_digest!(
-            LayeredIndex::new_discrete(None, ColumnRef::SenId),
-            blocks,
-            store
-        ),
-        final_digest!(
-            AuthenticatedLayeredIndex::new_continuous(donate(), ColumnRef::App(1), histogram()),
-            blocks,
-            store
-        ),
-        final_digest!(
-            AuthenticatedLayeredIndex::new_discrete(None, ColumnRef::SenId),
-            blocks,
-            store
-        ),
+        indexed(amount, blocks, store),
+        indexed(sender, blocks, store),
     ]
 }
 
 /// A full-rewrite checkpoint of frozen ∪ tail holds what a fully
 /// resident index would write, so one set of constants serves both
 /// runs.
-const GOLDEN: [&str; 4] = [
-    "59461ec2d74ab709f974e498af342fae355e997f1de37e1d72fdc1401d59c053",
-    "a72c97965b9557fc96caa21d51728f4f170b286bec096551c2b73da054d2773a",
-    "de9bd91bc1e9b637490be1a800daef2c04018bcbda2f3f050a2f41151354896e",
-    "e93e14490f33ab65f9605eece8e232c2fc02f811daa191a740026337d3f1cc5e",
+const GOLDEN: [&str; 2] = [
+    "577cd76783cdc0dda9701d179d05b7e75b83283823cdfbf1c21e97065f079fd5",
+    "d39cbab0b7c73f5f579d143f7c4f299da6613d40fdaa7e83348c23b656d0997a",
 ];
+
+/// `(tag, entries, digest)` per index, recorded from the two files each
+/// column had before they were merged.
+const GOLDEN_TAGS: [&[(u8, usize, &str)]; 2] = [
+    &[
+        (
+            0x00,
+            1,
+            "1340b288459694a5ffcc66cdbe3c0c30ec78da96bcd5ec38da3f868721523877",
+        ),
+        (
+            0x01,
+            6,
+            "a9152c77dcfafeb1f2f15e8c4550c8575e80ba7933b35cbcd00aa4857c3f774e",
+        ),
+        (
+            0x03,
+            6,
+            "48461f56a84903880d8215e2547b8dc7cb851c7ecdc6779fb78c5b3f37fbc079",
+        ),
+        (
+            0x04,
+            8,
+            "21f99fd9934ca3f35bac01949db7fd67ac932667dbc573003913ae229249f248",
+        ),
+        (
+            0x05,
+            6,
+            "803f9fc0b3b14cc0389f70f1f5e5fe0e1760a8da9402d906bf0d48fad0a05631",
+        ),
+        (
+            0x06,
+            27,
+            "e739b9992f22c8ebd46445b78c097a89be2d5de15d04907dbc9d9ef775ee79cf",
+        ),
+    ],
+    &[
+        (
+            0x00,
+            1,
+            "a8a762b386f1d71ab15ed1dfc27ad84970dd079e007a1ec43fe50c6bd636bdef",
+        ),
+        (
+            0x02,
+            3,
+            "7d487981a05059e5ab43972ec4645999af499cbb1b7d08df8f77c4663c5f0352",
+        ),
+        (
+            0x03,
+            7,
+            "910e3ab6866752ec1981812c25c1475f5967846f31bb0906c55ad5d71ae32a9d",
+        ),
+        (
+            0x05,
+            7,
+            "3d10c7a9dbd4605123de63b0a5f6752cb7b0ca159af51debeb33436546175b44",
+        ),
+        (
+            0x06,
+            42,
+            "190f13a52e1a031322e61933c9cb0b892e7edc190ca6305d4ea43836f596d92d",
+        ),
+    ],
+];
+
+/// `(SHA-256 of the VO's debug form, auxiliary digest)` of one query per
+/// index at height [`BLOCKS`], recorded from the index the
+/// authenticated file belonged to.
+const GOLDEN_PROOFS: [(&str, &str); 2] = [
+    (
+        "ad9bdb982760fab21888786e96889463221002f83257fed1074659245f5e8cee",
+        "8ed0c0fa71b66a61ad56de8500f10bd485166aa21edd7f11a8b42518b17358ea",
+    ),
+    (
+        "1fb5674ccde8b54c85f3b4f3c6670d8e54cdd3d7b7c2ed4023db5fa0fd4fc9f4",
+        "9340c65f10018fb4e59262ba87507c71383f128f91350bd2b9ffb8a7d39913d1",
+    ),
+];
+
+/// Whole files, every tag of each, and the proofs read back off them.
+fn assert_golden(indexes: &[LayeredIndex; 2]) {
+    let preds = [
+        KeyPredicate::Range(Value::decimal(200), Value::decimal(700)),
+        KeyPredicate::Eq(Value::Bytes(vec![1u8; 8])),
+    ];
+    for (i, idx) in indexes.iter().enumerate() {
+        let cp = idx.checkpoint();
+        assert_eq!(hex_digest(&cp), GOLDEN[i], "index {i}");
+        let tags = GOLDEN_TAGS[i];
+        for &(tag, count, digest) in tags {
+            let want = (count, digest.to_string());
+            assert_eq!(tag_digest(&cp, tag), want, "index {i} tag {tag:#04x}");
+        }
+        let known: usize = tags.iter().map(|t| t.1).sum();
+        assert_eq!(cp.entries.len(), known, "index {i}: an entry under no tag");
+
+        let vo = idx.authenticated_query(&preds[i], None, BLOCKS);
+        let visited = Bitmap::from_bits(vo.per_block.iter().map(|b| b.block as usize));
+        let proof = (
+            hex(sha256(format!("{vo:?}").as_bytes())),
+            hex(idx.auxiliary_query(&visited, BLOCKS)),
+        );
+        assert_eq!((proof.0.as_str(), proof.1.as_str()), GOLDEN_PROOFS[i]);
+    }
+}
 
 #[test]
 fn resident_checkpoints_match_the_recorded_bytes() {
-    assert_eq!(digests(&chain(), None), GOLDEN);
+    assert_golden(&indexes(&chain(), None));
 }
 
 #[test]
@@ -160,7 +259,7 @@ fn frozen_prefix_plus_tail_checkpoints_match_the_recorded_bytes() {
     for b in &blocks {
         store.append(b).unwrap();
     }
-    assert_eq!(digests(&blocks, Some(&store)), GOLDEN);
+    assert_golden(&indexes(&blocks, Some(&store)));
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -189,35 +189,6 @@ impl TraceSpec {
     }
 }
 
-impl LogicalPlan {
-    /// The normalized [`TraceSpec`] of a `Trace` plan whose operator
-    /// (if any) is already resolved to sender-id bytes — the key an
-    /// eligible `TRACE` is routed to a registered view under. `None`
-    /// for other plans or for an operator still carrying its name
-    /// (the node layer resolves names before execution).
-    pub fn trace_spec(&self) -> Option<TraceSpec> {
-        match self {
-            LogicalPlan::Trace {
-                window,
-                operator,
-                operation,
-            } => {
-                let operator = match operator {
-                    Some(Value::Bytes(b)) if b.len() == 8 => {
-                        let mut id = [0u8; 8];
-                        id.copy_from_slice(b);
-                        Some(id)
-                    }
-                    Some(_) => return None,
-                    None => None,
-                };
-                Some(TraceSpec::new(*window, operator, operation.as_deref()))
-            }
-            _ => None,
-        }
-    }
-}
-
 /// Resolved `GET BLOCK` selector.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BoundBlockSelector {

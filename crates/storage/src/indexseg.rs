@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Checkpoint file magic, versioned with the format.
-pub const INDEX_MAGIC: &[u8; 8] = b"SEBDBIX2";
+pub const INDEX_MAGIC: &[u8; 8] = b"SEBDBIX3";
 /// Target payload size of one level-1 index block (one disk page).
 pub const INDEX_BLOCK_TARGET: usize = 4 * 1024;
 /// Subdirectory of the store holding index checkpoints.

@@ -103,13 +103,6 @@ impl TableSchema {
             })
     }
 
-    /// Position of an application column by name.
-    pub fn app_index(&self, name: &str) -> Option<usize> {
-        self.columns
-            .iter()
-            .position(|c| c.name.eq_ignore_ascii_case(name))
-    }
-
     /// Validates a row of application values against this schema and
     /// coerces literals to the declared column types.
     pub fn check_row(&self, values: Vec<Value>) -> Result<Vec<Value>, TypeError> {

@@ -547,6 +547,20 @@ mod visited_set {
             response.vo.per_block.len()
         );
         assert!(response.vo.per_block.iter().all(|b| !b.results.is_empty()));
+        // One set of leaves, two readers: a plain search finds the rows
+        // a proof over the whole chain proves, resident or frozen.
+        let height = response.vo.height;
+        let mask = node.ledger.window_mask_at(None, height);
+        let (plain, mut proven) = node
+            .ledger
+            .with_layered(*table, column, |idx| {
+                let vo = idx.authenticated_query(pred, None, height);
+                (idx.search(pred, &mask), vo.result_ptrs())
+            })
+            .unwrap();
+        proven.sort_unstable();
+        assert_eq!(plain, proven, "{pred:?}");
+        assert_eq!(response.vo.result_ptrs().len(), plain.len());
         response
     }
 
@@ -667,14 +681,14 @@ mod visited_set {
             .filter(|bid| r.vo.per_block.iter().all(|b| b.block != *bid))
             .find_map(|bid| {
                 let only = Bitmap::from_bits([bid as usize]);
-                node.ledger.with_ali(*table, column, |ali| {
-                    let whole = ali.authenticated_query(&everything, Some(&only), r.vo.height);
+                node.ledger.with_layered(*table, column, |idx| {
+                    let whole = idx.authenticated_query(&everything, Some(&only), r.vo.height);
                     let leaves = whole.per_block.into_iter().next()?.results;
-                    let tree = MbTree::build(leaves, ali.fanout());
-                    assert_eq!(tree.root(), ali.mb_root(bid));
+                    let tree = MbTree::build(leaves, idx.fanout());
+                    assert_eq!(tree.root(), idx.mb_root(bid));
                     let (results, proof) = tree.range_query(lo, hi);
                     assert!(results.is_empty());
-                    MbTree::verify_range(&tree.root(), lo, hi, &results, &proof, ali.fanout())
+                    MbTree::verify_range(&tree.root(), lo, hi, &results, &proof, idx.fanout())
                         .unwrap();
                     Some(BlockVo {
                         block: bid,

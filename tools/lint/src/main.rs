@@ -43,6 +43,13 @@
 //!    goes through `publish_atomically`, so the `.tmp` → fsync →
 //!    rename → directory-fsync protocol and its crash step exist once.
 //!
+//! 9. `loc` — the non-test Rust lines under `crates/` and `tools/`
+//!    (every line of a file outside `tests/` and `benches/` that is not
+//!    in a `#[cfg(test)]` / `#[test]` item) must not exceed the number
+//!    in `tools/lint/loc_budget.txt`. ROADMAP aim 2 says the line count
+//!    goes down; a PR that needs more raises the number in its own diff,
+//!    where a reviewer sees it.
+//!
 //! The allowlist lives in `tools/lint/allowlist.txt`; each line is
 //! `<rule> <path> <count>`. The file is capped at 25 entries and every
 //! entry must be used — a stale entry fails the lint, so the allowlist
@@ -116,21 +123,16 @@ struct AllowEntry {
 fn main() {
     let root = workspace_root();
     let allowlist_path = root.join("tools/lint/allowlist.txt");
-    let mut allowlist = match load_allowlist(&allowlist_path) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("sebdb-lint: {e}");
-            std::process::exit(1);
-        }
-    };
+    let mut allowlist = load_allowlist(&allowlist_path).unwrap_or_else(|e| die(&e));
 
     let mut files = Vec::new();
-    for dir in ["crates", "shims"] {
+    for dir in ["crates", "shims", "tools"] {
         collect_rs_files(&root.join(dir), &mut files);
     }
     files.sort();
 
     let mut violations = Vec::new();
+    let mut loc = 0;
     for file in &files {
         let rel = file
             .strip_prefix(&root)
@@ -140,7 +142,19 @@ fn main() {
         let Ok(source) = std::fs::read_to_string(file) else {
             continue;
         };
-        check_file(&rel, &source, &mut violations);
+        let lines = check_file(&rel, &source, &mut violations);
+        if rel.starts_with("crates/") || rel.starts_with("tools/") {
+            loc += lines;
+        }
+    }
+    let budget_path = root.join("tools/lint/loc_budget.txt");
+    let budget = load_loc_budget(&budget_path).unwrap_or_else(|e| die(&e));
+    if loc > budget {
+        die(&format!(
+            "[loc] {loc} non-test lines under crates/ + tools/ exceed the budget of {budget}; \
+             delete what the change made unnecessary, or raise tools/lint/loc_budget.txt in \
+             this diff and say why"
+        ));
     }
 
     let mut failures = Vec::new();
@@ -166,7 +180,7 @@ fn main() {
 
     if failures.is_empty() {
         println!(
-            "sebdb-lint: {} files clean ({} allowlisted sites)",
+            "sebdb-lint: {} files clean ({} allowlisted sites), {loc} non-test lines of {budget}",
             files.len(),
             allowlist.iter().map(|a| a.count).sum::<usize>()
         );
@@ -181,6 +195,12 @@ fn main() {
          `// invariant:` comment at the site.",
         failures.len()
     );
+    std::process::exit(1);
+}
+
+/// Reports a failure of the lint itself and exits.
+fn die(message: &str) -> ! {
+    eprintln!("sebdb-lint: {message}");
     std::process::exit(1);
 }
 
@@ -262,10 +282,24 @@ fn load_allowlist(path: &Path) -> Result<Vec<AllowEntry>, String> {
     Ok(entries)
 }
 
-fn check_file(rel: &str, source: &str, out: &mut Vec<Violation>) {
+/// The line budget: the first line of `path` that is not a comment.
+fn load_loc_budget(path: &Path) -> Result<usize, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let line = text
+        .lines()
+        .map(str::trim)
+        .find(|l| !l.is_empty() && !l.starts_with('#'));
+    line.and_then(|l| l.parse().ok())
+        .ok_or_else(|| format!("{}: expected one number", path.display()))
+}
+
+/// Checks one file against every rule and returns how many of its
+/// lines are non-test code.
+fn check_file(rel: &str, source: &str, out: &mut Vec<Violation>) -> usize {
     // Integration tests and benches are test code wholesale.
     if rel.contains("/tests/") || rel.contains("/benches/") {
-        return;
+        return 0;
     }
     let stripped = strip_comments_and_strings(source);
     let test_lines = test_line_mask(&stripped);
@@ -383,6 +417,7 @@ fn check_file(rel: &str, source: &str, out: &mut Vec<Violation>) {
             }
         }
     }
+    test_lines.iter().filter(|masked| !**masked).count()
 }
 
 /// Every call of a fan-out primitive in `stripped` whose floor
@@ -633,6 +668,15 @@ mod tests {
         let src = "fn real() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn after() {}\n";
         let mask = test_line_mask(&strip_comments_and_strings(src));
         assert_eq!(mask, vec![false, true, true, true, true, false]);
+    }
+
+    #[test]
+    fn counts_non_test_lines_and_none_of_a_test_file() {
+        let src = "//! doc\nfn real() {}\n\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        let mut v = Vec::new();
+        assert_eq!(check_file("crates/core/src/x.rs", src, &mut v), 3);
+        assert_eq!(check_file("crates/core/tests/x.rs", src, &mut v), 0);
+        assert_eq!(check_file("crates/bench/benches/x.rs", src, &mut v), 0);
     }
 
     #[test]
