@@ -86,8 +86,9 @@ echo "==> SEBDB_BENCH_SMOKE=1 cargo bench -p sebdb-bench --bench index_resident"
 SEBDB_BENCH_SMOKE=1 cargo bench -q -p sebdb-bench --bench index_resident >/dev/null
 smoke=target/BENCH_indexresident_smoke.json
 for key in '"bench": "index_resident"' '"cpus":' '"blocks"' '"checkpoint"' \
-           '"cache_blocks"' '"open_ms"' '"resident_index_bytes"' \
-           '"cache_resident_bytes"' '"cache_hits"' '"cache_misses"'; do
+           '"cache_blocks"' '"open_ms"' '"store_open_ms"' '"resident_index_bytes"' \
+           '"store_resident_bytes"' '"cache_resident_bytes"' '"cache_hits"' \
+           '"cache_misses"'; do
   grep -q "$key" "$smoke" || { echo "ci: $smoke missing $key"; exit 1; }
 done
 

@@ -1,18 +1,24 @@
-//! Disk-resident index sweep (DESIGN §13): ledger open time vs chain
-//! length with and without index checkpoints, and resident index bytes
-//! vs the index-block cache capacity.
+//! Disk-resident index sweep (DESIGN §13): open time vs chain length
+//! with and without index checkpoints, and resident index bytes vs the
+//! index-block cache capacity — beside what the store itself keeps
+//! resident and spends opening.
 //!
-//! Two claims under measurement:
+//! Two claims under measurement, and one cost reported beside them:
 //!
-//! * **O(1) open** — with up-to-date checkpoints `Ledger::open` loads
-//!   the fence-pointer top levels and replays only the tail, so open
-//!   time stays flat (within 2×) as the chain grows 1k → 100k blocks;
+//! * **O(1) index open** — with up-to-date checkpoints `Ledger::new`
+//!   loads the fence-pointer top levels and replays only the tail;
 //!   without checkpoints it replays every block and grows linearly.
+//!   `open_ms` times `BlockStore::open` + `Ledger::new`, `store_open_ms`
+//!   the first alone.
 //! * **Bounded residency** — a probed frozen index pages level-1 blocks
 //!   through the shared cache, so resident index bytes stay bounded by
 //!   `StoreConfig::index_cache_blocks` where the `cache=∞` (capacity 0)
 //!   reference grows with the number of distinct blocks touched —
 //!   Eq. 3's per-block transfer term applied to the index itself.
+//! * **The store's own metadata** — `BlockStore::open` replays the whole
+//!   manifest and every offset table into resident tables
+//!   (`store_resident_bytes`, `BlockStore::metadata_bytes`): O(tuples
+//!   ever written), whatever the index does.
 //!
 //! Besides the criterion output, the run writes
 //! `BENCH_indexresident.json` at the repository root.
@@ -28,7 +34,6 @@ use sebdb_sql::{BoundPredicate, BoundPredicateKind, CompareOp, LogicalPlan};
 use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::{Column, DataType, TableSchema, Transaction, Value};
 use std::path::Path;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -139,18 +144,18 @@ fn store_config(cache_blocks: usize) -> StoreConfig {
     }
 }
 
-/// Opens the ledger and returns it with the recorded open time (the
-/// `IoStats::open_millis` satellite — what `Ledger::new` itself
-/// measured, checkpoint load + tail replay included).
-fn open_ledger(dir: &Path, cache_blocks: usize) -> (Arc<BlockStore>, Ledger, u64) {
-    let store = Arc::new(BlockStore::open(dir, store_config(cache_blocks)).expect("reopen store"));
+/// Opens the store and the ledger over it. Returns them with the whole
+/// open's time (store open + `Ledger::new`, checkpoint load and tail
+/// replay included) and the store open's alone, in milliseconds.
+fn open_ledger(dir: &Path, cache_blocks: usize) -> (Arc<BlockStore>, Ledger, u64, u64) {
     let opened = Instant::now();
+    let store = Arc::new(BlockStore::open(dir, store_config(cache_blocks)).expect("reopen store"));
+    let store_open_ms = opened.elapsed().as_millis() as u64;
     let ledger = Ledger::new(Arc::clone(&store), signer()).expect("reopen ledger");
-    let recorded = store.stats.open_millis.load(Ordering::Relaxed);
-    // Sub-millisecond opens round to 0; fall back to the measured wall
-    // time so flatness ratios stay finite.
-    let open_ms = recorded.max(opened.elapsed().as_millis() as u64).max(1);
-    (store, ledger, open_ms)
+    // Sub-millisecond opens round to 0; the floor keeps flatness ratios
+    // finite.
+    let open_ms = (opened.elapsed().as_millis() as u64).max(1);
+    (store, ledger, open_ms, store_open_ms)
 }
 
 /// Runs `probes` point queries through the layered path, paging the
@@ -186,8 +191,10 @@ struct Row {
     checkpoint: &'static str,
     cache_blocks: usize,
     open_ms: u64,
+    store_open_ms: u64,
     mean_us_per_probe: u64,
     resident_index_bytes: usize,
+    store_resident_bytes: usize,
     cache_resident_blocks: usize,
     cache_resident_bytes: usize,
     cache_hits: u64,
@@ -219,7 +226,7 @@ fn index_resident(c: &mut Criterion) {
         // Checkpointed opens across the cache-capacity sweep, each
         // followed by the probe workload that pages the frozen index.
         for cache_blocks in CACHE_BLOCKS {
-            let (store, ledger, open_ms) = open_ledger(&dir, cache_blocks);
+            let (store, ledger, open_ms, store_open_ms) = open_ledger(&dir, cache_blocks);
             ledger
                 .create_layered_index(&donate_schema(), "amount", None)
                 .expect("reattach layered index");
@@ -231,8 +238,10 @@ fn index_resident(c: &mut Criterion) {
                 checkpoint: "on",
                 cache_blocks,
                 open_ms,
+                store_open_ms,
                 mean_us_per_probe,
                 resident_index_bytes: ledger.index_memory_bytes(),
+                store_resident_bytes: store.metadata_bytes(),
                 cache_resident_blocks: store.index_cache().resident_blocks(),
                 cache_resident_bytes: store.index_cache().resident_bytes(),
                 cache_hits,
@@ -243,14 +252,16 @@ fn index_resident(c: &mut Criterion) {
         // The no-checkpoint reference: drop the checkpoint directory so
         // the open replays the whole chain (linear in `nblocks`).
         let _ = std::fs::remove_dir_all(dir.join(sebdb_storage::indexseg::INDEX_CHECKPOINT_DIR));
-        let (store, ledger, open_ms) = open_ledger(&dir, CACHE_BLOCKS[0]);
+        let (store, ledger, open_ms, store_open_ms) = open_ledger(&dir, CACHE_BLOCKS[0]);
         rows.push(Row {
             blocks: nblocks,
             checkpoint: "off",
             cache_blocks: CACHE_BLOCKS[0],
             open_ms,
+            store_open_ms,
             mean_us_per_probe: 0,
             resident_index_bytes: ledger.index_memory_bytes(),
+            store_resident_bytes: store.metadata_bytes(),
             cache_resident_blocks: store.index_cache().resident_blocks(),
             cache_resident_bytes: store.index_cache().resident_bytes(),
             cache_hits: 0,
@@ -272,15 +283,18 @@ fn write_json(rows: &[Row]) {
     for r in rows {
         entries.push_str(&format!(
             "    {{\"blocks\": {}, \"checkpoint\": \"{}\", \"cache_blocks\": {}, \
-             \"open_ms\": {}, \"mean_us_per_probe\": {}, \"resident_index_bytes\": {}, \
+             \"open_ms\": {}, \"store_open_ms\": {}, \"mean_us_per_probe\": {}, \
+             \"resident_index_bytes\": {}, \"store_resident_bytes\": {}, \
              \"cache_resident_blocks\": {}, \"cache_resident_bytes\": {}, \
              \"cache_hits\": {}, \"cache_misses\": {}}},\n",
             r.blocks,
             r.checkpoint,
             r.cache_blocks,
             r.open_ms,
+            r.store_open_ms,
             r.mean_us_per_probe,
             r.resident_index_bytes,
+            r.store_resident_bytes,
             r.cache_resident_blocks,
             r.cache_resident_bytes,
             r.cache_hits,
@@ -291,12 +305,15 @@ fn write_json(rows: &[Row]) {
     entries.pop();
     let body = format!(
         "{{\n  \"bench\": \"index_resident\",\n  \"cpus\": {cpus},\n  \
-         \"note\": \"ledger open time vs chain length with (checkpoint=on) and \
+         \"note\": \"open time vs chain length with (checkpoint=on) and \
          without (checkpoint=off) on-disk index checkpoints, plus resident index \
          bytes after a layered probe workload across index-block cache capacities \
-         (cache_blocks=0 is unbounded, the cache=inf reference). Checkpointed opens \
-         load the fence-pointer top level and replay only the tail, so open_ms \
-         stays flat as blocks grow; checkpoint=off replays every block. Each cache \
+         (cache_blocks=0 is unbounded, the cache=inf reference). open_ms is \
+         BlockStore::open + Ledger::new, store_open_ms the store's share; \
+         store_resident_bytes is the store's own resident metadata (block keys, \
+         manifest entries, tuple location tables), which both replay in full. \
+         Checkpointed ledger opens load the fence-pointer top level and replay only \
+         the tail; checkpoint=off replays every block. Each cache \
          miss pays one seek + one disk-block transfer — Eq. 3's per-block transfer \
          term applied to the index itself — so cache_resident_bytes is bounded by \
          capacity where the unbounded reference grows with the blocks touched\",\n  \

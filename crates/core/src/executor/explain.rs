@@ -175,7 +175,7 @@ impl Executor<'_> {
                 }
             }
             LogicalPlan::GetBlock(sel) => {
-                out.push(format!("{pad}GetBlock {sel:?} [block-level B+-tree]"));
+                out.push(format!("{pad}GetBlock {sel:?} [manifest binary search]"));
             }
             LogicalPlan::Post {
                 input,

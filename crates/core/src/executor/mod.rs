@@ -240,14 +240,16 @@ impl<'a> Executor<'a> {
         Ok(distinct.into_iter().zip(txs).collect())
     }
 
-    /// `GET BLOCK` (Q7): resolve via the block-level index, return a
-    /// one-row header summary.
+    /// `GET BLOCK` (Q7): resolve through the store's block-level
+    /// lookups below the applied height, return a one-row header
+    /// summary.
     fn run_get_block(&self, sel: &BoundBlockSelector) -> Result<QueryResult, ExecError> {
-        let key = self.ledger.with_block_index(|bi| match sel {
-            BoundBlockSelector::ById(id) => bi.by_bid(*id),
-            BoundBlockSelector::ByTid(tid) => bi.by_tid(*tid),
-            BoundBlockSelector::ByTimestamp(ts) => bi.by_ts(*ts),
-        });
+        let (store, height) = (self.ledger.store(), self.ledger.height());
+        let bid = match *sel {
+            BoundBlockSelector::ById(id) => store.block_by_id(id, height),
+            BoundBlockSelector::ByTid(tid) => store.block_by_tid(tid, height),
+            BoundBlockSelector::ByTimestamp(ts) => store.block_by_ts(ts, height),
+        };
         let columns = vec![
             "height".to_string(),
             "timestamp".to_string(),
@@ -255,10 +257,18 @@ impl<'a> Executor<'a> {
             "tx_count".to_string(),
             "block_hash".to_string(),
         ];
-        let Some(key) = key else {
+        let Some(bid) = bid else {
             return Ok(QueryResult::empty(columns));
         };
-        let block = self.ledger.read_block(key.bid)?;
+        let block = self.ledger.read_block(bid)?;
+        // The tid lookup names the only block that can hold the tid;
+        // one no transaction carries (past the chain's last, say) has
+        // no block.
+        if let BoundBlockSelector::ByTid(tid) = *sel {
+            if !block.transactions.iter().any(|t| t.tid == tid) {
+                return Ok(QueryResult::empty(columns));
+            }
+        }
         Ok(QueryResult {
             columns,
             rows: vec![vec![

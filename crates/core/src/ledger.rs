@@ -3,20 +3,21 @@
 //! One `Ledger` per node. It seals ordered batches from the consensus
 //! layer into blocks, appends them to the block store (the single copy
 //! of on-chain data), keeps the chain linkage verified, and maintains
-//! every index structure of §IV-B/§VI on every append: block-level
-//! B⁺-tree, table-level bitmaps, and one layered index per indexed
-//! column — authenticated, so the same index answers plain and
-//! thin-client queries. The two system tracking indexes on `SenID` and
-//! `Tname` ("created on all tables for all historical transactions",
-//! §V-A) exist from genesis.
+//! every index structure of §IV-B/§VI on every append: table-level
+//! bitmaps and one layered index per indexed column — authenticated,
+//! so the same index answers plain and thin-client queries. The
+//! block-level B⁺-tree's lookups are the store's (its chain-order
+//! manifest carries each block's first tid and timestamp). The two
+//! system tracking indexes on `SenID` and `Tname` ("created on all
+//! tables for all historical transactions", §V-A) exist from genesis.
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use sebdb_consensus::OrderedBlock;
 use sebdb_crypto::sha256::Digest;
 use sebdb_crypto::sig::{MacKeypair, Signer};
 use sebdb_index::{
-    column_slug, family_block, family_layered, family_table, Bitmap, BlockLevelIndex,
-    EqualDepthHistogram, LayeredIndex, TableBitmapIndex,
+    column_slug, family_layered, family_table, Bitmap, EqualDepthHistogram, LayeredIndex,
+    TableBitmapIndex,
 };
 use sebdb_parallel::Tracked;
 use sebdb_storage::{
@@ -93,8 +94,8 @@ fn index_key(table: Option<&str>, column: &str) -> IndexKey {
 
 /// The shard an index key lives in: per-table keys hash their table,
 /// system (`None`-table) keys live in the extra chain shard
-/// ([`INDEX_SHARDS`], owned by lane 0 alongside the block-level and
-/// bitmap indexes, since their maintenance walks every tuple anyway).
+/// ([`INDEX_SHARDS`], owned by lane 0 alongside the bitmap index,
+/// since their maintenance walks every tuple anyway).
 fn shard_of_key(key: &IndexKey) -> usize {
     match &key.0 {
         Some(table) => shard_of(table),
@@ -171,7 +172,6 @@ pub type TxVerifier = dyn Fn(&Transaction) -> bool + Send + Sync;
 pub struct Ledger {
     store: Arc<BlockStore>,
     cached: RwLock<Arc<CachedStore>>,
-    block_index: RwLock<BlockLevelIndex>,
     table_index: RwLock<TableBitmapIndex>,
     /// [`INDEX_SHARDS`] relation shards plus one chain shard (the
     /// system `None`-table indexes) at position [`INDEX_SHARDS`].
@@ -223,7 +223,6 @@ impl Ledger {
         let ledger = Ledger {
             store,
             cached: RwLock::new(cached),
-            block_index: RwLock::new(BlockLevelIndex::new()),
             table_index: RwLock::new(TableBitmapIndex::new()),
             shards: (0..=INDEX_SHARDS).map(|_| IndexShard::default()).collect(),
             last_hash: RwLock::new(Digest::ZERO),
@@ -243,10 +242,6 @@ impl Ledger {
         // `None` (the store already deleted them) and that family
         // rebuilds from block zero.
         let mut frozen_loaded = 0usize;
-        if let Some(r) = ledger.store.load_index_checkpoint(&family_block())? {
-            *ledger.block_index.write() = BlockLevelIndex::from_frozen(r);
-            frozen_loaded += 1;
-        }
         if let Some(r) = ledger.store.load_index_checkpoint(&family_table())? {
             *ledger.table_index.write() = TableBitmapIndex::from_frozen(r);
             frozen_loaded += 1;
@@ -301,8 +296,7 @@ impl Ledger {
     /// Lowest chain height any index family has state for — the block
     /// the restart replay must resume from.
     fn replay_floor(&self) -> u64 {
-        let mut floor = self.block_index.read().len() as u64;
-        floor = floor.min(self.table_index.read().blocks_seen());
+        let mut floor = self.table_index.read().blocks_seen();
         for shard in &self.shards {
             floor = floor.min(shard.covered_floor());
         }
@@ -601,21 +595,10 @@ impl Ledger {
     }
 
     fn index_block(&self, block: &Block) {
-        // The four index families update in order on the caller's
-        // thread: the pipeline's lanes already are the parallelism,
-        // and on small blocks a family's update costs less than the
-        // spawn that would overlap it.
-        {
-            // Guarded so the restart replay (which resumes at the
-            // lowest frozen height across ALL families) can feed
-            // blocks an up-to-date block-index checkpoint already
-            // covers; the other families skip covered blocks
-            // internally.
-            let mut bi = self.block_index.write();
-            if block.header.height >= bi.len() as u64 {
-                bi.append(block);
-            }
-        }
+        // The index families update in order on the caller's thread:
+        // the pipeline's lanes already are the parallelism, and on
+        // small blocks a family's update costs less than the spawn
+        // that would overlap it. Each skips blocks it already covers.
         self.table_index.write().update(block);
         for shard in &self.shards {
             shard.update(block, None);
@@ -638,14 +621,13 @@ impl Ledger {
     }
 
     /// Lane 0's chain-level share of indexing `block`: the fault hook,
-    /// the block-level B⁺-tree, the table bitmaps, and the chain shard
-    /// (system `None`-table layered indexes, which walk every tuple).
-    /// Blocks must arrive in height order.
+    /// the table bitmaps, and the chain shard (system `None`-table
+    /// layered indexes, which walk every tuple). Blocks must arrive in
+    /// height order.
     pub fn index_chain_lane(&self, block: &Block) {
         if let Some(hook) = self.index_fault.read().as_ref() {
             hook(block);
         }
-        self.block_index.write().append(block);
         self.table_index.write().update(block);
         self.shards[INDEX_SHARDS].update(block, None);
         if self.checkpoint_due(block.header.height + 1) {
@@ -704,21 +686,14 @@ impl Ledger {
         Ok(self.store.load_index_checkpoint(&cp.family)?)
     }
 
-    /// Freezes the chain-level families — the block-level B⁺-tree, the
-    /// table bitmaps, and the chain shard's system indexes — into
-    /// on-disk checkpoints, dropping their resident tails. Returns how
-    /// many checkpoints were published. Lane 0 of a pipeline owns
-    /// exactly these families, so it may call this concurrently with
-    /// relation lanes checkpointing their own shards.
+    /// Freezes the chain-level families — the table bitmaps and the
+    /// chain shard's system indexes — into on-disk checkpoints,
+    /// dropping their resident tails. Returns how many checkpoints
+    /// were published. Lane 0 of a pipeline owns exactly these
+    /// families, so it may call this concurrently with relation lanes
+    /// checkpointing their own shards.
     pub fn checkpoint_chain_families(&self) -> Result<usize, LedgerError> {
         let mut published = 0;
-        {
-            let mut bi = self.block_index.write();
-            if let Some(r) = self.publish_checkpoint(&bi.checkpoint())? {
-                bi.adopt_frozen(r);
-                published += 1;
-            }
-        }
         {
             let mut ti = self.table_index.write();
             if let Some(r) = self.publish_checkpoint(&ti.checkpoint())? {
@@ -747,8 +722,7 @@ impl Ledger {
     /// are counted there ([`sebdb_storage::IndexBlockCache`]), not
     /// here.
     pub fn index_memory_bytes(&self) -> usize {
-        let mut bytes =
-            self.block_index.read().memory_bytes() + self.table_index.read().memory_bytes();
+        let mut bytes = self.table_index.read().memory_bytes();
         for shard in &self.shards {
             bytes += shard.memory_bytes();
         }
@@ -908,11 +882,6 @@ impl Ledger {
         self.with_layered(table, column, f)
     }
 
-    /// Runs `f` with the block-level index.
-    pub fn with_block_index<R>(&self, f: impl FnOnce(&BlockLevelIndex) -> R) -> R {
-        f(&self.block_index.read())
-    }
-
     /// Runs `f` with the table-level bitmap index.
     pub fn with_table_index<R>(&self, f: impl FnOnce(&TableBitmapIndex) -> R) -> R {
         f(&self.table_index.read())
@@ -938,25 +907,13 @@ impl Ledger {
         window: Option<(Timestamp, Timestamp)>,
         height: BlockId,
     ) -> Bitmap {
+        let range = match window {
+            None => height.checked_sub(1).map(|hi| (0, hi)),
+            Some((s, e)) => self.store.blocks_in_window(s, e, height),
+        };
         let mut mask = Bitmap::new();
-        if height == 0 {
-            return mask;
-        }
-        match window {
-            None => {
-                mask.set_range(0, height as usize - 1);
-            }
-            Some((s, e)) => {
-                if let Some((lo, hi)) = self.with_block_index(|bi| bi.blocks_in_window(s, e)) {
-                    // The block index may cover blocks the bound
-                    // excludes (lane 0 can index ahead of the min
-                    // applied height); clamp to the bound.
-                    let hi = hi.min(height - 1);
-                    if lo <= hi {
-                        mask.set_range(lo as usize, hi as usize);
-                    }
-                }
-            }
+        if let Some((lo, hi)) = range {
+            mask.set_range(lo as usize, hi as usize);
         }
         mask
     }

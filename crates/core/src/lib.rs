@@ -4,9 +4,10 @@
 //! 2019), reproduced in Rust. On-chain transactions are tuples of
 //! user-declared relations; a SQL-like language (`CREATE` / `INSERT` /
 //! `SELECT` / `TRACE` / `GET BLOCK`) drives everything; blocks are the
-//! only copy of the data, indexed by the block-level B⁺-tree, the
-//! table-level bitmaps, and the layered index; thin clients verify
-//! query results through the authenticated layered index (ALI).
+//! only copy of the data, located by the store's chain-order manifest
+//! (the block-level lookups), indexed by the table-level bitmaps and
+//! the layered index; thin clients verify query results through the
+//! authenticated layered index (ALI).
 //!
 //! Quick tour:
 //!

@@ -27,12 +27,11 @@
 //! persist stage's disk bandwidth scales with the relations touched,
 //! not just the lane count. Lane *k* of *L* maintains the
 //! per-table index families of every shard with `shard % L == k`; lane
-//! 0 additionally owns the chain-level structures (block-level
-//! B⁺-tree, table bitmaps, and the system tracking indexes, whose
-//! maintenance walks every tuple anyway). Lanes receive blocks in
-//! sealed chain order over their own bounded channel, so per-lane
-//! order is the chain order even though lanes interleave freely with
-//! each other.
+//! 0 additionally owns the chain-level structures (table bitmaps and
+//! the system tracking indexes, whose maintenance walks every tuple
+//! anyway). Lanes receive blocks in sealed chain order over their own
+//! bounded channel, so per-lane order is the chain order even though
+//! lanes interleave freely with each other.
 //!
 //! Invariant: [`Ledger::height`] (the applied height — what
 //! `wait_applied` and every reader observe) is the **minimum** over

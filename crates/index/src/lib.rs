@@ -1,9 +1,10 @@
 //! # sebdb-index
 //!
-//! SEBDB's indexing layer (§IV-B and §VI):
+//! SEBDB's indexing layer (§IV-B and §VI). The block-level B⁺-tree on
+//! `(bid, tid, Ts)` is not here: the store's chain-order manifest is
+//! in bid order, resident, and carries each block's first tid and
+//! timestamp, so `sebdb-storage`'s `BlockStore` answers those lookups.
 //!
-//! * [`blockindex::BlockLevelIndex`] — block-level B⁺-tree on
-//!   `(bid, tid, Ts)`;
 //! * [`tableindex::TableBitmapIndex`] — table-level bitmaps over blocks
 //!   (plus sender bitmaps for tracking);
 //! * [`layered::LayeredIndex`] — the two-level layered index, one per
@@ -23,7 +24,6 @@
 
 pub mod ali;
 pub mod bitmap;
-pub mod blockindex;
 pub mod cost;
 pub mod histogram;
 pub mod layered;
@@ -33,10 +33,9 @@ pub mod tableindex;
 
 pub use ali::{auxiliary_digest, verify_query_vo, AuthenticatedLayeredIndex, BlockVo, QueryVo};
 pub use bitmap::Bitmap;
-pub use blockindex::{BlockKey, BlockLevelIndex};
 pub use cost::{AccessPath, CostParams};
 pub use histogram::EqualDepthHistogram;
 pub use layered::{KeyPredicate, LayeredIndex, Probe};
 pub use mbtree::{AuthEntry, MbTree, RangeProof, VerifyError};
-pub use paged::{column_slug, family_block, family_layered, family_table};
+pub use paged::{column_slug, family_layered, family_table};
 pub use tableindex::TableBitmapIndex;

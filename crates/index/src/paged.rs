@@ -51,11 +51,6 @@ pub const TAG_ENTRY: u8 = 0x06;
 /// Unit separator between family-name components.
 const FAMILY_SEP: u8 = 0x1f;
 
-/// Family name of the block-level index checkpoint.
-pub fn family_block() -> Vec<u8> {
-    b"block".to_vec()
-}
-
 /// Family name of the table-bitmap index checkpoint.
 pub fn family_table() -> Vec<u8> {
     b"table".to_vec()
@@ -397,7 +392,6 @@ mod tests {
     #[test]
     fn family_names_are_distinct() {
         let names = [
-            family_block(),
             family_table(),
             family_layered(None, "sen_id"),
             family_layered(Some("donate"), "amount"),

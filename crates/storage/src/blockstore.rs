@@ -9,11 +9,12 @@
 //! [`segment`](crate::segment) sequence with its own tuple offset
 //! table. A separate *chain partition* appends one small record per
 //! block (header ‖ tuple routes), and an append-only **chain-order
-//! manifest** records, per block, the (partition, segment, offset)
-//! extents needed to reassemble canonical block order. The manifest
-//! record is the commit point: restart replay keeps the longest valid
-//! manifest prefix, truncates every partition to match, and
-//! reconstructs or truncates torn offset tables.
+//! manifest** (`manifest.rs`) records, per block, the (partition,
+//! segment, offset) extents needed to reassemble canonical block order
+//! and the block's first tid and timestamp. The manifest record is the
+//! commit point: restart replay keeps the longest valid manifest
+//! prefix, truncates every partition to match, and reconstructs or
+//! truncates torn offset tables.
 //!
 //! Single-relation scans read only their partition's extents — they
 //! stop paying for unrelated relations' bytes (the per-relation access
@@ -22,10 +23,9 @@
 
 use crate::cache::{BlockCache, TxCache};
 use crate::indexseg::{self, IndexBlockCache, IndexCheckpoint, PagedIndexReader};
+use crate::manifest::{self, BlockEntry, ChainKey, BLOCK_MANIFEST};
 use crate::publish;
-use crate::segment::{
-    segment_path, Location, ReadGauges, Result, SegmentSet, SegmentWriter, StorageError,
-};
+use crate::segment::{Location, ReadGauges, Result, SegmentSet, SegmentWriter, StorageError};
 use parking_lot::{Mutex, RwLock};
 use sebdb_parallel::Tracked;
 use sebdb_types::{
@@ -233,16 +233,6 @@ type OffsetRec = (u32, u32, u32);
 /// block that touches the partition, in chain order.
 type OffsetsTable = Vec<(u64, Vec<OffsetRec>)>;
 
-/// One block's extents as the manifest records them.
-#[derive(Debug, Clone)]
-struct BlockEntry {
-    /// The chain record (header ‖ routes) in the chain partition.
-    chain: Location,
-    /// `(partition, extent)` for every partition the block touches,
-    /// ascending by partition id.
-    parts: Vec<(u8, Location)>,
-}
-
 /// One relation partition's on-disk state.
 struct Partition {
     writer: Mutex<SegmentWriter>,
@@ -431,6 +421,9 @@ pub struct BlockStore {
     config: StoreConfig,
     /// Resolved partition count (the manifest header's on reopen).
     partitions: usize,
+    /// Every block's first tid and timestamp, on both backends — the
+    /// block-level index `manifest.rs`'s lookups search.
+    pub(crate) keys: RwLock<Vec<ChainKey>>,
     /// Store directory (disk backend only) — index checkpoints live in
     /// its [`crate::indexseg::INDEX_CHECKPOINT_DIR`] subdirectory.
     dir: Option<PathBuf>,
@@ -442,21 +435,9 @@ pub struct BlockStore {
     pub stats: Arc<IoStats>,
 }
 
-/// The chain-order manifest — the commit point of every append.
-const BLOCK_MANIFEST: &str = "blockmanifest.idx";
-
 /// Persisted tracking-view registrations (see
 /// [`BlockStore::save_view_registrations`]).
 const VIEW_REGISTRATIONS: &str = "viewreg.idx";
-/// Manifest magic, versioned with the record format.
-const MANIFEST_MAGIC: &[u8; 8] = b"SEBDBMF1";
-/// Manifest header: magic(8) ‖ partitions(2) ‖ reserved(6).
-const MANIFEST_HEADER: usize = 16;
-/// Fixed prefix of one manifest record:
-/// bid(8) ‖ chain seg(4) off(8) len(4) ‖ nparts(2); followed by
-/// nparts × [part(2) seg(4) off(8) len(4)].
-const MANIFEST_REC_FIXED: usize = 26;
-const MANIFEST_REC_PART: usize = 18;
 /// Per-partition tuple offset table: one variable-length record per
 /// block touching the partition,
 /// `bid(8) ‖ count(4) ‖ count × (canon(4) ‖ off(4) ‖ len(4))`.
@@ -465,17 +446,17 @@ const MANIFEST_REC_PART: usize = 18;
 /// record's routes and the extent bytes.
 const OFFSETS: &str = "txoffsets.idx";
 
-fn chain_dir(dir: &Path) -> PathBuf {
+pub(crate) fn chain_dir(dir: &Path) -> PathBuf {
     dir.join("chain")
 }
 
-fn part_dir(dir: &Path, p: usize) -> PathBuf {
+pub(crate) fn part_dir(dir: &Path, p: usize) -> PathBuf {
     dir.join(format!("part-{p}"))
 }
 
 /// Copies the first `N` bytes of `slice` into an array. Callers pass
 /// slices cut to exactly `N` bytes by the replay bounds checks.
-fn fixed<const N: usize>(slice: &[u8]) -> [u8; N] {
+pub(crate) fn fixed<const N: usize>(slice: &[u8]) -> [u8; N] {
     let mut out = [0u8; N];
     out.copy_from_slice(&slice[..N]);
     out
@@ -490,23 +471,6 @@ fn offsets_record(bid: u64, entries: &[OffsetRec]) -> Vec<u8> {
         rec.extend_from_slice(&canon.to_le_bytes());
         rec.extend_from_slice(&off.to_le_bytes());
         rec.extend_from_slice(&len.to_le_bytes());
-    }
-    rec
-}
-
-/// Serializes one chain-order manifest record.
-fn manifest_record(bid: u64, chain: Location, parts: &[(u8, Location)]) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(MANIFEST_REC_FIXED + parts.len() * MANIFEST_REC_PART);
-    rec.extend_from_slice(&bid.to_le_bytes());
-    rec.extend_from_slice(&chain.segment.to_le_bytes());
-    rec.extend_from_slice(&chain.offset.to_le_bytes());
-    rec.extend_from_slice(&chain.len.to_le_bytes());
-    rec.extend_from_slice(&(parts.len() as u16).to_le_bytes());
-    for (p, loc) in parts {
-        rec.extend_from_slice(&(*p as u16).to_le_bytes());
-        rec.extend_from_slice(&loc.segment.to_le_bytes());
-        rec.extend_from_slice(&loc.offset.to_le_bytes());
-        rec.extend_from_slice(&loc.len.to_le_bytes());
     }
     rec
 }
@@ -557,6 +521,7 @@ impl BlockStore {
             },
             config,
             partitions,
+            keys: RwLock::new(Vec::new()),
             dir: None,
             write_fault: RwLock::new(None),
             index_cache,
@@ -578,38 +543,20 @@ impl BlockStore {
         // A complete header pins the partition count; a torn or missing
         // one means no block ever committed, so the store is rebuilt
         // fresh with the configured count.
-        let (partitions, fresh) = if buf.len() >= MANIFEST_HEADER {
-            if &buf[0..8] != MANIFEST_MAGIC {
-                return Err(StorageError::Corrupt("block manifest has bad magic".into()));
-            }
-            let p = u16::from_le_bytes(fixed::<2>(&buf[8..10])) as usize;
-            if !(1..=RELATION_PARTITIONS).contains(&p) {
-                return Err(StorageError::Corrupt(format!(
-                    "block manifest names {p} partitions"
-                )));
-            }
-            (p, false)
-        } else {
-            (config.partitions.clamp(1, RELATION_PARTITIONS), true)
-        };
-        let (mut entries, ends) = if fresh {
-            (Vec::new(), Vec::new())
-        } else {
-            Self::replay_manifest(&buf, partitions)
+        let pinned = manifest::read_header(&buf)?;
+        let partitions = pinned.unwrap_or_else(|| config.partitions.clamp(1, RELATION_PARTITIONS));
+        let (mut entries, mut keys, lens) = match pinned {
+            Some(p) => manifest::replay_manifest(&buf, p),
+            None => (Vec::new(), Vec::new(), vec![0]),
         };
         // A manifest record written before its partition data reached
         // the segment files (reordered writes) is torn state too: cut
         // the manifest at the first record whose extents exceed the
         // physical file lengths.
-        let keep = Self::validate_extents(dir, &entries);
+        let keep = manifest::validate_extents(dir, &entries);
         entries.truncate(keep);
-        let valid_bytes = if fresh {
-            0
-        } else if keep == 0 {
-            MANIFEST_HEADER as u64
-        } else {
-            ends[keep - 1]
-        };
+        keys.truncate(keep);
+        let valid_bytes = lens[keep];
         std::fs::create_dir_all(chain_dir(dir))?;
         for p in 0..partitions {
             std::fs::create_dir_all(part_dir(dir, p))?;
@@ -620,11 +567,8 @@ impl BlockStore {
             .open(&manifest_path)?;
         file.set_len(valid_bytes)?;
         let mut manifest = BufWriter::new(file);
-        if fresh {
-            let mut header = [0u8; MANIFEST_HEADER];
-            header[0..8].copy_from_slice(MANIFEST_MAGIC);
-            header[8..10].copy_from_slice(&(partitions as u16).to_le_bytes());
-            manifest.write_all(&header)?;
+        if pinned.is_none() {
+            manifest.write_all(&manifest::header(partitions))?;
             manifest.flush()?;
         }
         let gauges = ReadGauges::new();
@@ -695,96 +639,12 @@ impl BlockStore {
             },
             config,
             partitions,
+            keys: RwLock::new(keys),
             dir: Some(dir.to_path_buf()),
             write_fault: RwLock::new(None),
             index_cache,
             stats,
         })
-    }
-
-    /// Parses the manifest body, keeping the longest valid prefix of
-    /// records. Returns the entries and each record's end offset within
-    /// the file (for truncation after a later validation cut).
-    fn replay_manifest(buf: &[u8], partitions: usize) -> (Vec<BlockEntry>, Vec<u64>) {
-        let mut entries: Vec<BlockEntry> = Vec::new();
-        let mut ends = Vec::new();
-        let mut at = MANIFEST_HEADER;
-        'records: while buf.len() >= at + MANIFEST_REC_FIXED {
-            let bid = u64::from_le_bytes(fixed::<8>(&buf[at..at + 8]));
-            if bid != entries.len() as u64 {
-                break;
-            }
-            let chain = Location {
-                segment: u32::from_le_bytes(fixed::<4>(&buf[at + 8..at + 12])),
-                offset: u64::from_le_bytes(fixed::<8>(&buf[at + 12..at + 20])),
-                len: u32::from_le_bytes(fixed::<4>(&buf[at + 20..at + 24])),
-            };
-            let nparts = u16::from_le_bytes(fixed::<2>(&buf[at + 24..at + 26])) as usize;
-            let body = MANIFEST_REC_FIXED + nparts * MANIFEST_REC_PART;
-            if chain.len == 0 || nparts > partitions || buf.len() < at + body {
-                break;
-            }
-            let mut parts = Vec::with_capacity(nparts);
-            let mut prev: i32 = -1;
-            for k in 0..nparts {
-                let q = at + MANIFEST_REC_FIXED + k * MANIFEST_REC_PART;
-                let part = u16::from_le_bytes(fixed::<2>(&buf[q..q + 2]));
-                let loc = Location {
-                    segment: u32::from_le_bytes(fixed::<4>(&buf[q + 2..q + 6])),
-                    offset: u64::from_le_bytes(fixed::<8>(&buf[q + 6..q + 14])),
-                    len: u32::from_le_bytes(fixed::<4>(&buf[q + 14..q + 18])),
-                };
-                if part as usize >= partitions || (part as i32) <= prev || loc.len == 0 {
-                    break 'records;
-                }
-                prev = part as i32;
-                parts.push((part as u8, loc));
-            }
-            at += body;
-            entries.push(BlockEntry { chain, parts });
-            ends.push(at as u64);
-        }
-        (entries, ends)
-    }
-
-    /// Checks each manifest entry's extents against the physical
-    /// segment file lengths, returning the length of the prefix whose
-    /// data actually reached disk (a manifest record racing ahead of
-    /// its partition writes is cut here).
-    fn validate_extents(dir: &Path, entries: &[BlockEntry]) -> usize {
-        use std::collections::HashMap;
-        let mut lens: HashMap<(usize, u32), u64> = HashMap::new();
-        fn file_len(
-            lens: &mut std::collections::HashMap<(usize, u32), u64>,
-            dir: &Path,
-            part: usize,
-            seg: u32,
-        ) -> u64 {
-            *lens.entry((part, seg)).or_insert_with(|| {
-                let d = if part == CHAIN_PARTITION {
-                    chain_dir(dir)
-                } else {
-                    part_dir(dir, part)
-                };
-                std::fs::metadata(segment_path(&d, seg))
-                    .map(|m| m.len())
-                    .unwrap_or(0)
-            })
-        }
-        for (i, e) in entries.iter().enumerate() {
-            if e.chain.offset + e.chain.len as u64
-                > file_len(&mut lens, dir, CHAIN_PARTITION, e.chain.segment)
-            {
-                return i;
-            }
-            for (p, loc) in &e.parts {
-                if loc.offset + loc.len as u64 > file_len(&mut lens, dir, *p as usize, loc.segment)
-                {
-                    return i;
-                }
-            }
-        }
-        entries.len()
     }
 
     /// Replays one partition's [`OFFSETS`] file against the manifest's
@@ -1070,6 +930,29 @@ impl BlockStore {
         }
     }
 
+    /// Resident bytes of the store's own metadata: every block's keys
+    /// and, on disk, its manifest entry and tuple location table (the
+    /// memory backend's blocks are the data itself).
+    pub fn metadata_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let mut bytes = self.keys.read().capacity() * size_of::<ChainKey>();
+        if let Backend::Disk {
+            entries, tx_locs, ..
+        } = &self.backend
+        {
+            for e in entries.read().iter() {
+                bytes += size_of::<BlockEntry>() + e.parts.capacity() * size_of::<(u8, Location)>();
+            }
+            // A table's slot, its `Arc` (two counts and the `Vec`), and
+            // its locations.
+            for t in tx_locs.read().iter() {
+                bytes += size_of::<TxLocs>() + 2 * size_of::<usize>() + size_of::<Vec<TxLoc>>();
+                bytes += t.capacity() * size_of::<TxLoc>();
+            }
+        }
+        bytes
+    }
+
     /// Appends a sealed block. The block's height must equal the current
     /// store height (blocks arrive strictly in order).
     ///
@@ -1081,7 +964,8 @@ impl BlockStore {
     /// manifest record is the commit point, written only after every
     /// partition write landed.
     /// A failed append leaves torn partition state that restart replay
-    /// heals; the in-memory view is untouched.
+    /// heals; the in-memory view is untouched. A block packaged before
+    /// its predecessor is refused before anything is written.
     pub fn append(&self, block: &Block) -> Result<()> {
         let expect = self.height();
         if block.header.height != expect {
@@ -1090,6 +974,7 @@ impl BlockStore {
                 block.header.height, expect
             )));
         }
+        let key = ChainKey::of(block, self.keys.read().last())?;
         match &self.backend {
             Backend::Disk {
                 chain_writer,
@@ -1156,10 +1041,12 @@ impl BlockStore {
                 part_locs.sort_by_key(|&(p, _)| p);
                 self.check_fault(WriteStep::ManifestWrite)?;
                 let mut m = manifest.lock();
-                m.write_all(&manifest_record(bid, chain_loc, &part_locs))?;
+                m.write_all(&manifest::manifest_record(bid, &key, chain_loc, &part_locs))?;
                 m.flush()?;
                 // The in-memory view commits with the manifest, under
-                // its lock, so entry order always matches record order.
+                // its lock, so entry order always matches record order;
+                // the key first, so no height a reader sees lacks one.
+                self.keys.write().push(key);
                 entries.write().push(BlockEntry {
                     chain: chain_loc,
                     parts: part_locs,
@@ -1174,6 +1061,7 @@ impl BlockStore {
                     .iter()
                     .map(|t| route_of(&t.tname, self.partitions))
                     .collect();
+                self.keys.write().push(key);
                 blocks.write().push(MemBlock {
                     bytes: Arc::new(bytes),
                     tx_ranges: Arc::new(ranges),

@@ -241,8 +241,6 @@ struct Fence {
     first_key: Vec<u8>,
     off: u64,
     len: u32,
-    /// Global index of this block's first entry (cumulative count).
-    start: u64,
     count: u32,
     checksum: u64,
 }
@@ -552,7 +550,6 @@ impl PagedIndexReader {
                 first_key,
                 off,
                 len,
-                start,
                 count,
                 checksum,
             });
@@ -662,24 +659,6 @@ impl PagedIndexReader {
         // block is non-empty (fences never describe empty blocks).
         Ok(n.checked_sub(1)
             .map(|p| (block.key(p).to_vec(), block.value(p).to_vec())))
-    }
-
-    /// The entry at global index `idx` (entries numbered across blocks
-    /// in key order).
-    pub fn entry_at(&self, idx: u64) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        if idx >= self.entry_count {
-            return Ok(None);
-        }
-        let i = self
-            .fences
-            .partition_point(|f| f.start + u64::from(f.count) <= idx);
-        let fence = self
-            .fences
-            .get(i)
-            .ok_or_else(|| corrupt(&self.path, "entry index out of range"))?;
-        let block = self.block(i)?;
-        let at = (idx - fence.start) as usize;
-        Ok((at < block.len()).then(|| (block.key(at).to_vec(), block.value(at).to_vec())))
     }
 
     /// Visits, in key order, every entry from the first with `lo ≤ key`
@@ -802,11 +781,6 @@ mod tests {
         // floor: exact and between-keys probes.
         let (k, _) = r.floor(&42u64.to_be_bytes()).unwrap().unwrap();
         assert_eq!(k, 42u64.to_be_bytes().to_vec());
-        // entry_at matches ordinal order.
-        let (k, v) = r.entry_at(123).unwrap().unwrap();
-        assert_eq!(k, 123u64.to_be_bytes().to_vec());
-        assert_eq!(v, cp.entries[123].1);
-        assert!(r.entry_at(500).unwrap().is_none());
         // scan_range honours both bounds.
         let mut seen = Vec::new();
         r.scan_range(

@@ -2,14 +2,17 @@
 //!
 //! On-chain persistence for SEBDB (§IV-A): append-only
 //! [`segment`] files, the [`blockstore::BlockStore`] keeping the single
-//! copy of all block data, and the two LRU [`cache`] strategies the
-//! paper compares in §VII-H (block cache vs transaction cache).
+//! copy of all block data, the chain-order manifest that commits
+//! each block and serves as the block-level index, and the two LRU
+//! [`cache`] strategies the paper compares in §VII-H (block cache vs
+//! transaction cache).
 
 #![warn(missing_docs)]
 
 pub mod blockstore;
 pub mod cache;
 pub mod indexseg;
+mod manifest;
 mod publish;
 pub mod segment;
 

@@ -10,8 +10,8 @@
 
 use sebdb_crypto::sha256::Digest;
 use sebdb_storage::{
-    partition_of, BlockStore, IndexCheckpoint, StoreConfig, WriteStep, CHAIN_PARTITION,
-    INDEX_CHECKPOINT_DIR,
+    partition_of, BlockStore, IndexCheckpoint, StorageError, StoreConfig, WriteStep,
+    CHAIN_PARTITION, INDEX_CHECKPOINT_DIR,
 };
 use sebdb_types::{Block, Codec, Transaction, Value};
 use std::path::{Path, PathBuf};
@@ -189,6 +189,91 @@ fn manifest_ahead_of_partition_data_rolls_back_on_reopen() {
         assert_chain_identical(&store, &tables, ntx, 4, &victim.display().to_string());
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Every block-level lookup of a store healed back to `height` blocks
+/// of `block(h, ..)` (tids `h * 100 + i`, packaged at `h`) stays below
+/// it — with no height bound but the store's own — and still finds the
+/// blocks it kept.
+fn assert_lookups_stop_at(store: &BlockStore, height: u64, ctx: &str) {
+    let all = u64::MAX;
+    let last = height - 1;
+    assert_eq!(store.block_by_id(last, all), Some(last), "{ctx}");
+    assert_eq!(store.block_by_id(height, all), None, "{ctx}");
+    assert_eq!(store.block_by_tid(last * 100 + 2, all), Some(last), "{ctx}");
+    assert_eq!(store.block_by_tid(height * 100, all), Some(last), "{ctx}");
+    assert_eq!(store.block_by_ts(height, all), Some(last), "{ctx}");
+    assert_eq!(store.block_by_ts(u64::MAX, all), Some(last), "{ctx}");
+    assert_eq!(
+        store.blocks_in_window(0, u64::MAX, all),
+        Some((0, last)),
+        "{ctx}"
+    );
+    assert_eq!(store.blocks_in_window(height, u64::MAX, all), None, "{ctx}");
+}
+
+/// The manifest is the block-level index, so a cut record takes its
+/// block out of every lookup: after a manifest-ahead rollback (a torn
+/// chain extent) and after a torn manifest record, nothing resolves the
+/// cut block — and once it is re-appended, everything does again.
+#[test]
+fn lookups_never_resolve_a_cut_block() {
+    let tables = spanning_tables();
+    let ntx = 6;
+    for (ci, case) in ["manifest-ahead", "torn-record"].into_iter().enumerate() {
+        let dir = tmpdir(&format!("lookups-{ci}"));
+        {
+            let store = BlockStore::open(&dir, cfg()).unwrap();
+            for h in 0..4 {
+                store.append(&block(h, &tables, ntx)).unwrap();
+            }
+            assert_lookups_stop_at(&store, 4, &format!("{case} before the cut"));
+        }
+        let victim = match case {
+            "manifest-ahead" => last_segment(&dir.join("chain")),
+            _ => dir.join("blockmanifest.idx"),
+        };
+        let len = std::fs::metadata(&victim).unwrap().len();
+        let f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&victim)
+            .unwrap();
+        f.set_len(len - 5).unwrap();
+        drop(f);
+        let store = BlockStore::open(&dir, cfg()).unwrap();
+        assert_eq!(store.height(), 3, "{case}: block 3 must be cut");
+        assert_lookups_stop_at(&store, 3, case);
+        store.append(&block(3, &tables, ntx)).unwrap();
+        assert_lookups_stop_at(&store, 4, &format!("{case} re-appended"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A manifest in the older record format (magic `SEBDBMF1`, no tid/ts
+/// keys) is not migrated: `open` refuses it with a typed error, never a
+/// panic, and leaves the file as it was.
+#[test]
+fn an_older_manifest_format_fails_open_with_a_typed_error() {
+    let dir = tmpdir("mf1");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut header = b"SEBDBMF1".to_vec();
+    header.extend_from_slice(&8u16.to_le_bytes());
+    header.extend_from_slice(&[0u8; 6]);
+    // One old-format record: bid ‖ chain seg/off/len ‖ nparts.
+    let mut record = 0u64.to_le_bytes().to_vec();
+    record.extend_from_slice(&[0u8; 4 + 8]);
+    record.extend_from_slice(&100u32.to_le_bytes());
+    record.extend_from_slice(&0u16.to_le_bytes());
+    let manifest = dir.join("blockmanifest.idx");
+    std::fs::write(&manifest, [header, record].concat()).unwrap();
+    let before = std::fs::read(&manifest).unwrap();
+    match BlockStore::open(&dir, cfg()) {
+        Err(StorageError::Corrupt(msg)) => assert!(msg.contains("SEBDBMF1"), "{msg}"),
+        Err(e) => panic!("expected a Corrupt error, got {e}"),
+        Ok(_) => panic!("an SEBDBMF1 manifest opened"),
+    }
+    assert_eq!(std::fs::read(&manifest).unwrap(), before);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A deterministic multi-block index checkpoint: enough distinct

@@ -143,7 +143,7 @@ impl Block {
 
     /// The id of the first transaction in the block, if any. Together
     /// with `(height, timestamp)` this forms the block-level index key
-    /// `(bid, tid, Ts)` of §IV-B.
+    /// `(bid, tid, Ts)` of §IV-B, which the store's manifest records.
     pub fn first_tid(&self) -> Option<TxId> {
         self.transactions.first().map(|t| t.tid)
     }

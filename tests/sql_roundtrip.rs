@@ -1,11 +1,15 @@
 //! SQL surface: every Table II query shape through the node API, plus
 //! error paths, access control, and SQL-driven smart contracts.
 
-use sebdb::{AccessController, ContractRegistry, ExecOutcome, NodeError, Permission, SebdbNode};
-use sebdb_consensus::{BatchConfig, Consensus, KafkaOrderer};
+use sebdb::{
+    AccessController, ContractRegistry, ExecOutcome, Executor, Ledger, NodeError, Permission,
+    SebdbNode, Strategy,
+};
+use sebdb_consensus::{BatchConfig, Consensus, KafkaOrderer, OrderedBlock};
 use sebdb_crypto::sig::{KeyId, MacKeypair};
+use sebdb_sql::{BoundBlockSelector, LogicalPlan};
 use sebdb_storage::BlockStore;
-use sebdb_types::Value;
+use sebdb_types::{Transaction, Value};
 use std::sync::Arc;
 
 fn setup() -> (Arc<KafkaOrderer>, Arc<SebdbNode>) {
@@ -82,6 +86,93 @@ fn get_block_by_tid_and_timestamp() {
         .rows()
         .unwrap();
     assert_eq!(rows.len(), 1);
+    n.shutdown();
+    kafka.shutdown();
+}
+
+/// `GET BLOCK` on `ledger` as `(height, first_tid)` rows.
+fn get_block(ledger: &Ledger, sel: BoundBlockSelector) -> Vec<(Value, Value)> {
+    Executor::new(ledger, None)
+        .execute(&LogicalPlan::GetBlock(sel), Strategy::Auto)
+        .unwrap()
+        .rows
+        .into_iter()
+        .map(|r| (r[0].clone(), r[2].clone()))
+        .collect()
+}
+
+#[test]
+fn get_block_by_tid_finds_the_block_past_an_empty_one() {
+    // Block 0 holds tids 1..=10, block 1 none, block 2 tids 11..=20.
+    let ledger = Ledger::new(
+        Arc::new(BlockStore::in_memory()),
+        MacKeypair::from_key([1; 32]),
+    )
+    .unwrap();
+    for (seq, tids) in [1..11, 0..0, 11..21].into_iter().enumerate() {
+        let txs = tids
+            .map(|tid| {
+                let mut tx = Transaction::new(1_000 + tid, KeyId([7; 8]), "t", vec![]);
+                tx.tid = tid;
+                tx
+            })
+            .collect();
+        ledger
+            .append_ordered(OrderedBlock {
+                seq: seq as u64,
+                timestamp_ms: 2_000 + seq as u64,
+                txs,
+            })
+            .unwrap();
+    }
+    for tid in [11, 12, 15, 20] {
+        assert_eq!(
+            get_block(&ledger, BoundBlockSelector::ByTid(tid)),
+            vec![(Value::Int(2), Value::Int(11))],
+            "tid {tid}"
+        );
+    }
+    for tid in [1, 10] {
+        assert_eq!(
+            get_block(&ledger, BoundBlockSelector::ByTid(tid)),
+            vec![(Value::Int(0), Value::Int(1))],
+            "tid {tid}"
+        );
+    }
+    // The empty block is found by id and by its timestamp.
+    assert_eq!(
+        get_block(&ledger, BoundBlockSelector::ByTimestamp(2_001)),
+        vec![(Value::Int(1), Value::Null)]
+    );
+}
+
+#[test]
+fn get_block_by_tid_past_the_last_transaction_is_no_row() {
+    let (kafka, n) = setup();
+    n.execute("CREATE donate (donor string, amount decimal)", &[])
+        .unwrap();
+    let mut last_tid = 0;
+    for i in 0..3 {
+        if let ExecOutcome::Inserted { tid, .. } = n
+            .execute(
+                "INSERT INTO donate VALUES (?, ?)",
+                &[Value::str("x"), Value::Int(i)],
+            )
+            .unwrap()
+        {
+            last_tid = tid;
+        }
+    }
+    let rows = |tid: u64| {
+        n.execute("GET BLOCK TID = ?", &[Value::Int(tid as i64)])
+            .unwrap()
+            .rows()
+            .unwrap()
+            .len()
+    };
+    assert_eq!(rows(last_tid), 1);
+    assert_eq!(rows(last_tid + 1), 0);
+    assert_eq!(rows(last_tid + 1_000), 0);
     n.shutdown();
     kafka.shutdown();
 }
