@@ -1,5 +1,5 @@
 //! Concurrent read-path sweep (Figs. 8–14, 22): grouped tuple reads
-//! and sequential block scans over the disk backend, across reader
+//! and sequential block scans over the disk store, across reader
 //! thread count × cache mode × read granularity.
 //!
 //! The disk chain spans multiple segment files, so the thread sweep

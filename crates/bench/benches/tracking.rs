@@ -20,7 +20,7 @@ use sebdb_bench::workload::{run_q2, run_q3};
 use sebdb_consensus::OrderedBlock;
 use sebdb_crypto::sig::{KeyId, MacKeypair};
 use sebdb_sql::{LogicalPlan, TraceSpec};
-use sebdb_storage::BlockStore;
+use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::{Transaction, Value};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -159,7 +159,11 @@ fn views_block(seq: u64, blocks: u64) -> OrderedBlock {
 /// `mode=view`, so every append pays its O(delta) fold) and returns
 /// the ledger plus the mean append time per block.
 fn build_views_chain(blocks: u64, with_view: bool) -> (Ledger, u64) {
-    let ledger = Ledger::new(Arc::new(BlockStore::in_memory()), views_signer()).unwrap();
+    let ledger = Ledger::new(
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
+        views_signer(),
+    )
+    .unwrap();
     if with_view {
         ledger.register_trace_view(tracked_spec()).unwrap();
     }

@@ -5,8 +5,8 @@
 //! distribution in attributes. … This data generator supports uniform
 //! and Gaussian distribution of transactions."
 //!
-//! Each experiment gets a [`TestBed`]: an in-memory ledger populated
-//! with `blocks × txs_per_block` transactions, the *hit* transactions
+//! Each experiment gets a [`TestBed`]: a ledger on a temporary store
+//! holding `blocks × txs_per_block` transactions, the *hit* transactions
 //! (those a query will return) placed across blocks per the selected
 //! [`Placement`], plus the off-chain tables and the layered indexes
 //! the workload needs.
@@ -17,7 +17,7 @@ use sebdb::{Executor, Ledger, SchemaManager};
 use sebdb_consensus::OrderedBlock;
 use sebdb_crypto::sig::{KeyId, MacKeypair};
 use sebdb_offchain::{OffchainConnection, OffchainDb};
-use sebdb_storage::BlockStore;
+use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::{Transaction, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -116,7 +116,7 @@ impl TestBed {
         }
         let ledger = Arc::new(
             Ledger::new(
-                Arc::new(BlockStore::in_memory()),
+                Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
                 MacKeypair::from_key([0xBE; 32]),
             )
             .unwrap(),

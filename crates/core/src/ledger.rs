@@ -145,17 +145,13 @@ impl IndexShard {
     }
 
     /// Freezes every index behind a checkpoint published through
-    /// `ledger`'s store. Returns how many checkpoints were published
-    /// (none when the backend keeps indexes resident).
+    /// `ledger`'s store. Returns how many checkpoints were published.
     fn checkpoint(&self, ledger: &Ledger) -> Result<usize, LedgerError> {
-        let mut published = 0;
-        for idx in self.layered.write().values_mut() {
-            if let Some(r) = ledger.publish_checkpoint(&idx.checkpoint())? {
-                idx.adopt_frozen(r);
-                published += 1;
-            }
+        let mut layered = self.layered.write();
+        for idx in layered.values_mut() {
+            idx.adopt_frozen(ledger.publish_checkpoint(&idx.checkpoint())?);
         }
-        Ok(published)
+        Ok(layered.len())
     }
 }
 
@@ -676,14 +672,12 @@ impl Ledger {
     }
 
     /// Writes one family's checkpoint behind the `.tmp` → rename commit
-    /// point and re-opens it; `None` on the in-memory backend (which
-    /// keeps every family fully resident).
-    fn publish_checkpoint(
-        &self,
-        cp: &IndexCheckpoint,
-    ) -> Result<Option<PagedIndexReader>, LedgerError> {
+    /// point and re-opens it.
+    fn publish_checkpoint(&self, cp: &IndexCheckpoint) -> Result<PagedIndexReader, LedgerError> {
         self.store.write_index_checkpoint(cp)?;
-        Ok(self.store.load_index_checkpoint(&cp.family)?)
+        self.store
+            .load_index_checkpoint(&cp.family)?
+            .ok_or_else(|| LedgerError::BadIndex("published checkpoint did not reopen".into()))
     }
 
     /// Freezes the chain-level families — the table bitmaps and the
@@ -693,21 +687,18 @@ impl Ledger {
     /// families, so it may call this concurrently with relation lanes
     /// checkpointing their own shards.
     pub fn checkpoint_chain_families(&self) -> Result<usize, LedgerError> {
-        let mut published = 0;
         {
             let mut ti = self.table_index.write();
-            if let Some(r) = self.publish_checkpoint(&ti.checkpoint())? {
-                ti.adopt_frozen(r);
-                published += 1;
-            }
+            let frozen = self.publish_checkpoint(&ti.checkpoint())?;
+            ti.adopt_frozen(frozen);
         }
-        Ok(published + self.shards[INDEX_SHARDS].checkpoint(self)?)
+        Ok(1 + self.shards[INDEX_SHARDS].checkpoint(self)?)
     }
 
     /// Freezes every index family into an on-disk checkpoint (chain
     /// families plus all relation shards); subsequent opens replay only
     /// blocks indexed after this point. Returns how many checkpoints
-    /// were published (0 on the in-memory backend).
+    /// were published.
     pub fn checkpoint_indexes(&self) -> Result<usize, LedgerError> {
         let mut published = self.checkpoint_chain_families()?;
         for shard in &self.shards[..INDEX_SHARDS] {
@@ -954,6 +945,8 @@ mod tests {
     use super::*;
     use sebdb_consensus::traits::now_ms;
     use sebdb_crypto::sig::KeyId;
+    use sebdb_sql::TraceSpec;
+    use sebdb_storage::{StoreConfig, INDEX_CHECKPOINT_DIR};
     use sebdb_types::{Column, DataType, Value};
 
     fn signer() -> MacKeypair {
@@ -961,7 +954,26 @@ mod tests {
     }
 
     fn ledger() -> Ledger {
-        Ledger::new(Arc::new(BlockStore::in_memory()), signer()).unwrap()
+        let store = BlockStore::temporary(StoreConfig::default()).unwrap();
+        Ledger::new(Arc::new(store), signer()).unwrap()
+    }
+
+    /// A store directory for a test that reopens its store, removed
+    /// when the test ends, pass or fail.
+    struct Scratch(std::path::PathBuf);
+
+    impl Scratch {
+        fn new(tag: &str) -> Scratch {
+            let dir = std::env::temp_dir().join(format!("sebdb-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            Scratch(dir)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     fn donate_schema() -> TableSchema {
@@ -1064,16 +1076,15 @@ mod tests {
 
     #[test]
     fn restart_rebuilds_indexes() {
-        let dir = std::env::temp_dir().join(format!("sebdb-ledger-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = sebdb_storage::StoreConfig::default();
+        let dir = Scratch::new("ledger");
+        let cfg = StoreConfig::default();
         {
-            let store = Arc::new(BlockStore::open(&dir, cfg.clone()).unwrap());
+            let store = Arc::new(BlockStore::open(&dir.0, cfg.clone()).unwrap());
             let l = Ledger::new(store, signer()).unwrap();
             l.append_ordered(ordered(0, &[10, 20])).unwrap();
             l.append_ordered(ordered(1, &[30])).unwrap();
         }
-        let store = Arc::new(BlockStore::open(&dir, cfg).unwrap());
+        let store = Arc::new(BlockStore::open(&dir.0, cfg).unwrap());
         let l = Ledger::new(store, signer()).unwrap();
         assert_eq!(l.height(), 2);
         l.verify_chain().unwrap();
@@ -1132,11 +1143,10 @@ mod tests {
 
     #[test]
     fn crash_between_persist_and_index_heals_on_restart() {
-        let dir = std::env::temp_dir().join(format!("sebdb-stagecrash-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = sebdb_storage::StoreConfig::default();
+        let dir = Scratch::new("stagecrash");
+        let cfg = StoreConfig::default();
         {
-            let store = Arc::new(BlockStore::open(&dir, cfg.clone()).unwrap());
+            let store = Arc::new(BlockStore::open(&dir.0, cfg.clone()).unwrap());
             let l = Ledger::new(store, signer()).unwrap();
             l.append_ordered(ordered(0, &[10])).unwrap();
             // Simulate the applier dying between the persist and index
@@ -1145,7 +1155,7 @@ mod tests {
             l.persist_block(sealed).unwrap();
             assert_eq!((l.chain_height(), l.height()), (2, 1));
         }
-        let store = Arc::new(BlockStore::open(&dir, cfg).unwrap());
+        let store = Arc::new(BlockStore::open(&dir.0, cfg).unwrap());
         let l = Ledger::new(store, signer()).unwrap();
         // Restart replays the persisted prefix: applied catches up and
         // the indexes cover the once-unindexed block.
@@ -1159,7 +1169,24 @@ mod tests {
         assert_eq!(hits.iter_ones().collect::<Vec<_>>(), vec![0, 1]);
         l.append_ordered(ordered(2, &[40])).unwrap();
         assert_eq!(l.height(), 3);
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn temporary_store_leaves_nothing_behind() {
+        let l = ledger();
+        let dir = l.store().dir().to_path_buf();
+        l.append_ordered(ordered(0, &[10, 20])).unwrap();
+        l.create_layered_index(&donate_schema(), "amount", None)
+            .unwrap();
+        assert!(l.checkpoint_indexes().unwrap() > 0);
+        assert!(l
+            .register_trace_view(TraceSpec::new(None, None, Some("donate")))
+            .unwrap());
+        let published = std::fs::read_dir(dir.join(INDEX_CHECKPOINT_DIR)).unwrap();
+        assert!(published.count() > 0);
+        assert!(l.store().load_view_registrations().unwrap().is_some());
+        drop(l);
+        assert!(!dir.exists(), "{} outlived its ledger", dir.display());
     }
 
     #[test]

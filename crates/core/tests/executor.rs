@@ -7,7 +7,7 @@ use sebdb_consensus::OrderedBlock;
 use sebdb_crypto::sig::{KeyId, MacKeypair};
 use sebdb_offchain::OffchainDb;
 use sebdb_sql::{BoundPredicate, BoundPredicateKind, CompareOp, LogicalPlan};
-use sebdb_storage::BlockStore;
+use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::{Column, DataType, TableSchema, Transaction, Value};
 use std::sync::Arc;
 
@@ -20,7 +20,7 @@ fn schema(name: &str, cols: &[(&str, DataType)]) -> TableSchema {
 
 fn ledger() -> Ledger {
     Ledger::new(
-        Arc::new(BlockStore::in_memory()),
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
         MacKeypair::from_key([3; 32]),
     )
     .unwrap()

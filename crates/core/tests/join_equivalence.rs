@@ -2,13 +2,13 @@
 //!
 //! One seeded chain — duplicate keys on both sides, `NULL` keys, each
 //! relation absent from some blocks — is joined under every strategy,
-//! on both backends, flat (`partitions: 1`, relations co-located) and
-//! partitioned, behind every cache mode. The two hash arms
+//! flat (`partitions: 1`, relations co-located) and partitioned, behind
+//! every cache mode. The two hash arms
 //! (`Scan`, `Bitmap`) must return **the same ordered row vector** as a
 //! nested loop over `read_block` written here; `Layered` the same rows
 //! as a sorted multiset. The hash arms decode only what they return:
-//! on a partitioned disk store their `bytes_read` is the two
-//! relations' partition extents, not the blocks.
+//! on a partitioned store their `bytes_read` is the two relations'
+//! partition extents, not the blocks.
 //!
 //! `ci.sh` runs this file at `SEBDB_THREADS=1` and `=4`: the chain is
 //! long enough (17 readahead runs) for the projected scans to fan out
@@ -255,13 +255,8 @@ fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     rows
 }
 
-fn dir(tag: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("sebdb-joineq-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
-fn ledger_on(store: BlockStore) -> Ledger {
+fn ledger_on(config: StoreConfig) -> Ledger {
+    let store = BlockStore::temporary(config).unwrap();
     let ledger = Ledger::new(Arc::new(store), MacKeypair::from_key([3; 32])).unwrap();
     build_chain(&ledger);
     ledger
@@ -271,58 +266,44 @@ fn ledger_on(store: BlockStore) -> Ledger {
 fn joins_return_the_nested_loop_rows_everywhere() {
     let conn = offchain();
     for partitions in [8usize, 1] {
-        let config = StoreConfig {
+        let ledger = ledger_on(StoreConfig {
             partitions,
             ..StoreConfig::default()
-        };
-        let disk = dir(&format!("p{partitions}"));
-        let ledgers = [
-            (
-                "memory",
-                ledger_on(BlockStore::in_memory_with(config.clone())),
-            ),
-            ("disk", ledger_on(BlockStore::open(&disk, config).unwrap())),
-        ];
-        for (backend, ledger) in &ledgers {
-            let co_located = ledger.store().co_located("transfer", "distribute");
-            assert_eq!(co_located, partitions == 1, "the chain's premise");
-            let cases = cases(ledger, &conn);
-            for case in &cases {
-                assert!(
-                    case.want.len() > 20,
-                    "{}: {} rows",
-                    case.name,
-                    case.want.len()
-                );
+        });
+        let co_located = ledger.store().co_located("transfer", "distribute");
+        assert_eq!(co_located, partitions == 1, "the chain's premise");
+        let cases = cases(&ledger, &conn);
+        for case in &cases {
+            assert!(
+                case.want.len() > 20,
+                "{}: {} rows",
+                case.name,
+                case.want.len()
+            );
+        }
+        for cache in ["none", "block", "tx"] {
+            match cache {
+                "block" => ledger.use_block_cache(1 << 20),
+                "tx" => ledger.use_tx_cache(1 << 20),
+                _ => {}
             }
-            for cache in ["none", "block", "tx"] {
-                match cache {
-                    "block" => ledger.use_block_cache(1 << 20),
-                    "tx" => ledger.use_tx_cache(1 << 20),
-                    _ => {}
-                }
-                let exec = Executor::new(ledger, Some(&conn));
-                // Twice, so the second pass meets a warm cache.
-                for pass in 0..2 {
-                    for case in &cases {
-                        let at = format!(
-                            "{} on {backend}, p{partitions}, cache {cache}, pass {pass}",
-                            case.name
-                        );
-                        for arm in [Strategy::Scan, Strategy::Bitmap] {
-                            let got = exec.execute(&case.plan, arm).unwrap().rows;
-                            assert!(got == case.want, "{arm:?} {at}: {} rows", got.len());
-                        }
-                        let layered = exec.execute(&case.plan, Strategy::Layered).unwrap();
-                        assert!(
-                            sorted(layered.rows) == sorted(case.want.clone()),
-                            "Layered {at}"
-                        );
+            let exec = Executor::new(&ledger, Some(&conn));
+            // Twice, so the second pass meets a warm cache.
+            for pass in 0..2 {
+                for case in &cases {
+                    let at = format!("{} on p{partitions}, cache {cache}, pass {pass}", case.name);
+                    for arm in [Strategy::Scan, Strategy::Bitmap] {
+                        let got = exec.execute(&case.plan, arm).unwrap().rows;
+                        assert!(got == case.want, "{arm:?} {at}: {} rows", got.len());
                     }
+                    let layered = exec.execute(&case.plan, Strategy::Layered).unwrap();
+                    assert!(
+                        sorted(layered.rows) == sorted(case.want.clone()),
+                        "Layered {at}"
+                    );
                 }
             }
         }
-        let _ = std::fs::remove_dir_all(&disk);
     }
 }
 
@@ -332,8 +313,7 @@ fn joins_return_the_nested_loop_rows_everywhere() {
 /// those blocks.
 #[test]
 fn bitmap_hash_join_reads_two_partitions_not_the_blocks() {
-    let disk = dir("bytes");
-    let ledger = ledger_on(BlockStore::open(&disk, StoreConfig::default()).unwrap());
+    let ledger = ledger_on(StoreConfig::default());
     let store = ledger.store();
     let route = |table: &str| partition_of(table) % store.partitions();
     assert_ne!(route("transfer"), route("distribute"));
@@ -372,5 +352,4 @@ fn bitmap_hash_join_reads_two_partitions_not_the_blocks() {
     assert_eq!(read, extents);
     assert!(read < blocks, "{read} of {blocks} block bytes");
     println!("bitmap Q5 bytes_read: {read} (partition extents) vs {blocks} (scanned blocks)");
-    let _ = std::fs::remove_dir_all(&disk);
 }

@@ -250,20 +250,26 @@ fn index_amount(ledger: &Ledger, schemas: &SchemaManager) {
     }
 }
 
-/// Core acceptance: paged (disk, mid-chain checkpoints, bounded cache)
-/// equals resident (memory, no checkpoints) byte for byte, at lanes 1
-/// and 4, cold and warm cache, and across a restart.
+/// Core acceptance: paged (mid-chain checkpoints, bounded cache)
+/// equals resident (no checkpoints) byte for byte, at lanes 1 and 4,
+/// cold and warm cache, and across a restart.
 fn paged_matches_resident(lanes: usize, cache_blocks: usize) {
     let blocks = mixed_blocks(BLOCKS);
 
-    // Reference: fully resident, sequential.
-    let (ref_ledger, ref_schemas) =
-        run_lanes_on(Arc::new(BlockStore::in_memory()), 1, 1, 0, &blocks);
+    // Reference: sequential, and fully resident because nothing ever
+    // checkpoints it (cadence 0, no `checkpoint_indexes`).
+    let (ref_ledger, ref_schemas) = run_lanes_on(
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
+        1,
+        1,
+        0,
+        &blocks,
+    );
     index_amount(&ref_ledger, &ref_schemas);
     let ref_exec = Executor::new(&ref_ledger, None);
     let reference = run_suites(&ref_exec, &ref_schemas);
 
-    // Paged: disk store, checkpoint cadence, bounded index-block cache.
+    // Paged: checkpoint cadence, bounded index-block cache.
     let dir = std::env::temp_dir().join(format!(
         "sebdb-pagedeq-l{lanes}-c{cache_blocks}-{}",
         std::process::id()
@@ -290,7 +296,7 @@ fn paged_matches_resident(lanes: usize, cache_blocks: usize) {
         // the suites page the frozen prefix instead of the tail.
         let resident_before = ledger.index_memory_bytes();
         let published = ledger.checkpoint_indexes().unwrap();
-        assert!(published > 0, "disk backend published no checkpoints");
+        assert!(published > 0, "no checkpoint was published");
         let resident_after = ledger.index_memory_bytes();
         assert!(
             resident_after < resident_before,
@@ -473,7 +479,12 @@ fn search_and_sorted_entries_match_the_resident_index() {
     // indexes are populated on either side of the seam.
     const SEAM: u64 = 60;
     let blocks = mixed_blocks(BLOCKS);
-    let (reference, _) = append_all(Arc::new(BlockStore::in_memory()), &blocks, None);
+    // Never frozen, so every per-block tree stays resident.
+    let (reference, _) = append_all(
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
+        &blocks,
+        None,
+    );
     let want = index_answers(&reference, SEAM as usize);
     let hits = |name: &str| {
         let found = want.iter().find(|(n, ..)| n.contains(name)).unwrap();

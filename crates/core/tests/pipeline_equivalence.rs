@@ -11,7 +11,7 @@ use sebdb::{ApplyPipeline, Executor, Ledger, NodeError, SchemaManager, SebdbNode
 use sebdb_consensus::{BatchConfig, KafkaOrderer, OrderedBlock};
 use sebdb_crypto::sig::{KeyId, MacKeypair};
 use sebdb_sql::{BoundPredicate, BoundPredicateKind, LogicalPlan};
-use sebdb_storage::BlockStore;
+use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::{Codec, Column, DataType, TableSchema, Transaction, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -75,18 +75,22 @@ fn mixed_blocks(count: u64) -> Vec<OrderedBlock> {
 }
 
 /// Drives `blocks` through an [`ApplyPipeline`] of the given depth and
-/// applier lane count over a fresh in-memory ledger; returns the
+/// applier lane count over a fresh ledger; returns the
 /// ledger and schema catalog once everything is applied.
 fn run_lanes(
     depth: usize,
     lanes: usize,
     blocks: &[OrderedBlock],
 ) -> (Arc<Ledger>, Arc<SchemaManager>) {
-    run_lanes_on(Arc::new(BlockStore::in_memory()), depth, lanes, blocks)
+    run_lanes_on(
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
+        depth,
+        lanes,
+        blocks,
+    )
 }
 
-/// [`run_lanes`] over an explicit store (disk-backed stores exercise
-/// the partitioned persist fan-out under the pipeline).
+/// [`run_lanes`] over an explicit store.
 fn run_lanes_on(
     store: Arc<BlockStore>,
     depth: usize,
@@ -392,7 +396,7 @@ fn dead_applier_fails_fast_with_descriptive_error() {
     // while the fresh ordering service emits seq 0: the sealer rejects
     // the gap, poisons the pipeline, and writers must fail fast with
     // ApplierDead instead of burning the 10 s apply timeout.
-    let store = Arc::new(BlockStore::in_memory());
+    let store = Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap());
     {
         let l = Ledger::new(Arc::clone(&store), signer()).unwrap();
         l.append_ordered(mixed_blocks(1).remove(0)).unwrap();

@@ -40,7 +40,11 @@ fn block_at(seq: u64) -> OrderedBlock {
 }
 
 fn ledger_with(blocks: u64) -> Ledger {
-    let ledger = Ledger::new(Arc::new(BlockStore::in_memory()), signer()).unwrap();
+    let ledger = Ledger::new(
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
+        signer(),
+    )
+    .unwrap();
     for seq in 0..blocks {
         ledger.append_ordered(block_at(seq)).unwrap();
     }

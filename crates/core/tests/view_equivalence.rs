@@ -94,7 +94,11 @@ fn assert_view_equivalent(ledger: &Ledger, spec: &TraceSpec, context: &str) {
 
 #[test]
 fn view_matches_rescan_after_every_block_across_backfill_seam() {
-    let ledger = Ledger::new(Arc::new(BlockStore::in_memory()), signer()).unwrap();
+    let ledger = Ledger::new(
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
+        signer(),
+    )
+    .unwrap();
 
     // V1 registers on the empty chain: its entire life is incremental.
     let v1 = TraceSpec::new(None, None, Some("donate"));
@@ -141,7 +145,11 @@ fn view_matches_rescan_after_every_block_across_backfill_seam() {
 
 #[test]
 fn serving_from_view_issues_zero_index_probes_and_reads() {
-    let ledger = Ledger::new(Arc::new(BlockStore::in_memory()), signer()).unwrap();
+    let ledger = Ledger::new(
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
+        signer(),
+    )
+    .unwrap();
     let spec = TraceSpec::new(None, None, Some("donate"));
     ledger.register_trace_view(spec.clone()).unwrap();
     for seq in 0..30u64 {
@@ -234,7 +242,13 @@ fn crash_between_persist_and_fold_heals_on_reopen() {
 
 #[test]
 fn pipeline_view_folder_folds_behind_the_index_lanes() {
-    let ledger = Arc::new(Ledger::new(Arc::new(BlockStore::in_memory()), signer()).unwrap());
+    let ledger = Arc::new(
+        Ledger::new(
+            Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
+            signer(),
+        )
+        .unwrap(),
+    );
     let v1 = TraceSpec::new(None, None, Some("donate"));
     ledger.register_trace_view(v1.clone()).unwrap();
 
@@ -288,7 +302,11 @@ fn pipeline_view_folder_folds_behind_the_index_lanes() {
 /// equivalence of `QueryResult`s covers headers too.
 #[test]
 fn dimensionless_view_is_rejected() {
-    let ledger = Ledger::new(Arc::new(BlockStore::in_memory()), signer()).unwrap();
+    let ledger = Ledger::new(
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
+        signer(),
+    )
+    .unwrap();
     let err = ledger
         .register_trace_view(TraceSpec::new(Some((1, 2)), None, None))
         .unwrap_err();
@@ -301,7 +319,11 @@ fn dimensionless_view_is_rejected() {
 /// on the `Auto` route.
 #[test]
 fn forced_strategies_bypass_the_view() {
-    let ledger = Ledger::new(Arc::new(BlockStore::in_memory()), signer()).unwrap();
+    let ledger = Ledger::new(
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
+        signer(),
+    )
+    .unwrap();
     let spec = TraceSpec::new(None, None, Some("donate"));
     ledger.register_trace_view(spec.clone()).unwrap();
     for seq in 0..10u64 {

@@ -275,12 +275,11 @@ pub(crate) fn validate_extents(dir: &Path, entries: &[BlockEntry]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blockstore::StoreConfig;
+    use crate::blockstore::{StoreConfig, TempDir, TEMP_DIRS};
     use sebdb_crypto::sha256::Digest;
     use sebdb_crypto::sig::KeyId;
     use sebdb_types::{Transaction, Value};
     use std::ops::Range;
-    use std::path::PathBuf;
 
     /// No bound beyond the store's own height.
     const ALL: BlockId = BlockId::MAX;
@@ -320,54 +319,38 @@ mod tests {
         chain_of(&tids)
     }
 
-    /// The same chain in a memory store, a disk store, and a disk store
+    /// The same chain in a store that appended it and in a store
     /// reopened after the appends (its keys replayed from the
-    /// manifest). The directories go when this drops.
+    /// manifest). The reopened store's directory goes when this drops,
+    /// after the store.
     struct Stores {
         list: Vec<(&'static str, BlockStore)>,
-        dirs: [PathBuf; 2],
+        _dir: TempDir,
     }
 
-    impl Drop for Stores {
-        fn drop(&mut self) {
-            self.list.clear();
-            for d in &self.dirs {
-                let _ = std::fs::remove_dir_all(d);
-            }
-        }
-    }
-
-    fn stores(tag: &str, blocks: &[Block]) -> Stores {
-        let dirs = ["disk", "reopened"].map(|kind| {
-            let d = std::env::temp_dir().join(format!(
-                "sebdb-manifest-{tag}-{kind}-{}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&d);
-            d
-        });
+    fn stores(blocks: &[Block]) -> Stores {
         let fill = |s: BlockStore| {
             for b in blocks {
                 s.append(b).unwrap();
             }
             s
         };
-        let mem = fill(BlockStore::in_memory());
-        let disk = fill(BlockStore::open(&dirs[0], StoreConfig::default()).unwrap());
+        let appended = fill(BlockStore::temporary(StoreConfig::default()).unwrap());
+        let dir = TempDir::claim(&TEMP_DIRS).unwrap();
         drop(fill(
-            BlockStore::open(&dirs[1], StoreConfig::default()).unwrap(),
+            BlockStore::open(dir.path(), StoreConfig::default()).unwrap(),
         ));
-        let reopened = BlockStore::open(&dirs[1], StoreConfig::default()).unwrap();
+        let reopened = BlockStore::open(dir.path(), StoreConfig::default()).unwrap();
         assert_eq!(reopened.height(), blocks.len() as u64);
         Stores {
-            list: vec![("memory", mem), ("disk", disk), ("reopened", reopened)],
-            dirs,
+            list: vec![("appended", appended), ("reopened", reopened)],
+            _dir: dir,
         }
     }
 
     #[test]
     fn lookup_by_bid() {
-        for (name, s) in &stores("bid", &chain(10)).list {
+        for (name, s) in &stores(&chain(10)).list {
             assert_eq!(s.block_by_id(0, ALL), Some(0), "{name}");
             assert_eq!(s.block_by_id(7, ALL), Some(7), "{name}");
             assert_eq!(s.block_by_id(10, ALL), None, "{name}");
@@ -376,7 +359,7 @@ mod tests {
 
     #[test]
     fn lookup_by_tid() {
-        for (name, s) in &stores("tid", &chain(10)).list {
+        for (name, s) in &stores(&chain(10)).list {
             // tid 34 lives in block 3 (tids 30..39).
             assert_eq!(s.block_by_tid(34, ALL), Some(3), "{name}");
             assert_eq!(s.block_by_tid(0, ALL), Some(0), "{name}");
@@ -389,7 +372,7 @@ mod tests {
 
     #[test]
     fn lookup_by_ts() {
-        for (name, s) in &stores("ts", &chain(10)).list {
+        for (name, s) in &stores(&chain(10)).list {
             // Block h has ts (h+1)*100.
             assert_eq!(s.block_by_ts(100, ALL), Some(0), "{name}");
             assert_eq!(s.block_by_ts(150, ALL), Some(0), "{name}");
@@ -400,7 +383,7 @@ mod tests {
 
     #[test]
     fn window_mapping_is_conservative() {
-        for (name, s) in &stores("window", &chain(10)).list {
+        for (name, s) in &stores(&chain(10)).list {
             // Window covering everything.
             assert_eq!(s.blocks_in_window(0, u64::MAX, ALL), Some((0, 9)), "{name}");
             // Window [250, 450]: tx timestamps in block h span
@@ -414,7 +397,7 @@ mod tests {
 
     #[test]
     fn empty_store() {
-        for (name, s) in &stores("empty", &[]).list {
+        for (name, s) in &stores(&[]).list {
             assert_eq!(s.block_by_id(0, ALL), None, "{name}");
             assert_eq!(s.block_by_tid(0, ALL), None, "{name}");
             assert_eq!(s.block_by_ts(u64::MAX, ALL), None, "{name}");
@@ -437,16 +420,16 @@ mod tests {
     fn rejects_out_of_order() {
         let blocks = chain(3);
         // A block ahead of the store's height is refused.
-        for (name, s) in &stores("order", &[]).list {
+        for (name, s) in &stores(&[]).list {
             assert!(s.append(&blocks[1]).is_err(), "{name}");
             assert_eq!(s.height(), 0, "{name}");
             s.append(&blocks[0]).unwrap();
             assert_eq!(s.block_by_id(0, ALL), Some(0), "{name}");
         }
         // So is a block packaged before its predecessor, before
-        // anything is written, on either backend.
+        // anything is written.
         let early = Block::seal(Digest::ZERO, 2, 150, vec![], |_| vec![]);
-        for (name, s) in &stores("early", &blocks[..2]).list {
+        for (name, s) in &stores(&blocks[..2]).list {
             assert!(s.append(&early).is_err(), "{name}");
             assert_eq!(s.height(), 2, "{name}");
             s.append(&blocks[2]).unwrap();
@@ -459,7 +442,7 @@ mod tests {
         // First tids [1, —, 11]: the empty block keeps the column
         // sorted, so 11, 12 and 15 find block 2.
         let blocks = chain_of(&[1..11, 0..0, 11..21]);
-        for (name, s) in &stores("empty-mid", &blocks).list {
+        for (name, s) in &stores(&blocks).list {
             for tid in [11, 12, 15, 20] {
                 assert_eq!(s.block_by_tid(tid, ALL), Some(2), "{name}: tid {tid}");
             }
@@ -471,13 +454,13 @@ mod tests {
         // Empty blocks at genesis carry tid 0, which the first real
         // block's first tid may equal; they hold nothing.
         let blocks = chain_of(&[0..0, 0..0, 0..5, 0..0]);
-        for (name, s) in &stores("empty-genesis", &blocks).list {
+        for (name, s) in &stores(&blocks).list {
             for tid in [0, 4, 100] {
                 assert_eq!(s.block_by_tid(tid, ALL), Some(2), "{name}: tid {tid}");
             }
         }
         let blocks = chain_of(&[0..0, 3..5]);
-        for (name, s) in &stores("empty-first", &blocks).list {
+        for (name, s) in &stores(&blocks).list {
             assert_eq!(s.block_by_tid(2, ALL), None, "{name}");
             assert_eq!(s.block_by_tid(3, ALL), Some(1), "{name}");
         }
@@ -485,7 +468,7 @@ mod tests {
 
     #[test]
     fn lookups_stop_at_the_height_bound() {
-        for (name, s) in &stores("bound", &chain(10)).list {
+        for (name, s) in &stores(&chain(10)).list {
             assert_eq!(s.block_by_id(3, 4), Some(3), "{name}");
             assert_eq!(s.block_by_id(4, 4), None, "{name}");
             assert_eq!(s.block_by_tid(95, 4), Some(3), "{name}");

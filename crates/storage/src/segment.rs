@@ -341,21 +341,22 @@ pub(crate) fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blockstore::{TempDir, TEMP_DIRS};
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("sebdb-seg-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
+    /// A fresh directory, removed when the test ends, pass or fail.
+    fn tmpdir() -> TempDir {
+        TempDir::claim(&TEMP_DIRS).unwrap()
     }
 
     #[test]
     fn append_and_read_back() {
-        let dir = tmpdir("rw");
-        let mut w = SegmentWriter::open(&dir, 1024, None).unwrap();
+        let tmp = tmpdir();
+        let dir = tmp.path();
+        let mut w = SegmentWriter::open(dir, 1024, None).unwrap();
         let a = w.append(b"hello").unwrap();
         let b = w.append(b"world!").unwrap();
         w.flush().unwrap();
-        let r = SegmentSet::new(&dir);
+        let r = SegmentSet::new(dir);
         assert_eq!(r.read(a).unwrap(), b"hello");
         assert_eq!(r.read(b).unwrap(), b"world!");
         assert_eq!(b.offset, 5);
@@ -363,8 +364,9 @@ mod tests {
 
     #[test]
     fn rolls_segments_at_size() {
-        let dir = tmpdir("roll");
-        let mut w = SegmentWriter::open(&dir, 10, None).unwrap();
+        let tmp = tmpdir();
+        let dir = tmp.path();
+        let mut w = SegmentWriter::open(dir, 10, None).unwrap();
         let a = w.append(&[1u8; 8]).unwrap();
         let b = w.append(&[2u8; 8]).unwrap(); // 8+8 > 10 → new segment
         let c = w.append(&[3u8; 20]).unwrap(); // oversized record gets its own segment
@@ -372,35 +374,36 @@ mod tests {
         assert_eq!(a.segment, 0);
         assert_eq!(b.segment, 1);
         assert_eq!(c.segment, 2);
-        let r = SegmentSet::new(&dir);
+        let r = SegmentSet::new(dir);
         assert_eq!(r.read(c).unwrap(), vec![3u8; 20]);
         assert_eq!(r.read(a).unwrap(), vec![1u8; 8]);
     }
 
     #[test]
     fn resume_truncates_torn_tail() {
-        let dir = tmpdir("resume");
-        let mut w = SegmentWriter::open(&dir, 1024, None).unwrap();
+        let tmp = tmpdir();
+        let dir = tmp.path();
+        let mut w = SegmentWriter::open(dir, 1024, None).unwrap();
         let a = w.append(b"durable").unwrap();
         w.flush().unwrap();
         w.append(b"torn").unwrap();
         w.flush().unwrap();
         drop(w);
         // Resume believing only the first record was committed.
-        let mut w2 = SegmentWriter::open(&dir, 1024, Some((0, a.offset + a.len as u64))).unwrap();
+        let mut w2 = SegmentWriter::open(dir, 1024, Some((0, a.offset + a.len as u64))).unwrap();
         let b = w2.append(b"new").unwrap();
         w2.flush().unwrap();
         assert_eq!(b.offset, 7);
-        let r = SegmentSet::new(&dir);
+        let r = SegmentSet::new(dir);
         assert_eq!(r.read(a).unwrap(), b"durable");
         assert_eq!(r.read(b).unwrap(), b"new");
     }
 
     #[test]
     fn read_missing_segment_errors() {
-        let dir = tmpdir("missing");
-        std::fs::create_dir_all(&dir).unwrap();
-        let r = SegmentSet::new(&dir);
+        let tmp = tmpdir();
+        let dir = tmp.path();
+        let r = SegmentSet::new(dir);
         assert!(r
             .read(Location {
                 segment: 9,

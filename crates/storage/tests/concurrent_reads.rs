@@ -72,7 +72,7 @@ fn grouped_reads_overlap_across_eight_threads() {
     let seen_peak = Arc::new(AtomicU64::new(0));
     {
         let seen_peak = Arc::clone(&seen_peak);
-        let gauges = store.read_gauges().expect("disk backend");
+        let gauges = store.read_gauges();
         gauges.set_read_probe(Some(Box::new(move |in_flight| {
             seen_peak.fetch_max(in_flight, Ordering::AcqRel);
             let deadline = Instant::now() + Duration::from_secs(5);
@@ -114,7 +114,7 @@ fn grouped_reads_overlap_across_eight_threads() {
         h.join().unwrap();
     }
 
-    let gauges = store.read_gauges().unwrap();
+    let gauges = store.read_gauges();
     gauges.set_read_probe(None);
     assert!(
         gauges.peak_in_flight() >= 2,
@@ -153,7 +153,7 @@ fn racing_first_reads_open_each_segment_once() {
     // 3 chain-record segments + 3 partition-extent segments (the
     // 1-byte segment size forces one record per file, and the gauges
     // are shared across the chain and every partition reader).
-    let gauges = store.read_gauges().unwrap();
+    let gauges = store.read_gauges();
     assert_eq!(
         gauges.opens(),
         6,

@@ -530,71 +530,64 @@ fn relation_scan_reads_strictly_fewer_bytes_than_unpartitioned() {
     let _ = std::fs::remove_dir_all(&dir1);
 }
 
-/// The raw relation scan is the decoded one minus the decoding: on
-/// both backends, flat and partitioned, its tuples decode to what
-/// `read_relation_txs` returns and to what filtering whole blocks by
-/// route returns, and both scans charge the same counters — the
-/// partition's tuple bytes, one block read per block asked for.
+/// The raw relation scan is the decoded one minus the decoding: flat
+/// and partitioned, its tuples decode to what `read_relation_txs`
+/// returns and to what filtering whole blocks by route returns, and
+/// both scans charge the same counters — the partition's tuple bytes,
+/// one block read per block asked for.
 #[test]
 fn raw_relation_scan_is_the_decoded_scan_undecoded() {
     let tables = spanning_tables();
     let nblocks = 20u64; // more than two readahead runs
     for partitions in [1usize, 8] {
-        let dir = tmpdir(&format!("raw-p{partitions}"));
-        let config = StoreConfig {
+        let store = BlockStore::temporary(StoreConfig {
             partitions,
             ..cfg()
-        };
-        let stores = [
-            BlockStore::in_memory_with(config.clone()),
-            BlockStore::open(&dir, config).unwrap(),
-        ];
-        for store in &stores {
-            for h in 0..nblocks {
-                // Every third block lacks the first relation.
-                let present = if h % 3 == 1 {
-                    &tables[1..]
-                } else {
-                    &tables[..]
-                };
-                store.append(&block(h, present, 9)).unwrap();
-            }
-            let bids: Vec<u64> = (0..nblocks).collect();
-            for table in &tables {
-                let route = partition_of(table) % store.partitions();
-                store.stats.reset();
-                let raw = store.scan_relation_raw(&bids, table).unwrap();
-                let raw_charge = (store.stats.snapshot(), store.stats.bytes_read());
-                store.stats.reset();
-                let decoded = store.read_relation_txs(&bids, table).unwrap();
-                let decoded_charge = (store.stats.snapshot(), store.stats.bytes_read());
-                assert_eq!(raw_charge, decoded_charge);
-                assert_eq!(raw_charge.0, (nblocks, 0, 0));
-
-                let mut tuple_bytes = 0u64;
-                for ((ext, txs), &bid) in raw.iter().zip(&decoded).zip(&bids) {
-                    assert_eq!(ext.bid(), bid);
-                    let from_raw: Vec<(u32, Transaction)> = ext
-                        .tuples()
-                        .map(|t| (t.canon, t.decode().unwrap()))
-                        .collect();
-                    assert_eq!(&from_raw, txs);
-                    let from_block: Vec<(u32, Transaction)> = store
-                        .read(bid)
-                        .unwrap()
-                        .transactions
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, t)| partition_of(&t.tname) % store.partitions() == route)
-                        .map(|(i, t)| (i as u32, t.clone()))
-                        .collect();
-                    assert_eq!(from_raw, from_block, "p{partitions} {table} block {bid}");
-                    tuple_bytes += ext.tuples().map(|t| t.bytes.len() as u64).sum::<u64>();
-                }
-                assert_eq!(raw_charge.1, tuple_bytes, "p{partitions} {table}");
-                assert!(tuple_bytes > 0);
-            }
+        })
+        .unwrap();
+        for h in 0..nblocks {
+            // Every third block lacks the first relation.
+            let present = if h % 3 == 1 {
+                &tables[1..]
+            } else {
+                &tables[..]
+            };
+            store.append(&block(h, present, 9)).unwrap();
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        let bids: Vec<u64> = (0..nblocks).collect();
+        for table in &tables {
+            let route = partition_of(table) % store.partitions();
+            store.stats.reset();
+            let raw = store.scan_relation_raw(&bids, table).unwrap();
+            let raw_charge = (store.stats.snapshot(), store.stats.bytes_read());
+            store.stats.reset();
+            let decoded = store.read_relation_txs(&bids, table).unwrap();
+            let decoded_charge = (store.stats.snapshot(), store.stats.bytes_read());
+            assert_eq!(raw_charge, decoded_charge);
+            assert_eq!(raw_charge.0, (nblocks, 0, 0));
+
+            let mut tuple_bytes = 0u64;
+            for ((ext, txs), &bid) in raw.iter().zip(&decoded).zip(&bids) {
+                assert_eq!(ext.bid(), bid);
+                let from_raw: Vec<(u32, Transaction)> = ext
+                    .tuples()
+                    .map(|t| (t.canon, t.decode().unwrap()))
+                    .collect();
+                assert_eq!(&from_raw, txs);
+                let from_block: Vec<(u32, Transaction)> = store
+                    .read(bid)
+                    .unwrap()
+                    .transactions
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, t)| partition_of(&t.tname) % store.partitions() == route)
+                    .map(|(i, t)| (i as u32, t.clone()))
+                    .collect();
+                assert_eq!(from_raw, from_block, "p{partitions} {table} block {bid}");
+                tuple_bytes += ext.tuples().map(|t| t.bytes.len() as u64).sum::<u64>();
+            }
+            assert_eq!(raw_charge.1, tuple_bytes, "p{partitions} {table}");
+            assert!(tuple_bytes > 0);
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! sequential (`SEBDB_THREADS=1`) or parallel, and whether the chain
 //! carries an on-disk transaction offset table or lost it
 //! (reconstruction on open). The `IoStats` bytes counter pins tuple
-//! reads to tuple granularity on both backends.
+//! reads to tuple granularity.
 
 use sebdb_crypto::sha256::Digest;
 use sebdb_storage::{BlockCache, BlockStore, CacheMode, CachedStore, StoreConfig, TxCache, TxPtr};
@@ -112,25 +112,12 @@ fn assert_equivalence(store: Arc<BlockStore>, nblocks: u64, ntx: usize) {
 #[test]
 fn grouped_reads_byte_identical_on_disk() {
     let _guard = threads_lock().lock().unwrap();
-    let dir = tmpdir("disk");
-    let store = BlockStore::open(
-        &dir,
-        StoreConfig {
-            segment_size: 4096,
-            sync_writes: false,
-            ..StoreConfig::default()
-        },
-    )
+    let store = BlockStore::temporary(StoreConfig {
+        segment_size: 4096,
+        sync_writes: false,
+        ..StoreConfig::default()
+    })
     .unwrap();
-    build_chain(&store, 6, 8);
-    assert_equivalence(Arc::new(store), 6, 8);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn grouped_reads_byte_identical_in_memory() {
-    let _guard = threads_lock().lock().unwrap();
-    let store = BlockStore::in_memory();
     build_chain(&store, 6, 8);
     assert_equivalence(Arc::new(store), 6, 8);
 }
@@ -211,40 +198,29 @@ fn torn_offset_table_tail_heals_on_open() {
 
 /// Satellite regression: a tuple-granular point lookup reads at most
 /// tuple-size + a small fixed header worth of bytes — not the whole
-/// block — on both backends.
+/// block.
 #[test]
 fn tuple_reads_are_tuple_granular_in_bytes() {
-    let check = |store: BlockStore, label: &str| {
-        build_chain(&store, 3, 6);
-        let ptr = TxPtr { block: 1, index: 2 };
-        let tuple_len = {
-            let b = store.read(ptr.block).unwrap();
-            b.transactions[ptr.index as usize].to_bytes().len() as u64
-        };
-        let block_len = store.block_size(ptr.block).unwrap() as u64;
-        store.stats.reset();
-        let tx = store.read_tx_direct(ptr).unwrap();
-        assert_eq!(tx.tid, 102);
-        let read = store.stats.bytes_read();
-        assert!(
-            read <= tuple_len + 16,
-            "{label}: tuple read transferred {read} bytes for a {tuple_len}-byte tuple"
-        );
-        assert!(
-            read < block_len,
-            "{label}: tuple read degraded to block granularity"
-        );
-        let (blocks_read, _, txs_read) = store.stats.snapshot();
-        assert_eq!(blocks_read, 0, "{label}: tuple read counted a block read");
-        assert_eq!(txs_read, 1);
+    let store = BlockStore::temporary(StoreConfig::default()).unwrap();
+    build_chain(&store, 3, 6);
+    let ptr = TxPtr { block: 1, index: 2 };
+    let tuple_len = {
+        let b = store.read(ptr.block).unwrap();
+        b.transactions[ptr.index as usize].to_bytes().len() as u64
     };
-    let dir = tmpdir("granular");
-    check(
-        BlockStore::open(&dir, StoreConfig::default()).unwrap(),
-        "disk",
+    let block_len = store.block_size(ptr.block).unwrap() as u64;
+    store.stats.reset();
+    let tx = store.read_tx_direct(ptr).unwrap();
+    assert_eq!(tx.tid, 102);
+    let read = store.stats.bytes_read();
+    assert!(
+        read <= tuple_len + 16,
+        "tuple read transferred {read} bytes for a {tuple_len}-byte tuple"
     );
-    check(BlockStore::in_memory(), "memory");
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(read < block_len, "tuple read degraded to block granularity");
+    let (blocks_read, _, txs_read) = store.stats.snapshot();
+    assert_eq!(blocks_read, 0, "tuple read counted a block read");
+    assert_eq!(txs_read, 1);
 }
 
 /// `read_span` (the readahead primitive) returns the same blocks as
@@ -252,15 +228,11 @@ fn tuple_reads_are_tuple_granular_in_bytes() {
 /// request order with and without a block cache.
 #[test]
 fn span_reads_match_pointwise_block_reads() {
-    let dir = tmpdir("span");
-    let store = BlockStore::open(
-        &dir,
-        StoreConfig {
-            segment_size: 2048,
-            sync_writes: false,
-            ..StoreConfig::default()
-        },
-    )
+    let store = BlockStore::temporary(StoreConfig {
+        segment_size: 2048,
+        sync_writes: false,
+        ..StoreConfig::default()
+    })
     .unwrap();
     build_chain(&store, 8, 4);
     let store = Arc::new(store);
@@ -277,5 +249,4 @@ fn span_reads_match_pointwise_block_reads() {
             );
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use sebdb_crypto::sha256::Digest;
 use sebdb_crypto::sig::KeyId;
-use sebdb_storage::BlockStore;
+use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::{Block, Transaction};
 
 /// Builds a chain from per-block transaction timestamp lists (an empty
@@ -73,7 +73,7 @@ proptest! {
             acc += 30; // next block starts past this one's offsets
         }
         let blocks = chain(&per_block);
-        let store = BlockStore::in_memory();
+        let store = BlockStore::temporary(StoreConfig::default()).unwrap();
         for b in &blocks {
             store.append(b).unwrap();
         }

@@ -12,7 +12,7 @@ use sebdb::{SebdbNode, Strategy};
 use sebdb_consensus::{BatchConfig, Consensus, KafkaOrderer};
 use sebdb_crypto::sig::MacKeypair;
 use sebdb_offchain::OffchainDb;
-use sebdb_storage::BlockStore;
+use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::{Column, DataType, Value};
 use std::sync::Arc;
 
@@ -49,7 +49,7 @@ fn main() {
     }
 
     let node = SebdbNode::start(
-        Arc::new(BlockStore::in_memory()),
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
         Arc::clone(&consensus) as Arc<dyn Consensus>,
         Some(conn),
         MacKeypair::from_key([42; 32]),

@@ -8,7 +8,7 @@
 use sebdb::{ExecOutcome, SebdbNode};
 use sebdb_consensus::{BatchConfig, Consensus, KafkaOrderer};
 use sebdb_crypto::sig::MacKeypair;
-use sebdb_storage::BlockStore;
+use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::Value;
 use std::sync::Arc;
 
@@ -20,9 +20,9 @@ fn main() {
         timeout_ms: 50,
     });
 
-    // 2. Start a full node with an in-memory block store.
+    // 2. Start a full node on a block store in a temporary directory.
     let node = SebdbNode::start(
-        Arc::new(BlockStore::in_memory()),
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
         Arc::clone(&consensus) as Arc<dyn Consensus>,
         None,
         MacKeypair::from_key([7; 32]),

@@ -11,7 +11,7 @@ use sebdb::{ContractRegistry, SebdbNode};
 use sebdb_consensus::pbft::PbftConfig;
 use sebdb_consensus::{BatchConfig, Consensus, PbftEngine};
 use sebdb_crypto::sig::{KeyId, MacKeypair};
-use sebdb_storage::BlockStore;
+use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::Value;
 use std::sync::Arc;
 
@@ -27,7 +27,7 @@ fn main() {
         ..PbftConfig::default()
     });
     let node = SebdbNode::start(
-        Arc::new(BlockStore::in_memory()),
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
         Arc::clone(&consensus) as Arc<dyn Consensus>,
         None,
         MacKeypair::from_key([11; 32]),

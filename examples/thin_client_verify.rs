@@ -12,7 +12,7 @@ use sebdb::{
 use sebdb_consensus::{BatchConfig, Consensus, KafkaOrderer};
 use sebdb_crypto::sig::MacKeypair;
 use sebdb_index::KeyPredicate;
-use sebdb_storage::BlockStore;
+use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::Value;
 use std::sync::Arc;
 
@@ -106,7 +106,7 @@ fn main() {
 
 fn node(consensus: &Arc<KafkaOrderer>, key: u8) -> Arc<SebdbNode> {
     SebdbNode::start(
-        Arc::new(BlockStore::in_memory()),
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
         Arc::clone(consensus) as Arc<dyn Consensus>,
         None,
         MacKeypair::from_key([key; 32]),

@@ -8,7 +8,7 @@ use sebdb_consensus::OrderedBlock;
 use sebdb_crypto::sha256::sha256;
 use sebdb_crypto::sig::{KeyId, MacKeypair};
 use sebdb_index::KeyPredicate;
-use sebdb_storage::BlockStore;
+use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::{Column, DataType, TableSchema, Transaction, Value};
 use std::sync::Arc;
 
@@ -29,7 +29,7 @@ fn donate_schema() -> TableSchema {
 /// `100 * (global index)`; every third transaction is sent by org1.
 fn populated_ledger(blocks: u64, per_block: usize) -> Ledger {
     let ledger = Ledger::new(
-        Arc::new(BlockStore::in_memory()),
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
         MacKeypair::from_key([1; 32]),
     )
     .unwrap();
@@ -257,7 +257,7 @@ mod authenticated_join {
     /// Two relations sharing organization keys, indexed for the ALI.
     fn join_ledger() -> Ledger {
         let ledger = Ledger::new(
-            Arc::new(BlockStore::in_memory()),
+            Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
             MacKeypair::from_key([5; 32]),
         )
         .unwrap();
@@ -392,7 +392,6 @@ mod visited_set {
     use sebdb_crypto::sha256::Digest;
     use sebdb_index::{Bitmap, BlockVo, MbTree};
     use sebdb_storage::StoreConfig;
-    use std::path::PathBuf;
 
     /// Rows per block: enough that a narrow range leaves unrevealed
     /// leaves (a fringe) on both sides of a block's proof.
@@ -459,46 +458,15 @@ mod visited_set {
             .collect()
     }
 
-    /// A replica on its own store (a temp directory when `frozen_at`
-    /// asks for checkpoints, which the memory backend does not keep).
-    struct Replica {
-        ledger: Ledger,
-        dir: Option<PathBuf>,
-    }
-
-    impl Drop for Replica {
-        fn drop(&mut self) {
-            if let Some(dir) = &self.dir {
-                let _ = std::fs::remove_dir_all(dir);
-            }
-        }
-    }
-
     /// Feeds `stream` to a fresh ledger whose `donate.amount` histogram
     /// is seeded from `sample`, freezing every index after the blocks
     /// below each height in `frozen_at`.
-    fn replica(
-        name: &str,
-        stream: &[OrderedBlock],
-        sample: Vec<i64>,
-        frozen_at: &[u64],
-    ) -> Replica {
-        let dir = (!frozen_at.is_empty()).then(|| {
-            let dir =
-                std::env::temp_dir().join(format!("sebdb-auth-{name}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            dir
-        });
-        let store = match &dir {
-            Some(dir) => {
-                let cfg = StoreConfig {
-                    sync_writes: false,
-                    ..StoreConfig::default()
-                };
-                BlockStore::open(dir, cfg).unwrap()
-            }
-            None => BlockStore::in_memory(),
+    fn replica(stream: &[OrderedBlock], sample: Vec<i64>, frozen_at: &[u64]) -> Ledger {
+        let cfg = StoreConfig {
+            sync_writes: false,
+            ..StoreConfig::default()
         };
+        let store = BlockStore::temporary(cfg).unwrap();
         let ledger = Ledger::new(Arc::new(store), MacKeypair::from_key([1; 32])).unwrap();
         ledger
             .create_layered_index(&donate_schema(), "amount", Some(sample))
@@ -512,7 +480,7 @@ mod visited_set {
         if frozen_at.contains(&(stream.len() as u64)) {
             assert!(ledger.checkpoint_indexes().unwrap() > 0);
         }
-        Replica { ledger, dir }
+        ledger
     }
 
     /// Three histogram seedings: spread over the stored ranks, the
@@ -538,8 +506,8 @@ mod visited_set {
     /// Phase 1 on `node`. Every answer these tests obtain passes
     /// through here, so Fig. 17's shape is asserted for every range
     /// issued: a VO names a block only for a result in it.
-    fn serve(node: &Replica, (table, column, pred): &Query) -> AuthenticatedResponse {
-        let response = serve_authenticated_query(&node.ledger, *table, column, pred, None).unwrap();
+    fn serve(node: &Ledger, (table, column, pred): &Query) -> AuthenticatedResponse {
+        let response = serve_authenticated_query(node, *table, column, pred, None).unwrap();
         let rows = response.transactions.len();
         assert!(
             response.vo.per_block.len() <= rows,
@@ -550,9 +518,8 @@ mod visited_set {
         // One set of leaves, two readers: a plain search finds the rows
         // a proof over the whole chain proves, resident or frozen.
         let height = response.vo.height;
-        let mask = node.ledger.window_mask_at(None, height);
+        let mask = node.window_mask_at(None, height);
         let (plain, mut proven) = node
-            .ledger
             .with_layered(*table, column, |idx| {
                 let vo = idx.authenticated_query(pred, None, height);
                 (idx.search(pred, &mask), vo.result_ptrs())
@@ -565,13 +532,13 @@ mod visited_set {
     }
 
     /// Phase 2 on `node`, at the height the answer claims.
-    fn digest(node: &Replica, (table, column, pred): &Query, height: u64) -> Digest {
-        serve_auxiliary_digest(&node.ledger, *table, column, pred, None, height).unwrap()
+    fn digest(node: &Ledger, (table, column, pred): &Query, height: u64) -> Digest {
+        serve_auxiliary_digest(node, *table, column, pred, None, height).unwrap()
     }
 
     /// The whole client side: relay the answer's height to `aux`,
     /// verify against what comes back.
-    fn client_accepts(response: &AuthenticatedResponse, query: &Query, aux: &Replica) -> bool {
+    fn client_accepts(response: &AuthenticatedResponse, query: &Query, aux: &Ledger) -> bool {
         let d = digest(aux, query, response.vo.height);
         ThinClient::new()
             .verify(&query.2, response, &[d, d], 2)
@@ -609,12 +576,12 @@ mod visited_set {
         let [spread, unit_mistake, skewed] = samples();
         let snapshot = &chain[..H as usize];
         let nodes = [
-            replica("resident", snapshot, spread.clone(), &[]),
-            replica("half", snapshot, unit_mistake, &[H / 2]),
-            replica("whole", snapshot, skewed, &[H]),
+            replica(snapshot, spread.clone(), &[]),
+            replica(snapshot, unit_mistake, &[H / 2]),
+            replica(snapshot, skewed, &[H]),
         ];
         // Past the snapshot, and frozen past it too.
-        let ahead = replica("ahead", &chain, spread, &[H / 3, H + 3]);
+        let ahead = replica(&chain, spread, &[H / 3, H + 3]);
 
         let mut rng = Rng(seed);
         let mut queries: Vec<Query> = (0..12)
@@ -657,7 +624,7 @@ mod visited_set {
     /// One edit of an honest answer, as a lying full node would make
     /// it. `None` when this answer has nothing of the kind to edit.
     type Mutation =
-        fn(&Replica, &Query, &mut Rng, AuthenticatedResponse) -> Option<AuthenticatedResponse>;
+        fn(&Ledger, &Query, &mut Rng, AuthenticatedResponse) -> Option<AuthenticatedResponse>;
 
     /// Payload positions of `per_block[at]`'s results.
     fn payloads(r: &AuthenticatedResponse, at: usize) -> std::ops::Range<usize> {
@@ -671,7 +638,7 @@ mod visited_set {
     /// node's) proves that nothing in it matches. The proof is honest;
     /// its place in the answer is not.
     fn honest_vo_of_a_block_without_a_match(
-        node: &Replica,
+        node: &Ledger,
         (table, column, pred): &Query,
         r: &AuthenticatedResponse,
     ) -> Option<BlockVo> {
@@ -681,7 +648,7 @@ mod visited_set {
             .filter(|bid| r.vo.per_block.iter().all(|b| b.block != *bid))
             .find_map(|bid| {
                 let only = Bitmap::from_bits([bid as usize]);
-                node.ledger.with_layered(*table, column, |idx| {
+                node.with_layered(*table, column, |idx| {
                     let whole = idx.authenticated_query(&everything, Some(&only), r.vo.height);
                     let leaves = whole.per_block.into_iter().next()?.results;
                     let tree = MbTree::build(leaves, idx.fanout());
@@ -778,7 +745,6 @@ mod visited_set {
         ("swap a payload for another row's", |node, _, rng, mut r| {
             let i = rng.below(r.transactions.len());
             let other = node
-                .ledger
                 .read_block(rng.below(r.vo.height as usize) as u64)
                 .unwrap();
             let other = other.transactions[rng.below(PER_BLOCK as usize)].clone();
@@ -821,11 +787,8 @@ mod visited_set {
         let chain = stream(seed, H, u64::MAX);
         let [spread, unit_mistake, _] = samples();
         let beds = [
-            (
-                "resident",
-                replica("mut-resident", &chain, unit_mistake, &[]),
-            ),
-            ("frozen", replica("mut-frozen", &chain, spread, &[H])),
+            ("resident", replica(&chain, unit_mistake, &[])),
+            ("frozen", replica(&chain, spread, &[H])),
         ];
         let mut rng = Rng(seed);
         let mut applied = [0usize; MUTATIONS.len()];
@@ -876,12 +839,7 @@ mod visited_set {
             .map(|_| matching_range(&mut rng, &chain, H))
             .collect();
         let sizes = |blocks: u64, frozen_at: &[u64]| -> Vec<(usize, usize, usize)> {
-            let node = replica(
-                &format!("grow-{blocks}-{}", frozen_at.len()),
-                &chain[..blocks as usize],
-                unit_mistake.clone(),
-                frozen_at,
-            );
+            let node = replica(&chain[..blocks as usize], unit_mistake.clone(), frozen_at);
             queries
                 .iter()
                 .map(|q| {

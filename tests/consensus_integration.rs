@@ -7,7 +7,7 @@ use sebdb_consensus::pbft::PbftConfig;
 use sebdb_consensus::tendermint::TendermintConfig;
 use sebdb_consensus::{BatchConfig, Consensus, KafkaOrderer, PbftEngine, TendermintEngine};
 use sebdb_crypto::sig::MacKeypair;
-use sebdb_storage::BlockStore;
+use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::Value;
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,7 +21,7 @@ fn batch() -> BatchConfig {
 
 fn node(consensus: Arc<dyn Consensus>, key: u8) -> Arc<SebdbNode> {
     SebdbNode::start(
-        Arc::new(BlockStore::in_memory()),
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
         consensus,
         None,
         MacKeypair::from_key([key; 32]),

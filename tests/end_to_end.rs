@@ -5,7 +5,7 @@ use sebdb::{ExecOutcome, SebdbNode, Strategy};
 use sebdb_consensus::{BatchConfig, Consensus, KafkaOrderer};
 use sebdb_crypto::sig::MacKeypair;
 use sebdb_offchain::OffchainDb;
-use sebdb_storage::BlockStore;
+use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::{Column, DataType, Value};
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,7 +19,7 @@ fn quick_kafka() -> Arc<KafkaOrderer> {
 
 fn node(consensus: Arc<KafkaOrderer>, key: u8) -> Arc<SebdbNode> {
     SebdbNode::start(
-        Arc::new(BlockStore::in_memory()),
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
         consensus as Arc<dyn Consensus>,
         None,
         MacKeypair::from_key([key; 32]),
@@ -253,7 +253,7 @@ fn onoff_join_via_sql() {
         .unwrap();
 
     let n = SebdbNode::start(
-        Arc::new(BlockStore::in_memory()),
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
         Arc::clone(&kafka) as Arc<dyn Consensus>,
         Some(conn),
         MacKeypair::from_key([7; 32]),

@@ -7,13 +7,13 @@ use sebdb::Ledger;
 use sebdb_consensus::OrderedBlock;
 use sebdb_crypto::sig::{KeyId, MacKeypair};
 use sebdb_network::GossipCluster;
-use sebdb_storage::BlockStore;
+use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::{Block, Codec, Transaction, Value};
 use std::sync::Arc;
 
 fn ledger(key: u8) -> Ledger {
     Ledger::new(
-        Arc::new(BlockStore::in_memory()),
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
         MacKeypair::from_key([key; 32]),
     )
     .unwrap()

@@ -6,14 +6,14 @@
 use sebdb::Ledger;
 use sebdb_consensus::OrderedBlock;
 use sebdb_crypto::sig::{KeyId, LamportKeypair, MacKeypair, Signature, Signer, Verifier};
-use sebdb_storage::BlockStore;
+use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::{Transaction, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 fn ledger() -> Ledger {
     Ledger::new(
-        Arc::new(BlockStore::in_memory()),
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
         MacKeypair::from_key([1; 32]),
     )
     .unwrap()

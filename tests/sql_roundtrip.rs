@@ -8,7 +8,7 @@ use sebdb::{
 use sebdb_consensus::{BatchConfig, Consensus, KafkaOrderer, OrderedBlock};
 use sebdb_crypto::sig::{KeyId, MacKeypair};
 use sebdb_sql::{BoundBlockSelector, LogicalPlan};
-use sebdb_storage::BlockStore;
+use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::{Transaction, Value};
 use std::sync::Arc;
 
@@ -18,7 +18,7 @@ fn setup() -> (Arc<KafkaOrderer>, Arc<SebdbNode>) {
         timeout_ms: 20,
     });
     let node = SebdbNode::start(
-        Arc::new(BlockStore::in_memory()),
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
         Arc::clone(&kafka) as Arc<dyn Consensus>,
         None,
         MacKeypair::from_key([1; 32]),
@@ -105,7 +105,7 @@ fn get_block(ledger: &Ledger, sel: BoundBlockSelector) -> Vec<(Value, Value)> {
 fn get_block_by_tid_finds_the_block_past_an_empty_one() {
     // Block 0 holds tids 1..=10, block 1 none, block 2 tids 11..=20.
     let ledger = Ledger::new(
-        Arc::new(BlockStore::in_memory()),
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
         MacKeypair::from_key([1; 32]),
     )
     .unwrap();
