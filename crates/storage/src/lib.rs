@@ -13,6 +13,7 @@ pub mod blockstore;
 pub mod cache;
 pub mod indexseg;
 mod manifest;
+mod offsets;
 mod publish;
 pub mod segment;
 
