@@ -129,9 +129,8 @@ impl SebdbNode {
     /// derived from the host's core count ([`auto_pipeline_depth`],
     /// [`auto_applier_lanes`]: sequential on one core; otherwise
     /// sealing block N overlaps indexing block N−1 across one lane per
-    /// core). On a disk-backed store the persist stage additionally
-    /// fans each block's tuples across the store's per-relation
-    /// partition segments (`StoreConfig::partitions`), committed by a
+    /// core). The persist stage additionally fans each block's tuples
+    /// across the store's per-relation partition segments (`StoreConfig::partitions`), committed by a
     /// single chain-order manifest record.
     pub fn start(
         store: Arc<BlockStore>,
