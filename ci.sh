@@ -12,9 +12,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # Repo-wide concurrency/robustness lint: thread-spawn discipline,
 # no sleep-polling, unwrap/expect ban in the hot crates, single
-# wall-clock site, single environment read, and the std-sync lock ban
+# wall-clock site, single environment read, the std-sync lock ban
 # (engine locks must go through the parking_lot shim so the model
-# checker and lock-order detector cover them — DESIGN §14). Allowlist:
+# checker and lock-order detector cover them — DESIGN §14), and
+# `unsafe` only in crates/crypto/src/sha256.rs, each use with its
+# `# Safety` doc or `// SAFETY:` comment. Allowlist:
 # tools/lint/allowlist.txt. Rule `loc` holds the non-test Rust lines
 # under crates/ + tools/ to tools/lint/loc_budget.txt.
 echo "==> cargo run -q -p sebdb-lint"
@@ -22,6 +24,12 @@ cargo run -q -p sebdb-lint
 
 echo "==> cargo test -q"
 cargo test -q
+
+# sebdb-crypto holds the repository's only unsafe code (the SHA-256
+# kernel on the CPU's SHA extensions): its tests run optimized too,
+# where the kernel is unrolled and inlined as it ships.
+echo "==> cargo test --release -q -p sebdb-crypto"
+cargo test --release -q -p sebdb-crypto
 
 # Deterministic interleaving checker: exhaustively explores schedules
 # of the pipeline/mempool/cache/index/partition models with the

@@ -9,47 +9,66 @@ use crate::sha256::{sha256, Digest, Sha256};
 
 const BLOCK_LEN: usize = 64;
 
+/// An HMAC-SHA-256 key, kept as the hasher states after the `ipad` and
+/// `opad` blocks: each message clones them, so a MAC costs two
+/// compressions fewer than keying from scratch.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    /// Keys HMAC with `key` (RFC 2104: a key longer than a block is
+    /// hashed first).
+    pub fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            key_block[..32].copy_from_slice(sha256(key).as_bytes());
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let keyed = |pad: u8| {
+            let mut h = Sha256::new();
+            h.update(&key_block.map(|b| b ^ pad));
+            h
+        };
+        HmacKey {
+            inner: keyed(0x36),
+            outer: keyed(0x5c),
+        }
+    }
+
+    /// `HMAC-SHA256(key, msg)`.
+    pub fn mac(&self, msg: &[u8]) -> Digest {
+        let mut inner = self.inner.clone();
+        inner.update(msg);
+        let mut outer = self.outer.clone();
+        outer.update(inner.finalize().as_bytes());
+        outer.finalize()
+    }
+}
+
 /// Computes `HMAC-SHA256(key, msg)`.
 pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> Digest {
-    // Keys longer than the block size are hashed first.
-    let mut key_block = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        let d = sha256(key);
-        key_block[..32].copy_from_slice(d.as_bytes());
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-
-    let mut ipad = [0x36u8; BLOCK_LEN];
-    let mut opad = [0x5cu8; BLOCK_LEN];
-    for i in 0..BLOCK_LEN {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
-
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(msg);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(inner_digest.as_bytes());
-    outer.finalize()
+    HmacKey::new(key).mac(msg)
 }
 
 /// Deterministic PRF: expands `seed` into a stream of 32-byte blocks,
 /// `block(i) = HMAC(seed, be64(i) || label)`. Used to derive Lamport
 /// private-key material without storing kilobytes of secrets.
 pub struct Prf<'a> {
-    seed: &'a [u8],
+    key: HmacKey,
     label: &'a [u8],
 }
 
 impl<'a> Prf<'a> {
     /// Creates a PRF instance over `seed` with a domain-separation `label`.
-    pub fn new(seed: &'a [u8], label: &'a [u8]) -> Self {
-        Prf { seed, label }
+    pub fn new(seed: &[u8], label: &'a [u8]) -> Self {
+        Prf {
+            key: HmacKey::new(seed),
+            label,
+        }
     }
 
     /// Returns the `i`-th 32-byte output block.
@@ -57,7 +76,7 @@ impl<'a> Prf<'a> {
         let mut msg = Vec::with_capacity(8 + self.label.len());
         msg.extend_from_slice(&i.to_be_bytes());
         msg.extend_from_slice(self.label);
-        hmac_sha256(self.seed, &msg)
+        self.key.mac(&msg)
     }
 }
 
@@ -102,6 +121,22 @@ mod tests {
             hmac_sha256(&key, msg).to_hex(),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    #[test]
+    fn a_key_serves_many_messages() {
+        // Each MAC starts from the keyed midstates, never from the
+        // state an earlier message left behind.
+        let key = HmacKey::new(b"Jefe");
+        for msg in [
+            &b"what do ya want for nothing?"[..],
+            b"",
+            b"Hi There",
+            &[0xdd; 200],
+        ] {
+            assert_eq!(key.mac(msg), hmac_sha256(b"Jefe", msg));
+            assert_eq!(key.mac(msg), key.mac(msg));
+        }
     }
 
     #[test]

@@ -3,8 +3,12 @@
 //! Cryptographic substrate for SEBDB, implemented from scratch:
 //!
 //! * [`sha256`](mod@sha256) — SHA-256 (FIPS 180-4), the hash used everywhere in the
-//!   paper (block hashes, Merkle roots, authenticated index, §VII-A);
-//! * [`hmac`] — HMAC-SHA-256 and a PRF for key derivation;
+//!   paper (block hashes, Merkle roots, authenticated index, §VII-A): a
+//!   portable compression loop plus a kernel on the x86-64 SHA
+//!   extensions, chosen at run time, computing the same function (the
+//!   crate's, and the repository's, only `unsafe` code);
+//! * [`hmac`] — HMAC-SHA-256, keyed once into reusable midstates
+//!   ([`hmac::HmacKey`]), and a PRF for key derivation;
 //! * [`merkle`] — Merkle hash trees with inclusion proofs (the
 //!   `trans_root` of every block header);
 //! * [`sig`] — transaction signatures: Lamport one-time signatures

@@ -1,10 +1,14 @@
-//! A from-scratch implementation of SHA-256 (FIPS 180-4).
+//! SHA-256 (FIPS 180-4), implemented from scratch.
 //!
 //! SEBDB hashes every transaction, every block header and every Merkle
 //! node with SHA-256 (the paper's authenticated index uses SHA256, §VII-A).
-//! This implementation is pure Rust, allocation-free for the streaming
-//! path, and validated against the published NIST test vectors in the
-//! unit tests below.
+//! The compression function runs on one of two kernels, chosen at run
+//! time: the x86-64 SHA extensions where the CPU has them, else the
+//! portable round loop. Both compute the same function; the portable loop
+//! is the reference the unit tests hold the other to, and the NIST
+//! vectors run through both on every host. The streaming path is
+//! allocation-free. This is the repository's one file with `unsafe` code
+//! (`sebdb-lint` rule `unsafe`).
 
 /// Size of a SHA-256 digest in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -32,6 +36,14 @@ impl Digest {
             s.push(char::from_digit((b & 0xf) as u32, 16).unwrap());
         }
         s
+    }
+
+    /// `==` in time independent of the bytes: all 32 are XOR-folded,
+    /// with no early exit at the first difference. Use it on a tag that
+    /// arrives from outside.
+    pub fn ct_eq(&self, other: &Digest) -> bool {
+        let diff = (0..DIGEST_LEN).fold(0, |acc, i| acc | (self.0[i] ^ other.0[i]));
+        std::hint::black_box(diff) == 0
     }
 
     /// Parses a digest from a 64-char hex string.
@@ -70,7 +82,7 @@ impl AsRef<[u8]> for Digest {
 
 /// SHA-256 round constants: first 32 bits of the fractional parts of the
 /// cube roots of the first 64 primes.
-const K: [u32; 64] = [
+static K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -117,69 +129,83 @@ impl Sha256 {
 
     /// Feeds `data` into the hasher.
     pub fn update(&mut self, data: &[u8]) {
+        self.absorb(data, compress_blocks);
+    }
+
+    /// Finishes the hash and returns the digest.
+    pub fn finalize(self) -> Digest {
+        self.finish(compress_blocks)
+    }
+
+    /// `update` on the kernel `compress`.
+    fn absorb(&mut self, data: &[u8], compress: Kernel) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut input = data;
         // Fill a partially-filled buffer first.
         if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(input.len());
+            let take = (64 - self.buf_len).min(input.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&input[..take]);
             self.buf_len += take;
             input = &input[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        if input.is_empty() {
-            // Everything fit in the buffer; nothing more to process.
-            return;
+        // Whole blocks straight from the input, in one kernel call.
+        let whole = input.len() - input.len() % 64;
+        if whole > 0 {
+            compress(&mut self.state, &input[..whole]);
         }
-        // Whole blocks straight from the input.
-        let mut chunks = input.chunks_exact(64);
-        for block in &mut chunks {
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-        }
-        let rem = chunks.remainder();
+        let rem = &input[whole..];
         self.buf[..rem.len()].copy_from_slice(rem);
         self.buf_len = rem.len();
     }
 
-    /// Finishes the hash and returns the digest.
-    pub fn finalize(mut self) -> Digest {
+    /// `finalize` on the kernel `compress`: the buffered tail, `0x80`,
+    /// zeros and the 8-byte big-endian bit length, as one or two blocks.
+    fn finish(mut self, compress: Kernel) -> Digest {
+        let mut tail = [0u8; 128];
+        tail[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        tail[self.buf_len] = 0x80;
+        let end = if self.buf_len < 56 { 64 } else { 128 };
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        let mut pad = [0u8; 128];
-        pad[0] = 0x80;
-        let pad_len = if self.buf_len < 56 {
-            56 - self.buf_len
-        } else {
-            120 - self.buf_len
-        };
-        let mut tail = [0u8; 8];
-        tail.copy_from_slice(&bit_len.to_be_bytes());
-        pad[pad_len..pad_len + 8].copy_from_slice(&tail);
-        self.update_no_len(&pad[..pad_len + 8]);
+        tail[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &tail[..end]);
 
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         Digest(out)
     }
+}
 
-    /// `update` without touching `total_len` (used for padding only).
-    fn update_no_len(&mut self, data: &[u8]) {
-        let saved = self.total_len;
-        self.update(data);
-        self.total_len = saved;
+/// A compression kernel: runs the compression function over each whole
+/// 64-byte block of `blocks`, in order (`Sha256` never passes a partial
+/// one).
+type Kernel = fn(&mut [u32; 8], &[u8]);
+
+/// The kernel this CPU runs: the SHA extensions where present, else the
+/// portable loop.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("sha")
+        && std::is_x86_feature_detected!("sse2")
+        && std::is_x86_feature_detected!("ssse3")
+        && std::is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: the four `is_x86_feature_detected!` checks above found
+        // every feature `compress_sha_ni` is compiled for on this CPU.
+        return unsafe { compress_sha_ni(state, blocks) };
     }
+    compress_portable(state, blocks)
+}
 
-    /// The SHA-256 compression function over one 512-bit block.
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The SHA-256 compression function, one round at a time.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, word) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
@@ -193,7 +219,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ ((!e) & g);
@@ -215,15 +241,69 @@ impl Sha256 {
             a = t1.wrapping_add(t2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+        state[4] = state[4].wrapping_add(e);
+        state[5] = state[5].wrapping_add(f);
+        state[6] = state[6].wrapping_add(g);
+        state[7] = state[7].wrapping_add(h);
     }
+}
+
+/// The compression function on the x86-64 SHA extensions. The state
+/// lives in two registers in the lane order `sha256rnds2` takes, `abef`
+/// and `cdgh`, across all of `blocks`; each `sha256rnds2` runs two
+/// rounds, and `sha256msg1`/`sha256msg2` extend the message schedule four
+/// words at a time.
+///
+/// # Safety
+///
+/// The CPU must support `sha`, `sse2`, `ssse3` and `sse4.1`. (Every load
+/// and store stays inside `state`, `K` or one 64-byte chunk of `blocks`.)
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+unsafe fn compress_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
+    use std::arch::x86_64::*;
+    // Reverses the bytes of each 32-bit lane: message words are big-endian.
+    let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+    let dcba = _mm_loadu_si128(state.as_ptr().cast());
+    let hgfe = _mm_loadu_si128(state.as_ptr().add(4).cast());
+    let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+    let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+    let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+    let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+    for block in blocks.chunks_exact(64) {
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        let p = block.as_ptr();
+        let mut w = [
+            _mm_shuffle_epi8(_mm_loadu_si128(p.cast()), bswap),
+            _mm_shuffle_epi8(_mm_loadu_si128(p.add(16).cast()), bswap),
+            _mm_shuffle_epi8(_mm_loadu_si128(p.add(32).cast()), bswap),
+            _mm_shuffle_epi8(_mm_loadu_si128(p.add(48).cast()), bswap),
+        ];
+        // Rounds 4i..4i+3 take `w[0]`, words 4i..4i+3 of the schedule;
+        // `w` then shifts down and takes words 4i+16..4i+19.
+        for i in 0..16 {
+            let wk = _mm_add_epi32(w[0], _mm_loadu_si128(K.as_ptr().add(4 * i).cast()));
+            // Two rounds each; after the first, the registers swap roles.
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            // (Words 64.. are never used; the unrolled loop drops them.)
+            let t = _mm_sha256msg1_epu32(w[0], w[1]);
+            let t = _mm_add_epi32(t, _mm_alignr_epi8(w[3], w[2], 4));
+            w = [w[1], w[2], w[3], _mm_sha256msg2_epu32(t, w[3])];
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+    let feba = _mm_shuffle_epi32(abef, 0x1b);
+    let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+    let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+    let hgef = _mm_alignr_epi8(dchg, feba, 8);
+    _mm_storeu_si128(state.as_mut_ptr().cast(), dcba);
+    _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), hgef);
 }
 
 /// One-shot SHA-256 of `data`.
@@ -233,50 +313,55 @@ pub fn sha256(data: &[u8]) -> Digest {
     h.finalize()
 }
 
-/// SHA-256 over the concatenation of two byte strings — the Merkle-tree
-/// inner-node primitive. Avoids materializing the concatenation.
-pub fn sha256_pair(a: &[u8], b: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(a);
-    h.update(b);
-    h.finalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `data` hashed with every compression on the kernel `compress`.
+    fn hash_on(compress: Kernel, data: &[u8]) -> Digest {
+        let mut h = Sha256::new();
+        h.absorb(data, compress);
+        h.finish(compress)
+    }
+
+    /// Checks a published vector on the dispatched kernel (the SHA
+    /// extensions, where the host has them) and on the portable loop.
+    fn check(data: &[u8], hex: &str) {
+        assert_eq!(sha256(data).to_hex(), hex, "dispatched, len {}", data.len());
+        let portable = hash_on(compress_portable, data).to_hex();
+        assert_eq!(portable, hex, "portable, len {}", data.len());
+    }
+
     // NIST / well-known vectors.
     #[test]
     fn empty_string() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        check(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn abc() {
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        check(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn two_block_message() {
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        check(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&data).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        check(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 
@@ -290,6 +375,35 @@ mod tests {
                 h.update(c);
             }
             assert_eq!(h.finalize(), sha256(&data), "chunk size {chunk}");
+        }
+    }
+
+    #[test]
+    fn streaming_splits_at_every_offset() {
+        // Every way of cutting a 200-byte message into three updates,
+        // empty pieces included: each piece boundary lands at every
+        // offset of a block and of the buffered tail.
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 7 + 3) as u8).collect();
+        let whole = sha256(&data);
+        for a in 0..=data.len() {
+            for b in a..=data.len() {
+                let mut h = Sha256::new();
+                h.update(&data[..a]);
+                h.update(&data[a..b]);
+                h.update(&data[b..]);
+                assert_eq!(h.finalize(), whole, "split at {a}, {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn dispatched_kernel_matches_the_portable_loop() {
+        let data: Vec<u8> = (0..1u32 << 20)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in (0..=1024).chain([data.len()]) {
+            let data = &data[..len];
+            assert_eq!(sha256(data), hash_on(compress_portable, data), "len {len}");
         }
     }
 
@@ -311,8 +425,7 @@ mod tests {
             ),
         ];
         for (len, hex) in known {
-            let data = vec![b'a'; len];
-            assert_eq!(sha256(&data).to_hex(), hex, "len {len}");
+            check(&vec![b'a'; len], hex);
         }
     }
 
@@ -325,10 +438,15 @@ mod tests {
     }
 
     #[test]
-    fn pair_equals_concat() {
-        let a = b"hello";
-        let b = b"world";
-        let concat = [&a[..], &b[..]].concat();
-        assert_eq!(sha256_pair(a, b), sha256(&concat));
+    fn ct_eq_agrees_with_eq() {
+        let d = sha256(b"tag");
+        let mut first = d;
+        first.0[0] ^= 1;
+        let mut last = d;
+        last.0[DIGEST_LEN - 1] ^= 0x80;
+        for other in [d, first, last, Digest::ZERO] {
+            assert_eq!(d.ct_eq(&other), d == other, "{other:?}");
+        }
+        assert!(d.ct_eq(&d) && !d.ct_eq(&first) && !d.ct_eq(&last));
     }
 }

@@ -17,7 +17,7 @@
 //! This substitution (vs. the paper's implied ECDSA) is recorded in
 //! DESIGN.md §4.
 
-use crate::hmac::{hmac_sha256, Prf};
+use crate::hmac::{HmacKey, Prf};
 use crate::sha256::{sha256, Digest};
 
 /// 256 message bits, two preimages per bit.
@@ -178,20 +178,17 @@ impl LamportKeypair {
     pub fn public_key(&self) -> &LamportPublicKey {
         &self.public
     }
-
-    fn preimage(&self, bit: usize, b: usize) -> Digest {
-        Prf::new(&self.seed, b"lamport-sk").block((bit * 2 + b) as u64)
-    }
 }
 
 impl Signer for LamportKeypair {
     fn sign(&self, msg: &[u8]) -> Signature {
         let digest = sha256(msg);
+        let prf = Prf::new(&self.seed, b"lamport-sk");
         let mut reveal = Box::new([Digest::ZERO; LAMPORT_BITS]);
         for bit in 0..LAMPORT_BITS {
             let byte = digest.as_bytes()[bit / 8];
             let b = ((byte >> (7 - bit % 8)) & 1) as usize;
-            reveal[bit] = self.preimage(bit, b);
+            reveal[bit] = prf.block((bit * 2 + b) as u64);
         }
         Signature::Lamport(reveal)
     }
@@ -225,15 +222,17 @@ impl Verifier for LamportPublicKey {
 /// Shared-key authentication for high-volume benchmark runs.
 #[derive(Clone)]
 pub struct MacKeypair {
-    key: [u8; 32],
+    key: HmacKey,
     id: KeyId,
 }
 
 impl MacKeypair {
     /// Creates a keypair from a shared secret.
     pub fn from_key(key: [u8; 32]) -> Self {
-        let id = KeyId::derive(&key);
-        MacKeypair { key, id }
+        MacKeypair {
+            key: HmacKey::new(&key),
+            id: KeyId::derive(&key),
+        }
     }
 
     /// Generates a random shared key.
@@ -246,7 +245,7 @@ impl MacKeypair {
 
 impl Signer for MacKeypair {
     fn sign(&self, msg: &[u8]) -> Signature {
-        Signature::Mac(hmac_sha256(&self.key, msg))
+        Signature::Mac(self.key.mac(msg))
     }
 
     fn key_id(&self) -> KeyId {
@@ -257,7 +256,9 @@ impl Signer for MacKeypair {
 impl Verifier for MacKeypair {
     fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
         match sig {
-            Signature::Mac(tag) => *tag == hmac_sha256(&self.key, msg),
+            // The tag may come from outside (the orderer's admission
+            // check): compare it without an early exit.
+            Signature::Mac(tag) => tag.ct_eq(&self.key.mac(msg)),
             _ => false,
         }
     }

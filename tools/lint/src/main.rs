@@ -43,12 +43,18 @@
 //!    goes through `publish_atomically`, so the `.tmp` → fsync →
 //!    rename → directory-fsync protocol and its crash step exist once.
 //!
-//! 9. `loc` — the non-test Rust lines under `crates/` and `tools/`
-//!    (every line of a file outside `tests/` and `benches/` that is not
-//!    in a `#[cfg(test)]` / `#[test]` item) must not exceed the number
-//!    in `tools/lint/loc_budget.txt`. ROADMAP aim 2 says the line count
-//!    goes down; a PR that needs more raises the number in its own diff,
-//!    where a reviewer sees it.
+//! 9. `unsafe` — the keyword appears only in
+//!    `crates/crypto/src/sha256.rs` (the SHA-extensions kernel), in test
+//!    code too. There every `unsafe fn` carries a `# Safety` doc and
+//!    every other `unsafe` (a block) a `// SAFETY:` comment within the
+//!    six lines above, saying why the requirements hold.
+//!
+//! 10. `loc` — the non-test Rust lines under `crates/` and `tools/`
+//!     (every line of a file outside `tests/` and `benches/` that is not
+//!     in a `#[cfg(test)]` / `#[test]` item) must not exceed the number
+//!     in `tools/lint/loc_budget.txt`. ROADMAP aim 2 says the line count
+//!     goes down; a PR that needs more raises the number in its own diff,
+//!     where a reviewer sees it.
 //!
 //! The allowlist lives in `tools/lint/allowlist.txt`; each line is
 //! `<rule> <path> <count>`. The file is capped at 25 entries and every
@@ -77,6 +83,12 @@ const ENV_FILE: &str = "crates/parallel/src/lib.rs";
 
 /// The single sanctioned `fs::rename` (`publish_atomically`).
 const RENAME_FILE: &str = "crates/storage/src/publish.rs";
+
+/// The rules an allowlist entry may name.
+const RULES: &str = "spawn sleep unwrap clock std-sync par-floor env rename unsafe";
+
+/// The one file that may hold `unsafe` code.
+const UNSAFE_FILE: &str = "crates/crypto/src/sha256.rs";
 
 /// Harness code whose switches (`SEBDB_BENCH_SMOKE`) are not engine
 /// settings.
@@ -256,10 +268,7 @@ fn load_allowlist(path: &Path) -> Result<Vec<AllowEntry>, String> {
                 i + 1
             ));
         };
-        if !matches!(
-            rule,
-            "spawn" | "sleep" | "unwrap" | "clock" | "std-sync" | "par-floor" | "env" | "rename"
-        ) {
+        if !RULES.split(' ').any(|r| r == rule) {
             return Err(format!("allowlist line {}: unknown rule `{rule}`", i + 1));
         }
         let count: usize = count
@@ -297,13 +306,15 @@ fn load_loc_budget(path: &Path) -> Result<usize, String> {
 /// Checks one file against every rule and returns how many of its
 /// lines are non-test code.
 fn check_file(rel: &str, source: &str, out: &mut Vec<Violation>) -> usize {
+    let stripped = strip_comments_and_strings(source);
+    let original_lines: Vec<&str> = source.lines().collect();
+    // Undefined behaviour in a test is still undefined: test code too.
+    check_unsafe(rel, &stripped, &original_lines, out);
     // Integration tests and benches are test code wholesale.
     if rel.contains("/tests/") || rel.contains("/benches/") {
         return 0;
     }
-    let stripped = strip_comments_and_strings(source);
     let test_lines = test_line_mask(&stripped);
-    let original_lines: Vec<&str> = source.lines().collect();
 
     for (i, line) in stripped.lines().enumerate() {
         if test_lines[i] {
@@ -331,7 +342,7 @@ fn check_file(rel: &str, source: &str, out: &mut Vec<Violation>) -> usize {
         if UNWRAP_SCOPE.iter().any(|d| rel.starts_with(d))
             && (line.contains(".unwrap()") || line.contains(".expect("))
         {
-            if has_invariant_comment(&original_lines, i) {
+            if has_comment_above(&original_lines, i, "invariant:") {
                 // Still must be allowlisted; report so uncovered sites fail.
                 out.push(Violation {
                     rule: "unwrap",
@@ -463,13 +474,60 @@ fn unnamed_floors(stripped: &str) -> Vec<(usize, String)> {
     out
 }
 
+/// Rule `unsafe`: every `unsafe` keyword outside [`UNSAFE_FILE`], and
+/// inside it every `unsafe fn` without a `# Safety` doc and every other
+/// `unsafe` without a `// SAFETY:` comment.
+fn check_unsafe(rel: &str, stripped: &str, original_lines: &[&str], out: &mut Vec<Violation>) {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    for (i, line) in stripped.lines().enumerate() {
+        for (at, _) in line.match_indices("unsafe") {
+            let rest = &line[at + "unsafe".len()..];
+            if line[..at].ends_with(ident) || rest.starts_with(ident) {
+                continue; // part of a longer name, e.g. `unsafe_code`
+            }
+            let (ok, why) = if rel != UNSAFE_FILE {
+                (false, "outside the SHA-256 kernel's file")
+            } else if rest.trim_start().starts_with("fn ") {
+                (
+                    has_safety_doc(original_lines, i),
+                    "fn without a `# Safety` doc",
+                )
+            } else {
+                let ok = has_comment_above(original_lines, i, "SAFETY:");
+                (ok, "without a `// SAFETY:` comment above")
+            };
+            if !ok {
+                let shown = original_lines.get(i).copied().unwrap_or(line);
+                out.push(Violation {
+                    rule: "unsafe",
+                    path: rel.to_string(),
+                    line: i + 1,
+                    text: format!("unsafe {why}: {shown}"),
+                });
+            }
+        }
+    }
+}
+
+/// True if the doc comment and attributes right above line `idx` hold a
+/// `# Safety` section.
+fn has_safety_doc(original_lines: &[&str], idx: usize) -> bool {
+    original_lines[..idx]
+        .iter()
+        .rev()
+        .map(|l| l.trim_start())
+        .take_while(|l| l.starts_with("///") || l.starts_with("#["))
+        .any(|l| l.starts_with("/// # Safety"))
+}
+
 /// True if one of the six lines above `idx` (or the line itself)
-/// carries an `// invariant:` comment justifying the unwrap.
-fn has_invariant_comment(original_lines: &[&str], idx: usize) -> bool {
+/// carries `marker` — an `// invariant:` comment justifying an unwrap,
+/// a `// SAFETY:` comment justifying an `unsafe` block.
+fn has_comment_above(original_lines: &[&str], idx: usize, marker: &str) -> bool {
     let lo = idx.saturating_sub(6);
     original_lines[lo..=idx.min(original_lines.len() - 1)]
         .iter()
-        .any(|l| l.contains("invariant:"))
+        .any(|l| l.contains(marker))
 }
 
 /// Per-line mask: true for lines inside a `#[cfg(test)]` or `#[test]`
@@ -690,7 +748,7 @@ mod tests {
     fn flags_each_rule() {
         let src = "fn f() {\n    std::thread::spawn(|| ());\n    std::thread::sleep(d);\n    \
                    x.unwrap();\n    std::time::SystemTime::now();\n    \
-                   std::env::var(\"X\");\n    std::fs::rename(a, b);\n}\n";
+                   std::env::var(\"X\");\n    std::fs::rename(a, b);\n    unsafe { g() };\n}\n";
         let mut v = Vec::new();
         check_file("crates/core/src/x.rs", src, &mut v);
         let rules: Vec<&str> = v.iter().map(|v| v.rule).collect();
@@ -700,9 +758,43 @@ mod tests {
         assert!(rules.contains(&"clock"));
         assert!(rules.contains(&"env"));
         assert!(rules.contains(&"rename"));
+        assert!(rules.contains(&"unsafe"));
         let mut v = Vec::new();
         check_file(RENAME_FILE, "fn f() { std::fs::rename(a, b); }\n", &mut v);
         assert!(v.is_empty(), "the publisher is the one rename site");
+    }
+
+    #[test]
+    fn unsafe_only_in_the_kernel_file_and_only_with_its_reasons() {
+        let reasoned = "/// Runs.\n///\n/// # Safety\n///\n/// The CPU has `sha`.\n\
+                        #[target_feature(enable = \"sha\")]\nunsafe fn k() {}\nfn f() {\n    \
+                        // SAFETY: the check above.\n    unsafe { k() };\n}\n";
+        let bare = "unsafe fn k() {}\nfn f() {\n    unsafe { k() };\n}\n";
+        let count = |path: &str, src: &str| {
+            let mut v = Vec::new();
+            check_file(path, src, &mut v);
+            assert!(v.iter().all(|v| v.rule == "unsafe"), "{path}");
+            v.len()
+        };
+        assert_eq!(count(UNSAFE_FILE, reasoned), 0);
+        assert_eq!(
+            count(UNSAFE_FILE, bare),
+            2,
+            "no `# Safety` doc, no `// SAFETY:`"
+        );
+        // Elsewhere every use is flagged, reasons or not, test code too.
+        for path in [
+            "crates/core/src/x.rs",
+            "crates/core/tests/x.rs",
+            "shims/rand/src/lib.rs",
+        ] {
+            assert_eq!(count(path, reasoned), 2, "{path}");
+        }
+        let in_test_module = "#[cfg(test)]\nmod tests {\n    fn t() { unsafe { g() } }\n}\n";
+        assert_eq!(count("crates/core/src/x.rs", in_test_module), 1);
+        // Longer names and comments are not the keyword.
+        let names = "#![deny(unsafe_code)]\n// unsafe { }\nfn not_unsafe() {}\n";
+        assert_eq!(count("crates/core/src/x.rs", names), 0);
     }
 
     #[test]
