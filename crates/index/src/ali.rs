@@ -21,7 +21,9 @@
 //! auxiliary queries without touching leaf data; a frozen block's tree
 //! is rebuilt from its stored leaves only when a VO must be produced
 //! for it (`MbTree::build` sorts stably over the already sorted list,
-//! so the rebuilt tree is byte-identical).
+//! so the rebuilt tree is byte-identical). The leaves are read past
+//! the index-block cache and checked against the stored root, so how
+//! many proofs ran does not set what the cache holds.
 
 use crate::bitmap::Bitmap;
 use crate::layered::{KeyPredicate, LayeredIndex};
@@ -128,10 +130,24 @@ impl LayeredIndex {
         self.block_root(bid).unwrap_or(Digest::ZERO)
     }
 
-    /// Rebuilds one frozen block's MB-tree from its stored leaf level.
+    /// Rebuilds one frozen block's MB-tree from its stored leaf level,
+    /// read past the cache and the block checksum: the rebuilt tree
+    /// must hash to the block's stored root, a stronger check than the
+    /// checksum, and one that fails stop like it.
     fn frozen_tree(&self, bid: BlockId) -> Option<MbTree> {
-        self.frozen_entry(TAG_BLOCK_ENTRIES, bid)
-            .map(|bytes| MbTree::build(auth_entries_from_bytes(&bytes), self.fanout()))
+        let leaves = self.frozen_entry_direct(TAG_BLOCK_ENTRIES, bid);
+        match (leaves, self.block_root(bid)) {
+            (None, None) => None,
+            (Some(bytes), Some(root)) => {
+                let tree = MbTree::build(auth_entries_from_bytes(&bytes), self.fanout());
+                assert!(
+                    tree.root() == root,
+                    "frozen block {bid}: leaf list does not hash to its MB-root"
+                );
+                Some(tree)
+            }
+            _ => panic!("frozen block {bid}: a leaf list without an MB-root or the reverse"),
+        }
     }
 
     /// Phase 1 (full node): execute `pred` at snapshot `height`,
@@ -370,6 +386,42 @@ mod tests {
         }
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A frozen leaf list is read past the block checksum, so the tree
+    /// rebuilt from it must hash to the stored root: a flipped byte in a
+    /// leaf's hash fails stop.
+    #[test]
+    #[should_panic(expected = "does not hash to its MB-root")]
+    fn a_frozen_leaf_list_must_hash_to_its_root() {
+        use sebdb_storage::indexseg::checkpoint_file_name;
+        let mut ali = ali_with_blocks(&[&[100, 200, 300]]);
+        let store = sebdb_storage::BlockStore::temporary(Default::default()).unwrap();
+        store.append(&block(0, &[100, 200, 300])).unwrap();
+        let cp = ali.checkpoint();
+        store.write_index_checkpoint(&cp).unwrap();
+        ali.adopt_frozen(store.load_index_checkpoint(&cp.family).unwrap().unwrap());
+        // The root is read through the cache: load it before the flip.
+        assert_ne!(ali.mb_root(0), Digest::ZERO);
+        let (_, leaves) = cp
+            .entries
+            .iter()
+            .find(|(k, _)| k[0] == TAG_BLOCK_ENTRIES)
+            .unwrap();
+        let path = store
+            .dir()
+            .join(sebdb_storage::INDEX_CHECKPOINT_DIR)
+            .join(checkpoint_file_name(&cp.family));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes
+            .windows(leaves.len())
+            .position(|w| w == leaves)
+            .unwrap();
+        // The last leaf ends with its 32-byte hash and a 12-byte pointer.
+        bytes[at + leaves.len() - 20] ^= 1;
+        std::fs::write(&path, bytes).unwrap();
+        let pred = KeyPredicate::Range(Value::decimal(50), Value::decimal(350));
+        ali.authenticated_query(&pred, None, 1);
     }
 
     #[test]

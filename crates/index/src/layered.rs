@@ -214,6 +214,9 @@ impl LayeredIndex {
             FirstLevel::Discrete { per_value } => per_value.clear(),
         }
         self.second.clear();
+        if let Some(old) = &self.frozen {
+            read_fail("layered checkpoint warm-up", reader.warm_from(old));
+        }
         self.frozen = Some(reader);
     }
 
@@ -249,6 +252,13 @@ impl LayeredIndex {
     pub(crate) fn frozen_entry(&self, tag: u8, bid: BlockId) -> Option<Vec<u8>> {
         let f = self.frozen.as_ref().filter(|f| bid < f.height())?;
         read_fail("layered block entry", f.get(&bid_key(tag, bid)))
+    }
+
+    /// [`Self::frozen_entry`] read past the cache and the block
+    /// checksum, for an entry the caller authenticates.
+    pub(crate) fn frozen_entry_direct(&self, tag: u8, bid: BlockId) -> Option<Vec<u8>> {
+        let f = self.frozen.as_ref().filter(|f| bid < f.height())?;
+        read_fail("layered block entry", f.get_direct(&bid_key(tag, bid)))
     }
 
     /// Whether `tx` is covered by this index.

@@ -22,7 +22,6 @@ use sebdb_crypto::sha256::Digest;
 use sebdb_storage::{IndexCheckpoint, PagedIndexReader, StorageError, TxPtr};
 use sebdb_types::{ColumnRef, Decoder, Encoder, TypeError, Value};
 use std::collections::BTreeMap;
-use std::ops::ControlFlow;
 
 /// Key tag: the family's precomputed all-blocks bitmap.
 pub const TAG_ALL_BLOCKS: u8 = 0x00;
@@ -227,10 +226,7 @@ impl CheckpointBuilder {
             swept.reserve(f.entry_count() as usize);
             read_fail(
                 &format!("{what} checkpoint sweep"),
-                f.scan_range(&[], None, &mut |k, v| {
-                    swept.push((k.to_vec(), v.to_vec()));
-                    ControlFlow::Continue(())
-                }),
+                f.sweep(&mut |k, v| swept.push((k.to_vec(), v.to_vec()))),
             );
         }
         CheckpointBuilder {

@@ -74,6 +74,9 @@ impl TableBitmapIndex {
         );
         self.per_table.clear();
         self.per_sender.clear();
+        if let Some(old) = &self.frozen {
+            read_fail("table bitmap warm-up", reader.warm_from(old));
+        }
         self.frozen = Some(reader);
     }
 
