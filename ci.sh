@@ -76,17 +76,6 @@ SEBDB_THREADS=4 cargo test -q -p sebdb --test join_equivalence
 echo "==> cargo test -q --workspace --features parking_lot/lock-order"
 cargo test -q --workspace --features parking_lot/lock-order
 
-# Read-path bench smoke: a tiny sweep must run end to end and emit a
-# well-formed JSON (schema spot-checks below). The smoke run writes to
-# target/, never touching the committed BENCH_readpath.json numbers.
-echo "==> SEBDB_BENCH_SMOKE=1 cargo bench -p sebdb-bench --bench read_path"
-SEBDB_BENCH_SMOKE=1 cargo bench -q -p sebdb-bench --bench read_path >/dev/null
-smoke=target/BENCH_readpath_smoke.json
-for key in '"bench": "read_path"' '"cpus":' '"granularity"' '"cache_mode"' \
-           '"partitions"' '"threads"' '"mean_ns_per_read"' '"speedup_vs_1thread"'; do
-  grep -q "$key" "$smoke" || { echo "ci: $smoke missing $key"; exit 1; }
-done
-
 # Disk-resident index bench smoke: the open-time × cache-capacity
 # sweep must run end to end and emit a well-formed JSON (schema
 # spot-checks below).

@@ -73,14 +73,12 @@ impl Executor<'_> {
         let mask = self.ledger.window_mask(window);
         let scans: Vec<String> = sides
             .iter()
-            .map(|(schema, _)| {
-                format!(
-                    "{} in {}",
-                    schema.name,
-                    self.hash_arm_blocks(&schema.name, &mask, choice.arm)
-                        .count_ones()
-                )
-            })
+            .map(
+                |(schema, _)| match self.hash_arm_blocks(&schema.name, &mask, choice.arm) {
+                    Ok(blocks) => format!("{} in {}", schema.name, blocks.count_ones()),
+                    Err(e) => format!("{} [{e}]", schema.name),
+                },
+            )
             .collect();
         format!(
             "bitmap hash join, late-materialized; {}; scans {} of {} blocks",
@@ -196,5 +194,96 @@ impl Executor<'_> {
                 self.describe(inner, depth, out);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Ledger;
+    use sebdb_consensus::OrderedBlock;
+    use sebdb_crypto::sig::{KeyId, MacKeypair};
+    use sebdb_sql::{BoundPredicate, BoundPredicateKind};
+    use sebdb_storage::{BlockStore, StoreConfig};
+    use sebdb_types::{Column, DataType, Transaction};
+    use std::sync::Arc;
+
+    /// A plan is a function of the chain: on a frozen index behind an
+    /// 8-block index cache, one range query explains to the same text
+    /// before and after a workload that churns the cache.
+    #[test]
+    fn explain_does_not_depend_on_the_cache_history() {
+        const BLOCKS: u64 = 400;
+        let rows = BLOCKS * 5;
+        let cfg = StoreConfig {
+            index_cache_blocks: Some(8),
+            ..StoreConfig::default()
+        };
+        let store = Arc::new(BlockStore::temporary(cfg).unwrap());
+        let ledger = Ledger::new(Arc::clone(&store), MacKeypair::from_key([5; 32])).unwrap();
+        let schema = TableSchema::new(
+            "donate",
+            vec![
+                Column::new("donor", DataType::Str),
+                Column::new("amount", DataType::Decimal),
+            ],
+        );
+        for seq in 0..BLOCKS {
+            let txs = (0..5)
+                .map(|i| {
+                    // 7919 is prime and `rows` is 2^a·5^b: a permutation.
+                    let amount = Value::decimal(((seq * 5 + i) * 7919 % rows) as i64);
+                    let values = vec![Value::str("d"), amount];
+                    let mut tx = Transaction::new(10_000 + seq, KeyId([4; 8]), "donate", values);
+                    tx.tid = seq * 5 + i + 1;
+                    tx
+                })
+                .collect();
+            let timestamp_ms = 10_000 + seq;
+            let block = OrderedBlock {
+                seq,
+                timestamp_ms,
+                txs,
+            };
+            ledger.append_ordered(block).unwrap();
+        }
+        ledger
+            .create_layered_index(&schema, "amount", None)
+            .unwrap();
+        ledger.checkpoint_indexes().unwrap();
+        let range = |lo: u64, hi: u64| LogicalPlan::Query {
+            predicates: vec![BoundPredicate {
+                column: schema.resolve("amount").unwrap(),
+                kind: BoundPredicateKind::Between(
+                    Value::decimal(lo as i64),
+                    Value::decimal(hi as i64),
+                ),
+            }],
+            schema: schema.clone(),
+            projection: vec![],
+            window: None,
+        };
+        let explain = || {
+            let plan = LogicalPlan::Explain(Box::new(range(100, 119)));
+            let exec = Executor::new(&ledger, None);
+            exec.execute(&plan, Strategy::Auto).unwrap().rows
+        };
+        store.stats.reset();
+        let before = explain();
+        assert!(
+            before[0][0].to_string().contains("layered index on amount"),
+            "{before:?}"
+        );
+        for i in 0..200 {
+            let lo = i * 7919 % rows;
+            let exec = Executor::new(&ledger, None);
+            exec.execute(&range(lo, lo + 3), Strategy::Layered).unwrap();
+        }
+        let (hits, misses) = store.stats.index_cache_counts();
+        assert!(
+            5 * hits < 4 * (hits + misses),
+            "the cache was not churned: {hits} hits, {misses} misses"
+        );
+        assert_eq!(explain(), before);
     }
 }

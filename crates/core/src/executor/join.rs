@@ -106,13 +106,15 @@ impl Executor<'_> {
     /// The blocks a hash arm scans for `table` inside `mask`: all of
     /// them under `Scan`, the ones the table-level bitmap marks under
     /// `Bitmap`.
-    pub(super) fn hash_arm_blocks(&self, table: &str, mask: &Bitmap, arm: Strategy) -> Bitmap {
+    pub(super) fn hash_arm_blocks(
+        &self,
+        table: &str,
+        mask: &Bitmap,
+        arm: Strategy,
+    ) -> Result<Bitmap, ExecError> {
         match arm {
-            Strategy::Bitmap => self
-                .ledger
-                .with_table_index(|ti| ti.blocks_for_table(table))
-                .and(mask),
-            _ => mask.clone(),
+            Strategy::Bitmap => Ok(self.table_blocks(table)?.and(mask)),
+            _ => Ok(mask.clone()),
         }
     }
 
@@ -154,8 +156,8 @@ impl Executor<'_> {
     ) -> Result<(), ExecError> {
         let mask = self.ledger.window_mask(window);
         let bids = |blocks: &Bitmap| blocks.iter_ones().map(|b| b as u64).collect::<Vec<u64>>();
-        let l_blocks = self.hash_arm_blocks(&left.name, &mask, arm);
-        let r_blocks = self.hash_arm_blocks(&right.name, &mask, arm);
+        let l_blocks = self.hash_arm_blocks(&left.name, &mask, arm)?;
+        let r_blocks = self.hash_arm_blocks(&right.name, &mask, arm)?;
         // Relations sharing a partition (a self-join, `partitions: 1`,
         // or a hash collision) come back from one scan: read it once
         // for both sides.

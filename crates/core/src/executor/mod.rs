@@ -14,7 +14,9 @@ pub mod range;
 pub mod tracking;
 
 use crate::ledger::{Ledger, LedgerError};
+use sebdb_crypto::sig::KeyId;
 use sebdb_index::cost::CostParams;
+use sebdb_index::{Bitmap, KeyPredicate};
 use sebdb_offchain::OffchainConnection;
 use sebdb_sql::{BoundBlockSelector, LogicalPlan, SqlError};
 use sebdb_storage::TxPtr;
@@ -61,7 +63,8 @@ pub enum Strategy {
     Auto,
     /// Scan every block.
     Scan,
-    /// Prune blocks with the table-level bitmap index.
+    /// Prune blocks with the table-level bitmap index (the first level
+    /// of the `tname` system index; [`Executor::table_blocks`]).
     Bitmap,
     /// Use the layered index (block pruning + per-block trees).
     Layered,
@@ -126,19 +129,14 @@ pub struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    /// Creates an executor with cost parameters calibrated from the
-    /// node's live I/O counters: the index-cache hit rate comes from
-    /// the store's observed hits/misses (defaulting until enough
-    /// accesses accumulate) and the fence-probe cost from a
-    /// once-per-process microprobe. A fresh store therefore plans
-    /// exactly like [`CostParams::default`] aside from the measured
-    /// probe cost.
+    /// Creates an executor planning with [`CostParams::default`]: the
+    /// same chain gives the same plan whatever the host, the state of
+    /// the index-block cache, or the queries that ran before.
     pub fn new(ledger: &'a Ledger, offchain: Option<&'a OffchainConnection>) -> Self {
-        let (hits, misses) = ledger.store().stats.index_cache_counts();
         Executor {
             ledger,
             offchain,
-            cost: CostParams::calibrated(hits, misses),
+            cost: CostParams::default(),
         }
     }
 
@@ -219,6 +217,29 @@ impl<'a> Executor<'a> {
         self.ledger
             .with_layered(Some(&schema.name), &name, |_| ())
             .map(|_| name)
+    }
+
+    /// Blocks holding a transaction of `table`: §IV-B's table-level
+    /// bitmap, which is the first level of the chain's system index on
+    /// `tname`. Relation names are stored lower case (`CREATE` folds
+    /// them), so the name is looked up lower-cased.
+    pub fn table_blocks(&self, table: &str) -> Result<Bitmap, ExecError> {
+        let name = Value::str(table.to_ascii_lowercase());
+        self.system_blocks("tname", &KeyPredicate::Eq(name))
+    }
+
+    /// Blocks holding a transaction sent by `sender`: the first level
+    /// of the chain's system index on `sen_id`.
+    pub fn sender_blocks(&self, sender: &KeyId) -> Result<Bitmap, ExecError> {
+        let id = Value::Bytes(sender.as_bytes().to_vec());
+        self.system_blocks("sen_id", &KeyPredicate::Eq(id))
+    }
+
+    /// First-level candidates of `pred` in the system index on `column`.
+    fn system_blocks(&self, column: &str, pred: &KeyPredicate) -> Result<Bitmap, ExecError> {
+        self.ledger
+            .with_layered(None, column, |idx| idx.candidate_blocks(pred))
+            .ok_or_else(|| ExecError::Unsupported(format!("system {column} index missing")))
     }
 
     /// Batch-fetches every distinct pointer in `ptrs` once (grouped by

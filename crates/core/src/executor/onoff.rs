@@ -136,7 +136,7 @@ impl Executor<'_> {
             arm => {
                 let mask = self.ledger.window_mask(window);
                 let bids: Vec<u64> = self
-                    .hash_arm_blocks(&on_table.name, &mask, arm)
+                    .hash_arm_blocks(&on_table.name, &mask, arm)?
                     .iter_ones()
                     .map(|b| b as u64)
                     .collect();

@@ -72,7 +72,7 @@ impl Executor<'_> {
             forced => forced,
         };
         let blocks = if path == Strategy::Bitmap {
-            self.table_blocks(schema).and(&mask)
+            self.table_blocks(&schema.name)?.and(&mask)
         } else {
             mask
         };
@@ -99,11 +99,6 @@ impl Executor<'_> {
             out.rows.extend(chunk?);
         }
         Ok(out)
-    }
-
-    fn table_blocks(&self, schema: &TableSchema) -> Bitmap {
-        self.ledger
-            .with_table_index(|ti| ti.blocks_for_table(&schema.name))
     }
 
     /// Probe-first planning (§IV-B, Eqs. 1–3). The result size `p` is
@@ -147,7 +142,7 @@ impl Executor<'_> {
         // does not page the table bitmap for `k` either.
         let k = match strategy {
             Strategy::Layered => n,
-            _ => self.table_blocks(schema).and(mask).count_ones() as u64,
+            _ => self.table_blocks(&schema.name)?.and(mask).count_ones() as u64,
         };
         let cheaper_block_path = if k < n {
             Strategy::Bitmap

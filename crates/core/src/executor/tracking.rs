@@ -106,13 +106,7 @@ impl Executor<'_> {
                 .collect();
                 let mut mask = self.ledger.window_mask_at(window, height);
                 for (column, pred) in &dims {
-                    let b = self
-                        .ledger
-                        .with_layered(None, column, |idx| idx.candidate_blocks(pred))
-                        .ok_or_else(|| {
-                            ExecError::Unsupported(format!("system {column} index missing"))
-                        })?;
-                    mask = mask.and(&b);
+                    mask = mask.and(&self.system_blocks(column, pred)?);
                 }
                 // Lines 6–13: intersect the second-level pointer sets
                 // of the two indexes under the mask (each in chain
@@ -143,14 +137,10 @@ impl Executor<'_> {
                 // scanned.
                 let mut mask = self.ledger.window_mask_at(window, height);
                 if let Some(op) = &operator {
-                    mask = mask.and(&self.ledger.with_table_index(|ti| ti.blocks_for_sender(op)));
+                    mask = mask.and(&self.sender_blocks(op)?);
                 }
                 if let Some(tname) = operation {
-                    mask = mask.and(
-                        &self
-                            .ledger
-                            .with_table_index(|ti| ti.blocks_for_table(tname)),
-                    );
+                    mask = mask.and(&self.table_blocks(tname)?);
                 }
                 self.scan_blocks_for_trace(&mask, &operator, operation, window, &mut out)?;
             }

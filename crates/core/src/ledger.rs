@@ -3,22 +3,21 @@
 //! One `Ledger` per node. It seals ordered batches from the consensus
 //! layer into blocks, appends them to the block store (the single copy
 //! of on-chain data), keeps the chain linkage verified, and maintains
-//! every index structure of §IV-B/§VI on every append: table-level
-//! bitmaps and one layered index per indexed column — authenticated,
-//! so the same index answers plain and thin-client queries. The
-//! block-level B⁺-tree's lookups are the store's (its chain-order
-//! manifest carries each block's first tid and timestamp). The two
-//! system tracking indexes on `SenID` and `Tname` ("created on all
-//! tables for all historical transactions", §V-A) exist from genesis.
+//! every index structure of §IV-B/§VI on every append: one layered
+//! index per indexed column — authenticated, so the same index answers
+//! plain and thin-client queries. The block-level B⁺-tree's lookups are
+//! the store's (its chain-order manifest carries each block's first tid
+//! and timestamp). The two system tracking indexes on `SenID` and
+//! `Tname` ("created on all tables for all historical transactions",
+//! §V-A) exist from genesis, and their discrete first level is the
+//! table-level bitmap index (one block bitmap per table) and its twin
+//! on senders.
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use sebdb_consensus::OrderedBlock;
 use sebdb_crypto::sha256::Digest;
 use sebdb_crypto::sig::{MacKeypair, Signer};
-use sebdb_index::{
-    column_slug, family_layered, family_table, Bitmap, EqualDepthHistogram, LayeredIndex,
-    TableBitmapIndex,
-};
+use sebdb_index::{column_slug, family_layered, Bitmap, EqualDepthHistogram, LayeredIndex};
 use sebdb_parallel::Tracked;
 use sebdb_storage::{
     BlockCache, BlockStore, CacheMode, CachedStore, IndexCheckpoint, PagedIndexReader, RawExtent,
@@ -94,8 +93,8 @@ fn index_key(table: Option<&str>, column: &str) -> IndexKey {
 
 /// The shard an index key lives in: per-table keys hash their table,
 /// system (`None`-table) keys live in the extra chain shard
-/// ([`INDEX_SHARDS`], owned by lane 0 alongside the bitmap index,
-/// since their maintenance walks every tuple anyway).
+/// ([`INDEX_SHARDS`], owned by lane 0, since their maintenance walks
+/// every tuple anyway).
 fn shard_of_key(key: &IndexKey) -> usize {
     match &key.0 {
         Some(table) => shard_of(table),
@@ -168,7 +167,6 @@ pub type TxVerifier = dyn Fn(&Transaction) -> bool + Send + Sync;
 pub struct Ledger {
     store: Arc<BlockStore>,
     cached: RwLock<Arc<CachedStore>>,
-    table_index: RwLock<TableBitmapIndex>,
     /// [`INDEX_SHARDS`] relation shards plus one chain shard (the
     /// system `None`-table indexes) at position [`INDEX_SHARDS`].
     shards: Vec<IndexShard>,
@@ -219,7 +217,6 @@ impl Ledger {
         let ledger = Ledger {
             store,
             cached: RwLock::new(cached),
-            table_index: RwLock::new(TableBitmapIndex::new()),
             shards: (0..=INDEX_SHARDS).map(|_| IndexShard::default()).collect(),
             last_hash: RwLock::new(Digest::ZERO),
             signer,
@@ -238,10 +235,6 @@ impl Ledger {
         // `None` (the store already deleted them) and that family
         // rebuilds from block zero.
         let mut frozen_loaded = 0usize;
-        if let Some(r) = ledger.store.load_index_checkpoint(&family_table())? {
-            *ledger.table_index.write() = TableBitmapIndex::from_frozen(r);
-            frozen_loaded += 1;
-        }
         let chain = &ledger.shards[INDEX_SHARDS];
         for col in [ColumnRef::SenId, ColumnRef::Tname] {
             let key: IndexKey = (None, column_slug(&col));
@@ -292,11 +285,8 @@ impl Ledger {
     /// Lowest chain height any index family has state for — the block
     /// the restart replay must resume from.
     fn replay_floor(&self) -> u64 {
-        let mut floor = self.table_index.read().blocks_seen();
-        for shard in &self.shards {
-            floor = floor.min(shard.covered_floor());
-        }
-        floor
+        let floors = self.shards.iter().map(IndexShard::covered_floor);
+        floors.min().unwrap_or(u64::MAX)
     }
 
     /// The index on `(table, col)` behind its published checkpoint, if
@@ -595,7 +585,6 @@ impl Ledger {
         // the pipeline's lanes already are the parallelism, and on
         // small blocks a family's update costs less than the spawn
         // that would overlap it. Each skips blocks it already covers.
-        self.table_index.write().update(block);
         for shard in &self.shards {
             shard.update(block, None);
         }
@@ -616,18 +605,17 @@ impl Ledger {
         rows
     }
 
-    /// Lane 0's chain-level share of indexing `block`: the fault hook,
-    /// the table bitmaps, and the chain shard (system `None`-table
-    /// layered indexes, which walk every tuple). Blocks must arrive in
-    /// height order.
+    /// Lane 0's chain-level share of indexing `block`: the fault hook
+    /// and the chain shard (system `None`-table layered indexes, which
+    /// walk every tuple). Blocks must arrive in height order.
     pub fn index_chain_lane(&self, block: &Block) {
         if let Some(hook) = self.index_fault.read().as_ref() {
             hook(block);
         }
-        self.table_index.write().update(block);
-        self.shards[INDEX_SHARDS].update(block, None);
+        let chain = &self.shards[INDEX_SHARDS];
+        chain.update(block, None);
         if self.checkpoint_due(block.header.height + 1) {
-            let _ = self.checkpoint_chain_families();
+            let _ = chain.checkpoint(self);
         }
     }
 
@@ -680,27 +668,12 @@ impl Ledger {
             .ok_or_else(|| LedgerError::BadIndex("published checkpoint did not reopen".into()))
     }
 
-    /// Freezes the chain-level families — the table bitmaps and the
-    /// chain shard's system indexes — into on-disk checkpoints,
-    /// dropping their resident tails. Returns how many checkpoints
-    /// were published. Lane 0 of a pipeline owns exactly these
-    /// families, so it may call this concurrently with relation lanes
-    /// checkpointing their own shards.
-    pub fn checkpoint_chain_families(&self) -> Result<usize, LedgerError> {
-        {
-            let mut ti = self.table_index.write();
-            let frozen = self.publish_checkpoint(&ti.checkpoint())?;
-            ti.adopt_frozen(frozen);
-        }
-        Ok(1 + self.shards[INDEX_SHARDS].checkpoint(self)?)
-    }
-
-    /// Freezes every index family into an on-disk checkpoint (chain
-    /// families plus all relation shards); subsequent opens replay only
-    /// blocks indexed after this point. Returns how many checkpoints
-    /// were published.
+    /// Freezes every index family into an on-disk checkpoint (the chain
+    /// shard's system indexes, then all relation shards); subsequent
+    /// opens replay only blocks indexed after this point. Returns how
+    /// many checkpoints were published.
     pub fn checkpoint_indexes(&self) -> Result<usize, LedgerError> {
-        let mut published = self.checkpoint_chain_families()?;
+        let mut published = self.shards[INDEX_SHARDS].checkpoint(self)?;
         for shard in &self.shards[..INDEX_SHARDS] {
             published += shard.checkpoint(self)?;
         }
@@ -713,11 +686,7 @@ impl Ledger {
     /// are counted there ([`sebdb_storage::IndexBlockCache`]), not
     /// here.
     pub fn index_memory_bytes(&self) -> usize {
-        let mut bytes = self.table_index.read().memory_bytes();
-        for shard in &self.shards {
-            bytes += shard.memory_bytes();
-        }
-        bytes
+        self.shards.iter().map(IndexShard::memory_bytes).sum()
     }
 
     /// Installs a fresh all-zero applied-height vector with one slot
@@ -871,11 +840,6 @@ impl Ledger {
         f: impl FnOnce(&LayeredIndex) -> R,
     ) -> Option<R> {
         self.with_layered(table, column, f)
-    }
-
-    /// Runs `f` with the table-level bitmap index.
-    pub fn with_table_index<R>(&self, f: impl FnOnce(&TableBitmapIndex) -> R) -> R {
-        f(&self.table_index.read())
     }
 
     /// Bitmap of block ids whose contents can fall in the time window

@@ -27,9 +27,9 @@
 //! persist stage's disk bandwidth scales with the relations touched,
 //! not just the lane count. Lane *k* of *L* maintains the
 //! per-table index families of every shard with `shard % L == k`; lane
-//! 0 additionally owns the chain-level structures (table bitmaps and
-//! the system tracking indexes, whose maintenance walks every tuple
-//! anyway). Lanes receive blocks in sealed chain order over their own
+//! 0 additionally owns the chain shard (the system tracking indexes,
+//! whose first levels are the table and sender bitmaps and whose
+//! maintenance walks every tuple anyway). Lanes receive blocks in sealed chain order over their own
 //! bounded channel, so per-lane order is the chain order even though
 //! lanes interleave freely with each other.
 //!

@@ -631,9 +631,9 @@ fn an_old_format_checkpoint_is_deleted_and_replayed() {
             .collect()
     };
     let published = icps();
-    // One file per family: table, the two system columns and the two
-    // indexed `amount`s.
-    assert_eq!(published.len(), 5);
+    // One file per family: the two system columns and the two indexed
+    // `amount`s.
+    assert_eq!(published.len(), 4);
     for (i, path) in published.iter().enumerate() {
         let mut bytes = std::fs::read(path).unwrap();
         let end = bytes.len();

@@ -18,6 +18,11 @@
 //! counted so far; it stops at the first "no". The walk therefore
 //! collects at most `min(C_scan, C_bitmap) / (t_S + t_T)` pointers
 //! before giving up — about 26 per table block at the defaults.
+//!
+//! The executor plans with [`CostParams::default`]. Nothing here reads
+//! a clock or the store's cache counters, so a plan is a function of
+//! the counts above: the same chain plans the same on any host and
+//! after any query history.
 
 /// Device/deployment parameters of the cost model.
 #[derive(Debug, Clone, Copy)]
@@ -58,68 +63,6 @@ impl Default for CostParams {
             fence_probe_us: 1.0,
             index_cache_hit_rate: 0.9,
         }
-    }
-}
-
-/// Observed index-cache accesses below which [`CostParams::calibrated`]
-/// keeps the default hit rate: a handful of cold-start misses would
-/// otherwise swing the estimate to an extreme that no steady-state
-/// workload exhibits.
-pub const CALIBRATION_MIN_SAMPLES: u64 = 64;
-
-/// One-time microprobe of the fence binary search this deployment
-/// actually runs: median-of-batches timing of `partition_point` over a
-/// fence-sized array, clamped to a sane band. Cached after first use —
-/// the planner consults it per query.
-fn measured_fence_probe_us() -> f64 {
-    use std::sync::OnceLock;
-    static MEASURED: OnceLock<f64> = OnceLock::new();
-    *MEASURED.get_or_init(|| {
-        // The shape of a real fence probe: binary search over ~4k
-        // first-key entries (a full level-0 fence table).
-        let fences: Vec<u64> = (0..4096u64).map(|i| i * 977).collect();
-        let probes_per_batch = 512u32;
-        let mut best_us = f64::INFINITY;
-        let mut key = 0x9E37_79B9u64;
-        for _ in 0..8 {
-            let start = std::time::Instant::now();
-            let mut live = 0u64;
-            for _ in 0..probes_per_batch {
-                key = key.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let needle = key % (4096 * 977);
-                live = live.wrapping_add(fences.partition_point(|&f| f <= needle) as u64);
-            }
-            let elapsed = start.elapsed().as_secs_f64() * 1e6;
-            std::hint::black_box(live);
-            // Fastest batch ≈ the uncontended cost; slower ones carry
-            // scheduler noise.
-            best_us = best_us.min(elapsed / f64::from(probes_per_batch));
-        }
-        // Clamp: a probe can't round to zero (the term must stay
-        // monotone in index_blocks) and a wildly slow reading would
-        // poison every plan until restart.
-        best_us.clamp(0.05, 50.0)
-    })
-}
-
-impl CostParams {
-    /// Default parameters recalibrated from live `IoStats` index-cache
-    /// counters: `index_cache_hit_rate` becomes the observed
-    /// `hits / (hits + misses)` once at least
-    /// [`CALIBRATION_MIN_SAMPLES`] accesses exist (below that the
-    /// default stands), and `fence_probe_us` is replaced by the
-    /// once-per-process microprobe measurement of the actual fence
-    /// binary search. Everything else keeps its default.
-    pub fn calibrated(hits: u64, misses: u64) -> CostParams {
-        let mut params = CostParams {
-            fence_probe_us: measured_fence_probe_us(),
-            ..CostParams::default()
-        };
-        let total = hits + misses;
-        if total >= CALIBRATION_MIN_SAMPLES {
-            params.index_cache_hit_rate = hits as f64 / total as f64;
-        }
-        params
     }
 }
 
@@ -297,39 +240,6 @@ mod tests {
             let last_win = (0..).find(|&p| c.choose(2 * k, k, p + 1) != AccessPath::Layered);
             assert_eq!(last_win.map(|p| p / k), Some(25), "k = {k}");
         }
-    }
-
-    #[test]
-    fn calibration_tracks_observed_hit_rate() {
-        // Enough samples: the observed ratio replaces the default.
-        let c = CostParams::calibrated(90, 10);
-        assert!((c.index_cache_hit_rate - 0.9).abs() < 1e-9);
-        let cold = CostParams::calibrated(0, 100);
-        assert!((cold.index_cache_hit_rate - 0.0).abs() < 1e-9);
-        // Under the sample floor (including the no-data cold start)
-        // the default stands.
-        let fresh = CostParams::calibrated(0, 0);
-        assert!(
-            (fresh.index_cache_hit_rate - CostParams::default().index_cache_hit_rate).abs() < 1e-9
-        );
-        let sparse = CostParams::calibrated(CALIBRATION_MIN_SAMPLES - 1, 0);
-        assert!(
-            (sparse.index_cache_hit_rate - CostParams::default().index_cache_hit_rate).abs() < 1e-9
-        );
-    }
-
-    #[test]
-    fn measured_fence_probe_is_sane_and_stable() {
-        let a = CostParams::calibrated(0, 0).fence_probe_us;
-        let b = CostParams::calibrated(500, 500).fence_probe_us;
-        assert!((0.05..=50.0).contains(&a), "probe estimate {a} out of band");
-        assert!((a - b).abs() < 1e-12, "microprobe must be cached");
-        // Everything but the two calibrated knobs keeps its default.
-        let c = CostParams::calibrated(90, 10);
-        let d = CostParams::default();
-        assert_eq!(c.seek_us, d.seek_us);
-        assert_eq!(c.chain_block_bytes, d.chain_block_bytes);
-        assert_eq!(c.tuple_bytes, d.tuple_bytes);
     }
 
     #[test]

@@ -5,15 +5,15 @@
 //! in bid order, resident, and carries each block's first tid and
 //! timestamp, so `sebdb-storage`'s `BlockStore` answers those lookups.
 //!
-//! * [`tableindex::TableBitmapIndex`] — table-level bitmaps over blocks
-//!   (plus sender bitmaps for tracking);
 //! * [`layered::LayeredIndex`] — the two-level layered index, one per
 //!   indexed column: histogram/value bitmaps above, one bulk-built
 //!   [`mbtree::MbTree`] per block below (frozen, their leaves merge
 //!   into one value-ordered run). Plain probes read the trees' sorted
 //!   leaves; `ali.rs` holds the authenticated reads over their digests
 //!   — the VO protocol for thin clients, with soundness- and
-//!   completeness-checking range proofs;
+//!   completeness-checking range proofs. The discrete first level of
+//!   the system indexes on `Tname` and `SenId` is §IV-B's table-level
+//!   bitmap index and its sender twin;
 //! * [`paged`] — what every family's paged backend shares: key tags,
 //!   entry codecs, family names and the one checkpoint merge
 //!   ([`paged::CheckpointBuilder`]);
@@ -29,7 +29,6 @@ pub mod histogram;
 pub mod layered;
 pub mod mbtree;
 pub mod paged;
-pub mod tableindex;
 
 pub use ali::{auxiliary_digest, verify_query_vo, AuthenticatedLayeredIndex, BlockVo, QueryVo};
 pub use bitmap::Bitmap;
@@ -37,5 +36,4 @@ pub use cost::{AccessPath, CostParams};
 pub use histogram::EqualDepthHistogram;
 pub use layered::{KeyPredicate, LayeredIndex, Probe};
 pub use mbtree::{AuthEntry, MbTree, RangeProof, VerifyError};
-pub use paged::{column_slug, family_layered, family_table};
-pub use tableindex::TableBitmapIndex;
+pub use paged::{column_slug, family_layered};

@@ -50,11 +50,6 @@ pub const TAG_ENTRY: u8 = 0x06;
 /// Unit separator between family-name components.
 const FAMILY_SEP: u8 = 0x1f;
 
-/// Family name of the table-bitmap index checkpoint.
-pub fn family_table() -> Vec<u8> {
-    b"table".to_vec()
-}
-
 /// Family name of one layered index (`table = None` for the system
 /// columns indexed across all tables).
 pub fn family_layered(table: Option<&str>, column: &str) -> Vec<u8> {
@@ -388,7 +383,7 @@ mod tests {
     #[test]
     fn family_names_are_distinct() {
         let names = [
-            family_table(),
+            family_layered(None, "tname"),
             family_layered(None, "sen_id"),
             family_layered(Some("donate"), "amount"),
             family_layered(Some("donate"), "donor"),
