@@ -31,6 +31,12 @@ cargo test -q
 echo "==> cargo test --release -q -p sebdb-crypto"
 cargo test --release -q -p sebdb-crypto
 
+# A frozen block's proof cuts its leaves into fanout-sized pages and
+# indexes stored digest levels by that arithmetic: the index crate's
+# tests run optimized too, as the page arithmetic ships.
+echo "==> cargo test --release -q -p sebdb-index"
+cargo test --release -q -p sebdb-index
+
 # Deterministic interleaving checker: exhaustively explores schedules
 # of the pipeline/mempool/cache/index/partition models with the
 # happens-before race detector active on every schedule (DESIGN §14),

@@ -263,7 +263,9 @@ impl<'a> Executor<'a> {
 
     /// `GET BLOCK` (Q7): resolve through the store's block-level
     /// lookups below the applied height, return a one-row header
-    /// summary.
+    /// summary. The row comes from the block's chain record and its
+    /// manifest key; no tuple is read, except to tell whether a looked-up
+    /// tid is the block's.
     fn run_get_block(&self, sel: &BoundBlockSelector) -> Result<QueryResult, ExecError> {
         let (store, height) = (self.ledger.store(), self.ledger.height());
         let bid = match *sel {
@@ -281,26 +283,25 @@ impl<'a> Executor<'a> {
         let Some(bid) = bid else {
             return Ok(QueryResult::empty(columns));
         };
-        let block = self.ledger.read_block(bid)?;
         // The tid lookup names the only block that can hold the tid;
         // one no transaction carries (past the chain's last, say) has
-        // no block.
+        // no block. Tids need not be contiguous, so only the tuples tell.
         if let BoundBlockSelector::ByTid(tid) = *sel {
+            let block = self.ledger.read_block(bid)?;
             if !block.transactions.iter().any(|t| t.tid == tid) {
                 return Ok(QueryResult::empty(columns));
             }
         }
+        let (header, tx_count) = store.header(bid).map_err(LedgerError::from)?;
+        let first_tid = store.first_tid(bid);
         Ok(QueryResult {
             columns,
             rows: vec![vec![
-                Value::Int(block.header.height as i64),
-                Value::Timestamp(block.header.timestamp),
-                block
-                    .first_tid()
-                    .map(|t| Value::Int(t as i64))
-                    .unwrap_or(Value::Null),
-                Value::Int(block.transactions.len() as i64),
-                Value::Str(block.header.block_hash.to_hex()),
+                Value::Int(header.height as i64),
+                Value::Timestamp(header.timestamp),
+                first_tid.map_or(Value::Null, |t| Value::Int(t as i64)),
+                Value::Int(tx_count as i64),
+                Value::Str(header.block_hash.to_hex()),
             ]],
         })
     }

@@ -896,10 +896,11 @@ impl Ledger {
         Ok(())
     }
 
-    /// All headers (what a thin client syncs).
+    /// All headers (what a thin client syncs), each from its chain
+    /// record alone.
     pub fn headers(&self) -> Result<Vec<sebdb_types::BlockHeader>, LedgerError> {
         (0..self.store.height())
-            .map(|bid| Ok(self.store.read(bid)?.header.clone()))
+            .map(|bid| Ok(self.store.header(bid)?.0))
             .collect()
     }
 }

@@ -17,23 +17,22 @@
 //! result and neither phase reads the first level.
 //!
 //! Paged backend (DESIGN §13): frozen blocks keep their sorted leaf
-//! entries and 32-byte MB-roots in the checkpoint. Roots answer
-//! auxiliary queries without touching leaf data; a frozen block's tree
-//! is rebuilt from its stored leaves only when a VO must be produced
-//! for it (`MbTree::build` sorts stably over the already sorted list,
-//! so the rebuilt tree is byte-identical). The leaves are read past
-//! the index-block cache and checked against the stored root, so how
-//! many proofs ran does not set what the cache holds.
+//! entries, the MB-tree's internal digests and its 32-byte root in the
+//! checkpoint. Roots answer auxiliary queries without touching leaf
+//! data; a frozen block's proof is built from its stored leaves and
+//! digests, hashing only the leaf pages it reveals
+//! ([`MbTree::prove_stored`]), and is the resident tree's byte for
+//! byte. They are read past the index-block cache and checked against
+//! the stored root, so how many proofs ran does not set what the cache
+//! holds.
 
 use crate::bitmap::Bitmap;
 use crate::layered::{KeyPredicate, LayeredIndex};
 use crate::mbtree::{AuthEntry, MbTree, RangeProof, VerifyError};
-use crate::paged::{
-    auth_entries_from_bytes, decode_fail, get_digest, TAG_BLOCK_ENTRIES, TAG_BLOCK_ROOT,
-};
+use crate::paged::{decode_fail, get_digest, StoredTree, TAG_BLOCK_ENTRIES, TAG_BLOCK_ROOT};
 use sebdb_crypto::sha256::{Digest, Sha256};
 use sebdb_storage::TxPtr;
-use sebdb_types::{BlockId, Decoder};
+use sebdb_types::{BlockId, Decoder, Value};
 
 /// The paper's name for an index that can prove its answers. Every
 /// layered index can; the alias is kept only because the frozen
@@ -130,21 +129,27 @@ impl LayeredIndex {
         self.block_root(bid).unwrap_or(Digest::ZERO)
     }
 
-    /// Rebuilds one frozen block's MB-tree from its stored leaf level,
-    /// read past the cache and the block checksum: the rebuilt tree
-    /// must hash to the block's stored root, a stronger check than the
-    /// checksum, and one that fails stop like it.
-    fn frozen_tree(&self, bid: BlockId) -> Option<MbTree> {
-        let leaves = self.frozen_entry_direct(TAG_BLOCK_ENTRIES, bid);
-        match (leaves, self.block_root(bid)) {
+    /// Proves `lo ≤ key ≤ hi` over frozen block `bid` from its stored
+    /// leaves and internal digests, read past the cache and the block
+    /// checksum: what the proof reveals must hash to the block's stored
+    /// root — a stronger check than the checksum over those bytes, and
+    /// one that fails stop like it. Returns the proof and that root.
+    fn frozen_proof(
+        &self,
+        bid: BlockId,
+        lo: &Value,
+        hi: &Value,
+    ) -> Option<(Vec<AuthEntry>, RangeProof, Digest)> {
+        let stored = self.frozen_entry_direct(TAG_BLOCK_ENTRIES, bid);
+        match (stored, self.block_root(bid)) {
             (None, None) => None,
             (Some(bytes), Some(root)) => {
-                let tree = MbTree::build(auth_entries_from_bytes(&bytes), self.fanout());
-                assert!(
-                    tree.root() == root,
-                    "frozen block {bid}: leaf list does not hash to its MB-root"
-                );
-                Some(tree)
+                let stored = StoredTree::parse(&bytes);
+                let proven = MbTree::prove_stored(&stored, &root, self.fanout(), lo, hi);
+                let Ok((results, proof)) = proven else {
+                    panic!("frozen block {bid}: leaf list does not hash to its MB-root")
+                };
+                Some((results, proof, root))
             }
             _ => panic!("frozen block {bid}: a leaf list without an MB-root or the reverse"),
         }
@@ -174,18 +179,16 @@ impl LayeredIndex {
         };
         let mut per_block = Vec::new();
         for bid in below(blocks, height) {
-            let rebuilt;
-            let tree = match self.tail_tree(bid) {
-                Some(t) => t,
-                None => match self.frozen_tree(bid) {
-                    Some(t) => {
-                        rebuilt = t;
-                        &rebuilt
-                    }
-                    None => continue,
-                },
+            let proven = match self.tail_tree(bid) {
+                Some(tree) => {
+                    let (results, proof) = tree.range_query(lo, hi);
+                    Some((results, proof, tree.root()))
+                }
+                None => self.frozen_proof(bid, lo, hi),
             };
-            let (results, proof) = tree.range_query(lo, hi);
+            let Some((results, proof, mb_root)) = proven else {
+                continue;
+            };
             if results.is_empty() {
                 continue;
             }
@@ -193,7 +196,7 @@ impl LayeredIndex {
                 block: bid,
                 results,
                 proof,
-                mb_root: tree.root(),
+                mb_root,
             });
         }
         QueryVo { height, per_block }
@@ -388,16 +391,20 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A frozen leaf list is read past the block checksum, so the tree
-    /// rebuilt from it must hash to the stored root: a flipped byte in a
-    /// leaf's hash fails stop.
+    /// A frozen leaf list is read past the block checksum, so the leaf
+    /// pages a proof reveals must hash to the stored level-1 digests and
+    /// those to the stored root: a flipped byte in a revealed leaf's hash
+    /// fails stop. (`tests/frozen_proofs.rs` flips a stored digest, and a
+    /// leaf on a page the proof does not reveal.)
     #[test]
     #[should_panic(expected = "does not hash to its MB-root")]
     fn a_frozen_leaf_list_must_hash_to_its_root() {
         use sebdb_storage::indexseg::checkpoint_file_name;
-        let mut ali = ali_with_blocks(&[&[100, 200, 300]]);
+        // Two leaf pages (64 + 36 entries) under one stored level-1 pair.
+        let amounts: Vec<i64> = (0..100).map(|i| i * 10).collect();
+        let mut ali = ali_with_blocks(&[&amounts]);
         let store = sebdb_storage::BlockStore::temporary(Default::default()).unwrap();
-        store.append(&block(0, &[100, 200, 300])).unwrap();
+        store.append(&block(0, &amounts)).unwrap();
         let cp = ali.checkpoint();
         store.write_index_checkpoint(&cp).unwrap();
         ali.adopt_frozen(store.load_index_checkpoint(&cp.family).unwrap().unwrap());
@@ -417,10 +424,11 @@ mod tests {
             .windows(leaves.len())
             .position(|w| w == leaves)
             .unwrap();
-        // The last leaf ends with its 32-byte hash and a 12-byte pointer.
-        bytes[at + leaves.len() - 20] ^= 1;
+        // The last leaf ends with its 32-byte hash and a 12-byte pointer,
+        // before the two 32-byte level-1 digests.
+        bytes[at + leaves.len() - 64 - 20] ^= 1;
         std::fs::write(&path, bytes).unwrap();
-        let pred = KeyPredicate::Range(Value::decimal(50), Value::decimal(350));
+        let pred = KeyPredicate::Range(Value::decimal(900), Value::decimal(990));
         ali.authenticated_query(&pred, None, 1);
     }
 
@@ -455,13 +463,17 @@ mod tests {
         // Per block: buckets + entries + root; per row: one run key;
         // plus all-blocks + bucket inversions.
         assert!(cp.entries.len() >= 10);
-        // Leaf lists round-trip through the codec.
+        // Leaf lists round-trip through the codec; a block of ≤ fanout
+        // entries stores no internal digest.
         let (_, bytes) = cp
             .entries
             .iter()
             .find(|(k, _)| k[0] == TAG_BLOCK_ENTRIES)
             .unwrap();
-        let entries = auth_entries_from_bytes(bytes);
-        assert_eq!(MbTree::build(entries, ali.fanout()).root(), ali.mb_root(0));
+        let stored = StoredTree::parse(bytes);
+        assert!(stored.upper().is_empty());
+        let leaves = (0..stored.leaf_count()).map(|p| stored.entry(p)).collect();
+        let tree = MbTree::build(leaves, ali.fanout());
+        assert_eq!(tree.root(), ali.mb_root(0));
     }
 }

@@ -24,8 +24,9 @@
 //! them. Freezing merges their leaves into one key per row, ordered
 //! `(value, block, position)`: the same rows, so the same answers, but
 //! a probe reads the index blocks its answer spans however long the
-//! chain. Beside that run a checkpoint keeps each block's leaf list
-//! and MB-root, because a proof is per block (§VI).
+//! chain. Beside that run a checkpoint keeps each block's leaf list,
+//! the tree's internal digests and its MB-root, because a proof is per
+//! block (§VI).
 //!
 //! **Paged backend** (DESIGN §13): the index can carry a frozen
 //! on-disk checkpoint covering blocks `[0, base)`; the structures here
@@ -39,7 +40,7 @@ use crate::bitmap::Bitmap;
 use crate::histogram::EqualDepthHistogram;
 use crate::mbtree::{AuthEntry, MbTree, DEFAULT_FANOUT};
 use crate::paged::{
-    auth_entries_bytes, bid_key, bitmap_bytes, bitmap_from_bytes, bucket_key, column_slug,
+    bid_key, bitmap_bytes, bitmap_from_bytes, block_tree_bytes, bucket_key, column_slug,
     decode_entry_key, decode_fail, decode_value_key, entry_key, entry_ptr, family_layered,
     frozen_bitmap, read_fail, value_key, value_resident_bytes, CheckpointBuilder, TAG_ALL_BLOCKS,
     TAG_BLOCK_BUCKETS, TAG_BLOCK_ENTRIES, TAG_BLOCK_ROOT, TAG_ENTRY, TAG_VALUE_BLOCKS,
@@ -101,8 +102,8 @@ pub struct LayeredIndex {
     first: FirstLevel,
     /// Per-block second-level trees for the tail, slot = `bid - base`.
     second: Vec<Option<MbTree>>,
-    /// MB-tree fanout: clients rebuild roots and a frozen block's tree
-    /// is rebuilt with it, so it travels in the checkpoint meta.
+    /// MB-tree fanout: clients rebuild roots and a frozen block's leaf
+    /// pages are cut with it, so it travels in the checkpoint meta.
     fanout: usize,
     /// The frozen prefix: blocks below the reader's height are served
     /// from its checkpoint.
@@ -693,17 +694,14 @@ impl LayeredIndex {
         }
         // One key per row — merged with every other block's, the
         // value-ordered run plain probes scan — and, per block, the
-        // leaf list and root a proof is built from.
+        // leaf list, internal digests and root a proof is built from.
         for (slot, tree) in self.second.iter().enumerate() {
             let Some(tree) = tree else { continue };
             let bid = base + slot as u64;
             for e in tree.entries() {
                 cp.put(entry_key(&e.key, e.ptr), Vec::new());
             }
-            cp.put(
-                bid_key(TAG_BLOCK_ENTRIES, bid),
-                auth_entries_bytes(tree.entries()),
-            );
+            cp.put(bid_key(TAG_BLOCK_ENTRIES, bid), block_tree_bytes(tree));
             cp.put(
                 bid_key(TAG_BLOCK_ROOT, bid),
                 tree.root().as_bytes().to_vec(),

@@ -15,10 +15,11 @@
 //! through boundary entries, exactly as in the MB-tree range protocol
 //! of Li et al., SIGMOD'06).
 
-use crate::paged::value_resident_bytes;
+use crate::paged::{value_resident_bytes, StoredTree};
 use sebdb_crypto::sha256::{Digest, Sha256};
 use sebdb_storage::TxPtr;
 use sebdb_types::{Encoder, Value};
+use std::borrow::Borrow;
 
 /// Node fanout: entries per 4 KB page at ~64 B per authenticated entry.
 pub const DEFAULT_FANOUT: usize = 64;
@@ -40,12 +41,8 @@ impl AuthEntry {
     pub fn digest(&self) -> Digest {
         let mut enc = Encoder::with_capacity(64);
         enc.put_value(&self.key);
-        let key_bytes = enc.finish();
-        let mut h = Sha256::new();
-        h.update(&[0x02]);
-        h.update(&key_bytes);
-        h.update(self.tx_hash.as_bytes());
-        h.finalize()
+        enc.put_raw(self.tx_hash.as_bytes());
+        leaf_digest(&enc.finish())
     }
 
     /// Serialized size (for VO accounting).
@@ -56,6 +53,15 @@ impl AuthEntry {
     }
 }
 
+/// The leaf digest of `encode(key) ‖ tx_hash` — the bytes a leaf is
+/// stored as, up to its pointer, so a stored leaf hashes where it lies.
+pub(crate) fn leaf_digest(key_and_hash: &[u8]) -> Digest {
+    let mut h = Sha256::new();
+    h.update(&[0x02]);
+    h.update(key_and_hash);
+    h.finalize()
+}
+
 fn hash_children(children: &[Digest]) -> Digest {
     let mut h = Sha256::new();
     h.update(&[0x03]);
@@ -63,6 +69,90 @@ fn hash_children(children: &[Digest]) -> Digest {
         h.update(c.as_bytes());
     }
     h.finalize()
+}
+
+/// The revealed positions `[a, b]` of a query matching `[i, j)` among
+/// `n ≥ 1` entries: the matches plus one boundary entry on each side
+/// that has one.
+fn revealed(i: usize, j: usize, n: usize) -> (usize, usize) {
+    let a = i.saturating_sub(1);
+    let b = if j < n { j } else { j - 1 }.max(a);
+    (a, b)
+}
+
+/// The one proof builder: the proof of the matches `[i, j)` among `n`
+/// sorted leaves, a resident tree's or a frozen block's. `entry(p)`
+/// hands leaf `p`, asked only for the revealed ones; `level(l)` hands
+/// level `l`'s digests from some position on, as `(position,
+/// digests)`. At every level below the root the builder reads the
+/// children of the two boundary nodes around the revealed span, and
+/// nothing else.
+fn prove<'d>(
+    n: usize,
+    (i, j): (usize, usize),
+    fanout: usize,
+    entry: impl Fn(usize) -> AuthEntry,
+    level: impl Fn(usize) -> (usize, &'d [Digest]),
+) -> (Vec<AuthEntry>, RangeProof) {
+    if n == 0 {
+        let proof = RangeProof {
+            start: 0,
+            total: 0,
+            left_boundary: None,
+            right_boundary: None,
+            fringe: Vec::new(),
+        };
+        return (Vec::new(), proof);
+    }
+    let (a, b) = revealed(i, j, n);
+    let mut fringe = Vec::new();
+    let (mut a_l, mut b_l, mut len) = (a, b, n);
+    while len > 1 {
+        let (at, digests) = level(fringe.len());
+        let parent_a = a_l / fanout;
+        let parent_b = b_l / fanout;
+        let left_start = parent_a * fanout;
+        let right_end = ((parent_b + 1) * fanout).min(len);
+        let left = digests[left_start - at..a_l - at].to_vec();
+        let right = digests[b_l + 1 - at..right_end - at].to_vec();
+        fringe.push((left, right));
+        a_l = parent_a;
+        b_l = parent_b;
+        len = len.div_ceil(fanout);
+    }
+    let proof = RangeProof {
+        start: a,
+        total: n,
+        left_boundary: (i > 0).then(|| entry(a)),
+        right_boundary: (j < n).then(|| entry(b)),
+        fringe,
+    };
+    ((i..j).map(entry).collect(), proof)
+}
+
+/// Leaf positions `[i, j)` of the `n` sorted leaves with `lo ≤ key ≤
+/// hi`, `key(p)` being leaf `p`'s key: one descent to `lo`, then a walk
+/// along the leaves to the first key past `hi` — every caller reads the
+/// span it gets, so the walk is no extra order of work, and a probe
+/// that finds nothing in this block (most of them) pays one comparison
+/// for it.
+fn span<K: Borrow<Value>>(
+    n: usize,
+    key: impl Fn(usize) -> K,
+    lo: &Value,
+    hi: &Value,
+) -> (usize, usize) {
+    let (mut i, mut end) = (0, n);
+    while i < end {
+        let mid = i + (end - i) / 2;
+        if key(mid).borrow() < lo {
+            i = mid + 1;
+        } else {
+            end = mid;
+        }
+    }
+    let matching = (i..n).take_while(|&p| key(p).borrow() <= hi);
+    (i, i + matching.count())
 }
 
 /// A static (bulk-loaded, immutable) MB-tree over one block's entries,
@@ -209,15 +299,12 @@ impl MbTree {
         leaves + self.len() * 32 / self.fanout.saturating_sub(1).max(1)
     }
 
-    /// Leaf positions `[i, j)` of the entries with `lo ≤ key ≤ hi`: one
-    /// descent to `lo`, then a walk along the leaves to the first key
-    /// past `hi` — every caller reads the span it gets, so the walk is
-    /// no extra order of work, and a probe that finds nothing in this
-    /// block (most of them) pays one comparison for it.
-    fn span(&self, lo: &Value, hi: &Value) -> (usize, usize) {
-        let i = self.entries.partition_point(|e| e.key < *lo);
-        let matching = self.entries[i..].iter().take_while(|e| e.key <= *hi);
-        (i, i + matching.count())
+    /// The digests a frozen block stores beside its leaves: levels 1 …
+    /// top−1, bottom-up — every node but the leaves and the root, so
+    /// none for a tree of ≤ fanout entries.
+    pub fn internal_digests(&self) -> impl Iterator<Item = &Digest> {
+        let inner = self.levels.len().saturating_sub(2);
+        self.levels.iter().skip(1).take(inner).flatten()
     }
 
     /// The entries with `lo ≤ key ≤ hi`, unproven — the plain read of
@@ -228,56 +315,85 @@ impl MbTree {
         &self.entries[i..j]
     }
 
+    fn span(&self, lo: &Value, hi: &Value) -> (usize, usize) {
+        span(self.len(), |p| &self.entries[p].key, lo, hi)
+    }
+
     /// Answers `lo ≤ key ≤ hi`, returning the matching entries and a
     /// proof of soundness + completeness.
     pub fn range_query(&self, lo: &Value, hi: &Value) -> (Vec<AuthEntry>, RangeProof) {
-        let n = self.entries.len();
-        if n == 0 {
-            return (
-                Vec::new(),
-                RangeProof {
-                    start: 0,
-                    total: 0,
-                    left_boundary: None,
-                    right_boundary: None,
-                    fringe: Vec::new(),
-                },
-            );
+        let entry = |p: usize| self.entries[p].clone();
+        let level = |l: usize| (0, &self.levels[l][..]);
+        prove(self.len(), self.span(lo, hi), self.fanout, entry, level)
+    }
+
+    /// [`Self::range_query`] over a frozen block without building its
+    /// tree, from its stored leaves and internal digests ([`StoredTree`])
+    /// and its stored MB-root. Only the leaf pages (one node, `fanout`
+    /// entries each) the revealed span touches are hashed, and only the
+    /// leaves it reveals are decoded. Each such page must hash to its
+    /// stored level-1 digest, and the stored levels to `root`, so all the
+    /// answer ships is covered by `root`, and it is the resident tree's
+    /// byte for byte. A leaf on a page the span does not touch is not
+    /// read. `Err(RootMismatch)` when the bytes do not hash to `root`,
+    /// `Err(Malformed)` when the stored digests have another tree's
+    /// shape.
+    pub fn prove_stored(
+        stored: &StoredTree<'_>,
+        root: &Digest,
+        fanout: usize,
+        lo: &Value,
+        hi: &Value,
+    ) -> Result<(Vec<AuthEntry>, RangeProof), VerifyError> {
+        let n = stored.leaf_count();
+        // Levels 1 … top, the root's included: stored, then `root`.
+        let mut above: Vec<&[Digest]> = Vec::new();
+        let (mut len, mut rest) = (n, stored.upper());
+        while len > 1 {
+            len = len.div_ceil(fanout);
+            let (level, tail) = match len {
+                1 => (std::slice::from_ref(root), rest),
+                _ => rest.split_at_checked(len).ok_or(VerifyError::Malformed)?,
+            };
+            above.push(level);
+            rest = tail;
         }
-        let (i, j) = self.span(lo, hi);
-        let results: Vec<AuthEntry> = self.entries[i..j].to_vec();
-
-        // Revealed index range [a, b] includes the boundaries.
-        let a = i.saturating_sub(1);
-        let b = if j < n { j } else { j - 1 }.max(a);
-        let left_boundary = (i > 0).then(|| self.entries[a].clone());
-        let right_boundary = (j < n).then(|| self.entries[b].clone());
-
-        // Collect fringes level by level.
-        let mut fringe = Vec::new();
-        let (mut a_l, mut b_l) = (a, b);
-        for level in &self.levels[..self.levels.len() - 1] {
-            let parent_a = a_l / self.fanout;
-            let parent_b = b_l / self.fanout;
-            let left_start = parent_a * self.fanout;
-            let right_end = ((parent_b + 1) * self.fanout).min(level.len());
-            let left: Vec<Digest> = level[left_start..a_l].to_vec();
-            let right: Vec<Digest> = level[b_l + 1..right_end].to_vec();
-            fringe.push((left, right));
-            a_l = parent_a;
-            b_l = parent_b;
+        if !rest.is_empty() {
+            return Err(VerifyError::Malformed);
         }
-
-        (
-            results,
-            RangeProof {
-                start: a,
-                total: n,
-                left_boundary,
-                right_boundary,
-                fringe,
-            },
-        )
+        for pair in above.windows(2) {
+            let nodes = pair[0].chunks(fanout).map(hash_children);
+            if !nodes.eq(pair[1].iter().copied()) {
+                return Err(VerifyError::RootMismatch);
+            }
+        }
+        let matches = span(n, |p| stored.key(p), lo, hi);
+        // The leaf pages the revealed span touches.
+        let (first, leaves) = match (n, above.first()) {
+            (0, _) => (0, Vec::new()),
+            (_, None) => (0, vec![stored.leaf_digest(0)]),
+            (_, Some(level1)) => {
+                let (a, b) = revealed(matches.0, matches.1, n);
+                let (pa, pb) = (a / fanout, b / fanout);
+                let pages = pa * fanout..((pb + 1) * fanout).min(n);
+                let leaves: Vec<Digest> = pages.map(|p| stored.leaf_digest(p)).collect();
+                let nodes = leaves.chunks(fanout).map(hash_children);
+                if !nodes.eq(level1[pa..=pb].iter().copied()) {
+                    return Err(VerifyError::RootMismatch);
+                }
+                (pa * fanout, leaves)
+            }
+        };
+        // A one-entry tree's root is its leaf; an empty one's is ZERO.
+        if above.is_empty() && leaves.first().unwrap_or(&Digest::ZERO) != root {
+            return Err(VerifyError::RootMismatch);
+        }
+        let entry = |p: usize| stored.entry(p);
+        let level = |l: usize| match l {
+            0 => (first, &leaves[..]),
+            _ => (0, above[l - 1]),
+        };
+        Ok(prove(n, matches, fanout, entry, level))
     }
 
     /// Client-side verification: reconstructs the root from the result

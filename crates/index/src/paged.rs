@@ -18,6 +18,7 @@
 //! here means bytes rotted underneath a validated file).
 
 use crate::bitmap::Bitmap;
+use crate::mbtree::{leaf_digest, AuthEntry, MbTree};
 use sebdb_crypto::sha256::Digest;
 use sebdb_storage::{IndexCheckpoint, PagedIndexReader, StorageError, TxPtr};
 use sebdb_types::{ColumnRef, Decoder, Encoder, TypeError, Value};
@@ -32,7 +33,8 @@ pub const TAG_BLOCK_BUCKETS: u8 = 0x01;
 /// (discrete first level).
 pub const TAG_VALUE_BLOCKS: u8 = 0x02;
 /// Key tag: `0x03 ‖ bid(u64 BE)` → the block's sorted MB-tree leaf
-/// level (what a proof is built from: a VO is per block, §VI).
+/// level and internal digests (what a proof is built from: a VO is per
+/// block, §VI).
 pub const TAG_BLOCK_ENTRIES: u8 = 0x03;
 /// Key tag: `0x04 ‖ bucket(u32 BE)` → the bucket's absolute block
 /// bitmap (continuous first level, inverted — the candidate-block
@@ -268,17 +270,22 @@ impl CheckpointBuilder {
     }
 }
 
-/// Serializes a sorted [`AuthEntry`] list (one block's MB-tree leaf
-/// level, in tree order — rebuilding via `MbTree::build` reproduces
-/// the tree byte-identically because the build sort is stable).
-pub fn auth_entries_bytes(entries: &[crate::mbtree::AuthEntry]) -> Vec<u8> {
+/// Serializes one block's MB-tree as its `0x03` entry: the sorted leaf
+/// level in tree order (`MbTree::build` over it reproduces the tree
+/// byte for byte, because the build sort is stable), then the internal
+/// digests ([`MbTree::internal_digests`]), which a tree of ≤ fanout
+/// entries does not have.
+pub fn block_tree_bytes(tree: &MbTree) -> Vec<u8> {
     let mut enc = Encoder::new();
-    enc.put_u32(entries.len() as u32);
-    for e in entries {
+    enc.put_u32(tree.len() as u32);
+    for e in tree.entries() {
         enc.put_value(&e.key);
         enc.put_raw(e.tx_hash.as_bytes());
         enc.put_u64(e.ptr.block);
         enc.put_u32(e.ptr.index);
+    }
+    for d in tree.internal_digests() {
+        enc.put_raw(d.as_bytes());
     }
     enc.finish()
 }
@@ -290,26 +297,87 @@ pub fn get_digest(dec: &mut Decoder<'_>, context: &'static str) -> Result<Digest
     Ok(Digest(digest))
 }
 
-/// Decodes [`auth_entries_bytes`] output.
-pub fn auth_entries_from_bytes(bytes: &[u8]) -> Vec<crate::mbtree::AuthEntry> {
-    let mut dec = Decoder::new(bytes);
-    let mut parse = || -> Result<Vec<crate::mbtree::AuthEntry>, TypeError> {
-        let n = dec.get_u32("paged auth entries count")?;
-        let mut out = Vec::with_capacity(n as usize);
-        for _ in 0..n {
+/// A frozen block's `0x03` entry ([`block_tree_bytes`]), parsed only
+/// as far as a proof needs: where each leaf starts, and the internal
+/// digests. A leaf is decoded, or hashed, when the proof asks for it.
+pub struct StoredTree<'a> {
+    bytes: &'a [u8],
+    /// Leaf `p` is `bytes[starts[p]..starts[p + 1]]`.
+    starts: Vec<usize>,
+    upper: Vec<Digest>,
+}
+
+/// Bytes of a stored leaf's tx hash and pointer, after its key.
+const LEAF_TAIL: usize = 32 + PTR_LEN;
+
+impl<'a> StoredTree<'a> {
+    /// Parses `bytes`, skipping over every leaf.
+    pub fn parse(bytes: &'a [u8]) -> Self {
+        let mut dec = Decoder::new(bytes);
+        let mut parse = || -> Result<(Vec<usize>, Vec<Digest>), TypeError> {
+            let n = dec.get_u32("paged auth entries count")? as usize;
+            // Read past the checksum: a rotted count must not size the
+            // allocation beyond what the bytes can hold.
+            let mut starts = Vec::with_capacity(n.min(bytes.len() / LEAF_TAIL) + 1);
+            for _ in 0..n {
+                starts.push(bytes.len() - dec.remaining());
+                dec.skip_value()?;
+                dec.get_raw(LEAF_TAIL, "paged auth entry")?;
+            }
+            starts.push(bytes.len() - dec.remaining());
+            let mut upper = Vec::with_capacity(dec.remaining() / 32);
+            while !dec.is_exhausted() {
+                upper.push(get_digest(&mut dec, "paged internal digest")?);
+            }
+            Ok((starts, upper))
+        };
+        let (starts, upper) = decode_fail("block tree", parse());
+        StoredTree {
+            bytes,
+            starts,
+            upper,
+        }
+    }
+
+    /// Number of leaves.
+    pub fn leaf_count(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The internal digests, levels 1 … top−1 bottom-up.
+    pub fn upper(&self) -> &[Digest] {
+        &self.upper
+    }
+
+    fn leaf(&self, p: usize) -> &'a [u8] {
+        &self.bytes[self.starts[p]..self.starts[p + 1]]
+    }
+
+    /// Leaf `p`'s key.
+    pub fn key(&self, p: usize) -> Value {
+        decode_fail("auth entry key", Decoder::new(self.leaf(p)).get_value())
+    }
+
+    /// Leaf `p`, decoded.
+    pub fn entry(&self, p: usize) -> AuthEntry {
+        let mut dec = Decoder::new(self.leaf(p));
+        let mut parse = || -> Result<AuthEntry, TypeError> {
             let key = dec.get_value()?;
             let tx_hash = get_digest(&mut dec, "paged auth entry hash")?;
             let block = dec.get_u64("paged auth entry block")?;
             let index = dec.get_u32("paged auth entry index")?;
-            out.push(crate::mbtree::AuthEntry {
-                key,
-                tx_hash,
-                ptr: TxPtr { block, index },
-            });
-        }
-        Ok(out)
-    };
-    decode_fail("auth entries", parse())
+            let ptr = TxPtr { block, index };
+            Ok(AuthEntry { key, tx_hash, ptr })
+        };
+        decode_fail("auth entry", parse())
+    }
+
+    /// Leaf `p`'s digest, [`AuthEntry::digest`] of [`Self::entry`],
+    /// hashed straight off the stored bytes.
+    pub fn leaf_digest(&self, p: usize) -> Digest {
+        let leaf = self.leaf(p);
+        leaf_digest(&leaf[..leaf.len() - PTR_LEN])
+    }
 }
 
 #[cfg(test)]

@@ -245,6 +245,71 @@ fn assert_golden(indexes: &[LayeredIndex; 2]) {
     }
 }
 
+/// One block of 130 `donate` rows: leaf pages of 64, 64 and 2 entries,
+/// so its `0x03` entry carries the three level-1 digests after the
+/// leaves (the golden chain's blocks hold ≤ 6 rows and carry none).
+fn fat_block() -> Block {
+    let txs: Vec<Transaction> = (0..130u64)
+        .map(|n| {
+            let amount = Value::decimal(((n * 37) % 101) as i64 * 10);
+            let mut t = Transaction::new(
+                1_000 + n,
+                KeyId([(n % 3) as u8; 8]),
+                "donate",
+                vec![Value::str(format!("donor{}", n % 5)), amount],
+            );
+            t.tid = n + 1;
+            t
+        })
+        .collect();
+    Block::seal(Digest::ZERO, 0, 2_000, txs, |_| vec![7; 4])
+}
+
+/// The fat block's `(0x03 entries, digest)`, and `(SHA-256 of the VO's
+/// debug form, auxiliary digest)` of one range query over it. The VO
+/// and the auxiliary digest were recorded before the internal digests
+/// were stored, while a frozen block's proof still rebuilt its tree.
+const GOLDEN_FAT: ((usize, &str), (&str, &str)) = (
+    (
+        1,
+        "438fe84d29255736ee80e199fcf620c6d6a739bf6d48f4355046c1b30252e2be",
+    ),
+    (
+        "4072eee5f71ffd37121ab790c9c4f7921b86f3839ae5903a152610a72675e2bd",
+        "85ff5a40dd96dd9600a8b3b77f645cb91fd9dc13db84b48859f25757d8b46eb8",
+    ),
+);
+
+/// The fat block's `0x03` entry, and the proof read back off it.
+fn assert_fat_golden(idx: &LayeredIndex) {
+    let (count, digest) = GOLDEN_FAT.0;
+    let want = (count, digest.to_string());
+    assert_eq!(tag_digest(&idx.checkpoint(), 0x03), want);
+    let pred = KeyPredicate::Range(Value::decimal(200), Value::decimal(260));
+    let vo = idx.authenticated_query(&pred, None, 1);
+    let proof = (
+        hex(sha256(format!("{vo:?}").as_bytes())),
+        hex(idx.auxiliary_query(&Bitmap::from_bits([0]), 1)),
+    );
+    assert_eq!((proof.0.as_str(), proof.1.as_str()), GOLDEN_FAT.1);
+}
+
+/// The fat block resident, then frozen.
+#[test]
+fn a_fat_blocks_checkpoint_and_proof_match_the_recorded_bytes() {
+    let block = fat_block();
+    let mut idx =
+        LayeredIndex::new_continuous(Some("donate".into()), ColumnRef::App(1), histogram());
+    idx.update(&block);
+    assert_fat_golden(&idx);
+    let store = BlockStore::temporary(StoreConfig::default()).unwrap();
+    store.append(&block).unwrap();
+    let cp = idx.checkpoint();
+    store.write_index_checkpoint(&cp).unwrap();
+    idx.adopt_frozen(store.load_index_checkpoint(&cp.family).unwrap().unwrap());
+    assert_fat_golden(&idx);
+}
+
 #[test]
 fn resident_checkpoints_match_the_recorded_bytes() {
     assert_golden(&indexes(&chain(), None));

@@ -1146,6 +1146,25 @@ impl BlockStore {
         &self.gauges
     }
 
+    /// Block `bid`'s header and tuple count, from one positioned read of
+    /// its chain record (header ‖ routes): no partition extent is read
+    /// and no tuple decoded. Charges the record's `bytes_read` only.
+    pub fn header(&self, bid: BlockId) -> Result<(BlockHeader, usize)> {
+        let chain = {
+            let meta = self.meta.read();
+            meta.get(bid as usize)
+                .ok_or(StorageError::NotFound(bid))?
+                .0
+                .chain
+        };
+        let bytes = self.chain_reader.read(chain)?;
+        self.stats
+            .bytes_read
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        let (header, routes) = decode_chain_record(&bytes, bid)?;
+        Ok((header, routes.len()))
+    }
+
     /// Serialized size of block `bid` in bytes: its canonical encoding,
     /// i.e. the chain record minus the route bytes plus the partition
     /// extents.

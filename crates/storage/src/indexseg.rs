@@ -32,8 +32,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Checkpoint file magic, versioned with the format.
-pub const INDEX_MAGIC: &[u8; 8] = b"SEBDBIX3";
+/// Checkpoint file magic, versioned with the format (`SEBDBIX3` files
+/// had no internal MB-tree digests in their `0x03` entries; no code
+/// migrates them).
+pub const INDEX_MAGIC: &[u8; 8] = b"SEBDBIX4";
 /// Target payload size of one level-1 index block (one disk page).
 pub const INDEX_BLOCK_TARGET: usize = 4 * 1024;
 /// Subdirectory of the store holding index checkpoints.

@@ -86,6 +86,14 @@ impl BlockStore {
         self.keys_below(height, |keys| (bid < keys.len() as BlockId).then_some(bid))
     }
 
+    /// Block `bid`'s first tid, `None` for an empty block and for one
+    /// not stored.
+    pub fn first_tid(&self, bid: BlockId) -> Option<TxId> {
+        let keys = self.keys.read();
+        let key = keys.get(bid as usize).filter(|k| !k.empty)?;
+        Some(key.first_tid)
+    }
+
     /// The only block below `height` that can hold transaction `tid`:
     /// the last non-empty block whose first tid is ≤ `tid`. Whether it
     /// does is the block's to say (a tid past the chain's last

@@ -146,6 +146,95 @@ fn get_block_by_tid_finds_the_block_past_an_empty_one() {
     );
 }
 
+/// `GET BLOCK` answers from the chain record and the manifest: every
+/// selector returns the row the decoded block gives (empty blocks
+/// included), and a lookup by id decodes no tuple.
+#[test]
+fn get_block_rows_come_from_the_chain_record() {
+    let store = Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap());
+    let ledger = Ledger::new(Arc::clone(&store), MacKeypair::from_key([1; 32])).unwrap();
+    // Blocks 0 and 3 are empty; tids skip 25..30.
+    let tids = [0..0, 1..11, 11..25, 0..0, 30..33];
+    for (seq, tids) in tids.into_iter().enumerate() {
+        let txs = tids
+            .map(|tid| {
+                let mut tx = Transaction::new(1_000 + tid, KeyId([7; 8]), "t", vec![]);
+                tx.tid = tid;
+                tx
+            })
+            .collect();
+        let timestamp_ms = 2_000 + 10 * seq as u64;
+        ledger
+            .append_ordered(OrderedBlock {
+                seq: seq as u64,
+                timestamp_ms,
+                txs,
+            })
+            .unwrap();
+    }
+    let rows = |sel| {
+        Executor::new(&ledger, None)
+            .execute(&LogicalPlan::GetBlock(sel), Strategy::Auto)
+            .unwrap()
+            .rows
+    };
+    // The row a decoded block gives.
+    let decoded = |bid: u64| {
+        let b = ledger.read_block(bid).unwrap();
+        vec![vec![
+            Value::Int(b.header.height as i64),
+            Value::Timestamp(b.header.timestamp),
+            b.first_tid().map_or(Value::Null, |t| Value::Int(t as i64)),
+            Value::Int(b.transactions.len() as i64),
+            Value::Str(b.header.block_hash.to_hex()),
+        ]]
+    };
+    for bid in 0..5 {
+        let ts = ledger.read_block(bid).unwrap().header.timestamp;
+        assert_eq!(
+            rows(BoundBlockSelector::ById(bid)),
+            decoded(bid),
+            "id {bid}"
+        );
+        let by_ts = rows(BoundBlockSelector::ByTimestamp(ts));
+        assert_eq!(by_ts, decoded(bid), "ts {ts}");
+    }
+    for (tid, bid) in [(1, 1), (10, 1), (11, 2), (24, 2), (30, 4), (32, 4)] {
+        assert_eq!(
+            rows(BoundBlockSelector::ByTid(tid)),
+            decoded(bid),
+            "tid {tid}"
+        );
+    }
+    for tid in [0, 25, 29, 33, 1_000] {
+        assert!(rows(BoundBlockSelector::ByTid(tid)).is_empty(), "tid {tid}");
+    }
+    assert!(rows(BoundBlockSelector::ById(5)).is_empty());
+    assert!(rows(BoundBlockSelector::ByTimestamp(1_999)).is_empty());
+    // By id: one chain record read, no block and no tuple.
+    let io = || (store.stats.snapshot(), store.stats.bytes_read());
+    let (s0, b0) = io();
+    assert_eq!(rows(BoundBlockSelector::ById(2)), decoded(2));
+    let (s1, b1) = io();
+    assert_eq!(
+        (s1.0, s1.2),
+        (s0.0 + 1, s0.2),
+        "only the oracle read a block"
+    );
+    rows(BoundBlockSelector::ById(2));
+    let (s2, b2) = io();
+    assert_eq!(s2, s1, "GET BLOCK ID read a block or a tuple");
+    let (record, block) = (b2 - b1, (b1 - b0) - (b2 - b1));
+    assert!(
+        record > 0 && record < block,
+        "{record} B record, {block} B block"
+    );
+    // Thin-client sync reads the same records.
+    let (header, count) = store.header(2).unwrap();
+    assert_eq!((header.height, count), (2, 14));
+    assert_eq!(ledger.headers().unwrap()[2], header);
+}
+
 #[test]
 fn get_block_by_tid_past_the_last_transaction_is_no_row() {
     let (kafka, n) = setup();
