@@ -37,6 +37,13 @@ cargo test --release -q -p sebdb-crypto
 echo "==> cargo test --release -q -p sebdb-index"
 cargo test --release -q -p sebdb-index
 
+# Index checkpoints checksum every level-1 block and their tail with
+# XXH64, whose lanes are wrapping 64-bit arithmetic: the storage crate's
+# tests (the published vectors, the exhaustive bit-flip sweep) run
+# optimized too, as the kernel ships.
+echo "==> cargo test --release -q -p sebdb-storage"
+cargo test --release -q -p sebdb-storage
+
 # Deterministic interleaving checker: exhaustively explores schedules
 # of the pipeline/mempool/cache/index/partition models with the
 # happens-before race detector active on every schedule (DESIGN §14),

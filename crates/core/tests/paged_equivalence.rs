@@ -603,10 +603,11 @@ fn a_frozen_range_probe_reads_what_it_returns_not_the_chain() {
     assert_eq!(cold_probe_misses(4_000), (misses, 20));
 }
 
-/// A checkpoint in an earlier layout (magic `SEBDBIX3`: per-block leaf
-/// lists without the MB-tree's internal digests; `SEBDBIX2`: a plain
-/// and an authenticated file per column; `SEBDBIX1`: per-block entry
-/// lists, fixed-width lengths) is not migrated and never adopted: it fails
+/// A checkpoint in an earlier layout (magic `SEBDBIX4`: blocks and tail
+/// checksummed with FNV-1a; `SEBDBIX3`: per-block leaf lists without
+/// the MB-tree's internal digests; `SEBDBIX2`: a plain and an
+/// authenticated file per column; `SEBDBIX1`: per-block entry lists,
+/// fixed-width lengths) is not migrated and never adopted: it fails
 /// `open` as corrupt, is deleted, and the families replay the chain —
 /// after which every suite answers as it did before.
 #[test]
@@ -638,8 +639,8 @@ fn an_old_format_checkpoint_is_deleted_and_replayed() {
     for (i, path) in published.iter().enumerate() {
         let mut bytes = std::fs::read(path).unwrap();
         let end = bytes.len();
-        assert_eq!(&bytes[..8], b"SEBDBIX4");
-        let old = [b"SEBDBIX3", b"SEBDBIX2", b"SEBDBIX1"][i % 3];
+        assert_eq!(&bytes[..8], b"SEBDBIX5");
+        let old = [b"SEBDBIX4", b"SEBDBIX3", b"SEBDBIX2", b"SEBDBIX1"][i % 4];
         bytes[..8].copy_from_slice(old);
         bytes[end - 8..].copy_from_slice(old);
         std::fs::write(path, bytes).unwrap();

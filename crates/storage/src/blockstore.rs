@@ -128,7 +128,10 @@ pub struct StoreConfig {
     pub partitions: usize,
     /// Total level-1 index blocks the index-block cache may keep
     /// resident (`Some(0)` = unbounded, the `cache=∞` reference);
-    /// `None` = [`crate::indexseg::DEFAULT_INDEX_CACHE_BLOCKS`].
+    /// `None` = [`crate::indexseg::DEFAULT_INDEX_CACHE_BLOCKS`]. The
+    /// bound rounds to whole shards: each of the 8 holds `n / 8` blocks,
+    /// at least one, so `Some(3)` holds 8 and `Some(12)` holds 8
+    /// (`IndexBlockCache::capacity_blocks` reports the rounded bound).
     pub index_cache_blocks: Option<usize>,
 }
 
