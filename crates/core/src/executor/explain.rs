@@ -59,7 +59,8 @@ impl Executor<'_> {
     /// The join decision `run_onchain_join` / `run_onoff_join` make
     /// under `Auto`: the arm, why, and — for the hash arm — how many
     /// blocks the table-level bitmap leaves to scan on each on-chain
-    /// side.
+    /// side, and the partition that scan reads with the other relations
+    /// placed in it, whose tuples it reads and drops.
     fn describe_join(
         &self,
         sides: &[(&TableSchema, ColumnRef)],
@@ -71,17 +72,32 @@ impl Executor<'_> {
             return format!("layered, {layered}; {}", choice.reason);
         }
         let mask = self.ledger.window_mask(window);
+        let store = self.ledger.store();
         let scans: Vec<String> = sides
             .iter()
-            .map(
-                |(schema, _)| match self.hash_arm_blocks(&schema.name, &mask, choice.arm) {
-                    Ok(blocks) => format!("{} in {}", schema.name, blocks.count_ones()),
-                    Err(e) => format!("{} [{e}]", schema.name),
-                },
-            )
+            .map(|(schema, _)| {
+                let name = &schema.name;
+                let blocks = match self.hash_arm_blocks(name, &mask, choice.arm) {
+                    Ok(blocks) => blocks.count_ones(),
+                    Err(e) => return format!("{name} [{e}]"),
+                };
+                let Some(part) = store.partition_of(name) else {
+                    return format!("{name} in {blocks} blocks (not on the chain)");
+                };
+                let others: Vec<String> = store
+                    .relations_in(part)
+                    .into_iter()
+                    .filter(|r| !r.eq_ignore_ascii_case(name))
+                    .collect();
+                let company = match others.is_empty() {
+                    true => "alone".to_string(),
+                    false => format!("shared with {}", others.join(", ")),
+                };
+                format!("{name} in {blocks} blocks of partition {part} ({company})")
+            })
             .collect();
         format!(
-            "bitmap hash join, late-materialized; {}; scans {} of {} blocks",
+            "bitmap hash join, late-materialized; {}; scans {}; window holds {} blocks",
             choice.reason,
             scans.join(", "),
             mask.count_ones()

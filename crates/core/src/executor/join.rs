@@ -159,8 +159,8 @@ impl Executor<'_> {
         let l_blocks = self.hash_arm_blocks(&left.name, &mask, arm)?;
         let r_blocks = self.hash_arm_blocks(&right.name, &mask, arm)?;
         // Relations sharing a partition (a self-join, `partitions: 1`,
-        // or a hash collision) come back from one scan: read it once
-        // for both sides.
+        // or more relations than partitions) come back from one scan:
+        // read it once for both sides.
         let shared = self.ledger.store().co_located(&left.name, &right.name);
         let resident = match shared {
             true => self.scan_raw(&bids(&l_blocks.or(&r_blocks)), &right.name)?,

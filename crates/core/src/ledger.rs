@@ -68,18 +68,15 @@ pub type IndexKey = (Option<String>, String);
 /// *L*-lane pipeline owns every shard with `shard % L == k`.
 pub const INDEX_SHARDS: usize = 8;
 
-// The index shard count and the storage layer's relation partition
-// count must stay in lockstep — `shard_of` below is the partition
-// mapping.
-const _: () = assert!(INDEX_SHARDS == sebdb_storage::RELATION_PARTITIONS);
-
-/// The shard a (lowercased) table name's index families live in.
-/// Delegates to the storage layer's relation partition mapping
-/// ([`sebdb_storage::partition_of`]) so a relation's tuples (partition
-/// extents) and its index families always land in the same numbered
-/// slice of the system.
+/// The shard a (lowercased) table name's index families live in: a hash
+/// of the name. A shard only picks the applier lane that maintains the
+/// families; where the relation's tuples are stored is the block
+/// store's placement, which has nothing to do with it.
 pub fn shard_of(table: &str) -> usize {
-    sebdb_storage::partition_of(table)
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    table.hash(&mut h);
+    (h.finish() as usize) % INDEX_SHARDS
 }
 
 /// The registry key of the index on `table.column` (names fold to

@@ -21,8 +21,9 @@
 //! The persister partitions each block's tuples by relation once and
 //! fans the block out to every lane. The store's append itself fans
 //! out too: the block's tuples are routed to per-relation partition
-//! segment sequences (`sebdb-storage`'s partitioned layout,
-//! same `shard_of` mapping as the lanes) written in parallel, with the
+//! segment sequences (`sebdb-storage`'s partitioned layout, placed by
+//! first appearance, independent of the lanes' `shard_of`) written in
+//! parallel, with the
 //! chain-order manifest record as the single commit point — so the
 //! persist stage's disk bandwidth scales with the relations touched,
 //! not just the lane count. Lane *k* of *L* maintains the

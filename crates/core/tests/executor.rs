@@ -398,10 +398,13 @@ fn explain_names_the_join_arm_auto_resolves_to() {
             && none.contains("distribute.organization: no layered index"),
         "{none}"
     );
-    assert!(
-        none.contains("scans transfer in 2, distribute in 2 of 4 blocks"),
-        "{none}"
+    let part = |t: &str| l.store().partition_of(t).unwrap();
+    let (t, d) = (part("transfer"), part("distribute"));
+    let scans = format!(
+        "scans transfer in 2 blocks of partition {t} (alone), \
+         distribute in 2 blocks of partition {d} (alone); window holds 4 blocks"
     );
+    assert!(none.contains(&scans), "{none}");
     assert!(!none.contains("Algorithm 2"), "{none}");
 
     l.create_layered_index(&left, "organization", None).unwrap();
@@ -432,13 +435,60 @@ fn explain_names_the_join_arm_auto_resolves_to() {
     let indexed = explain(&l, &on_off("organization"));
     assert!(indexed.contains("layered, Algorithm 3"), "{indexed}");
     let by_ts = explain(&l, &on_off("ts"));
-    assert!(
-        by_ts.contains("distribute.ts: no layered index; scans distribute in 2 of 4 blocks"),
-        "{by_ts}"
+    let scans = format!(
+        "distribute.ts: no layered index; \
+         scans distribute in 2 blocks of partition {d} (alone); window holds 4 blocks"
     );
+    assert!(by_ts.contains(&scans), "{by_ts}");
     l.create_layered_index(&right, "ts", None).unwrap();
     let by_ts = explain(&l, &on_off("ts"));
     assert!(by_ts.contains("layered, Algorithm 3"), "{by_ts}");
+}
+
+/// With more relations than partitions the relation placed last wraps
+/// around onto the first one's partition, and `EXPLAIN` says whose
+/// tuples its hash-arm scan reads beside its own.
+#[test]
+fn explain_names_the_relations_a_hash_arm_scan_shares_its_partition_with() {
+    let l = Ledger::new(
+        Arc::new(
+            BlockStore::temporary(StoreConfig {
+                partitions: 2,
+                ..StoreConfig::default()
+            })
+            .unwrap(),
+        ),
+        MacKeypair::from_key([3; 32]),
+    )
+    .unwrap();
+    append_blocks(
+        &l,
+        vec![
+            vec![("transfer", A, vec![Value::str("x")])],
+            vec![("distribute", B, vec![Value::str("x")])],
+            vec![
+                ("donate", A, vec![Value::str("x")]),
+                ("distribute", B, vec![Value::str("y")]),
+            ],
+        ],
+    );
+    let donate = schema("donate", &[("organization", DataType::Str)]);
+    let distribute = schema("distribute", &[("organization", DataType::Str)]);
+    let plan = LogicalPlan::OnChainJoin {
+        left_col: donate.resolve("organization").unwrap(),
+        right_col: distribute.resolve("organization").unwrap(),
+        left: donate,
+        right: distribute,
+        window: None,
+    };
+    let text = explain(&l, &plan);
+    assert!(
+        text.contains(
+            "scans donate in 1 blocks of partition 0 (shared with transfer), \
+             distribute in 2 blocks of partition 1 (alone); window holds 3 blocks"
+        ),
+        "{text}"
+    );
 }
 
 #[test]

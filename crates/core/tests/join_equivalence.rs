@@ -7,8 +7,9 @@
 //! (`Scan`, `Bitmap`) must return **the same ordered row vector** as a
 //! nested loop over `read_block` written here; `Layered` the same rows
 //! as a sorted multiset. The hash arms decode only what they return:
-//! on a partitioned store their `bytes_read` is the two relations'
-//! partition extents, not the blocks.
+//! on a partitioned store, where each relation has a partition of its
+//! own, their `bytes_read` is the two relations' own tuples, not the
+//! blocks.
 //!
 //! `ci.sh` runs this file at `SEBDB_THREADS=1` and `=4`: the chain is
 //! long enough (17 readahead runs) for the projected scans to fan out
@@ -19,7 +20,7 @@ use sebdb_consensus::OrderedBlock;
 use sebdb_crypto::sig::{KeyId, MacKeypair};
 use sebdb_offchain::{OffchainConnection, OffchainDb};
 use sebdb_sql::LogicalPlan;
-use sebdb_storage::{partition_of, BlockStore, StoreConfig};
+use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::{Codec, Column, ColumnRef, DataType, TableSchema, Timestamp, Transaction, Value};
 use std::sync::Arc;
 
@@ -308,29 +309,30 @@ fn joins_return_the_nested_loop_rows_everywhere() {
 }
 
 /// The win as a count: a bitmap hash join on a partitioned disk store
-/// fetches the two relations' partition extents — each relation's
-/// tuples in the blocks that hold it — and nothing of the rest of
-/// those blocks.
+/// fetches the two relations' partition extents — each relation's own
+/// tuples, since each is placed in a partition of its own — and not a
+/// byte of `donate` or of anything else in those blocks.
 #[test]
 fn bitmap_hash_join_reads_two_partitions_not_the_blocks() {
     let ledger = ledger_on(StoreConfig::default());
     let store = ledger.store();
-    let route = |table: &str| partition_of(table) % store.partitions();
-    assert_ne!(route("transfer"), route("distribute"));
-    let (mut extents, mut blocks) = (0u64, 0u64);
+    for table in ["transfer", "distribute", "donate"] {
+        let part = store.partition_of(table).unwrap();
+        assert_eq!(store.relations_in(part), [table], "{table} is not alone");
+    }
+    let (mut own, mut blocks) = (0u64, 0u64);
     for b in 0..ledger.height() {
         let block = store.read(b).unwrap();
         let mut scanned = false;
         for table in ["transfer", "distribute"] {
-            if block.transactions.iter().any(|tx| tx.tname == table) {
-                scanned = true;
-                extents += block
-                    .transactions
-                    .iter()
-                    .filter(|tx| route(&tx.tname) == route(table))
-                    .map(|tx| tx.to_bytes().len() as u64)
-                    .sum::<u64>();
-            }
+            let bytes: u64 = block
+                .transactions
+                .iter()
+                .filter(|tx| tx.tname == table)
+                .map(|tx| tx.to_bytes().len() as u64)
+                .sum();
+            scanned |= bytes > 0;
+            own += bytes;
         }
         if scanned {
             blocks += store.block_size(b).unwrap() as u64;
@@ -349,7 +351,9 @@ fn bitmap_hash_join_reads_two_partitions_not_the_blocks() {
         .unwrap();
     assert!(!rows.is_empty());
     let read = store.stats.bytes_read();
-    assert_eq!(read, extents);
+    assert_eq!(read, own, "bytes beyond transfer's and distribute's tuples");
     assert!(read < blocks, "{read} of {blocks} block bytes");
-    println!("bitmap Q5 bytes_read: {read} (partition extents) vs {blocks} (scanned blocks)");
+    println!(
+        "bitmap Q5 bytes_read: {read} (the two relations' tuples) vs {blocks} (scanned blocks)"
+    );
 }

@@ -4,17 +4,18 @@
 //! Blocks are the *only* copy of on-chain data (§I: "the system only
 //! maintains one copy of the data"), but the copy is laid out by
 //! relation: every transaction is routed to one of a fixed number of
-//! relation partitions (the same hash mapping the ledger uses for its
-//! index shards), and each partition appends tuple *extents* to its own
-//! [`segment`](crate::segment) sequence with its own tuple offset
-//! table. A separate *chain partition* appends one small record per
-//! block (header ‖ tuple routes), and an append-only **chain-order
-//! manifest** (`manifest.rs`) records, per block, the (partition,
-//! segment, offset) extents needed to reassemble canonical block order
-//! and the block's first tid and timestamp. The manifest record is the
-//! commit point: restart replay keeps the longest valid manifest
-//! prefix, truncates every partition to match, and reconstructs or
-//! truncates torn offset tables.
+//! relation partitions — relations take partitions round-robin in order
+//! of first appearance on the chain — and each partition appends tuple
+//! *extents* to its own [`segment`](crate::segment) sequence with its
+//! own tuple offset table. A separate *chain partition* appends one
+//! small record per block (header ‖ tuple routes), and an append-only
+//! **chain-order manifest** (`manifest.rs`) records, per block, the
+//! (partition, segment, offset) extents needed to reassemble canonical
+//! block order and the block's first tid and timestamp, and each
+//! relation's placement with the block that first carries it. The
+//! manifest record is the commit point: restart replay keeps the
+//! longest valid manifest prefix, truncates every partition to match,
+//! and reconstructs or truncates torn offset tables.
 //!
 //! Single-relation scans read only their partition's extents — they
 //! stop paying for unrelated relations' bytes (the per-relation access
@@ -22,7 +23,7 @@
 
 use crate::cache::{BlockCache, TxCache};
 use crate::indexseg::{self, IndexBlockCache, IndexCheckpoint, PagedIndexReader};
-use crate::manifest::{self, BlockEntry, ChainKey, BLOCK_MANIFEST};
+use crate::manifest::{self, BlockEntry, ChainKey, Placement, Replay, BLOCK_MANIFEST};
 use crate::offsets::{self, offsets_record, OffsetRec, OffsetsTable};
 use crate::publish;
 use crate::segment::{Location, ReadGauges, Result, SegmentSet, SegmentWriter, StorageError};
@@ -42,32 +43,13 @@ use std::sync::Arc;
 /// fetched with one coalesced positioned read.
 pub const READAHEAD_BLOCKS: usize = 8;
 
-/// Number of fixed relation partitions — the same constant as the
-/// ledger's `INDEX_SHARDS`, so a relation's tuples and its index
-/// families live in the same numbered slice of the system.
+/// Number of relation partitions a store has by default, and the most
+/// it may have.
 pub const RELATION_PARTITIONS: usize = 8;
 
 /// Sentinel partition id naming the chain partition (the per-block
 /// header ‖ routes records) in [`WriteStep::PartitionWrite`].
 pub const CHAIN_PARTITION: usize = RELATION_PARTITIONS;
-
-/// The fixed relation partition a (lowercased) table name hashes to.
-/// This is the single source of truth for relation → slice mapping:
-/// the ledger's `shard_of` delegates here, so tuples and their index
-/// families always agree.
-pub fn partition_of(table: &str) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    table.hash(&mut h);
-    (h.finish() as usize) % RELATION_PARTITIONS
-}
-
-/// The partition a transaction's table routes to in a store with
-/// `partitions` partitions (fixed hash folded down, so `partitions = 1`
-/// degenerates to the single-sequence reference layout).
-fn route_of(table: &str, partitions: usize) -> u8 {
-    (partition_of(&table.to_ascii_lowercase()) % partitions.max(1)) as u8
-}
 
 /// The write-order boundaries of one block append, in the order the
 /// store crosses them. Fault-injection tests use these to tear an
@@ -286,15 +268,15 @@ struct EncodedBlock {
     locs: Vec<TxLoc>,
 }
 
-fn encode_partitioned(block: &Block, partitions: usize) -> EncodedBlock {
+/// Encodes `block` with tuple `i` in partition `routes[i]`.
+fn encode_partitioned(block: &Block, routes: &[u8], partitions: usize) -> EncodedBlock {
     let mut chain = Encoder::new();
     block.header.encode(&mut chain);
     chain.put_u32(block.transactions.len() as u32);
     let mut extents: Vec<Encoder> = (0..partitions).map(|_| Encoder::new()).collect();
     let mut offsets: Vec<Vec<OffsetRec>> = vec![Vec::new(); partitions];
     let mut locs = Vec::with_capacity(block.transactions.len());
-    for (canon, tx) in block.transactions.iter().enumerate() {
-        let part = route_of(&tx.tname, partitions);
+    for (canon, (tx, &part)) in block.transactions.iter().zip(routes).enumerate() {
         chain.put_u8(part);
         let enc = &mut extents[part as usize];
         let start = enc.len() as u32;
@@ -414,6 +396,8 @@ pub struct BlockStore {
     /// Every block's first tid and timestamp — the block-level index
     /// `manifest.rs`'s lookups search.
     pub(crate) keys: RwLock<Vec<ChainKey>>,
+    /// The partition each relation on the chain is placed in.
+    placement: RwLock<Placement>,
     /// Store directory — index checkpoints live in its
     /// [`crate::indexseg::INDEX_CHECKPOINT_DIR`] subdirectory.
     dir: PathBuf,
@@ -499,18 +483,26 @@ impl BlockStore {
         // fresh with the configured count.
         let pinned = manifest::read_header(&buf)?;
         let partitions = pinned.unwrap_or_else(|| config.partitions.clamp(1, RELATION_PARTITIONS));
-        let (mut entries, mut keys, lens) = match pinned {
+        let Replay {
+            mut entries,
+            mut keys,
+            ends,
+            placed,
+        } = match pinned {
             Some(p) => manifest::replay_manifest(&buf, p),
-            None => (Vec::new(), Vec::new(), vec![0]),
+            None => Replay::empty(),
         };
         // A manifest record written before its partition data reached
         // the segment files (reordered writes) is torn state too: cut
         // the manifest at the first record whose extents exceed the
-        // physical file lengths.
+        // physical file lengths, and the placements of the blocks cut
+        // with it.
         let keep = manifest::validate_extents(dir, &entries);
         entries.truncate(keep);
         keys.truncate(keep);
-        let valid_bytes = lens[keep];
+        let valid_bytes = ends[keep];
+        let placed = placed.into_iter().take_while(|&(bid, _)| bid < keep as u64);
+        let placement = Placement::new(partitions, placed.map(|(_, name)| name));
         std::fs::create_dir_all(chain_dir(dir))?;
         for p in 0..partitions {
             std::fs::create_dir_all(part_dir(dir, p))?;
@@ -591,6 +583,7 @@ impl BlockStore {
             manifest: Mutex::new(manifest),
             meta: RwLock::new(meta),
             keys: RwLock::new(keys),
+            placement: RwLock::new(placement),
             dir: dir.to_path_buf(),
             gauges,
             write_fault: RwLock::new(None),
@@ -605,10 +598,24 @@ impl BlockStore {
         self.partitions
     }
 
-    /// True when relations `a` and `b` route to the same partition, so
-    /// one [`Self::scan_relation_raw`] returns the tuples of both.
+    /// The partition relation `table` (any case) is placed in, `None`
+    /// while no block carries it.
+    pub fn partition_of(&self, table: &str) -> Option<usize> {
+        self.placement.read().partition_of(table).map(usize::from)
+    }
+
+    /// The relations placed in partition `part`, in placement order.
+    pub fn relations_in(&self, part: usize) -> Vec<String> {
+        self.placement.read().relations_in(part)
+    }
+
+    /// True when relations `a` and `b` are placed in the same
+    /// partition, so one [`Self::scan_relation_raw`] returns the tuples
+    /// of both.
     pub fn co_located(&self, a: &str, b: &str) -> bool {
-        route_of(a, self.partitions) == route_of(b, self.partitions)
+        let placement = self.placement.read();
+        let (p, q) = (placement.partition_of(a), placement.partition_of(b));
+        p.is_some() && p == q
     }
 
     /// The store's shared index-block cache tier.
@@ -773,7 +780,8 @@ impl BlockStore {
         }
         let key = ChainKey::of(block, self.keys.read().last())?;
         let bid = block.header.height;
-        let enc = encode_partitioned(block, self.partitions);
+        let (routes, placed) = self.placement.read().route(block);
+        let enc = encode_partitioned(block, &routes, self.partitions);
         let mut jobs: Vec<usize> = vec![CHAIN_PARTITION];
         jobs.extend((0..self.partitions).filter(|&p| !enc.extents[p].is_empty()));
         let write_job = |&job: &usize| -> Result<(usize, Location)> {
@@ -829,11 +837,17 @@ impl BlockStore {
         part_locs.sort_by_key(|&(p, _)| p);
         self.check_fault(WriteStep::ManifestWrite)?;
         let mut m = self.manifest.lock();
-        m.write_all(&manifest::manifest_record(bid, &key, chain_loc, &part_locs))?;
+        m.write_all(&manifest::manifest_record(
+            bid, &key, chain_loc, &part_locs, &placed,
+        ))?;
         m.flush()?;
         // The in-memory view commits with the manifest, under its lock,
-        // so entry order always matches record order; the key first, so
-        // no height a reader sees lacks one.
+        // so entry order always matches record order; the placements
+        // and the key first, so no height a reader sees lacks them.
+        if !placed.is_empty() {
+            let mut placement = self.placement.write();
+            placed.into_iter().for_each(|name| placement.place(name));
+        }
         self.keys.write().push(key);
         let entry = BlockEntry {
             chain: chain_loc,
@@ -1076,13 +1090,13 @@ impl BlockStore {
     /// bytes, for callers that decide per tuple whether to decode.
     /// Returns one [`RawExtent`] per block, in `bids` order (blocks
     /// without the partition yield empty ones), tuples in canonical
-    /// order. Note: at partition counts below the table count,
-    /// co-located relations share an extent, so callers still filter by
-    /// table name; canonical indexes let them keep block-order
-    /// semantics. Charges one `blocks_read` per block and only the
-    /// partition extents' `bytes_read` (no `txs_read`, matching
-    /// full-scan accounting). Never consults a cache: cached blocks
-    /// are decoded ones.
+    /// order; a relation no block carries yields only empty ones. Note:
+    /// with more relations than partitions, co-located relations share
+    /// an extent, so callers still filter by table name; canonical
+    /// indexes let them keep block-order semantics. Charges one
+    /// `blocks_read` per block and only the partition extents'
+    /// `bytes_read` (no `txs_read`, matching full-scan accounting).
+    /// Never consults a cache: cached blocks are decoded ones.
     pub fn scan_relation_raw(&self, bids: &[BlockId], table: &str) -> Result<Vec<RawExtent>> {
         if bids.is_empty() {
             return Ok(Vec::new());
@@ -1090,7 +1104,16 @@ impl BlockStore {
         self.stats
             .blocks_read
             .fetch_add(bids.len() as u64, Ordering::Relaxed);
-        let route = route_of(table, self.partitions);
+        let mut out: Vec<RawExtent> = bids
+            .iter()
+            .map(|&bid| RawExtent {
+                bid,
+                ..RawExtent::default()
+            })
+            .collect();
+        let Some(route) = self.placement.read().partition_of(table) else {
+            return Ok(out);
+        };
         let meta = self.snapshot(bids.iter().copied())?;
         let mut items: Vec<usize> = Vec::new();
         let mut plocs: Vec<Location> = Vec::new();
@@ -1100,13 +1123,6 @@ impl BlockStore {
                 plocs.push(*loc);
             }
         }
-        let mut out: Vec<RawExtent> = bids
-            .iter()
-            .map(|&bid| RawExtent {
-                bid,
-                ..RawExtent::default()
-            })
-            .collect();
         self.read_runs(&self.parts[route as usize].reader, &plocs, |run, span| {
             // The run's blocks share the span; none copies out of it.
             let span = Arc::new(span);
@@ -1422,22 +1438,27 @@ impl CachedStore {
         let CacheMode::Block(cache) = &self.cache else {
             return self.store.read_relation_txs(bids, table);
         };
-        let partitions = self.store.partitions();
-        let route = route_of(table, partitions);
         let mut out: Vec<Option<Vec<(u32, Transaction)>>> = vec![None; bids.len()];
+        let mut hits: Vec<(usize, Arc<Block>)> = Vec::new();
         let mut misses: Vec<(usize, BlockId)> = Vec::new();
         for (slot, &bid) in bids.iter().enumerate() {
-            if let Some(b) = cache.get(bid) {
+            match cache.get(bid) {
+                Some(b) => hits.push((slot, b)),
+                None => misses.push((slot, bid)),
+            }
+        }
+        if !hits.is_empty() {
+            let placement = self.store.placement.read();
+            let route = placement.partition_of(table);
+            for (slot, b) in hits {
                 let txs = b
                     .transactions
                     .iter()
                     .enumerate()
-                    .filter(|(_, tx)| route_of(&tx.tname, partitions) == route)
+                    .filter(|(_, tx)| route.is_some() && placement.partition_of(&tx.tname) == route)
                     .map(|(i, tx)| (i as u32, tx.clone()))
                     .collect();
                 out[slot] = Some(txs);
-            } else {
-                misses.push((slot, bid));
             }
         }
         if !misses.is_empty() {
@@ -1574,6 +1595,11 @@ mod tests {
         s.append(&b0).unwrap();
         assert_eq!(s.partitions(), 1);
         assert_eq!(*s.read(0).unwrap(), b0);
+        // Every relation is placed in partition 0, so it shares the
+        // one extent with every other.
+        assert_eq!(s.relations_in(0), ["donate", "volunteer", "need"]);
+        assert!(s.co_located("donate", "need"));
+        assert_eq!(s.read_relation_txs(&[0], "need").unwrap()[0].len(), 5);
         // Reopen keeps the on-disk partition count even if the config
         // asks for more.
         drop(s);
@@ -1671,12 +1697,12 @@ mod tests {
             let b = block_tables(0, Digest::ZERO, 6, &["donate", "volunteer"]);
             store.append(&b).unwrap();
             let got = store.read_relation_txs(&[0], "donate").unwrap();
-            let route = route_of("donate", partitions);
+            let route = store.partition_of("donate");
             let expect: Vec<(u32, Transaction)> = b
                 .transactions
                 .iter()
                 .enumerate()
-                .filter(|(_, tx)| route_of(&tx.tname, partitions) == route)
+                .filter(|(_, tx)| store.partition_of(&tx.tname) == route)
                 .map(|(i, tx)| (i as u32, tx.clone()))
                 .collect();
             assert_eq!(got[0], expect);

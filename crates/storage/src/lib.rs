@@ -18,8 +18,8 @@ mod publish;
 pub mod segment;
 
 pub use blockstore::{
-    partition_of, BlockStore, CacheMode, CachedStore, IoStats, RawExtent, RawTuple, StoreConfig,
-    TxPtr, WriteStep, CHAIN_PARTITION, READAHEAD_BLOCKS, RELATION_PARTITIONS,
+    BlockStore, CacheMode, CachedStore, IoStats, RawExtent, RawTuple, StoreConfig, TxPtr,
+    WriteStep, CHAIN_PARTITION, READAHEAD_BLOCKS, RELATION_PARTITIONS,
 };
 pub use cache::{BlockCache, Lru, ShardedLru, TxCache};
 pub use indexseg::{

@@ -3,8 +3,11 @@
 //! carries the block's first tid and timestamp, so the manifest is
 //! §IV-B's block-level index: the paper's B⁺-tree keys `(bid, tid, Ts)`
 //! because the three ascend together, and over a resident, bid-ordered
-//! manifest its lookups are binary searches. Only this module reads or
-//! writes the format.
+//! manifest its lookups are binary searches. A block that carries a
+//! relation no earlier block did is preceded by one placement record
+//! per such relation, in the same write: the manifest also holds the
+//! relation → partition [`Placement`]. Only this module reads or writes
+//! the format.
 
 use crate::blockstore::{
     chain_dir, fixed, part_dir, BlockStore, CHAIN_PARTITION, RELATION_PARTITIONS,
@@ -17,8 +20,9 @@ use std::path::Path;
 /// The manifest's file name in the store directory.
 pub(crate) const BLOCK_MANIFEST: &str = "blockmanifest.idx";
 /// Manifest magic, versioned with the record format. `SEBDBMF1`
-/// records had no tid/ts keys; no code migrates them.
-const MANIFEST_MAGIC: &[u8; 8] = b"SEBDBMF2";
+/// records had no tid/ts keys and `SEBDBMF2` manifests no placement
+/// records; no code migrates them.
+const MANIFEST_MAGIC: &[u8; 8] = b"SEBDBMF3";
 /// Manifest header: magic(8) ‖ partitions(2) ‖ reserved(6).
 const MANIFEST_HEADER: usize = 16;
 /// Fixed prefix of one manifest record: bid(8) ‖ first_tid(8) ‖ ts(8) ‖
@@ -26,6 +30,88 @@ const MANIFEST_HEADER: usize = 16;
 /// nparts × [part(2) seg(4) off(8) len(4)].
 const MANIFEST_REC_FIXED: usize = 42;
 const MANIFEST_REC_PART: usize = 18;
+/// A placement record: `PLACEMENT_TAG(8) ‖ len(4) ‖ name(len)`, the
+/// lowercased name of a relation the next block record places. The tag
+/// stands where a block record has its bid, and no bid reaches it.
+const PLACEMENT_TAG: u64 = u64::MAX;
+const PLACEMENT_FIXED: usize = 12;
+
+/// Which partition each relation's tuples go to. Relations take
+/// partitions round-robin in order of first appearance on the chain —
+/// the `k`-th relation placed goes to partition `k % partitions`, and
+/// relations new in one block are placed in canonical tuple order — so
+/// the map is a function of the chain alone.
+#[derive(Debug)]
+pub(crate) struct Placement {
+    partitions: usize,
+    /// Lowercased relation names, in placement order.
+    names: Vec<String>,
+    /// Name → position in `names`.
+    rank: HashMap<String, usize>,
+}
+
+impl Placement {
+    /// The placement of `names`, in order, over `partitions` partitions.
+    pub(crate) fn new(partitions: usize, names: impl IntoIterator<Item = String>) -> Self {
+        let mut placement = Placement {
+            partitions,
+            names: Vec::new(),
+            rank: HashMap::new(),
+        };
+        for name in names {
+            placement.place(name);
+        }
+        placement
+    }
+
+    /// The partition `table` (any case) is placed in, `None` while no
+    /// block carries it.
+    pub(crate) fn partition_of(&self, table: &str) -> Option<u8> {
+        let rank = match table.bytes().any(|b| b.is_ascii_uppercase()) {
+            true => self.rank.get(&table.to_ascii_lowercase()),
+            false => self.rank.get(table),
+        };
+        rank.map(|&k| (k % self.partitions) as u8)
+    }
+
+    /// The relations placed in partition `part`, in placement order.
+    pub(crate) fn relations_in(&self, part: usize) -> Vec<String> {
+        self.names
+            .iter()
+            .skip(part)
+            .step_by(self.partitions)
+            .cloned()
+            .collect()
+    }
+
+    /// Every tuple's partition in `block`, and the relations the block
+    /// places, in the order they are placed. Places nothing itself:
+    /// the append commits them with [`Self::place`].
+    pub(crate) fn route(&self, block: &Block) -> (Vec<u8>, Vec<String>) {
+        let mut placed: Vec<String> = Vec::new();
+        let routes = block
+            .transactions
+            .iter()
+            .map(|tx| {
+                self.partition_of(&tx.tname).unwrap_or_else(|| {
+                    let name = tx.tname.to_ascii_lowercase();
+                    let k = placed.iter().position(|n| *n == name).unwrap_or_else(|| {
+                        placed.push(name);
+                        placed.len() - 1
+                    });
+                    ((self.names.len() + k) % self.partitions) as u8
+                })
+            })
+            .collect();
+        (routes, placed)
+    }
+
+    /// Places `name` (lowercased) in the next partition in turn.
+    pub(crate) fn place(&mut self, name: String) {
+        self.rank.insert(name.clone(), self.names.len());
+        self.names.push(name);
+    }
+}
 
 /// One block's extents as the manifest records them.
 #[derive(Debug, Clone)]
@@ -149,7 +235,7 @@ pub(crate) fn read_header(buf: &[u8]) -> Result<Option<usize>> {
     }
     if &buf[0..8] != MANIFEST_MAGIC {
         let magic = String::from_utf8_lossy(&buf[0..8]);
-        let msg = format!("block manifest has magic {magic:?}, not SEBDBMF2");
+        let msg = format!("block manifest has magic {magic:?}, not SEBDBMF3");
         return Err(StorageError::Corrupt(msg));
     }
     let p = u16::from_le_bytes(fixed::<2>(&buf[8..10])) as usize;
@@ -169,14 +255,21 @@ pub(crate) fn header(partitions: usize) -> [u8; MANIFEST_HEADER] {
     header
 }
 
-/// Serializes one chain-order manifest record.
+/// Serializes one chain-order manifest record, preceded by a placement
+/// record for each relation in `placed`.
 pub(crate) fn manifest_record(
     bid: u64,
     key: &ChainKey,
     chain: Location,
     parts: &[(u8, Location)],
+    placed: &[String],
 ) -> Vec<u8> {
     let mut rec = Vec::with_capacity(MANIFEST_REC_FIXED + parts.len() * MANIFEST_REC_PART);
+    for name in placed {
+        rec.extend_from_slice(&PLACEMENT_TAG.to_le_bytes());
+        rec.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        rec.extend_from_slice(name.as_bytes());
+    }
     rec.extend_from_slice(&bid.to_le_bytes());
     rec.extend_from_slice(&key.first_tid.to_le_bytes());
     rec.extend_from_slice(&key.ts.to_le_bytes());
@@ -193,21 +286,64 @@ pub(crate) fn manifest_record(
     rec
 }
 
+/// A manifest body as replayed: the longest valid prefix of records.
+pub(crate) struct Replay {
+    pub(crate) entries: Vec<BlockEntry>,
+    pub(crate) keys: Vec<ChainKey>,
+    /// For every `k`, the file length that holds the first `k` blocks'
+    /// records (for truncation after a later validation cut).
+    pub(crate) ends: Vec<u64>,
+    /// `(bid, relation)` for every placement, in placement order.
+    pub(crate) placed: Vec<(BlockId, String)>,
+}
+
+impl Replay {
+    /// No records: a manifest with no complete header.
+    pub(crate) fn empty() -> Self {
+        Replay {
+            entries: Vec::new(),
+            keys: Vec::new(),
+            ends: vec![0],
+            placed: Vec::new(),
+        }
+    }
+}
+
 /// Parses the manifest body, keeping the longest valid prefix of
-/// records. Returns the entries, their keys, and for every `k` the
-/// file length that holds the first `k` records (for truncation after
-/// a later validation cut).
-pub(crate) fn replay_manifest(
-    buf: &[u8],
-    partitions: usize,
-) -> (Vec<BlockEntry>, Vec<ChainKey>, Vec<u64>) {
+/// records. A placement record counts only with the valid block record
+/// after it, and only if its relation is new and its partition is one
+/// that block writes.
+pub(crate) fn replay_manifest(buf: &[u8], partitions: usize) -> Replay {
     let mut entries: Vec<BlockEntry> = Vec::new();
     let mut keys: Vec<ChainKey> = Vec::new();
     let mut ends = vec![MANIFEST_HEADER as u64];
+    let mut placed: Vec<(BlockId, String)> = Vec::new();
+    let mut pending: Vec<String> = Vec::new();
     let mut at = MANIFEST_HEADER;
-    'records: while buf.len() >= at + MANIFEST_REC_FIXED {
+    'records: while buf.len() >= at + 8 {
         let bid = u64::from_le_bytes(fixed::<8>(&buf[at..at + 8]));
-        if bid != entries.len() as u64 {
+        if bid == PLACEMENT_TAG {
+            let Some(len) = buf.get(at + 8..at + PLACEMENT_FIXED) else {
+                break;
+            };
+            let start = at + PLACEMENT_FIXED;
+            let len = u32::from_le_bytes(fixed::<4>(len)) as usize;
+            let Some(Ok(name)) = buf.get(start..start + len).map(std::str::from_utf8) else {
+                break;
+            };
+            let placed_before = placed
+                .iter()
+                .map(|(_, p)| p)
+                .chain(&pending)
+                .any(|p| p == name);
+            if name != name.to_ascii_lowercase() || placed_before {
+                break;
+            }
+            pending.push(name.to_string());
+            at = start + len;
+            continue;
+        }
+        if bid != entries.len() as u64 || buf.len() < at + MANIFEST_REC_FIXED {
             break;
         }
         let chain = Location {
@@ -250,12 +386,27 @@ pub(crate) fn replay_manifest(
             prev = part as i32;
             parts.push((part as u8, loc));
         }
+        let first = placed.len();
+        let lands = |i: usize| {
+            parts
+                .iter()
+                .any(|(q, _)| *q as usize == (first + i) % partitions)
+        };
+        if !(0..pending.len()).all(lands) {
+            break;
+        }
+        placed.extend(pending.drain(..).map(|name| (bid, name)));
         at += body;
         entries.push(BlockEntry { chain, parts });
         keys.push(key);
         ends.push(at as u64);
     }
-    (entries, keys, ends)
+    Replay {
+        entries,
+        keys,
+        ends,
+        placed,
+    }
 }
 
 /// Checks each manifest entry's extents against the physical segment

@@ -12,7 +12,9 @@ use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-/// One offsets-record entry: (canonical index, extent offset, length).
+/// One tuple's place in its extent: (canonical index, extent offset,
+/// length). A record stores the index and length; the offset is the sum
+/// of the lengths before it.
 pub(crate) type OffsetRec = (u32, u32, u32);
 
 /// One partition's replayed offset tables: `(bid, entries)` for each
@@ -21,7 +23,9 @@ pub(crate) type OffsetsTable = Vec<(u64, Vec<OffsetRec>)>;
 
 /// Per-partition tuple offset table: one variable-length record per
 /// block touching the partition,
-/// `bid(8) ‖ count(4) ‖ count × (canon(4) ‖ off(4) ‖ len(4))`.
+/// `bid(8) ‖ count(4) ‖ count × (canon(4) ‖ len(4))`; the extent holds
+/// the tuples back to back, so each offset is the running sum of the
+/// lengths.
 /// Written after the partition extent, before the manifest record;
 /// missing or torn records are reconstructed on open from the chain
 /// record's routes and the extent bytes.
@@ -29,12 +33,11 @@ pub(crate) const OFFSETS: &str = "txoffsets.idx";
 
 /// Serializes one per-partition [`OFFSETS`] record.
 pub(crate) fn offsets_record(bid: u64, entries: &[OffsetRec]) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(12 + entries.len() * 12);
+    let mut rec = Vec::with_capacity(12 + entries.len() * 8);
     rec.extend_from_slice(&bid.to_le_bytes());
     rec.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for &(canon, off, len) in entries {
+    for &(canon, _, len) in entries {
         rec.extend_from_slice(&canon.to_le_bytes());
-        rec.extend_from_slice(&off.to_le_bytes());
         rec.extend_from_slice(&len.to_le_bytes());
     }
     rec
@@ -63,7 +66,7 @@ pub(crate) fn replay_offsets(
             let (want_bid, want_len) = expected[tables.len()];
             let bid = u64::from_le_bytes(fixed::<8>(&buf[at..at + 8]));
             let count = u32::from_le_bytes(fixed::<4>(&buf[at + 8..at + 12])) as usize;
-            let body = 12 + count * 12;
+            let body = 12 + count * 8;
             if bid != want_bid || count == 0 || buf.len() - at < body {
                 break;
             }
@@ -71,16 +74,18 @@ pub(crate) fn replay_offsets(
             let mut next_off = 0u32;
             let mut prev_canon: i64 = -1;
             for i in 0..count {
-                let q = at + 12 + i * 12;
+                let q = at + 12 + i * 8;
                 let canon = u32::from_le_bytes(fixed::<4>(&buf[q..q + 4]));
-                let off = u32::from_le_bytes(fixed::<4>(&buf[q + 4..q + 8]));
-                let len = u32::from_le_bytes(fixed::<4>(&buf[q + 8..q + 12]));
-                if (canon as i64) <= prev_canon || off != next_off || len == 0 {
+                let len = u32::from_le_bytes(fixed::<4>(&buf[q + 4..q + 8]));
+                let Some(end) = next_off.checked_add(len) else {
+                    break 'records;
+                };
+                if (canon as i64) <= prev_canon || len == 0 {
                     break 'records;
                 }
                 prev_canon = canon as i64;
-                next_off = off + len;
-                rec.push((canon, off, len));
+                rec.push((canon, next_off, len));
+                next_off = end;
             }
             if next_off != want_len {
                 break;

@@ -5,13 +5,15 @@
 //! offsets record, the chain record, or the manifest record itself —
 //! must heal on the next open with the store rolled back to the last
 //! fully-committed block, and the healed store must keep serving
-//! byte-identical blocks and accept new appends. Single-relation scans
-//! are strictly cheaper in `bytes_read` than the unpartitioned layout.
+//! byte-identical blocks and accept new appends — including an append
+//! that places a relation no earlier block carried, whose placement
+//! commits with it or not at all. Single-relation scans are strictly
+//! cheaper in `bytes_read` than the unpartitioned layout.
 
 use sebdb_crypto::sha256::Digest;
 use sebdb_storage::{
-    partition_of, BlockStore, IndexCheckpoint, StorageError, StoreConfig, WriteStep,
-    CHAIN_PARTITION, INDEX_CHECKPOINT_DIR,
+    BlockStore, IndexCheckpoint, StorageError, StoreConfig, WriteStep, CHAIN_PARTITION,
+    INDEX_CHECKPOINT_DIR,
 };
 use sebdb_types::{Block, Codec, Transaction, Value};
 use std::path::{Path, PathBuf};
@@ -30,24 +32,26 @@ fn cfg() -> StoreConfig {
     }
 }
 
-/// Table names spanning at least two distinct relation partitions, so
-/// every block fans out across several partition writers.
+/// Three relations, each placed in a partition of its own, so every
+/// block fans out across several partition writers.
 fn spanning_tables() -> Vec<&'static str> {
-    let candidates = [
-        "donate", "account", "project", "member", "audit", "voting", "pledge", "badge",
-    ];
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for c in candidates {
-        if seen.insert(partition_of(c)) {
-            out.push(c);
-        }
-        if out.len() == 3 {
-            break;
-        }
-    }
-    assert!(out.len() >= 2, "candidate tables all hash to one partition");
-    out
+    vec!["donate", "account", "project"]
+}
+
+/// The partition each of `tables` is placed in by a store whose first
+/// block carries them all.
+fn partitions_of(tables: &[&str]) -> Vec<usize> {
+    let store = BlockStore::temporary(cfg()).unwrap();
+    store.append(&block(0, tables, 2 * tables.len())).unwrap();
+    let parts: Vec<usize> = tables
+        .iter()
+        .map(|t| store.partition_of(t).unwrap())
+        .collect();
+    let mut distinct = parts.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), tables.len(), "relations share a partition");
+    parts
 }
 
 /// A deterministic multi-relation block: tuples round-robin over
@@ -73,10 +77,14 @@ fn block(height: u64, tables: &[&str], ntx: usize) -> Block {
 }
 
 fn assert_chain_identical(store: &BlockStore, tables: &[&str], ntx: usize, upto: u64, ctx: &str) {
+    assert_chain_is(store, |h| block(h, tables, ntx), upto, ctx);
+}
+
+fn assert_chain_is(store: &BlockStore, expect: impl Fn(u64) -> Block, upto: u64, ctx: &str) {
     for h in 0..upto {
         assert_eq!(
             store.read(h).unwrap().to_bytes(),
-            block(h, tables, ntx).to_bytes(),
+            expect(h).to_bytes(),
             "{ctx}: block {h} differs after heal"
         );
     }
@@ -86,50 +94,77 @@ fn assert_chain_identical(store: &BlockStore, tables: &[&str], ntx: usize, upto:
 /// touched partition's extent write, its offsets-record write, the
 /// chain-record write, and the manifest write — fails that append
 /// without advancing the height, and a reopen heals the torn on-disk
-/// state back to the last committed block.
+/// state back to the last committed block. The ladder runs twice: on a
+/// block of relations already placed, and on one that also places a
+/// new relation (`pledge`), which must stay unplaced until the block
+/// commits and then land where a store that never failed puts it.
 #[test]
 fn crash_at_every_write_boundary_heals_on_reopen() {
     let tables = spanning_tables();
-    let ntx = 6;
-    let mut touched: Vec<usize> = tables.iter().map(|t| partition_of(t)).collect();
-    touched.sort_unstable();
-    touched.dedup();
-    let mut steps = vec![
-        WriteStep::PartitionWrite(CHAIN_PARTITION),
-        WriteStep::ManifestWrite,
-    ];
-    for &p in &touched {
-        steps.push(WriteStep::PartitionWrite(p));
-        steps.push(WriteStep::OffsetsWrite(p));
-    }
-    for (si, step) in steps.into_iter().enumerate() {
-        let dir = tmpdir(&format!("boundary-{si}"));
-        {
-            let store = BlockStore::open(&dir, cfg()).unwrap();
-            for h in 0..3 {
-                store.append(&block(h, &tables, ntx)).unwrap();
+    let mut grown = tables.clone();
+    grown.push("pledge");
+    let ntx = 8;
+    for places in [false, true] {
+        let at = |h: u64| match places && h >= 3 {
+            true => &grown[..],
+            false => &tables[..],
+        };
+        let expect = |h: u64| block(h, at(h), ntx);
+        let touched = partitions_of(at(3));
+        let pledge = places.then(|| touched[3]);
+        let mut steps = vec![
+            WriteStep::PartitionWrite(CHAIN_PARTITION),
+            WriteStep::ManifestWrite,
+        ];
+        for &p in &touched {
+            steps.push(WriteStep::PartitionWrite(p));
+            steps.push(WriteStep::OffsetsWrite(p));
+        }
+        for (si, step) in steps.into_iter().enumerate() {
+            let ctx = format!("{step:?}, places a relation: {places}");
+            let dir = tmpdir(&format!("boundary-{places}-{si}"));
+            {
+                let store = BlockStore::open(&dir, cfg()).unwrap();
+                for h in 0..3 {
+                    store.append(&expect(h)).unwrap();
+                }
+                store.set_write_fault(Some(Box::new(move |s| s == step)));
+                let err = store.append(&expect(3)).unwrap_err();
+                assert!(
+                    err.to_string().contains("injected write fault"),
+                    "{ctx}: unexpected error {err}"
+                );
+                assert_eq!(
+                    store.height(),
+                    3,
+                    "{ctx}: failed append advanced the height"
+                );
+                assert_eq!(
+                    store.partition_of("pledge"),
+                    None,
+                    "{ctx}: placed uncommitted"
+                );
             }
-            store.set_write_fault(Some(Box::new(move |s| s == step)));
-            let err = store.append(&block(3, &tables, ntx)).unwrap_err();
-            assert!(
-                err.to_string().contains("injected write fault"),
-                "{step:?}: unexpected error {err}"
-            );
+            // Restart replay: the torn state (orphan extents, orphan offsets
+            // records, or a missing manifest record) truncates away.
+            let store = BlockStore::open(&dir, cfg()).unwrap();
+            assert_eq!(store.height(), 3, "{ctx}: reopen lost committed blocks");
             assert_eq!(
-                store.height(),
-                3,
-                "{step:?}: failed append advanced the height"
+                store.partition_of("pledge"),
+                None,
+                "{ctx}: placed after reopen"
             );
+            for h in 3..5 {
+                store.append(&expect(h)).unwrap();
+            }
+            assert_eq!(store.partition_of("pledge"), pledge, "{ctx}");
+            assert_chain_is(&store, expect, 5, &ctx);
+            drop(store);
+            let store = BlockStore::open(&dir, cfg()).unwrap();
+            assert_eq!(store.partition_of("pledge"), pledge, "{ctx}: reopened");
+            assert_chain_is(&store, expect, 5, &ctx);
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        // Restart replay: the torn state (orphan extents, orphan offsets
-        // records, or a missing manifest record) truncates away.
-        let store = BlockStore::open(&dir, cfg()).unwrap();
-        assert_eq!(store.height(), 3, "{step:?}: reopen lost committed blocks");
-        for h in 3..5 {
-            store.append(&block(h, &tables, ntx)).unwrap();
-        }
-        assert_chain_identical(&store, &tables, ntx, 5, &format!("{step:?}"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -160,10 +195,9 @@ fn manifest_ahead_of_partition_data_rolls_back_on_reopen() {
     // Every block routes tuples to every chosen table, so tearing the
     // tail of any touched directory damages exactly the last block.
     let mut victims: Vec<PathBuf> = vec![PathBuf::from("chain")];
-    for t in &tables {
-        victims.push(PathBuf::from(format!("part-{}", partition_of(t))));
+    for p in partitions_of(&tables) {
+        victims.push(PathBuf::from(format!("part-{p}")));
     }
-    victims.dedup();
     for (vi, victim) in victims.iter().enumerate() {
         let dir = tmpdir(&format!("reorder-{vi}"));
         {
@@ -249,31 +283,39 @@ fn lookups_never_resolve_a_cut_block() {
     }
 }
 
-/// A manifest in the older record format (magic `SEBDBMF1`, no tid/ts
-/// keys) is not migrated: `open` refuses it with a typed error, never a
-/// panic, and leaves the file as it was.
+/// A manifest in an older record format (magic `SEBDBMF1`, no tid/ts
+/// keys; `SEBDBMF2`, no placement records, its relations placed by a
+/// name hash) is not migrated: `open` refuses it with a typed error
+/// naming its magic, never a panic, and leaves the file as it was.
 #[test]
 fn an_older_manifest_format_fails_open_with_a_typed_error() {
-    let dir = tmpdir("mf1");
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut header = b"SEBDBMF1".to_vec();
-    header.extend_from_slice(&8u16.to_le_bytes());
-    header.extend_from_slice(&[0u8; 6]);
-    // One old-format record: bid ‖ chain seg/off/len ‖ nparts.
-    let mut record = 0u64.to_le_bytes().to_vec();
-    record.extend_from_slice(&[0u8; 4 + 8]);
-    record.extend_from_slice(&100u32.to_le_bytes());
-    record.extend_from_slice(&0u16.to_le_bytes());
-    let manifest = dir.join("blockmanifest.idx");
-    std::fs::write(&manifest, [header, record].concat()).unwrap();
-    let before = std::fs::read(&manifest).unwrap();
-    match BlockStore::open(&dir, cfg()) {
-        Err(StorageError::Corrupt(msg)) => assert!(msg.contains("SEBDBMF1"), "{msg}"),
-        Err(e) => panic!("expected a Corrupt error, got {e}"),
-        Ok(_) => panic!("an SEBDBMF1 manifest opened"),
+    // One SEBDBMF1 record: bid ‖ chain seg/off/len ‖ nparts.
+    let mut mf1 = 0u64.to_le_bytes().to_vec();
+    mf1.extend_from_slice(&[0u8; 4 + 8]);
+    mf1.extend_from_slice(&100u32.to_le_bytes());
+    mf1.extend_from_slice(&0u16.to_le_bytes());
+    // One SEBDBMF2 record: bid ‖ first tid ‖ ts ‖ chain seg/off/len ‖
+    // nparts.
+    let mut mf2 = [0u8; 8 + 8 + 8 + 4 + 8].to_vec();
+    mf2.extend_from_slice(&100u32.to_le_bytes());
+    mf2.extend_from_slice(&0u16.to_le_bytes());
+    for (magic, record) in [("SEBDBMF1", mf1), ("SEBDBMF2", mf2)] {
+        let dir = tmpdir(magic);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut header = magic.as_bytes().to_vec();
+        header.extend_from_slice(&8u16.to_le_bytes());
+        header.extend_from_slice(&[0u8; 6]);
+        let manifest = dir.join("blockmanifest.idx");
+        std::fs::write(&manifest, [header, record].concat()).unwrap();
+        let before = std::fs::read(&manifest).unwrap();
+        match BlockStore::open(&dir, cfg()) {
+            Err(StorageError::Corrupt(msg)) => assert!(msg.contains(magic), "{msg}"),
+            Err(e) => panic!("expected a Corrupt error, got {e}"),
+            Ok(_) => panic!("an {magic} manifest opened"),
+        }
+        assert_eq!(std::fs::read(&manifest).unwrap(), before);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    assert_eq!(std::fs::read(&manifest).unwrap(), before);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A deterministic multi-block index checkpoint: enough distinct
@@ -556,7 +598,8 @@ fn raw_relation_scan_is_the_decoded_scan_undecoded() {
         }
         let bids: Vec<u64> = (0..nblocks).collect();
         for table in &tables {
-            let route = partition_of(table) % store.partitions();
+            let route = store.partition_of(table);
+            assert!(route.is_some(), "p{partitions} {table} unplaced");
             store.stats.reset();
             let raw = store.scan_relation_raw(&bids, table).unwrap();
             let raw_charge = (store.stats.snapshot(), store.stats.bytes_read());
@@ -580,7 +623,7 @@ fn raw_relation_scan_is_the_decoded_scan_undecoded() {
                     .transactions
                     .iter()
                     .enumerate()
-                    .filter(|(_, t)| partition_of(&t.tname) % store.partitions() == route)
+                    .filter(|(_, t)| store.partition_of(&t.tname) == route)
                     .map(|(i, t)| (i as u32, t.clone()))
                     .collect();
                 assert_eq!(from_raw, from_block, "p{partitions} {table} block {bid}");
