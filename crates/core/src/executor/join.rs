@@ -176,7 +176,9 @@ impl Executor<'_> {
                 |run| probe_extents(run, &left.name, left_col, window, &build),
             ))?
         } else {
-            self.probe_relation(&bids(&l_blocks), &left.name, left_col, window, &build)?
+            self.map_relation(&bids(&l_blocks), &left.name, |run| {
+                probe_extents(run, &left.name, left_col, window, &build)
+            })?
         };
         out.rows = assemble(&probed, &decode_matched(&entries, &probed)?);
         Ok(())
@@ -278,9 +280,7 @@ mod tests {
     /// for the timings EXPERIMENTS.md quotes.
     #[test]
     fn q5_phase_split() {
-        let dir = std::env::temp_dir().join(format!("sebdb-q5-phases-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = BlockStore::open(&dir, StoreConfig::default()).unwrap();
+        let store = BlockStore::temporary(StoreConfig::default()).unwrap();
         let ledger = Ledger::new(Arc::new(store), MacKeypair::from_key([3; 32])).unwrap();
         let mut state = 11u64;
         let mut below = |n: u64| {
@@ -350,7 +350,9 @@ mod tests {
             let build = KeyTable::build(entries.iter().map(|e| e.key).collect());
             mark(2);
             let probed = exec
-                .probe_relation(&bids, &left.name, col, window, &build)
+                .map_relation(&bids, &left.name, |run| {
+                    probe_extents(run, &left.name, col, window, &build)
+                })
                 .unwrap();
             mark(3);
             let build_rows = decode_matched(&entries, &probed).unwrap();
@@ -381,6 +383,5 @@ mod tests {
             phases.iter().sum::<u128>() / ROUNDS,
             whole[whole.len() / 2]
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,7 +8,7 @@
 //! sort-merge joined against the sorted off-chain rows using their
 //! second-level leaves.
 
-use super::hash::{assemble, KeyTable};
+use super::hash::{assemble, probe_extents, KeyTable};
 use super::range::in_window;
 use super::{materialize, ExecError, Executor, QueryResult, Strategy};
 use sebdb_index::Bitmap;
@@ -159,7 +159,9 @@ impl Executor<'_> {
                     .map(|&at| Decoder::new(&arena[at..]).get_raw_value())
                     .collect::<Result<_, _>>()?;
                 let build = KeyTable::build(keys);
-                let probed = self.probe_relation(&bids, &on_table.name, on_col, window, &build)?;
+                let probed = self.map_relation(&bids, &on_table.name, |run| {
+                    probe_extents(run, &on_table.name, on_col, window, &build)
+                })?;
                 out.rows = assemble(&probed, &off_rows);
             }
         }

@@ -1,10 +1,12 @@
 //! Single-table select / range / point queries (Q4-style) under the
 //! three access paths of §IV-B's cost analysis.
 
+use super::hash::decode_row;
 use super::{full_header, materialize, project, ExecError, Executor, QueryResult, Strategy};
+use crate::ledger::LedgerError;
 use sebdb_index::{AccessPath, Bitmap, KeyPredicate};
 use sebdb_sql::BoundPredicate;
-use sebdb_storage::TxPtr;
+use sebdb_storage::{RawExtent, TxPtr};
 use sebdb_types::{ColumnRef, TableSchema, Timestamp, Value};
 
 /// What [`Executor::probe_range`] decided for one single-table query
@@ -76,28 +78,14 @@ impl Executor<'_> {
         } else {
             mask
         };
-        // Each candidate block scans independently; per-block row
-        // batches concatenate in block order, so the output matches
-        // the sequential scan row for row. The scan is
-        // partition-granular: only the table's relation partition is
-        // fetched, and the table-name filter below drops any
-        // co-located relations sharing its extent.
-        let chunks = self.scan_relation(&blocks, &schema.name, |tx| {
-            if !tx.tname.eq_ignore_ascii_case(&schema.name) {
-                return Ok(None);
-            }
-            if !in_window(tx.ts, window) {
-                return Ok(None);
-            }
-            if predicates.iter().all(|p| p.matches(|c| tx.get(c))) {
-                Ok(Some(project(schema, projection, materialize(tx))?))
-            } else {
-                Ok(None)
-            }
-        });
-        for chunk in chunks {
-            out.rows.extend(chunk?);
-        }
+        // Partition-granular and late-materialized: only the table's
+        // relation partition is fetched, each tuple is tested on the
+        // columns its filters name, and only the rows returned are
+        // decoded (DESIGN §10.4).
+        let bids: Vec<u64> = blocks.iter_ones().map(|b| b as u64).collect();
+        out.rows = self.map_relation(&bids, &schema.name, |run| {
+            select_extents(run, schema, projection, predicates, window)
+        })?;
         Ok(out)
     }
 
@@ -261,33 +249,39 @@ impl Executor<'_> {
             Ok(rows)
         })
     }
+}
 
-    /// Single-relation variant of [`Self::scan_blocks`]: fetches only
-    /// `table`'s relation partition per candidate block (canonical
-    /// order preserved), so the scan's `bytes_read` excludes unrelated
-    /// relations' extents. `per_tx` still sees any co-located
-    /// relations sharing the partition and must filter by table name.
-    pub(super) fn scan_relation(
-        &self,
-        blocks: &Bitmap,
-        table: &str,
-        per_tx: impl Fn(&sebdb_types::Transaction) -> Result<Option<Vec<Value>>, ExecError> + Sync,
-    ) -> Vec<Result<Vec<Vec<Value>>, ExecError>> {
-        let bids: Vec<u64> = blocks.iter_ones().map(|b| b as u64).collect();
-        let runs: Vec<&[u64]> = bids.chunks(sebdb_storage::READAHEAD_BLOCKS).collect();
-        sebdb_parallel::par_map(&runs, sebdb_parallel::FLOOR_RUN, |run| {
-            let fetched = self.ledger.read_relation_txs(run, table)?;
-            let mut rows = Vec::new();
-            for txs in fetched {
-                for (_, tx) in &txs {
-                    if let Some(row) = per_tx(tx)? {
-                        rows.push(row);
-                    }
-                }
+/// The Scan and Bitmap arms' filter over one run of extents: keeps
+/// `schema`'s tuples inside `window` that satisfy every predicate,
+/// each tested on its own column still encoded, and decodes only those
+/// (co-located relations share an extent, hence the name test). Chain
+/// order.
+fn select_extents(
+    extents: &[RawExtent],
+    schema: &TableSchema,
+    projection: &[String],
+    predicates: &[BoundPredicate],
+    window: Option<(Timestamp, Timestamp)>,
+) -> Result<Vec<Vec<Value>>, ExecError> {
+    let mut rows = Vec::new();
+    'tuples: for tuple in extents.iter().flat_map(RawExtent::tuples) {
+        let head = tuple.project().map_err(LedgerError::from)?;
+        if !head.tname.eq_ignore_ascii_case(&schema.name) || !in_window(head.ts, window) {
+            continue;
+        }
+        for p in predicates {
+            let raw = tuple.column(&head, p.column).map_err(LedgerError::from)?;
+            if !raw
+                .map(|v| v.value())
+                .transpose()?
+                .is_some_and(|v| p.holds(&v))
+            {
+                continue 'tuples;
             }
-            Ok(rows)
-        })
+        }
+        rows.push(project(schema, projection, decode_row(&tuple)?)?);
     }
+    Ok(rows)
 }
 
 pub(super) fn in_window(ts: Timestamp, window: Option<(Timestamp, Timestamp)>) -> bool {

@@ -251,8 +251,7 @@ impl Ledger {
         let height = ledger.store.height();
         let replay_from = ledger.replay_floor().min(height);
         for bid in replay_from..height {
-            let block = ledger.store.read(bid)?;
-            ledger.index_block(&block);
+            ledger.index_one_lane(&*ledger.store.read(bid)?);
         }
         if height > 0 {
             *ledger.last_hash.write() = ledger.store.read(height - 1)?.header.block_hash;
@@ -352,7 +351,7 @@ impl Ledger {
 
     fn advance_applied(&self, to: BlockId) {
         let guard = self.height_watch.lock();
-        // Monotone: lane completions can race the sequential path during
+        // Monotone: lane completions can race the direct path during
         // teardown; the applied height only ever moves forward.
         if to > self.applied.load(Ordering::Acquire) {
             self.applied.store(to, Ordering::Release);
@@ -391,11 +390,6 @@ impl Ledger {
         Ok(self.cached.read().read_block(bid)?)
     }
 
-    /// Reads one transaction through the current cache.
-    pub fn read_tx(&self, ptr: TxPtr) -> Result<Arc<Transaction>, LedgerError> {
-        Ok(self.cached.read().read_tx(ptr)?)
-    }
-
     /// Reads a run of blocks through the current cache, coalescing
     /// physically contiguous misses into readahead span reads — the
     /// sequential-scan fast path of Figs. 11–12. Results come back in
@@ -406,32 +400,17 @@ impl Ledger {
 
     /// Reads many transactions at once, grouped by containing block and
     /// fetched across workers; results come back in input order. The
-    /// executor's index-driven scans use this instead of issuing one
-    /// [`Self::read_tx`] per pointer.
+    /// executor's index-driven scans use this instead of reading one
+    /// pointer at a time.
     pub fn read_txs_grouped(&self, ptrs: &[TxPtr]) -> Result<Vec<Arc<Transaction>>, LedgerError> {
         Ok(self.cached.read().read_txs_grouped(ptrs)?)
     }
 
-    /// Reads, for each block in `bids`, only the tuples stored in
-    /// `table`'s relation partition, as `(canonical index, tx)` pairs
-    /// in block order. Single-relation scans use this instead of
-    /// [`Self::read_blocks_span`] so they stop paying for unrelated
-    /// relations' bytes (the partitioned layout's whole point); callers
-    /// still filter by table name since co-located relations share a
-    /// partition.
-    pub fn read_relation_txs(
-        &self,
-        bids: &[BlockId],
-        table: &str,
-    ) -> Result<Vec<Vec<(u32, Transaction)>>, LedgerError> {
-        Ok(self.cached.read().read_relation_txs(bids, table)?)
-    }
-
-    /// [`Self::read_relation_txs`] without the decoding: each block's
-    /// partition extent as stored, for scans that project tuples and
-    /// decode only the ones they return (the hash joins). Always reads
-    /// the store — cached blocks are decoded ones, no use here — and
-    /// leaves the cache as it was.
+    /// For each block in `bids`, `table`'s relation partition extent as
+    /// stored — the one relation scan: Q4's Scan and Bitmap arms and
+    /// the hash joins project its tuples and decode only the ones they
+    /// return. Always reads the store — cached blocks are decoded ones,
+    /// no use here — and leaves the cache as it was.
     pub fn scan_relation_raw(
         &self,
         bids: &[BlockId],
@@ -542,14 +521,12 @@ impl Ledger {
     }
 
     /// Stage three of the write path: updates every index family for a
-    /// block previously appended via [`Self::persist_block`], then
-    /// advances the applied height and wakes height waiters. Blocks
-    /// must be indexed in height order.
+    /// block previously appended via [`Self::persist_block`] — the
+    /// pipeline's lane work run as one lane on the caller's thread —
+    /// then advances the applied height and wakes height waiters.
+    /// Blocks must be indexed in height order.
     pub fn index_appended(&self, block: &Block) {
-        if let Some(hook) = self.index_fault.read().as_ref() {
-            hook(block);
-        }
-        self.index_block(block);
+        self.index_one_lane(block);
         self.advance_applied(block.header.height + 1);
         // Fold materialized views after the applied-height advance, so
         // a view never observes a height above `height()`. Best-effort
@@ -562,11 +539,6 @@ impl Ledger {
                 block.header.height
             );
         }
-        if self.checkpoint_due(block.header.height + 1) {
-            // Best-effort: a failed or interrupted checkpoint leaves
-            // the previous one in place and heals at the next open.
-            let _ = self.checkpoint_indexes();
-        }
     }
 
     /// Installs (or clears) a fault-injection hook invoked with each
@@ -577,14 +549,12 @@ impl Ledger {
         *self.index_fault.write() = hook;
     }
 
-    fn index_block(&self, block: &Block) {
-        // The index families update in order on the caller's thread:
-        // the pipeline's lanes already are the parallelism, and on
-        // small blocks a family's update costs less than the spawn
-        // that would overlap it. Each skips blocks it already covers.
-        for shard in &self.shards {
-            shard.update(block, None);
-        }
+    /// Every index family's share of `block` as one applier lane of one
+    /// would maintain it, on the caller's thread. Each family skips
+    /// blocks it already covers.
+    fn index_one_lane(&self, block: &Block) {
+        self.index_chain_lane(block);
+        self.index_relation_lane(0, 1, block, &Self::relation_rows(block));
     }
 
     /// Partitions a block's tuples by (lowercased) relation name:
@@ -612,6 +582,8 @@ impl Ledger {
         let chain = &self.shards[INDEX_SHARDS];
         chain.update(block, None);
         if self.checkpoint_due(block.header.height + 1) {
+            // Best-effort: a failed or interrupted checkpoint leaves
+            // the previous one in place and heals at the next open.
             let _ = chain.checkpoint(self);
         }
     }
@@ -691,7 +663,7 @@ impl Ledger {
     /// applied height is the running minimum over the vector (advanced
     /// by [`Self::lane_applied`]). The lane pipeline installs this at
     /// start and clears it (via [`Self::clear_applied_vector`]) on
-    /// join, so the sequential path is untouched.
+    /// join, so the direct path ([`Self::append_block`]) is untouched.
     pub fn install_applied_vector(&self, lanes: usize) -> Arc<Vec<Tracked<AtomicU64>>> {
         let start = self.height();
         let vec: Arc<Vec<Tracked<AtomicU64>>> = Arc::new(
@@ -1161,8 +1133,8 @@ mod tests {
         let reads_with_cache = l.store().stats.snapshot().0;
         l.use_tx_cache(1 << 20);
         let ptr = TxPtr { block: 0, index: 1 };
-        l.read_tx(ptr).unwrap();
-        l.read_tx(ptr).unwrap();
+        l.read_txs_grouped(&[ptr]).unwrap();
+        l.read_txs_grouped(&[ptr]).unwrap();
         // Tuple-granular reads: no extra block reads at all.
         let reads_after = l.store().stats.snapshot().0;
         assert_eq!(reads_after, reads_with_cache);

@@ -127,9 +127,8 @@ impl SebdbNode {
     /// applying ordered blocks to the ledger and schema catalog through
     /// the staged write pipeline, its depth and indexer lane count
     /// derived from the host's core count ([`auto_pipeline_depth`],
-    /// [`auto_applier_lanes`]: sequential on one core; otherwise
-    /// sealing block N overlaps indexing block N−1 across one lane per
-    /// core). The persist stage additionally fans each block's tuples
+    /// [`auto_applier_lanes`]: one lane on one core; otherwise one lane
+    /// per core). Sealing block N overlaps indexing block N−1 either way. The persist stage additionally fans each block's tuples
     /// across the store's per-relation partition segments (`StoreConfig::partitions`), committed by a
     /// single chain-order manifest record.
     pub fn start(

@@ -24,7 +24,7 @@
 //! dedicated **view-folder** consumer downstream of the index lanes —
 //! it waits for [`Ledger::height`] to cover a block before folding it,
 //! so a view never observes a height above the applied height. The
-//! sequential applier folds inline at the end of
+//! direct ledger path folds inline at the end of
 //! [`Ledger::index_appended`], after the applied-height advance, with
 //! the same guarantee.
 //!
@@ -383,7 +383,7 @@ impl Ledger {
 
     /// Folds one applied block into every registered view. Callers
     /// guarantee the block is at or below the applied height (the
-    /// sequential applier calls this after the applied-height advance;
+    /// direct ledger path calls this after the applied-height advance;
     /// the pipeline's view-folder stage waits on
     /// [`Ledger::wait_for_height`] first), so a view's cursor never
     /// runs ahead of [`Ledger::height`]. Idempotent per block: a block

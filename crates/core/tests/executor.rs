@@ -597,26 +597,17 @@ fn auto_strategy_picks_layered_for_selective_queries() {
     );
 }
 
-fn probe_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("sebdb-exec-{tag}-{}", std::process::id()))
-}
-
 /// 40 blocks × 100 `donate` rows where block `b` holds the amounts
 /// `i * 40 + b`: every block spans the whole value range, so every
 /// histogram bucket lists every block and the layered index's first
 /// level prunes nothing — the planner has to be right without it.
-fn uninformative_first_level(
-    tag: &str,
-    index_cache_blocks: Option<usize>,
-) -> (Ledger, TableSchema) {
-    let dir = probe_dir(tag);
-    let _ = std::fs::remove_dir_all(&dir);
-    let cfg = sebdb_storage::StoreConfig {
+fn uninformative_first_level(index_cache_blocks: Option<usize>) -> (Ledger, TableSchema) {
+    let cfg = StoreConfig {
         index_cache_blocks,
-        ..sebdb_storage::StoreConfig::default()
+        ..StoreConfig::default()
     };
     let l = Ledger::new(
-        Arc::new(BlockStore::open(&dir, cfg).unwrap()),
+        Arc::new(BlockStore::temporary(cfg).unwrap()),
         MacKeypair::from_key([3; 32]),
     )
     .unwrap();
@@ -685,7 +676,7 @@ fn assert_all_paths_agree(l: &Ledger, plan: &LogicalPlan, want: usize) {
 
 #[test]
 fn auto_counts_the_result_when_the_first_level_prunes_nothing() {
-    let (l, s) = uninformative_first_level("probe-selective", None);
+    let (l, s) = uninformative_first_level(None);
     // Five rows, in blocks 0..=4; the first level prunes none of the
     // 40 resident trees.
     let plan = amount_between(&s, 1000, 1004, None);
@@ -701,12 +692,11 @@ fn auto_counts_the_result_when_the_first_level_prunes_nothing() {
     assert!(text.contains("p = 5 exact"), "{text}");
     assert!(text.contains("0 index blocks spanned"), "{text}");
     assert!(text.contains("5 of 5 rows scanned kept"), "{text}");
-    let _ = std::fs::remove_dir_all(probe_dir("probe-selective"));
 }
 
 #[test]
 fn auto_abandons_the_probe_within_budget_on_a_wide_range() {
-    let (l, s) = uninformative_first_level("probe-wide", None);
+    let (l, s) = uninformative_first_level(None);
     // Half the table: 50 rows in every block.
     let plan = amount_between(&s, 0, 1999, None);
     assert_all_paths_agree(&l, &plan, 2000);
@@ -725,12 +715,11 @@ fn auto_abandons_the_probe_within_budget_on_a_wide_range() {
     let (p, crossover) = (abandon_point(&text), crossover.unwrap());
     assert!((25 * 40..=26 * 40).contains(&crossover));
     assert!((crossover..crossover + 50).contains(&p), "{text}");
-    let _ = std::fs::remove_dir_all(probe_dir("probe-wide"));
 }
 
 #[test]
 fn auto_probes_only_the_window_over_a_frozen_index() {
-    let (l, s) = uninformative_first_level("probe-frozen", Some(8));
+    let (l, s) = uninformative_first_level(Some(8));
     assert!(l.checkpoint_indexes().unwrap() > 0, "nothing was frozen");
     // Tuples of blocks 10..=29; the (conservative) block mask adds
     // block 9, so 21 of the 40 blocks are inside the window.
@@ -763,7 +752,123 @@ fn auto_probes_only_the_window_over_a_frozen_index() {
     let text = explain(&l, &wide);
     assert!(text.contains("Query donate [scan: "), "{text}");
     assert!(abandon_point(&text) <= 26 * 21, "{text}");
-    let _ = std::fs::remove_dir_all(probe_dir("probe-frozen"));
+}
+
+/// The cases Q4's Scan and Bitmap arms decide from a tuple's bytes,
+/// before decoding it: a `NULL` in the indexed column, a second
+/// predicate on an unindexed column (with `NULL`s of its own), a
+/// projection list, tuples exactly on the window's edges, and a
+/// relation sharing the extent (`partitions: 1`) whose rows would pass
+/// every predicate. Every access path returns the same rows in the same
+/// order under each read cache.
+#[test]
+fn projected_scan_arms_agree_with_every_path_in_every_cache_mode() {
+    let l = Ledger::new(
+        Arc::new(
+            BlockStore::temporary(StoreConfig {
+                partitions: 1,
+                ..StoreConfig::default()
+            })
+            .unwrap(),
+        ),
+        MacKeypair::from_key([3; 32]),
+    )
+    .unwrap();
+    // Block `b`, slot `i`: four `donate` rows, then two `volunteer`
+    // rows of the same shape and in range.
+    let donate_row = |b: i64, i: i64| {
+        let amount = match (b + i) % 5 {
+            0 => Value::Null,
+            _ => Value::decimal(b * 10 + i),
+        };
+        let note = match (i % 3, (b + i) % 2) {
+            (0, _) => Value::Null,
+            (_, 0) => Value::str("x"),
+            _ => Value::str("y"),
+        };
+        vec![amount, note]
+    };
+    let groups: Vec<Vec<(&str, KeyId, Vec<Value>)>> = (0..12)
+        .map(|b| {
+            let mut txs: Vec<(&str, KeyId, Vec<Value>)> =
+                (0..4).map(|i| ("donate", A, donate_row(b, i))).collect();
+            for i in 0..2 {
+                txs.push((
+                    "volunteer",
+                    B,
+                    vec![Value::decimal(b * 10 + i), Value::str("x")],
+                ));
+            }
+            txs
+        })
+        .collect();
+    append_blocks(&l, groups);
+    assert!(l.store().co_located("donate", "volunteer"));
+    let s = schema(
+        "donate",
+        &[("amount", DataType::Decimal), ("note", DataType::Str)],
+    );
+    l.create_layered_index(&s, "amount", None).unwrap();
+
+    // The window's edges are tuples: block 3 slot 1 and block 7 slot 2.
+    let window = Some((3_001, 7_002));
+    let note_is_x = BoundPredicate {
+        column: s.resolve("note").unwrap(),
+        kind: BoundPredicateKind::Compare(CompareOp::Eq, Value::str("x")),
+    };
+    let want = |x_only: bool, windowed: bool| {
+        let in_window = |b: i64, i: i64| !windowed || (3_001..=7_002).contains(&(b * 1000 + i));
+        let rows = (0..12).flat_map(|b| (0..4).map(move |i| (b, i)));
+        rows.filter(|&(b, i)| {
+            let row = donate_row(b, i);
+            row[0] != Value::Null && (!x_only || row[1] == Value::str("x")) && in_window(b, i)
+        })
+        .count()
+    };
+    let with = |plan: LogicalPlan, extra: Option<&BoundPredicate>, projection: &[&str]| {
+        let LogicalPlan::Query {
+            schema,
+            mut predicates,
+            window,
+            ..
+        } = plan
+        else {
+            unreachable!()
+        };
+        predicates.extend(extra.cloned());
+        LogicalPlan::Query {
+            schema,
+            projection: projection.iter().map(|c| c.to_string()).collect(),
+            predicates,
+            window,
+        }
+    };
+    let all = amount_between(&s, 0, 1000, None);
+    let edged = amount_between(&s, 0, 1000, window);
+    let cases = [
+        (with(all.clone(), None, &[]), want(false, false)),
+        (with(all.clone(), Some(&note_is_x), &[]), want(true, false)),
+        (
+            with(all, None, &["note", "tid", "amount"]),
+            want(false, false),
+        ),
+        (with(edged.clone(), None, &[]), want(false, true)),
+        (
+            with(edged, Some(&note_is_x), &["amount", "ts"]),
+            want(true, true),
+        ),
+    ];
+    let modes: [&dyn Fn(&Ledger); 3] = [
+        &|l| l.set_cache_mode(sebdb_storage::CacheMode::None),
+        &|l| l.use_block_cache(1 << 20),
+        &|l| l.use_tx_cache(1 << 20),
+    ];
+    for set_mode in modes {
+        set_mode(&l);
+        for (plan, want) in &cases {
+            assert_all_paths_agree(&l, plan, *want);
+        }
+    }
 }
 
 /// Every call site that still fans out does so above its floor, and

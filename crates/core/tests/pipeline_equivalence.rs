@@ -1,11 +1,11 @@
-//! Pipelined-vs-sequential write-path equivalence.
+//! Staged-applier equivalence against the direct ledger path.
 //!
-//! The acceptance bar for the staged applier: pipelined apply (depth
-//! ≥ 2, sealer and indexer on separate threads) must produce
-//! byte-identical blocks and identical `QueryResult`s to the
-//! sequential path, pinned at `SEBDB_THREADS=1` semantics via
-//! `set_max_threads(1)`. Plus the crash-at-stage-boundary and
-//! dead-applier failure modes.
+//! The acceptance bar for the one applier: every `depth × lanes`
+//! shape of [`ApplyPipeline`], 1 × 1 included, must produce
+//! byte-identical blocks and identical `QueryResult`s to
+//! `Ledger::append_ordered` + `SchemaManager::apply_block` run one
+//! block at a time on the caller's thread. Plus the
+//! crash-at-stage-boundary and dead-applier failure modes.
 
 use sebdb::{ApplyPipeline, Executor, Ledger, NodeError, SchemaManager, SebdbNode, Strategy};
 use sebdb_consensus::{BatchConfig, KafkaOrderer, OrderedBlock};
@@ -131,6 +131,25 @@ fn run_pipeline(depth: usize, blocks: &[OrderedBlock]) -> (Arc<Ledger>, Arc<Sche
     run_lanes(depth, 1, blocks)
 }
 
+/// The reference: `blocks` applied by the direct ledger path, one at a
+/// time on the caller's thread, each then applied to the catalog.
+fn run_direct_on(
+    store: Arc<BlockStore>,
+    blocks: &[OrderedBlock],
+) -> (Arc<Ledger>, Arc<SchemaManager>) {
+    let ledger = Arc::new(Ledger::new(store, signer()).unwrap());
+    let schemas = Arc::new(SchemaManager::new(None));
+    for b in blocks {
+        schemas.apply_block(&ledger.append_ordered(b.clone()).unwrap());
+    }
+    (ledger, schemas)
+}
+
+fn run_direct(blocks: &[OrderedBlock]) -> (Arc<Ledger>, Arc<SchemaManager>) {
+    let store = BlockStore::temporary(StoreConfig::default()).unwrap();
+    run_direct_on(Arc::new(store), blocks)
+}
+
 fn range_query(schema: TableSchema) -> LogicalPlan {
     LogicalPlan::Query {
         predicates: vec![BoundPredicate {
@@ -149,63 +168,76 @@ fn pipelined_apply_is_byte_identical_and_query_equivalent() {
     // CI's SEBDB_THREADS=1 pass would.
     sebdb_parallel::set_max_threads(1);
     let blocks = mixed_blocks(120);
-    let (seq_ledger, seq_schemas) = run_pipeline(1, &blocks);
-    let (pipe_ledger, pipe_schemas) = run_pipeline(4, &blocks);
-
-    assert_eq!(seq_ledger.height(), 120);
-    assert_eq!(pipe_ledger.height(), 120);
-    assert_eq!(seq_ledger.tip_hash(), pipe_ledger.tip_hash());
-    for bid in 0..120 {
-        let a = seq_ledger.read_block(bid).unwrap();
-        let b = pipe_ledger.read_block(bid).unwrap();
-        assert_eq!(a.to_bytes(), b.to_bytes(), "block {bid} differs");
-    }
-    seq_ledger.verify_chain().unwrap();
-    pipe_ledger.verify_chain().unwrap();
-
-    // Both catalogs saw every CREATE.
-    for t in 0..12 {
-        let name = format!("donate{t}");
-        assert!(seq_schemas.get(&name).is_some(), "{name} missing (seq)");
-        assert!(pipe_schemas.get(&name).is_some(), "{name} missing (pipe)");
-    }
-
-    // Identical QueryResults across strategies and operators.
-    let seq_exec = Executor::new(&seq_ledger, None);
-    let pipe_exec = Executor::new(&pipe_ledger, None);
-    let schema = seq_schemas.get("donate3").unwrap();
-    for strat in [Strategy::Scan, Strategy::Bitmap] {
-        let a = seq_exec
-            .execute(&range_query(schema.clone()), strat)
-            .unwrap();
-        let b = pipe_exec
-            .execute(&range_query(schema.clone()), strat)
-            .unwrap();
-        assert_eq!(a, b, "{strat:?} range query diverged");
-        assert!(!a.is_empty());
-    }
+    let (direct_ledger, direct_schemas) = run_direct(&blocks);
+    assert_eq!(direct_ledger.height(), 120);
+    direct_ledger.verify_chain().unwrap();
+    let direct_exec = Executor::new(&direct_ledger, None);
+    let schema = direct_schemas.get("donate3").unwrap();
     let trace = LogicalPlan::Trace {
         window: None,
         operator: Some(Value::Bytes(SENDER.as_bytes().to_vec())),
         operation: None,
     };
-    let a = seq_exec.execute(&trace, Strategy::Layered).unwrap();
-    let b = pipe_exec.execute(&trace, Strategy::Layered).unwrap();
-    assert_eq!(a, b, "trace diverged");
-    // Provenance tracking covers the application tables' inserts (the
-    // schema-sync rows live in the reserved catalog table).
-    assert_eq!(a.len(), 120 * 5);
+
+    // The one-core shape (depth 1, one lane) and a deep one.
+    for depth in [1, 4] {
+        let (pipe_ledger, pipe_schemas) = run_pipeline(depth, &blocks);
+        assert_eq!(pipe_ledger.height(), 120);
+        assert_eq!(direct_ledger.tip_hash(), pipe_ledger.tip_hash());
+        for bid in 0..120 {
+            let a = direct_ledger.read_block(bid).unwrap();
+            let b = pipe_ledger.read_block(bid).unwrap();
+            assert_eq!(
+                a.to_bytes(),
+                b.to_bytes(),
+                "depth {depth}: block {bid} differs"
+            );
+        }
+        pipe_ledger.verify_chain().unwrap();
+
+        // Both catalogs saw every CREATE.
+        for t in 0..12 {
+            let name = format!("donate{t}");
+            assert!(
+                direct_schemas.get(&name).is_some(),
+                "{name} missing (direct)"
+            );
+            assert!(
+                pipe_schemas.get(&name).is_some(),
+                "{name} missing (depth {depth})"
+            );
+        }
+
+        // Identical QueryResults across strategies and operators.
+        let pipe_exec = Executor::new(&pipe_ledger, None);
+        for strat in [Strategy::Scan, Strategy::Bitmap] {
+            let a = direct_exec
+                .execute(&range_query(schema.clone()), strat)
+                .unwrap();
+            let b = pipe_exec
+                .execute(&range_query(schema.clone()), strat)
+                .unwrap();
+            assert_eq!(a, b, "depth {depth}: {strat:?} range query diverged");
+            assert!(!a.is_empty());
+        }
+        let a = direct_exec.execute(&trace, Strategy::Layered).unwrap();
+        let b = pipe_exec.execute(&trace, Strategy::Layered).unwrap();
+        assert_eq!(a, b, "depth {depth}: trace diverged");
+        // Provenance tracking covers the application tables' inserts
+        // (the schema-sync rows live in the reserved catalog table).
+        assert_eq!(a.len(), 120 * 5);
+    }
 }
 
 /// The sharded-applier acceptance bar: lanes=4 must be byte-identical
-/// and query-equivalent to lanes=1 on the 120-block mixed DDL/insert
-/// workload. Runs under the ambient `SEBDB_THREADS` cap — CI drives
+/// and query-equivalent to the direct ledger path on the 120-block
+/// mixed DDL/insert workload. Runs under the ambient `SEBDB_THREADS` cap — CI drives
 /// this test at both SEBDB_THREADS=1 and SEBDB_THREADS=4, covering the
 /// lanes × threads matrix.
 #[test]
 fn sharded_lanes_are_byte_identical_and_query_equivalent() {
     let blocks = mixed_blocks(120);
-    let (one_ledger, one_schemas) = run_lanes(1, 1, &blocks);
+    let (one_ledger, one_schemas) = run_direct(&blocks);
     let (four_ledger, four_schemas) = run_lanes(4, 4, &blocks);
 
     assert_eq!(one_ledger.height(), 120);
@@ -219,7 +251,7 @@ fn sharded_lanes_are_byte_identical_and_query_equivalent() {
     four_ledger.verify_chain().unwrap();
     for t in 0..12 {
         let name = format!("donate{t}");
-        assert!(one_schemas.get(&name).is_some(), "{name} missing (lanes=1)");
+        assert!(one_schemas.get(&name).is_some(), "{name} missing (direct)");
         assert!(
             four_schemas.get(&name).is_some(),
             "{name} missing (lanes=4)"
@@ -228,7 +260,7 @@ fn sharded_lanes_are_byte_identical_and_query_equivalent() {
 
     // Per-table layered indexes built on both ledgers (control-plane,
     // applier quiescent) answer identically — the shards a lane
-    // maintained in parallel hold the same entries as the sequential
+    // maintained in parallel hold the same entries as the direct
     // build.
     let schema = one_schemas.get("donate3").unwrap();
     one_ledger
@@ -264,31 +296,23 @@ fn sharded_lanes_are_byte_identical_and_query_equivalent() {
 /// Tentpole acceptance for the partitioned layout: applier lanes ×
 /// storage partitions must be invisible. A depth-4/lanes=4 pipeline
 /// persisting to the 8-way partitioned disk layout produces
-/// byte-identical blocks and identical `QueryResult`s to a
-/// depth-1/lanes=1 run over the unpartitioned (partitions = 1) layout
-/// — the sequential single-sequence reference.
+/// byte-identical blocks and identical `QueryResult`s to the direct
+/// ledger path over the unpartitioned (partitions = 1) layout.
 #[test]
 fn lanes_by_partitions_matches_sequential_reference() {
     let blocks = mixed_blocks(60);
-    let run_disk = |tag: &str, depth: usize, lanes: usize, partitions: usize| {
-        let dir =
-            std::env::temp_dir().join(format!("sebdb-lanesparts-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = BlockStore::open(
-            &dir,
-            sebdb_storage::StoreConfig {
-                sync_writes: false,
-                partitions,
-                ..sebdb_storage::StoreConfig::default()
-            },
-        )
+    let store = |partitions: usize| {
+        let store = BlockStore::temporary(StoreConfig {
+            sync_writes: false,
+            partitions,
+            ..StoreConfig::default()
+        })
         .unwrap();
         assert_eq!(store.partitions(), partitions);
-        let (ledger, schemas) = run_lanes_on(Arc::new(store), depth, lanes, &blocks);
-        (ledger, schemas, dir)
+        Arc::new(store)
     };
-    let (ref_ledger, ref_schemas, ref_dir) = run_disk("ref", 1, 1, 1);
-    let (par_ledger, par_schemas, par_dir) = run_disk("par", 4, 4, 8);
+    let (ref_ledger, ref_schemas) = run_direct_on(store(1), &blocks);
+    let (par_ledger, par_schemas) = run_lanes_on(store(8), 4, 4, &blocks);
 
     assert_eq!(ref_ledger.height(), 60);
     assert_eq!(par_ledger.height(), 60);
@@ -322,8 +346,6 @@ fn lanes_by_partitions_matches_sequential_reference() {
     let a = ref_exec.execute(&trace, Strategy::Layered).unwrap();
     let b = par_exec.execute(&trace, Strategy::Layered).unwrap();
     assert_eq!(a, b, "trace diverged across lanes x partitions");
-    let _ = std::fs::remove_dir_all(&ref_dir);
-    let _ = std::fs::remove_dir_all(&par_dir);
 }
 
 #[test]
@@ -348,7 +370,7 @@ fn crash_between_stages_restarts_consistent_and_pipeline_continues() {
         // "Crash": the ledger drops with block 10 persisted, unindexed.
     }
     // Restart: replay heals the index gap, then the pipeline applies
-    // the rest. The result must match a crash-free sequential run.
+    // the rest. The result must match a crash-free direct run.
     let store = Arc::new(BlockStore::open(&dir, cfg).unwrap());
     let ledger = Arc::new(Ledger::new(store, signer()).unwrap());
     assert_eq!((ledger.chain_height(), ledger.height()), (11, 11));
@@ -379,7 +401,7 @@ fn crash_between_stages_restarts_consistent_and_pipeline_continues() {
     pipe.join();
     ledger.verify_chain().unwrap();
 
-    let (clean, _) = run_pipeline(1, &blocks);
+    let (clean, _) = run_direct(&blocks);
     assert_eq!(ledger.tip_hash(), clean.tip_hash());
     for bid in 0..20 {
         assert_eq!(

@@ -108,14 +108,12 @@ fn windows_selecting_no_timestamps_are_empty_not_errors() {
 /// entirely inside the tail, and straddling the seam.
 #[test]
 fn windows_answer_identically_across_frozen_prefix_and_resident_tail() {
-    let dir = std::env::temp_dir().join(format!("sebdb-windowfrozen-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let cfg = StoreConfig {
         sync_writes: false,
         index_cache_blocks: Some(8),
         ..StoreConfig::default()
     };
-    let store = Arc::new(BlockStore::open(&dir, cfg).unwrap());
+    let store = Arc::new(BlockStore::temporary(cfg).unwrap());
     let ledger = Ledger::new(store, signer()).unwrap();
     for seq in 0..6 {
         ledger.append_ordered(block_at(seq)).unwrap();
@@ -142,7 +140,6 @@ fn windows_answer_identically_across_frozen_prefix_and_resident_tail() {
             ));
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Satellite regression: a `TRACE ... BY OPERATOR` whose operand is

@@ -358,9 +358,7 @@ mod tests {
         let chain: [&[i64]; 5] = [&[100], &[], &[100, 300], &[300], &[]];
         let mut ali = ali_with_blocks(&chain);
         let pred = KeyPredicate::Eq(Value::decimal(100));
-        let dir = std::env::temp_dir().join(format!("sebdb-ali-skip-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = sebdb_storage::BlockStore::open(&dir, Default::default()).unwrap();
+        let store = sebdb_storage::BlockStore::temporary(Default::default()).unwrap();
         for (h, amounts) in chain.iter().enumerate() {
             store.append(&block(h as u64, amounts)).unwrap();
         }
@@ -387,8 +385,6 @@ mod tests {
             let answer = (format!("{vo:?}"), digest);
             assert_eq!(*resident.get_or_insert(answer.clone()), answer);
         }
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A frozen leaf list is read past the block checksum, so the leaf

@@ -318,13 +318,9 @@ fn resident_checkpoints_match_the_recorded_bytes() {
 #[test]
 fn frozen_prefix_plus_tail_checkpoints_match_the_recorded_bytes() {
     let blocks = chain();
-    let dir = std::env::temp_dir().join(format!("sebdb-cp-golden-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = BlockStore::open(&dir, StoreConfig::default()).unwrap();
+    let store = BlockStore::temporary(StoreConfig::default()).unwrap();
     for b in &blocks {
         store.append(b).unwrap();
     }
     assert_golden(&indexes(&blocks, Some(&store)));
-    drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -40,10 +40,12 @@ pub enum BoundPredicateKind {
 impl BoundPredicate {
     /// Evaluates against a column-value getter.
     pub fn matches(&self, get: impl Fn(ColumnRef) -> Option<Value>) -> bool {
-        let Some(v) = get(self.column) else {
-            return false;
-        };
-        if v == Value::Null {
+        get(self.column).is_some_and(|v| self.holds(&v))
+    }
+
+    /// Evaluates against the value of [`Self::column`].
+    pub fn holds(&self, v: &Value) -> bool {
+        if *v == Value::Null {
             return false;
         }
         match &self.kind {
@@ -61,7 +63,7 @@ impl BoundPredicate {
                     CompareOp::Ge => ord.is_ge(),
                 }
             }
-            BoundPredicateKind::Between(lo, hi) => v >= *lo && v <= *hi,
+            BoundPredicateKind::Between(lo, hi) => v >= lo && v <= hi,
         }
     }
 

@@ -179,12 +179,7 @@ fn concurrent_tuple_reads_never_tear() {
                 for round in 0..50u64 {
                     let bid = (t + round) % 2;
                     let idx = ((t + round) % 8) as u32;
-                    let tx = store
-                        .read_tx_direct(TxPtr {
-                            block: bid,
-                            index: idx,
-                        })
-                        .unwrap();
+                    let tx = store.read_txs_in_block(bid, &[idx]).unwrap().remove(0);
                     assert_eq!(tx.tid, bid * 100 + idx as u64);
                     assert_eq!(
                         tx.values[1],

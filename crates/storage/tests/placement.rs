@@ -237,8 +237,11 @@ fn nine_relations_wrap_around_and_scans_return_only_their_partition() {
     for t in &tables {
         let sharing = store.relations_in(store.partition_of(t).unwrap());
         let raw = store.scan_relation_raw(&bids, t).unwrap();
-        let decoded = store.read_relation_txs(&bids, t).unwrap();
-        for ((ext, txs), &bid) in raw.iter().zip(&decoded).zip(&bids) {
+        for (ext, &bid) in raw.iter().zip(&bids) {
+            let txs: Vec<(u32, Transaction)> = ext
+                .tuples()
+                .map(|t| (t.canon, t.decode().unwrap()))
+                .collect();
             let from_block: Vec<(u32, Transaction)> = store
                 .read(bid)
                 .unwrap()
@@ -248,8 +251,7 @@ fn nine_relations_wrap_around_and_scans_return_only_their_partition() {
                 .filter(|(_, tx)| sharing.contains(&tx.tname))
                 .map(|(i, tx)| (i as u32, tx.clone()))
                 .collect();
-            assert_eq!(txs, &from_block, "{t} block {bid}");
-            assert_eq!(ext.tuples().count(), from_block.len(), "{t} block {bid}");
+            assert_eq!(txs, from_block, "{t} block {bid}");
             assert_eq!(from_block.len(), 3 * sharing.len(), "{t} block {bid}");
         }
     }

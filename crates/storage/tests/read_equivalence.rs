@@ -159,8 +159,8 @@ fn old_format_chain_reconstructs_offset_table() {
     // re-read any block to serve tuple reads.
     let store = BlockStore::open(&dir, StoreConfig::default()).unwrap();
     store.stats.reset();
-    let tx = store.read_tx_direct(TxPtr { block: 2, index: 3 }).unwrap();
-    assert_eq!(tx.tid, 203);
+    let tx = store.read_txs_in_block(2, &[3]).unwrap();
+    assert_eq!(tx[0].tid, 203);
     let (blocks_read, _, _) = store.stats.snapshot();
     assert_eq!(blocks_read, 0, "tuple read must not touch whole blocks");
     let _ = std::fs::remove_dir_all(&dir);
@@ -210,8 +210,8 @@ fn tuple_reads_are_tuple_granular_in_bytes() {
     };
     let block_len = store.block_size(ptr.block).unwrap() as u64;
     store.stats.reset();
-    let tx = store.read_tx_direct(ptr).unwrap();
-    assert_eq!(tx.tid, 102);
+    let tx = store.read_txs_in_block(ptr.block, &[ptr.index]).unwrap();
+    assert_eq!(tx[0].tid, 102);
     let read = store.stats.bytes_read();
     assert!(
         read <= tuple_len + 16,

@@ -189,6 +189,25 @@ impl RawValue<'_> {
     pub fn is_null(&self) -> bool {
         self.tag == 0
     }
+
+    /// The decoded value: what [`Decoder::get_value`] returns for the
+    /// bytes this was read from (a string's UTF-8 is checked here).
+    pub fn value(&self) -> Result<Value, TypeError> {
+        let word = || u64::from_le_bytes(self.payload.try_into().unwrap_or_default());
+        Ok(match self.tag {
+            0 => Value::Null,
+            1 => Value::Int(word() as i64),
+            2 => Value::Decimal(word() as i64),
+            3 => Value::Str(
+                std::str::from_utf8(self.payload)
+                    .map_err(|_| TypeError::BadUtf8)?
+                    .to_owned(),
+            ),
+            4 => Value::Bool(self.payload == [1]),
+            5 => Value::Timestamp(word()),
+            _ => Value::Bytes(self.payload.to_vec()),
+        })
+    }
 }
 
 /// Zero-copy cursor over encoded bytes with typed `get_*` helpers.

@@ -353,6 +353,11 @@ mod tests {
                     .as_ref()
                     .map(|_| Decoder::new(&buf).get_raw_value().unwrap());
                 assert_eq!(column, want_raw, "{col:?} of {tx:?}");
+                assert_eq!(
+                    column.map(|c| c.value().unwrap()),
+                    want,
+                    "{col:?} of {tx:?}"
+                );
                 assert_eq!(column.map(|c| c.is_null()), want.map(|v| v == Value::Null));
             }
         }
