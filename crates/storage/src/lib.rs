@@ -18,10 +18,10 @@ mod publish;
 pub mod segment;
 
 pub use blockstore::{
-    BlockStore, CacheMode, CachedStore, IoStats, RawExtent, RawTuple, StoreConfig, TxPtr,
-    WriteStep, CHAIN_PARTITION, READAHEAD_BLOCKS, RELATION_PARTITIONS,
+    BlockStore, IoStats, RawExtent, RawTuple, StoreConfig, TxPtr, WriteStep, CHAIN_PARTITION,
+    READAHEAD_BLOCKS, RELATION_PARTITIONS,
 };
-pub use cache::{BlockCache, Lru, ShardedLru, TxCache};
+pub use cache::{BlockCache, CacheMode, CachedStore, Lru, ShardedLru, TxCache};
 pub use indexseg::{
     IndexBlockCache, IndexCheckpoint, PagedIndexReader, DEFAULT_INDEX_CACHE_BLOCKS,
     INDEX_CHECKPOINT_DIR,
