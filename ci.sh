@@ -60,14 +60,16 @@ echo "==> cargo test -q -p sebdb-model"
 cargo test -q -p sebdb-model
 
 # Second pass pinned to one worker: every parallel primitive and the
-# staged applier must be observably equivalent to sequential execution.
+# staged applier must be observably equivalent to sequential execution
+# (for the applier: to the direct ledger path).
 echo "==> SEBDB_THREADS=1 cargo test -q"
 SEBDB_THREADS=1 cargo test -q
 
 # Sharded-applier equivalence at 4 workers: lanes=4 must stay
-# byte-identical and query-equivalent to lanes=1 when the parallel
-# primitives actually fan out (the threads=1 case is covered by the
-# full-suite pass above).
+# byte-identical and query-equivalent to the direct ledger path
+# (`Ledger::append_ordered`, one block at a time on the caller's
+# thread) when the parallel primitives actually fan out (the threads=1
+# case is covered by the full-suite pass above).
 echo "==> SEBDB_THREADS=4 cargo test -q -p sebdb --test pipeline_equivalence"
 SEBDB_THREADS=4 cargo test -q -p sebdb --test pipeline_equivalence
 
