@@ -1,8 +1,8 @@
 //! Model of the partitioned append protocol
-//! (crates/storage/blockstore.rs): per-partition extent and offsets
-//! writes fan out across threads, and the chain-order manifest record
-//! is the *commit point*, written only after every partition write
-//! landed.
+//! (crates/storage/blockstore.rs): per-partition extent writes fan out
+//! across threads, and the chain-order manifest record — the block's
+//! only metadata write — is the *commit point*, written only after
+//! every partition write landed.
 //!
 //! Invariants under test: a recovery snapshot taken at any point (any
 //! crash prefix of any schedule) never finds a manifest record whose
@@ -22,10 +22,10 @@ use std::sync::Arc;
 
 const PARTS: usize = 2;
 
-/// The on-disk state under model: per-partition extent bytes and
-/// offsets records (monotone counters — segment appends only grow the
-/// file), plus the manifest, each block entry recording the extent end
-/// offset it expects per partition.
+/// The on-disk state under model: per-partition extent bytes (monotone
+/// counters — segment appends only grow the file), plus the manifest,
+/// each block entry recording the extent end offset it expects per
+/// partition.
 struct Disk {
     /// Deliberately atomics, not `Tracked` cells: these model durable
     /// file lengths that the recovery observer reads *concurrently
@@ -33,7 +33,6 @@ struct Disk {
     /// bytes landed), exactly the monotone-observation exemption of
     /// DESIGN §14 — tracking them would flag the intended race.
     part_len: Vec<AtomicU64>,
-    offsets_len: Vec<AtomicU64>,
     manifest: sync::Mutex<Tracked<Manifest>>,
 }
 
@@ -45,22 +44,19 @@ impl Disk {
     fn new() -> Arc<Disk> {
         Arc::new(Disk {
             part_len: (0..PARTS).map(|_| AtomicU64::new(0)).collect(),
-            offsets_len: (0..PARTS).map(|_| AtomicU64::new(0)).collect(),
             manifest: sync::Mutex::new(Tracked::new(Vec::new())),
         })
     }
 
     /// Appends one block touching every partition (extent size 1), the
     /// real protocol: partition writers fan out, each writing its
-    /// extent then its offsets record; the manifest record lands only
-    /// after joining them all.
+    /// extent; the manifest record lands only after joining them all.
     fn append_block(self: &Arc<Self>, bid: u64) {
         let writers: Vec<_> = (0..PARTS)
             .map(|p| {
                 let disk = Arc::clone(self);
                 thread::spawn(move || {
                     disk.part_len[p].fetch_add(1, Ordering::SeqCst);
-                    disk.offsets_len[p].fetch_add(1, Ordering::SeqCst);
                 })
             })
             .collect();
@@ -84,7 +80,6 @@ impl Disk {
                 let disk = Arc::clone(self);
                 thread::spawn(move || {
                     disk.part_len[p].fetch_add(1, Ordering::SeqCst);
-                    disk.offsets_len[p].fetch_add(1, Ordering::SeqCst);
                 })
             })
             .collect();
@@ -198,16 +193,15 @@ fn seeded_manifest_before_partition_fsync_is_caught() {
 
 /// Deterministic crash ladder: block 0 commits fully, then block 1's
 /// append crashes after each single write-order boundary in turn —
-/// each partition's extent write, its offsets write, and the manifest
-/// write. Recovery must report height 1 at every pre-manifest
-/// boundary and height 2 only once the manifest record landed.
+/// each partition's extent write, then the manifest write. Recovery
+/// must report height 1 at every pre-manifest boundary and height 2
+/// only once the manifest record landed.
 #[test]
 fn crash_after_every_write_boundary_recovers_to_commit_point() {
     // Plain-state twin of [`Disk`] (no model primitives — the ladder
     // is deterministic, so it runs outside the explorer).
     struct Flat {
         part_len: Vec<u64>,
-        offsets_len: Vec<u64>,
         manifest: Vec<Vec<(usize, u64)>>,
     }
     impl Flat {
@@ -223,14 +217,13 @@ fn crash_after_every_write_boundary_recovers_to_commit_point() {
             (keep, self.manifest.len())
         }
     }
-    // One step per boundary: (partition extent, partition offsets)
-    // pairs for each partition, then the manifest record.
-    let nsteps = PARTS * 2 + 1;
+    // One step per boundary: each partition's extent, then the
+    // manifest record.
+    let nsteps = PARTS + 1;
     for crash_after in 0..=nsteps {
         // Block 0 fully committed, then block 1's append crashes.
         let mut disk = Flat {
             part_len: vec![1; PARTS],
-            offsets_len: vec![1; PARTS],
             manifest: vec![(0..PARTS).map(|p| (p, 1)).collect()],
         };
         let mut step = 0;
@@ -240,11 +233,6 @@ fn crash_after_every_write_boundary_recovers_to_commit_point() {
                     break 'steps;
                 }
                 disk.part_len[p] += 1;
-                step += 1;
-                if step == crash_after {
-                    break 'steps;
-                }
-                disk.offsets_len[p] += 1;
                 step += 1;
             }
             if step == crash_after {

@@ -6,16 +6,17 @@
 //! relation: every transaction is routed to one of a fixed number of
 //! relation partitions — relations take partitions round-robin in order
 //! of first appearance on the chain — and each partition appends tuple
-//! *extents* to its own [`segment`](crate::segment) sequence with its
-//! own tuple offset table. A separate *chain partition* appends one
-//! small record per block (header ‖ tuple routes), and an append-only
-//! **chain-order manifest** (`manifest.rs`) records, per block, the
-//! (partition, segment, offset) extents needed to reassemble canonical
-//! block order and the block's first tid and timestamp, and each
+//! *extents* to its own [`segment`](crate::segment) sequence. A separate
+//! *chain partition* appends one small record per block (its header),
+//! and an append-only **chain-order manifest** (`manifest.rs`) records,
+//! per block, the (partition, segment, offset) extents, the tuple table
+//! (each tuple's partition and length, in canonical order) that
+//! reassembles the block, the block's first tid and timestamp, and each
 //! relation's placement with the block that first carries it. The
 //! manifest record is the commit point: restart replay keeps the
-//! longest valid manifest prefix, truncates every partition to match,
-//! and reconstructs or truncates torn offset tables.
+//! longest valid manifest prefix, cuts it at the first record whose
+//! extents exceed the segment files, and truncates every partition to
+//! match.
 //!
 //! Single-relation scans read only their partition's extents — they
 //! stop paying for unrelated relations' bytes (the per-relation access
@@ -23,14 +24,13 @@
 
 use crate::indexseg::{self, IndexBlockCache, IndexCheckpoint, PagedIndexReader};
 use crate::manifest::{self, BlockEntry, ChainKey, Placement, Replay, BLOCK_MANIFEST};
-use crate::offsets::{self, offsets_record, OffsetRec, OffsetsTable};
 use crate::publish;
 use crate::segment::{Location, ReadGauges, Result, SegmentSet, SegmentWriter, StorageError};
 use parking_lot::{Mutex, RwLock};
 use sebdb_parallel::Tracked;
 use sebdb_types::{
-    Block, BlockHeader, BlockId, Codec, ColumnRef, Decoder, Encoder, RawValue, Transaction,
-    TxProjection, TypeError,
+    Block, BlockHeader, BlockId, Codec, ColumnRef, Encoder, RawValue, Transaction, TxProjection,
+    TypeError,
 };
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
@@ -47,7 +47,7 @@ pub const READAHEAD_BLOCKS: usize = 8;
 pub const RELATION_PARTITIONS: usize = 8;
 
 /// Sentinel partition id naming the chain partition (the per-block
-/// header ‖ routes records) in [`WriteStep::PartitionWrite`].
+/// header records) in [`WriteStep::PartitionWrite`].
 pub const CHAIN_PARTITION: usize = RELATION_PARTITIONS;
 
 /// The write-order boundaries of one block append, in the order the
@@ -58,8 +58,6 @@ pub enum WriteStep {
     /// About to append block data to partition `p`
     /// ([`CHAIN_PARTITION`] = the chain record).
     PartitionWrite(usize),
-    /// About to append partition `p`'s tuple offsets record.
-    OffsetsWrite(usize),
     /// About to append the chain-order manifest record — the commit
     /// point.
     ManifestWrite,
@@ -210,15 +208,10 @@ pub(crate) struct TxLoc {
 /// between the store and in-flight readers.
 pub(crate) type TxLocs = Arc<Vec<TxLoc>>;
 
-/// One block's resident metadata: its manifest entry and its tuple
-/// locations.
-type BlockMeta = (BlockEntry, TxLocs);
-
 /// One relation partition's on-disk state.
 struct Partition {
     writer: Mutex<SegmentWriter>,
     reader: SegmentSet,
-    offsets: Mutex<BufWriter<File>>,
 }
 
 /// Names of [`BlockStore::temporary`] directories handed out so far in
@@ -256,32 +249,24 @@ impl Drop for TempDir {
     }
 }
 
-/// A block encoded for the partitioned layout: one chain record, one
-/// tuple extent per touched partition, the per-partition offsets
-/// records, and the canonical tuple location table — all from a single
-/// encoding pass.
+/// A block encoded for the partitioned layout: one chain record (the
+/// header), one tuple extent per touched partition, and the canonical
+/// tuple location table — all from a single encoding pass.
 struct EncodedBlock {
     chain: Vec<u8>,
     extents: Vec<Vec<u8>>,
-    offsets: Vec<Vec<OffsetRec>>,
     locs: Vec<TxLoc>,
 }
 
 /// Encodes `block` with tuple `i` in partition `routes[i]`.
 fn encode_partitioned(block: &Block, routes: &[u8], partitions: usize) -> EncodedBlock {
-    let mut chain = Encoder::new();
-    block.header.encode(&mut chain);
-    chain.put_u32(block.transactions.len() as u32);
     let mut extents: Vec<Encoder> = (0..partitions).map(|_| Encoder::new()).collect();
-    let mut offsets: Vec<Vec<OffsetRec>> = vec![Vec::new(); partitions];
     let mut locs = Vec::with_capacity(block.transactions.len());
-    for (canon, (tx, &part)) in block.transactions.iter().zip(routes).enumerate() {
-        chain.put_u8(part);
+    for (tx, &part) in block.transactions.iter().zip(routes) {
         let enc = &mut extents[part as usize];
         let start = enc.len() as u32;
         tx.encode(enc);
         let len = enc.len() as u32 - start;
-        offsets[part as usize].push((canon as u32, start, len));
         locs.push(TxLoc {
             part,
             off: start,
@@ -289,9 +274,8 @@ fn encode_partitioned(block: &Block, routes: &[u8], partitions: usize) -> Encode
         });
     }
     EncodedBlock {
-        chain: chain.finish(),
+        chain: block.header.to_bytes(),
         extents: extents.into_iter().map(Encoder::finish).collect(),
-        offsets,
         locs,
     }
 }
@@ -316,7 +300,7 @@ impl RawExtent {
         bid: BlockId,
         bytes: Arc<Vec<u8>>,
         (base, len): (usize, usize),
-        tuples: impl Iterator<Item = OffsetRec>,
+        tuples: impl Iterator<Item = (u32, u32, u32)>,
     ) -> Result<Self> {
         let len = len.min(bytes.len().saturating_sub(base));
         let tuples = tuples
@@ -389,9 +373,8 @@ pub struct BlockStore {
     chain_reader: SegmentSet,
     parts: Vec<Partition>,
     manifest: Mutex<BufWriter<File>>,
-    /// Every block's manifest entry and tuple locations, in chain
-    /// order.
-    meta: RwLock<Vec<BlockMeta>>,
+    /// Every block's manifest entry, in chain order.
+    meta: RwLock<Vec<BlockEntry>>,
     /// Every block's first tid and timestamp — the block-level index
     /// `manifest.rs`'s lookups search.
     pub(crate) keys: RwLock<Vec<ChainKey>>,
@@ -434,25 +417,10 @@ pub(crate) fn fixed<const N: usize>(slice: &[u8]) -> [u8; N] {
     out
 }
 
-/// Decodes one chain record into its header and per-tuple routes.
-pub(crate) fn decode_chain_record(bytes: &[u8], bid: u64) -> Result<(BlockHeader, Vec<u8>)> {
-    let corrupt =
-        |e: &dyn std::fmt::Display| StorageError::Corrupt(format!("block {bid} chain record: {e}"));
-    let mut dec = Decoder::new(bytes);
-    let header = BlockHeader::decode(&mut dec).map_err(|e| corrupt(&e))?;
-    let ntx = dec
-        .get_u32("chain record tuple count")
-        .map_err(|e| corrupt(&e))? as usize;
-    let routes = dec
-        .get_raw(ntx, "chain record routes")
-        .map_err(|e| corrupt(&e))?
-        .to_vec();
-    if !dec.is_exhausted() {
-        return Err(StorageError::Corrupt(format!(
-            "block {bid} chain record has trailing bytes"
-        )));
-    }
-    Ok((header, routes))
+/// Decodes one chain record, the block's header.
+fn decode_chain_record(bytes: &[u8], bid: u64) -> Result<BlockHeader> {
+    BlockHeader::from_bytes(bytes)
+        .map_err(|e| StorageError::Corrupt(format!("block {bid} chain record: {e}")))
 }
 
 impl BlockStore {
@@ -466,10 +434,11 @@ impl BlockStore {
         Ok(store)
     }
 
-    /// Opens (or creates) the store in `dir`, replaying the
-    /// chain-order manifest (longest valid prefix wins), truncating
-    /// every partition to the manifest's view, and reconstructing any
-    /// missing or torn per-partition offset tables.
+    /// Opens (or creates) the store in `dir`. Recovery has two steps:
+    /// keep the longest valid prefix of the chain-order manifest, then
+    /// cut it at the first record whose extents exceed the segment
+    /// files. Every partition is truncated to the manifest's view; no
+    /// other metadata file is read.
     pub fn open(dir: &Path, config: StoreConfig) -> Result<Self> {
         std::fs::create_dir_all(dir)?;
         let manifest_path = dir.join(BLOCK_MANIFEST);
@@ -523,7 +492,6 @@ impl BlockStore {
             .map(|e| (e.chain.segment, e.chain.offset + e.chain.len as u64));
         let chain_writer = SegmentWriter::open(&chain_dir(dir), config.segment_size, chain_resume)?;
         let mut parts = Vec::with_capacity(partitions);
-        let mut tables: Vec<OffsetsTable> = Vec::with_capacity(partitions);
         for p in 0..partitions {
             let pd = part_dir(dir, p);
             let reader = SegmentSet::with_gauges(&pd, Arc::clone(&gauges));
@@ -534,33 +502,11 @@ impl BlockStore {
                     .map(|(_, l)| (l.segment, l.offset + l.len as u64))
             });
             let writer = SegmentWriter::open(&pd, config.segment_size, resume)?;
-            let expected: Vec<(u64, u32)> = entries
-                .iter()
-                .enumerate()
-                .filter_map(|(bid, e)| {
-                    e.parts
-                        .iter()
-                        .find(|(q, _)| *q as usize == p)
-                        .map(|(_, l)| (bid as u64, l.len))
-                })
-                .collect();
-            let (table, offsets_file) = offsets::replay_offsets(
-                &pd.join(offsets::OFFSETS),
-                &expected,
-                &entries,
-                &chain_reader,
-                &reader,
-                p,
-            )?;
             parts.push(Partition {
                 writer: Mutex::new(writer),
                 reader,
-                offsets: Mutex::new(BufWriter::new(offsets_file)),
             });
-            tables.push(table);
         }
-        let tx_locs = offsets::assemble_tx_locs(&entries, &tables)?;
-        let meta = entries.into_iter().zip(tx_locs).collect();
         // Torn publishers (an index checkpoint, the view registrations)
         // leave `.tmp` artifacts; sweep them so the store holds only
         // committed files.
@@ -580,7 +526,7 @@ impl BlockStore {
             chain_reader,
             parts,
             manifest: Mutex::new(manifest),
-            meta: RwLock::new(meta),
+            meta: RwLock::new(entries),
             keys: RwLock::new(keys),
             placement: RwLock::new(placement),
             dir: dir.to_path_buf(),
@@ -736,16 +682,16 @@ impl BlockStore {
         let mut bytes = self.keys.read().capacity() * size_of::<ChainKey>();
         // A block's slot, its extents, the location table's `Arc` (two
         // counts and the `Vec`), and its locations.
-        for (e, t) in self.meta.read().iter() {
-            bytes += size_of::<BlockMeta>() + e.parts.capacity() * size_of::<(u8, Location)>();
+        for e in self.meta.read().iter() {
+            bytes += size_of::<BlockEntry>() + e.parts.capacity() * size_of::<(u8, Location)>();
             bytes += 2 * size_of::<usize>() + size_of::<Vec<TxLoc>>();
-            bytes += t.capacity() * size_of::<TxLoc>();
+            bytes += e.txs.capacity() * size_of::<TxLoc>();
         }
         bytes
     }
 
-    /// Clones the metadata of `bids` out from under one read guard.
-    fn snapshot(&self, bids: impl IntoIterator<Item = BlockId>) -> Result<Vec<BlockMeta>> {
+    /// Clones the entries of `bids` out from under one read guard.
+    fn snapshot(&self, bids: impl IntoIterator<Item = BlockId>) -> Result<Vec<BlockEntry>> {
         let meta = self.meta.read();
         bids.into_iter()
             .map(|b| {
@@ -764,8 +710,8 @@ impl BlockStore {
     /// `sebdb-parallel` workers so the fsyncs overlap (each partition
     /// has its own writer lock, so the bytes each file receives are
     /// identical under any scheduling); the chain-order manifest record
-    /// is the commit point, written only after every partition write
-    /// landed.
+    /// is the commit point, written (and under `sync_writes` synced)
+    /// only after every partition write landed.
     /// A failed append leaves torn partition state that restart replay
     /// heals; the in-memory view is untouched. A block packaged before
     /// its predecessor is refused before anything is written.
@@ -785,33 +731,17 @@ impl BlockStore {
         jobs.extend((0..self.partitions).filter(|&p| !enc.extents[p].is_empty()));
         let write_job = |&job: &usize| -> Result<(usize, Location)> {
             self.check_fault(WriteStep::PartitionWrite(job))?;
-            if job == CHAIN_PARTITION {
-                let mut w = self.chain_writer.lock();
-                let loc = w.append(&enc.chain)?;
-                if self.config.sync_writes {
-                    w.sync()?;
-                } else {
-                    w.flush()?;
-                }
-                Ok((job, loc))
+            let (mut w, bytes) = match job {
+                CHAIN_PARTITION => (self.chain_writer.lock(), &enc.chain),
+                p => (self.parts[p].writer.lock(), &enc.extents[p]),
+            };
+            let loc = w.append(bytes)?;
+            if self.config.sync_writes {
+                w.sync()?;
             } else {
-                let part = &self.parts[job];
-                let loc = {
-                    let mut w = part.writer.lock();
-                    let loc = w.append(&enc.extents[job])?;
-                    if self.config.sync_writes {
-                        w.sync()?;
-                    } else {
-                        w.flush()?;
-                    }
-                    loc
-                };
-                self.check_fault(WriteStep::OffsetsWrite(job))?;
-                let mut o = part.offsets.lock();
-                o.write_all(&offsets_record(bid, &enc.offsets[job]))?;
-                o.flush()?;
-                Ok((job, loc))
+                w.flush()?;
             }
+            Ok((job, loc))
         };
         // Parallel fsyncs are worth a spawn; buffered appends
         // (microseconds each) are not.
@@ -834,12 +764,18 @@ impl BlockStore {
             StorageError::Corrupt("chain write missing from append fan-out".into())
         })?;
         part_locs.sort_by_key(|&(p, _)| p);
+        let entry = BlockEntry {
+            chain: chain_loc,
+            parts: part_locs,
+            txs: Arc::new(enc.locs),
+        };
         self.check_fault(WriteStep::ManifestWrite)?;
         let mut m = self.manifest.lock();
-        m.write_all(&manifest::manifest_record(
-            bid, &key, chain_loc, &part_locs, &placed,
-        ))?;
+        m.write_all(&manifest::manifest_record(bid, &key, &entry, &placed))?;
         m.flush()?;
+        if self.config.sync_writes {
+            m.get_ref().sync_data()?;
+        }
         // The in-memory view commits with the manifest, under its lock,
         // so entry order always matches record order; the placements
         // and the key first, so no height a reader sees lacks them.
@@ -848,11 +784,7 @@ impl BlockStore {
             placed.into_iter().for_each(|name| placement.place(name));
         }
         self.keys.write().push(key);
-        let entry = BlockEntry {
-            chain: chain_loc,
-            parts: part_locs,
-        };
-        self.meta.write().push((entry, Arc::new(enc.locs)));
+        self.meta.write().push(entry);
         drop(m);
         self.stats.blocks_written.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -943,16 +875,16 @@ impl BlockStore {
     /// and partition extents (`blocks_read` is the caller's charge).
     fn assemble_span(&self, start: BlockId, count: usize) -> Result<Vec<Arc<Block>>> {
         let meta = self.snapshot(start..start + count as u64)?;
-        let chain_locs: Vec<Location> = meta.iter().map(|(e, _)| e.chain).collect();
+        let chain_locs: Vec<Location> = meta.iter().map(|e| e.chain).collect();
         let chain_bytes = self.read_coalesced(&self.chain_reader, &chain_locs)?;
         let mut ext_bytes: Vec<Vec<Vec<u8>>> = meta
             .iter()
-            .map(|(e, _)| vec![Vec::new(); e.parts.len()])
+            .map(|e| vec![Vec::new(); e.parts.len()])
             .collect();
         for (p, partition) in self.parts.iter().enumerate() {
             let mut items: Vec<(usize, usize)> = Vec::new();
             let mut plocs: Vec<Location> = Vec::new();
-            for (k, (e, _)) in meta.iter().enumerate() {
+            for (k, e) in meta.iter().enumerate() {
                 if let Some(pos) = e.parts.iter().position(|(q, _)| *q as usize == p) {
                     items.push((k, pos));
                     plocs.push(e.parts[pos].1);
@@ -967,18 +899,11 @@ impl BlockStore {
             }
         }
         let mut out = Vec::with_capacity(count);
-        for (k, (e, tl)) in meta.iter().enumerate() {
+        for (k, e) in meta.iter().enumerate() {
             let bid = start + k as u64;
-            let (header, routes) = decode_chain_record(&chain_bytes[k], bid)?;
-            if routes.len() != tl.len() {
-                return Err(StorageError::Corrupt(format!(
-                    "block {bid}: offset tables cover {} of {} tuples",
-                    tl.len(),
-                    routes.len()
-                )));
-            }
-            let mut txs = Vec::with_capacity(tl.len());
-            for (canon, l) in tl.iter().enumerate() {
+            let header = decode_chain_record(&chain_bytes[k], bid)?;
+            let mut txs = Vec::with_capacity(e.txs.len());
+            for (canon, l) in e.txs.iter().enumerate() {
                 let pos = e
                     .parts
                     .iter()
@@ -1021,12 +946,13 @@ impl BlockStore {
         if indexes.is_empty() {
             return Ok(Vec::new());
         }
-        let (entry, table) = self
+        let entry = self
             .meta
             .read()
             .get(bid as usize)
             .cloned()
             .ok_or(StorageError::NotFound(bid))?;
+        let table = &entry.txs;
         use std::collections::HashMap;
         let mut lohi: HashMap<u8, (u32, u32)> = HashMap::new();
         for &i in indexes {
@@ -1107,7 +1033,7 @@ impl BlockStore {
         let meta = self.snapshot(bids.iter().copied())?;
         let mut items: Vec<usize> = Vec::new();
         let mut plocs: Vec<Location> = Vec::new();
-        for (k, (e, _)) in meta.iter().enumerate() {
+        for (k, e) in meta.iter().enumerate() {
             if let Some((_, loc)) = e.parts.iter().find(|(q, _)| *q == route) {
                 items.push(k);
                 plocs.push(*loc);
@@ -1124,7 +1050,7 @@ impl BlockStore {
                     plocs[i].len as usize,
                 );
                 let tuples = meta[k]
-                    .1
+                    .txs
                     .iter()
                     .enumerate()
                     .filter(|(_, l)| l.part == route)
@@ -1142,33 +1068,31 @@ impl BlockStore {
         &self.gauges
     }
 
-    /// Block `bid`'s header and tuple count, from one positioned read of
-    /// its chain record (header ‖ routes): no partition extent is read
-    /// and no tuple decoded. Charges the record's `bytes_read` only.
+    /// Block `bid`'s header, from one positioned read of its chain
+    /// record, and its tuple count, from the resident tuple table: no
+    /// partition extent is read and no tuple decoded. Charges the
+    /// record's `bytes_read` only.
     pub fn header(&self, bid: BlockId) -> Result<(BlockHeader, usize)> {
-        let chain = {
+        let (chain, ntx) = {
             let meta = self.meta.read();
-            meta.get(bid as usize)
-                .ok_or(StorageError::NotFound(bid))?
-                .0
-                .chain
+            let e = meta.get(bid as usize).ok_or(StorageError::NotFound(bid))?;
+            (e.chain, e.txs.len())
         };
         let bytes = self.chain_reader.read(chain)?;
         self.stats
             .bytes_read
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        let (header, routes) = decode_chain_record(&bytes, bid)?;
-        Ok((header, routes.len()))
+        Ok((decode_chain_record(&bytes, bid)?, ntx))
     }
 
     /// Serialized size of block `bid` in bytes: its canonical encoding,
-    /// i.e. the chain record minus the route bytes plus the partition
-    /// extents.
+    /// i.e. the chain record (the header), the 4-byte tuple count and
+    /// the partition extents.
     pub fn block_size(&self, bid: BlockId) -> Result<usize> {
         let meta = self.meta.read();
-        let (e, locs) = meta.get(bid as usize).ok_or(StorageError::NotFound(bid))?;
+        let e = meta.get(bid as usize).ok_or(StorageError::NotFound(bid))?;
         let ext: usize = e.parts.iter().map(|(_, l)| l.len as usize).sum();
-        Ok(e.chain.len as usize - locs.len() + ext)
+        Ok(e.chain.len as usize + 4 + ext)
     }
 }
 
@@ -1231,28 +1155,54 @@ mod tests {
         assert!(s.append(&b).is_err());
     }
 
+    /// Every file under `dir` is a chain or partition segment or the
+    /// manifest: a store keeps no other metadata file.
+    fn assert_only_segments_and_manifest(dir: &Path) {
+        for e in std::fs::read_dir(dir).unwrap().flatten() {
+            let name = e.file_name().to_string_lossy().into_owned();
+            if !e.path().is_dir() {
+                assert_eq!(name, BLOCK_MANIFEST);
+                continue;
+            }
+            assert!(name == "chain" || name.starts_with("part-"), "{name}");
+            for f in std::fs::read_dir(e.path()).unwrap().flatten() {
+                let file = f.file_name().to_string_lossy().into_owned();
+                assert!(file.starts_with("seg-"), "{name}/{file}");
+            }
+        }
+    }
+
     #[test]
     fn disk_roundtrip_and_restart() {
-        let dir = tmpdir();
-        let b0 = block_tables(0, Digest::ZERO, 4, &["donate", "volunteer", "need"]);
-        let b1 = block_tables(1, b0.header.block_hash, 3, &["volunteer", "donate"]);
-        {
-            let s = BlockStore::open(dir.path(), StoreConfig::default()).unwrap();
-            s.append(&b0).unwrap();
-            s.append(&b1).unwrap();
+        for sync_writes in [false, true] {
+            let cfg = StoreConfig {
+                sync_writes,
+                ..StoreConfig::default()
+            };
+            let dir = tmpdir();
+            let b0 = block_tables(0, Digest::ZERO, 4, &["donate", "volunteer", "need"]);
+            let b1 = block_tables(1, b0.header.block_hash, 3, &["volunteer", "donate"]);
+            {
+                let s = BlockStore::open(dir.path(), cfg.clone()).unwrap();
+                s.append(&b0).unwrap();
+                s.append(&b1).unwrap();
+                assert_eq!(*s.read(1).unwrap(), b1);
+                assert!(s.read(2).is_err());
+            }
+            assert_only_segments_and_manifest(dir.path());
+            // Reopen and check the manifest replay.
+            let s = BlockStore::open(dir.path(), cfg).unwrap();
+            assert_eq!(s.height(), 2);
+            assert_eq!(*s.read(0).unwrap(), b0);
             assert_eq!(*s.read(1).unwrap(), b1);
+            assert_eq!(s.header(1).unwrap(), (b1.header.clone(), 3));
             assert!(s.read(2).is_err());
+            // And we can continue appending.
+            let b2 = block(2, b1.header.block_hash, 1);
+            s.append(&b2).unwrap();
+            assert_eq!(*s.read(2).unwrap(), b2);
+            assert_only_segments_and_manifest(dir.path());
         }
-        // Reopen and check the manifest replay.
-        let s = BlockStore::open(dir.path(), StoreConfig::default()).unwrap();
-        assert_eq!(s.height(), 2);
-        assert_eq!(*s.read(0).unwrap(), b0);
-        assert_eq!(*s.read(1).unwrap(), b1);
-        assert!(s.read(2).is_err());
-        // And we can continue appending.
-        let b2 = block(2, b1.header.block_hash, 1);
-        s.append(&b2).unwrap();
-        assert_eq!(*s.read(2).unwrap(), b2);
     }
 
     #[test]

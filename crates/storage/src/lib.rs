@@ -13,7 +13,6 @@ pub mod blockstore;
 pub mod cache;
 pub mod indexseg;
 mod manifest;
-mod offsets;
 mod publish;
 pub mod segment;
 

@@ -1,6 +1,8 @@
 //! The chain-order manifest, `blockmanifest.idx`: one record per block,
-//! the commit point of its append, replayed at open. A record also
-//! carries the block's first tid and timestamp, so the manifest is
+//! the commit point of its append, replayed at open. A record carries
+//! the block's extents and its tuple table (each tuple's partition and
+//! length), so open reads no other metadata file. It also carries the
+//! block's first tid and timestamp, so the manifest is
 //! §IV-B's block-level index: the paper's B⁺-tree keys `(bid, tid, Ts)`
 //! because the three ascend together, and over a resident, bid-ordered
 //! manifest its lookups are binary searches. A block that carries a
@@ -10,26 +12,30 @@
 //! the format.
 
 use crate::blockstore::{
-    chain_dir, fixed, part_dir, BlockStore, CHAIN_PARTITION, RELATION_PARTITIONS,
+    chain_dir, fixed, part_dir, BlockStore, TxLoc, TxLocs, CHAIN_PARTITION, RELATION_PARTITIONS,
 };
 use crate::segment::{segment_path, Location, Result, StorageError};
 use sebdb_types::{Block, BlockId, Timestamp, TxId};
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::Arc;
 
 /// The manifest's file name in the store directory.
 pub(crate) const BLOCK_MANIFEST: &str = "blockmanifest.idx";
 /// Manifest magic, versioned with the record format. `SEBDBMF1`
-/// records had no tid/ts keys and `SEBDBMF2` manifests no placement
-/// records; no code migrates them.
-const MANIFEST_MAGIC: &[u8; 8] = b"SEBDBMF3";
+/// records had no tid/ts keys, `SEBDBMF2` manifests no placement
+/// records and `SEBDBMF3` records no tuple table; no code migrates
+/// them.
+const MANIFEST_MAGIC: &[u8; 8] = b"SEBDBMF4";
 /// Manifest header: magic(8) ‖ partitions(2) ‖ reserved(6).
 const MANIFEST_HEADER: usize = 16;
 /// Fixed prefix of one manifest record: bid(8) ‖ first_tid(8) ‖ ts(8) ‖
 /// chain seg(4) off(8) len(4) ‖ nparts(2); followed by
-/// nparts × [part(2) seg(4) off(8) len(4)].
+/// nparts × [part(2) seg(4) off(8) len(4)], then the tuple table
+/// ntx(4) ‖ ntx × [part(1) len(4)] in canonical tuple order.
 const MANIFEST_REC_FIXED: usize = 42;
 const MANIFEST_REC_PART: usize = 18;
+const MANIFEST_REC_TX: usize = 5;
 /// A placement record: `PLACEMENT_TAG(8) ‖ len(4) ‖ name(len)`, the
 /// lowercased name of a relation the next block record places. The tag
 /// stands where a block record has its bid, and no bid reaches it.
@@ -113,14 +119,19 @@ impl Placement {
     }
 }
 
-/// One block's extents as the manifest records them.
+/// One block's extents and tuple locations as the manifest records
+/// them.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockEntry {
-    /// The chain record (header ‖ routes) in the chain partition.
+    /// The chain record (the block header) in the chain partition.
     pub(crate) chain: Location,
     /// `(partition, extent)` for every partition the block touches,
     /// ascending by partition id.
     pub(crate) parts: Vec<(u8, Location)>,
+    /// Every tuple's place in its partition's extent, in canonical
+    /// order. The record stores each tuple's partition and length; the
+    /// offset is the running sum of the partition's lengths before it.
+    pub(crate) txs: TxLocs,
 }
 
 /// A block's place on the tid and time axes, as its manifest record
@@ -235,7 +246,7 @@ pub(crate) fn read_header(buf: &[u8]) -> Result<Option<usize>> {
     }
     if &buf[0..8] != MANIFEST_MAGIC {
         let magic = String::from_utf8_lossy(&buf[0..8]);
-        let msg = format!("block manifest has magic {magic:?}, not SEBDBMF3");
+        let msg = format!("block manifest has magic {magic:?}, not SEBDBMF4");
         return Err(StorageError::Corrupt(msg));
     }
     let p = u16::from_le_bytes(fixed::<2>(&buf[8..10])) as usize;
@@ -255,16 +266,18 @@ pub(crate) fn header(partitions: usize) -> [u8; MANIFEST_HEADER] {
     header
 }
 
-/// Serializes one chain-order manifest record, preceded by a placement
-/// record for each relation in `placed`.
+/// Serializes `entry` as one chain-order manifest record, preceded by a
+/// placement record for each relation in `placed`.
 pub(crate) fn manifest_record(
     bid: u64,
     key: &ChainKey,
-    chain: Location,
-    parts: &[(u8, Location)],
+    entry: &BlockEntry,
     placed: &[String],
 ) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(MANIFEST_REC_FIXED + parts.len() * MANIFEST_REC_PART);
+    let BlockEntry { chain, parts, txs } = entry;
+    let mut rec = Vec::with_capacity(
+        MANIFEST_REC_FIXED + parts.len() * MANIFEST_REC_PART + 4 + txs.len() * MANIFEST_REC_TX,
+    );
     for name in placed {
         rec.extend_from_slice(&PLACEMENT_TAG.to_le_bytes());
         rec.extend_from_slice(&(name.len() as u32).to_le_bytes());
@@ -282,6 +295,11 @@ pub(crate) fn manifest_record(
         rec.extend_from_slice(&loc.segment.to_le_bytes());
         rec.extend_from_slice(&loc.offset.to_le_bytes());
         rec.extend_from_slice(&loc.len.to_le_bytes());
+    }
+    rec.extend_from_slice(&(txs.len() as u32).to_le_bytes());
+    for tx in txs.iter() {
+        rec.push(tx.part);
+        rec.extend_from_slice(&tx.len.to_le_bytes());
     }
     rec
 }
@@ -312,7 +330,11 @@ impl Replay {
 /// Parses the manifest body, keeping the longest valid prefix of
 /// records. A placement record counts only with the valid block record
 /// after it, and only if its relation is new and its partition is one
-/// that block writes.
+/// that block writes. A block record's tuple table is valid when every
+/// tuple lies in a partition the record lists, no length is 0 and each
+/// partition's lengths sum to its extent's length; since no extent is
+/// empty, every listed partition then holds a tuple, and a record lists
+/// no partition exactly when it has no tuple.
 pub(crate) fn replay_manifest(buf: &[u8], partitions: usize) -> Replay {
     let mut entries: Vec<BlockEntry> = Vec::new();
     let mut keys: Vec<ChainKey> = Vec::new();
@@ -357,14 +379,19 @@ pub(crate) fn replay_manifest(buf: &[u8], partitions: usize) -> Replay {
             ts: u64::from_le_bytes(fixed::<8>(&buf[at + 16..at + 24])),
             empty: nparts == 0,
         };
-        let body = MANIFEST_REC_FIXED + nparts * MANIFEST_REC_PART;
+        let table = at + MANIFEST_REC_FIXED + nparts * MANIFEST_REC_PART;
+        let Some(ntx) = buf.get(table..table + 4) else {
+            break;
+        };
+        let ntx = u32::from_le_bytes(fixed::<4>(ntx)) as usize;
+        let end = table + 4 + ntx * MANIFEST_REC_TX;
         // A key `ChainKey::of` would not have made is no record
         // `append` wrote.
         let last = keys.last();
         let carried = last.map_or(0, |p| p.first_tid);
         if chain.len == 0
             || nparts > partitions
-            || buf.len() < at + body
+            || buf.len() < end
             || last.is_some_and(|p| p.ts > key.ts)
             || (key.empty && key.first_tid != carried)
         {
@@ -395,9 +422,35 @@ pub(crate) fn replay_manifest(buf: &[u8], partitions: usize) -> Replay {
         if !(0..pending.len()).all(lands) {
             break;
         }
+        // Each listed partition's running extent offset.
+        let mut filled = vec![0u32; nparts];
+        let mut txs = Vec::with_capacity(ntx);
+        for q in (table + 4..end).step_by(MANIFEST_REC_TX) {
+            let part = buf[q];
+            let len = u32::from_le_bytes(fixed::<4>(&buf[q + 1..q + 5]));
+            let Some(k) = parts.iter().position(|(p, _)| *p == part) else {
+                break 'records;
+            };
+            let Some(next) = filled[k].checked_add(len).filter(|_| len != 0) else {
+                break 'records;
+            };
+            txs.push(TxLoc {
+                part,
+                off: filled[k],
+                len,
+            });
+            filled[k] = next;
+        }
+        if parts.iter().zip(&filled).any(|((_, loc), &n)| n != loc.len) {
+            break;
+        }
         placed.extend(pending.drain(..).map(|name| (bid, name)));
-        at += body;
-        entries.push(BlockEntry { chain, parts });
+        at = end;
+        entries.push(BlockEntry {
+            chain,
+            parts,
+            txs: Arc::new(txs),
+        });
         keys.push(key);
         ends.push(at as u64);
     }

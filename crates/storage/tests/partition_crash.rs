@@ -1,10 +1,11 @@
 //! Crash-recovery contracts for the partitioned layout.
 //!
-//! The chain-order manifest is the commit point of an append: a crash
-//! torn at *any* write boundary — a partition extent, a per-partition
-//! offsets record, the chain record, or the manifest record itself —
-//! must heal on the next open with the store rolled back to the last
-//! fully-committed block, and the healed store must keep serving
+//! The chain-order manifest is the commit point of an append and the
+//! only metadata a store keeps: a crash torn at *any* write boundary —
+//! a partition extent, the chain record, or the manifest record itself
+//! — and a manifest record cut at any byte or corrupt in its tuple
+//! table must heal on the next open with the store rolled back to the
+//! last fully-committed block, and the healed store must keep serving
 //! byte-identical blocks and accept new appends — including an append
 //! that places a relation no earlier block carried, whose placement
 //! commits with it or not at all. Single-relation scans are strictly
@@ -17,6 +18,7 @@ use sebdb_storage::{
 };
 use sebdb_types::{Block, Codec, Transaction, Value};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("sebdb-partcrash-{tag}-{}", std::process::id()));
@@ -29,6 +31,13 @@ fn cfg() -> StoreConfig {
         segment_size: 4096,
         sync_writes: false,
         ..StoreConfig::default()
+    }
+}
+
+fn cfg_synced(sync_writes: bool) -> StoreConfig {
+    StoreConfig {
+        sync_writes,
+        ..cfg()
     }
 }
 
@@ -90,39 +99,67 @@ fn assert_chain_is(store: &BlockStore, expect: impl Fn(u64) -> Block, upto: u64,
     }
 }
 
-/// A crash injected at every write-order boundary of an append — each
-/// touched partition's extent write, its offsets-record write, the
-/// chain-record write, and the manifest write — fails that append
-/// without advancing the height, and a reopen heals the torn on-disk
-/// state back to the last committed block. The ladder runs twice: on a
-/// block of relations already placed, and on one that also places a
-/// new relation (`pledge`), which must stay unplaced until the block
-/// commits and then land where a store that never failed puts it.
+/// The write steps appending block 3 of `expect` crosses, in the order
+/// their fault checks ran.
+fn steps_fired(config: StoreConfig, expect: impl Fn(u64) -> Block) -> Vec<WriteStep> {
+    let store = BlockStore::temporary(config).unwrap();
+    for h in 0..3 {
+        store.append(&expect(h)).unwrap();
+    }
+    let fired = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&fired);
+    store.set_write_fault(Some(Box::new(move |s| {
+        log.lock().unwrap().push(s);
+        false
+    })));
+    store.append(&expect(3)).unwrap();
+    let steps = fired.lock().unwrap().clone();
+    steps
+}
+
+/// A crash injected at every write-order boundary of an append — the
+/// chain-record write, each touched partition's extent write, and the
+/// manifest write, exactly P + 2 steps for P touched partitions —
+/// fails that append without advancing the height, and a reopen heals
+/// the torn on-disk state back to the last committed block. The ladder
+/// runs with and without `sync_writes` (which fans the partition writes
+/// out across workers), each time on a block of relations already
+/// placed and on one that also places a new relation (`pledge`), which
+/// must stay unplaced until the block commits and then land where a
+/// store that never failed puts it.
 #[test]
 fn crash_at_every_write_boundary_heals_on_reopen() {
     let tables = spanning_tables();
     let mut grown = tables.clone();
     grown.push("pledge");
     let ntx = 8;
-    for places in [false, true] {
+    for (sync_writes, places) in [(false, false), (false, true), (true, false), (true, true)] {
+        let cfg = || cfg_synced(sync_writes);
         let at = |h: u64| match places && h >= 3 {
             true => &grown[..],
             false => &tables[..],
         };
         let expect = |h: u64| block(h, at(h), ntx);
-        let touched = partitions_of(at(3));
+        let mut touched = partitions_of(at(3));
         let pledge = places.then(|| touched[3]);
-        let mut steps = vec![
-            WriteStep::PartitionWrite(CHAIN_PARTITION),
-            WriteStep::ManifestWrite,
-        ];
-        for &p in &touched {
-            steps.push(WriteStep::PartitionWrite(p));
-            steps.push(WriteStep::OffsetsWrite(p));
+        touched.sort_unstable();
+        let mut steps = vec![WriteStep::PartitionWrite(CHAIN_PARTITION)];
+        steps.extend(touched.iter().map(|&p| WriteStep::PartitionWrite(p)));
+        steps.push(WriteStep::ManifestWrite);
+        // No other step fires. Fanned out, the partition writes may
+        // cross their boundaries in any order, but all before the
+        // manifest's.
+        let fired = steps_fired(cfg(), expect);
+        let ctx = format!("sync_writes: {sync_writes}, places a relation: {places}");
+        assert_eq!(fired.len(), touched.len() + 2, "{ctx}: {fired:?}");
+        assert_eq!(fired.last(), Some(&WriteStep::ManifestWrite), "{ctx}");
+        assert!(steps.iter().all(|s| fired.contains(s)), "{ctx}: {fired:?}");
+        if !sync_writes {
+            assert_eq!(fired, steps, "{ctx}");
         }
         for (si, step) in steps.into_iter().enumerate() {
-            let ctx = format!("{step:?}, places a relation: {places}");
-            let dir = tmpdir(&format!("boundary-{places}-{si}"));
+            let ctx = format!("{step:?}, {ctx}");
+            let dir = tmpdir(&format!("boundary-{sync_writes}-{places}-{si}"));
             {
                 let store = BlockStore::open(&dir, cfg()).unwrap();
                 for h in 0..3 {
@@ -145,8 +182,8 @@ fn crash_at_every_write_boundary_heals_on_reopen() {
                     "{ctx}: placed uncommitted"
                 );
             }
-            // Restart replay: the torn state (orphan extents, orphan offsets
-            // records, or a missing manifest record) truncates away.
+            // Restart replay: the torn state (orphan extents or a
+            // missing manifest record) truncates away.
             let store = BlockStore::open(&dir, cfg()).unwrap();
             assert_eq!(store.height(), 3, "{ctx}: reopen lost committed blocks");
             assert_eq!(
@@ -283,9 +320,163 @@ fn lookups_never_resolve_a_cut_block() {
     }
 }
 
+/// The last manifest write of a store holding blocks 0..=3, the
+/// fourth placing `pledge`: the placement record, then block 3's
+/// record, which ends in its tuple table. Fields of the block record
+/// are addressed by their offsets within the file.
+struct LastRecord {
+    /// The whole manifest file.
+    full: Vec<u8>,
+    /// Where block 3's tuple table (`ntx(4) ‖ ntx × (part(1) ‖ len(4))`)
+    /// starts.
+    table: usize,
+    /// Block 3's partition count field and its listed partitions.
+    nparts_at: usize,
+    parts: Vec<u8>,
+}
+
+impl LastRecord {
+    /// Parses the last write, which starts at `start`.
+    fn read(dir: &Path, start: usize) -> LastRecord {
+        let full = std::fs::read(dir.join("blockmanifest.idx")).unwrap();
+        let u32_at = |at: usize| u32::from_le_bytes(full[at..at + 4].try_into().unwrap()) as usize;
+        // Skip the placement record: tag(8) ‖ len(4) ‖ name.
+        assert_eq!(full[start..start + 8], u64::MAX.to_le_bytes());
+        let rec = start + 12 + u32_at(start + 8);
+        let nparts_at = rec + 40;
+        let nparts = u16::from_le_bytes([full[nparts_at], full[nparts_at + 1]]) as usize;
+        let parts = (0..nparts).map(|k| full[nparts_at + 2 + k * 18]).collect();
+        let table = nparts_at + 2 + nparts * 18;
+        assert_eq!(full.len(), table + 4 + u32_at(table) * 5);
+        LastRecord {
+            full,
+            table,
+            nparts_at,
+            parts,
+        }
+    }
+
+    /// Tuple `i`'s `(part, len)` field offsets.
+    fn tuple(&self, i: usize) -> (usize, usize) {
+        let at = self.table + 4 + i * 5;
+        (at, at + 1)
+    }
+
+    fn len_of(&self, bytes: &[u8], i: usize) -> u32 {
+        let (_, len) = self.tuple(i);
+        u32::from_le_bytes(bytes[len..len + 4].try_into().unwrap())
+    }
+
+    /// Two tuples `(i, j)`, `i < j`, in the same partition.
+    fn same_partition_pair(&self) -> (usize, usize) {
+        let ntx = (self.full.len() - self.table - 4) / 5;
+        let part = |i: usize| self.full[self.tuple(i).0];
+        (0..ntx)
+            .flat_map(|i| (i + 1..ntx).map(move |j| (i, j)))
+            .find(|&(i, j)| part(i) == part(j))
+            .expect("no partition holds two tuples")
+    }
+}
+
+fn put_u32(bytes: &mut [u8], at: usize, v: u32) {
+    bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+/// A manifest whose last record is cut at any byte — inside the
+/// placement record, the block record's fixed fields, its extents or
+/// its tuple table — or whose tuple table breaks any replay rule
+/// reopens at the previous height: the first three blocks read back
+/// byte-identically, `pledge` is unplaced, and re-appending block 3
+/// rewrites the manifest the store wrote the first time.
+#[test]
+fn a_cut_or_corrupt_last_manifest_record_rolls_back_on_reopen() {
+    let tables = spanning_tables();
+    let mut grown = tables.clone();
+    grown.push("pledge");
+    let expect = |h: u64| block(h, if h >= 3 { &grown[..] } else { &tables[..] }, 8);
+    let dir = tmpdir("lastrecord");
+    let start = {
+        let store = BlockStore::open(&dir, cfg()).unwrap();
+        for h in 0..3 {
+            store.append(&expect(h)).unwrap();
+        }
+        let start = std::fs::metadata(dir.join("blockmanifest.idx"))
+            .unwrap()
+            .len();
+        store.append(&expect(3)).unwrap();
+        start as usize
+    };
+    let last = LastRecord::read(&dir, start);
+    let full = &last.full;
+
+    let mut damaged: Vec<(String, Vec<u8>)> = (start..full.len())
+        .map(|cut| (format!("cut at byte {cut}"), full[..cut].to_vec()))
+        .collect();
+    let mut corrupt = |what: &str, edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut bytes = full.clone();
+        edit(&mut bytes);
+        damaged.push((what.to_string(), bytes));
+    };
+    let unlisted = (0..8u8).find(|p| !last.parts.contains(p)).unwrap();
+    corrupt("a tuple in a partition the record does not list", &|b| {
+        b[last.tuple(0).0] = unlisted;
+    });
+    corrupt("a listed partition holding no tuple", &|b| {
+        let (from, to) = (full[last.tuple(0).0], full[last.tuple(1).0]);
+        assert_ne!(from, to);
+        for i in 0..8 {
+            if b[last.tuple(i).0] == from {
+                b[last.tuple(i).0] = to;
+            }
+        }
+    });
+    let (i, j) = last.same_partition_pair();
+    corrupt("a zero length, its partition's sum kept", &|b| {
+        let sum = last.len_of(full, i) + last.len_of(full, j);
+        put_u32(b, last.tuple(i).1, 0);
+        put_u32(b, last.tuple(j).1, sum);
+    });
+    corrupt("lengths that do not sum to the extent", &|b| {
+        put_u32(b, last.tuple(0).1, last.len_of(full, 0) + 1);
+    });
+    corrupt("lengths whose sum overflows to the extent's", &|b| {
+        let sum = last.len_of(full, i) + last.len_of(full, j);
+        put_u32(b, last.tuple(i).1, u32::MAX);
+        put_u32(b, last.tuple(j).1, sum + 1);
+    });
+    corrupt("partitions but no tuple", &|b| {
+        b.truncate(last.table);
+        b.extend_from_slice(&0u32.to_le_bytes());
+    });
+    corrupt("tuples but no partition", &|b| {
+        let table = b.split_off(last.table);
+        b.truncate(last.nparts_at);
+        b.extend_from_slice(&0u16.to_le_bytes());
+        b.extend_from_slice(&table);
+    });
+
+    for (what, bytes) in damaged {
+        std::fs::write(dir.join("blockmanifest.idx"), &bytes).unwrap();
+        let store = BlockStore::open(&dir, cfg()).unwrap();
+        assert_eq!(store.height(), 3, "{what}: block 3 must be cut");
+        assert_eq!(store.partition_of("pledge"), None, "{what}");
+        assert_chain_is(&store, expect, 3, &what);
+        store.append(&expect(3)).unwrap();
+        assert_chain_is(&store, expect, 4, &what);
+        drop(store);
+        let rewritten = std::fs::read(dir.join("blockmanifest.idx")).unwrap();
+        assert!(
+            rewritten == *full,
+            "{what}: re-append wrote another manifest"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A manifest in an older record format (magic `SEBDBMF1`, no tid/ts
 /// keys; `SEBDBMF2`, no placement records, its relations placed by a
-/// name hash) is not migrated: `open` refuses it with a typed error
+/// name hash; `SEBDBMF3`, no tuple table, which per-partition offset
+/// files held) is not migrated: `open` refuses it with a typed error
 /// naming its magic, never a panic, and leaves the file as it was.
 #[test]
 fn an_older_manifest_format_fails_open_with_a_typed_error() {
@@ -299,7 +490,9 @@ fn an_older_manifest_format_fails_open_with_a_typed_error() {
     let mut mf2 = [0u8; 8 + 8 + 8 + 4 + 8].to_vec();
     mf2.extend_from_slice(&100u32.to_le_bytes());
     mf2.extend_from_slice(&0u16.to_le_bytes());
-    for (magic, record) in [("SEBDBMF1", mf1), ("SEBDBMF2", mf2)] {
+    // A SEBDBMF3 block record has the SEBDBMF2 layout.
+    let mf3 = mf2.clone();
+    for (magic, record) in [("SEBDBMF1", mf1), ("SEBDBMF2", mf2), ("SEBDBMF3", mf3)] {
         let dir = tmpdir(magic);
         std::fs::create_dir_all(&dir).unwrap();
         let mut header = magic.as_bytes().to_vec();

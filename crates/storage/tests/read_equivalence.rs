@@ -3,10 +3,9 @@
 //! The coalescing/span optimizations must be invisible to callers:
 //! grouped reads return byte-identical transactions vs one-by-one
 //! `read_tx` across every `CacheMode`, whether the worker pool is
-//! sequential (`SEBDB_THREADS=1`) or parallel, and whether the chain
-//! carries an on-disk transaction offset table or lost it
-//! (reconstruction on open). The `IoStats` bytes counter pins tuple
-//! reads to tuple granularity.
+//! sequential (`SEBDB_THREADS=1`) or parallel. The `IoStats` bytes
+//! counter pins tuple reads to tuple granularity, on the store that
+//! appended the chain and on one that replayed it from the manifest.
 
 use sebdb_crypto::sha256::Digest;
 use sebdb_storage::{BlockCache, BlockStore, CacheMode, CachedStore, StoreConfig, TxCache, TxPtr};
@@ -122,105 +121,45 @@ fn grouped_reads_byte_identical_on_disk() {
     assert_equivalence(Arc::new(store), 6, 8);
 }
 
-/// Every per-partition offset-table file in `dir` (the tests tear or
-/// delete these to exercise reconstruction on open).
-fn partition_offset_tables(dir: &std::path::Path) -> Vec<PathBuf> {
-    let mut found = Vec::new();
-    for p in 0..sebdb_storage::RELATION_PARTITIONS {
-        let path = dir.join(format!("part-{p}")).join("txoffsets.idx");
-        if path.exists() {
-            found.push(path);
-        }
-    }
-    found
-}
-
-/// A chain whose per-partition offset-table files are missing (a lost
-/// table) opens via full reconstruction from the chain records' routes
-/// and serves identical reads.
-#[test]
-fn old_format_chain_reconstructs_offset_table() {
-    let _guard = threads_lock().lock().unwrap();
-    let dir = tmpdir("oldfmt");
-    {
-        let store = BlockStore::open(&dir, StoreConfig::default()).unwrap();
-        build_chain(&store, 5, 6);
-    }
-    // Simulate a pre-offset-table chain: delete every table outright.
-    let tables = partition_offset_tables(&dir);
-    assert!(!tables.is_empty(), "chain wrote no offset tables");
-    for path in tables {
-        std::fs::remove_file(path).unwrap();
-    }
-    let store = BlockStore::open(&dir, StoreConfig::default()).unwrap();
-    assert_eq!(store.height(), 5);
-    assert_equivalence(Arc::new(store), 5, 6);
-    // Reconstruction rewrote the table: a third open must not need to
-    // re-read any block to serve tuple reads.
-    let store = BlockStore::open(&dir, StoreConfig::default()).unwrap();
-    store.stats.reset();
-    let tx = store.read_txs_in_block(2, &[3]).unwrap();
-    assert_eq!(tx[0].tid, 203);
-    let (blocks_read, _, _) = store.stats.snapshot();
-    assert_eq!(blocks_read, 0, "tuple read must not touch whole blocks");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A torn trailing offset-table record (crash mid-append) heals on
-/// open: the damaged tail is truncated and reconstructed.
-#[test]
-fn torn_offset_table_tail_heals_on_open() {
-    let _guard = threads_lock().lock().unwrap();
-    let dir = tmpdir("torn");
-    {
-        let store = BlockStore::open(&dir, StoreConfig::default()).unwrap();
-        build_chain(&store, 4, 5);
-    }
-    // All tuples route to one relation partition; tear its table (the
-    // other partitions' tables exist but are empty).
-    let mut torn = 0;
-    for path in partition_offset_tables(&dir) {
-        let len = std::fs::metadata(&path).unwrap().len();
-        if len < 8 {
-            continue;
-        }
-        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(len - 7).unwrap(); // tear mid-record
-        drop(f);
-        torn += 1;
-    }
-    assert!(torn > 0, "chain wrote no non-empty offset tables");
-    let store = BlockStore::open(&dir, StoreConfig::default()).unwrap();
-    assert_eq!(store.height(), 4);
-    assert_equivalence(Arc::new(store), 4, 5);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Satellite regression: a tuple-granular point lookup reads at most
 /// tuple-size + a small fixed header worth of bytes — not the whole
-/// block.
+/// block — both on the store that appended the chain and on one that
+/// rebuilt its tuple tables from the manifest at open.
 #[test]
 fn tuple_reads_are_tuple_granular_in_bytes() {
-    let store = BlockStore::temporary(StoreConfig::default()).unwrap();
-    build_chain(&store, 3, 6);
-    let ptr = TxPtr { block: 1, index: 2 };
-    let tuple_len = {
-        let b = store.read(ptr.block).unwrap();
-        b.transactions[ptr.index as usize].to_bytes().len() as u64
-    };
-    let block_len = store.block_size(ptr.block).unwrap() as u64;
-    store.stats.reset();
-    let tx = store.read_txs_in_block(ptr.block, &[ptr.index]).unwrap();
-    assert_eq!(tx[0].tid, 102);
-    let read = store.stats.bytes_read();
-    assert!(
-        read <= tuple_len + 16,
-        "tuple read transferred {read} bytes for a {tuple_len}-byte tuple"
-    );
-    assert!(read < block_len, "tuple read degraded to block granularity");
-    let (blocks_read, _, txs_read) = store.stats.snapshot();
-    assert_eq!(blocks_read, 0, "tuple read counted a block read");
-    assert_eq!(txs_read, 1);
+    let dir = tmpdir("granular");
+    let appended = BlockStore::open(&dir, StoreConfig::default()).unwrap();
+    build_chain(&appended, 3, 6);
+    drop(appended);
+    let reopened = BlockStore::open(&dir, StoreConfig::default()).unwrap();
+    assert_eq!(reopened.height(), 3);
+    let fresh = BlockStore::temporary(StoreConfig::default()).unwrap();
+    build_chain(&fresh, 3, 6);
+    for (name, store) in [("appended", fresh), ("reopened", reopened)] {
+        let ptr = TxPtr { block: 1, index: 2 };
+        let tuple_len = {
+            let b = store.read(ptr.block).unwrap();
+            b.transactions[ptr.index as usize].to_bytes().len() as u64
+        };
+        let block_len = store.block_size(ptr.block).unwrap() as u64;
+        assert_eq!(block_len, store.read(ptr.block).unwrap().byte_len() as u64);
+        store.stats.reset();
+        let tx = store.read_txs_in_block(ptr.block, &[ptr.index]).unwrap();
+        assert_eq!(tx[0].tid, 102, "{name}");
+        let read = store.stats.bytes_read();
+        assert!(
+            read <= tuple_len + 16,
+            "{name}: tuple read transferred {read} bytes for a {tuple_len}-byte tuple"
+        );
+        assert!(
+            read < block_len,
+            "{name}: tuple read degraded to block granularity"
+        );
+        let (blocks_read, _, txs_read) = store.stats.snapshot();
+        assert_eq!(blocks_read, 0, "{name}: tuple read counted a block read");
+        assert_eq!(txs_read, 1, "{name}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `read_span` (the readahead primitive) returns the same blocks as
