@@ -7,7 +7,7 @@
 use super::range::in_window;
 use super::{ExecError, Executor};
 use crate::ledger::LedgerError;
-use sebdb_storage::{RawExtent, RawTuple, READAHEAD_BLOCKS};
+use sebdb_storage::{RawExtent, RawTuple};
 use sebdb_types::{ColumnRef, RawValue, Timestamp, Transaction, Value};
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
@@ -181,28 +181,19 @@ pub(super) fn assemble(probed: &[Probed], build_rows: &[Vec<Value>]) -> Vec<Vec<
 }
 
 impl Executor<'_> {
-    /// Fetches `table`'s partition extents of `bids`, undecoded, one
-    /// readahead run per coalesced read.
-    pub(super) fn scan_raw(&self, bids: &[u64], table: &str) -> Result<Vec<RawExtent>, ExecError> {
-        let mut out = Vec::with_capacity(bids.len());
-        for run in bids.chunks(READAHEAD_BLOCKS) {
-            out.extend(self.ledger.scan_relation_raw(run, table)?);
-        }
-        Ok(out)
-    }
-
     /// The one relation scan: streams `table`'s partition extents of
-    /// `bids` through `each`, one readahead run per item across
-    /// workers, and concatenates the results in chain order. A run's
-    /// extents are dropped once `each` is done with them, so what a
-    /// scan holds is the rows it returns.
+    /// `bids` through `each`, one planned run (one read of about
+    /// [`sebdb_storage::SCAN_RUN_BYTES`]) per item across workers, and
+    /// concatenates the results in chain order. A run's extent is
+    /// dropped once `each` is done with it, so what a scan holds is the
+    /// rows it returns.
     pub(super) fn map_relation<T: Send>(
         &self,
         bids: &[u64],
         table: &str,
         each: impl Fn(&[RawExtent]) -> Result<Vec<T>, ExecError> + Sync,
     ) -> Result<Vec<T>, ExecError> {
-        let runs: Vec<&[u64]> = bids.chunks(READAHEAD_BLOCKS).collect();
+        let runs = self.ledger.store().relation_runs(bids, table);
         in_order(sebdb_parallel::par_map(
             &runs,
             sebdb_parallel::FLOOR_BLOCK,

@@ -17,7 +17,6 @@ use super::hash::{assemble, decode_matched, in_order, keyed_tuples, probe_extent
 use super::range::{column_name, in_window};
 use super::{materialize, ExecError, Executor, QueryResult, Strategy};
 use sebdb_index::Bitmap;
-use sebdb_storage::READAHEAD_BLOCKS;
 use sebdb_types::{ColumnRef, TableSchema, Timestamp, Value};
 
 /// How a join will run: the arm [`Strategy::Auto`] resolves to (a
@@ -162,18 +161,27 @@ impl Executor<'_> {
         // or more relations than partitions) come back from one scan:
         // read it once for both sides.
         let shared = self.ledger.store().co_located(&left.name, &right.name);
-        let resident = match shared {
-            true => self.scan_raw(&bids(&l_blocks.or(&r_blocks)), &right.name)?,
-            false => self.scan_raw(&bids(&r_blocks), &right.name)?,
+        let build_bids = match shared {
+            true => bids(&l_blocks.or(&r_blocks)),
+            false => bids(&r_blocks),
         };
+        let resident = self.ledger.scan_relation_raw(&build_bids, &right.name)?;
         let entries = keyed_tuples(&resident, &right.name, right_col, window)?;
         let build = KeyTable::build(entries.iter().map(|e| e.key).collect());
         let probed = if shared {
-            let runs: Vec<&[_]> = resident.chunks(READAHEAD_BLOCKS).collect();
+            // One item per planned run, as `map_relation` fans out.
             in_order(sebdb_parallel::par_map(
-                &runs,
+                &resident,
                 sebdb_parallel::FLOOR_BLOCK,
-                |run| probe_extents(run, &left.name, left_col, window, &build),
+                |run| {
+                    probe_extents(
+                        std::slice::from_ref(run),
+                        &left.name,
+                        left_col,
+                        window,
+                        &build,
+                    )
+                },
             ))?
         } else {
             self.map_relation(&bids(&l_blocks), &left.name, |run| {
@@ -270,16 +278,24 @@ mod tests {
         )
     }
 
-    /// Where a hash join's time goes, phase by phase, on a chain shaped
-    /// like the benchmark's `query` workload (160 blocks × 200 tuples
-    /// on disk: half `donate`, a quarter each `transfer` and
-    /// `distribute`, organizations drawn so a few hundred pairs join).
+    /// Where a hash join's time goes, phase by phase, on chains shaped
+    /// like the benchmark's `query` workload (160 blocks × 200 tuples)
+    /// and its `deep` one (4 000 blocks × 5 tuples), on disk: half
+    /// `donate`, a quarter each `transfer` and `distribute`,
+    /// organizations drawn from a space sized so about 500 pairs join.
     /// The phases are `hash_join`'s own calls in its own order, so they
     /// must add up to the rows `execute` returns; run with
     /// `cargo test --release -p sebdb q5_phase_split -- --nocapture`
     /// for the timings EXPERIMENTS.md quotes.
     #[test]
     fn q5_phase_split() {
+        phase_split(160, 200);
+        // A debug build is here for the row check: a tenth of `deep`.
+        phase_split(if cfg!(debug_assertions) { 400 } else { 4_000 }, 5);
+    }
+
+    /// [`q5_phase_split`] on `blocks` blocks of `per_block` tuples.
+    fn phase_split(blocks: u64, per_block: u64) {
         let store = BlockStore::temporary(StoreConfig::default()).unwrap();
         let ledger = Ledger::new(Arc::new(store), MacKeypair::from_key([3; 32])).unwrap();
         let mut state = 11u64;
@@ -290,10 +306,12 @@ mod tests {
             state.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
         };
         let s = |c: char, n: u64| Value::Str(format!("{c}{n}"));
-        for b in 0..160u64 {
-            let txs = (0..200u64)
+        // A quarter of the tuples on each side: (n / 4)² / orgs ≈ 500.
+        let orgs = (blocks * per_block / 4).pow(2) / 500;
+        for b in 0..blocks {
+            let txs = (0..per_block)
                 .map(|slot| {
-                    let (donor, org) = (s('d', below(100_000)), s('o', below(128_000)));
+                    let (donor, org) = (s('d', below(100_000)), s('o', below(orgs)));
                     let amount = Value::decimal(below(1_000_000) as i64);
                     let (tname, values) = match below(4) {
                         0 => ("transfer", vec![s('p', 3), donor, org, amount]),
@@ -304,7 +322,7 @@ mod tests {
                         _ => ("donate", vec![donor, s('p', 3), amount]),
                     };
                     let mut tx = Transaction::new(b * 1000 + slot, KeyId([7; 8]), tname, values);
-                    tx.tid = b * 200 + slot + 1;
+                    tx.tid = b * per_block + slot + 1;
                     tx.sig = vec![1; 33];
                     tx
                 })
@@ -324,7 +342,12 @@ mod tests {
         );
         let (col, window) = (ColumnRef::App(2), None);
         let exec = Executor::new(&ledger, None);
-        let bids: Vec<u64> = (0..ledger.height()).collect();
+        // The bitmap arm's blocks: those the table-level index marks.
+        let bids = |name: &str| {
+            let blocks = exec.table_blocks(name).unwrap();
+            blocks.iter_ones().map(|b| b as u64).collect::<Vec<u64>>()
+        };
+        let (l_bids, r_bids) = (bids(&left.name), bids(&right.name));
 
         let mut phases = [0u128; 6];
         let mut whole = Vec::new();
@@ -343,14 +366,14 @@ mod tests {
                 phases[phase] += lap.elapsed().as_micros();
                 lap = Instant::now();
             };
-            let resident = exec.scan_raw(&bids, &right.name).unwrap();
+            let resident = ledger.scan_relation_raw(&r_bids, &right.name).unwrap();
             mark(0);
             let entries = keyed_tuples(&resident, &right.name, col, window).unwrap();
             mark(1);
             let build = KeyTable::build(entries.iter().map(|e| e.key).collect());
             mark(2);
             let probed = exec
-                .map_relation(&bids, &left.name, |run| {
+                .map_relation(&l_bids, &left.name, |run| {
                     probe_extents(run, &left.name, col, window, &build)
                 })
                 .unwrap();
@@ -371,9 +394,15 @@ mod tests {
             "decode matched right",
             "assemble rows",
         ];
+        let runs = |bids: &[u64], name: &str| ledger.store().relation_runs(bids, name).len();
         println!(
-            "Q5 bitmap hash join, {} rows, mean of {ROUNDS}:",
-            rows.len()
+            "Q5 bitmap hash join, {blocks} × {per_block}, {} rows, mean of {ROUNDS}; \
+             right {} blocks in {} runs, left {} blocks in {} runs:",
+            rows.len(),
+            r_bids.len(),
+            runs(&r_bids, &right.name),
+            l_bids.len(),
+            runs(&l_bids, &left.name),
         );
         for (name, total) in names.iter().zip(phases) {
             println!("  {:>5} µs  {name}", total / ROUNDS);

@@ -406,10 +406,10 @@ impl Ledger {
         Ok(self.cached.read().read_txs_grouped(ptrs)?)
     }
 
-    /// For each block in `bids`, `table`'s relation partition extent as
-    /// stored — the one relation scan: Q4's Scan and Bitmap arms and
-    /// the hash joins project its tuples and decode only the ones they
-    /// return. Always reads the store — cached blocks are decoded ones,
+    /// `table`'s relation partition extents of `bids` as stored, one per
+    /// planned run (`BlockStore::relation_runs`) — the one relation
+    /// scan: Q4's Scan and Bitmap arms and the hash joins project its
+    /// tuples and decode only the ones they return. Always reads the store — cached blocks are decoded ones,
     /// no use here — and leaves the cache as it was.
     pub fn scan_relation_raw(
         &self,

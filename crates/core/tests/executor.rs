@@ -884,10 +884,15 @@ fn sites_above_their_floors_fan_out_and_match_sequential() {
     let transfers_per_block = 4;
     let rows = (blocks * transfers_per_block) as usize;
     // Grouped fetch: one group per block. Block-granular maps: one item
-    // per block or per readahead run. Row maps: one item per row.
+    // per block or per readahead run; relation scans: one item per
+    // planned run (checked once the chain is built). Row maps: one item
+    // per row.
     assert!(blocks as usize >= 2 * FLOOR_BLOCK.max(FLOOR_PREAD));
     assert!(blocks as usize / sebdb_storage::READAHEAD_BLOCKS >= 2 * FLOOR_RUN);
     assert!(rows >= 2 * FLOOR_TUPLE);
+    // A memo pads each transfer so its relation scan cuts into enough
+    // byte-sized runs to fan out.
+    let memo = Value::str("m".repeat(200));
 
     let l = ledger();
     let groups: Vec<Vec<(&str, KeyId, Vec<Value>)>> = (0..blocks)
@@ -896,7 +901,7 @@ fn sites_above_their_floors_fan_out_and_match_sequential() {
             let mut txs: Vec<(&str, KeyId, Vec<Value>)> = (0..transfers_per_block)
                 .map(|i| {
                     let amount = Value::decimal(b * transfers_per_block + i);
-                    ("transfer", A, vec![org.clone(), amount])
+                    ("transfer", A, vec![org.clone(), amount, memo.clone()])
                 })
                 .collect();
             txs.push(("distribute", B, vec![org]));
@@ -904,11 +909,14 @@ fn sites_above_their_floors_fan_out_and_match_sequential() {
         })
         .collect();
     append_blocks(&l, groups);
+    let all: Vec<u64> = (0..blocks as u64).collect();
+    assert!(l.store().relation_runs(&all, "transfer").len() >= 2 * FLOOR_BLOCK);
     let transfer = schema(
         "transfer",
         &[
             ("organization", DataType::Str),
             ("amount", DataType::Decimal),
+            ("memo", DataType::Str),
         ],
     );
     let distribute = schema("distribute", &[("organization", DataType::Str)]);

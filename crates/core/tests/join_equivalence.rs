@@ -11,9 +11,10 @@
 //! own, their `bytes_read` is the two relations' own tuples, not the
 //! blocks.
 //!
-//! `ci.sh` runs this file at `SEBDB_THREADS=1` and `=4`: the chain is
-//! long enough (17 readahead runs) for the projected scans to fan out
-//! at the second cap.
+//! `ci.sh` runs this file at `SEBDB_THREADS=1` and `=4`: the chain
+//! holds enough bytes (each tuple carries a 600-byte signature) that
+//! every projected relation scan cuts into enough runs to fan out at
+//! the second cap, flat and partitioned (`build_chain` checks it).
 
 use sebdb::{Executor, Ledger, Strategy};
 use sebdb_consensus::OrderedBlock;
@@ -92,7 +93,7 @@ fn build_chain(ledger: &Ledger) {
                 let sender = KeyId([1 + rng.below(3) as u8; 8]);
                 let mut tx = Transaction::new(b * 1000 + slot, sender, tname, values);
                 tx.tid = tid;
-                tx.sig = vec![tid as u8; 7];
+                tx.sig = vec![tid as u8; 600];
                 tid += 1;
                 tx
             })
@@ -104,6 +105,14 @@ fn build_chain(ledger: &Ledger) {
                 txs,
             })
             .unwrap();
+    }
+    let all: Vec<u64> = (0..BLOCKS).collect();
+    for table in ["transfer", "distribute"] {
+        let runs = ledger.store().relation_runs(&all, table).len();
+        assert!(
+            runs >= 2 * sebdb_parallel::FLOOR_BLOCK,
+            "{table}: {runs} runs"
+        );
     }
     ledger
         .create_layered_index(&transfer(), "organization", None)

@@ -65,7 +65,8 @@ pub const FLOOR_TUPLE: usize = 1024;
 /// One to two microseconds an item: one tuple-sized `pread` group, one
 /// MAC verification.
 pub const FLOOR_PREAD: usize = 256;
-/// Tens of microseconds an item: reading and decoding one block.
+/// Tens of microseconds an item: reading and decoding one block, one
+/// planned run of a projected relation scan.
 pub const FLOOR_BLOCK: usize = 8;
 /// Half a millisecond an item and up: one readahead run of blocks, one
 /// `fsync`.

@@ -34,13 +34,22 @@ use sebdb_types::{
 };
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Sequential-scan readahead window: the most consecutive blocks
-/// fetched with one coalesced positioned read.
+/// Sequential-scan readahead window for whole-block reads (the block
+/// cache's fills, the tracking scan): the most consecutive blocks
+/// fetched with one coalesced positioned read per partition.
 pub const READAHEAD_BLOCKS: usize = 8;
+
+/// Byte budget of one relation-scan run ([`BlockStore::relation_runs`]):
+/// large enough that a run of 5-tuple blocks is one read of some fifty
+/// blocks, small enough that a relation of about a megabyte still
+/// splits into the runs a `sebdb_parallel::FLOOR_BLOCK` fan-out needs
+/// (DESIGN §10.4).
+pub const SCAN_RUN_BYTES: u32 = 16 * 1024;
 
 /// Number of relation partitions a store has by default, and the most
 /// it may have.
@@ -280,54 +289,27 @@ fn encode_partitioned(block: &Block, routes: &[u8], partitions: usize) -> Encode
     }
 }
 
-/// One block's share of a relation-partition scan: the bytes its
-/// tuples sit in, still encoded, and where each one is.
-#[derive(Debug, Default)]
+/// One coalesced read of a relation-partition scan: the span of
+/// back-to-back extents it fetched, still encoded, and where each tuple
+/// in it is.
+#[derive(Debug)]
 pub struct RawExtent {
-    bid: BlockId,
-    /// The coalesced span read for this block's run (shared by the
-    /// run's blocks).
-    bytes: Arc<Vec<u8>>,
-    /// `(canonical index, start in bytes, length)`, canonical order.
-    tuples: Vec<(u32, usize, u32)>,
+    bytes: Vec<u8>,
+    /// `(block, canonical index, start in bytes, length)`, chain order;
+    /// every span checked against its block's extent when planned.
+    tuples: Vec<(BlockId, u32, usize, u32)>,
 }
 
 impl RawExtent {
-    /// Places `tuples` — `(canonical index, offset, length)` relative
-    /// to the extent at `bytes[base..base + len]` — and checks each
-    /// against the extent, so [`Self::tuples`] can slice unchecked.
-    fn new(
-        bid: BlockId,
-        bytes: Arc<Vec<u8>>,
-        (base, len): (usize, usize),
-        tuples: impl Iterator<Item = (u32, u32, u32)>,
-    ) -> Result<Self> {
-        let len = len.min(bytes.len().saturating_sub(base));
-        let tuples = tuples
-            .map(|(canon, off, tlen)| {
-                if off as usize + tlen as usize > len {
-                    return Err(StorageError::Corrupt(format!(
-                        "block {bid}: tuple {canon} overruns its extent"
-                    )));
-                }
-                Ok((canon, base + off as usize, tlen))
-            })
-            .collect::<Result<_>>()?;
-        Ok(RawExtent { bid, bytes, tuples })
-    }
-
-    /// The block this extent belongs to.
-    pub fn bid(&self) -> BlockId {
-        self.bid
-    }
-
-    /// Every tuple of the partition in this block, in canonical order.
+    /// Every tuple of the partition in this run, in chain order.
     pub fn tuples(&self) -> impl Iterator<Item = RawTuple<'_>> + '_ {
-        self.tuples.iter().map(|&(canon, start, len)| RawTuple {
-            bid: self.bid,
-            canon,
-            bytes: &self.bytes[start..start + len as usize],
-        })
+        self.tuples
+            .iter()
+            .map(|&(bid, canon, start, len)| RawTuple {
+                bid,
+                canon,
+                bytes: &self.bytes[start..start + len as usize],
+            })
     }
 }
 
@@ -335,7 +317,8 @@ impl RawExtent {
 /// not parse is [`StorageError::Corrupt`], named by block and position.
 #[derive(Debug, Clone, Copy)]
 pub struct RawTuple<'a> {
-    bid: BlockId,
+    /// The block holding the tuple.
+    pub bid: BlockId,
     /// Position within the block body.
     pub canon: u32,
     /// The transaction's canonical encoding.
@@ -423,6 +406,39 @@ fn decode_chain_record(bytes: &[u8], bid: u64) -> Result<BlockHeader> {
         .map_err(|e| StorageError::Corrupt(format!("block {bid} chain record: {e}")))
 }
 
+/// [`BlockStore::relation_runs`] over the manifest entries `meta`, as
+/// ranges of `bids`, each with the span its extents in partition
+/// `route` cover (`None` where it has none): a run ends where the next
+/// extent is not back to back with it or would take it past
+/// [`SCAN_RUN_BYTES`].
+fn cut_runs(
+    meta: &[BlockEntry],
+    bids: &[BlockId],
+    route: Option<u8>,
+) -> Vec<(Range<usize>, Option<Location>)> {
+    let mut runs = Vec::new();
+    let (mut start, mut span): (usize, Option<Location>) = (0, None);
+    for (k, &bid) in bids.iter().enumerate() {
+        let Some(ext) = route.and_then(|r| meta.get(bid as usize)?.extent(r)) else {
+            continue;
+        };
+        if let Some(s) = &mut span {
+            let back_to_back = ext.segment == s.segment && ext.offset == s.offset + s.len as u64;
+            if back_to_back && s.len as u64 + ext.len as u64 <= SCAN_RUN_BYTES as u64 {
+                s.len += ext.len;
+                continue;
+            }
+            runs.push((start..k, span));
+            start = k;
+        }
+        span = Some(ext);
+    }
+    if start < bids.len() {
+        runs.push((start..bids.len(), span));
+    }
+    runs
+}
+
 impl BlockStore {
     /// Opens a fresh store in a new directory under the system temp
     /// directory (tests, examples, benchmarks), removed when the store
@@ -471,14 +487,22 @@ impl BlockStore {
         let valid_bytes = ends[keep];
         let placed = placed.into_iter().take_while(|&(bid, _)| bid < keep as u64);
         let placement = Placement::new(partitions, placed.map(|(_, name)| name));
-        std::fs::create_dir_all(chain_dir(dir))?;
-        for p in 0..partitions {
-            std::fs::create_dir_all(part_dir(dir, p))?;
+        // Under `sync_writes`, the entries this open creates in `dir`
+        // (the manifest, the chain and partition directories) are made
+        // durable by one fsync of `dir` once they all exist.
+        let mut created = !manifest_path.exists();
+        for sub in std::iter::once(chain_dir(dir)).chain((0..partitions).map(|p| part_dir(dir, p)))
+        {
+            created |= !sub.exists();
+            std::fs::create_dir_all(sub)?;
         }
         let file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&manifest_path)?;
+        if created && config.sync_writes {
+            publish::sync_dir(dir)?;
+        }
         file.set_len(valid_bytes)?;
         let mut manifest = BufWriter::new(file);
         if pinned.is_none() {
@@ -490,18 +514,21 @@ impl BlockStore {
         let chain_resume = entries
             .last()
             .map(|e| (e.chain.segment, e.chain.offset + e.chain.len as u64));
-        let chain_writer = SegmentWriter::open(&chain_dir(dir), config.segment_size, chain_resume)?;
+        let chain_writer = SegmentWriter::open(
+            &chain_dir(dir),
+            config.segment_size,
+            chain_resume,
+            config.sync_writes,
+        )?;
         let mut parts = Vec::with_capacity(partitions);
         for p in 0..partitions {
             let pd = part_dir(dir, p);
             let reader = SegmentSet::with_gauges(&pd, Arc::clone(&gauges));
             let resume = entries.iter().rev().find_map(|e| {
-                e.parts
-                    .iter()
-                    .find(|(q, _)| *q as usize == p)
-                    .map(|(_, l)| (l.segment, l.offset + l.len as u64))
+                let l = e.extent(p as u8)?;
+                Some((l.segment, l.offset + l.len as u64))
             });
-            let writer = SegmentWriter::open(&pd, config.segment_size, resume)?;
+            let writer = SegmentWriter::open(&pd, config.segment_size, resume, config.sync_writes)?;
             parts.push(Partition {
                 writer: Mutex::new(writer),
                 reader,
@@ -814,17 +841,12 @@ impl BlockStore {
         self.assemble_span(start, count)
     }
 
-    /// Fetches `locs` from `reader`, coalescing contiguity runs (same
-    /// segment, back-to-back offsets, combined span ≤ `u32::MAX`) into
-    /// single positioned reads, and hands each run — the positions of
-    /// its locations in `locs`, and the span read for them — to
-    /// `each`. `bytes_read` is charged per span.
-    fn read_runs(
-        &self,
-        reader: &SegmentSet,
-        locs: &[Location],
-        mut each: impl FnMut(std::ops::Range<usize>, Vec<u8>) -> Result<()>,
-    ) -> Result<()> {
+    /// Fetches `locs` from `reader`, one byte vector per location in
+    /// input order, coalescing contiguity runs (same segment,
+    /// back-to-back offsets, combined span ≤ `u32::MAX`) into single
+    /// positioned reads. `bytes_read` is charged per span.
+    fn read_coalesced(&self, reader: &SegmentSet, locs: &[Location]) -> Result<Vec<Vec<u8>>> {
+        let mut out = Vec::with_capacity(locs.len());
         let mut run_start = 0usize;
         while run_start < locs.len() {
             let mut run_end = run_start + 1;
@@ -843,31 +865,18 @@ impl BlockStore {
             let last = locs[run_end - 1];
             let span_len = (last.offset + last.len as u64 - first.offset) as u32;
             let span = reader.read(Location {
-                segment: first.segment,
-                offset: first.offset,
                 len: span_len,
+                ..first
             })?;
             self.stats
                 .bytes_read
                 .fetch_add(span.len() as u64, Ordering::Relaxed);
-            each(run_start..run_end, span)?;
-            run_start = run_end;
-        }
-        Ok(())
-    }
-
-    /// [`Self::read_runs`] cut into one byte vector per location, in
-    /// input order.
-    fn read_coalesced(&self, reader: &SegmentSet, locs: &[Location]) -> Result<Vec<Vec<u8>>> {
-        let mut out = Vec::with_capacity(locs.len());
-        self.read_runs(reader, locs, |run, span| {
-            let first = locs[run.start];
-            for loc in &locs[run] {
+            for loc in &locs[run_start..run_end] {
                 let rel = (loc.offset - first.offset) as usize;
                 out.push(span[rel..rel + loc.len as usize].to_vec());
             }
-            Ok(())
-        })?;
+            run_start = run_end;
+        }
         Ok(out)
     }
 
@@ -963,16 +972,11 @@ impl BlockStore {
         }
         let mut fetched: HashMap<u8, (u32, Vec<u8>)> = HashMap::new();
         for (&part, &(lo, hi)) in &lohi {
-            let ext = entry
-                .parts
-                .iter()
-                .find(|(q, _)| *q == part)
-                .map(|(_, l)| *l)
-                .ok_or_else(|| {
-                    StorageError::Corrupt(format!(
-                        "block {bid}: tuples routed to absent partition {part}"
-                    ))
-                })?;
+            let ext = entry.extent(part).ok_or_else(|| {
+                StorageError::Corrupt(format!(
+                    "block {bid}: tuples routed to absent partition {part}"
+                ))
+            })?;
             let bytes = self.parts[part as usize].reader.read(Location {
                 segment: ext.segment,
                 offset: ext.offset + lo as u64,
@@ -1000,66 +1004,76 @@ impl BlockStore {
             .collect()
     }
 
-    /// Fetches, for each block in `bids`, `table`'s relation partition
-    /// extent **undecoded**, with the place of every tuple in it — the
+    /// Cuts `bids` into the runs a scan of `table` reads: consecutive
+    /// slices whose extents in the relation's partition lie back to back
+    /// in one segment and add up to at most [`SCAN_RUN_BYTES`] (an
+    /// extent larger than that is a run of its own), so each run is one
+    /// positioned read. Blocks without such an extent ride in the run
+    /// they fall in; where none of `bids` has one, all of them are one
+    /// run with nothing to read.
+    pub fn relation_runs<'b>(&self, bids: &'b [BlockId], table: &str) -> Vec<&'b [BlockId]> {
+        let route = self.placement.read().partition_of(table);
+        let meta = self.meta.read();
+        cut_runs(&meta, bids, route)
+            .into_iter()
+            .map(|(run, _)| &bids[run])
+            .collect()
+    }
+
+    /// Fetches `table`'s relation partition extents of the blocks in
+    /// `bids` **undecoded**, with the place of every tuple in them — the
     /// per-relation scan that stops paying for unrelated relations'
     /// bytes, for callers that decide per tuple whether to decode.
-    /// Returns one [`RawExtent`] per block, in `bids` order (blocks
-    /// without the partition yield empty ones), tuples in canonical
-    /// order; a relation no block carries yields only empty ones. Note:
+    /// Returns one [`RawExtent`] per run of [`Self::relation_runs`]
+    /// that has bytes, tuples in chain order; blocks without the
+    /// partition, and a relation no block carries, yield nothing. Note:
     /// with more relations than partitions, co-located relations share
-    /// an extent, so callers still filter by table name; canonical
-    /// indexes let them keep block-order semantics. Charges one
+    /// an extent, so callers still filter by table name. Charges one
     /// `blocks_read` per block and only the partition extents'
     /// `bytes_read` (no `txs_read`, matching full-scan accounting).
     /// Never consults a cache: cached blocks are decoded ones.
     pub fn scan_relation_raw(&self, bids: &[BlockId], table: &str) -> Result<Vec<RawExtent>> {
-        if bids.is_empty() {
-            return Ok(Vec::new());
-        }
         self.stats
             .blocks_read
             .fetch_add(bids.len() as u64, Ordering::Relaxed);
-        let mut out: Vec<RawExtent> = bids
-            .iter()
-            .map(|&bid| RawExtent {
-                bid,
-                ..RawExtent::default()
-            })
-            .collect();
         let Some(route) = self.placement.read().partition_of(table) else {
-            return Ok(out);
+            return Ok(Vec::new());
         };
-        let meta = self.snapshot(bids.iter().copied())?;
-        let mut items: Vec<usize> = Vec::new();
-        let mut plocs: Vec<Location> = Vec::new();
-        for (k, e) in meta.iter().enumerate() {
-            if let Some((_, loc)) = e.parts.iter().find(|(q, _)| *q == route) {
-                items.push(k);
-                plocs.push(*loc);
+        // Every run's span and tuple table, under one manifest guard.
+        let mut planned: Vec<(Location, RawExtent)> = Vec::new();
+        let meta = self.meta.read();
+        for (run, span) in cut_runs(&meta, bids, Some(route)) {
+            let mut tuples = Vec::new();
+            for &bid in &bids[run] {
+                let e = meta.get(bid as usize).ok_or(StorageError::NotFound(bid))?;
+                let (Some(span), Some(ext)) = (span, e.extent(route)) else {
+                    continue;
+                };
+                let base = ext.offset - span.offset;
+                for (canon, l) in e.txs.iter().enumerate().filter(|(_, l)| l.part == route) {
+                    if l.off as u64 + l.len as u64 > ext.len as u64 {
+                        return Err(StorageError::Corrupt(format!(
+                            "block {bid}: tuple {canon} overruns its extent"
+                        )));
+                    }
+                    tuples.push((bid, canon as u32, (base + l.off as u64) as usize, l.len));
+                }
             }
+            let bytes = Vec::new();
+            planned.extend(span.map(|s| (s, RawExtent { bytes, tuples })));
         }
-        self.read_runs(&self.parts[route as usize].reader, &plocs, |run, span| {
-            // The run's blocks share the span; none copies out of it.
-            let span = Arc::new(span);
-            let first = plocs[run.start];
-            for i in run {
-                let k = items[i];
-                let extent = (
-                    (plocs[i].offset - first.offset) as usize,
-                    plocs[i].len as usize,
-                );
-                let tuples = meta[k]
-                    .txs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, l)| l.part == route)
-                    .map(|(canon, l)| (canon as u32, l.off, l.len));
-                out[k] = RawExtent::new(bids[k], Arc::clone(&span), extent, tuples)?;
-            }
-            Ok(())
-        })?;
-        Ok(out)
+        drop(meta);
+        let reader = &self.parts[route as usize].reader;
+        planned
+            .into_iter()
+            .map(|(span, mut run)| {
+                run.bytes = reader.read(span)?;
+                self.stats
+                    .bytes_read
+                    .fetch_add(run.bytes.len() as u64, Ordering::Relaxed);
+                Ok(run)
+            })
+            .collect()
     }
 
     /// Shared read instrumentation (opens, in-flight gauges, probe)

@@ -18,7 +18,7 @@ pub mod segment;
 
 pub use blockstore::{
     BlockStore, IoStats, RawExtent, RawTuple, StoreConfig, TxPtr, WriteStep, CHAIN_PARTITION,
-    READAHEAD_BLOCKS, RELATION_PARTITIONS,
+    READAHEAD_BLOCKS, RELATION_PARTITIONS, SCAN_RUN_BYTES,
 };
 pub use cache::{BlockCache, CacheMode, CachedStore, Lru, ShardedLru, TxCache};
 pub use indexseg::{

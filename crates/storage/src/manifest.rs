@@ -134,6 +134,13 @@ pub(crate) struct BlockEntry {
     pub(crate) txs: TxLocs,
 }
 
+impl BlockEntry {
+    /// The block's extent in partition `part`, if it touches it.
+    pub(crate) fn extent(&self, part: u8) -> Option<Location> {
+        self.parts.iter().find(|(q, _)| *q == part).map(|&(_, l)| l)
+    }
+}
+
 /// A block's place on the tid and time axes, as its manifest record
 /// carries it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -35,9 +35,16 @@ pub(crate) fn publish_atomically(
     std::fs::rename(&tmp, final_path)?;
     if sync_writes {
         if let Some(dir) = final_path.parent() {
-            File::open(dir)?.sync_all()?;
+            sync_dir(dir)?;
         }
     }
+    Ok(())
+}
+
+/// Fsyncs directory `dir`, so the entries created or renamed in it
+/// survive power loss.
+pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
+    File::open(dir)?.sync_all()?;
     Ok(())
 }
 

@@ -66,6 +66,9 @@ pub(crate) fn segment_path(dir: &Path, n: u32) -> PathBuf {
 pub struct SegmentWriter {
     dir: PathBuf,
     segment_size: u64,
+    /// Fsync `dir` after creating a segment in it, so the new entry
+    /// survives a crash (the store's `sync_writes`).
+    sync_writes: bool,
     current: BufWriter<File>,
     current_n: u32,
     current_len: u64,
@@ -74,20 +77,21 @@ pub struct SegmentWriter {
 impl SegmentWriter {
     /// Opens (or resumes) a writer in `dir`. `resume_at` is the
     /// `(segment, length)` to continue from, typically derived from the
-    /// manifest on restart.
-    pub fn open(dir: &Path, segment_size: u64, resume_at: Option<(u32, u64)>) -> Result<Self> {
+    /// manifest on restart. Under `sync_writes`, `dir` is fsynced after
+    /// every segment file the writer creates.
+    pub fn open(
+        dir: &Path,
+        segment_size: u64,
+        resume_at: Option<(u32, u64)>,
+        sync_writes: bool,
+    ) -> Result<Self> {
         std::fs::create_dir_all(dir)?;
         let (n, len) = resume_at.unwrap_or((0, 0));
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(segment_path(dir, n))?;
-        // Truncate any bytes past the manifest's view (torn final write).
-        file.set_len(len)?;
         Ok(SegmentWriter {
             dir: dir.to_owned(),
             segment_size,
-            current: BufWriter::new(file),
+            sync_writes,
+            current: open_segment(dir, n, len, sync_writes)?,
             current_n: n,
             current_len: len,
         })
@@ -125,14 +129,9 @@ impl SegmentWriter {
 
     fn roll(&mut self) -> Result<()> {
         self.current.flush()?;
+        self.current = open_segment(&self.dir, self.current_n + 1, 0, self.sync_writes)?;
         self.current_n += 1;
         self.current_len = 0;
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(segment_path(&self.dir, self.current_n))?;
-        file.set_len(0)?;
-        self.current = BufWriter::new(file);
         Ok(())
     }
 
@@ -141,6 +140,20 @@ impl SegmentWriter {
     pub fn position(&self) -> (u32, u64) {
         (self.current_n, self.current_len)
     }
+}
+
+/// Opens segment `n` of `dir` for appending, cut to `len` bytes (any
+/// bytes past the manifest's view are a torn final write). Under
+/// `sync_writes`, `dir` is fsynced if this created the file.
+fn open_segment(dir: &Path, n: u32, len: u64, sync_writes: bool) -> Result<BufWriter<File>> {
+    let path = segment_path(dir, n);
+    let fresh = !path.exists();
+    let file = OpenOptions::new().create(true).append(true).open(&path)?;
+    file.set_len(len)?;
+    if fresh && sync_writes {
+        crate::publish::sync_dir(dir)?;
+    }
+    Ok(BufWriter::new(file))
 }
 
 /// Handle-cache shards. Segment `n` lives in shard `n % HANDLE_SHARDS`
@@ -352,7 +365,7 @@ mod tests {
     fn append_and_read_back() {
         let tmp = tmpdir();
         let dir = tmp.path();
-        let mut w = SegmentWriter::open(dir, 1024, None).unwrap();
+        let mut w = SegmentWriter::open(dir, 1024, None, false).unwrap();
         let a = w.append(b"hello").unwrap();
         let b = w.append(b"world!").unwrap();
         w.flush().unwrap();
@@ -366,7 +379,7 @@ mod tests {
     fn rolls_segments_at_size() {
         let tmp = tmpdir();
         let dir = tmp.path();
-        let mut w = SegmentWriter::open(dir, 10, None).unwrap();
+        let mut w = SegmentWriter::open(dir, 10, None, false).unwrap();
         let a = w.append(&[1u8; 8]).unwrap();
         let b = w.append(&[2u8; 8]).unwrap(); // 8+8 > 10 → new segment
         let c = w.append(&[3u8; 20]).unwrap(); // oversized record gets its own segment
@@ -383,14 +396,15 @@ mod tests {
     fn resume_truncates_torn_tail() {
         let tmp = tmpdir();
         let dir = tmp.path();
-        let mut w = SegmentWriter::open(dir, 1024, None).unwrap();
+        let mut w = SegmentWriter::open(dir, 1024, None, false).unwrap();
         let a = w.append(b"durable").unwrap();
         w.flush().unwrap();
         w.append(b"torn").unwrap();
         w.flush().unwrap();
         drop(w);
         // Resume believing only the first record was committed.
-        let mut w2 = SegmentWriter::open(dir, 1024, Some((0, a.offset + a.len as u64))).unwrap();
+        let mut w2 =
+            SegmentWriter::open(dir, 1024, Some((0, a.offset + a.len as u64)), false).unwrap();
         let b = w2.append(b"new").unwrap();
         w2.flush().unwrap();
         assert_eq!(b.offset, 7);

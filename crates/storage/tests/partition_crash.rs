@@ -17,6 +17,7 @@ use sebdb_storage::{
     INDEX_CHECKPOINT_DIR,
 };
 use sebdb_types::{Block, Codec, Transaction, Value};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -129,80 +130,124 @@ fn steps_fired(config: StoreConfig, expect: impl Fn(u64) -> Block) -> Vec<WriteS
 /// store that never failed puts it.
 #[test]
 fn crash_at_every_write_boundary_heals_on_reopen() {
+    for (sync_writes, places) in [(false, false), (false, true), (true, false), (true, true)] {
+        write_boundary_ladder(cfg_synced(sync_writes), places, "boundary");
+    }
+}
+
+/// The same ladder under `sync_writes` with segments so small that
+/// every write of the torn append rolls its writer to a fresh segment
+/// file — the files whose directory entries `sync_writes` fsyncs.
+#[test]
+fn crash_at_every_write_boundary_heals_across_segment_rolls() {
+    let config = StoreConfig {
+        segment_size: 64,
+        sync_writes: true,
+        ..StoreConfig::default()
+    };
+    // Every write of block 3 rolls: each partition written gains a file.
+    let tables = spanning_tables();
+    let store = BlockStore::temporary(config.clone()).unwrap();
+    for h in 0..3 {
+        store.append(&block(h, &tables, 8)).unwrap();
+    }
+    let before = count_segments(store.dir());
+    store.append(&block(3, &tables, 8)).unwrap();
+    assert_eq!(count_segments(store.dir()), before + tables.len() + 1);
+    for places in [false, true] {
+        write_boundary_ladder(config.clone(), places, "rolling");
+    }
+}
+
+/// The ladder of the two tests above, under `config`; `places` makes
+/// block 3 place the new relation `pledge`.
+fn write_boundary_ladder(config: StoreConfig, places: bool, tag: &str) {
+    let sync_writes = config.sync_writes;
     let tables = spanning_tables();
     let mut grown = tables.clone();
     grown.push("pledge");
     let ntx = 8;
-    for (sync_writes, places) in [(false, false), (false, true), (true, false), (true, true)] {
-        let cfg = || cfg_synced(sync_writes);
-        let at = |h: u64| match places && h >= 3 {
-            true => &grown[..],
-            false => &tables[..],
-        };
-        let expect = |h: u64| block(h, at(h), ntx);
-        let mut touched = partitions_of(at(3));
-        let pledge = places.then(|| touched[3]);
-        touched.sort_unstable();
-        let mut steps = vec![WriteStep::PartitionWrite(CHAIN_PARTITION)];
-        steps.extend(touched.iter().map(|&p| WriteStep::PartitionWrite(p)));
-        steps.push(WriteStep::ManifestWrite);
-        // No other step fires. Fanned out, the partition writes may
-        // cross their boundaries in any order, but all before the
-        // manifest's.
-        let fired = steps_fired(cfg(), expect);
-        let ctx = format!("sync_writes: {sync_writes}, places a relation: {places}");
-        assert_eq!(fired.len(), touched.len() + 2, "{ctx}: {fired:?}");
-        assert_eq!(fired.last(), Some(&WriteStep::ManifestWrite), "{ctx}");
-        assert!(steps.iter().all(|s| fired.contains(s)), "{ctx}: {fired:?}");
-        if !sync_writes {
-            assert_eq!(fired, steps, "{ctx}");
-        }
-        for (si, step) in steps.into_iter().enumerate() {
-            let ctx = format!("{step:?}, {ctx}");
-            let dir = tmpdir(&format!("boundary-{sync_writes}-{places}-{si}"));
-            {
-                let store = BlockStore::open(&dir, cfg()).unwrap();
-                for h in 0..3 {
-                    store.append(&expect(h)).unwrap();
-                }
-                store.set_write_fault(Some(Box::new(move |s| s == step)));
-                let err = store.append(&expect(3)).unwrap_err();
-                assert!(
-                    err.to_string().contains("injected write fault"),
-                    "{ctx}: unexpected error {err}"
-                );
-                assert_eq!(
-                    store.height(),
-                    3,
-                    "{ctx}: failed append advanced the height"
-                );
-                assert_eq!(
-                    store.partition_of("pledge"),
-                    None,
-                    "{ctx}: placed uncommitted"
-                );
-            }
-            // Restart replay: the torn state (orphan extents or a
-            // missing manifest record) truncates away.
+    let cfg = || config.clone();
+    let at = |h: u64| match places && h >= 3 {
+        true => &grown[..],
+        false => &tables[..],
+    };
+    let expect = |h: u64| block(h, at(h), ntx);
+    let mut touched = partitions_of(at(3));
+    let pledge = places.then(|| touched[3]);
+    touched.sort_unstable();
+    let mut steps = vec![WriteStep::PartitionWrite(CHAIN_PARTITION)];
+    steps.extend(touched.iter().map(|&p| WriteStep::PartitionWrite(p)));
+    steps.push(WriteStep::ManifestWrite);
+    // No other step fires. Fanned out, the partition writes may
+    // cross their boundaries in any order, but all before the
+    // manifest's.
+    let fired = steps_fired(cfg(), expect);
+    let ctx = format!("sync_writes: {sync_writes}, places a relation: {places}");
+    assert_eq!(fired.len(), touched.len() + 2, "{ctx}: {fired:?}");
+    assert_eq!(fired.last(), Some(&WriteStep::ManifestWrite), "{ctx}");
+    assert!(steps.iter().all(|s| fired.contains(s)), "{ctx}: {fired:?}");
+    if !sync_writes {
+        assert_eq!(fired, steps, "{ctx}");
+    }
+    for (si, step) in steps.into_iter().enumerate() {
+        let ctx = format!("{step:?}, {ctx}");
+        let dir = tmpdir(&format!("{tag}-{sync_writes}-{places}-{si}"));
+        {
             let store = BlockStore::open(&dir, cfg()).unwrap();
-            assert_eq!(store.height(), 3, "{ctx}: reopen lost committed blocks");
+            for h in 0..3 {
+                store.append(&expect(h)).unwrap();
+            }
+            store.set_write_fault(Some(Box::new(move |s| s == step)));
+            let err = store.append(&expect(3)).unwrap_err();
+            assert!(
+                err.to_string().contains("injected write fault"),
+                "{ctx}: unexpected error {err}"
+            );
+            assert_eq!(
+                store.height(),
+                3,
+                "{ctx}: failed append advanced the height"
+            );
             assert_eq!(
                 store.partition_of("pledge"),
                 None,
-                "{ctx}: placed after reopen"
+                "{ctx}: placed uncommitted"
             );
-            for h in 3..5 {
-                store.append(&expect(h)).unwrap();
-            }
-            assert_eq!(store.partition_of("pledge"), pledge, "{ctx}");
-            assert_chain_is(&store, expect, 5, &ctx);
-            drop(store);
-            let store = BlockStore::open(&dir, cfg()).unwrap();
-            assert_eq!(store.partition_of("pledge"), pledge, "{ctx}: reopened");
-            assert_chain_is(&store, expect, 5, &ctx);
-            let _ = std::fs::remove_dir_all(&dir);
+        }
+        // Restart replay: the torn state (orphan extents or a
+        // missing manifest record) truncates away.
+        let store = BlockStore::open(&dir, cfg()).unwrap();
+        assert_eq!(store.height(), 3, "{ctx}: reopen lost committed blocks");
+        assert_eq!(
+            store.partition_of("pledge"),
+            None,
+            "{ctx}: placed after reopen"
+        );
+        for h in 3..5 {
+            store.append(&expect(h)).unwrap();
+        }
+        assert_eq!(store.partition_of("pledge"), pledge, "{ctx}");
+        assert_chain_is(&store, expect, 5, &ctx);
+        drop(store);
+        let store = BlockStore::open(&dir, cfg()).unwrap();
+        assert_eq!(store.partition_of("pledge"), pledge, "{ctx}: reopened");
+        assert_chain_is(&store, expect, 5, &ctx);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Segment files under `dir` and its subdirectories.
+fn count_segments(dir: &Path) -> usize {
+    let mut n = 0;
+    for e in std::fs::read_dir(dir).unwrap().flatten() {
+        if e.path().is_dir() {
+            n += count_segments(&e.path());
+        } else if e.file_name().to_string_lossy().starts_with("seg-") {
+            n += 1;
         }
     }
+    n
 }
 
 /// The last segment file under `dir` (the partitions' own directories
@@ -692,16 +737,19 @@ fn stale_or_corrupt_index_checkpoint_is_discarded_on_open() {
 
 /// `scan_relation_raw` returns every tuple co-located in the table's
 /// partition (callers filter by name, as the executor does) — so
-/// cross-layout comparisons must apply that filter too.
-fn rows_digest(rows: &[RawExtent], table: &str) -> Vec<Vec<(u32, Vec<u8>)>> {
-    rows.iter()
-        .map(|b| {
-            b.tuples()
-                .filter(|t| t.project().unwrap().tname.eq_ignore_ascii_case(table))
-                .map(|t| (t.canon, t.bytes.to_vec()))
-                .collect()
-        })
-        .collect()
+/// cross-layout comparisons must apply that filter too. Tuples are
+/// grouped by the block they sit in, whatever run read them.
+fn rows_digest(rows: &[RawExtent], table: &str) -> BTreeMap<u64, Vec<(u32, Vec<u8>)>> {
+    let mut by_block: BTreeMap<u64, Vec<(u32, Vec<u8>)>> = BTreeMap::new();
+    for t in rows.iter().flat_map(RawExtent::tuples) {
+        if t.project().unwrap().tname.eq_ignore_ascii_case(table) {
+            by_block
+                .entry(t.bid)
+                .or_default()
+                .push((t.canon, t.bytes.to_vec()));
+        }
+    }
+    by_block
 }
 
 /// The acceptance bound: on a multi-relation chain, a single-relation
@@ -772,7 +820,7 @@ fn relation_scan_reads_strictly_fewer_bytes_than_unpartitioned() {
 #[test]
 fn raw_relation_scan_is_the_decoded_scan_undecoded() {
     let tables = spanning_tables();
-    let nblocks = 20u64; // more than two readahead runs
+    let nblocks = 20u64; // the flat scans span several 4 KiB segments
     for partitions in [1usize, 8] {
         let store = BlockStore::temporary(StoreConfig {
             partitions,
@@ -792,18 +840,29 @@ fn raw_relation_scan_is_the_decoded_scan_undecoded() {
         for table in &tables {
             let route = store.partition_of(table);
             assert!(route.is_some(), "p{partitions} {table} unplaced");
+            let runs = store.relation_runs(&bids, table).len();
+            assert!(
+                partitions == 8 || runs > 1,
+                "p{partitions} {table}: one run"
+            );
             store.stats.reset();
             let raw = store.scan_relation_raw(&bids, table).unwrap();
             let raw_charge = (store.stats.snapshot(), store.stats.bytes_read());
             assert_eq!(raw_charge.0, (nblocks, 0, 0));
 
             let mut tuple_bytes = 0u64;
-            for (ext, &bid) in raw.iter().zip(&bids) {
-                assert_eq!(ext.bid(), bid);
-                let from_raw: Vec<(u32, Transaction)> = ext
-                    .tuples()
-                    .map(|t| (t.canon, t.decode().unwrap()))
-                    .collect();
+            let mut by_block: BTreeMap<u64, Vec<(u32, Transaction)>> = BTreeMap::new();
+            for t in raw.iter().flat_map(RawExtent::tuples) {
+                tuple_bytes += t.bytes.len() as u64;
+                let at = by_block.entry(t.bid).or_default();
+                at.push((t.canon, t.decode().unwrap()));
+            }
+            assert!(
+                by_block.keys().all(|b| bids.contains(b)),
+                "p{partitions} {table}"
+            );
+            for &bid in &bids {
+                let from_raw = by_block.remove(&bid).unwrap_or_default();
                 let from_block: Vec<(u32, Transaction)> = store
                     .read(bid)
                     .unwrap()
@@ -814,7 +873,6 @@ fn raw_relation_scan_is_the_decoded_scan_undecoded() {
                     .map(|(i, t)| (i as u32, t.clone()))
                     .collect();
                 assert_eq!(from_raw, from_block, "p{partitions} {table} block {bid}");
-                tuple_bytes += ext.tuples().map(|t| t.bytes.len() as u64).sum::<u64>();
             }
             assert_eq!(raw_charge.1, tuple_bytes, "p{partitions} {table}");
             assert!(tuple_bytes > 0);
