@@ -44,11 +44,14 @@ cargo test --release -q -p sebdb-index
 echo "==> cargo test --release -q -p sebdb-storage"
 cargo test --release -q -p sebdb-storage
 
-# The join phase split EXPERIMENTS.md quotes checks that its phases
-# add up to `execute`'s rows: that row check runs on the optimized
-# build, as the engine ships and as the quoted timings were taken.
+# The join phase splits EXPERIMENTS.md quotes (Q5's hash join, Q6's
+# on-off hash arm) check that their phases add up to `execute`'s rows:
+# that row check runs on the optimized build, as the engine ships and
+# as the quoted timings were taken.
 echo "==> cargo test --release -q -p sebdb --lib q5_phase_split"
 cargo test --release -q -p sebdb --lib q5_phase_split
+echo "==> cargo test --release -q -p sebdb --lib q6_phase_split"
+cargo test --release -q -p sebdb --lib q6_phase_split
 
 # Deterministic interleaving checker: exhaustively explores schedules
 # of the pipeline/mempool/cache/index/partition models with the

@@ -2,46 +2,55 @@
 //! and the scan/bitmap arm of §V-C: a chained table over borrowed key
 //! bytes, the projected relation scan that feeds and probes it, and
 //! late materialization — a tuple is decoded once a probe has matched
-//! it, from the extent bytes already in hand (DESIGN §10.4).
+//! it, from the extent bytes already in hand, straight into the output
+//! row (DESIGN §10.4).
 
 use super::range::in_window;
 use super::{ExecError, Executor};
 use crate::ledger::LedgerError;
 use sebdb_storage::{RawExtent, RawTuple};
-use sebdb_types::{ColumnRef, RawValue, Timestamp, Transaction, Value};
+use sebdb_types::{ColumnRef, RawValue, Timestamp, Value};
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 
 const NIL: u32 = u32::MAX;
 
-/// An equi-join build side: entry `i` is `keys[i]`, and
+/// One build-side entry: what a match hands to [`assemble`], its join
+/// key still encoded, and the key's hash under the join's hasher.
+pub(super) struct Keyed<'e, T> {
+    pub item: T,
+    pub key: RawValue<'e>,
+    pub hash: u64,
+}
+
+/// An equi-join build side: entry `i` is `entries[i]`, and
 /// [`Self::matches`] lists the entries equal to a probe key in
 /// ascending order. `NULL` keys keep their entry number but are never
 /// linked, so `NULL` matches nothing from either side.
-pub(super) struct KeyTable<'a> {
-    keys: Vec<RawValue<'a>>,
+pub(super) struct KeyTable<'e, T> {
+    entries: Vec<Keyed<'e, T>>,
     /// Bucket → its first entry; entry → the next one in its bucket.
     head: Vec<u32>,
     next: Vec<u32>,
-    /// The keys come off the chain, so the hasher stays the keyed
-    /// default.
+    /// The hasher the entries were hashed with. The keys come off the
+    /// chain, so it stays the keyed default.
     hasher: RandomState,
 }
 
-impl<'a> KeyTable<'a> {
-    pub(super) fn build(keys: Vec<RawValue<'a>>) -> Self {
-        let hasher = RandomState::new();
-        let mut head = vec![NIL; (keys.len() * 2).next_power_of_two()];
-        let mut next = vec![NIL; keys.len()];
+impl<'e, T> KeyTable<'e, T> {
+    /// Links `entries`, each hashed by `hasher`, by their hashes.
+    pub(super) fn build(hasher: RandomState, entries: Vec<Keyed<'e, T>>) -> Self {
+        let mut head = vec![NIL; (entries.len() * 2).next_power_of_two()];
+        let mut next = vec![NIL; entries.len()];
         // Linked back to front, so every chain ascends.
-        for (i, key) in keys.iter().enumerate().rev() {
-            if !key.is_null() {
-                let bucket = hasher.hash_one(key) as usize & (head.len() - 1);
+        for (i, entry) in entries.iter().enumerate().rev() {
+            if !entry.key.is_null() {
+                let bucket = entry.hash as usize & (head.len() - 1);
                 next[i] = std::mem::replace(&mut head[bucket], i as u32);
             }
         }
         KeyTable {
-            keys,
+            entries,
             head,
             next,
             hasher,
@@ -50,16 +59,18 @@ impl<'a> KeyTable<'a> {
 
     /// Entries whose key equals `key`, ascending.
     pub(super) fn matches<'s>(&'s self, key: RawValue<'s>) -> impl Iterator<Item = u32> + 's {
+        let hash = self.hasher.hash_one(key);
         let mut at = match key.is_null() {
             true => NIL,
-            false => self.head[self.hasher.hash_one(key) as usize & (self.head.len() - 1)],
+            false => self.head[hash as usize & (self.head.len() - 1)],
         };
         std::iter::from_fn(move || {
             while at != NIL {
-                let entry = at;
-                at = self.next[entry as usize];
-                if self.keys[entry as usize] == key {
-                    return Some(entry);
+                let i = at as usize;
+                at = self.next[i];
+                let entry = &self.entries[i];
+                if entry.hash == hash && entry.key == key {
+                    return Some(i as u32);
                 }
             }
             None
@@ -67,94 +78,88 @@ impl<'a> KeyTable<'a> {
     }
 }
 
-/// One tuple a projected scan kept, and its join key.
-pub(super) struct Keyed<'e> {
-    pub tuple: RawTuple<'e>,
-    pub key: RawValue<'e>,
-}
-
-/// Decodes a tuple into a full row (system columns, then application
-/// attributes).
+/// Decodes a tuple into a fresh full row (system columns, then
+/// application attributes).
 pub(super) fn decode_row(tuple: &RawTuple<'_>) -> Result<Vec<Value>, ExecError> {
-    Ok(into_row(tuple.decode().map_err(LedgerError::from)?))
+    let mut row = Vec::new();
+    tuple.decode_into(&mut row).map_err(LedgerError::from)?;
+    Ok(row)
 }
 
-/// [`super::materialize`] for a transaction nobody else holds: moves
-/// the fields instead of cloning them.
-fn into_row(tx: Transaction) -> Vec<Value> {
-    let mut row = Vec::with_capacity(5 + tx.values.len());
-    row.push(Value::Int(tx.tid as i64));
-    row.push(Value::Timestamp(tx.ts));
-    row.push(Value::Bytes(tx.sig));
-    row.push(Value::Bytes(tx.sender.as_bytes().to_vec()));
-    row.push(Value::Str(tx.tname));
-    row.extend(tx.values);
-    row
-}
-
-/// Projects every tuple in `extents` on `col` and keeps those of
-/// `table` inside `window` that have the column — chain order, nothing
-/// decoded. (Co-located relations share an extent, hence the name
-/// filter; `NULL` keys are kept, [`KeyTable`] deals with them.)
-pub(super) fn keyed_tuples<'e>(
-    extents: &'e [RawExtent],
+/// `tuple`'s key on `col` if it is a tuple of `table` inside `window`
+/// that has the column — nothing decoded. (Co-located relations share
+/// an extent, hence the name test; `NULL` keys are kept, [`KeyTable`]
+/// deals with them.)
+fn key_of<'e>(
+    tuple: &RawTuple<'e>,
     table: &str,
     col: ColumnRef,
     window: Option<(Timestamp, Timestamp)>,
-) -> Result<Vec<Keyed<'e>>, ExecError> {
-    let mut out = Vec::new();
-    for tuple in extents.iter().flat_map(RawExtent::tuples) {
-        let head = tuple.project().map_err(LedgerError::from)?;
-        if !head.tname.eq_ignore_ascii_case(table) || !in_window(head.ts, window) {
-            continue;
-        }
-        if let Some(key) = tuple.column(&head, col).map_err(LedgerError::from)? {
-            out.push(Keyed { tuple, key });
-        }
+) -> Result<Option<RawValue<'e>>, ExecError> {
+    let head = tuple.project().map_err(LedgerError::from)?;
+    if !head.tname.eq_ignore_ascii_case(table) || !in_window(head.ts, window) {
+        return Ok(None);
     }
-    Ok(out)
+    Ok(tuple.column(&head, col).map_err(LedgerError::from)?)
+}
+
+/// The build side's entries: `table`'s tuples in `resident` with a
+/// key on `col` inside `window`, each key hashed by `hasher` — one run
+/// per item across workers, chain order, nothing decoded.
+pub(super) fn keyed_runs<'e>(
+    resident: &'e [RawExtent],
+    table: &str,
+    col: ColumnRef,
+    window: Option<(Timestamp, Timestamp)>,
+    hasher: &RandomState,
+) -> Result<Vec<Keyed<'e, RawTuple<'e>>>, ExecError> {
+    // `par_map` lends each item to its closure for the call only;
+    // items that are borrows themselves let the entries outlive it.
+    let runs: Vec<&'e RawExtent> = resident.iter().collect();
+    in_order(sebdb_parallel::par_map(
+        &runs,
+        sebdb_parallel::FLOOR_BLOCK,
+        |run| {
+            let mut out = Vec::new();
+            for tuple in run.tuples() {
+                if let Some(key) = key_of(&tuple, table, col, window)? {
+                    let hash = hasher.hash_one(key);
+                    out.push(Keyed {
+                        item: tuple,
+                        key,
+                        hash,
+                    });
+                }
+            }
+            Ok(out)
+        },
+    ))
 }
 
 /// A probe tuple that matched, decoded, and the build entries it
 /// matched.
 pub(super) type Probed = (Vec<Value>, Vec<u32>);
 
-/// Probes `build` with `table`'s tuples in `extents`; only the matched
-/// ones are decoded.
-pub(super) fn probe_extents(
+/// Probes `build` with `table`'s tuples in `extents`, one tuple at a
+/// time; only the matched ones are decoded.
+pub(super) fn probe_extents<T>(
     extents: &[RawExtent],
     table: &str,
     col: ColumnRef,
     window: Option<(Timestamp, Timestamp)>,
-    build: &KeyTable<'_>,
+    build: &KeyTable<'_, T>,
 ) -> Result<Vec<Probed>, ExecError> {
     let mut out = Vec::new();
-    for tuple in keyed_tuples(extents, table, col, window)? {
-        let hits: Vec<u32> = build.matches(tuple.key).collect();
+    for tuple in extents.iter().flat_map(RawExtent::tuples) {
+        let Some(key) = key_of(&tuple, table, col, window)? else {
+            continue;
+        };
+        let hits: Vec<u32> = build.matches(key).collect();
         if !hits.is_empty() {
-            out.push((decode_row(&tuple.tuple)?, hits));
+            out.push((decode_row(&tuple)?, hits));
         }
     }
     Ok(out)
-}
-
-/// The build side as rows: each entry some probe matched, decoded
-/// once; the rest stay empty.
-pub(super) fn decode_matched(
-    entries: &[Keyed<'_>],
-    probed: &[Probed],
-) -> Result<Vec<Vec<Value>>, ExecError> {
-    let mut matched: Vec<u32> = probed.iter().flat_map(|(_, hits)| hits).copied().collect();
-    matched.sort_unstable();
-    matched.dedup();
-    let decoded = sebdb_parallel::par_map(&matched, sebdb_parallel::FLOOR_TUPLE, |&h| {
-        decode_row(&entries[h as usize].tuple)
-    });
-    let mut rows = vec![Vec::new(); entries.len()];
-    for (h, row) in matched.into_iter().zip(decoded) {
-        rows[h as usize] = row?;
-    }
-    Ok(rows)
 }
 
 /// Concatenates per-run results in run order, failing on the first
@@ -167,17 +172,37 @@ pub(super) fn in_order<T>(runs: Vec<Result<Vec<T>, ExecError>>) -> Result<Vec<T>
     Ok(out)
 }
 
-/// The join's rows: each probed tuple beside each build row it
-/// matched — probe tuples in chain order, each one's matches in build
-/// order.
-pub(super) fn assemble(probed: &[Probed], build_rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
-    let pairs: Vec<(&Vec<Value>, u32)> = probed
-        .iter()
-        .flat_map(|(row, hits)| hits.iter().map(move |&h| (row, h)))
-        .collect();
-    sebdb_parallel::par_map(&pairs, sebdb_parallel::FLOOR_TUPLE, |&(row, h)| {
-        [row.as_slice(), build_rows[h as usize].as_slice()].concat()
-    })
+/// The join's rows for `probed`: each probe row beside each build
+/// entry it matched, in order, with `fill` appending the entry's
+/// columns straight onto the row. The probe row moves into its last
+/// output row and is cloned for the earlier ones, so every output row
+/// is built once.
+pub(super) fn assemble<T>(
+    probed: Vec<Probed>,
+    build: &KeyTable<'_, T>,
+    fill: impl Fn(&T, &mut Vec<Value>) -> Result<(), ExecError>,
+) -> Result<Vec<Vec<Value>>, ExecError> {
+    let mut out = Vec::with_capacity(probed.iter().map(|(_, hits)| hits.len()).sum());
+    for (row, hits) in probed {
+        let Some((&last, earlier)) = hits.split_last() else {
+            continue;
+        };
+        for &h in earlier {
+            let mut joined = row.clone();
+            fill(&build.entries[h as usize].item, &mut joined)?;
+            out.push(joined);
+        }
+        let mut joined = row;
+        fill(&build.entries[last as usize].item, &mut joined)?;
+        out.push(joined);
+    }
+    Ok(out)
+}
+
+/// [`assemble`]'s `fill` for an on-chain build side: the matched
+/// tuple, decoded onto the row.
+pub(super) fn decode_onto(tuple: &RawTuple<'_>, row: &mut Vec<Value>) -> Result<(), ExecError> {
+    Ok(tuple.decode_into(row).map_err(LedgerError::from)?)
 }
 
 impl Executor<'_> {
@@ -185,19 +210,19 @@ impl Executor<'_> {
     /// `bids` through `each`, one planned run (one read of about
     /// [`sebdb_storage::SCAN_RUN_BYTES`]) per item across workers, and
     /// concatenates the results in chain order. A run's extent is
-    /// dropped once `each` is done with it, so what a scan holds is the
-    /// rows it returns.
+    /// dropped once `each` is done with it, unless `each` keeps it, so
+    /// what a scan holds is what it returns.
     pub(super) fn map_relation<T: Send>(
         &self,
         bids: &[u64],
         table: &str,
-        each: impl Fn(&[RawExtent]) -> Result<Vec<T>, ExecError> + Sync,
+        each: impl Fn(Vec<RawExtent>) -> Result<Vec<T>, ExecError> + Sync,
     ) -> Result<Vec<T>, ExecError> {
         let runs = self.ledger.store().relation_runs(bids, table);
         in_order(sebdb_parallel::par_map(
             &runs,
             sebdb_parallel::FLOOR_BLOCK,
-            |run| each(&self.ledger.scan_relation_raw(run, table)?),
+            |run| each(self.ledger.scan_relation_raw(run, table)?),
         ))
     }
 }

@@ -13,11 +13,13 @@
 //!   joined by one sort-merge over their second-level entries (which
 //!   the index hands out in key order).
 
-use super::hash::{assemble, decode_matched, in_order, keyed_tuples, probe_extents, KeyTable};
+use super::hash::{assemble, decode_onto, in_order, keyed_runs, probe_extents, KeyTable};
 use super::range::{column_name, in_window};
 use super::{materialize, ExecError, Executor, QueryResult, Strategy};
 use sebdb_index::Bitmap;
+use sebdb_storage::RawExtent;
 use sebdb_types::{ColumnRef, TableSchema, Timestamp, Value};
+use std::collections::hash_map::RandomState;
 
 /// How a join will run: the arm [`Strategy::Auto`] resolves to (a
 /// forced strategy resolves to itself) and why. `EXPLAIN` prints
@@ -140,8 +142,9 @@ impl Executor<'_> {
 
     /// One-pass hash join (§V-B): build on the right relation, probe
     /// with the left. Both sides are projected relation-partition
-    /// scans; the build side's extents stay resident and the matched
-    /// tuples of either side are decoded from them once each.
+    /// scans, one planned run per item across workers; the build side's
+    /// extents stay resident, and each output row is the matched probe
+    /// tuple with the matched build tuple decoded onto it.
     #[allow(clippy::too_many_arguments)]
     fn hash_join(
         &self,
@@ -165,30 +168,25 @@ impl Executor<'_> {
             true => bids(&l_blocks.or(&r_blocks)),
             false => bids(&r_blocks),
         };
-        let resident = self.ledger.scan_relation_raw(&build_bids, &right.name)?;
-        let entries = keyed_tuples(&resident, &right.name, right_col, window)?;
-        let build = KeyTable::build(entries.iter().map(|e| e.key).collect());
-        let probed = if shared {
+        // The build side's runs stay resident: its entries borrow them.
+        let resident = self.map_relation(&build_bids, &right.name, Ok)?;
+        let hasher = RandomState::new();
+        let entries = keyed_runs(&resident, &right.name, right_col, window, &hasher)?;
+        let build = KeyTable::build(hasher, entries);
+        let join = |run: &[RawExtent]| {
+            let probed = probe_extents(run, &left.name, left_col, window, &build)?;
+            assemble(probed, &build, decode_onto)
+        };
+        out.rows = if shared {
             // One item per planned run, as `map_relation` fans out.
             in_order(sebdb_parallel::par_map(
                 &resident,
                 sebdb_parallel::FLOOR_BLOCK,
-                |run| {
-                    probe_extents(
-                        std::slice::from_ref(run),
-                        &left.name,
-                        left_col,
-                        window,
-                        &build,
-                    )
-                },
+                |run| join(std::slice::from_ref(run)),
             ))?
         } else {
-            self.map_relation(&bids(&l_blocks), &left.name, |run| {
-                probe_extents(run, &left.name, left_col, window, &build)
-            })?
+            self.map_relation(&bids(&l_blocks), &left.name, |run| join(&run))?
         };
-        out.rows = assemble(&probed, &decode_matched(&entries, &probed)?);
         Ok(())
     }
 
@@ -260,10 +258,12 @@ impl Executor<'_> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::onoff::{append_off_row, off_chain_table};
     use super::*;
     use crate::Ledger;
     use sebdb_consensus::OrderedBlock;
     use sebdb_crypto::sig::{KeyId, MacKeypair};
+    use sebdb_offchain::{OffchainConnection, OffchainDb};
     use sebdb_storage::{BlockStore, StoreConfig};
     use sebdb_types::{Column, DataType, Transaction};
     use std::sync::Arc;
@@ -278,24 +278,27 @@ mod tests {
         )
     }
 
-    /// Where a hash join's time goes, phase by phase, on chains shaped
-    /// like the benchmark's `query` workload (160 blocks × 200 tuples)
-    /// and its `deep` one (4 000 blocks × 5 tuples), on disk: half
-    /// `donate`, a quarter each `transfer` and `distribute`,
-    /// organizations drawn from a space sized so about 500 pairs join.
-    /// The phases are `hash_join`'s own calls in its own order, so they
-    /// must add up to the rows `execute` returns; run with
-    /// `cargo test --release -p sebdb q5_phase_split -- --nocapture`
-    /// for the timings EXPERIMENTS.md quotes.
-    #[test]
-    fn q5_phase_split() {
-        phase_split(160, 200);
-        // A debug build is here for the row check: a tenth of `deep`.
-        phase_split(if cfg!(debug_assertions) { 400 } else { 4_000 }, 5);
+    fn transfer() -> TableSchema {
+        table("transfer", &["project", "donor", "organization", "amount"])
     }
 
-    /// [`q5_phase_split`] on `blocks` blocks of `per_block` tuples.
-    fn phase_split(blocks: u64, per_block: u64) {
+    fn distribute() -> TableSchema {
+        table(
+            "distribute",
+            &["project", "donor", "organization", "donee", "amount"],
+        )
+    }
+
+    /// Off-chain donees `e0` … `e1999`, as the benchmark's `doneeinfo`.
+    const DONEES_OFF: u64 = 2_000;
+
+    /// A chain shaped like the benchmark's `query` workload (160
+    /// blocks × 200 tuples) or its `deep` one (4 000 blocks × 5
+    /// tuples), on disk: half `donate`, a quarter each `transfer` and
+    /// `distribute`, organizations and donees drawn from spaces sized
+    /// as the benchmark sizes them, so about 500 rows join in Q5 and
+    /// in Q6. Also the off-chain `doneeinfo`.
+    fn chain(blocks: u64, per_block: u64) -> (Ledger, OffchainConnection) {
         let store = BlockStore::temporary(StoreConfig::default()).unwrap();
         let ledger = Ledger::new(Arc::new(store), MacKeypair::from_key([3; 32])).unwrap();
         let mut state = 11u64;
@@ -306,8 +309,10 @@ mod tests {
             state.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
         };
         let s = |c: char, n: u64| Value::Str(format!("{c}{n}"));
-        // A quarter of the tuples on each side: (n / 4)² / orgs ≈ 500.
-        let orgs = (blocks * per_block / 4).pow(2) / 500;
+        // A quarter of the tuples on each side: (n / 4)² / orgs ≈ 500,
+        // and n / 4 · 2 000 / donees ≈ 500.
+        let side = blocks * per_block / 4;
+        let (orgs, donees) = (side.pow(2) / 500, side * DONEES_OFF / 500);
         for b in 0..blocks {
             let txs = (0..per_block)
                 .map(|slot| {
@@ -317,7 +322,7 @@ mod tests {
                         0 => ("transfer", vec![s('p', 3), donor, org, amount]),
                         1 => (
                             "distribute",
-                            vec![s('p', 3), donor, org, s('e', below(64_000)), amount],
+                            vec![s('p', 3), donor, org, s('e', below(donees)), amount],
                         ),
                         _ => ("donate", vec![donor, s('p', 3), amount]),
                     };
@@ -335,82 +340,218 @@ mod tests {
                 })
                 .unwrap();
         }
-        let left = table("transfer", &["project", "donor", "organization", "amount"]);
-        let right = table(
-            "distribute",
-            &["project", "donor", "organization", "donee", "amount"],
-        );
-        let (col, window) = (ColumnRef::App(2), None);
-        let exec = Executor::new(&ledger, None);
-        // The bitmap arm's blocks: those the table-level index marks.
-        let bids = |name: &str| {
-            let blocks = exec.table_blocks(name).unwrap();
-            blocks.iter_ones().map(|b| b as u64).collect::<Vec<u64>>()
-        };
-        let (l_bids, r_bids) = (bids(&left.name), bids(&right.name));
-
-        let mut phases = [0u128; 6];
-        let mut whole = Vec::new();
-        let mut rows = Vec::new();
-        // A debug build is here for the row check, not the timings.
-        const ROUNDS: u128 = if cfg!(debug_assertions) { 2 } else { 20 };
-        for _ in 0..ROUNDS {
-            let t = Instant::now();
-            let want = exec
-                .run_onchain_join(&left, &right, col, col, window, Strategy::Bitmap)
-                .unwrap();
-            whole.push(t.elapsed().as_micros());
-
-            let mut lap = Instant::now();
-            let mut mark = |phase: usize| {
-                phases[phase] += lap.elapsed().as_micros();
-                lap = Instant::now();
-            };
-            let resident = ledger.scan_relation_raw(&r_bids, &right.name).unwrap();
-            mark(0);
-            let entries = keyed_tuples(&resident, &right.name, col, window).unwrap();
-            mark(1);
-            let build = KeyTable::build(entries.iter().map(|e| e.key).collect());
-            mark(2);
-            let probed = exec
-                .map_relation(&l_bids, &left.name, |run| {
-                    probe_extents(run, &left.name, col, window, &build)
-                })
-                .unwrap();
-            mark(3);
-            let build_rows = decode_matched(&entries, &probed).unwrap();
-            mark(4);
-            rows = assemble(&probed, &build_rows);
-            mark(5);
-            assert_eq!(rows, want.rows);
-        }
-        assert!(rows.len() > 100, "{} rows", rows.len());
-        whole.sort_unstable();
-        let names = [
-            "scan right partition",
-            "project right",
-            "build",
-            "scan + project + probe left, decode its matches",
-            "decode matched right",
-            "assemble rows",
+        let db = Arc::new(OffchainDb::new());
+        let columns = vec![
+            Column::new("donee", DataType::Str),
+            Column::new("income", DataType::Decimal),
         ];
-        let runs = |bids: &[u64], name: &str| ledger.store().relation_runs(bids, name).len();
-        println!(
-            "Q5 bitmap hash join, {blocks} × {per_block}, {} rows, mean of {ROUNDS}; \
-             right {} blocks in {} runs, left {} blocks in {} runs:",
-            rows.len(),
-            r_bids.len(),
-            runs(&r_bids, &right.name),
-            l_bids.len(),
-            runs(&l_bids, &left.name),
-        );
-        for (name, total) in names.iter().zip(phases) {
-            println!("  {:>5} µs  {name}", total / ROUNDS);
+        db.create_table("doneeinfo", columns).unwrap();
+        let conn = db.connect();
+        for n in 0..DONEES_OFF {
+            let row = vec![s('e', n), Value::decimal(n as i64)];
+            conn.insert("doneeinfo", row).unwrap();
         }
-        println!(
-            "  {:>5} µs  phases; execute() median {} µs",
-            phases.iter().sum::<u128>() / ROUNDS,
-            whole[whole.len() / 2]
-        );
+        (ledger, conn)
+    }
+
+    /// The shapes both splits run: `query`'s, and `deep`'s — a tenth of
+    /// it in a debug build, which is here for the row check.
+    const SHAPES: [(u64, u64); 2] = [
+        (160, 200),
+        (if cfg!(debug_assertions) { 400 } else { 4_000 }, 5),
+    ];
+    /// A debug build is here for the row check, not the timings.
+    const ROUNDS: u128 = if cfg!(debug_assertions) { 2 } else { 20 };
+
+    /// The bitmap arm's blocks of `name`: those the table-level index
+    /// marks.
+    fn bitmap_bids(exec: &Executor<'_>, name: &str) -> Vec<u64> {
+        let blocks = exec.table_blocks(name).unwrap();
+        blocks.iter_ones().map(|b| b as u64).collect()
+    }
+
+    /// Times phases in turn, summed over rounds.
+    struct Laps<const N: usize> {
+        totals: [u128; N],
+        at: Instant,
+    }
+
+    impl<const N: usize> Laps<N> {
+        fn new() -> Self {
+            Laps {
+                totals: [0; N],
+                at: Instant::now(),
+            }
+        }
+
+        /// Starts a round's first phase.
+        fn start(&mut self) {
+            self.at = Instant::now();
+        }
+
+        /// Ends `phase`, starting the next.
+        fn mark(&mut self, phase: usize) {
+            self.totals[phase] += self.at.elapsed().as_micros();
+            self.at = Instant::now();
+        }
+
+        /// Prints each phase's mean and `execute`'s median beside their
+        /// sum.
+        fn report(&self, names: [&str; N], mut whole: Vec<u128>) {
+            for (name, total) in names.iter().zip(self.totals) {
+                println!("  {:>5} µs  {name}", total / ROUNDS);
+            }
+            whole.sort_unstable();
+            println!(
+                "  {:>5} µs  phases; execute() median {} µs",
+                self.totals.iter().sum::<u128>() / ROUNDS,
+                whole[whole.len() / 2]
+            );
+        }
+    }
+
+    /// Where a Q5 hash join's time goes, phase by phase, on the
+    /// [`chain`] shapes. The phases are `hash_join`'s own calls in its
+    /// own order, so they must add up to the rows `execute` returns;
+    /// one difference in where they run: `hash_join` assembles each
+    /// probe run's rows in the worker that probed it, the split
+    /// assembles them all after the probe. Run with
+    /// `cargo test --release -p sebdb q5_phase_split -- --nocapture`
+    /// for the timings EXPERIMENTS.md quotes.
+    #[test]
+    fn q5_phase_split() {
+        for (blocks, per_block) in SHAPES {
+            let (ledger, _) = chain(blocks, per_block);
+            let (left, right) = (transfer(), distribute());
+            let (col, window) = (ColumnRef::App(2), None);
+            let exec = Executor::new(&ledger, None);
+            let (l_bids, r_bids) = (
+                bitmap_bids(&exec, &left.name),
+                bitmap_bids(&exec, &right.name),
+            );
+
+            let mut laps = Laps::new();
+            let mut whole = Vec::new();
+            let mut rows = Vec::new();
+            for _ in 0..ROUNDS {
+                let t = Instant::now();
+                let want = exec
+                    .run_onchain_join(&left, &right, col, col, window, Strategy::Bitmap)
+                    .unwrap();
+                whole.push(t.elapsed().as_micros());
+
+                laps.start();
+                let resident = exec.map_relation(&r_bids, &right.name, Ok).unwrap();
+                laps.mark(0);
+                let hasher = RandomState::new();
+                let entries = keyed_runs(&resident, &right.name, col, window, &hasher).unwrap();
+                laps.mark(1);
+                let build = KeyTable::build(hasher, entries);
+                laps.mark(2);
+                let probed = exec
+                    .map_relation(&l_bids, &left.name, |run| {
+                        probe_extents(&run, &left.name, col, window, &build)
+                    })
+                    .unwrap();
+                laps.mark(3);
+                rows = assemble(probed, &build, decode_onto).unwrap();
+                laps.mark(4);
+                assert_eq!(rows, want.rows);
+            }
+            assert!(rows.len() > 100, "{} rows", rows.len());
+            let runs = |bids: &[u64], name: &str| ledger.store().relation_runs(bids, name).len();
+            println!(
+                "Q5 bitmap hash join, {blocks} × {per_block}, {} rows, mean of {ROUNDS}; \
+                 right {} blocks in {} runs, left {} blocks in {} runs:",
+                rows.len(),
+                r_bids.len(),
+                runs(&r_bids, &right.name),
+                l_bids.len(),
+                runs(&l_bids, &left.name),
+            );
+            laps.report(
+                [
+                    "scan right partition, across workers",
+                    "project + hash right, across workers",
+                    "link table",
+                    "scan + project + probe left, decode its matches",
+                    "assemble rows, decoding matched right onto them",
+                ],
+                whole,
+            );
+        }
+    }
+
+    /// [`q5_phase_split`]'s twin for the on-off join's hash arm: Q6,
+    /// `distribute.donee` ⋈ the off-chain `doneeinfo.donee`, on the
+    /// same shapes, phase by phase as `run_onoff_join` runs them
+    /// (assembly again after the probe rather than in its workers).
+    /// `cargo test --release -p sebdb q6_phase_split -- --nocapture`.
+    #[test]
+    fn q6_phase_split() {
+        for (blocks, per_block) in SHAPES {
+            let (ledger, conn) = chain(blocks, per_block);
+            let on = distribute();
+            let (on_col, window) = (ColumnRef::App(3), None);
+            let off_columns = vec![
+                Column::new("donee", DataType::Str),
+                Column::new("income", DataType::Decimal),
+            ];
+            let exec = Executor::new(&ledger, Some(&conn));
+            let bids = bitmap_bids(&exec, &on.name);
+
+            let mut laps = Laps::new();
+            let mut whole = Vec::new();
+            let mut rows = Vec::new();
+            for _ in 0..ROUNDS {
+                let t = Instant::now();
+                let want = exec
+                    .run_onoff_join(
+                        &on,
+                        on_col,
+                        "doneeinfo",
+                        0,
+                        &off_columns,
+                        window,
+                        Strategy::Bitmap,
+                    )
+                    .unwrap();
+                whole.push(t.elapsed().as_micros());
+
+                laps.start();
+                let (_, off_rows) = conn.sorted_by("doneeinfo", "donee").unwrap();
+                laps.mark(0);
+                let mut arena = Vec::new();
+                let build = off_chain_table(&off_rows, 0, &mut arena).unwrap();
+                laps.mark(1);
+                let probed = exec
+                    .map_relation(&bids, &on.name, |run| {
+                        probe_extents(&run, &on.name, on_col, window, &build)
+                    })
+                    .unwrap();
+                laps.mark(2);
+                rows = assemble(probed, &build, append_off_row).unwrap();
+                laps.mark(3);
+                assert_eq!(rows, want.rows);
+            }
+            assert!(rows.len() > 100, "{} rows", rows.len());
+            println!(
+                "Q6 bitmap on-off hash join, {blocks} × {per_block}, {} rows, mean of {ROUNDS}; \
+                 {} off-chain rows, on-chain {} blocks in {} runs:",
+                rows.len(),
+                DONEES_OFF,
+                bids.len(),
+                ledger.store().relation_runs(&bids, &on.name).len(),
+            );
+            laps.report(
+                [
+                    "read off-chain rows, sorted",
+                    "encode + hash off-chain keys, link table",
+                    "scan + project + probe on-chain, decode its matches",
+                    "assemble rows, off-chain values after",
+                ],
+                whole,
+            );
+        }
     }
 }

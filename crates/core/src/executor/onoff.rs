@@ -8,11 +8,13 @@
 //! sort-merge joined against the sorted off-chain rows using their
 //! second-level leaves.
 
-use super::hash::{assemble, probe_extents, KeyTable};
+use super::hash::{assemble, probe_extents, KeyTable, Keyed};
 use super::range::in_window;
 use super::{materialize, ExecError, Executor, QueryResult, Strategy};
 use sebdb_index::Bitmap;
 use sebdb_types::{Column, ColumnRef, Decoder, Encoder, TableSchema, Timestamp, Value};
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 fn onoff_header(on: &TableSchema, off_table: &str, off_columns: &[Column]) -> Vec<String> {
     on.full_column_names()
@@ -140,33 +142,53 @@ impl Executor<'_> {
                     .iter_ones()
                     .map(|b| b as u64)
                     .collect();
-                // Hash the off-chain rows by join key — encoded once
-                // into `arena`, so on-chain keys compare as stored —
-                // then stream the on-chain partition through the probe;
-                // only matched tuples are decoded.
-                let mut arena = Encoder::new();
-                let starts: Vec<usize> = off_rows
-                    .iter()
-                    .map(|row| {
-                        let at = arena.len();
-                        arena.put_value(&row[off_col]);
-                        at
-                    })
-                    .collect();
-                let arena = arena.finish();
-                let keys = starts
-                    .iter()
-                    .map(|&at| Decoder::new(&arena[at..]).get_raw_value())
-                    .collect::<Result<_, _>>()?;
-                let build = KeyTable::build(keys);
-                let probed = self.map_relation(&bids, &on_table.name, |run| {
-                    probe_extents(run, &on_table.name, on_col, window, &build)
+                // Hash the off-chain rows by join key, then stream the
+                // on-chain partition through the probe; only matched
+                // tuples are decoded.
+                let mut arena = Vec::new();
+                let build = off_chain_table(&off_rows, off_col, &mut arena)?;
+                out.rows = self.map_relation(&bids, &on_table.name, |run| {
+                    let probed = probe_extents(&run, &on_table.name, on_col, window, &build)?;
+                    assemble(probed, &build, append_off_row)
                 })?;
-                out.rows = assemble(&probed, &off_rows);
             }
         }
         Ok(out)
     }
+}
+
+/// The off-chain build side: entry `i` is row `i`, keyed by its value
+/// at `col`. The keys are encoded once, back to back, into `arena` — so
+/// on-chain keys compare with them as stored — and borrowed from there.
+pub(super) fn off_chain_table<'a>(
+    rows: &'a [Vec<Value>],
+    col: usize,
+    arena: &'a mut Vec<u8>,
+) -> Result<KeyTable<'a, &'a Vec<Value>>, ExecError> {
+    let mut enc = Encoder::new();
+    rows.iter().for_each(|row| enc.put_value(&row[col]));
+    *arena = enc.finish();
+    let (hasher, mut keys) = (RandomState::new(), Decoder::new(arena));
+    let entries = rows
+        .iter()
+        .map(|row| {
+            let key = keys.get_raw_value()?;
+            let hash = hasher.hash_one(key);
+            Ok(Keyed {
+                item: row,
+                key,
+                hash,
+            })
+        })
+        .collect::<Result<_, ExecError>>()?;
+    Ok(KeyTable::build(hasher, entries))
+}
+
+/// [`assemble`]'s `fill` for the off-chain build side: the matched
+/// row's values, after the on-chain tuple's.
+pub(super) fn append_off_row(off: &&Vec<Value>, row: &mut Vec<Value>) -> Result<(), ExecError> {
+    row.extend_from_slice(off);
+    Ok(())
 }
 
 /// Sort-merge sorted index entries against the sorted off-chain rows,

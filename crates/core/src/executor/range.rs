@@ -84,7 +84,7 @@ impl Executor<'_> {
         // decoded (DESIGN §10.4).
         let bids: Vec<u64> = blocks.iter_ones().map(|b| b as u64).collect();
         out.rows = self.map_relation(&bids, &schema.name, |run| {
-            select_extents(run, schema, projection, predicates, window)
+            select_extents(&run, schema, projection, predicates, window)
         })?;
         Ok(out)
     }

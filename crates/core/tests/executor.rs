@@ -473,7 +473,10 @@ fn explain_names_the_relations_a_hash_arm_scan_shares_its_partition_with() {
         ],
     );
     let donate = schema("donate", &[("organization", DataType::Str)]);
-    let distribute = schema("distribute", &[("organization", DataType::Str)]);
+    let distribute = schema(
+        "distribute",
+        &[("organization", DataType::Str), ("memo", DataType::Str)],
+    );
     let plan = LogicalPlan::OnChainJoin {
         left_col: donate.resolve("organization").unwrap(),
         right_col: distribute.resolve("organization").unwrap(),
@@ -890,9 +893,16 @@ fn sites_above_their_floors_fan_out_and_match_sequential() {
     assert!(blocks as usize >= 2 * FLOOR_BLOCK.max(FLOOR_PREAD));
     assert!(blocks as usize / sebdb_storage::READAHEAD_BLOCKS >= 2 * FLOOR_RUN);
     assert!(rows >= 2 * FLOOR_TUPLE);
-    // A memo pads each transfer so its relation scan cuts into enough
+    // A memo pads each transfer and distribute so both relation scans —
+    // the hash join's probe and build sides — cut into enough
     // byte-sized runs to fan out.
     let memo = Value::str("m".repeat(200));
+    // Every key repeats on both sides: a block's transfers share its
+    // organization, and so do its two distributes and the two
+    // off-chain rows, so every join row's probe tuple has two matches
+    // (its row is cloned once, then moved) and every build tuple is
+    // matched by several probes.
+    let distributes_per_block = 2;
 
     let l = ledger();
     let groups: Vec<Vec<(&str, KeyId, Vec<Value>)>> = (0..blocks)
@@ -904,13 +914,17 @@ fn sites_above_their_floors_fan_out_and_match_sequential() {
                     ("transfer", A, vec![org.clone(), amount, memo.clone()])
                 })
                 .collect();
-            txs.push(("distribute", B, vec![org]));
+            for _ in 0..distributes_per_block {
+                txs.push(("distribute", B, vec![org.clone(), memo.clone()]));
+            }
             txs
         })
         .collect();
     append_blocks(&l, groups);
     let all: Vec<u64> = (0..blocks as u64).collect();
-    assert!(l.store().relation_runs(&all, "transfer").len() >= 2 * FLOOR_BLOCK);
+    for relation in ["transfer", "distribute"] {
+        assert!(l.store().relation_runs(&all, relation).len() >= 2 * FLOOR_BLOCK);
+    }
     let transfer = schema(
         "transfer",
         &[
@@ -919,7 +933,10 @@ fn sites_above_their_floors_fan_out_and_match_sequential() {
             ("memo", DataType::Str),
         ],
     );
-    let distribute = schema("distribute", &[("organization", DataType::Str)]);
+    let distribute = schema(
+        "distribute",
+        &[("organization", DataType::Str), ("memo", DataType::Str)],
+    );
     l.create_layered_index(&transfer, "amount", None).unwrap();
     l.create_layered_index(&transfer, "organization", None)
         .unwrap();
@@ -931,46 +948,61 @@ fn sites_above_their_floors_fan_out_and_match_sequential() {
     db.create_table("orginfo", org_columns.clone()).unwrap();
     let conn = db.connect();
     for b in 0..blocks {
-        conn.insert("orginfo", vec![Value::str(format!("org{b:04}"))])
-            .unwrap();
+        for _ in 0..distributes_per_block {
+            conn.insert("orginfo", vec![Value::str(format!("org{b:04}"))])
+                .unwrap();
+        }
     }
 
+    // Each plan with the rows it answers: one per transfer, or one per
+    // transfer and matching distribute (or off-chain row).
+    let joined = rows * distributes_per_block;
     let plans = [
         // Layered: grouped fetch + row map; scan/bitmap: relation runs.
-        amount_between(&transfer, 0, rows as i64, None),
+        (amount_between(&transfer, 0, rows as i64, None), rows),
         // Layered: row map; scan: block runs.
-        LogicalPlan::Trace {
-            window: None,
-            operator: Some(Value::Bytes(A.as_bytes().to_vec())),
-            operation: None,
-        },
-        // Scan: hash-join build per block + probe per row; layered:
+        (
+            LogicalPlan::Trace {
+                window: None,
+                operator: Some(Value::Bytes(A.as_bytes().to_vec())),
+                operation: None,
+            },
+            rows,
+        ),
+        // Scan: hash-join build scan, projection and probe per planned
+        // run, rows assembled in the probe's workers; layered:
         // matched-pair row map.
-        LogicalPlan::OnChainJoin {
-            left_col: transfer.resolve("organization").unwrap(),
-            right_col: distribute.resolve("organization").unwrap(),
-            left: transfer.clone(),
-            right: distribute,
-            window: None,
-        },
-        // Scan: per-block probe map; layered: matched row map.
-        LogicalPlan::OnOffJoin {
-            on_col: transfer.resolve("organization").unwrap(),
-            on_table: transfer.clone(),
-            off_table: "orginfo".into(),
-            off_col: 0,
-            off_columns: org_columns,
-            window: None,
-        },
+        (
+            LogicalPlan::OnChainJoin {
+                left_col: transfer.resolve("organization").unwrap(),
+                right_col: distribute.resolve("organization").unwrap(),
+                left: transfer.clone(),
+                right: distribute,
+                window: None,
+            },
+            joined,
+        ),
+        // Scan: probe per planned run, rows assembled in its workers;
+        // layered: matched row map.
+        (
+            LogicalPlan::OnOffJoin {
+                on_col: transfer.resolve("organization").unwrap(),
+                on_table: transfer.clone(),
+                off_table: "orginfo".into(),
+                off_col: 0,
+                off_columns: org_columns,
+                window: None,
+            },
+            joined,
+        ),
     ];
     let run_all = || {
         let exec = Executor::new(&l, Some(&conn));
         let mut results = Vec::new();
-        for plan in &plans {
+        for (plan, want) in &plans {
             for strat in [Strategy::Scan, Strategy::Layered] {
-                // Every plan answers with one row per transfer.
                 let result = exec.execute(plan, strat).unwrap().rows;
-                assert_eq!(result.len(), rows, "{strat:?}");
+                assert_eq!(result.len(), *want, "{strat:?}");
                 results.push(result);
             }
         }

@@ -30,7 +30,7 @@ use parking_lot::{Mutex, RwLock};
 use sebdb_parallel::Tracked;
 use sebdb_types::{
     Block, BlockHeader, BlockId, Codec, ColumnRef, Encoder, RawValue, Transaction, TxProjection,
-    TypeError,
+    TypeError, Value,
 };
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
@@ -340,6 +340,14 @@ impl<'a> RawTuple<'a> {
     /// Fully decodes the tuple.
     pub fn decode(&self) -> Result<Transaction> {
         Transaction::from_bytes(self.bytes).map_err(|e| self.corrupt(e))
+    }
+
+    /// Fully decodes the tuple onto the end of `row`, as a full row
+    /// ([`TxProjection::decode_row`]); fails as [`Self::decode`] does.
+    pub fn decode_into(&self, row: &mut Vec<Value>) -> Result<()> {
+        TxProjection::parse(self.bytes)
+            .and_then(|head| head.decode_row(row))
+            .map_err(|e| self.corrupt(e))
     }
 
     fn corrupt(&self, e: TypeError) -> StorageError {

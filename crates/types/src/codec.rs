@@ -211,6 +211,7 @@ impl RawValue<'_> {
 }
 
 /// Zero-copy cursor over encoded bytes with typed `get_*` helpers.
+#[derive(Clone)]
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -380,17 +381,28 @@ impl<'a> Decoder<'a> {
         self.get_raw_value().map(drop)
     }
 
-    /// Reads a count-prefixed slice of values.
-    pub fn get_values(&mut self) -> Result<Vec<Value>, TypeError> {
+    /// Reads a count-prefixed slice of values onto the end of `out`
+    /// (which holds a prefix of them on failure).
+    pub fn get_values_into(&mut self, out: &mut Vec<Value>) -> Result<(), TypeError> {
         let n = self.get_u32("value count")? as usize;
         if n as u64 > MAX_LEN {
             return Err(TypeError::LengthOverflow { len: n as u64 });
         }
-        let mut out = Vec::with_capacity(n.min(1024));
+        out.reserve(n.min(1024));
         for _ in 0..n {
             out.push(self.get_value()?);
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// Fails unless every byte has been consumed.
+    pub fn expect_end(&self) -> Result<(), TypeError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(TypeError::SchemaMismatch {
+                detail: format!("{n} trailing bytes after decode"),
+            }),
+        }
     }
 }
 
@@ -413,11 +425,7 @@ pub trait Codec: Sized {
     fn from_bytes(buf: &[u8]) -> Result<Self, TypeError> {
         let mut dec = Decoder::new(buf);
         let v = Self::decode(&mut dec)?;
-        if !dec.is_exhausted() {
-            return Err(TypeError::SchemaMismatch {
-                detail: format!("{} trailing bytes after decode", dec.remaining()),
-            });
-        }
+        dec.expect_end()?;
         Ok(v)
     }
 }
@@ -535,7 +543,9 @@ mod tests {
             e.put_values(&vs);
             let buf = e.finish();
             let mut d = Decoder::new(&buf);
-            prop_assert_eq!(d.get_values().unwrap(), vs);
+            let mut got = Vec::new();
+            d.get_values_into(&mut got).unwrap();
+            prop_assert_eq!(got, vs);
         }
 
         #[test]
@@ -568,7 +578,7 @@ mod tests {
         fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
             // Whatever the input, decoding must return, not panic.
             let mut d = Decoder::new(&bytes);
-            let _ = d.get_values();
+            let _ = d.get_values_into(&mut Vec::new());
         }
     }
 }

@@ -154,12 +154,29 @@ impl<'a> TxProjection<'a> {
                 dec.skip_value()?;
             }
         }
-        if !dec.is_exhausted() {
-            return Err(TypeError::SchemaMismatch {
-                detail: format!("{} trailing bytes after decode", dec.remaining()),
-            });
-        }
+        dec.expect_end()?;
         Ok(column)
+    }
+
+    /// Decodes the whole transaction onto the end of `row` as a full
+    /// row: the system columns as [`Transaction::get`] materializes
+    /// them, then the application values — no `Transaction` in
+    /// between. Fails where and as [`Codec::from_bytes`] does; `row`
+    /// then holds a prefix.
+    pub fn decode_row(&self, row: &mut Vec<Value>) -> Result<(), TypeError> {
+        let mut dec = Decoder::new(&self.buf[self.values_at..]);
+        // Room for the whole row at once: a fresh row is one allocation.
+        let count = dec.clone().get_u32("value count").unwrap_or(0) as usize;
+        row.reserve(5 + count.min(1024));
+        row.extend([
+            Value::Int(Decoder::new(self.buf).get_i64("tid")?),
+            Value::Timestamp(self.ts),
+            Value::Bytes(self.buf[20..self.sig_end].to_vec()),
+            Value::Bytes(self.buf[self.sig_end..self.sig_end + 8].to_vec()),
+            Value::Str(self.tname.to_owned()),
+        ]);
+        dec.get_values_into(row)?;
+        dec.expect_end()
     }
 }
 
@@ -181,7 +198,8 @@ impl Codec for Transaction {
         let mut sender = [0u8; 8];
         sender.copy_from_slice(sender_bytes);
         let tname = dec.get_str("tname")?.to_owned();
-        let values = dec.get_values()?;
+        let mut values = Vec::new();
+        dec.get_values_into(&mut values)?;
         Ok(Transaction {
             tid,
             ts,
@@ -440,6 +458,48 @@ mod tests {
                 project(&longer, ColumnRef::Tid),
                 Err(TypeError::SchemaMismatch { .. })
             ));
+        }
+    }
+
+    /// [`TxProjection::decode_row`] on `buf`, into a fresh row.
+    fn decode_row(buf: &[u8]) -> Result<Vec<Value>, TypeError> {
+        let mut row = Vec::new();
+        TxProjection::parse(buf)?.decode_row(&mut row).map(|()| row)
+    }
+
+    /// `tx` as a row: its system columns, then its values.
+    fn laid_out(tx: &Transaction) -> Vec<Value> {
+        ALL_COLUMNS[..5]
+            .iter()
+            .map(|&col| tx.get(col).unwrap())
+            .chain(tx.values.iter().cloned())
+            .collect()
+    }
+
+    #[test]
+    fn decoding_into_a_row_is_the_full_decode_laid_out() {
+        let mut rng = Rng(0x0de_c0de);
+        for _ in 0..60 {
+            let tx = rng.tx();
+            let bytes = tx.to_bytes();
+            assert_eq!(decode_row(&bytes), Ok(laid_out(&tx)));
+            // Every prefix, every byte bumped (which breaks tags,
+            // lengths and UTF-8 alike), a trailing byte: the same
+            // error as the full decode, or the same row.
+            let mut damaged: Vec<Vec<u8>> = (0..bytes.len()).map(|n| bytes[..n].to_vec()).collect();
+            for at in 0..bytes.len() {
+                for bump in [1u8, 0x80] {
+                    let mut b = bytes.clone();
+                    b[at] = b[at].wrapping_add(bump);
+                    damaged.push(b);
+                }
+            }
+            damaged.push([bytes.as_slice(), &[0]].concat());
+            for b in &damaged {
+                let want = Transaction::from_bytes(b);
+                let got = decode_row(b);
+                assert_eq!(got, want.map(|tx| laid_out(&tx)));
+            }
         }
     }
 
