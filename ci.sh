@@ -94,6 +94,13 @@ SEBDB_THREADS=1 cargo test -q -p sebdb --test join_equivalence
 echo "==> SEBDB_THREADS=4 cargo test -q -p sebdb --test join_equivalence"
 SEBDB_THREADS=4 cargo test -q -p sebdb --test join_equivalence
 
+# TRACE's arms at 4 workers: Scan, Bitmap, Layered and Auto must return
+# the whole-block oracle's rows, in chain order, when the projected
+# relation scans under Scan/Bitmap fan out (the full-suite passes above
+# run them at the default cap and at 1).
+echo "==> SEBDB_THREADS=4 cargo test -q -p sebdb --test trace_arms"
+SEBDB_THREADS=4 cargo test -q -p sebdb --test trace_arms
+
 # Third pass with the parking_lot shim's lock-order cycle detector
 # compiled in: any lock-acquisition-order inversion anywhere in the
 # suite panics with both witness stacks.

@@ -700,6 +700,29 @@ mod tests {
         assert!(out.contains("TW1") && out.contains("TIG"));
     }
 
+    /// Fig. 10's claim as counts: two indexes (TI) fetch only the
+    /// overlap rows, a single index (SI) fetches every `org1` row and
+    /// drops the other operations after the read.
+    #[test]
+    fn fig10_two_indexes_read_only_the_overlap_one_index_every_org1_row() {
+        let (org1_total, overlap) = (60, 12);
+        let bed = tracking2_bed(20, 10, org1_total, 30, overlap, Placement::Uniform, 7);
+        let txs_read = |operation: bool| {
+            let stats = &bed.ledger.store().stats;
+            let before = stats.snapshot().2;
+            let rows = run_q3(&bed, None, true, operation, Strategy::Layered);
+            let transfers = rows
+                .rows
+                .iter()
+                .filter(|r| r[4] == sebdb_types::Value::str("transfer"))
+                .count();
+            assert_eq!(transfers, overlap);
+            stats.snapshot().2 - before
+        };
+        assert_eq!(txs_read(true), overlap as u64, "TI");
+        assert_eq!(txs_read(false), org1_total as u64, "SI");
+    }
+
     #[test]
     fn smoke_fig20_21_run() {
         let out20 = run_figures("fig20", &Scale::smoke());

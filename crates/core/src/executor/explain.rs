@@ -4,8 +4,10 @@
 //! rows the probe touched for it, and the costs it compared.
 
 use super::range::RangeProbe;
+use super::tracking::{scanned_relations, trace_operator};
 use super::{ExecError, Executor, QueryResult, Strategy};
-use sebdb_sql::LogicalPlan;
+use sebdb_sql::{LogicalPlan, TraceSpec};
+use sebdb_storage::BlockStore;
 use sebdb_types::{ColumnRef, TableSchema, Timestamp, Value};
 
 impl Executor<'_> {
@@ -81,19 +83,10 @@ impl Executor<'_> {
                     Ok(blocks) => blocks.count_ones(),
                     Err(e) => return format!("{name} [{e}]"),
                 };
-                let Some(part) = store.partition_of(name) else {
-                    return format!("{name} in {blocks} blocks (not on the chain)");
-                };
-                let others: Vec<String> = store
-                    .relations_in(part)
-                    .into_iter()
-                    .filter(|r| !r.eq_ignore_ascii_case(name))
-                    .collect();
-                let company = match others.is_empty() {
-                    true => "alone".to_string(),
-                    false => format!("shared with {}", others.join(", ")),
-                };
-                format!("{name} in {blocks} blocks of partition {part} ({company})")
+                match partition_company(store, name) {
+                    Some(part) => format!("{name} in {blocks} blocks of {part}"),
+                    None => format!("{name} in {blocks} blocks (not on the chain)"),
+                }
             })
             .collect();
         format!(
@@ -102,6 +95,51 @@ impl Executor<'_> {
             scans.join(", "),
             mask.count_ones()
         )
+    }
+
+    /// How `run_trace` answers a trace under `Auto` — from the view
+    /// registered for it, or on the Layered arm, with the one second
+    /// level it probes and, for two dimensions, the partition whose
+    /// tuples the tuple table keeps — and the partitions the Scan and
+    /// Bitmap arms read, with the relations placed in each.
+    fn describe_trace(
+        &self,
+        window: Option<(Timestamp, Timestamp)>,
+        operator: Option<&Value>,
+        operation: Option<&str>,
+    ) -> Result<(String, String), ExecError> {
+        let operator = trace_operator(operator, operation)?;
+        let store = self.ledger.store();
+        let spec = TraceSpec::new(window, operator.map(|k| k.0), operation);
+        let arm = if self.ledger.trace_views().matching(&spec).is_some() {
+            "auto: the registered view on this trace, no index probed".to_string()
+        } else {
+            let keep = match (operator, operation) {
+                (Some(_), Some(tname)) => match partition_company(store, tname) {
+                    Some(part) => format!(", then the tuple table keeps {tname}'s {part}"),
+                    None => {
+                        format!(", then the tuple table keeps nothing ({tname} not on the chain)")
+                    }
+                },
+                _ => String::new(),
+            };
+            let probe = if operator.is_some() {
+                "sen_id"
+            } else {
+                "tname"
+            };
+            format!("auto: layered, one second-level probe ({probe}){keep}")
+        };
+        let scans: Vec<String> = scanned_relations(store, operation)
+            .iter()
+            .filter_map(|r| store.partition_of(r))
+            .map(|p| format!("partition {p} ({})", store.relations_in(p).join(", ")))
+            .collect();
+        let scans = match scans.is_empty() {
+            true => "nothing (not on the chain)".to_string(),
+            false => scans.join(", "),
+        };
+        Ok((arm, scans))
     }
 
     fn describe(&self, plan: &LogicalPlan, depth: usize, out: &mut Vec<String>) {
@@ -177,13 +215,13 @@ impl Executor<'_> {
                 operation,
                 window,
             } => {
-                let dims = match (operator.is_some(), operation.is_some()) {
-                    (true, true) => "operator ∧ operation (two system indexes)",
-                    (true, false) => "operator (sen_id index)",
-                    (false, true) => "operation (tname index)",
-                    (false, false) => "(none)",
-                };
-                out.push(format!("{pad}Trace [Algorithm 1: {dims}]"));
+                match self.describe_trace(*window, operator.as_ref(), operation.as_deref()) {
+                    Ok((arm, scans)) => {
+                        out.push(format!("{pad}Trace [Algorithm 1; {arm}]"));
+                        out.push(format!("{pad}  scan and bitmap arms read {scans}"));
+                    }
+                    Err(e) => out.push(format!("{pad}Trace [{e}]")),
+                }
                 if let Some((s, e)) = window {
                     out.push(format!("{pad}  window [{s}, {e}]"));
                 }
@@ -211,6 +249,22 @@ impl Executor<'_> {
             }
         }
     }
+}
+
+/// `partition p (alone)`, or `partition p (shared with a, b)` naming
+/// the other relations placed in it, for the partition `table` is
+/// placed in; `None` while no block carries it.
+fn partition_company(store: &BlockStore, table: &str) -> Option<String> {
+    let part = store.partition_of(table)?;
+    let others: Vec<String> = store
+        .relations_in(part)
+        .into_iter()
+        .filter(|r| !r.eq_ignore_ascii_case(table))
+        .collect();
+    Some(match others.is_empty() {
+        true => format!("partition {part} (alone)"),
+        false => format!("partition {part} (shared with {})", others.join(", ")),
+    })
 }
 
 #[cfg(test)]

@@ -223,32 +223,6 @@ impl Executor<'_> {
         }
         Ok(out)
     }
-
-    /// Reads every block set in `blocks` (in parallel) and runs `per_tx`
-    /// over its transactions in order, collecting the produced rows.
-    /// Candidate blocks are grouped into readahead-sized runs so
-    /// consecutive blocks coalesce into span reads at the storage
-    /// layer; returns one row batch per run, in block order.
-    pub(super) fn scan_blocks(
-        &self,
-        blocks: &Bitmap,
-        per_tx: impl Fn(&sebdb_types::Transaction) -> Result<Option<Vec<Value>>, ExecError> + Sync,
-    ) -> Vec<Result<Vec<Vec<Value>>, ExecError>> {
-        let bids: Vec<u64> = blocks.iter_ones().map(|b| b as u64).collect();
-        let runs: Vec<&[u64]> = bids.chunks(sebdb_storage::READAHEAD_BLOCKS).collect();
-        sebdb_parallel::par_map(&runs, sebdb_parallel::FLOOR_RUN, |run| {
-            let fetched = self.ledger.read_blocks_span(run)?;
-            let mut rows = Vec::new();
-            for block in fetched {
-                for tx in &block.transactions {
-                    if let Some(row) = per_tx(tx)? {
-                        rows.push(row);
-                    }
-                }
-            }
-            Ok(rows)
-        })
-    }
 }
 
 /// The Scan and Bitmap arms' filter over one run of extents: keeps

@@ -4,15 +4,19 @@
 //! *operation* (which transaction type, `Tname`) — within a time
 //! window, using the system-wide layered indexes created on those
 //! columns for all tables. The bitmap and scan strategies match the
-//! paper's comparison runs (Fig. 8–10).
+//! paper's comparison runs (Fig. 8–10). No arm reads or decodes a
+//! tuple it does not return, save the co-located relations' tuples a
+//! partition holds beside the operation's (DESIGN §4).
 
+use super::hash::decode_row;
 use super::range::in_window;
 use super::{ExecError, Executor, QueryResult, Strategy};
+use crate::ledger::LedgerError;
 use sebdb_crypto::sig::KeyId;
 use sebdb_index::{Bitmap, KeyPredicate};
 use sebdb_sql::TraceSpec;
-use sebdb_storage::TxPtr;
-use sebdb_types::{BlockId, Timestamp, Value};
+use sebdb_storage::RawExtent;
+use sebdb_types::{BlockId, ColumnRef, Timestamp, Value};
 
 /// Internal transaction types (schema sync) are invisible to tracking.
 fn is_internal(tname: &str) -> bool {
@@ -28,6 +32,50 @@ pub fn tracking_header() -> Vec<String> {
         .collect()
 }
 
+/// The sender id a trace's operator operand names, once the trace is
+/// known to have a dimension. Operator names are resolved to sender ids
+/// in exactly one place — the node layer's registry — so here anything
+/// but raw id bytes (names included) is one uniform error.
+pub(super) fn trace_operator(
+    operator: Option<&Value>,
+    operation: Option<&str>,
+) -> Result<Option<KeyId>, ExecError> {
+    let operator = match operator {
+        Some(Value::Bytes(b)) if b.len() == 8 => {
+            let mut id = [0u8; 8];
+            id.copy_from_slice(b);
+            Some(KeyId(id))
+        }
+        Some(other) => {
+            return Err(ExecError::Unsupported(format!(
+                "operator must be 8 sender-id bytes, got {other}"
+            )))
+        }
+        None => None,
+    };
+    if operator.is_none() && operation.is_none() {
+        return Err(ExecError::Unsupported(
+            "tracking needs at least one dimension".into(),
+        ));
+    }
+    Ok(operator)
+}
+
+/// The relations whose partitions a Scan or Bitmap trace reads, one
+/// per partition: the operation's, or with the operator alone one
+/// relation of every partition that holds one not internal.
+pub(super) fn scanned_relations(
+    store: &sebdb_storage::BlockStore,
+    operation: Option<&str>,
+) -> Vec<String> {
+    match operation {
+        Some(tname) => vec![tname.to_string()],
+        None => (0..store.partitions())
+            .filter_map(|p| store.relations_in(p).into_iter().find(|r| !is_internal(r)))
+            .collect(),
+    }
+}
+
 impl Executor<'_> {
     pub(super) fn run_trace(
         &self,
@@ -36,27 +84,7 @@ impl Executor<'_> {
         operation: Option<&str>,
         strategy: Strategy,
     ) -> Result<QueryResult, ExecError> {
-        // Operator names are resolved to sender ids in exactly one
-        // place — the node layer's registry. Here anything but raw id
-        // bytes (names included) is one uniform error.
-        let operator = match operator {
-            Some(Value::Bytes(b)) if b.len() == 8 => {
-                let mut id = [0u8; 8];
-                id.copy_from_slice(b);
-                Some(KeyId(id))
-            }
-            Some(other) => {
-                return Err(ExecError::Unsupported(format!(
-                    "operator must be 8 sender-id bytes, got {other}"
-                )))
-            }
-            None => None,
-        };
-        if operator.is_none() && operation.is_none() {
-            return Err(ExecError::Unsupported(
-                "tracking needs at least one dimension".into(),
-            ));
-        }
+        let operator = trace_operator(operator, operation)?;
         // A cost-based (`Auto`) trace whose predicate matches a
         // registered materialized view is served from the view — zero
         // index probes, O(result) — before any strategy resolves.
@@ -84,16 +112,12 @@ impl Executor<'_> {
         height: BlockId,
     ) -> Result<QueryResult, ExecError> {
         let operator = *operator;
-        let strategy = match strategy {
+        let mut out = QueryResult::empty(tracking_header());
+        let mut mask = self.ledger.window_mask_at(window, height);
+        match strategy {
             // Tracking is selective by construction; the layered path
             // dominates unless explicitly overridden (§VII-C).
-            Strategy::Auto => Strategy::Layered,
-            s => s,
-        };
-        let mut out = QueryResult::empty(tracking_header());
-
-        match strategy {
-            Strategy::Layered => {
+            Strategy::Layered | Strategy::Auto => {
                 // Algorithm 1, lines 1–4: window mask ∧ first-level
                 // bitmaps of the SenID / Tname indexes.
                 let dims: Vec<(&str, KeyPredicate)> = [
@@ -104,80 +128,96 @@ impl Executor<'_> {
                 .flatten()
                 .map(|(column, v)| (column, KeyPredicate::Eq(v)))
                 .collect();
-                let mut mask = self.ledger.window_mask_at(window, height);
                 for (column, pred) in &dims {
                     mask = mask.and(&self.system_blocks(column, pred)?);
                 }
-                // Lines 6–13: intersect the second-level pointer sets
-                // of the two indexes under the mask (each in chain
-                // order); then batch-read all surviving pointers at
-                // once (blocks fetched across workers) and materialize
-                // in pointer order.
-                let mut ptrs: Option<Vec<TxPtr>> = None;
-                for (column, pred) in &dims {
-                    let mut found = self
-                        .ledger
-                        .with_layered(None, column, |idx| idx.search(pred, &mask))
-                        .unwrap_or_default();
-                    if let Some(other) = ptrs {
-                        found.retain(|p| other.binary_search(p).is_ok());
-                    }
-                    ptrs = Some(found);
+                // Lines 6–13, one second level: the first dimension's
+                // pointers under the mask, in chain order. With both
+                // dimensions the operation is tested on the resident
+                // tuple table before any read — a tuple outside the
+                // operation's partition is not its relation's — and on
+                // the decoded name after it, which co-located relations
+                // need (DESIGN §4). Surviving pointers are batch-read
+                // (blocks fetched across workers) and materialized in
+                // pointer order.
+                let Some((column, pred)) = dims.first() else {
+                    return Err(ExecError::Unsupported(
+                        "tracking needs at least one dimension".into(),
+                    ));
+                };
+                let mut ptrs = self
+                    .ledger
+                    .with_layered(None, column, |idx| idx.search(pred, &mask))
+                    .unwrap_or_default();
+                if let (Some(_), Some(tname)) = (operator, operation) {
+                    self.ledger.store().retain_in_partition(&mut ptrs, tname);
                 }
-                let ptrs = ptrs.unwrap_or_default();
                 let txs = self.ledger.read_txs_grouped(&ptrs)?;
                 let rows = sebdb_parallel::par_map(&txs, sebdb_parallel::FLOOR_TUPLE, |tx| {
-                    (in_window(tx.ts, window) && !is_internal(&tx.tname))
-                        .then(|| super::materialize(tx))
+                    (operation.is_none_or(|t| tx.tname == t)
+                        && in_window(tx.ts, window)
+                        && !is_internal(&tx.tname))
+                    .then(|| super::materialize(tx))
                 });
                 out.rows.extend(rows.into_iter().flatten());
             }
-            Strategy::Bitmap => {
-                // Table/sender bitmaps prune blocks; blocks are then
-                // scanned.
-                let mut mask = self.ledger.window_mask_at(window, height);
-                if let Some(op) = &operator {
-                    mask = mask.and(&self.sender_blocks(op)?);
+            Strategy::Bitmap | Strategy::Scan => {
+                // Bitmap: the sender / table bitmaps prune blocks
+                // first; both then scan what is left.
+                if strategy == Strategy::Bitmap {
+                    if let Some(op) = &operator {
+                        mask = mask.and(&self.sender_blocks(op)?);
+                    }
+                    if let Some(tname) = operation {
+                        mask = mask.and(&self.table_blocks(tname)?);
+                    }
                 }
-                if let Some(tname) = operation {
-                    mask = mask.and(&self.table_blocks(tname)?);
-                }
-                self.scan_blocks_for_trace(&mask, &operator, operation, window, &mut out)?;
+                out.rows = self.scan_trace(&mask, operator, operation, window)?;
             }
-            Strategy::Scan => {
-                let mask = self.ledger.window_mask_at(window, height);
-                self.scan_blocks_for_trace(&mask, &operator, operation, window, &mut out)?;
-            }
-            Strategy::Auto => unreachable!(),
         }
         Ok(out)
     }
 
-    fn scan_blocks_for_trace(
+    /// The Scan and Bitmap arms over the projected relation scan
+    /// (DESIGN §10.4): the partitions of [`scanned_relations`] in
+    /// `blocks`, each tuple tested on its projected name and time and
+    /// its still-encoded sender, only the rows returned decoded; chain
+    /// order across partitions.
+    fn scan_trace(
         &self,
-        mask: &Bitmap,
-        operator: &Option<KeyId>,
+        blocks: &Bitmap,
+        operator: Option<KeyId>,
         operation: Option<&str>,
         window: Option<(Timestamp, Timestamp)>,
-        out: &mut QueryResult,
-    ) -> Result<(), ExecError> {
-        let chunks = self.scan_blocks(mask, |tx| {
-            if let Some(op) = operator {
-                if tx.sender != *op {
-                    return Ok(None);
+    ) -> Result<Vec<Vec<Value>>, ExecError> {
+        let bids: Vec<u64> = blocks.iter_ones().map(|b| b as u64).collect();
+        let sender = operator.map(|op| Value::Bytes(op.as_bytes().to_vec()));
+        let keep = |run: Vec<RawExtent>| -> Result<Vec<_>, ExecError> {
+            let mut rows = Vec::new();
+            for tuple in run.iter().flat_map(RawExtent::tuples) {
+                let head = tuple.project().map_err(LedgerError::from)?;
+                if is_internal(head.tname)
+                    || !in_window(head.ts, window)
+                    || operation.is_some_and(|t| !head.tname.eq_ignore_ascii_case(t))
+                {
+                    continue;
                 }
-            }
-            if let Some(tname) = operation {
-                if !tx.tname.eq_ignore_ascii_case(tname) {
-                    return Ok(None);
+                if let Some(sender) = &sender {
+                    let raw = tuple.column(&head, ColumnRef::SenId);
+                    let raw = raw.map_err(LedgerError::from)?;
+                    if raw.map(|v| v.value()).transpose()?.as_ref() != Some(sender) {
+                        continue;
+                    }
                 }
+                rows.push((tuple.bid, tuple.canon, decode_row(&tuple)?));
             }
-            Ok((in_window(tx.ts, window) && !is_internal(&tx.tname))
-                .then(|| super::materialize(tx)))
-        });
-        for chunk in chunks {
-            out.rows.extend(chunk?);
+            Ok(rows)
+        };
+        let mut rows = Vec::new();
+        for table in scanned_relations(self.ledger.store(), operation) {
+            rows.extend(self.map_relation(&bids, &table, keep)?);
         }
-        Ok(())
+        rows.sort_unstable_by_key(|&(bid, canon, _)| (bid, canon));
+        Ok(rows.into_iter().map(|(_, _, row)| row).collect())
     }
 }

@@ -390,14 +390,6 @@ impl Ledger {
         Ok(self.cached.read().read_block(bid)?)
     }
 
-    /// Reads a run of blocks through the current cache, coalescing
-    /// physically contiguous misses into readahead span reads — the
-    /// sequential-scan fast path of Figs. 11–12. Results come back in
-    /// `bids` order.
-    pub fn read_blocks_span(&self, bids: &[BlockId]) -> Result<Vec<Arc<Block>>, LedgerError> {
-        Ok(self.cached.read().read_blocks_span(bids)?)
-    }
-
     /// Reads many transactions at once, grouped by containing block and
     /// fetched across workers; results come back in input order. The
     /// executor's index-driven scans use this instead of reading one

@@ -279,37 +279,37 @@ impl SebdbNode {
         match plan {
             LogicalPlan::CreateTable(schema) => self.submit_create(schema),
             LogicalPlan::Insert { table, row } => self.submit_insert(&table, row),
-            LogicalPlan::Trace {
-                window,
-                operator,
-                operation,
-            } => {
-                // Resolve operator names to sender ids here, where the
-                // registry lives.
-                let operator = match operator {
-                    Some(Value::Str(name)) => {
-                        let id = self.resolve_operator(&name).ok_or_else(|| {
-                            NodeError::Other(format!("unknown operator '{name}'"))
-                        })?;
-                        Some(Value::Bytes(id.as_bytes().to_vec()))
-                    }
-                    other => other,
-                };
-                let exec = Executor::new(&self.ledger, self.offchain.as_ref());
-                Ok(ExecOutcome::Rows(exec.execute(
-                    &LogicalPlan::Trace {
-                        window,
-                        operator,
-                        operation,
-                    },
-                    strategy,
-                )?))
-            }
             read_only => {
+                let plan = self.resolve_operators(read_only)?;
                 let exec = Executor::new(&self.ledger, self.offchain.as_ref());
-                Ok(ExecOutcome::Rows(exec.execute(&read_only, strategy)?))
+                Ok(ExecOutcome::Rows(exec.execute(&plan, strategy)?))
             }
         }
+    }
+
+    /// `plan` with a `TRACE` operator name, `EXPLAIN`ed or not, resolved
+    /// to its sender id — here, where the registry lives.
+    fn resolve_operators(&self, plan: LogicalPlan) -> Result<LogicalPlan, NodeError> {
+        Ok(match plan {
+            LogicalPlan::Trace {
+                window,
+                operator: Some(Value::Str(name)),
+                operation,
+            } => {
+                let id = self
+                    .resolve_operator(&name)
+                    .ok_or_else(|| NodeError::Other(format!("unknown operator '{name}'")))?;
+                LogicalPlan::Trace {
+                    window,
+                    operator: Some(Value::Bytes(id.as_bytes().to_vec())),
+                    operation,
+                }
+            }
+            LogicalPlan::Explain(inner) => {
+                LogicalPlan::Explain(Box::new(self.resolve_operators(*inner)?))
+            }
+            other => other,
+        })
     }
 
     /// `CREATE`: broadcast a schema-sync transaction, wait until the

@@ -5,10 +5,11 @@
 //! payload is made invalid UTF-8 on disk, in a column no query filters
 //! or joins on, in a tuple a match decodes — Q5's build side and Q6's
 //! probe side (a `distribute` tuple), Q5's probe side and a Q4 Scan or
-//! Bitmap row (a `transfer` tuple). Every such query, flat and
-//! partitioned, at one worker and at four, must return the typed
-//! `Corrupt` error naming that tuple with `RawTuple::decode`'s message,
-//! and not panic.
+//! Bitmap row (a `transfer` tuple) — and a trace that returns it, of
+//! its operation or of its operator alone, under Scan, Bitmap and
+//! Layered. Every such query, flat and partitioned, at one worker and
+//! at four, must return the typed `Corrupt` error naming that tuple
+//! with `RawTuple::decode`'s message, and not panic.
 
 use sebdb::{ExecError, Executor, Ledger, LedgerError, Strategy};
 use sebdb_consensus::OrderedBlock;
@@ -194,6 +195,56 @@ fn q4() -> LogicalPlan {
     }
 }
 
+/// A trace of every tuple `KeyId([1; 8])` sent, of `operation` only
+/// when given.
+fn trace(operation: Option<&str>) -> LogicalPlan {
+    LogicalPlan::Trace {
+        window: None,
+        operator: Some(Value::Bytes(vec![1; 8])),
+        operation: operation.map(str::to_owned),
+    }
+}
+
+/// `plan` under `arm` fails with exactly `want`.
+fn assert_corrupt(exec: &Executor, plan: &LogicalPlan, arm: Strategy, want: &str, at: &str) {
+    match exec.execute(plan, arm) {
+        Err(ExecError::Ledger(LedgerError::Storage(StorageError::Corrupt(msg)))) => {
+            assert_eq!(msg, want, "{at}")
+        }
+        other => panic!("{at}: {other:?}"),
+    }
+}
+
+#[test]
+fn a_traced_tuple_that_does_not_decode_fails_as_decode_does() {
+    let ambient = sebdb_parallel::max_threads();
+    for bad in ["transfer", "distribute"] {
+        let plans = [
+            ("two dimensions", trace(Some(bad))),
+            ("operator", trace(None)),
+        ];
+        for partitions in [8, 1] {
+            let ledger = ledger_with(partitions, bad);
+            let exec = Executor::new(&ledger, None);
+            for (_, plan) in &plans {
+                assert!(!exec.execute(plan, Strategy::Layered).unwrap().is_empty());
+            }
+            assert_eq!(damage(ledger.store().dir()), 1);
+            let want = decode_error(&ledger, bad);
+            for cap in [1, 4] {
+                sebdb_parallel::set_max_threads(cap);
+                for (name, plan) in &plans {
+                    for arm in [Strategy::Scan, Strategy::Bitmap, Strategy::Layered] {
+                        let at = format!("{bad} {name}, {arm:?}, p{partitions}, cap {cap}");
+                        assert_corrupt(&exec, plan, arm, &want, &at);
+                    }
+                }
+            }
+        }
+    }
+    sebdb_parallel::set_max_threads(ambient);
+}
+
 #[test]
 fn a_matched_tuple_that_does_not_decode_fails_as_decode_does() {
     let conn = offchain();
@@ -220,12 +271,7 @@ fn a_matched_tuple_that_does_not_decode_fails_as_decode_does() {
                 for (name, plan) in &plans {
                     for arm in [Strategy::Scan, Strategy::Bitmap] {
                         let at = format!("{name}, {arm:?}, p{partitions}, cap {cap}");
-                        match exec.execute(plan, arm) {
-                            Err(ExecError::Ledger(LedgerError::Storage(
-                                StorageError::Corrupt(msg),
-                            ))) => assert_eq!(msg, want, "{at}"),
-                            other => panic!("{at}: {other:?}"),
-                        }
+                        assert_corrupt(&exec, plan, arm, &want, &at);
                     }
                 }
             }

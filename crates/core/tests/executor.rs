@@ -494,6 +494,97 @@ fn explain_names_the_relations_a_hash_arm_scan_shares_its_partition_with() {
     );
 }
 
+/// `EXPLAIN TRACE` names the arm `Auto` resolves to — the view
+/// registered for the trace, else Layered with the one second level it
+/// probes and, for two dimensions, whether the operation has its
+/// partition to itself — and the partitions the Scan and Bitmap arms
+/// read.
+#[test]
+fn explain_says_how_a_trace_runs() {
+    let l = Ledger::new(
+        Arc::new(
+            BlockStore::temporary(StoreConfig {
+                partitions: 2,
+                ..StoreConfig::default()
+            })
+            .unwrap(),
+        ),
+        MacKeypair::from_key([3; 32]),
+    )
+    .unwrap();
+    append_blocks(
+        &l,
+        vec![
+            vec![("transfer", A, vec![Value::str("x")])],
+            vec![("distribute", B, vec![Value::str("x")])],
+            vec![("donate", A, vec![Value::str("x")])],
+        ],
+    );
+    let trace = |operator: Option<KeyId>, operation: Option<&str>| LogicalPlan::Trace {
+        window: None,
+        operator: operator.map(|k| Value::Bytes(k.as_bytes().to_vec())),
+        operation: operation.map(str::to_owned),
+    };
+    let explain = |plan: &LogicalPlan| {
+        let explain = LogicalPlan::Explain(Box::new(plan.clone()));
+        let out = Executor::new(&l, None).execute(&explain, Strategy::Auto);
+        let rows = out.unwrap().rows;
+        let text = |v: &Value| match v {
+            Value::Str(s) => s.clone(),
+            other => panic!("{other:?}"),
+        };
+        rows.iter().map(|r| text(&r[0])).collect::<Vec<_>>()
+    };
+    let probe = "auto: layered, one second-level probe (sen_id)";
+    assert_eq!(
+        explain(&trace(Some(A), Some("distribute"))),
+        [
+            format!("Trace [Algorithm 1; {probe}, then the tuple table keeps distribute's partition 1 (alone)]"),
+            "  scan and bitmap arms read partition 1 (distribute)".to_string(),
+        ]
+    );
+    let shared = explain(&trace(Some(A), Some("transfer")));
+    assert!(
+        shared[0].ends_with("keeps transfer's partition 0 (shared with donate)]"),
+        "{shared:?}"
+    );
+    assert_eq!(
+        shared[1],
+        "  scan and bitmap arms read partition 0 (transfer, donate)"
+    );
+    assert_eq!(
+        explain(&trace(Some(A), None)),
+        [
+            "Trace [Algorithm 1; auto: layered, one second-level probe (sen_id)]",
+            "  scan and bitmap arms read partition 0 (transfer, donate), partition 1 (distribute)",
+        ]
+    );
+    let operation = explain(&trace(None, Some("donate")));
+    assert!(
+        operation[0].ends_with("one second-level probe (tname)]"),
+        "{operation:?}"
+    );
+    let absent = explain(&trace(Some(A), Some("refund")));
+    assert!(
+        absent[0].ends_with("keeps nothing (refund not on the chain)]"),
+        "{absent:?}"
+    );
+    assert_eq!(
+        absent[1],
+        "  scan and bitmap arms read nothing (not on the chain)"
+    );
+    // A registered view serves the trace it was registered for, and
+    // only that one.
+    let spec = sebdb_sql::TraceSpec::new(None, Some(A.0), Some("transfer"));
+    assert!(l.register_trace_view(spec).unwrap());
+    let viewed = explain(&trace(Some(A), Some("transfer")));
+    assert_eq!(
+        viewed[0],
+        "Trace [Algorithm 1; auto: the registered view on this trace, no index probed]"
+    );
+    assert!(explain(&trace(Some(B), Some("transfer")))[0].contains("auto: layered"));
+}
+
 #[test]
 fn onoff_join_without_offchain_connection_errors() {
     let l = ledger();
@@ -882,16 +973,14 @@ fn projected_scan_arms_agree_with_every_path_in_every_cache_mode() {
 /// `SEBDB_THREADS` says).
 #[test]
 fn sites_above_their_floors_fan_out_and_match_sequential() {
-    use sebdb_parallel::{FLOOR_BLOCK, FLOOR_PREAD, FLOOR_RUN, FLOOR_TUPLE};
+    use sebdb_parallel::{FLOOR_BLOCK, FLOOR_PREAD, FLOOR_TUPLE};
     let blocks = 2 * FLOOR_PREAD as i64 + 8;
     let transfers_per_block = 4;
     let rows = (blocks * transfers_per_block) as usize;
     // Grouped fetch: one group per block. Block-granular maps: one item
-    // per block or per readahead run; relation scans: one item per
-    // planned run (checked once the chain is built). Row maps: one item
-    // per row.
+    // per block; relation scans: one item per planned run (checked once
+    // the chain is built). Row maps: one item per row.
     assert!(blocks as usize >= 2 * FLOOR_BLOCK.max(FLOOR_PREAD));
-    assert!(blocks as usize / sebdb_storage::READAHEAD_BLOCKS >= 2 * FLOOR_RUN);
     assert!(rows >= 2 * FLOOR_TUPLE);
     // A memo pads each transfer and distribute so both relation scans —
     // the hash join's probe and build sides — cut into enough
@@ -960,7 +1049,7 @@ fn sites_above_their_floors_fan_out_and_match_sequential() {
     let plans = [
         // Layered: grouped fetch + row map; scan/bitmap: relation runs.
         (amount_between(&transfer, 0, rows as i64, None), rows),
-        // Layered: row map; scan: block runs.
+        // Layered: row map; scan: relation runs of every partition.
         (
             LogicalPlan::Trace {
                 window: None,

@@ -39,9 +39,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Sequential-scan readahead window for whole-block reads (the block
-/// cache's fills, the tracking scan): the most consecutive blocks
-/// fetched with one coalesced positioned read per partition.
+/// Readahead window for whole-block reads (the block cache's fills):
+/// the most consecutive blocks fetched with one coalesced positioned
+/// read per partition.
 pub const READAHEAD_BLOCKS: usize = 8;
 
 /// Byte budget of one relation-scan run ([`BlockStore::relation_runs`]):
@@ -1028,6 +1028,23 @@ impl BlockStore {
             .collect()
     }
 
+    /// Keeps the pointers of `ptrs` whose tuple lies in `table`'s
+    /// relation partition, as the resident tuple table says, under one
+    /// manifest read guard and with no I/O. A pointer the table cannot
+    /// resolve is kept, so a fetch still fails on it as it would have.
+    /// Co-located relations share a partition: callers that want
+    /// `table`'s tuples alone still check each tuple's name.
+    pub fn retain_in_partition(&self, ptrs: &mut Vec<TxPtr>, table: &str) {
+        let route = self.placement.read().partition_of(table);
+        let meta = self.meta.read();
+        ptrs.retain(|p| {
+            let loc = meta
+                .get(p.block as usize)
+                .and_then(|e| e.txs.get(p.index as usize));
+            loc.is_none_or(|l| Some(l.part) == route)
+        });
+    }
+
     /// Fetches `table`'s relation partition extents of the blocks in
     /// `bids` **undecoded**, with the place of every tuple in them — the
     /// per-relation scan that stops paying for unrelated relations'
@@ -1385,6 +1402,35 @@ mod tests {
             assert!(got
                 .iter()
                 .any(|(_, tx)| tx.tname.eq_ignore_ascii_case("donate")));
+        }
+    }
+
+    /// The partition test keeps a relation's pointers and its
+    /// co-located neighbours', drops the rest, and keeps a pointer past
+    /// the chain or past its block's tuples, on which the fetch then
+    /// fails as it would have.
+    #[test]
+    fn partition_test_keeps_the_relations_pointers_and_the_unresolvable() {
+        for partitions in [1usize, 8] {
+            let store = BlockStore::temporary(StoreConfig {
+                partitions,
+                ..StoreConfig::default()
+            })
+            .unwrap();
+            let b = block_tables(0, Digest::ZERO, 6, &["donate", "volunteer"]);
+            store.append(&b).unwrap();
+            let ptr = |block, index| TxPtr { block, index };
+            let mut ptrs: Vec<TxPtr> = (0..6).map(|i| ptr(0, i)).collect();
+            ptrs.extend([ptr(0, 6), ptr(1, 0)]);
+            store.retain_in_partition(&mut ptrs, "donate");
+            let mut want: Vec<TxPtr> = match partitions {
+                1 => (0..6).map(|i| ptr(0, i)).collect(),
+                _ => [0, 2, 4].map(|i| ptr(0, i)).to_vec(),
+            };
+            want.extend([ptr(0, 6), ptr(1, 0)]);
+            assert_eq!(ptrs, want, "partitions {partitions}");
+            assert!(store.read_txs_in_block(0, &[6]).is_err());
+            assert!(store.read_txs_in_block(1, &[0]).is_err());
         }
     }
 
