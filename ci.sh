@@ -54,11 +54,11 @@ echo "==> cargo test --release -q -p sebdb --lib q6_phase_split"
 cargo test --release -q -p sebdb --lib q6_phase_split
 
 # Deterministic interleaving checker: exhaustively explores schedules
-# of the pipeline/mempool/cache/index/partition models with the
-# happens-before race detector active on every schedule (DESIGN §14),
-# and must find zero invariant violations and zero data races — while
-# still *finding* the seeded negative-test bugs, including the two
-# seeded races in race_model.rs.
+# of the pipeline/view/mempool/cache/index-cache/segment/partition
+# models with the happens-before race detector active on every
+# schedule (DESIGN §14), and must find zero invariant violations and
+# zero data races — while still *finding* the seeded negative-test
+# bugs, including the two seeded races in race_model.rs.
 echo "==> cargo test -q -p sebdb-model"
 cargo test -q -p sebdb-model
 
@@ -68,8 +68,8 @@ cargo test -q -p sebdb-model
 echo "==> SEBDB_THREADS=1 cargo test -q"
 SEBDB_THREADS=1 cargo test -q
 
-# Sharded-applier equivalence at 4 workers: lanes=4 must stay
-# byte-identical and query-equivalent to the direct ledger path
+# Staged-applier equivalence at 4 workers: every pipeline depth must
+# stay byte-identical and query-equivalent to the direct ledger path
 # (`Ledger::append_ordered`, one block at a time on the caller's
 # thread) when the parallel primitives actually fan out (the threads=1
 # case is covered by the full-suite pass above).

@@ -62,23 +62,6 @@ impl From<StorageError> for LedgerError {
 /// meaning "all tables" (system indexes).
 pub type IndexKey = (Option<String>, String);
 
-/// Number of relation shards the per-table index families are
-/// partitioned into. Fixed (like the 8-way sharded caches) so shard
-/// assignment is independent of the applier lane count: lane *k* of an
-/// *L*-lane pipeline owns every shard with `shard % L == k`.
-pub const INDEX_SHARDS: usize = 8;
-
-/// The shard a (lowercased) table name's index families live in: a hash
-/// of the name. A shard only picks the applier lane that maintains the
-/// families; where the relation's tuples are stored is the block
-/// store's placement, which has nothing to do with it.
-pub fn shard_of(table: &str) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    table.hash(&mut h);
-    (h.finish() as usize) % INDEX_SHARDS
-}
-
 /// The registry key of the index on `table.column` (names fold to
 /// lower case).
 fn index_key(table: Option<&str>, column: &str) -> IndexKey {
@@ -88,68 +71,8 @@ fn index_key(table: Option<&str>, column: &str) -> IndexKey {
     )
 }
 
-/// The shard an index key lives in: per-table keys hash their table,
-/// system (`None`-table) keys live in the extra chain shard
-/// ([`INDEX_SHARDS`], owned by lane 0, since their maintenance walks
-/// every tuple anyway).
-fn shard_of_key(key: &IndexKey) -> usize {
-    match &key.0 {
-        Some(table) => shard_of(table),
-        None => INDEX_SHARDS,
-    }
-}
-
-/// One relation shard: the layered indexes of the tables hashing to it,
-/// behind their own lock so applier lanes maintain disjoint shards with
-/// zero contention.
-#[derive(Default)]
-struct IndexShard {
-    layered: RwLock<HashMap<IndexKey, LayeredIndex>>,
-}
-
-impl IndexShard {
-    /// Lowest height any index of the shard has state for.
-    fn covered_floor(&self) -> u64 {
-        let covered = self
-            .layered
-            .read()
-            .values()
-            .map(LayeredIndex::covered)
-            .min();
-        covered.unwrap_or(u64::MAX)
-    }
-
-    /// Indexes `block` into every index. With `rows` (the block's
-    /// relation → tuple positions partition) each per-table index is
-    /// handed exactly its rows; without, each index filters the block.
-    fn update(&self, block: &Block, rows: Option<&HashMap<String, Vec<u32>>>) {
-        for (key, idx) in self.layered.write().iter_mut() {
-            match rows {
-                Some(rows) => {
-                    let covered = key.0.as_deref().and_then(|t| rows.get(t));
-                    idx.update_rows(block, covered.map_or(&[], |r| r.as_slice()));
-                }
-                None => idx.update(block),
-            }
-        }
-    }
-
-    /// Resident bytes of the shard's indexes.
-    fn memory_bytes(&self) -> usize {
-        let layered = self.layered.read();
-        layered.values().map(LayeredIndex::memory_bytes).sum()
-    }
-
-    /// Freezes every index behind a checkpoint published through
-    /// `ledger`'s store. Returns how many checkpoints were published.
-    fn checkpoint(&self, ledger: &Ledger) -> Result<usize, LedgerError> {
-        let mut layered = self.layered.write();
-        for idx in layered.values_mut() {
-            idx.adopt_frozen(ledger.publish_checkpoint(&idx.checkpoint())?);
-        }
-        Ok(layered.len())
-    }
-}
+/// One index family behind its own lock.
+type Family = Arc<RwLock<LayeredIndex>>;
 
 /// Number of histogram buckets for continuous layered indexes (the
 /// paper sets the histogram depth to 100 in §VII-D).
@@ -164,9 +87,13 @@ pub type TxVerifier = dyn Fn(&Transaction) -> bool + Send + Sync;
 pub struct Ledger {
     store: Arc<BlockStore>,
     cached: RwLock<Arc<CachedStore>>,
-    /// [`INDEX_SHARDS`] relation shards plus one chain shard (the
-    /// system `None`-table indexes) at position [`INDEX_SHARDS`].
-    shards: Vec<IndexShard>,
+    /// Every index family, each behind its own lock, so a reader waits
+    /// only for its own family's update or checkpoint. The registry's
+    /// write lock is taken only by [`Self::create_layered_index`], and
+    /// no thread holds the registry lock while it takes a family's
+    /// (the families are `Arc`s cloned out first): a join reads two
+    /// families at once.
+    indexes: RwLock<HashMap<IndexKey, Family>>,
     last_hash: RwLock<Digest>,
     signer: MacKeypair,
     tx_verifier: RwLock<Option<Box<TxVerifier>>>,
@@ -175,16 +102,10 @@ pub struct Ledger {
     /// pipeline persists ahead of this; readers never see a height
     /// whose indexes are still being built.
     ///
-    /// Both applied-height cells carry the zero-cost [`Tracked`]
-    /// marker: the applier model suite wraps the same state in the
-    /// model checker's race-detecting twin (DESIGN.md §14).
+    /// The applied height carries the zero-cost [`Tracked`] marker:
+    /// the pipeline model suite wraps the same state in the model
+    /// checker's race-detecting twin (DESIGN.md §14).
     applied: Tracked<AtomicU64>,
-    /// Per-lane applied heights, installed by a lane pipeline via
-    /// [`Self::install_applied_vector`]. `applied` is the running
-    /// minimum over the vector, so cross-relation readers (joins,
-    /// GET BLOCK, TRACE) wait on the min applied height and stay
-    /// consistent. `None` outside a lane pipeline.
-    lane_heights: RwLock<Option<Arc<Vec<Tracked<AtomicU64>>>>>,
     /// Watch pair for [`Self::wait_for_height`]: `applied` is updated
     /// under this mutex so waiters cannot miss a notify.
     height_watch: Mutex<()>,
@@ -214,12 +135,11 @@ impl Ledger {
         let ledger = Ledger {
             store,
             cached: RwLock::new(cached),
-            shards: (0..=INDEX_SHARDS).map(|_| IndexShard::default()).collect(),
+            indexes: RwLock::new(HashMap::new()),
             last_hash: RwLock::new(Digest::ZERO),
             signer,
             tx_verifier: RwLock::new(None),
             applied: Tracked::new(AtomicU64::new(0)),
-            lane_heights: RwLock::new(None),
             height_watch: Mutex::new(()),
             height_cv: Condvar::new(),
             index_fault: RwLock::new(None),
@@ -232,13 +152,15 @@ impl Ledger {
         // `None` (the store already deleted them) and that family
         // rebuilds from block zero.
         let mut frozen_loaded = 0usize;
-        let chain = &ledger.shards[INDEX_SHARDS];
         for col in [ColumnRef::SenId, ColumnRef::Tname] {
             let key: IndexKey = (None, column_slug(&col));
             let frozen = ledger.reattach_index(None, col)?;
             frozen_loaded += usize::from(frozen.is_some());
             let index = frozen.unwrap_or_else(|| LayeredIndex::new_discrete(None, col));
-            chain.layered.write().insert(key, index);
+            ledger
+                .indexes
+                .write()
+                .insert(key, Arc::new(RwLock::new(index)));
         }
         // Rebuild indexes from blocks past the lowest frozen height
         // (restart path). A crash between persist and index leaves
@@ -251,7 +173,8 @@ impl Ledger {
         let height = ledger.store.height();
         let replay_from = ledger.replay_floor().min(height);
         for bid in replay_from..height {
-            ledger.index_one_lane(&*ledger.store.read(bid)?);
+            let block = ledger.store.read(bid)?;
+            ledger.index_block(&block, &Self::relation_rows(&block));
         }
         if height > 0 {
             *ledger.last_hash.write() = ledger.store.read(height - 1)?.header.block_hash;
@@ -281,8 +204,19 @@ impl Ledger {
     /// Lowest chain height any index family has state for — the block
     /// the restart replay must resume from.
     fn replay_floor(&self) -> u64 {
-        let floors = self.shards.iter().map(IndexShard::covered_floor);
+        let floors = self.families().into_iter().map(|(_, f)| f.read().covered());
         floors.min().unwrap_or(u64::MAX)
+    }
+
+    /// Every index family with its key, cloned out of the registry so
+    /// the caller takes each family's lock with the registry's
+    /// released.
+    fn families(&self) -> Vec<(IndexKey, Family)> {
+        let indexes = self.indexes.read();
+        indexes
+            .iter()
+            .map(|(k, f)| (k.clone(), Arc::clone(f)))
+            .collect()
     }
 
     /// The index on `(table, col)` behind its published checkpoint, if
@@ -349,10 +283,11 @@ impl Ledger {
         self.height_cv.notify_all();
     }
 
-    fn advance_applied(&self, to: BlockId) {
+    /// Advances the applied height to `to` and wakes height waiters;
+    /// the pipeline's indexer runs it after [`Self::index_block`].
+    pub(crate) fn advance_applied(&self, to: BlockId) {
         let guard = self.height_watch.lock();
-        // Monotone: lane completions can race the direct path during
-        // teardown; the applied height only ever moves forward.
+        // Monotone: the applied height only ever moves forward.
         if to > self.applied.load(Ordering::Acquire) {
             self.applied.store(to, Ordering::Release);
         }
@@ -514,11 +449,11 @@ impl Ledger {
 
     /// Stage three of the write path: updates every index family for a
     /// block previously appended via [`Self::persist_block`] — the
-    /// pipeline's lane work run as one lane on the caller's thread —
-    /// then advances the applied height and wakes height waiters.
-    /// Blocks must be indexed in height order.
+    /// pipeline indexer's work, on the caller's thread — then advances
+    /// the applied height and wakes height waiters. Blocks must be
+    /// indexed in height order.
     pub fn index_appended(&self, block: &Block) {
-        self.index_one_lane(block);
+        self.index_block(block, &Self::relation_rows(block));
         self.advance_applied(block.header.height + 1);
         // Fold materialized views after the applied-height advance, so
         // a view never observes a height above `height()`. Best-effort
@@ -541,19 +476,10 @@ impl Ledger {
         *self.index_fault.write() = hook;
     }
 
-    /// Every index family's share of `block` as one applier lane of one
-    /// would maintain it, on the caller's thread. Each family skips
-    /// blocks it already covers.
-    fn index_one_lane(&self, block: &Block) {
-        self.index_chain_lane(block);
-        self.index_relation_lane(0, 1, block, &Self::relation_rows(block));
-    }
-
     /// Partitions a block's tuples by (lowercased) relation name:
     /// `table → ascending tuple positions`. Computed once per block by
-    /// the pipeline's persist stage and shared (behind an `Arc`) by
-    /// every applier lane, so lanes never re-scan tuples that are not
-    /// theirs.
+    /// the pipeline's persist stage and shared (behind an `Arc`) by the
+    /// indexer and the view folder.
     pub fn relation_rows(block: &Block) -> HashMap<String, Vec<u32>> {
         let mut rows: HashMap<String, Vec<u32>> = HashMap::new();
         for (i, tx) in block.transactions.iter().enumerate() {
@@ -564,43 +490,33 @@ impl Ledger {
         rows
     }
 
-    /// Lane 0's chain-level share of indexing `block`: the fault hook
-    /// and the chain shard (system `None`-table layered indexes, which
-    /// walk every tuple). Blocks must arrive in height order.
-    pub fn index_chain_lane(&self, block: &Block) {
+    /// Indexes `block` into every family: the one index step the
+    /// pipeline's indexer, [`Self::index_appended`] and the restart
+    /// replay run. `rows` is the block's [`Self::relation_rows`]: each
+    /// per-table family is handed exactly its rows, the system
+    /// (`None`-table) families walk every tuple. On a cadence boundary
+    /// each family freezes behind a checkpoint right after its update.
+    /// Blocks must arrive in height order; each family skips blocks it
+    /// already covers.
+    pub(crate) fn index_block(&self, block: &Block, rows: &HashMap<String, Vec<u32>>) {
         if let Some(hook) = self.index_fault.read().as_ref() {
             hook(block);
         }
-        let chain = &self.shards[INDEX_SHARDS];
-        chain.update(block, None);
-        if self.checkpoint_due(block.header.height + 1) {
-            // Best-effort: a failed or interrupted checkpoint leaves
-            // the previous one in place and heals at the next open.
-            let _ = chain.checkpoint(self);
-        }
-    }
-
-    /// Lane `lane`-of-`lanes`' relation share of indexing `block`:
-    /// every per-table index family living in a shard with
-    /// `shard % lanes == lane` is updated from the precomputed
-    /// relation→rows partition. Blocks must arrive in height order per
-    /// lane; distinct lanes are free to interleave (they touch disjoint
-    /// shards).
-    pub fn index_relation_lane(
-        &self,
-        lane: usize,
-        lanes: usize,
-        block: &Block,
-        rows: &HashMap<String, Vec<u32>>,
-    ) {
-        for (s, shard) in self.shards.iter().enumerate().take(INDEX_SHARDS) {
-            if s % lanes == lane {
-                shard.update(block, Some(rows));
+        let checkpoint = self.checkpoint_due(block.header.height + 1);
+        for ((table, _), family) in self.families() {
+            let mut index = family.write();
+            match table {
+                Some(table) => {
+                    let covered = rows.get(&table).map_or(&[][..], Vec::as_slice);
+                    index.update_rows(block, covered);
+                }
+                None => index.update(block),
             }
-        }
-        if self.checkpoint_due(block.header.height + 1) {
-            for s in (0..INDEX_SHARDS).filter(|s| s % lanes == lane) {
-                let _ = self.shards[s].checkpoint(self);
+            if checkpoint {
+                // Best-effort: a failed or interrupted checkpoint
+                // leaves the previous one in place and heals at the
+                // next open.
+                let _ = self.freeze(&mut index);
             }
         }
     }
@@ -629,16 +545,21 @@ impl Ledger {
             .ok_or_else(|| LedgerError::BadIndex("published checkpoint did not reopen".into()))
     }
 
-    /// Freezes every index family into an on-disk checkpoint (the chain
-    /// shard's system indexes, then all relation shards); subsequent
-    /// opens replay only blocks indexed after this point. Returns how
-    /// many checkpoints were published.
+    /// Freezes `index` behind a checkpoint published through the store.
+    fn freeze(&self, index: &mut LayeredIndex) -> Result<(), LedgerError> {
+        index.adopt_frozen(self.publish_checkpoint(&index.checkpoint())?);
+        Ok(())
+    }
+
+    /// Freezes every index family into an on-disk checkpoint;
+    /// subsequent opens replay only blocks indexed after this point.
+    /// Returns how many checkpoints were published.
     pub fn checkpoint_indexes(&self) -> Result<usize, LedgerError> {
-        let mut published = self.shards[INDEX_SHARDS].checkpoint(self)?;
-        for shard in &self.shards[..INDEX_SHARDS] {
-            published += shard.checkpoint(self)?;
+        let families = self.families();
+        for (_, family) in &families {
+            self.freeze(&mut family.write())?;
         }
-        Ok(published)
+        Ok(families.len())
     }
 
     /// Resident bytes across every index family: tail structures plus
@@ -647,61 +568,8 @@ impl Ledger {
     /// are counted there ([`sebdb_storage::IndexBlockCache`]), not
     /// here.
     pub fn index_memory_bytes(&self) -> usize {
-        self.shards.iter().map(IndexShard::memory_bytes).sum()
-    }
-
-    /// Installs a fresh all-zero applied-height vector with one slot
-    /// per applier lane and returns it. While installed, the scalar
-    /// applied height is the running minimum over the vector (advanced
-    /// by [`Self::lane_applied`]). The lane pipeline installs this at
-    /// start and clears it (via [`Self::clear_applied_vector`]) on
-    /// join, so the direct path ([`Self::append_block`]) is untouched.
-    pub fn install_applied_vector(&self, lanes: usize) -> Arc<Vec<Tracked<AtomicU64>>> {
-        let start = self.height();
-        let vec: Arc<Vec<Tracked<AtomicU64>>> = Arc::new(
-            (0..lanes)
-                .map(|_| Tracked::new(AtomicU64::new(start)))
-                .collect(),
-        );
-        *self.lane_heights.write() = Some(Arc::clone(&vec));
-        vec
-    }
-
-    /// Removes the per-lane applied-height vector (pipeline teardown).
-    pub fn clear_applied_vector(&self) {
-        *self.lane_heights.write() = None;
-    }
-
-    /// The currently installed per-lane applied-height vector, if any.
-    pub fn applied_vector(&self) -> Option<Arc<Vec<Tracked<AtomicU64>>>> {
-        self.lane_heights.read().clone()
-    }
-
-    /// Records that `lane` finished indexing every block below
-    /// `height`, then advances the scalar applied height to the
-    /// minimum over all lanes and wakes height waiters if it moved.
-    /// Runs under the height-watch mutex so the min computation and
-    /// the notify are atomic with respect to waiters.
-    pub fn lane_applied(&self, lane: usize, height: BlockId) {
-        let guard = self.height_watch.lock();
-        let Some(vec) = self.applied_vector() else {
-            drop(guard);
-            return;
-        };
-        vec[lane].store(height, Ordering::Release);
-        let min = vec
-            .iter()
-            .map(|h| h.load(Ordering::Acquire))
-            .min()
-            .unwrap_or(0);
-        let moved = min > self.applied.load(Ordering::Acquire);
-        if moved {
-            self.applied.store(min, Ordering::Release);
-        }
-        drop(guard);
-        if moved {
-            self.height_cv.notify_all();
-        }
+        let families = self.families().into_iter();
+        families.map(|(_, f)| f.read().memory_bytes()).sum()
     }
 
     /// Creates the layered index on `table.column`, replaying all
@@ -718,8 +586,7 @@ impl Ledger {
             .resolve(column)
             .map_err(|e| LedgerError::BadIndex(e.to_string()))?;
         let key = index_key(Some(&schema.name), column);
-        let shard = &self.shards[shard_of_key(&key)];
-        if shard.layered.read().contains_key(&key) {
+        if self.indexes.read().contains_key(&key) {
             return Ok(());
         }
         // A previous run of this node may have checkpointed the same
@@ -751,7 +618,9 @@ impl Ledger {
             let block = self.store.read(bid)?;
             index.update(&block);
         }
-        shard.layered.write().insert(key, index);
+        self.indexes
+            .write()
+            .insert(key, Arc::new(RwLock::new(index)));
         Ok(())
     }
 
@@ -784,12 +653,8 @@ impl Ledger {
         column: &str,
         f: impl FnOnce(&LayeredIndex) -> R,
     ) -> Option<R> {
-        let key = index_key(table, column);
-        self.shards[shard_of_key(&key)]
-            .layered
-            .read()
-            .get(&key)
-            .map(f)
+        let family = self.indexes.read().get(&index_key(table, column)).cloned();
+        family.map(|family| f(&family.read()))
     }
 
     /// [`Self::with_layered`] under the name the frozen benchmark

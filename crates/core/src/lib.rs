@@ -38,7 +38,7 @@ pub mod views;
 pub use access::{AccessController, AccessDenied, Permission};
 pub use contract::{Contract, ContractError, ContractRegistry};
 pub use executor::{ExecError, Executor, QueryResult, Strategy};
-pub use ledger::{shard_of, Ledger, LedgerError, INDEX_SHARDS};
+pub use ledger::{Ledger, LedgerError};
 pub use node::{ExecOutcome, NodeError, SebdbNode};
 pub use pipeline::{
     auto_applier_lanes, auto_pipeline_depth, ApplierHealth, ApplyPipeline, DEFAULT_PIPELINE_DEPTH,

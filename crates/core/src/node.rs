@@ -9,7 +9,7 @@
 use crate::access::{AccessController, Permission};
 use crate::executor::{ExecError, Executor, QueryResult, Strategy};
 use crate::ledger::Ledger;
-use crate::pipeline::{auto_applier_lanes, auto_pipeline_depth, ApplierHealth, ApplyPipeline};
+use crate::pipeline::{auto_pipeline_depth, ApplierHealth, ApplyPipeline};
 use crate::schema_mgr::SchemaManager;
 use parking_lot::RwLock;
 use sebdb_consensus::traits::now_ms;
@@ -125,12 +125,13 @@ pub struct SebdbNode {
 impl SebdbNode {
     /// Starts a node: subscribes to the consensus stream and begins
     /// applying ordered blocks to the ledger and schema catalog through
-    /// the staged write pipeline, its depth and indexer lane count
-    /// derived from the host's core count ([`auto_pipeline_depth`],
-    /// [`auto_applier_lanes`]: one lane on one core; otherwise one lane
-    /// per core). Sealing block N overlaps indexing block N−1 either way. The persist stage additionally fans each block's tuples
-    /// across the store's per-relation partition segments (`StoreConfig::partitions`), committed by a
-    /// single chain-order manifest record.
+    /// the staged write pipeline — four threads, `sealer`, `persister`,
+    /// `indexer` and `view-folder` — its depth derived from the host's
+    /// core count ([`auto_pipeline_depth`]). Sealing block N overlaps
+    /// indexing block N−1 at every depth. The persist stage
+    /// additionally fans each block's tuples across the store's
+    /// per-relation partition segments (`StoreConfig::partitions`),
+    /// committed by a single chain-order manifest record.
     pub fn start(
         store: Arc<BlockStore>,
         consensus: Arc<dyn Consensus>,
@@ -144,13 +145,12 @@ impl SebdbNode {
         let schemas = Arc::new(SchemaManager::new(offchain.clone()));
         let stopped = Arc::new(AtomicBool::new(false));
 
-        let pipeline = ApplyPipeline::start_with_lanes(
+        let pipeline = ApplyPipeline::start(
             Arc::clone(&ledger),
             Arc::clone(&schemas),
             consensus.subscribe(),
             Arc::clone(&stopped),
             auto_pipeline_depth(cores),
-            auto_applier_lanes(cores),
         );
         let health = Arc::clone(pipeline.health());
 

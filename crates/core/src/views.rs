@@ -21,7 +21,7 @@
 //! interleaving by the model twin (`sebdb-model`'s `view_model.rs`).
 //!
 //! Position in the write path: the staged pipeline folds from a
-//! dedicated **view-folder** consumer downstream of the index lanes —
+//! dedicated **view-folder** consumer downstream of the indexer —
 //! it waits for [`Ledger::height`] to cover a block before folding it,
 //! so a view never observes a height above the applied height. The
 //! direct ledger path folds inline at the end of
@@ -264,8 +264,8 @@ fn matches(spec: &TraceSpec, tx: &Transaction) -> bool {
 /// Appends `block`'s delta to `state.rows` and advances the fold
 /// cursor. With an operation dimension and the persist stage's
 /// relation→rows partition at hand, only that relation's tuple
-/// positions are visited (the same `shard_of`-aligned mapping the
-/// index lanes consume); otherwise the block's tuples are walked.
+/// positions are visited (the same partition the indexer consumes);
+/// otherwise the block's tuples are walked.
 /// Returns the number of rows appended.
 fn fold_delta(
     state: &mut ViewState,

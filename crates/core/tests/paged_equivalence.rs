@@ -5,8 +5,8 @@
 //! index-block cache — must be an invisible representation change:
 //! every query suite (point, range, tracking, join) answers
 //! byte-identically to the fully-resident reference (no checkpoints,
-//! the `cache=∞` configuration), at applier lane counts 1 and 4, with
-//! a cold and a warm index-block cache, and across a restart that
+//! the `cache=∞` configuration), at pipeline depths 2 and 4, with a
+//! cold and a warm index-block cache, and across a restart that
 //! replays only the tail behind the newest checkpoints.
 //!
 //! CI drives this suite at both `SEBDB_THREADS=1` and `SEBDB_THREADS=4`.
@@ -83,12 +83,11 @@ fn mixed_blocks(count: u64) -> Vec<OrderedBlock> {
 }
 
 /// Drives `blocks` through an [`ApplyPipeline`] over `store` with the
-/// given depth, lane count, and index-checkpoint cadence (`0` = never
-/// checkpoint — the fully-resident reference).
-fn run_lanes_on(
+/// given depth and index-checkpoint cadence (`0` = never checkpoint —
+/// the fully-resident reference).
+fn run_pipeline_on(
     store: Arc<BlockStore>,
     depth: usize,
-    lanes: usize,
     checkpoint_every: u64,
     blocks: &[OrderedBlock],
 ) -> (Arc<Ledger>, Arc<SchemaManager>) {
@@ -97,13 +96,12 @@ fn run_lanes_on(
     let schemas = Arc::new(SchemaManager::new(None));
     let stopped = Arc::new(AtomicBool::new(false));
     let (tx, rx) = crossbeam::channel::unbounded();
-    let mut pipe = ApplyPipeline::start_with_lanes(
+    let mut pipe = ApplyPipeline::start(
         Arc::clone(&ledger),
         Arc::clone(&schemas),
         rx,
         Arc::clone(&stopped),
         depth,
-        lanes,
     );
     for b in blocks {
         tx.send(b.clone()).unwrap();
@@ -114,7 +112,7 @@ fn run_lanes_on(
             Instant::now() + Duration::from_secs(60),
             || pipe.health().is_poisoned()
         ),
-        "pipeline depth {depth} lanes {lanes} never applied all blocks: {:?}",
+        "pipeline depth {depth} never applied all blocks: {:?}",
         pipe.health().error()
     );
     stopped.store(true, Ordering::Relaxed);
@@ -251,16 +249,15 @@ fn index_amount(ledger: &Ledger, schemas: &SchemaManager) {
 }
 
 /// Core acceptance: paged (mid-chain checkpoints, bounded cache)
-/// equals resident (no checkpoints) byte for byte, at lanes 1 and 4,
+/// equals resident (no checkpoints) byte for byte, at pipeline `depth`,
 /// cold and warm cache, and across a restart.
-fn paged_matches_resident(lanes: usize, cache_blocks: usize) {
+fn paged_matches_resident(depth: usize, cache_blocks: usize) {
     let blocks = mixed_blocks(BLOCKS);
 
     // Reference: sequential, and fully resident because nothing ever
     // checkpoints it (cadence 0, no `checkpoint_indexes`).
-    let (ref_ledger, ref_schemas) = run_lanes_on(
+    let (ref_ledger, ref_schemas) = run_pipeline_on(
         Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
-        1,
         1,
         0,
         &blocks,
@@ -271,7 +268,7 @@ fn paged_matches_resident(lanes: usize, cache_blocks: usize) {
 
     // Paged: checkpoint cadence, bounded index-block cache.
     let dir = std::env::temp_dir().join(format!(
-        "sebdb-pagedeq-l{lanes}-c{cache_blocks}-{}",
+        "sebdb-pagedeq-d{depth}-c{cache_blocks}-{}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -280,15 +277,14 @@ fn paged_matches_resident(lanes: usize, cache_blocks: usize) {
         index_cache_blocks: Some(cache_blocks),
         ..StoreConfig::default()
     };
-    let depth = lanes.max(2);
     {
         let store = Arc::new(BlockStore::open(&dir, cfg.clone()).unwrap());
-        let (ledger, schemas) = run_lanes_on(store, depth, lanes, CHECKPOINT_EVERY, &blocks);
+        let (ledger, schemas) = run_pipeline_on(store, depth, CHECKPOINT_EVERY, &blocks);
         for bid in 0..BLOCKS {
             assert_eq!(
                 ref_ledger.read_block(bid).unwrap().to_bytes(),
                 ledger.read_block(bid).unwrap().to_bytes(),
-                "block {bid} differs (lanes {lanes})"
+                "block {bid} differs (depth {depth})"
             );
         }
         index_amount(&ledger, &schemas);
@@ -330,7 +326,7 @@ fn paged_matches_resident(lanes: usize, cache_blocks: usize) {
     let (cold_hits, cold_misses) = store.stats.index_cache_counts();
     assert!(
         cold_misses > 0,
-        "cold suites never paged an index block (lanes {lanes})"
+        "cold suites never paged an index block (depth {depth})"
     );
     assert_suites_match(
         &reference,
@@ -340,7 +336,7 @@ fn paged_matches_resident(lanes: usize, cache_blocks: usize) {
     let (warm_hits, _) = store.stats.index_cache_counts();
     assert!(
         warm_hits > cold_hits,
-        "warm suites never hit the index-block cache (lanes {lanes})"
+        "warm suites never hit the index-block cache (depth {depth})"
     );
     // The cache tier stays within its configured bound.
     assert!(
@@ -351,12 +347,12 @@ fn paged_matches_resident(lanes: usize, cache_blocks: usize) {
 }
 
 #[test]
-fn paged_indexes_match_resident_reference_lane1() {
-    paged_matches_resident(1, 1024);
+fn paged_indexes_match_resident_reference_depth2() {
+    paged_matches_resident(2, 1024);
 }
 
 #[test]
-fn paged_indexes_match_resident_reference_lane4_tiny_cache() {
+fn paged_indexes_match_resident_reference_depth4_tiny_cache() {
     // An eviction-heavy cache (8 blocks across 8 shards) must only be
     // slower, never different.
     paged_matches_resident(4, 8);
@@ -376,7 +372,7 @@ fn open_replays_only_the_tail_behind_checkpoints() {
     };
     {
         let store = Arc::new(BlockStore::open(&dir, cfg.clone()).unwrap());
-        let (ledger, _) = run_lanes_on(store, 2, 1, CHECKPOINT_EVERY, &blocks);
+        let (ledger, _) = run_pipeline_on(store, 2, CHECKPOINT_EVERY, &blocks);
         // Freeze the complete state so the replayed tail is empty.
         ledger.checkpoint_indexes().unwrap();
     }

@@ -1,7 +1,7 @@
 //! Staged-applier equivalence against the direct ledger path.
 //!
-//! The acceptance bar for the one applier: every `depth × lanes`
-//! shape of [`ApplyPipeline`], 1 × 1 included, must produce
+//! The acceptance bar for the one applier: every depth of
+//! [`ApplyPipeline`], 1 included, must produce
 //! byte-identical blocks and identical `QueryResult`s to
 //! `Ledger::append_ordered` + `SchemaManager::apply_block` run one
 //! block at a time on the caller's thread. Plus the
@@ -36,8 +36,8 @@ fn donate_schema(n: u64) -> TableSchema {
 /// ≥100 mixed DDL/insert blocks with fixed timestamps so two runs seal
 /// bit-for-bit identical blocks. Every 10th block carries a CREATE
 /// (schema-sync transaction) for a fresh table; each block's inserts
-/// spread over the tables created so far (so a relation-sharded
-/// applier has multiple lanes' worth of index maintenance per block).
+/// spread over the tables created so far (so the indexer hands each
+/// per-table family only its rows).
 fn mixed_blocks(count: u64) -> Vec<OrderedBlock> {
     let mut tid = 1u64;
     (0..count)
@@ -74,40 +74,33 @@ fn mixed_blocks(count: u64) -> Vec<OrderedBlock> {
         .collect()
 }
 
-/// Drives `blocks` through an [`ApplyPipeline`] of the given depth and
-/// applier lane count over a fresh ledger; returns the
-/// ledger and schema catalog once everything is applied.
-fn run_lanes(
-    depth: usize,
-    lanes: usize,
-    blocks: &[OrderedBlock],
-) -> (Arc<Ledger>, Arc<SchemaManager>) {
-    run_lanes_on(
+/// Drives `blocks` through an [`ApplyPipeline`] of the given depth
+/// over a fresh ledger; returns the ledger and schema catalog once
+/// everything is applied.
+fn run_pipeline(depth: usize, blocks: &[OrderedBlock]) -> (Arc<Ledger>, Arc<SchemaManager>) {
+    run_pipeline_on(
         Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
         depth,
-        lanes,
         blocks,
     )
 }
 
-/// [`run_lanes`] over an explicit store.
-fn run_lanes_on(
+/// [`run_pipeline`] over an explicit store.
+fn run_pipeline_on(
     store: Arc<BlockStore>,
     depth: usize,
-    lanes: usize,
     blocks: &[OrderedBlock],
 ) -> (Arc<Ledger>, Arc<SchemaManager>) {
     let ledger = Arc::new(Ledger::new(store, signer()).unwrap());
     let schemas = Arc::new(SchemaManager::new(None));
     let stopped = Arc::new(AtomicBool::new(false));
     let (tx, rx) = crossbeam::channel::unbounded();
-    let mut pipe = ApplyPipeline::start_with_lanes(
+    let mut pipe = ApplyPipeline::start(
         Arc::clone(&ledger),
         Arc::clone(&schemas),
         rx,
         Arc::clone(&stopped),
         depth,
-        lanes,
     );
     for b in blocks {
         tx.send(b.clone()).unwrap();
@@ -118,17 +111,13 @@ fn run_lanes_on(
             Instant::now() + Duration::from_secs(30),
             || pipe.health().is_poisoned()
         ),
-        "pipeline depth {depth} lanes {lanes} never applied all blocks: {:?}",
+        "pipeline depth {depth} never applied all blocks: {:?}",
         pipe.health().error()
     );
     stopped.store(true, Ordering::Relaxed);
     drop(tx);
     pipe.join();
     (ledger, schemas)
-}
-
-fn run_pipeline(depth: usize, blocks: &[OrderedBlock]) -> (Arc<Ledger>, Arc<SchemaManager>) {
-    run_lanes(depth, 1, blocks)
 }
 
 /// The reference: `blocks` applied by the direct ledger path, one at a
@@ -162,24 +151,29 @@ fn range_query(schema: TableSchema) -> LogicalPlan {
     }
 }
 
+/// The one-core shape (depth 1) and a deep one (depth 4) against the
+/// direct path on the 120-block mixed DDL/insert workload, under the
+/// ambient `SEBDB_THREADS` cap: CI runs this suite at caps 1 and 4,
+/// covering the depth × threads matrix.
 #[test]
 fn pipelined_apply_is_byte_identical_and_query_equivalent() {
-    // Pin exact sequential semantics for every parallel primitive, as
-    // CI's SEBDB_THREADS=1 pass would.
-    sebdb_parallel::set_max_threads(1);
     let blocks = mixed_blocks(120);
     let (direct_ledger, direct_schemas) = run_direct(&blocks);
     assert_eq!(direct_ledger.height(), 120);
     direct_ledger.verify_chain().unwrap();
-    let direct_exec = Executor::new(&direct_ledger, None);
+    // A per-table layered index built on each ledger (control-plane,
+    // applier quiescent) answers identically too.
     let schema = direct_schemas.get("donate3").unwrap();
+    direct_ledger
+        .create_layered_index(&schema, "amount", None)
+        .unwrap();
+    let direct_exec = Executor::new(&direct_ledger, None);
     let trace = LogicalPlan::Trace {
         window: None,
         operator: Some(Value::Bytes(SENDER.as_bytes().to_vec())),
         operation: None,
     };
 
-    // The one-core shape (depth 1, one lane) and a deep one.
     for depth in [1, 4] {
         let (pipe_ledger, pipe_schemas) = run_pipeline(depth, &blocks);
         assert_eq!(pipe_ledger.height(), 120);
@@ -209,8 +203,11 @@ fn pipelined_apply_is_byte_identical_and_query_equivalent() {
         }
 
         // Identical QueryResults across strategies and operators.
+        pipe_ledger
+            .create_layered_index(&schema, "amount", None)
+            .unwrap();
         let pipe_exec = Executor::new(&pipe_ledger, None);
-        for strat in [Strategy::Scan, Strategy::Bitmap] {
+        for strat in [Strategy::Scan, Strategy::Bitmap, Strategy::Layered] {
             let a = direct_exec
                 .execute(&range_query(schema.clone()), strat)
                 .unwrap();
@@ -229,77 +226,14 @@ fn pipelined_apply_is_byte_identical_and_query_equivalent() {
     }
 }
 
-/// The sharded-applier acceptance bar: lanes=4 must be byte-identical
-/// and query-equivalent to the direct ledger path on the 120-block
-/// mixed DDL/insert workload. Runs under the ambient `SEBDB_THREADS` cap — CI drives
-/// this test at both SEBDB_THREADS=1 and SEBDB_THREADS=4, covering the
-/// lanes × threads matrix.
+/// Tentpole acceptance for the partitioned layout: pipeline depth ×
+/// storage partitions must be invisible. Depth-1 and depth-4
+/// pipelines persisting to the unpartitioned and the 8-way
+/// partitioned disk layouts produce byte-identical blocks and
+/// identical `QueryResult`s to the direct ledger path over the
+/// unpartitioned (partitions = 1) layout.
 #[test]
-fn sharded_lanes_are_byte_identical_and_query_equivalent() {
-    let blocks = mixed_blocks(120);
-    let (one_ledger, one_schemas) = run_direct(&blocks);
-    let (four_ledger, four_schemas) = run_lanes(4, 4, &blocks);
-
-    assert_eq!(one_ledger.height(), 120);
-    assert_eq!(four_ledger.height(), 120);
-    assert_eq!(one_ledger.tip_hash(), four_ledger.tip_hash());
-    for bid in 0..120 {
-        let a = one_ledger.read_block(bid).unwrap();
-        let b = four_ledger.read_block(bid).unwrap();
-        assert_eq!(a.to_bytes(), b.to_bytes(), "block {bid} differs");
-    }
-    four_ledger.verify_chain().unwrap();
-    for t in 0..12 {
-        let name = format!("donate{t}");
-        assert!(one_schemas.get(&name).is_some(), "{name} missing (direct)");
-        assert!(
-            four_schemas.get(&name).is_some(),
-            "{name} missing (lanes=4)"
-        );
-    }
-
-    // Per-table layered indexes built on both ledgers (control-plane,
-    // applier quiescent) answer identically — the shards a lane
-    // maintained in parallel hold the same entries as the direct
-    // build.
-    let schema = one_schemas.get("donate3").unwrap();
-    one_ledger
-        .create_layered_index(&schema, "amount", None)
-        .unwrap();
-    four_ledger
-        .create_layered_index(&schema, "amount", None)
-        .unwrap();
-    let one_exec = Executor::new(&one_ledger, None);
-    let four_exec = Executor::new(&four_ledger, None);
-    for strat in [Strategy::Scan, Strategy::Bitmap, Strategy::Layered] {
-        let a = one_exec
-            .execute(&range_query(schema.clone()), strat)
-            .unwrap();
-        let b = four_exec
-            .execute(&range_query(schema.clone()), strat)
-            .unwrap();
-        assert_eq!(a, b, "{strat:?} range query diverged across lane counts");
-        assert!(!a.is_empty());
-    }
-    // The chain-shard system tracking indexes (lane 0) agree too.
-    let trace = LogicalPlan::Trace {
-        window: None,
-        operator: Some(Value::Bytes(SENDER.as_bytes().to_vec())),
-        operation: None,
-    };
-    let a = one_exec.execute(&trace, Strategy::Layered).unwrap();
-    let b = four_exec.execute(&trace, Strategy::Layered).unwrap();
-    assert_eq!(a, b, "trace diverged across lane counts");
-    assert_eq!(a.len(), 120 * 5);
-}
-
-/// Tentpole acceptance for the partitioned layout: applier lanes ×
-/// storage partitions must be invisible. A depth-4/lanes=4 pipeline
-/// persisting to the 8-way partitioned disk layout produces
-/// byte-identical blocks and identical `QueryResult`s to the direct
-/// ledger path over the unpartitioned (partitions = 1) layout.
-#[test]
-fn lanes_by_partitions_matches_sequential_reference() {
+fn depths_by_partitions_match_sequential_reference() {
     let blocks = mixed_blocks(60);
     let store = |partitions: usize| {
         let store = BlockStore::temporary(StoreConfig {
@@ -312,40 +246,44 @@ fn lanes_by_partitions_matches_sequential_reference() {
         Arc::new(store)
     };
     let (ref_ledger, ref_schemas) = run_direct_on(store(1), &blocks);
-    let (par_ledger, par_schemas) = run_lanes_on(store(8), 4, 4, &blocks);
-
     assert_eq!(ref_ledger.height(), 60);
-    assert_eq!(par_ledger.height(), 60);
-    assert_eq!(ref_ledger.tip_hash(), par_ledger.tip_hash());
-    for bid in 0..60 {
-        let a = ref_ledger.read_block(bid).unwrap();
-        let b = par_ledger.read_block(bid).unwrap();
-        assert_eq!(a.to_bytes(), b.to_bytes(), "block {bid} differs");
-    }
-    par_ledger.verify_chain().unwrap();
-
     let schema = ref_schemas.get("donate3").unwrap();
-    assert!(par_schemas.get("donate3").is_some());
     let ref_exec = Executor::new(&ref_ledger, None);
-    let par_exec = Executor::new(&par_ledger, None);
-    for strat in [Strategy::Scan, Strategy::Bitmap] {
-        let a = ref_exec
-            .execute(&range_query(schema.clone()), strat)
-            .unwrap();
-        let b = par_exec
-            .execute(&range_query(schema.clone()), strat)
-            .unwrap();
-        assert_eq!(a, b, "{strat:?} diverged across lanes x partitions");
-        assert!(!a.is_empty());
-    }
     let trace = LogicalPlan::Trace {
         window: None,
         operator: Some(Value::Bytes(SENDER.as_bytes().to_vec())),
         operation: None,
     };
-    let a = ref_exec.execute(&trace, Strategy::Layered).unwrap();
-    let b = par_exec.execute(&trace, Strategy::Layered).unwrap();
-    assert_eq!(a, b, "trace diverged across lanes x partitions");
+    for depth in [1, 4] {
+        for partitions in [1, 8] {
+            let shape = format!("depth {depth} x partitions {partitions}");
+            let (par_ledger, par_schemas) = run_pipeline_on(store(partitions), depth, &blocks);
+            assert_eq!(par_ledger.height(), 60);
+            assert_eq!(ref_ledger.tip_hash(), par_ledger.tip_hash());
+            for bid in 0..60 {
+                let a = ref_ledger.read_block(bid).unwrap();
+                let b = par_ledger.read_block(bid).unwrap();
+                assert_eq!(a.to_bytes(), b.to_bytes(), "{shape}: block {bid} differs");
+            }
+            par_ledger.verify_chain().unwrap();
+            assert!(par_schemas.get("donate3").is_some());
+
+            let par_exec = Executor::new(&par_ledger, None);
+            for strat in [Strategy::Scan, Strategy::Bitmap] {
+                let a = ref_exec
+                    .execute(&range_query(schema.clone()), strat)
+                    .unwrap();
+                let b = par_exec
+                    .execute(&range_query(schema.clone()), strat)
+                    .unwrap();
+                assert_eq!(a, b, "{shape}: {strat:?} diverged");
+                assert!(!a.is_empty());
+            }
+            let a = ref_exec.execute(&trace, Strategy::Layered).unwrap();
+            let b = par_exec.execute(&trace, Strategy::Layered).unwrap();
+            assert_eq!(a, b, "{shape}: trace diverged");
+        }
+    }
 }
 
 #[test]
@@ -380,13 +318,12 @@ fn crash_between_stages_restarts_consistent_and_pipeline_continues() {
     }
     let stopped = Arc::new(AtomicBool::new(false));
     let (tx, rx) = crossbeam::channel::unbounded();
-    let mut pipe = ApplyPipeline::start_with_lanes(
+    let mut pipe = ApplyPipeline::start(
         Arc::clone(&ledger),
         Arc::clone(&schemas),
         rx,
         Arc::clone(&stopped),
         3,
-        1,
     );
     for b in &blocks[11..] {
         tx.send(b.clone()).unwrap();

@@ -241,7 +241,7 @@ fn crash_between_persist_and_fold_heals_on_reopen() {
 }
 
 #[test]
-fn pipeline_view_folder_folds_behind_the_index_lanes() {
+fn pipeline_view_folder_folds_behind_the_indexer() {
     let ledger = Arc::new(
         Ledger::new(
             Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
@@ -255,14 +255,7 @@ fn pipeline_view_folder_folds_behind_the_index_lanes() {
     let schemas = Arc::new(SchemaManager::new(None));
     let stopped = Arc::new(AtomicBool::new(false));
     let (tx, rx) = crossbeam::channel::unbounded();
-    let mut pipe = ApplyPipeline::start_with_lanes(
-        Arc::clone(&ledger),
-        schemas,
-        rx,
-        Arc::clone(&stopped),
-        3,
-        4,
-    );
+    let mut pipe = ApplyPipeline::start(Arc::clone(&ledger), schemas, rx, Arc::clone(&stopped), 3);
     for seq in 0..15u64 {
         tx.send(mixed_block(seq)).unwrap();
     }

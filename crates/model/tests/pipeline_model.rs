@@ -3,10 +3,14 @@
 //! depth-1 channel; the indexer indexes and then advances the applied
 //! height, which height-waiters observe through a condvar.
 //!
-//! The invariant under test is the ledger's height contract:
-//! `applied <= indexed <= persisted` at every observable point — the
+//! The invariants under test are the ledger's height contract —
+//! `applied <= indexed <= persisted` at every observable point, so the
 //! applied height only advances once a block is both persisted and
-//! indexed (chain height may run ahead; applied height never does).
+//! indexed (chain height may run ahead; applied height never does) —
+//! and chain order: the indexer sees every block exactly once, in
+//! sealed order. Seeded negative models (applied advanced before the
+//! index write; blocks handed over out of order) prove the checker
+//! catches both.
 
 use sebdb_model::{channel, check, explore, race::Tracked, sync, thread, Options};
 use std::sync::Arc;
@@ -51,28 +55,55 @@ impl Ledger {
     }
 }
 
+/// The seeded bug a [`main_model`] run carries, if any.
+#[derive(Clone, Copy, PartialEq)]
+enum Bug {
+    None,
+    /// The indexer advances applied before the index write lands.
+    ApplyFirst,
+    /// The sealer hands blocks over in reverse chain order.
+    Reorder,
+}
+
 /// Sealer stage: persist each block, then hand it to the indexer.
-/// Returns early if the indexer is gone (crash model).
-fn run_sealer(ledger: &Ledger, to_indexer: &channel::Sender<u64>) {
-    for h in 1..=BLOCKS {
-        ledger.heights.lock().persisted.set(h);
+/// Returns early if the indexer is gone (crash model). With `reorder`
+/// (the seeded bug) everything is persisted up front and handed over
+/// in reverse, so only the ordering check can fire.
+fn run_sealer(ledger: &Ledger, to_indexer: &channel::Sender<u64>, reorder: bool) {
+    let heights: Vec<u64> = if reorder {
+        ledger.heights.lock().persisted.set(BLOCKS);
+        (1..=BLOCKS).rev().collect()
+    } else {
+        (1..=BLOCKS).collect()
+    };
+    for h in heights {
+        if !reorder {
+            ledger.heights.lock().persisted.set(h);
+        }
         if to_indexer.send(h).is_err() {
             return;
         }
     }
 }
 
-fn main_model(ledger: Arc<Ledger>, broken_apply_first: bool) {
+fn main_model(ledger: Arc<Ledger>, bug: Bug) {
     let (seal_tx, seal_rx) = channel::bounded::<u64>(1);
     let sealer = {
         let ledger = Arc::clone(&ledger);
-        thread::spawn(move || run_sealer(&ledger, &seal_tx))
+        thread::spawn(move || run_sealer(&ledger, &seal_tx, bug == Bug::Reorder))
     };
     let indexer = {
         let ledger = Arc::clone(&ledger);
         thread::spawn(move || {
+            let mut last = 0u64;
             while let Ok(h) = seal_rx.recv() {
-                if broken_apply_first {
+                assert_eq!(
+                    h,
+                    last + 1,
+                    "indexer received height {h} after {last}: chain order broken"
+                );
+                last = h;
+                if bug == Bug::ApplyFirst {
                     // The seeded bug: applied advances before the index
                     // write lands — waiters can observe an applied
                     // block that is not yet indexed.
@@ -118,7 +149,7 @@ fn height_invariant_holds_on_every_schedule() {
             max_depth: 40,
             prune: false,
         },
-        || main_model(Ledger::new(), false),
+        || main_model(Ledger::new(), Bug::None),
     );
     assert!(
         report.schedules >= 500,
@@ -144,13 +175,33 @@ fn applied_before_indexed_is_caught() {
             max_depth: 40,
             prune: false,
         },
-        || main_model(Ledger::new(), true),
+        || main_model(Ledger::new(), Bug::ApplyFirst),
     );
     let failure = report
         .failure
         .expect("the applied-before-indexed bug must be caught");
     assert!(
         failure.message.contains("height invariant violated"),
+        "unexpected failure: {}",
+        failure.message
+    );
+}
+
+#[test]
+fn reordered_delivery_is_caught() {
+    let report = explore(
+        Options {
+            max_schedules: 20_000,
+            max_depth: 40,
+            prune: false,
+        },
+        || main_model(Ledger::new(), Bug::Reorder),
+    );
+    let failure = report
+        .failure
+        .expect("the reordered-delivery bug must be caught");
+    assert!(
+        failure.message.contains("chain order broken"),
         "unexpected failure: {}",
         failure.message
     );
@@ -174,7 +225,7 @@ fn indexer_poison_wakes_height_waiters() {
             let (seal_tx, seal_rx) = channel::bounded::<u64>(1);
             let sealer = {
                 let ledger = Arc::clone(&ledger);
-                thread::spawn(move || run_sealer(&ledger, &seal_tx))
+                thread::spawn(move || run_sealer(&ledger, &seal_tx, false))
             };
             let indexer = {
                 let ledger = Arc::clone(&ledger);
@@ -235,7 +286,7 @@ fn crash_at_stage_boundary_recovers() {
             let (seal_tx, seal_rx) = channel::bounded::<u64>(1);
             let sealer = {
                 let ledger = Arc::clone(&ledger);
-                thread::spawn(move || run_sealer(&ledger, &seal_tx))
+                thread::spawn(move || run_sealer(&ledger, &seal_tx, false))
             };
             let indexer = {
                 let ledger = Arc::clone(&ledger);
