@@ -287,7 +287,6 @@ impl Ledger {
     /// the pipeline's indexer runs it after [`Self::index_block`].
     pub(crate) fn advance_applied(&self, to: BlockId) {
         let guard = self.height_watch.lock();
-        // Monotone: the applied height only ever moves forward.
         if to > self.applied.load(Ordering::Acquire) {
             self.applied.store(to, Ordering::Release);
         }

@@ -1,9 +1,8 @@
 //! The staged write pipeline: seal | persist | index | view fold.
 //!
-//! The applier used to run every stage on one thread, so the
-//! Merkle + MAC work of sealing block N serialized behind the index
-//! updates of block N−1 even though they touch disjoint state. The
-//! stages now run on their own threads over bounded channels:
+//! Each stage runs on its own thread over bounded channels, so the
+//! Merkle + MAC work of sealing block N overlaps the index updates of
+//! block N−1 (they touch disjoint state):
 //!
 //! ```text
 //!  consensus stream      bounded          bounded

@@ -286,9 +286,9 @@ impl LayeredIndex {
     /// Per-relation maintenance entry point: indexes a newly chained
     /// block from a pre-partitioned tuple set. `rows` are the positions
     /// (ascending) of the block's transactions that belong to this
-    /// index's relation — the relation-sharded applier partitions each
-    /// sealed block by `Tname` once and hands every lane exactly its
-    /// rows, so per-table indexes skip the full-block `covers` scan.
+    /// index's relation — the applier partitions each sealed block by
+    /// `Tname` once and hands every per-table family exactly its rows,
+    /// so per-table indexes skip the full-block `covers` scan.
     /// Equivalent to [`Self::update`] when `rows` holds exactly the
     /// covered positions, which the caller guarantees.
     pub fn update_rows(&mut self, block: &Block, rows: &[u32]) {
@@ -662,8 +662,7 @@ impl LayeredIndex {
 
     /// Freezes the complete state (frozen ∪ tail) into one checkpoint
     /// covering `[0, covered)` — the full-rewrite merge an LSM
-    /// compaction would do, run by the indexer lane that owns this
-    /// family.
+    /// compaction would do, run by the applier's indexer.
     pub fn checkpoint(&self) -> IndexCheckpoint {
         let mut cp = CheckpointBuilder::sweep("layered", self.frozen.as_ref());
         let base = self.base();

@@ -116,8 +116,8 @@ impl Model {
 }
 
 /// Applier: persist-and-index block `h` (send it downstream first, as
-/// the persister fans out before the lanes finish), then advance the
-/// applied height and wake waiters.
+/// the persister hands it out before the indexer finishes), then
+/// advance the applied height and wake waiters.
 fn run_applier(model: &Model, folder: channel::Sender<u64>, die_at: Option<u64>) {
     for h in 0..BLOCKS {
         if die_at == Some(h) {
