@@ -147,6 +147,15 @@ for line in 'verification passed ✓' 'tampered response rejected ✓'; do
   grep -qF "$line" <<<"$out" || { echo "ci: thin_client_verify did not print '$line'"; exit 1; }
 done
 
+# Every orderer end to end on the production clock (wall time, the
+# event loop's condvar): PBFT with an equivocating replica under a node,
+# then Kafka and Tendermint through Fig. 7's smoke sweep.
+echo "==> cargo run --release --example supply_chain -p sebdb"
+out="$(cargo run -q --release --example supply_chain -p sebdb)"
+grep -qF 'chain verified over PBFT' <<<"$out" || { echo "ci: supply_chain did not verify its chain"; exit 1; }
+echo "==> cargo run --release -p sebdb-bench --bin figures -- fig7 smoke"
+cargo run -q --release -p sebdb-bench --bin figures -- fig7 smoke
+
 # The end-to-end benchmark package builds against the engine's public
 # surface through one adapter (benchmark/src/engine.rs); a reshaped
 # engine must fail here, not in the measuring pipeline.

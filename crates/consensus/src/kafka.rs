@@ -8,21 +8,18 @@
 //! tolerant only — no Byzantine protection, which is why it is faster
 //! than the BFT engines in Fig. 7.
 
+use crate::engine::{admit_batches, Fanout};
 use crate::mempool::{AdmissionVerifier, Mempool};
 use crate::traits::{now_ms, BatchConfig, CommitAck, Consensus, ConsensusError, OrderedBlock};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 use sebdb_types::Transaction;
 use std::sync::Arc;
 
-struct BrokerShared {
-    subscribers: Mutex<Vec<Sender<OrderedBlock>>>,
-}
-
 /// The Kafka-style ordering engine.
 pub struct KafkaOrderer {
     mempool: Arc<Mempool>,
-    shared: Arc<BrokerShared>,
+    fanout: Arc<Fanout>,
     broker: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
@@ -30,17 +27,27 @@ impl KafkaOrderer {
     /// Starts the broker with the given packaging policy.
     pub fn start(config: BatchConfig) -> Arc<Self> {
         let mempool = Arc::new(Mempool::new(config));
-        let shared = Arc::new(BrokerShared {
-            subscribers: Mutex::new(Vec::new()),
-        });
+        let fanout = Arc::new(Fanout::new());
+        // The single-partition consumer: the offset of each admitted
+        // batch is its block's sequence number.
         let broker = {
-            let mempool = Arc::clone(&mempool);
-            let shared = Arc::clone(&shared);
-            sebdb_parallel::spawn_service("kafka-broker", move || broker_loop(mempool, shared))
+            let (mempool, fanout) = (Arc::clone(&mempool), Arc::clone(&fanout));
+            sebdb_parallel::spawn_service("kafka-broker", move || {
+                let mut next_seq = 0;
+                admit_batches(&mempool, &fanout, |txs| {
+                    let block = OrderedBlock {
+                        seq: next_seq,
+                        timestamp_ms: now_ms(),
+                        txs,
+                    };
+                    next_seq += 1;
+                    fanout.deliver(&block);
+                })
+            })
         };
         Arc::new(KafkaOrderer {
             mempool,
-            shared,
+            fanout,
             broker: Mutex::new(Some(broker)),
         })
     }
@@ -53,58 +60,13 @@ impl KafkaOrderer {
     }
 }
 
-/// The single-partition consumer: drains coalesced batches from the
-/// mempool, runs batch admission, assigns offsets (tids), and fans the
-/// ordered blocks out to every subscriber.
-fn broker_loop(mempool: Arc<Mempool>, shared: Arc<BrokerShared>) {
-    let mut next_tid: u64 = 1;
-    let mut next_seq: u64 = 0;
-    loop {
-        let Some(batch) = mempool.next_batch() else {
-            // Closed: reject anything still pending.
-            for (_, ack) in mempool.take_remaining() {
-                let _ = ack.send(Err(ConsensusError::Stopped));
-            }
-            return;
-        };
-        let batch = mempool.admit(batch);
-        if batch.is_empty() {
-            continue;
-        }
-        let seq = next_seq;
-        next_seq += 1;
-        let mut txs = Vec::with_capacity(batch.len());
-        let mut acks = Vec::with_capacity(batch.len());
-        for (mut tx, ack) in batch {
-            // The ordering service assigns the globally incremental tid.
-            tx.tid = next_tid;
-            next_tid += 1;
-            acks.push((tx.tid, ack));
-            txs.push(tx);
-        }
-        let block = OrderedBlock {
-            seq,
-            timestamp_ms: now_ms(),
-            txs,
-        };
-        for sub in shared.subscribers.lock().iter() {
-            let _ = sub.send(block.clone());
-        }
-        for (tid, ack) in acks {
-            let _ = ack.send(Ok(CommitAck { tid, seq }));
-        }
-    }
-}
-
 impl Consensus for KafkaOrderer {
     fn submit(&self, tx: Transaction) -> Receiver<Result<CommitAck, ConsensusError>> {
         self.mempool.submit(tx)
     }
 
     fn subscribe(&self) -> Receiver<OrderedBlock> {
-        let (tx, rx) = unbounded();
-        self.shared.subscribers.lock().push(tx);
-        rx
+        self.fanout.subscribe()
     }
 
     fn shutdown(&self) {

@@ -18,9 +18,10 @@
 //! exit, and only a batch containing a forgery pays the per-verdict
 //! pass that rejects the bad transactions individually.
 //!
-//! (The Tendermint engine keeps its own validator-local mempool with
-//! serial CheckTx — that serialization is the Fig. 7 bottleneck the
-//! reproduction preserves on purpose.)
+//! All three engines admit through it (`crate::engine`). Tendermint
+//! runs its serial per-transaction CheckTx before `submit` — that
+//! serialization is the Fig. 7 bottleneck the reproduction preserves on
+//! purpose.
 
 use crate::traits::{BatchConfig, CommitAck, ConsensusError};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -82,19 +83,25 @@ impl Mempool {
     /// commit/reject message once the producer has processed it.
     pub fn submit(&self, tx: Transaction) -> Receiver<Result<CommitAck, ConsensusError>> {
         let (ack_tx, ack_rx) = bounded(1);
+        self.enqueue(tx, ack_tx);
+        ack_rx
+    }
+
+    /// [`Self::submit`] with the ack channel the caller already handed
+    /// out.
+    pub(crate) fn enqueue(&self, tx: Transaction, ack: AckSender) {
         let mut st = self.state.lock();
         if st.closed.get() {
             drop(st);
-            let _ = ack_tx.send(Err(ConsensusError::Stopped));
-            return ack_rx;
+            let _ = ack.send(Err(ConsensusError::Stopped));
+            return;
         }
         if st.queue.with(VecDeque::is_empty) {
             st.first_pending.set(Some(Instant::now()));
         }
-        st.queue.with_mut(|q| q.push_back((tx, ack_tx)));
+        st.queue.with_mut(|q| q.push_back((tx, ack)));
         drop(st);
         self.arrived.notify_one();
-        ack_rx
     }
 
     /// Number of transactions currently pending.

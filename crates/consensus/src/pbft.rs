@@ -1,4 +1,4 @@
-//! PBFT (Castro & Liskov, OSDI'99) over the simulated network.
+//! PBFT (Castro & Liskov, OSDI'99) as a sans-I/O core.
 //!
 //! The normal-case three-phase protocol with `n = 3f + 1` replicas:
 //! the primary assigns sequence numbers and broadcasts `PRE-PREPARE`;
@@ -6,7 +6,8 @@
 //! `2f` matching prepares), broadcast `COMMIT`; a block is delivered
 //! once *committed-local* (`2f + 1` matching commits). Delivery is
 //! strictly in sequence order, so every honest replica applies the
-//! same block stream.
+//! same block stream. A [`Replica`] holds no clock, thread or channel:
+//! the event loop steps it (`crate::engine`).
 //!
 //! Scope note: this engine implements the normal-case operation that
 //! the paper's write benchmark (Fig. 7) exercises; view changes are
@@ -14,23 +15,17 @@
 //! *backup* replicas may be Byzantine (the tests inject one that
 //! equivocates on digests).
 
-use crate::mempool::{AckSender, AdmissionVerifier, Mempool};
-use crate::traits::{now_ms, BatchConfig, CommitAck, Consensus, ConsensusError, OrderedBlock};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use crate::engine::BftEngine;
+use crate::traits::{BatchConfig, OrderedBlock};
 use sebdb_crypto::sha256::{Digest, Sha256};
-use sebdb_network::sim::{NetConfig, NodeId, SimNet};
+use sebdb_network::sim::{EventLoop, Input, NetConfig, Node, NodeId, Output};
 use sebdb_types::{Codec, Transaction};
 use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// PBFT protocol messages.
 #[derive(Debug, Clone)]
 pub enum PbftMsg {
-    /// Batcher → primary: an ordered batch awaiting a sequence number.
-    Request(Vec<Transaction>),
     /// Primary → all: sequence assignment.
     PrePrepare {
         /// Protocol view (fixed at 0 — no view changes).
@@ -61,6 +56,8 @@ pub enum PbftMsg {
         digest: Digest,
     },
 }
+
+type Out = Output<PbftMsg, OrderedBlock>;
 
 fn block_digest(block: &OrderedBlock) -> Digest {
     let mut h = Sha256::new();
@@ -101,67 +98,71 @@ impl SeqState {
     }
 }
 
-struct Replica {
+/// One PBFT replica; replica 0 is the primary.
+pub struct Replica {
     id: NodeId,
     f: usize,
-    net: Arc<SimNet<PbftMsg>>,
-    inbox: Receiver<sebdb_network::sim::Envelope<PbftMsg>>,
     seqs: BTreeMap<u64, SeqState>,
     next_deliver: u64,
     next_seq: u64, // primary only
-    deliveries: Sender<(NodeId, OrderedBlock)>,
     /// When set, equivocate: vote for a corrupted digest (test hook).
     byzantine: bool,
-    stopped: Arc<AtomicBool>,
 }
 
-impl Replica {
-    fn run(mut self) {
-        while !self.stopped.load(Ordering::Relaxed) {
-            match self.inbox.recv_timeout(Duration::from_millis(20)) {
-                Ok(env) => self.handle(env.from, env.msg),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-        }
-    }
+impl Node for Replica {
+    type Msg = PbftMsg;
+    type Batch = Vec<Transaction>;
+    type Delivery = OrderedBlock;
 
-    fn broadcast_and_self(&mut self, msg: PbftMsg) {
-        // Deliver to self synchronously (a replica trusts its own vote)
-        // and to peers over the network.
-        self.net.broadcast(self.id, msg.clone());
-        self.handle(self.id, msg);
-    }
-
-    fn corrupt(&self, d: Digest) -> Digest {
-        let mut h = Sha256::new();
-        h.update(b"byzantine");
-        h.update(d.as_bytes());
-        h.finalize()
-    }
-
-    fn handle(&mut self, from: NodeId, msg: PbftMsg) {
-        match msg {
-            PbftMsg::Request(txs) => {
-                // Only the primary sequences requests.
-                if self.id != 0 {
-                    return;
-                }
+    /// The primary sequences each admitted batch at `now_ms`; every
+    /// replica votes on what it hears.
+    fn step(&mut self, now_ms: u64, input: Input<PbftMsg, Vec<Transaction>>) -> Vec<Out> {
+        let mut out = Vec::new();
+        match input {
+            Input::Batch(txs) if self.id == 0 => {
                 let seq = self.next_seq;
                 self.next_seq += 1;
                 let block = OrderedBlock {
                     seq,
-                    timestamp_ms: now_ms(),
+                    timestamp_ms: now_ms,
                     txs,
                 };
                 let digest = block_digest(&block);
-                self.broadcast_and_self(PbftMsg::PrePrepare {
+                let msg = PbftMsg::PrePrepare {
                     view: 0,
                     seq,
                     digest,
                     block,
-                });
+                };
+                self.broadcast_and_self(msg, &mut out);
             }
+            Input::Msg { from, msg } => self.handle(from, msg, &mut out),
+            Input::Batch(_) | Input::Deadline => {}
+        }
+        out
+    }
+}
+
+impl Replica {
+    fn broadcast_and_self(&mut self, msg: PbftMsg, out: &mut Vec<Out>) {
+        // Peers hear it over the network; a replica trusts its own vote.
+        out.push(Output::Broadcast(msg.clone()));
+        self.handle(self.id, msg, out);
+    }
+
+    /// The digest this replica votes for: a Byzantine one equivocates.
+    fn vote(&self, digest: Digest) -> Digest {
+        if !self.byzantine {
+            return digest;
+        }
+        let mut h = Sha256::new();
+        h.update(b"byzantine");
+        h.update(digest.as_bytes());
+        h.finalize()
+    }
+
+    fn handle(&mut self, from: NodeId, msg: PbftMsg, out: &mut Vec<Out>) {
+        match msg {
             PbftMsg::PrePrepare {
                 view,
                 seq,
@@ -181,98 +182,66 @@ impl Replica {
                 }
                 state.block = Some(block);
                 state.digest = Some(digest);
-                let vote = if self.byzantine {
-                    self.corrupt(digest)
-                } else {
-                    digest
-                };
-                self.broadcast_and_self(PbftMsg::Prepare {
-                    view: 0,
-                    seq,
-                    digest: vote,
-                });
-                self.try_advance(seq);
+                let digest = self.vote(digest);
+                self.broadcast_and_self(PbftMsg::Prepare { view, seq, digest }, out);
+                self.try_advance(seq, out);
             }
             PbftMsg::Prepare { view, seq, digest } => {
                 if view != 0 {
                     return;
                 }
-                let state = self.seqs.entry(seq).or_default();
-                state.prepares.insert((from, digest));
-                self.try_advance(seq);
+                self.seqs
+                    .entry(seq)
+                    .or_default()
+                    .prepares
+                    .insert((from, digest));
+                self.try_advance(seq, out);
             }
             PbftMsg::Commit { view, seq, digest } => {
                 if view != 0 {
                     return;
                 }
-                let state = self.seqs.entry(seq).or_default();
-                state.commits.insert((from, digest));
-                self.try_advance(seq);
+                self.seqs
+                    .entry(seq)
+                    .or_default()
+                    .commits
+                    .insert((from, digest));
+                self.try_advance(seq, out);
             }
         }
     }
 
-    fn try_advance(&mut self, seq: u64) {
+    fn try_advance(&mut self, seq: u64, out: &mut Vec<Out>) {
         // Prepared: pre-prepare + 2f prepares (own vote counts).
-        let (prepared, digest) = {
-            let Some(state) = self.seqs.get(&seq) else {
-                return;
-            };
-            let Some(d) = state.digest else { return };
-            (state.prepare_count() >= 2 * self.f, d)
+        let Some(state) = self.seqs.get_mut(&seq) else {
+            return;
         };
-        if prepared {
-            let first_commit = match self.seqs.get_mut(&seq) {
-                Some(state) if !state.sent_commit => {
-                    state.sent_commit = true;
-                    true
-                }
-                _ => false,
-            };
-            if first_commit {
-                let vote = if self.byzantine {
-                    self.corrupt(digest)
-                } else {
-                    digest
-                };
-                self.broadcast_and_self(PbftMsg::Commit {
+        let Some(digest) = state.digest else { return };
+        if state.prepare_count() >= 2 * self.f && !state.sent_commit {
+            state.sent_commit = true;
+            let digest = self.vote(digest);
+            self.broadcast_and_self(
+                PbftMsg::Commit {
                     view: 0,
                     seq,
-                    digest: vote,
-                });
-            }
+                    digest,
+                },
+                out,
+            );
         }
         // Committed-local: 2f + 1 commits. Deliver in order.
-        loop {
-            let quorum = 2 * self.f;
-            let Some(state) = self.seqs.get_mut(&self.next_deliver) else {
-                break;
-            };
-            if state.delivered || state.commit_count() <= quorum {
+        while let Some(state) = self.seqs.get_mut(&self.next_deliver) {
+            if state.delivered || state.commit_count() <= 2 * self.f {
                 break;
             }
             let Some(block) = state.block.clone() else {
                 break;
             };
             state.delivered = true;
-            let _ = self.deliveries.send((self.id, block));
+            out.push(Output::Deliver(block));
             self.next_deliver += 1;
         }
     }
-}
-
-struct PbftShared {
-    subscribers: Mutex<Vec<Sender<OrderedBlock>>>,
-    pending_acks: Mutex<BTreeMap<u64, Vec<(u64, AckSender)>>>,
-    stopped: Arc<AtomicBool>,
-}
-
-/// The PBFT consensus engine (4 replicas by default, tolerating f=1).
-pub struct PbftEngine {
-    mempool: Arc<Mempool>,
-    shared: Arc<PbftShared>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    n: usize,
 }
 
 /// Options for the PBFT engine.
@@ -300,180 +269,52 @@ impl Default for PbftConfig {
     }
 }
 
-impl PbftEngine {
-    /// Starts replicas, the batcher, and the delivery fan-out.
-    pub fn start(config: PbftConfig) -> Arc<Self> {
-        assert!(
-            !config.byzantine.contains(&0),
-            "primary faults require view changes (unsupported)"
-        );
-        let n = 3 * config.f + 1;
-        let net: Arc<SimNet<PbftMsg>> = SimNet::new(config.net.clone());
-        let stopped = Arc::new(AtomicBool::new(false));
-        let shared = Arc::new(PbftShared {
-            subscribers: Mutex::new(Vec::new()),
-            pending_acks: Mutex::new(BTreeMap::new()),
-            stopped: Arc::clone(&stopped),
-        });
-        let (deliver_tx, deliver_rx) = unbounded::<(NodeId, OrderedBlock)>();
-        let mut threads = Vec::new();
-
-        // Replicas 0..n.
-        let mut inboxes = Vec::new();
-        for _ in 0..n {
-            inboxes.push(net.register());
-        }
-        // An extra network endpoint for the batcher.
-        let (batcher_id, _batcher_rx) = net.register();
-        for (id, inbox) in inboxes {
-            let replica = Replica {
+/// The `3f + 1` replicas of `config` on one event loop, at time 0.
+pub fn cluster(config: &PbftConfig) -> EventLoop<Replica> {
+    assert!(
+        !config.byzantine.contains(&0),
+        "primary faults require view changes (unsupported)"
+    );
+    let replicas = (0..3 * config.f + 1)
+        .map(|id| {
+            Some(Replica {
                 id,
                 f: config.f,
-                net: Arc::clone(&net),
-                inbox,
                 seqs: BTreeMap::new(),
                 next_deliver: 0,
                 next_seq: 0,
-                deliveries: deliver_tx.clone(),
                 byzantine: config.byzantine.contains(&id),
-                stopped: Arc::clone(&stopped),
-            };
-            threads.push(sebdb_parallel::spawn_service("pbft-replica", move || {
-                replica.run()
-            }));
-        }
-        drop(deliver_tx);
-
-        // Batcher: drains coalesced client batches from the mempool and
-        // sends sequenced requests to the primary.
-        let mempool = Arc::new(Mempool::new(config.batch));
-        {
-            let net = Arc::clone(&net);
-            let shared = Arc::clone(&shared);
-            let mempool = Arc::clone(&mempool);
-            threads.push(sebdb_parallel::spawn_service("pbft-batcher", move || {
-                batcher_loop(mempool, net, batcher_id, shared)
-            }));
-        }
-
-        // Delivery fan-out: replica 0's stream drives subscribers and acks.
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(sebdb_parallel::spawn_service("pbft-deliver", move || {
-                for (replica, block) in deliver_rx.iter() {
-                    if replica != 0 {
-                        continue;
-                    }
-                    for sub in shared.subscribers.lock().iter() {
-                        let _ = sub.send(block.clone());
-                    }
-                    if let Some(acks) = shared.pending_acks.lock().remove(&block.seq) {
-                        for (tid, ack) in acks {
-                            let _ = ack.send(Ok(CommitAck {
-                                tid,
-                                seq: block.seq,
-                            }));
-                        }
-                    }
-                }
-            }));
-        }
-
-        Arc::new(PbftEngine {
-            mempool,
-            shared,
-            threads: Mutex::new(threads),
-            n,
+            })
         })
-    }
-
-    /// Number of replicas.
-    pub fn replica_count(&self) -> usize {
-        self.n
-    }
-
-    /// Installs a batch admission verifier: every drained batch has its
-    /// signing-payload MACs checked across workers before the primary
-    /// sequences it, and forged transactions are rejected individually.
-    pub fn set_tx_verifier(&self, verifier: Option<Box<AdmissionVerifier>>) {
-        self.mempool.set_verifier(verifier);
-    }
+        .collect();
+    EventLoop::new(replicas, &config.net)
 }
 
-/// Drains coalesced batches from the mempool, runs batch admission,
-/// assigns tids, registers acks under the mirrored sequence number, and
-/// forwards the batch to the primary for three-phase ordering.
-fn batcher_loop(
-    mempool: Arc<Mempool>,
-    net: Arc<SimNet<PbftMsg>>,
-    batcher_id: NodeId,
-    shared: Arc<PbftShared>,
-) {
-    let mut next_tid: u64 = 1;
-    let mut next_batch_seq: u64 = 0; // mirrors the primary's assignment
-    loop {
-        let Some(batch) = mempool.next_batch() else {
-            for (_, ack) in mempool.take_remaining() {
-                let _ = ack.send(Err(ConsensusError::Stopped));
-            }
-            return;
-        };
-        let batch = mempool.admit(batch);
-        if batch.is_empty() {
-            continue;
-        }
-        let seq = next_batch_seq;
-        next_batch_seq += 1;
-        let mut txs = Vec::with_capacity(batch.len());
-        {
-            let mut acks = shared.pending_acks.lock();
-            let entry = acks.entry(seq).or_default();
-            for (mut tx, ack) in batch {
-                tx.tid = next_tid;
-                next_tid += 1;
-                entry.push((tx.tid, ack));
-                txs.push(tx);
-            }
-        }
-        net.send(batcher_id, 0, PbftMsg::Request(txs));
-    }
-}
+/// The PBFT consensus engine (4 replicas by default, tolerating f=1).
+pub type PbftEngine = BftEngine<Replica>;
 
-impl Consensus for PbftEngine {
-    fn submit(&self, tx: Transaction) -> Receiver<Result<CommitAck, ConsensusError>> {
-        self.mempool.submit(tx)
-    }
-
-    fn subscribe(&self) -> Receiver<OrderedBlock> {
-        let (tx, rx) = unbounded();
-        self.shared.subscribers.lock().push(tx);
-        rx
-    }
-
-    fn shutdown(&self) {
-        self.mempool.close();
-        self.shared.stopped.store(true, Ordering::Relaxed);
-        for h in self.threads.lock().drain(..) {
-            let _ = h.join();
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "pbft"
-    }
-}
-
-impl Drop for PbftEngine {
-    fn drop(&mut self) {
-        self.shutdown();
+impl PbftEngine {
+    /// Starts the replicas on one event loop, with admission; replica 0's
+    /// stream drives subscribers and acks.
+    pub fn start(config: PbftConfig) -> Arc<Self> {
+        BftEngine::spawn(
+            "pbft",
+            cluster(&config),
+            3 * config.f + 1,
+            0,
+            config.batch,
+            None,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::{now_ms, Consensus};
     use sebdb_crypto::sig::KeyId;
     use sebdb_types::Value;
+    use std::time::Duration;
 
     fn tx(i: i64) -> Transaction {
         Transaction::new(now_ms(), KeyId([2; 8]), "donate", vec![Value::Int(i)])
@@ -484,6 +325,18 @@ mod tests {
             max_txs: 4,
             timeout_ms: 30,
         }
+    }
+
+    /// Runs the virtual clock until the cluster is idle; returns each
+    /// replica's delivered stream.
+    fn run_idle(net: &mut EventLoop<Replica>) -> BTreeMap<NodeId, Vec<OrderedBlock>> {
+        let mut streams: BTreeMap<NodeId, Vec<OrderedBlock>> = BTreeMap::new();
+        while let Some(delivered) = net.advance() {
+            for (id, block) in delivered {
+                streams.entry(id).or_default().push(block);
+            }
+        }
+        streams
     }
 
     #[test]
@@ -506,20 +359,27 @@ mod tests {
 
     #[test]
     fn tolerates_one_byzantine_backup() {
-        let engine = PbftEngine::start(PbftConfig {
-            batch: quick_batch(),
+        let mut net = cluster(&PbftConfig {
             byzantine: vec![2],
             ..PbftConfig::default()
         });
-        let sub = engine.subscribe();
-        for i in 0..8 {
-            engine.submit(tx(i));
+        net.push_batch(0, (0..4).map(tx).collect());
+        net.push_batch(0, (4..8).map(tx).collect());
+        let streams = run_idle(&mut net);
+        let primary = &streams[&0];
+        assert_eq!(
+            primary.iter().map(|b| b.seq).collect::<Vec<_>>(),
+            vec![0, 1]
+        );
+        assert_eq!(primary.iter().map(|b| b.txs.len()).sum::<usize>(), 8);
+        // Every honest replica applies the same stream.
+        for honest in [1, 3] {
+            let digests: Vec<Digest> = streams[&honest].iter().map(block_digest).collect();
+            assert_eq!(
+                digests,
+                primary.iter().map(block_digest).collect::<Vec<_>>()
+            );
         }
-        let b0 = sub.recv_timeout(Duration::from_secs(5)).unwrap();
-        let b1 = sub.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!((b0.seq, b1.seq), (0, 1));
-        assert_eq!(b0.txs.len() + b1.txs.len(), 8);
-        engine.shutdown();
     }
 
     #[test]
@@ -547,27 +407,25 @@ mod tests {
 
     #[test]
     fn works_with_network_latency() {
-        let engine = PbftEngine::start(PbftConfig {
-            batch: quick_batch(),
+        let mut net = cluster(&PbftConfig {
             net: NetConfig {
                 latency: Duration::from_millis(5),
                 ..NetConfig::default()
             },
             ..PbftConfig::default()
         });
-        let sub = engine.subscribe();
-        let ack = engine.submit(tx(1));
-        // Timeout flush (only 1 tx) then 3 phases over a 5 ms network.
-        let block = sub.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(block.txs.len(), 1);
-        assert!(ack.recv_timeout(Duration::from_secs(5)).unwrap().is_ok());
-        engine.shutdown();
+        net.push_batch(100, vec![tx(1)]);
+        let streams = run_idle(&mut net);
+        assert_eq!(streams[&0].len(), 1);
+        assert_eq!(streams[&0][0].timestamp_ms, 100, "sequenced on arrival");
+        // Pre-prepare, prepare and commit each cross the 5 ms network once.
+        assert_eq!(net.now_ms(), 115);
     }
 
     #[test]
     #[should_panic(expected = "view changes")]
     fn byzantine_primary_rejected() {
-        let _ = PbftEngine::start(PbftConfig {
+        let _ = cluster(&PbftConfig {
             byzantine: vec![0],
             ..PbftConfig::default()
         });

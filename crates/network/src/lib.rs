@@ -1,7 +1,8 @@
 //! # sebdb-network
 //!
-//! The simulated network substrate (§III-B): a point-to-point
-//! [`sim::SimNet`] transport with configurable latency and loss, a
+//! The simulated network substrate (§III-B): a seeded
+//! [`sim::EventLoop`] that steps sans-I/O cluster nodes over links with
+//! configurable latency and loss, a
 //! deterministic round-stepped [`gossip::GossipCluster`] for block
 //! propagation and data recovery, and gossip-style heartbeat
 //! [`membership`] for failure detection. Substitutes for the paper's
@@ -15,4 +16,4 @@ pub mod sim;
 
 pub use gossip::{GossipCluster, ItemId};
 pub use membership::{MemberState, MembershipView};
-pub use sim::{Envelope, NetConfig, NodeId, SimNet};
+pub use sim::{EventLoop, Input, NetConfig, Node, NodeId, Output};

@@ -1,19 +1,20 @@
-//! Simulated point-to-point transport.
+//! The simulated network: one seeded event loop over sans-I/O nodes.
 //!
-//! Stands in for the paper's 1 Gbps cluster LAN (DESIGN.md §4): every
-//! node gets a mailbox; sends are delivered by a background pump thread
-//! after a configurable latency, with optional seeded message drop for
-//! fault-injection tests. With zero latency and zero drop the transport
-//! is synchronous and deterministic.
+//! Stands in for the paper's 1 Gbps cluster LAN (DESIGN.md §4). Every
+//! node of a cluster is a state machine ([`Node`]) that the loop steps
+//! with an [`Input`] — a batch from outside, a peer's message, or a
+//! deadline it set — and that answers with [`Output`]s: broadcasts,
+//! timers and deliveries. The loop keeps one queue of due events:
+//! messages, delayed by [`NetConfig::latency`] and dropped by its seeded
+//! RNG, and timers. It holds no clock and no thread: the caller says
+//! what time it is. A production driver passes wall time and parks until
+//! [`EventLoop::next_due`]; a test calls [`EventLoop::advance`], which
+//! jumps to the next due event — so one seed reproduces a run.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::collections::BTreeMap;
+use std::time::Duration;
 
 /// Identifies a node on the simulated network.
 pub type NodeId = usize;
@@ -21,7 +22,7 @@ pub type NodeId = usize;
 /// Network behaviour knobs.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// One-way delivery latency.
+    /// One-way delivery latency (whole milliseconds on the loop's clock).
     pub latency: Duration,
     /// Probability a message is silently dropped (0.0 = reliable).
     pub drop_probability: f64,
@@ -39,205 +40,155 @@ impl Default for NetConfig {
     }
 }
 
-/// An envelope delivered to a mailbox.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Envelope<M> {
-    /// Sending node.
-    pub from: NodeId,
-    /// Payload.
-    pub msg: M,
+/// What the event loop hands a node.
+#[derive(Debug)]
+pub enum Input<M, B> {
+    /// A batch from outside the cluster, handed to every live node.
+    Batch(B),
+    /// A peer's message.
+    Msg {
+        /// Sending node.
+        from: NodeId,
+        /// Payload.
+        msg: M,
+    },
+    /// A timer the node set has come due.
+    Deadline,
 }
 
-struct Pending<M> {
-    due: Instant,
-    seq: u64,
-    to: NodeId,
-    env: Envelope<M>,
+/// What a node's step asks of the event loop.
+#[derive(Debug)]
+pub enum Output<M, D> {
+    /// Send `M` to every other node.
+    Broadcast(M),
+    /// Step this node with [`Input::Deadline`] at this time (ms).
+    Timer(u64),
+    /// Hand `D` to the driver.
+    Deliver(D),
 }
 
-impl<M> PartialEq for Pending<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl<M> Eq for Pending<M> {}
-impl<M> PartialOrd for Pending<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Pending<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse for a min-heap on (due, seq).
-        other
-            .due
-            .cmp(&self.due)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+/// A sans-I/O cluster member: all it knows of time is the `now_ms` it is
+/// stepped at.
+pub trait Node {
+    /// Messages between nodes.
+    type Msg: Clone;
+    /// What the driver feeds the cluster.
+    type Batch: Clone;
+    /// What the cluster hands back.
+    type Delivery;
+    /// Consumes one input at `now_ms`.
+    fn step(
+        &mut self,
+        now_ms: u64,
+        input: Input<Self::Msg, Self::Batch>,
+    ) -> Vec<Output<Self::Msg, Self::Delivery>>;
 }
 
-struct Shared<M> {
-    mailboxes: Mutex<Vec<Sender<Envelope<M>>>>,
-    queue: Mutex<BinaryHeap<Pending<M>>>,
-    /// Wakes the pump when a packet is queued or the net shuts down,
-    /// so the delivery loop parks on deadlines instead of polling.
-    wakeup: Condvar,
-    rng: Mutex<StdRng>,
-    config: NetConfig,
-    seq: AtomicU64,
-    stopped: AtomicBool,
-    sent: AtomicU64,
-    dropped: AtomicU64,
+/// An input and the node it is for.
+type Addressed<N> = (NodeId, Input<<N as Node>::Msg, <N as Node>::Batch>);
+
+/// A cluster of nodes on one queue of due events.
+pub struct EventLoop<N: Node> {
+    /// Indexed by [`NodeId`]; `None` is a node that never started.
+    nodes: Vec<Option<N>>,
+    /// Keyed by (due time, arrival), so ties run in arrival order.
+    due: BTreeMap<(u64, u64), Addressed<N>>,
+    arrivals: u64,
+    now_ms: u64,
+    latency_ms: u64,
+    drop_probability: f64,
+    rng: StdRng,
+    sent: u64,
+    dropped: u64,
 }
 
-/// The simulated network. Cloneable handle.
-pub struct SimNet<M> {
-    shared: Arc<Shared<M>>,
-    pump: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl<M: Send + 'static> SimNet<M> {
-    /// Creates a network with `config`.
-    pub fn new(config: NetConfig) -> Arc<Self> {
-        let shared = Arc::new(Shared {
-            mailboxes: Mutex::new(Vec::new()),
-            queue: Mutex::new(BinaryHeap::new()),
-            wakeup: Condvar::new(),
-            rng: Mutex::new(StdRng::seed_from_u64(config.seed)),
-            config,
-            seq: AtomicU64::new(0),
-            stopped: AtomicBool::new(false),
-            sent: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        });
-        let net = Arc::new(SimNet {
-            shared,
-            pump: Mutex::new(None),
-        });
-        if !net.shared.config.latency.is_zero() {
-            let shared = Arc::clone(&net.shared);
-            let handle = sebdb_parallel::spawn_service("net-pump", move || pump_loop(shared));
-            *net.pump.lock() = Some(handle);
-        }
-        net
-    }
-
-    /// Registers a node, returning its id and mailbox receiver.
-    pub fn register(&self) -> (NodeId, Receiver<Envelope<M>>) {
-        let (tx, rx) = unbounded();
-        let mut boxes = self.shared.mailboxes.lock();
-        boxes.push(tx);
-        (boxes.len() - 1, rx)
-    }
-
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.shared.mailboxes.lock().len()
-    }
-
-    /// Sends `msg` from `from` to `to`. Lossy/slow per config.
-    pub fn send(&self, from: NodeId, to: NodeId, msg: M) {
-        self.shared.sent.fetch_add(1, Ordering::Relaxed);
-        if self.shared.config.drop_probability > 0.0 {
-            let roll: f64 = self.shared.rng.lock().gen();
-            if roll < self.shared.config.drop_probability {
-                self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-        let env = Envelope { from, msg };
-        if self.shared.config.latency.is_zero() {
-            if let Some(tx) = self.shared.mailboxes.lock().get(to) {
-                let _ = tx.send(env);
-            }
-        } else {
-            let due = Instant::now() + self.shared.config.latency;
-            self.shared.queue.lock().push(Pending {
-                due,
-                seq: self.shared.seq.fetch_add(1, Ordering::Relaxed),
-                to,
-                env,
-            });
-            self.shared.wakeup.notify_one();
+impl<N: Node> EventLoop<N> {
+    /// A loop over `nodes` whose links behave per `config`, at time 0.
+    pub fn new(nodes: Vec<Option<N>>, config: &NetConfig) -> Self {
+        EventLoop {
+            nodes,
+            due: BTreeMap::new(),
+            arrivals: 0,
+            now_ms: 0,
+            latency_ms: config.latency.as_millis() as u64,
+            drop_probability: config.drop_probability,
+            rng: StdRng::seed_from_u64(config.seed),
+            sent: 0,
+            dropped: 0,
         }
     }
 
-    /// `(sent, dropped)` counters.
+    /// The loop's clock: the latest time it ran at.
+    pub fn now_ms(&self) -> u64 {
+        self.now_ms
+    }
+
+    /// When the earliest pending event is due, if any is.
+    pub fn next_due(&self) -> Option<u64> {
+        self.due.first_key_value().map(|(&(at, _), _)| at)
+    }
+
+    /// `(sent, dropped)` message counters.
     pub fn stats(&self) -> (u64, u64) {
-        (
-            self.shared.sent.load(Ordering::Relaxed),
-            self.shared.dropped.load(Ordering::Relaxed),
-        )
+        (self.sent, self.dropped)
     }
-}
 
-impl<M: Send + Clone + 'static> SimNet<M> {
-    /// Sends `msg` from `from` to every other registered node.
-    pub fn broadcast(&self, from: NodeId, msg: M) {
-        let n = self.node_count();
-        for to in 0..n {
-            if to != from {
-                self.send(from, to, msg.clone());
+    /// Hands `batch` to every live node at `at_ms`.
+    pub fn push_batch(&mut self, at_ms: u64, batch: N::Batch) {
+        for to in 0..self.nodes.len() {
+            if self.nodes[to].is_some() {
+                self.push(at_ms, to, Input::Batch(batch.clone()));
             }
         }
     }
-}
 
-impl<M> Drop for SimNet<M> {
-    fn drop(&mut self) {
-        self.shared.stopped.store(true, Ordering::Relaxed);
-        self.shared.wakeup.notify_all();
-        if let Some(h) = self.pump.lock().take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn pump_loop<M: Send + 'static>(shared: Arc<Shared<M>>) {
-    while !shared.stopped.load(Ordering::Relaxed) {
-        let now = Instant::now();
-        let mut due: Vec<(NodeId, Envelope<M>)> = Vec::new();
-        let mut next_due: Option<Instant> = None;
-        {
-            let mut q = shared.queue.lock();
-            while let Some(p) = q.peek() {
-                if p.due <= now {
-                    let p = q.pop().unwrap();
-                    due.push((p.to, p.env));
-                } else {
-                    next_due = Some(p.due);
-                    break;
+    /// Runs every event due at or before `now_ms`, in (due, arrival)
+    /// order, each stepped at `now_ms`; returns what the nodes delivered.
+    pub fn run_until(&mut self, now_ms: u64) -> Vec<(NodeId, N::Delivery)> {
+        self.now_ms = self.now_ms.max(now_ms);
+        let now = self.now_ms;
+        let mut delivered = Vec::new();
+        while let Some(event) = self.due.first_entry().filter(|e| e.key().0 <= now) {
+            let (to, input) = event.remove();
+            let Some(node) = self.nodes.get_mut(to).and_then(Option::as_mut) else {
+                continue;
+            };
+            for out in node.step(now, input) {
+                match out {
+                    Output::Broadcast(msg) => self.broadcast(to, msg),
+                    Output::Timer(at) => self.push(at, to, Input::Deadline),
+                    Output::Deliver(d) => delivered.push((to, d)),
                 }
             }
         }
-        for (to, env) in due {
-            if let Some(tx) = shared.mailboxes.lock().get(to) {
-                let _ = tx.send(env);
+        delivered
+    }
+
+    /// The virtual clock: jumps to the next due event and runs everything
+    /// due then. `None` once nothing is pending.
+    pub fn advance(&mut self) -> Option<Vec<(NodeId, N::Delivery)>> {
+        let at = self.next_due()?;
+        Some(self.run_until(at))
+    }
+
+    fn broadcast(&mut self, from: NodeId, msg: N::Msg) {
+        for to in (0..self.nodes.len()).filter(|&to| to != from) {
+            self.sent += 1;
+            if self.drop_probability > 0.0 && self.rng.gen::<f64>() < self.drop_probability {
+                self.dropped += 1;
+                continue;
             }
+            let input = Input::Msg {
+                from,
+                msg: msg.clone(),
+            };
+            self.push(self.now_ms + self.latency_ms, to, input);
         }
-        // Park until the earliest pending delivery is due, or until a
-        // send/shutdown notifies the condvar — a new packet may become
-        // the earliest, and Drop must not wait out a full deadline.
-        let wait = match next_due {
-            Some(t) => t.saturating_duration_since(Instant::now()),
-            None => Duration::from_millis(50),
-        };
-        if wait.is_zero() {
-            continue;
-        }
-        let mut q = shared.queue.lock();
-        if shared.stopped.load(Ordering::Relaxed) {
-            break;
-        }
-        // Re-check under the lock: a packet queued between the drain
-        // above and this reacquisition must cut the wait short.
-        let wait = match q.peek() {
-            Some(p) => p.due.saturating_duration_since(Instant::now()),
-            None => wait,
-        };
-        if !wait.is_zero() {
-            let _ = shared.wakeup.wait_for(&mut q, wait);
-        }
+    }
+
+    fn push(&mut self, at: u64, to: NodeId, input: Input<N::Msg, N::Batch>) {
+        self.arrivals += 1;
+        self.due.insert((at, self.arrivals), (to, input));
     }
 }
 
@@ -245,79 +196,102 @@ fn pump_loop<M: Send + 'static>(shared: Arc<Shared<M>>) {
 mod tests {
     use super::*;
 
+    /// Node `id` broadcasts each batch addressed to it and delivers every
+    /// message it receives as `(time, from, msg)`.
+    struct Echo(NodeId);
+
+    impl Node for Echo {
+        type Msg = u32;
+        type Batch = (NodeId, u32);
+        type Delivery = (u64, NodeId, u32);
+        fn step(
+            &mut self,
+            now_ms: u64,
+            input: Input<u32, (NodeId, u32)>,
+        ) -> Vec<Output<u32, Self::Delivery>> {
+            match input {
+                Input::Batch((from, msg)) if from == self.0 => vec![Output::Broadcast(msg)],
+                Input::Msg { from, msg } => vec![Output::Deliver((now_ms, from, msg))],
+                _ => Vec::new(),
+            }
+        }
+    }
+
+    fn echoes(n: usize, config: NetConfig) -> EventLoop<Echo> {
+        EventLoop::new((0..n).map(|id| Some(Echo(id))).collect(), &config)
+    }
+
     #[test]
     fn zero_latency_is_synchronous() {
-        let net: Arc<SimNet<u32>> = SimNet::new(NetConfig::default());
-        let (a, _rx_a) = net.register();
-        let (b, rx_b) = net.register();
-        net.send(a, b, 42);
-        assert_eq!(rx_b.try_recv().unwrap(), Envelope { from: a, msg: 42 });
+        let mut net = echoes(2, NetConfig::default());
+        net.push_batch(5, (0, 42));
+        assert_eq!(net.run_until(5), vec![(1, (5, 0, 42))]);
+        assert_eq!(net.next_due(), None);
     }
 
     #[test]
     fn broadcast_reaches_everyone_but_sender() {
-        let net: Arc<SimNet<&'static str>> = SimNet::new(NetConfig::default());
-        let receivers: Vec<_> = (0..4).map(|_| net.register()).collect();
-        net.broadcast(0, "block");
-        assert!(receivers[0].1.try_recv().is_err());
-        for (id, rx) in &receivers[1..] {
-            let env = rx
-                .try_recv()
-                .unwrap_or_else(|_| panic!("node {id} missed broadcast"));
-            assert_eq!(env.msg, "block");
-        }
+        let mut net = echoes(4, NetConfig::default());
+        net.push_batch(0, (0, 7));
+        let got: Vec<NodeId> = net.run_until(0).into_iter().map(|(to, _)| to).collect();
+        assert_eq!(got, vec![1, 2, 3]);
     }
 
     #[test]
     fn latency_delays_delivery() {
-        let net: Arc<SimNet<u32>> = SimNet::new(NetConfig {
-            latency: Duration::from_millis(20),
-            ..NetConfig::default()
-        });
-        let (a, _) = net.register();
-        let (b, rx_b) = net.register();
-        let start = Instant::now();
-        net.send(a, b, 7);
-        assert!(rx_b.try_recv().is_err(), "must not arrive instantly");
-        let env = rx_b.recv_timeout(Duration::from_millis(500)).unwrap();
-        assert_eq!(env.msg, 7);
-        assert!(start.elapsed() >= Duration::from_millis(15));
+        let mut net = echoes(
+            2,
+            NetConfig {
+                latency: Duration::from_millis(20),
+                ..NetConfig::default()
+            },
+        );
+        net.push_batch(100, (0, 7));
+        assert!(net.run_until(100).is_empty(), "must not arrive instantly");
+        assert_eq!(net.next_due(), Some(120));
+        assert_eq!(net.advance(), Some(vec![(1, (120, 0, 7))]));
+        assert_eq!(net.advance(), None);
     }
 
     #[test]
     fn drops_are_counted_and_seeded() {
-        let net: Arc<SimNet<u32>> = SimNet::new(NetConfig {
-            drop_probability: 0.5,
-            seed: 7,
-            ..NetConfig::default()
-        });
-        let (a, _) = net.register();
-        let (b, rx_b) = net.register();
-        for i in 0..1000 {
-            net.send(a, b, i);
-        }
-        let (sent, dropped) = net.stats();
+        let run = |seed| {
+            let mut net = echoes(
+                2,
+                NetConfig {
+                    drop_probability: 0.5,
+                    seed,
+                    ..NetConfig::default()
+                },
+            );
+            for i in 0..1000 {
+                net.push_batch(0, (0, i));
+            }
+            let got: Vec<u32> = net.run_until(0).into_iter().map(|(_, d)| d.2).collect();
+            (net.stats(), got)
+        };
+        let ((sent, dropped), got) = run(7);
         assert_eq!(sent, 1000);
         assert!((300..700).contains(&dropped), "dropped {dropped}");
-        let delivered = rx_b.try_iter().count() as u64;
-        assert_eq!(delivered, sent - dropped);
+        assert_eq!(got.len() as u64, sent - dropped);
+        assert_eq!(run(7).1, got, "one seed, one run");
+        assert_ne!(run(8).1, got);
     }
 
     #[test]
     fn ordering_preserved_at_equal_latency() {
-        let net: Arc<SimNet<u32>> = SimNet::new(NetConfig {
-            latency: Duration::from_millis(5),
-            ..NetConfig::default()
-        });
-        let (a, _) = net.register();
-        let (b, rx_b) = net.register();
+        let mut net = echoes(
+            2,
+            NetConfig {
+                latency: Duration::from_millis(5),
+                ..NetConfig::default()
+            },
+        );
         for i in 0..50 {
-            net.send(a, b, i);
+            net.push_batch(0, (0, i));
         }
-        let mut got = Vec::new();
-        for _ in 0..50 {
-            got.push(rx_b.recv_timeout(Duration::from_secs(2)).unwrap().msg);
-        }
+        assert!(net.run_until(0).is_empty());
+        let got: Vec<u32> = net.run_until(5).into_iter().map(|(_, d)| d.2).collect();
         assert_eq!(got, (0..50).collect::<Vec<_>>());
     }
 }

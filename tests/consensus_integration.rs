@@ -5,10 +5,11 @@
 use sebdb::{ExecOutcome, SebdbNode};
 use sebdb_consensus::pbft::PbftConfig;
 use sebdb_consensus::tendermint::TendermintConfig;
+use sebdb_consensus::ConsensusError;
 use sebdb_consensus::{BatchConfig, Consensus, KafkaOrderer, PbftEngine, TendermintEngine};
-use sebdb_crypto::sig::MacKeypair;
+use sebdb_crypto::sig::{KeyId, MacKeypair, Signature, Signer, Verifier};
 use sebdb_storage::{BlockStore, StoreConfig};
-use sebdb_types::Value;
+use sebdb_types::{Transaction, Value};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -162,4 +163,47 @@ fn write_acks_carry_tids_in_order() {
     assert!(tids.windows(2).all(|w| w[0] < w[1]), "{tids:?}");
     n.shutdown();
     engine.shutdown();
+}
+
+#[test]
+fn every_engine_rejects_forged_macs() {
+    let keys = MacKeypair::from_key([12; 32]);
+    let verifier = || {
+        let keys = keys.clone();
+        Some(Box::new(move |tx: &Transaction| {
+            Signature::from_bytes(&tx.sig)
+                .is_some_and(|sig| keys.verify(&tx.signing_payload(), &sig))
+        }) as Box<_>)
+    };
+    let kafka = KafkaOrderer::start(batch());
+    kafka.set_tx_verifier(verifier());
+    let pbft = PbftEngine::start(PbftConfig {
+        batch: batch(),
+        ..PbftConfig::default()
+    });
+    pbft.set_tx_verifier(verifier());
+    let tendermint = TendermintEngine::start(TendermintConfig::default());
+    tendermint.set_tx_verifier(verifier());
+    let engines: [Arc<dyn Consensus>; 3] = [kafka, pbft, tendermint];
+    for engine in engines {
+        let tx = |i| Transaction::new(1, KeyId([4; 8]), "donate", vec![Value::Int(i)]);
+        let forged = engine.submit(tx(1)); // no signature
+        let mut honest = tx(2);
+        honest.sig = keys.sign(&honest.signing_payload()).to_bytes();
+        let honest = engine.submit(honest);
+        match forged.recv_timeout(Duration::from_secs(10)).unwrap() {
+            Err(ConsensusError::Rejected(_)) => {}
+            other => panic!(
+                "{}: forged transaction not rejected: {other:?}",
+                engine.name()
+            ),
+        }
+        let ack = honest.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(
+            ack.is_ok(),
+            "{}: honest transaction not committed",
+            engine.name()
+        );
+        engine.shutdown();
+    }
 }

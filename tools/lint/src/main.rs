@@ -56,6 +56,12 @@
 //!     goes down; a PR that needs more raises the number in its own diff,
 //!     where a reviewer sees it.
 //!
+//! 11. `sans-io` — the protocol cores (`crates/consensus/src/pbft.rs`,
+//!     `crates/consensus/src/tendermint.rs`) name no clock read
+//!     (`Instant::now`, `now_ms(`), timed receive (`recv_timeout`),
+//!     service thread (`spawn_service`) or channel type: they are state
+//!     machines the event loop steps, so one seed replays a run.
+//!
 //! The allowlist lives in `tools/lint/allowlist.txt`; each line is
 //! `<rule> <path> <count>`. The file is capped at 25 entries and every
 //! entry must be used — a stale entry fails the lint, so the allowlist
@@ -85,7 +91,26 @@ const ENV_FILE: &str = "crates/parallel/src/lib.rs";
 const RENAME_FILE: &str = "crates/storage/src/publish.rs";
 
 /// The rules an allowlist entry may name.
-const RULES: &str = "spawn sleep unwrap clock std-sync par-floor env rename unsafe";
+const RULES: &str = "spawn sleep unwrap clock std-sync par-floor env rename unsafe sans-io";
+
+/// The sans-I/O protocol cores.
+const SANS_IO_FILES: &[&str] = &[
+    "crates/consensus/src/pbft.rs",
+    "crates/consensus/src/tendermint.rs",
+];
+
+/// What a sans-I/O core may not name: clocks, timed waits, threads and
+/// channels.
+const SANS_IO_BANNED: &[&str] = &[
+    "Instant::now",
+    "now_ms(",
+    "recv_timeout",
+    "spawn_service",
+    "Sender<",
+    "Receiver<",
+    "channel::",
+    "mpsc",
+];
 
 /// The one file that may hold `unsafe` code.
 const UNSAFE_FILE: &str = "crates/crypto/src/sha256.rs";
@@ -385,6 +410,16 @@ fn check_file(rel: &str, source: &str, out: &mut Vec<Violation>) -> usize {
                 line: lineno,
                 text: format!("environment read (take a constructor argument): {shown}"),
             });
+        }
+        if SANS_IO_FILES.contains(&rel) {
+            if let Some(banned) = SANS_IO_BANNED.iter().find(|b| line.contains(*b)) {
+                out.push(Violation {
+                    rule: "sans-io",
+                    path: rel.to_string(),
+                    line: lineno,
+                    text: format!("`{banned}` in a sans-I/O protocol core: {shown}"),
+                });
+            }
         }
         if line.contains("fs::rename") && rel != RENAME_FILE {
             out.push(Violation {
@@ -762,6 +797,37 @@ mod tests {
         let mut v = Vec::new();
         check_file(RENAME_FILE, "fn f() { std::fs::rename(a, b); }\n", &mut v);
         assert!(v.is_empty(), "the publisher is the one rename site");
+    }
+
+    #[test]
+    fn sans_io_cores_name_no_clock_timer_thread_or_channel() {
+        for src in [
+            "fn f() { let t = Instant::now(); }\n",
+            "fn f() { let t = now_ms(); }\n",
+            "fn f() { rx.recv_timeout(d); }\n",
+            "fn f() { sebdb_parallel::spawn_service(\"x\", g); }\n",
+            "struct V { out: Sender<u32> }\n",
+            "fn f(rx: Receiver<u32>) {}\n",
+            "use crossbeam::channel::unbounded;\n",
+            "use std::sync::mpsc;\n",
+        ] {
+            for core in SANS_IO_FILES {
+                let mut v = Vec::new();
+                check_file(core, src, &mut v);
+                assert_eq!(v.len(), 1, "{core}: {src}");
+                assert_eq!(v[0].rule, "sans-io");
+            }
+            // The engine around the cores keeps its clock and threads.
+            let mut v = Vec::new();
+            check_file("crates/consensus/src/engine.rs", src, &mut v);
+            assert!(v.iter().all(|v| v.rule != "sans-io"), "{src}");
+        }
+        // A step's time argument, comments and test code pass.
+        let ok = "fn step(&mut self, now_ms: u64) {} // Instant::now\n\
+                  #[cfg(test)]\nmod tests {\n    fn t() { now_ms(); }\n}\n";
+        let mut v = Vec::new();
+        check_file(SANS_IO_FILES[0], ok, &mut v);
+        assert!(v.is_empty());
     }
 
     #[test]
