@@ -54,7 +54,7 @@ echo "==> cargo test --release -q -p sebdb --lib q6_phase_split"
 cargo test --release -q -p sebdb --lib q6_phase_split
 
 # Deterministic interleaving checker: exhaustively explores schedules
-# of the pipeline/view/mempool/cache/index-cache/segment/partition
+# of the pipeline/view/mempool/index-cache/segment/partition
 # models with the happens-before race detector active on every
 # schedule (DESIGN §14), and must find zero invariant violations and
 # zero data races — while still *finding* the seeded negative-test

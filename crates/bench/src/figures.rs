@@ -1,20 +1,19 @@
-//! Regenerates every figure of §VII.
+//! Regenerates the figures of §VII, Figs. 7–21 (Fig. 22's block and
+//! transaction caches are not built: DESIGN.md §4).
 //!
 //! Each `figN` function builds the experiment's dataset(s), runs the
 //! contenders, and returns [`Figure`]s whose series mirror the paper's
-//! legends (SU/SG/BU/BG/LU/LG, SI/TI, ALI vs Basic, SEBDB vs ChainSQL,
-//! block vs transaction cache). Absolute numbers differ from the
-//! paper's testbed (see DESIGN.md §5 — parameters are scaled ~20× down
-//! for a single core); the *shapes* are the reproduction target and
-//! EXPERIMENTS.md records both.
+//! legends (SU/SG/BU/BG/LU/LG, SI/TI, ALI vs Basic, SEBDB vs ChainSQL).
+//! Absolute numbers differ from the paper's testbed (see DESIGN.md §5 —
+//! parameters are scaled ~20× down for a single core); the *shapes* are
+//! the reproduction target and EXPERIMENTS.md records both.
 
 use crate::datagen::{
     join_bed, onoff_bed, range_bed, tracking2_bed, tracking_bed, Placement, TestBed, ORG1,
 };
 use crate::metrics::{timed, timed_mean, Figure, Series};
 use crate::workload::{
-    q2_key_predicate, q4_key_predicate, run_q2, run_q3, run_q4, run_q5, run_q6, run_q7,
-    run_write_benchmark,
+    q2_key_predicate, q4_key_predicate, run_q2, run_q3, run_q4, run_q5, run_q6, run_write_benchmark,
 };
 use sebdb::{serve_authenticated_query, serve_auxiliary_digest, Strategy, ThinClient};
 use sebdb_baseline::ChainSqlBaseline;
@@ -554,81 +553,7 @@ pub fn fig21(scale: &Scale) -> Vec<Figure> {
     vec![fig]
 }
 
-/// Fig. 22 — block cache vs transaction cache across Q2, Q4, Q5, Q6,
-/// Q7 (layered plans, warmed caches).
-pub fn fig22(scale: &Scale) -> Vec<Figure> {
-    let blocks = scale.blocks[scale.blocks.len() / 2];
-    let cache_bytes = 64 << 20;
-    let mut fig = Figure::new(
-        "Fig. 22 — Block cache vs transaction cache",
-        "query",
-        "total ms (warm, repeated)",
-    );
-    let mut block_series = Series::new("BlockCache");
-    let mut tx_series = Series::new("TxCache");
-    let reps = (scale.iters * 10).max(10);
-
-    type Q = (
-        &'static str,
-        Box<dyn Fn() -> TestBed>,
-        Box<dyn Fn(&TestBed) -> usize>,
-    );
-    let t = scale.txs_per_block;
-    let h = scale.fixed_hits;
-    let seed = scale.seed;
-    let queries: Vec<Q> = vec![
-        (
-            "Q2",
-            Box::new(move || tracking_bed(blocks, t, h, Placement::Uniform, seed)),
-            Box::new(|bed: &TestBed| run_q2(bed, Strategy::Layered).len()),
-        ),
-        (
-            "Q4",
-            Box::new(move || range_bed(blocks, t, h, Placement::Uniform, seed)),
-            Box::new(|bed: &TestBed| run_q4(bed, Strategy::Layered).len()),
-        ),
-        (
-            "Q5",
-            Box::new(move || join_bed(blocks, t, h / 2, Placement::Uniform, seed)),
-            Box::new(|bed: &TestBed| run_q5(bed, Strategy::Layered).len()),
-        ),
-        (
-            "Q6",
-            Box::new(move || onoff_bed(blocks, t, h / 2, h, Placement::Uniform, seed)),
-            Box::new(|bed: &TestBed| run_q6(bed, Strategy::Layered).len()),
-        ),
-        (
-            "Q7",
-            Box::new(move || tracking_bed(blocks, t, h, Placement::Uniform, seed)),
-            Box::new(move |bed: &TestBed| run_q7(bed, blocks / 2).len()),
-        ),
-    ];
-    for (name, build, run) in queries {
-        let bed = build();
-        bed.ledger.use_block_cache(cache_bytes);
-        run(&bed); // warm
-        let (_, d) = timed(|| {
-            for _ in 0..reps {
-                run(&bed);
-            }
-        });
-        block_series.push(name, ms(d));
-
-        bed.ledger.use_tx_cache(cache_bytes);
-        run(&bed); // warm
-        let (_, d) = timed(|| {
-            for _ in 0..reps {
-                run(&bed);
-            }
-        });
-        tx_series.push(name, ms(d));
-    }
-    fig.add(block_series);
-    fig.add(tx_series);
-    vec![fig]
-}
-
-/// Runs one figure by key ("fig7".."fig22"; "fig17"/"fig18"/"fig19"
+/// Runs one figure by key ("fig7".."fig21"; "fig17"/"fig18"/"fig19"
 /// share one runner), or `"all"`. Returns the rendered output.
 pub fn run_figures(which: &str, scale: &Scale) -> String {
     type FigRunner = fn(&Scale) -> Vec<Figure>;
@@ -648,7 +573,6 @@ pub fn run_figures(which: &str, scale: &Scale) -> String {
         ("fig19", fig17_18_19),
         ("fig20", fig20),
         ("fig21", fig21),
-        ("fig22", fig22),
     ];
     let mut out = String::new();
     let mut ran = std::collections::HashSet::new();
@@ -666,7 +590,7 @@ pub fn run_figures(which: &str, scale: &Scale) -> String {
         }
     }
     if out.is_empty() {
-        out = format!("unknown figure '{which}' (use fig7..fig22 or all)\n");
+        out = format!("unknown figure '{which}' (use fig7..fig21 or all)\n");
     }
     out
 }
@@ -729,13 +653,6 @@ mod tests {
         assert!(out20.contains("ChainSQL"));
         let out21 = run_figures("fig21", &Scale::smoke());
         assert!(out21.contains("SEBDB"));
-    }
-
-    #[test]
-    fn smoke_fig22_runs() {
-        let out = run_figures("fig22", &Scale::smoke());
-        assert!(out.contains("TxCache"));
-        assert!(out.contains("Q7"));
     }
 
     #[test]

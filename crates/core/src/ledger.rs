@@ -20,8 +20,7 @@ use sebdb_crypto::sig::{MacKeypair, Signer};
 use sebdb_index::{column_slug, family_layered, Bitmap, EqualDepthHistogram, LayeredIndex};
 use sebdb_parallel::Tracked;
 use sebdb_storage::{
-    BlockCache, BlockStore, CacheMode, CachedStore, IndexCheckpoint, PagedIndexReader, RawExtent,
-    StorageError, TxCache, TxPtr,
+    BlockStore, IndexCheckpoint, PagedIndexReader, RawExtent, StorageError, TxPtr,
 };
 use sebdb_types::{Block, BlockId, ColumnRef, TableSchema, Timestamp, Transaction};
 use std::collections::HashMap;
@@ -86,7 +85,6 @@ pub type TxVerifier = dyn Fn(&Transaction) -> bool + Send + Sync;
 /// The ledger.
 pub struct Ledger {
     store: Arc<BlockStore>,
-    cached: RwLock<Arc<CachedStore>>,
     /// Every index family, each behind its own lock, so a reader waits
     /// only for its own family's update or checkpoint. The registry's
     /// write lock is taken only by [`Self::create_layered_index`], and
@@ -131,10 +129,8 @@ impl Ledger {
     /// tracking indexes on `SenID` and `Tname` are created immediately.
     pub fn new(store: Arc<BlockStore>, signer: MacKeypair) -> Result<Self, LedgerError> {
         let opened = Instant::now();
-        let cached = Arc::new(CachedStore::new(Arc::clone(&store), CacheMode::None));
         let ledger = Ledger {
             store,
-            cached: RwLock::new(cached),
             indexes: RwLock::new(HashMap::new()),
             last_hash: RwLock::new(Digest::ZERO),
             signer,
@@ -304,24 +300,9 @@ impl Ledger {
         &self.store
     }
 
-    /// Selects the caching strategy (Fig. 22 compares these).
-    pub fn set_cache_mode(&self, mode: CacheMode) {
-        *self.cached.write() = Arc::new(CachedStore::new(Arc::clone(&self.store), mode));
-    }
-
-    /// Installs a block cache with `bytes` capacity.
-    pub fn use_block_cache(&self, bytes: usize) {
-        self.set_cache_mode(CacheMode::Block(BlockCache::new(bytes)));
-    }
-
-    /// Installs a transaction cache with `bytes` capacity.
-    pub fn use_tx_cache(&self, bytes: usize) {
-        self.set_cache_mode(CacheMode::Tx(TxCache::new(bytes)));
-    }
-
-    /// Reads a block through the current cache.
+    /// Reads a block from the store.
     pub fn read_block(&self, bid: BlockId) -> Result<Arc<Block>, LedgerError> {
-        Ok(self.cached.read().read_block(bid)?)
+        Ok(self.store.read(bid)?)
     }
 
     /// Reads many transactions at once, grouped by containing block and
@@ -329,14 +310,13 @@ impl Ledger {
     /// executor's index-driven scans use this instead of reading one
     /// pointer at a time.
     pub fn read_txs_grouped(&self, ptrs: &[TxPtr]) -> Result<Vec<Arc<Transaction>>, LedgerError> {
-        Ok(self.cached.read().read_txs_grouped(ptrs)?)
+        Ok(self.store.read_txs_grouped(ptrs)?)
     }
 
     /// `table`'s relation partition extents of `bids` as stored, one per
     /// planned run (`BlockStore::relation_runs`) — the one relation
     /// scan: Q4's Scan and Bitmap arms and the hash joins project its
-    /// tuples and decode only the ones they return. Always reads the store — cached blocks are decoded ones,
-    /// no use here — and leaves the cache as it was.
+    /// tuples and decode only the ones they return.
     pub fn scan_relation_raw(
         &self,
         bids: &[BlockId],
@@ -977,23 +957,5 @@ mod tests {
         assert!(l.store().load_view_registrations().unwrap().is_some());
         drop(l);
         assert!(!dir.exists(), "{} outlived its ledger", dir.display());
-    }
-
-    #[test]
-    fn cache_modes_switch() {
-        let l = ledger();
-        l.append_ordered(ordered(0, &[1, 2, 3])).unwrap();
-        l.use_block_cache(1 << 20);
-        l.read_block(0).unwrap();
-        l.read_block(0).unwrap();
-        let reads_with_cache = l.store().stats.snapshot().0;
-        l.use_tx_cache(1 << 20);
-        let ptr = TxPtr { block: 0, index: 1 };
-        l.read_txs_grouped(&[ptr]).unwrap();
-        l.read_txs_grouped(&[ptr]).unwrap();
-        // Tuple-granular reads: no extra block reads at all.
-        let reads_after = l.store().stats.snapshot().0;
-        assert_eq!(reads_after, reads_with_cache);
-        assert_eq!(l.store().stats.snapshot().2, 2);
     }
 }

@@ -854,9 +854,9 @@ fn auto_probes_only_the_window_over_a_frozen_index() {
 /// projection list, tuples exactly on the window's edges, and a
 /// relation sharing the extent (`partitions: 1`) whose rows would pass
 /// every predicate. Every access path returns the same rows in the same
-/// order under each read cache.
+/// order.
 #[test]
-fn projected_scan_arms_agree_with_every_path_in_every_cache_mode() {
+fn projected_scan_arms_agree_with_every_path() {
     let l = Ledger::new(
         Arc::new(
             BlockStore::temporary(StoreConfig {
@@ -952,16 +952,8 @@ fn projected_scan_arms_agree_with_every_path_in_every_cache_mode() {
             want(true, true),
         ),
     ];
-    let modes: [&dyn Fn(&Ledger); 3] = [
-        &|l| l.set_cache_mode(sebdb_storage::CacheMode::None),
-        &|l| l.use_block_cache(1 << 20),
-        &|l| l.use_tx_cache(1 << 20),
-    ];
-    for set_mode in modes {
-        set_mode(&l);
-        for (plan, want) in &cases {
-            assert_all_paths_agree(&l, plan, *want);
-        }
+    for (plan, want) in &cases {
+        assert_all_paths_agree(&l, plan, *want);
     }
 }
 

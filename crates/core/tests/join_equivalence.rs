@@ -2,9 +2,8 @@
 //!
 //! One seeded chain — duplicate keys on both sides, `NULL` keys, each
 //! relation absent from some blocks — is joined under every strategy,
-//! flat (`partitions: 1`, relations co-located) and partitioned, behind
-//! every cache mode. The two hash arms
-//! (`Scan`, `Bitmap`) must return **the same ordered row vector** as a
+//! flat (`partitions: 1`, relations co-located) and partitioned, twice.
+//! The two hash arms (`Scan`, `Bitmap`) must return **the same ordered row vector** as a
 //! nested loop over `read_block` written here; `Layered` the same rows
 //! as a sorted multiset. The hash arms decode only what they return:
 //! on a partitioned store, where each relation has a partition of its
@@ -291,27 +290,20 @@ fn joins_return_the_nested_loop_rows_everywhere() {
                 case.want.len()
             );
         }
-        for cache in ["none", "block", "tx"] {
-            match cache {
-                "block" => ledger.use_block_cache(1 << 20),
-                "tx" => ledger.use_tx_cache(1 << 20),
-                _ => {}
-            }
-            let exec = Executor::new(&ledger, Some(&conn));
-            // Twice, so the second pass meets a warm cache.
-            for pass in 0..2 {
-                for case in &cases {
-                    let at = format!("{} on p{partitions}, cache {cache}, pass {pass}", case.name);
-                    for arm in [Strategy::Scan, Strategy::Bitmap] {
-                        let got = exec.execute(&case.plan, arm).unwrap().rows;
-                        assert!(got == case.want, "{arm:?} {at}: {} rows", got.len());
-                    }
-                    let layered = exec.execute(&case.plan, Strategy::Layered).unwrap();
-                    assert!(
-                        sorted(layered.rows) == sorted(case.want.clone()),
-                        "Layered {at}"
-                    );
+        let exec = Executor::new(&ledger, Some(&conn));
+        // Twice, so the second pass meets warm index blocks and pages.
+        for pass in 0..2 {
+            for case in &cases {
+                let at = format!("{} on p{partitions}, pass {pass}", case.name);
+                for arm in [Strategy::Scan, Strategy::Bitmap] {
+                    let got = exec.execute(&case.plan, arm).unwrap().rows;
+                    assert!(got == case.want, "{arm:?} {at}: {} rows", got.len());
                 }
+                let layered = exec.execute(&case.plan, Strategy::Layered).unwrap();
+                assert!(
+                    sorted(layered.rows) == sorted(case.want.clone()),
+                    "Layered {at}"
+                );
             }
         }
     }
@@ -344,7 +336,7 @@ fn bitmap_hash_join_reads_two_partitions_not_the_blocks() {
             own += bytes;
         }
         if scanned {
-            blocks += store.block_size(b).unwrap() as u64;
+            blocks += block.byte_len() as u64;
         }
     }
     let plan = LogicalPlan::OnChainJoin {

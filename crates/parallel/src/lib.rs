@@ -68,8 +68,8 @@ pub const FLOOR_PREAD: usize = 256;
 /// Tens of microseconds an item: reading and decoding one block, one
 /// planned run of a projected relation scan.
 pub const FLOOR_BLOCK: usize = 8;
-/// Half a millisecond an item and up: one readahead run of blocks, one
-/// `fsync`.
+/// Half a millisecond an item and up: reading a run of whole blocks,
+/// one `fsync`.
 pub const FLOOR_RUN: usize = 1;
 // The cost classes are ordered: cheaper items need more of them.
 const _: () =

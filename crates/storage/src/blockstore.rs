@@ -32,17 +32,13 @@ use sebdb_types::{
     Block, BlockHeader, BlockId, Codec, ColumnRef, Encoder, RawValue, Transaction, TxProjection,
     TypeError, Value,
 };
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Readahead window for whole-block reads (the block cache's fills):
-/// the most consecutive blocks fetched with one coalesced positioned
-/// read per partition.
-pub const READAHEAD_BLOCKS: usize = 8;
 
 /// Byte budget of one relation-scan run ([`BlockStore::relation_runs`]):
 /// large enough that a run of 5-tuple blocks is one read of some fifty
@@ -96,7 +92,7 @@ pub struct TxPtr {
 }
 
 impl TxPtr {
-    /// Packs the pointer into a cache key.
+    /// Packs the pointer into one `u64`, the block in the high bits.
     pub fn as_u64(&self) -> u64 {
         (self.block << 24) | self.index as u64
     }
@@ -725,18 +721,6 @@ impl BlockStore {
         bytes
     }
 
-    /// Clones the entries of `bids` out from under one read guard.
-    fn snapshot(&self, bids: impl IntoIterator<Item = BlockId>) -> Result<Vec<BlockEntry>> {
-        let meta = self.meta.read();
-        bids.into_iter()
-            .map(|b| {
-                meta.get(b as usize)
-                    .cloned()
-                    .ok_or(StorageError::NotFound(b))
-            })
-            .collect()
-    }
-
     /// Appends a sealed block. The block's height must equal the current
     /// store height (blocks arrive strictly in order).
     ///
@@ -825,130 +809,104 @@ impl BlockStore {
         Ok(())
     }
 
-    /// Reads block `bid` (no caching here — see [`CachedStore`](crate::cache::CachedStore)): the
-    /// chain record plus every touched partition's extent, reassembled
-    /// into canonical order.
+    /// Reads block `bid`: one positioned read of its chain record and
+    /// one of each partition extent it touches, reassembled into
+    /// canonical order. `blocks_read` is charged once the block is
+    /// assembled, so a read past the tip counts nothing.
     pub fn read(&self, bid: BlockId) -> Result<Arc<Block>> {
-        self.stats.blocks_read.fetch_add(1, Ordering::Relaxed);
-        let mut v = self.assemble_span(bid, 1)?;
-        v.pop().ok_or(StorageError::NotFound(bid))
-    }
-
-    /// Reads several consecutive blocks starting at `start`, coalescing
-    /// physically adjacent records *within each partition* (consecutive
-    /// blocks' extents are back-to-back in a partition's segment) into
-    /// single positioned reads — the readahead path of sequential scans
-    /// (Figs. 11–12). Counters match `count` individual reads.
-    pub fn read_span(&self, start: BlockId, count: usize) -> Result<Vec<Arc<Block>>> {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        self.stats
-            .blocks_read
-            .fetch_add(count as u64, Ordering::Relaxed);
-        self.assemble_span(start, count)
-    }
-
-    /// Fetches `locs` from `reader`, one byte vector per location in
-    /// input order, coalescing contiguity runs (same segment,
-    /// back-to-back offsets, combined span ≤ `u32::MAX`) into single
-    /// positioned reads. `bytes_read` is charged per span.
-    fn read_coalesced(&self, reader: &SegmentSet, locs: &[Location]) -> Result<Vec<Vec<u8>>> {
-        let mut out = Vec::with_capacity(locs.len());
-        let mut run_start = 0usize;
-        while run_start < locs.len() {
-            let mut run_end = run_start + 1;
-            while run_end < locs.len() {
-                let prev = locs[run_end - 1];
-                let next = locs[run_end];
-                let contiguous =
-                    next.segment == prev.segment && next.offset == prev.offset + prev.len as u64;
-                let span = next.offset + next.len as u64 - locs[run_start].offset;
-                if !contiguous || span > u32::MAX as u64 {
-                    break;
-                }
-                run_end += 1;
-            }
-            let first = locs[run_start];
-            let last = locs[run_end - 1];
-            let span_len = (last.offset + last.len as u64 - first.offset) as u32;
-            let span = reader.read(Location {
-                len: span_len,
-                ..first
-            })?;
-            self.stats
-                .bytes_read
-                .fetch_add(span.len() as u64, Ordering::Relaxed);
-            for loc in &locs[run_start..run_end] {
-                let rel = (loc.offset - first.offset) as usize;
-                out.push(span[rel..rel + loc.len as usize].to_vec());
-            }
-            run_start = run_end;
-        }
-        Ok(out)
-    }
-
-    /// Reassembles blocks `start..start + count` from the chain records
-    /// and partition extents (`blocks_read` is the caller's charge).
-    fn assemble_span(&self, start: BlockId, count: usize) -> Result<Vec<Arc<Block>>> {
-        let meta = self.snapshot(start..start + count as u64)?;
-        let chain_locs: Vec<Location> = meta.iter().map(|e| e.chain).collect();
-        let chain_bytes = self.read_coalesced(&self.chain_reader, &chain_locs)?;
-        let mut ext_bytes: Vec<Vec<Vec<u8>>> = meta
+        let e = self.entry(bid)?;
+        let header = decode_chain_record(&self.read_at(&self.chain_reader, e.chain)?, bid)?;
+        let extents = e
+            .parts
             .iter()
-            .map(|e| vec![Vec::new(); e.parts.len()])
-            .collect();
-        for (p, partition) in self.parts.iter().enumerate() {
-            let mut items: Vec<(usize, usize)> = Vec::new();
-            let mut plocs: Vec<Location> = Vec::new();
-            for (k, e) in meta.iter().enumerate() {
-                if let Some(pos) = e.parts.iter().position(|(q, _)| *q as usize == p) {
-                    items.push((k, pos));
-                    plocs.push(e.parts[pos].1);
-                }
-            }
-            if plocs.is_empty() {
-                continue;
-            }
-            let fetched = self.read_coalesced(&partition.reader, &plocs)?;
-            for ((k, pos), bytes) in items.into_iter().zip(fetched) {
-                ext_bytes[k][pos] = bytes;
+            .map(|&(p, loc)| Ok((p, self.read_at(&self.parts[p as usize].reader, loc)?)))
+            .collect::<Result<Vec<(u8, Vec<u8>)>>>()?;
+        let mut transactions = Vec::with_capacity(e.txs.len());
+        for (canon, l) in e.txs.iter().enumerate() {
+            let (_, bytes) = extents.iter().find(|(q, _)| *q == l.part).ok_or_else(|| {
+                StorageError::Corrupt(format!(
+                    "block {bid}: tuple {canon} routed to absent partition {}",
+                    l.part
+                ))
+            })?;
+            let (s, t) = (l.off as usize, l.off as usize + l.len as usize);
+            let tuple = bytes.get(s..t).ok_or_else(|| {
+                StorageError::Corrupt(format!("block {bid}: tuple {canon} overruns its extent"))
+            })?;
+            let tx = Transaction::from_bytes(tuple)
+                .map_err(|e2| StorageError::Corrupt(format!("tx {bid}/{canon}: {e2}")))?;
+            transactions.push(tx);
+        }
+        self.stats.blocks_read.fetch_add(1, Ordering::Relaxed);
+        Ok(Arc::new(Block {
+            header,
+            transactions,
+        }))
+    }
+
+    /// Block `bid`'s manifest entry, cloned out from under the read guard.
+    fn entry(&self, bid: BlockId) -> Result<BlockEntry> {
+        self.meta
+            .read()
+            .get(bid as usize)
+            .cloned()
+            .ok_or(StorageError::NotFound(bid))
+    }
+
+    /// One positioned read of `loc` from `reader`, charged to
+    /// `bytes_read`.
+    fn read_at(&self, reader: &SegmentSet, loc: Location) -> Result<Vec<u8>> {
+        let bytes = reader.read(loc)?;
+        self.stats
+            .bytes_read
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        Ok(bytes)
+    }
+
+    /// Reads many transactions, grouped by containing block in
+    /// first-seen order, with distinct blocks fetched across workers;
+    /// results come back in input order. Each block's members are one
+    /// [`Self::read_txs_in_block`], so the counters ([`IoStats`]) are
+    /// those of issuing the pointers one by one.
+    pub fn read_txs_grouped(&self, ptrs: &[TxPtr]) -> Result<Vec<Arc<Transaction>>> {
+        // `q4_point` reads 0–1 pointers: past the grouping map.
+        if let [ptr] = ptrs {
+            let mut one = self.read_txs_in_block(ptr.block, &[ptr.index])?;
+            let tx = one.pop().ok_or(StorageError::NotFound(ptr.block))?;
+            return Ok(vec![Arc::new(tx)]);
+        }
+        // Each group keeps its pointers' positions so output order
+        // survives the fan-out.
+        let mut group_of: HashMap<BlockId, usize> = HashMap::new();
+        let mut groups: Vec<(BlockId, Vec<usize>, Vec<u32>)> = Vec::new();
+        for (pos, ptr) in ptrs.iter().enumerate() {
+            let gi = *group_of.entry(ptr.block).or_insert_with(|| {
+                groups.push((ptr.block, Vec::new(), Vec::new()));
+                groups.len() - 1
+            });
+            groups[gi].1.push(pos);
+            groups[gi].2.push(ptr.index);
+        }
+        let fetched =
+            sebdb_parallel::par_map(&groups, sebdb_parallel::FLOOR_PREAD, |(bid, _, indexes)| {
+                self.read_txs_in_block(*bid, indexes)
+            });
+        let mut out: Vec<Option<Arc<Transaction>>> = vec![None; ptrs.len()];
+        for ((_, positions, _), txs) in groups.iter().zip(fetched) {
+            for (&pos, tx) in positions.iter().zip(txs?) {
+                out[pos] = Some(Arc::new(tx));
             }
         }
-        let mut out = Vec::with_capacity(count);
-        for (k, e) in meta.iter().enumerate() {
-            let bid = start + k as u64;
-            let header = decode_chain_record(&chain_bytes[k], bid)?;
-            let mut txs = Vec::with_capacity(e.txs.len());
-            for (canon, l) in e.txs.iter().enumerate() {
-                let pos = e
-                    .parts
-                    .iter()
-                    .position(|(q, _)| *q == l.part)
-                    .ok_or_else(|| {
-                        StorageError::Corrupt(format!(
-                            "block {bid}: tuple {canon} routed to absent partition {}",
-                            l.part
-                        ))
-                    })?;
-                let bytes = &ext_bytes[k][pos];
-                let s = l.off as usize;
-                let t = s + l.len as usize;
-                if t > bytes.len() {
-                    return Err(StorageError::Corrupt(format!(
-                        "block {bid}: tuple {canon} overruns its extent"
-                    )));
-                }
-                let tx = Transaction::from_bytes(&bytes[s..t])
-                    .map_err(|e2| StorageError::Corrupt(format!("tx {bid}/{canon}: {e2}")))?;
-                txs.push(tx);
-            }
-            out.push(Arc::new(Block {
-                header,
-                transactions: txs,
-            }));
-        }
-        Ok(out)
+        // invariant: every position was grouped above and
+        // read_txs_in_block returns one tuple per index, so every slot
+        // is filled; an unfilled one is corruption, not a panic.
+        out.into_iter()
+            .map(|t| {
+                t.ok_or_else(|| {
+                    StorageError::Corrupt("grouped read left a pointer unresolved".into())
+                })
+            })
+            .collect()
     }
 
     /// Reads the transactions at `indexes` within block `bid` without
@@ -963,14 +921,8 @@ impl BlockStore {
         if indexes.is_empty() {
             return Ok(Vec::new());
         }
-        let entry = self
-            .meta
-            .read()
-            .get(bid as usize)
-            .cloned()
-            .ok_or(StorageError::NotFound(bid))?;
+        let entry = self.entry(bid)?;
         let table = &entry.txs;
-        use std::collections::HashMap;
         let mut lohi: HashMap<u8, (u32, u32)> = HashMap::new();
         for &i in indexes {
             let l = table.get(i as usize).ok_or(StorageError::NotFound(bid))?;
@@ -985,14 +937,12 @@ impl BlockStore {
                     "block {bid}: tuples routed to absent partition {part}"
                 ))
             })?;
-            let bytes = self.parts[part as usize].reader.read(Location {
+            let span = Location {
                 segment: ext.segment,
                 offset: ext.offset + lo as u64,
                 len: hi - lo,
-            })?;
-            self.stats
-                .bytes_read
-                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+            };
+            let bytes = self.read_at(&self.parts[part as usize].reader, span)?;
             fetched.insert(part, (lo, bytes));
         }
         self.stats
@@ -1092,10 +1042,7 @@ impl BlockStore {
         planned
             .into_iter()
             .map(|(span, mut run)| {
-                run.bytes = reader.read(span)?;
-                self.stats
-                    .bytes_read
-                    .fetch_add(run.bytes.len() as u64, Ordering::Relaxed);
+                run.bytes = self.read_at(reader, span)?;
                 Ok(run)
             })
             .collect()
@@ -1117,28 +1064,14 @@ impl BlockStore {
             let e = meta.get(bid as usize).ok_or(StorageError::NotFound(bid))?;
             (e.chain, e.txs.len())
         };
-        let bytes = self.chain_reader.read(chain)?;
-        self.stats
-            .bytes_read
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        let bytes = self.read_at(&self.chain_reader, chain)?;
         Ok((decode_chain_record(&bytes, bid)?, ntx))
-    }
-
-    /// Serialized size of block `bid` in bytes: its canonical encoding,
-    /// i.e. the chain record (the header), the 4-byte tuple count and
-    /// the partition extents.
-    pub fn block_size(&self, bid: BlockId) -> Result<usize> {
-        let meta = self.meta.read();
-        let e = meta.get(bid as usize).ok_or(StorageError::NotFound(bid))?;
-        let ext: usize = e.parts.iter().map(|(_, l)| l.len as usize).sum();
-        Ok(e.chain.len as usize + 4 + ext)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{BlockCache, CacheMode, CachedStore, TxCache};
     use sebdb_crypto::sha256::Digest;
     use sebdb_types::Value;
 
@@ -1298,47 +1231,27 @@ mod tests {
     }
 
     #[test]
-    fn block_cache_avoids_backend_reads() {
-        let store = Arc::new(temporary());
-        store.append(&block(0, Digest::ZERO, 2)).unwrap();
-        let cached = CachedStore::new(
-            Arc::clone(&store),
-            CacheMode::Block(BlockCache::new(1 << 20)),
-        );
-        cached.read_block(0).unwrap();
-        cached.read_block(0).unwrap();
-        cached.read_block(0).unwrap();
-        assert_eq!(store.stats.snapshot().0, 1, "only first read hits backend");
-    }
-
-    #[test]
-    fn tx_cache_avoids_block_reads() {
-        let store = Arc::new(temporary());
-        store.append(&block(0, Digest::ZERO, 4)).unwrap();
-        let cached = CachedStore::new(Arc::clone(&store), CacheMode::Tx(TxCache::new(1 << 20)));
-        let ptr = TxPtr { block: 0, index: 2 };
-        let a = cached.read_tx(ptr).unwrap();
-        let b = cached.read_tx(ptr).unwrap();
-        assert_eq!(a, b);
-        // Miss uses a tuple-granular read (no block read), hit uses the
-        // cache.
-        assert_eq!(store.stats.snapshot().0, 0);
-        assert_eq!(store.stats.snapshot().2, 2);
+    fn a_read_past_the_tip_counts_no_work() {
+        let store = temporary();
+        store.append(&block(0, Digest::ZERO, 3)).unwrap();
+        store.read(0).unwrap();
+        let before = (store.stats.snapshot(), store.stats.bytes_read());
+        assert!(matches!(store.read(1), Err(StorageError::NotFound(1))));
+        assert_eq!((store.stats.snapshot(), store.stats.bytes_read()), before);
     }
 
     #[test]
     fn no_cache_reads_backend_every_time() {
-        let store = Arc::new(temporary());
+        let store = temporary();
         store.append(&block(0, Digest::ZERO, 2)).unwrap();
-        let cached = CachedStore::new(Arc::clone(&store), CacheMode::None);
-        cached.read_block(0).unwrap();
-        cached.read_block(0).unwrap();
+        store.read(0).unwrap();
+        store.read(0).unwrap();
         assert_eq!(store.stats.snapshot().0, 2);
     }
 
     #[test]
-    fn grouped_reads_match_pointwise_reads_in_every_cache_mode() {
-        let store = Arc::new(temporary());
+    fn grouped_reads_match_pointwise_reads() {
+        let store = temporary();
         let mut prev = Digest::ZERO;
         for h in 0..4 {
             let b = block(h, prev, 5);
@@ -1350,27 +1263,18 @@ mod tests {
             .iter()
             .map(|&(b, i)| TxPtr { block: b, index: i })
             .collect();
-        let modes: [fn() -> CacheMode; 3] = [
-            || CacheMode::None,
-            || CacheMode::Block(BlockCache::new(1 << 20)),
-            || CacheMode::Tx(TxCache::new(1 << 20)),
-        ];
-        for make_mode in modes {
-            let pointwise = CachedStore::new(Arc::clone(&store), make_mode());
-            let expect: Vec<_> = ptrs
-                .iter()
-                .map(|&p| pointwise.read_tx(p).unwrap())
-                .collect();
-            let grouped = CachedStore::new(Arc::clone(&store), make_mode());
-            store.stats.reset();
-            let got = grouped.read_txs_grouped(&ptrs).unwrap();
-            assert_eq!(got, expect);
-            // Tuple-read accounting is identical to pointwise reads.
-            assert_eq!(store.stats.snapshot().2, ptrs.len() as u64);
-        }
+        let expect: Vec<_> = ptrs
+            .iter()
+            .map(|&p| store.read_txs_in_block(p.block, &[p.index]).unwrap())
+            .map(|mut one| Arc::new(one.pop().unwrap()))
+            .collect();
+        store.stats.reset();
+        let got = store.read_txs_grouped(&ptrs).unwrap();
+        assert_eq!(got, expect);
+        // Tuple-read accounting is identical to pointwise reads.
+        assert_eq!(store.stats.snapshot().2, ptrs.len() as u64);
         // Out-of-range pointers surface as errors, not panics.
-        let grouped = CachedStore::new(Arc::clone(&store), CacheMode::None);
-        assert!(grouped
+        assert!(store
             .read_txs_grouped(&[TxPtr { block: 9, index: 0 }, TxPtr { block: 0, index: 0 }])
             .is_err());
     }

@@ -439,7 +439,7 @@ impl IndexBlockCache {
     }
 
     fn shard_of(key: (u64, u32)) -> usize {
-        // Fibonacci hash over the packed key, as the block caches do.
+        // Fibonacci hash: raw modulo would stripe sequential-ish keys.
         let packed = (key.0 << 32) ^ u64::from(key.1);
         (packed.wrapping_mul(0x9E3779B97F4A7C15) >> 32) as usize % CACHE_SHARDS
     }

@@ -9,7 +9,7 @@
 //! at most once however many readers race the first touch.
 
 use sebdb_crypto::sha256::Digest;
-use sebdb_storage::{BlockStore, CacheMode, CachedStore, StoreConfig, TxPtr};
+use sebdb_storage::{BlockStore, StoreConfig, TxPtr};
 use sebdb_types::{Block, Transaction, Value};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,11 +82,10 @@ fn grouped_reads_overlap_across_eight_threads() {
         })));
     }
 
-    let cached = Arc::new(CachedStore::new(Arc::clone(&store), CacheMode::None));
     let barrier = Arc::new(Barrier::new(8));
     let handles: Vec<_> = (0..8)
         .map(|t| {
-            let cached = Arc::clone(&cached);
+            let store = Arc::clone(&store);
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 barrier.wait();
@@ -102,7 +101,7 @@ fn grouped_reads_overlap_across_eight_threads() {
                         })
                     })
                     .collect();
-                let txs = cached.read_txs_grouped(&ptrs).unwrap();
+                let txs = store.read_txs_grouped(&ptrs).unwrap();
                 assert_eq!(txs.len(), ptrs.len());
                 for (ptr, tx) in ptrs.iter().zip(&txs) {
                     assert_eq!(tx.tid, ptr.block * 100 + ptr.index as u64);

@@ -1,17 +1,17 @@
 //! Equivalence and accounting contracts for the coalesced read path.
 //!
-//! The coalescing/span optimizations must be invisible to callers:
-//! grouped reads return byte-identical transactions vs one-by-one
-//! `read_tx` across every `CacheMode`, whether the worker pool is
-//! sequential (`SEBDB_THREADS=1`) or parallel. The `IoStats` bytes
+//! The coalescing must be invisible to callers: grouped reads return
+//! byte-identical transactions vs one-by-one `read_txs_in_block`,
+//! whether the worker pool is sequential (`SEBDB_THREADS=1`) or
+//! parallel. The `IoStats` bytes
 //! counter pins tuple reads to tuple granularity, on the store that
 //! appended the chain and on one that replayed it from the manifest.
 
 use sebdb_crypto::sha256::Digest;
-use sebdb_storage::{BlockCache, BlockStore, CacheMode, CachedStore, StoreConfig, TxCache, TxPtr};
+use sebdb_storage::{BlockStore, StoreConfig, TxPtr};
 use sebdb_types::{Block, Codec, Transaction, Value};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 /// Serializes tests that flip the process-global worker-pool size.
 fn threads_lock() -> &'static Mutex<()> {
@@ -72,38 +72,25 @@ fn workload(nblocks: u64, ntx: usize) -> Vec<TxPtr> {
     ptrs
 }
 
-fn mode(name: &str) -> CacheMode {
-    match name {
-        "none" => CacheMode::None,
-        "block" => CacheMode::Block(BlockCache::new(1 << 20)),
-        "tx" => CacheMode::Tx(TxCache::new(1 << 20)),
-        _ => unreachable!(),
-    }
-}
-
-/// Grouped reads must be byte-identical to pointwise reads in every
-/// cache mode and at every pool size.
-fn assert_equivalence(store: Arc<BlockStore>, nblocks: u64, ntx: usize) {
+/// Grouped reads must be byte-identical to pointwise reads at every
+/// pool size.
+fn assert_equivalence(store: &BlockStore, nblocks: u64, ntx: usize) {
     let ptrs = workload(nblocks, ntx);
+    let expected: Vec<Vec<u8>> = ptrs
+        .iter()
+        .map(|&p| store.read_txs_in_block(p.block, &[p.index]).unwrap()[0].to_bytes())
+        .collect();
     for threads in [1usize, 4] {
         sebdb_parallel::set_max_threads(threads);
-        for m in ["none", "block", "tx"] {
-            let pointwise = CachedStore::new(Arc::clone(&store), mode(m));
-            let expected: Vec<Vec<u8>> = ptrs
-                .iter()
-                .map(|&p| pointwise.read_tx(p).unwrap().to_bytes())
-                .collect();
-            let grouped = CachedStore::new(Arc::clone(&store), mode(m));
-            let got = grouped.read_txs_grouped(&ptrs).unwrap();
-            assert_eq!(got.len(), ptrs.len());
-            for (i, (tx, want)) in got.iter().zip(&expected).enumerate() {
-                assert_eq!(
-                    &tx.to_bytes(),
-                    want,
-                    "mode {m}, {threads} thread(s): ptr {i} ({:?}) differs",
-                    ptrs[i]
-                );
-            }
+        let got = store.read_txs_grouped(&ptrs).unwrap();
+        assert_eq!(got.len(), ptrs.len());
+        for (i, (tx, want)) in got.iter().zip(&expected).enumerate() {
+            assert_eq!(
+                &tx.to_bytes(),
+                want,
+                "{threads} thread(s): ptr {i} ({:?}) differs",
+                ptrs[i]
+            );
         }
     }
 }
@@ -118,7 +105,7 @@ fn grouped_reads_byte_identical_on_disk() {
     })
     .unwrap();
     build_chain(&store, 6, 8);
-    assert_equivalence(Arc::new(store), 6, 8);
+    assert_equivalence(&store, 6, 8);
 }
 
 /// Satellite regression: a tuple-granular point lookup reads at most
@@ -141,8 +128,7 @@ fn tuple_reads_are_tuple_granular_in_bytes() {
             let b = store.read(ptr.block).unwrap();
             b.transactions[ptr.index as usize].to_bytes().len() as u64
         };
-        let block_len = store.block_size(ptr.block).unwrap() as u64;
-        assert_eq!(block_len, store.read(ptr.block).unwrap().byte_len() as u64);
+        let block_len = store.read(ptr.block).unwrap().byte_len() as u64;
         store.stats.reset();
         let tx = store.read_txs_in_block(ptr.block, &[ptr.index]).unwrap();
         assert_eq!(tx[0].tid, 102, "{name}");
@@ -160,32 +146,4 @@ fn tuple_reads_are_tuple_granular_in_bytes() {
         assert_eq!(txs_read, 1, "{name}");
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// `read_span` (the readahead primitive) returns the same blocks as
-/// one-by-one reads, and `CachedStore::read_blocks_span` preserves
-/// request order with and without a block cache.
-#[test]
-fn span_reads_match_pointwise_block_reads() {
-    let store = BlockStore::temporary(StoreConfig {
-        segment_size: 2048,
-        sync_writes: false,
-        ..StoreConfig::default()
-    })
-    .unwrap();
-    build_chain(&store, 8, 4);
-    let store = Arc::new(store);
-    for m in ["none", "block"] {
-        let cached = CachedStore::new(Arc::clone(&store), mode(m));
-        let bids: Vec<u64> = vec![0, 1, 2, 3, 4, 5, 6, 7, 3, 0];
-        let got = cached.read_blocks_span(&bids).unwrap();
-        for (&bid, b) in bids.iter().zip(&got) {
-            assert_eq!(b.header.height, bid, "mode {m}");
-            assert_eq!(
-                *b.to_bytes(),
-                store.read(bid).unwrap().to_bytes(),
-                "mode {m}"
-            );
-        }
-    }
 }

@@ -1,14 +1,12 @@
 //! Relation scans read by runs cut by bytes: `BlockStore::relation_runs`
 //! cuts a scan's blocks into runs whose extents lie back to back in one
 //! segment and add up to about `SCAN_RUN_BYTES`, and a scan issues one
-//! positioned read per planned run — not one per readahead window of
+//! positioned read per planned run — not one per window of a few
 //! blocks. Every tuple it returns is the one `BlockStore::read` puts at
 //! that block and position, byte for byte.
 
 use sebdb_crypto::sha256::Digest;
-use sebdb_storage::{
-    BlockStore, RawExtent, StoreConfig, READAHEAD_BLOCKS, RELATION_PARTITIONS, SCAN_RUN_BYTES,
-};
+use sebdb_storage::{BlockStore, RawExtent, StoreConfig, RELATION_PARTITIONS, SCAN_RUN_BYTES};
 use sebdb_types::{Block, Codec, Transaction, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -145,9 +143,10 @@ fn check_scan(store: &BlockStore, bids: &[u64], table: &str) -> Vec<(usize, usiz
 }
 
 /// Flat and partitioned, a long scan is a handful of byte-cut runs —
-/// far fewer reads than one per readahead window of blocks.
+/// far fewer reads than one per 8-block window.
 #[test]
 fn a_scan_issues_one_read_per_planned_run() {
+    const WINDOW_BLOCKS: usize = 8;
     let tables = ["donate", "transfer", "distribute"];
     let nblocks = 240u64;
     for partitions in [1usize, RELATION_PARTITIONS] {
@@ -155,11 +154,11 @@ fn a_scan_issues_one_read_per_planned_run() {
         let bids: Vec<u64> = (0..nblocks).collect();
         for table in tables {
             let sizes = check_scan(&store, &bids, table);
-            let (runs, windows) = (sizes.len(), bids.len().div_ceil(READAHEAD_BLOCKS));
+            let (runs, windows) = (sizes.len(), bids.len().div_ceil(WINDOW_BLOCKS));
             assert!(runs > 1, "p{partitions} {table}: one run");
             assert!(
                 runs * 2 < windows,
-                "p{partitions} {table}: {runs} runs against {windows} readahead windows"
+                "p{partitions} {table}: {runs} runs against {windows} 8-block windows"
             );
             // One segment, no gaps: only the budget ends a run.
             for pair in sizes.windows(2) {
