@@ -38,7 +38,7 @@ impl Executor<'_> {
             probe.k,
             self.cost.cost_bitmap(probe.k)
         );
-        let Some((_, col)) = &probe.driver else {
+        let Some(col) = &probe.driver else {
             return format!("{path}: no usable layered index; costs: {costs}");
         };
         let p = if probe.path == Strategy::Layered {

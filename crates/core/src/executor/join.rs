@@ -238,9 +238,8 @@ impl Executor<'_> {
         let r_entries = side(right, &r_col, pairs.iter().map(|p| p.1 as usize).collect())?;
         let mut matched: Vec<(sebdb_storage::TxPtr, sebdb_storage::TxPtr)> = Vec::new();
         sort_merge_pairs(&l_entries, &r_entries, &mut matched);
-        // Phase two batch-fetches every distinct pointer (distinct
-        // blocks decoded across workers) and materializes the matched
-        // rows in pair order.
+        // Phase two fetches every distinct pointer once, in pointer
+        // runs, and materializes the matched rows in pair order.
         let txs = self.fetch_distinct(matched.iter().flat_map(|&(lp, rp)| [lp, rp]))?;
         let rows = sebdb_parallel::par_map(&matched, sebdb_parallel::FLOOR_TUPLE, |(lp, rp)| {
             let (ltx, rtx) = (&txs[lp], &txs[rp]);

@@ -21,8 +21,7 @@ use sebdb_offchain::OffchainConnection;
 use sebdb_sql::{BoundBlockSelector, LogicalPlan, SqlError};
 use sebdb_storage::TxPtr;
 use sebdb_types::{ColumnRef, TableSchema, Transaction, TypeError, Value};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap};
 
 /// A rectangular (or, for tracking, ragged) result set.
 #[derive(Debug, Clone, PartialEq)]
@@ -242,22 +241,16 @@ impl<'a> Executor<'a> {
             .ok_or_else(|| ExecError::Unsupported(format!("system {column} index missing")))
     }
 
-    /// Batch-fetches every distinct pointer in `ptrs` once (grouped by
-    /// block, distinct blocks across workers) — the second phase of
-    /// the layered joins, whose sort-merge phase collects matched
-    /// pointers without touching storage.
+    /// Fetches and decodes every distinct pointer in `ptrs` once, in
+    /// pointer runs (`Ledger::fetch_raw`) — the second phase of the
+    /// layered joins, whose sort-merge phase collects matched pointers
+    /// without touching storage.
     fn fetch_distinct(
         &self,
         ptrs: impl Iterator<Item = TxPtr>,
-    ) -> Result<HashMap<TxPtr, Arc<Transaction>>, ExecError> {
-        let mut distinct: Vec<TxPtr> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for p in ptrs {
-            if seen.insert(p) {
-                distinct.push(p);
-            }
-        }
-        let txs = self.ledger.read_txs_grouped(&distinct)?;
+    ) -> Result<HashMap<TxPtr, Transaction>, ExecError> {
+        let distinct: Vec<TxPtr> = ptrs.collect::<BTreeSet<_>>().into_iter().collect();
+        let txs = self.ledger.read_txs(&distinct)?;
         Ok(distinct.into_iter().zip(txs).collect())
     }
 

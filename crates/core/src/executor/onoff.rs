@@ -111,9 +111,9 @@ impl Executor<'_> {
                     })?;
                 let mut matched: Vec<(sebdb_storage::TxPtr, std::ops::Range<usize>)> = Vec::new();
                 merge_with_off(&entries, &off_rows, off_col, &mut matched);
-                // Phase two batch-fetches every distinct pointer
-                // (distinct blocks decoded across workers) and
-                // materializes matched rows in merge order.
+                // Phase two fetches every distinct pointer once, in
+                // pointer runs, and materializes matched rows in merge
+                // order.
                 let txs = self.fetch_distinct(matched.iter().map(|(p, _)| *p))?;
                 let row_batches = sebdb_parallel::par_map(
                     &matched,
@@ -193,8 +193,8 @@ pub(super) fn append_off_row(off: &&Vec<Value>, row: &mut Vec<Value>) -> Result<
 
 /// Sort-merge sorted index entries against the sorted off-chain rows,
 /// collecting each matched pointer with the range of off-chain rows it
-/// joins — no storage reads; the caller batch-fetches all matched
-/// transactions grouped by block afterwards.
+/// joins — no storage reads; the caller fetches all matched
+/// transactions in pointer runs afterwards.
 fn merge_with_off(
     entries: &[(Value, sebdb_storage::TxPtr)],
     off_rows: &[Vec<Value>],

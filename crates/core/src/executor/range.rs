@@ -2,7 +2,7 @@
 //! three access paths of §IV-B's cost analysis.
 
 use super::hash::decode_row;
-use super::{full_header, materialize, project, ExecError, Executor, QueryResult, Strategy};
+use super::{full_header, project, ExecError, Executor, QueryResult, Strategy};
 use crate::ledger::LedgerError;
 use sebdb_index::{AccessPath, Bitmap, KeyPredicate};
 use sebdb_sql::BoundPredicate;
@@ -16,9 +16,8 @@ pub(super) struct RangeProbe {
     /// The resolved access path (never [`Strategy::Auto`]). `Layered`
     /// exactly when the index walk finished inside its budget.
     pub path: Strategy,
-    /// Position of the predicate driving the layered index and the
-    /// indexed column's name, when an index serves the query.
-    pub driver: Option<(usize, String)>,
+    /// The indexed column's name, when an index serves the query.
+    pub driver: Option<String>,
     /// Matching tuple pointers. When `path` is `Layered` this is the
     /// exact answer set (`p` of Eq. 3) in chain order; when the walk
     /// was abandoned it holds what had been collected by then.
@@ -58,15 +57,13 @@ impl Executor<'_> {
         let path = match strategy {
             Strategy::Auto | Strategy::Layered => {
                 let probe = self.probe_range(schema, predicates, &mask, strategy)?;
-                if let (Strategy::Layered, Some((driver, _))) = (probe.path, &probe.driver) {
-                    out.rows = self.fetch_rows(
-                        schema,
-                        projection,
-                        predicates,
-                        window,
-                        *driver,
-                        &probe.ptrs,
-                    )?;
+                if let (Strategy::Layered, Some(_)) = (probe.path, &probe.driver) {
+                    // The pointers' runs, filtered as the block paths
+                    // filter theirs: one relation, so chain order. A
+                    // pointer run is a tuple or a few, too little for
+                    // a worker.
+                    let runs = self.ledger.fetch_raw(&probe.ptrs)?;
+                    out.rows = select_extents(&runs, schema, projection, predicates, window)?;
                     return Ok(out);
                 }
                 probe.path
@@ -118,12 +115,12 @@ impl Executor<'_> {
         strategy: Strategy,
     ) -> Result<RangeProbe, ExecError> {
         // Which predicate can drive a layered index?
-        let indexed = predicates.iter().enumerate().find_map(|(i, p)| {
+        let indexed = predicates.iter().find_map(|p| {
             let (lo, hi) = p.index_bounds()?;
             let column_name = column_name(schema, p.column)?;
             self.ledger
                 .with_layered(Some(&schema.name), &column_name, |_| ())?;
-            Some((i, column_name, KeyPredicate::Range(lo, hi)))
+            Some((column_name, KeyPredicate::Range(lo, hi)))
         });
         let n = mask.count_ones() as u64;
         // A forced layered query never weighs the block paths, so it
@@ -146,7 +143,7 @@ impl Executor<'_> {
             n,
             k,
         };
-        let Some((driver, column_name, key_pred)) = indexed else {
+        let Some((column_name, key_pred)) = indexed else {
             if strategy == Strategy::Layered {
                 return Err(ExecError::Unsupported(format!(
                     "no layered index on table '{}' serves this predicate",
@@ -177,55 +174,12 @@ impl Executor<'_> {
                 probe.rows_scanned = found.scanned;
             })
             .ok_or_else(|| ExecError::Unsupported(format!("index on {} vanished", schema.name)))?;
-        probe.driver = Some((driver, column_name));
+        probe.driver = Some(column_name);
         Ok(probe)
-    }
-
-    /// The layered path's second half: batch-fetches the probed
-    /// pointers, then filters and materializes rows; both stages
-    /// preserve pointer order.
-    fn fetch_rows(
-        &self,
-        schema: &TableSchema,
-        projection: &[String],
-        predicates: &[BoundPredicate],
-        window: Option<(Timestamp, Timestamp)>,
-        driver: usize,
-        ptrs: &[TxPtr],
-    ) -> Result<Vec<Vec<Value>>, ExecError> {
-        let txs = self.ledger.read_txs_grouped(ptrs)?;
-        let rows = sebdb_parallel::par_map(
-            &txs,
-            sebdb_parallel::FLOOR_TUPLE,
-            |tx| -> Result<Option<Vec<Value>>, ExecError> {
-                if !tx.tname.eq_ignore_ascii_case(&schema.name) {
-                    return Ok(None);
-                }
-                if !in_window(tx.ts, window) {
-                    return Ok(None);
-                }
-                // Re-check every predicate (the driver is implied,
-                // the others must still be applied).
-                let ok = predicates
-                    .iter()
-                    .enumerate()
-                    .all(|(i, p)| i == driver || p.matches(|c| tx.get(c)));
-                if ok {
-                    Ok(Some(project(schema, projection, materialize(tx))?))
-                } else {
-                    Ok(None)
-                }
-            },
-        );
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows {
-            out.extend(row?);
-        }
-        Ok(out)
     }
 }
 
-/// The Scan and Bitmap arms' filter over one run of extents: keeps
+/// Every arm's filter over runs of extents: keeps
 /// `schema`'s tuples inside `window` that satisfy every predicate,
 /// each tested on its own column still encoded, and decodes only those
 /// (co-located relations share an extent, hence the name test). Chain

@@ -135,11 +135,11 @@ impl Executor<'_> {
                 // pointers under the mask, in chain order. With both
                 // dimensions the operation is tested on the resident
                 // tuple table before any read — a tuple outside the
-                // operation's partition is not its relation's — and on
-                // the decoded name after it, which co-located relations
-                // need (DESIGN §4). Surviving pointers are batch-read
-                // (blocks fetched across workers) and materialized in
-                // pointer order.
+                // operation's partition is not its relation's. The
+                // surviving pointers' runs then go through the Scan
+                // arm's keep test, which co-located relations need
+                // (DESIGN §4), and back to chain order: an operator
+                // alone crosses partitions.
                 let Some((column, pred)) = dims.first() else {
                     return Err(ExecError::Unsupported(
                         "tracking needs at least one dimension".into(),
@@ -152,14 +152,10 @@ impl Executor<'_> {
                 if let (Some(_), Some(tname)) = (operator, operation) {
                     self.ledger.store().retain_in_partition(&mut ptrs, tname);
                 }
-                let txs = self.ledger.read_txs_grouped(&ptrs)?;
-                let rows = sebdb_parallel::par_map(&txs, sebdb_parallel::FLOOR_TUPLE, |tx| {
-                    (operation.is_none_or(|t| tx.tname == t)
-                        && in_window(tx.ts, window)
-                        && !is_internal(&tx.tname))
-                    .then(|| super::materialize(tx))
-                });
-                out.rows.extend(rows.into_iter().flatten());
+                let runs = self.ledger.fetch_raw(&ptrs)?;
+                let sender = operator.map(|op| Value::Bytes(op.as_bytes().to_vec()));
+                let rows = keep_traced(&runs, sender.as_ref(), operation, window)?;
+                out.rows = in_chain_order(rows);
             }
             Strategy::Bitmap | Strategy::Scan => {
                 // Bitmap: the sender / table bitmaps prune blocks
@@ -192,32 +188,49 @@ impl Executor<'_> {
     ) -> Result<Vec<Vec<Value>>, ExecError> {
         let bids: Vec<u64> = blocks.iter_ones().map(|b| b as u64).collect();
         let sender = operator.map(|op| Value::Bytes(op.as_bytes().to_vec()));
-        let keep = |run: Vec<RawExtent>| -> Result<Vec<_>, ExecError> {
-            let mut rows = Vec::new();
-            for tuple in run.iter().flat_map(RawExtent::tuples) {
-                let head = tuple.project().map_err(LedgerError::from)?;
-                if is_internal(head.tname)
-                    || !in_window(head.ts, window)
-                    || operation.is_some_and(|t| !head.tname.eq_ignore_ascii_case(t))
-                {
-                    continue;
-                }
-                if let Some(sender) = &sender {
-                    let raw = tuple.column(&head, ColumnRef::SenId);
-                    let raw = raw.map_err(LedgerError::from)?;
-                    if raw.map(|v| v.value()).transpose()?.as_ref() != Some(sender) {
-                        continue;
-                    }
-                }
-                rows.push((tuple.bid, tuple.canon, decode_row(&tuple)?));
-            }
-            Ok(rows)
-        };
         let mut rows = Vec::new();
         for table in scanned_relations(self.ledger.store(), operation) {
-            rows.extend(self.map_relation(&bids, &table, keep)?);
+            rows.extend(self.map_relation(&bids, &table, |run| {
+                keep_traced(&run, sender.as_ref(), operation, window)
+            })?);
         }
-        rows.sort_unstable_by_key(|&(bid, canon, _)| (bid, canon));
-        Ok(rows.into_iter().map(|(_, _, row)| row).collect())
+        Ok(in_chain_order(rows))
     }
+}
+
+/// TRACE's keep test over runs of extents: the tuples not internal,
+/// inside `window`, of `operation` and sent by `sender` where given,
+/// each tested on its projected name and time and its still-encoded
+/// sender; only those decoded, each with its block and position.
+fn keep_traced(
+    runs: &[RawExtent],
+    sender: Option<&Value>,
+    operation: Option<&str>,
+    window: Option<(Timestamp, Timestamp)>,
+) -> Result<Vec<(BlockId, u32, Vec<Value>)>, ExecError> {
+    let mut rows = Vec::new();
+    for tuple in runs.iter().flat_map(RawExtent::tuples) {
+        let head = tuple.project().map_err(LedgerError::from)?;
+        if is_internal(head.tname)
+            || !in_window(head.ts, window)
+            || operation.is_some_and(|t| !head.tname.eq_ignore_ascii_case(t))
+        {
+            continue;
+        }
+        if let Some(sender) = sender {
+            let raw = tuple.column(&head, ColumnRef::SenId);
+            let raw = raw.map_err(LedgerError::from)?;
+            if raw.map(|v| v.value()).transpose()?.as_ref() != Some(sender) {
+                continue;
+            }
+        }
+        rows.push((tuple.bid, tuple.canon, decode_row(&tuple)?));
+    }
+    Ok(rows)
+}
+
+/// Rows kept from several partitions, back in chain order.
+fn in_chain_order(mut rows: Vec<(BlockId, u32, Vec<Value>)>) -> Vec<Vec<Value>> {
+    rows.sort_unstable_by_key(|&(bid, canon, _)| (bid, canon));
+    rows.into_iter().map(|(_, _, row)| row).collect()
 }

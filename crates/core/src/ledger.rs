@@ -305,12 +305,43 @@ impl Ledger {
         Ok(self.store.read(bid)?)
     }
 
-    /// Reads many transactions at once, grouped by containing block and
-    /// fetched across workers; results come back in input order. The
-    /// executor's index-driven scans use this instead of reading one
-    /// pointer at a time.
+    /// The tuples `ptrs` point at as stored, one [`RawExtent`] per
+    /// pointer run (`BlockStore::fetch_raw`): the index-driven fetch.
+    /// Pointers sorted by `(block, position)` read the fewest runs, and
+    /// each partition's tuples come back in chain order.
+    pub fn fetch_raw(&self, ptrs: &[TxPtr]) -> Result<Vec<RawExtent>, LedgerError> {
+        Ok(self.store.fetch_raw(ptrs)?)
+    }
+
+    /// The transactions `ptrs` point at, decoded, in input order (any
+    /// order, repeats included).
+    pub(crate) fn read_txs(&self, ptrs: &[TxPtr]) -> Result<Vec<Transaction>, LedgerError> {
+        let mut order: Vec<usize> = (0..ptrs.len()).collect();
+        order.sort_by_key(|&i| ptrs[i]);
+        let sorted: Vec<TxPtr> = order.iter().map(|&i| ptrs[i]).collect();
+        let runs = self.store.fetch_raw(&sorted)?;
+        let mut txs = Vec::with_capacity(ptrs.len());
+        for t in runs.iter().flat_map(RawExtent::tuples) {
+            txs.push((t.bid, t.canon, t.decode()?));
+        }
+        // Runs group by partition: back to pointer order, then to input
+        // order, one tuple per pointer.
+        txs.sort_by_key(|&(bid, canon, _)| (bid, canon));
+        let mut out: Vec<Option<Transaction>> = (0..ptrs.len()).map(|_| None).collect();
+        for (&pos, (_, _, tx)) in order.iter().zip(txs) {
+            out[pos] = Some(tx);
+        }
+        let missing = || StorageError::Corrupt("a pointer read no tuple".into());
+        Ok(out
+            .into_iter()
+            .map(|tx| tx.ok_or_else(missing))
+            .collect::<Result<_, _>>()?)
+    }
+
+    /// [`Self::read_txs`] behind `Arc`s, kept for the benchmark's
+    /// pinned fetch step; goes with ROADMAP item 1(b).
     pub fn read_txs_grouped(&self, ptrs: &[TxPtr]) -> Result<Vec<Arc<Transaction>>, LedgerError> {
-        Ok(self.store.read_txs_grouped(ptrs)?)
+        Ok(self.read_txs(ptrs)?.into_iter().map(Arc::new).collect())
     }
 
     /// `table`'s relation partition extents of `bids` as stored, one per

@@ -79,13 +79,8 @@ pub fn serve_authenticated_query(
             index.fanout(),
         )
     })?;
-    // Materialize the result transactions the VO points at, in VO order.
-    let transactions = ledger
-        .read_txs_grouped(&vo.result_ptrs())
-        .ok()?
-        .iter()
-        .map(|tx| Transaction::clone(tx))
-        .collect();
+    // Decode the result transactions the VO points at, in VO order.
+    let transactions = ledger.read_txs(&vo.result_ptrs()).ok()?;
     Some(AuthenticatedResponse {
         transactions,
         vo,

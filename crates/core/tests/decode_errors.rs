@@ -5,15 +5,17 @@
 //! payload is made invalid UTF-8 on disk, in a column no query filters
 //! or joins on, in a tuple a match decodes — Q5's build side and Q6's
 //! probe side (a `distribute` tuple), Q5's probe side and a Q4 Scan or
-//! Bitmap row (a `transfer` tuple) — and a trace that returns it, of
-//! its operation or of its operator alone, under Scan, Bitmap and
-//! Layered. Every such query, flat and partitioned, at one worker and
-//! at four, must return the typed `Corrupt` error naming that tuple
-//! with `RawTuple::decode`'s message, and not panic.
+//! Bitmap or Layered row (a `transfer` tuple) — and a trace that
+//! returns it, of its operation or of its operator alone, under Scan,
+//! Bitmap and Layered. Every such query, flat and partitioned, at one
+//! worker and at four, must return the typed `Corrupt` error naming
+//! that tuple with `RawTuple::decode`'s message, and not panic; an
+//! authenticated range over it must return no response.
 
-use sebdb::{ExecError, Executor, Ledger, LedgerError, Strategy};
+use sebdb::{serve_authenticated_query, ExecError, Executor, Ledger, LedgerError, Strategy};
 use sebdb_consensus::OrderedBlock;
 use sebdb_crypto::sig::{KeyId, MacKeypair};
+use sebdb_index::KeyPredicate;
 use sebdb_offchain::{OffchainConnection, OffchainDb};
 use sebdb_sql::{BoundPredicate, BoundPredicateKind, LogicalPlan};
 use sebdb_storage::{BlockStore, StorageError, StoreConfig};
@@ -53,8 +55,9 @@ fn distribute() -> TableSchema {
 /// Three `transfer` and three `distribute` tuples a block, each with a
 /// 2 500-byte memo (so every relation scan cuts into enough runs to
 /// fan out at four workers); organizations `o0`–`o5` and donees
-/// `e0`–`e9` repeat, so every tuple joins. `bad` names the relation
-/// whose tuple gets the marked memo.
+/// `e0`–`e9` repeat, so every tuple joins; `transfer.amount` has a
+/// layered index. `bad` names the relation whose tuple gets the marked
+/// memo.
 fn ledger_with(partitions: usize, bad: &str) -> Ledger {
     let store = BlockStore::temporary(StoreConfig {
         partitions,
@@ -100,6 +103,9 @@ fn ledger_with(partitions: usize, bad: &str) -> Ledger {
             "{table}: {runs} runs"
         );
     }
+    ledger
+        .create_layered_index(&transfer(), "amount", None)
+        .unwrap();
     ledger
 }
 
@@ -182,12 +188,18 @@ fn q6() -> LogicalPlan {
     }
 }
 
+/// Every `transfer` amount lies in it.
+fn q4_range() -> (Value, Value) {
+    (Value::decimal(0), Value::decimal(1_000))
+}
+
 fn q4() -> LogicalPlan {
     let schema = transfer();
+    let (lo, hi) = q4_range();
     LogicalPlan::Query {
         predicates: vec![BoundPredicate {
             column: schema.resolve("amount").unwrap(),
-            kind: BoundPredicateKind::Between(Value::decimal(0), Value::decimal(1_000)),
+            kind: BoundPredicateKind::Between(lo, hi),
         }],
         schema,
         projection: vec![],
@@ -254,7 +266,7 @@ fn a_matched_tuple_that_does_not_decode_fails_as_decode_does() {
     // Q5's probe side and Q4's returned rows.
     let cases = [
         ("distribute", [("Q5 build", q5()), ("Q6 probe", q6())]),
-        ("transfer", [("Q5 probe", q5()), ("Q4 scan", q4())]),
+        ("transfer", [("Q5 probe", q5()), ("Q4", q4())]),
     ];
     for (bad, plans) in cases {
         for partitions in [8, 1] {
@@ -269,11 +281,26 @@ fn a_matched_tuple_that_does_not_decode_fails_as_decode_does() {
             for cap in [1, 4] {
                 sebdb_parallel::set_max_threads(cap);
                 for (name, plan) in &plans {
-                    for arm in [Strategy::Scan, Strategy::Bitmap] {
+                    let layered = (*name == "Q4").then_some(Strategy::Layered);
+                    for arm in [Strategy::Scan, Strategy::Bitmap]
+                        .into_iter()
+                        .chain(layered)
+                    {
                         let at = format!("{name}, {arm:?}, p{partitions}, cap {cap}");
                         assert_corrupt(&exec, plan, arm, &want, &at);
                     }
                 }
+                // The authenticated payload decodes the same tuple:
+                // no response, never one carrying a row.
+                let (lo, hi) = q4_range();
+                let pred = KeyPredicate::Range(lo, hi);
+                let served =
+                    serve_authenticated_query(&ledger, Some("transfer"), "amount", &pred, None);
+                assert_eq!(
+                    served.is_none(),
+                    bad == "transfer",
+                    "{bad}, p{partitions}, cap {cap}"
+                );
             }
         }
     }

@@ -969,9 +969,10 @@ fn sites_above_their_floors_fan_out_and_match_sequential() {
     let blocks = 2 * FLOOR_PREAD as i64 + 8;
     let transfers_per_block = 4;
     let rows = (blocks * transfers_per_block) as usize;
-    // Grouped fetch: one group per block. Block-granular maps: one item
-    // per block; relation scans: one item per planned run (checked once
-    // the chain is built). Row maps: one item per row.
+    // Block-granular maps: one item per block; relation scans: one item
+    // per planned run (checked once the chain is built). Row maps: one
+    // item per row. (Pointer fetches no longer fan out; the length
+    // still crosses the per-`pread` floor.)
     assert!(blocks as usize >= 2 * FLOOR_BLOCK.max(FLOOR_PREAD));
     assert!(rows >= 2 * FLOOR_TUPLE);
     // A memo pads each transfer and distribute so both relation scans —

@@ -24,12 +24,14 @@ const SEED: u64 = 0x5EB0_DB42;
 /// `(blocks_read, txs_read, bytes_read, positioned reads)` of one read.
 type Work = (u64, u64, u64, u64);
 
-const Q4_RANGE: Work = (0, 41, 3765, 25);
+/// One pointer run: the 41 wanted `donate` tuples and the gaps between
+/// them, all of the relation's partition (under `SCAN_RUN_BYTES`).
+const Q4_RANGE: Work = (0, 41, 13553, 1);
 const Q4_POINT: Work = (0, 1, 102, 1);
 /// The block (one chain record, two partition extents), then its
 /// header again for the row.
 const GET_BLOCK_TID: Work = (1, 0, 801, 4);
-const AUTH_RANGE: Work = (0, 41, 3765, 25);
+const AUTH_RANGE: Work = (0, 41, 13553, 1);
 
 /// splitmix64: the chain's amounts, memos and senders.
 fn next(state: &mut u64) -> u64 {

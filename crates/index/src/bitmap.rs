@@ -136,10 +136,25 @@ impl Bitmap {
 
     /// Sets all bits in `[lo, hi]` (inclusive). Used to build the
     /// time-window block mask from the block-level index.
+    /// Whole words at a time: the edge words are masked, the words
+    /// between set to `!0`; `lo > hi` sets nothing.
     pub fn set_range(&mut self, lo: usize, hi: usize) {
-        for i in lo..=hi {
-            self.set(i);
+        if lo > hi {
+            return;
         }
+        let (first, last) = (lo / 64, hi / 64);
+        if self.words.len() <= last {
+            self.words.resize(last + 1, 0);
+        }
+        let head = !0u64 << (lo % 64);
+        let tail = !0u64 >> (63 - hi % 64);
+        if first == last {
+            self.words[first] |= head & tail;
+            return;
+        }
+        self.words[first] |= head;
+        self.words[first + 1..last].fill(!0);
+        self.words[last] |= tail;
     }
 
     /// Serialized size in bytes (word-granular).
@@ -217,6 +232,39 @@ mod tests {
             b.iter_ones().collect::<Vec<_>>(),
             vec![10, 11, 12, 13, 14, 15]
         );
+    }
+
+    /// Word-at-a-time ranges set exactly the bits a bit-by-bit loop
+    /// sets, at word edges, on one bit, on an empty range and on a
+    /// range that grows the bitmap past its words.
+    #[test]
+    fn set_range_matches_bit_by_bit() {
+        let edges = [0usize, 1, 62, 63, 64, 65, 127, 128, 129, 200];
+        for seed in [
+            Bitmap::new(),
+            Bitmap::from_bits([5, 70]),
+            Bitmap::with_capacity(64),
+        ] {
+            for &lo in &edges {
+                for &hi in &edges {
+                    let mut want = seed.clone();
+                    for i in lo..=hi {
+                        want.set(i);
+                    }
+                    let mut got = seed.clone();
+                    got.set_range(lo, hi);
+                    assert_eq!(
+                        got.iter_ones().collect::<Vec<_>>(),
+                        want.iter_ones().collect::<Vec<_>>(),
+                        "[{lo}, {hi}]"
+                    );
+                    assert_eq!(got.words().len(), want.words().len(), "[{lo}, {hi}]");
+                }
+            }
+        }
+        let mut b = Bitmap::new();
+        b.set_range(9, 8);
+        assert!(b.words().is_empty());
     }
 
     #[test]

@@ -32,7 +32,6 @@ use sebdb_types::{
     Block, BlockHeader, BlockId, Codec, ColumnRef, Encoder, RawValue, Transaction, TxProjection,
     TypeError, Value,
 };
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::ops::Range;
@@ -46,6 +45,12 @@ use std::sync::Arc;
 /// splits into the runs a `sebdb_parallel::FLOOR_BLOCK` fan-out needs
 /// (DESIGN §10.4).
 pub const SCAN_RUN_BYTES: u32 = 16 * 1024;
+
+/// Largest gap between two wanted tuples that one pointer run
+/// ([`BlockStore::fetch_raw`]) reads through rather than split at: one
+/// page, which costs less to transfer than a second `pread` costs to
+/// issue.
+const POINTER_RUN_GAP: u64 = 4096;
 
 /// Number of relation partitions a store has by default, and the most
 /// it may have.
@@ -89,13 +94,6 @@ pub struct TxPtr {
     pub block: BlockId,
     /// Position within the block body.
     pub index: u32,
-}
-
-impl TxPtr {
-    /// Packs the pointer into one `u64`, the block in the high bits.
-    pub fn as_u64(&self) -> u64 {
-        (self.block << 24) | self.index as u64
-    }
 }
 
 /// Block store configuration.
@@ -288,7 +286,7 @@ fn encode_partitioned(block: &Block, routes: &[u8], partitions: usize) -> Encode
 /// One coalesced read of a relation-partition scan: the span of
 /// back-to-back extents it fetched, still encoded, and where each tuple
 /// in it is.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RawExtent {
     bytes: Vec<u8>,
     /// `(block, canonical index, start in bytes, length)`, chain order;
@@ -297,7 +295,12 @@ pub struct RawExtent {
 }
 
 impl RawExtent {
-    /// Every tuple of the partition in this run, in chain order.
+    /// Bytes this run read: its tuples and the gaps between them.
+    pub fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Every tuple of the run, in chain order.
     pub fn tuples(&self) -> impl Iterator<Item = RawTuple<'_>> + '_ {
         self.tuples
             .iter()
@@ -863,101 +866,78 @@ impl BlockStore {
         Ok(bytes)
     }
 
-    /// Reads many transactions, grouped by containing block in
-    /// first-seen order, with distinct blocks fetched across workers;
-    /// results come back in input order. Each block's members are one
-    /// [`Self::read_txs_in_block`], so the counters ([`IoStats`]) are
-    /// those of issuing the pointers one by one.
-    pub fn read_txs_grouped(&self, ptrs: &[TxPtr]) -> Result<Vec<Arc<Transaction>>> {
-        // `q4_point` reads 0–1 pointers: past the grouping map.
-        if let [ptr] = ptrs {
-            let mut one = self.read_txs_in_block(ptr.block, &[ptr.index])?;
-            let tx = one.pop().ok_or(StorageError::NotFound(ptr.block))?;
-            return Ok(vec![Arc::new(tx)]);
-        }
-        // Each group keeps its pointers' positions so output order
-        // survives the fan-out.
-        let mut group_of: HashMap<BlockId, usize> = HashMap::new();
-        let mut groups: Vec<(BlockId, Vec<usize>, Vec<u32>)> = Vec::new();
-        for (pos, ptr) in ptrs.iter().enumerate() {
-            let gi = *group_of.entry(ptr.block).or_insert_with(|| {
-                groups.push((ptr.block, Vec::new(), Vec::new()));
-                groups.len() - 1
-            });
-            groups[gi].1.push(pos);
-            groups[gi].2.push(ptr.index);
-        }
-        let fetched =
-            sebdb_parallel::par_map(&groups, sebdb_parallel::FLOOR_PREAD, |(bid, _, indexes)| {
-                self.read_txs_in_block(*bid, indexes)
-            });
-        let mut out: Vec<Option<Arc<Transaction>>> = vec![None; ptrs.len()];
-        for ((_, positions, _), txs) in groups.iter().zip(fetched) {
-            for (&pos, tx) in positions.iter().zip(txs?) {
-                out[pos] = Some(Arc::new(tx));
-            }
-        }
-        // invariant: every position was grouped above and
-        // read_txs_in_block returns one tuple per index, so every slot
-        // is filled; an unfilled one is corruption, not a panic.
-        out.into_iter()
-            .map(|t| {
-                t.ok_or_else(|| {
-                    StorageError::Corrupt("grouped read left a pointer unresolved".into())
-                })
-            })
-            .collect()
-    }
-
-    /// Reads the transactions at `indexes` within block `bid` without
-    /// materializing the block. The requested tuples are coalesced into
-    /// one positioned read per touched partition (covering their
-    /// contiguous span within that partition's extent), and only the
-    /// requested tuples are decoded; `bytes_read` is charged the spans.
-    /// Results come back in `indexes` order; duplicates are decoded per
-    /// occurrence so `txs_read` accounting matches issuing the pointers
-    /// one by one.
-    pub fn read_txs_in_block(&self, bid: BlockId, indexes: &[u32]) -> Result<Vec<Transaction>> {
-        if indexes.is_empty() {
-            return Ok(Vec::new());
-        }
-        let entry = self.entry(bid)?;
-        let table = &entry.txs;
-        let mut lohi: HashMap<u8, (u32, u32)> = HashMap::new();
-        for &i in indexes {
-            let l = table.get(i as usize).ok_or(StorageError::NotFound(bid))?;
-            let e = lohi.entry(l.part).or_insert((u32::MAX, 0));
-            e.0 = e.0.min(l.off);
-            e.1 = e.1.max(l.off + l.len);
-        }
-        let mut fetched: HashMap<u8, (u32, Vec<u8>)> = HashMap::new();
-        for (&part, &(lo, hi)) in &lohi {
-            let ext = entry.extent(part).ok_or_else(|| {
+    /// Fetches the tuples `ptrs` point at **undecoded**, one
+    /// [`RawExtent`] per run — the pointer read, shaped as
+    /// [`Self::scan_relation_raw`]'s so callers project, filter and
+    /// decode the same way. Pointers are grouped by their tuple's
+    /// partition, and each group is cut into runs of one positioned
+    /// read each: a tuple joins its partition's current run when it
+    /// lies in the same segment, no earlier than the run's start and
+    /// at most [`POINTER_RUN_GAP`] past its end, and the run stays
+    /// within [`SCAN_RUN_BYTES`]. Planned under one manifest read
+    /// guard, every tuple checked against its extent. Sorted by
+    /// `(block, position)` the pointers read the fewest runs and each
+    /// partition's tuples come back in chain order; any order reads
+    /// correctly, one tuple per pointer. Charges `txs_read` per pointer
+    /// and the runs' `bytes_read`, gaps included; no `blocks_read`.
+    pub fn fetch_raw(&self, ptrs: &[TxPtr]) -> Result<Vec<RawExtent>> {
+        let mut planned: Vec<(u8, Location, RawExtent)> = Vec::new();
+        let mut open: [Option<usize>; RELATION_PARTITIONS] = [None; RELATION_PARTITIONS];
+        let meta = self.meta.read();
+        for p in ptrs {
+            let (bid, canon) = (p.block, p.index);
+            let e = meta.get(bid as usize).ok_or(StorageError::NotFound(bid))?;
+            let l = e
+                .txs
+                .get(canon as usize)
+                .ok_or(StorageError::NotFound(bid))?;
+            let ext = e.extent(l.part).ok_or_else(|| {
                 StorageError::Corrupt(format!(
-                    "block {bid}: tuples routed to absent partition {part}"
+                    "block {bid}: tuple {canon} routed to absent partition {}",
+                    l.part
                 ))
             })?;
-            let span = Location {
-                segment: ext.segment,
-                offset: ext.offset + lo as u64,
-                len: hi - lo,
-            };
-            let bytes = self.read_at(&self.parts[part as usize].reader, span)?;
-            fetched.insert(part, (lo, bytes));
+            if l.off as u64 + l.len as u64 > ext.len as u64 {
+                return Err(StorageError::Corrupt(format!(
+                    "block {bid}: tuple {canon} overruns its extent"
+                )));
+            }
+            let (start, end) = (
+                ext.offset + l.off as u64,
+                ext.offset + (l.off + l.len) as u64,
+            );
+            let run = open[l.part as usize].filter(|&i| {
+                let span = planned[i].1;
+                let span_end = span.offset + span.len as u64;
+                ext.segment == span.segment
+                    && start >= span.offset
+                    && start <= span_end + POINTER_RUN_GAP
+                    && end.max(span_end) - span.offset <= SCAN_RUN_BYTES as u64
+            });
+            let i = run.unwrap_or_else(|| {
+                let span = Location {
+                    segment: ext.segment,
+                    offset: start,
+                    len: 0,
+                };
+                planned.push((l.part, span, RawExtent::default()));
+                open[l.part as usize] = Some(planned.len() - 1);
+                planned.len() - 1
+            });
+            let (_, span, run) = &mut planned[i];
+            span.len = span.len.max((end - span.offset) as u32);
+            run.tuples
+                .push((bid, canon, (start - span.offset) as usize, l.len));
         }
+        drop(meta);
         self.stats
             .txs_read
-            .fetch_add(indexes.len() as u64, Ordering::Relaxed);
-        indexes
-            .iter()
-            .map(|&i| {
-                let l = table.get(i as usize).ok_or(StorageError::NotFound(bid))?;
-                let (lo, bytes) = fetched.get(&l.part).ok_or_else(|| {
-                    StorageError::Corrupt(format!("block {bid}: span missing partition"))
-                })?;
-                let rel = (l.off - lo) as usize;
-                Transaction::from_bytes(&bytes[rel..rel + l.len as usize])
-                    .map_err(|e| StorageError::Corrupt(format!("tx {bid}/{i}: {e}")))
+            .fetch_add(ptrs.len() as u64, Ordering::Relaxed);
+        planned
+            .into_iter()
+            .map(|(part, span, mut run)| {
+                run.bytes = self.read_at(&self.parts[part as usize].reader, span)?;
+                Ok(run)
             })
             .collect()
     }
@@ -1258,24 +1238,32 @@ mod tests {
             prev = b.header.block_hash;
             store.append(&b).unwrap();
         }
-        // Mixed order, repeats, and multiple pointers per block.
-        let ptrs: Vec<TxPtr> = [(2, 1), (0, 4), (2, 3), (1, 0), (0, 4), (3, 2), (1, 1)]
+        // Sorted, with a repeat and several pointers per block.
+        let ptrs: Vec<TxPtr> = [(0, 4), (0, 4), (1, 0), (1, 1), (2, 1), (2, 3), (3, 2)]
             .iter()
             .map(|&(b, i)| TxPtr { block: b, index: i })
             .collect();
-        let expect: Vec<_> = ptrs
+        let expect: Vec<(u64, u32, Vec<u8>)> = ptrs
             .iter()
-            .map(|&p| store.read_txs_in_block(p.block, &[p.index]).unwrap())
-            .map(|mut one| Arc::new(one.pop().unwrap()))
+            .map(|p| {
+                let tx = &store.read(p.block).unwrap().transactions[p.index as usize];
+                (p.block, p.index, tx.to_bytes())
+            })
             .collect();
         store.stats.reset();
-        let got = store.read_txs_grouped(&ptrs).unwrap();
+        let runs = store.fetch_raw(&ptrs).unwrap();
+        let got: Vec<(u64, u32, Vec<u8>)> = runs
+            .iter()
+            .flat_map(RawExtent::tuples)
+            .map(|t| (t.bid, t.canon, t.bytes.to_vec()))
+            .collect();
         assert_eq!(got, expect);
-        // Tuple-read accounting is identical to pointwise reads.
-        assert_eq!(store.stats.snapshot().2, ptrs.len() as u64);
+        // One tuple read per pointer, the blocks back to back: one run.
+        assert_eq!(store.stats.snapshot(), (0, 0, ptrs.len() as u64));
+        assert_eq!(runs.len(), 1);
         // Out-of-range pointers surface as errors, not panics.
         assert!(store
-            .read_txs_grouped(&[TxPtr { block: 9, index: 0 }, TxPtr { block: 0, index: 0 }])
+            .fetch_raw(&[TxPtr { block: 0, index: 0 }, TxPtr { block: 9, index: 0 }])
             .is_err());
     }
 
@@ -1333,8 +1321,8 @@ mod tests {
             };
             want.extend([ptr(0, 6), ptr(1, 0)]);
             assert_eq!(ptrs, want, "partitions {partitions}");
-            assert!(store.read_txs_in_block(0, &[6]).is_err());
-            assert!(store.read_txs_in_block(1, &[0]).is_err());
+            assert!(store.fetch_raw(&[ptr(0, 6)]).is_err());
+            assert!(store.fetch_raw(&[ptr(1, 0)]).is_err());
         }
     }
 
@@ -1385,12 +1373,5 @@ mod tests {
             let kept = std::fs::read(t.path().join(BLOCK_MANIFEST)).unwrap();
             assert_eq!(kept, b"not a store");
         }
-    }
-
-    #[test]
-    fn txptr_packing_is_injective_for_small_indices() {
-        let a = TxPtr { block: 1, index: 0 };
-        let b = TxPtr { block: 0, index: 1 };
-        assert_ne!(a.as_u64(), b.as_u64());
     }
 }

@@ -9,7 +9,7 @@
 //! at most once however many readers race the first touch.
 
 use sebdb_crypto::sha256::Digest;
-use sebdb_storage::{BlockStore, StoreConfig, TxPtr};
+use sebdb_storage::{BlockStore, RawExtent, StoreConfig, TxPtr};
 use sebdb_types::{Block, Transaction, Value};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,7 +59,7 @@ fn chain_on_disk(dir: &std::path::Path, nblocks: u64) -> BlockStore {
     store
 }
 
-/// Eight threads issue grouped reads across ≥ 2 segments while an
+/// Eight threads issue pointer reads across ≥ 2 segments while an
 /// injected probe *blocks each read in flight* until at least two reads
 /// are in flight simultaneously. Under the old global-mutex read path
 /// at most one read can ever be in flight, so the probe would spin to
@@ -92,7 +92,7 @@ fn grouped_reads_overlap_across_eight_threads() {
                 // Each thread touches two different segments.
                 let a = (t % 4) as u64;
                 let b = ((t + 1) % 4) as u64;
-                let ptrs: Vec<TxPtr> = [a, b]
+                let ptrs: Vec<TxPtr> = [a.min(b), a.max(b)]
                     .iter()
                     .flat_map(|&bid| {
                         (0..8).map(move |i| TxPtr {
@@ -101,10 +101,11 @@ fn grouped_reads_overlap_across_eight_threads() {
                         })
                     })
                     .collect();
-                let txs = store.read_txs_grouped(&ptrs).unwrap();
+                let runs = store.fetch_raw(&ptrs).unwrap();
+                let txs: Vec<_> = runs.iter().flat_map(RawExtent::tuples).collect();
                 assert_eq!(txs.len(), ptrs.len());
-                for (ptr, tx) in ptrs.iter().zip(&txs) {
-                    assert_eq!(tx.tid, ptr.block * 100 + ptr.index as u64);
+                for (ptr, t) in ptrs.iter().zip(&txs) {
+                    assert_eq!(t.decode().unwrap().tid, ptr.block * 100 + ptr.index as u64);
                 }
             })
         })
@@ -178,7 +179,12 @@ fn concurrent_tuple_reads_never_tear() {
                 for round in 0..50u64 {
                     let bid = (t + round) % 2;
                     let idx = ((t + round) % 8) as u32;
-                    let tx = store.read_txs_in_block(bid, &[idx]).unwrap().remove(0);
+                    let ptr = TxPtr {
+                        block: bid,
+                        index: idx,
+                    };
+                    let runs = store.fetch_raw(&[ptr]).unwrap();
+                    let tx = runs[0].tuples().next().unwrap().decode().unwrap();
                     assert_eq!(tx.tid, bid * 100 + idx as u64);
                     assert_eq!(
                         tx.values[1],

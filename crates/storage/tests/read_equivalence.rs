@@ -1,14 +1,14 @@
 //! Equivalence and accounting contracts for the coalesced read path.
 //!
-//! The coalescing must be invisible to callers: grouped reads return
-//! byte-identical transactions vs one-by-one `read_txs_in_block`,
-//! whether the worker pool is sequential (`SEBDB_THREADS=1`) or
-//! parallel. The `IoStats` bytes
+//! The coalescing must be invisible to callers: pointer runs
+//! (`BlockStore::fetch_raw`) return the bytes whole-block reads put at
+//! each block and position, whether the worker pool is sequential
+//! (`SEBDB_THREADS=1`) or parallel. The `IoStats` bytes
 //! counter pins tuple reads to tuple granularity, on the store that
 //! appended the chain and on one that replayed it from the manifest.
 
 use sebdb_crypto::sha256::Digest;
-use sebdb_storage::{BlockStore, StoreConfig, TxPtr};
+use sebdb_storage::{BlockStore, RawExtent, StoreConfig, TxPtr};
 use sebdb_types::{Block, Codec, Transaction, Value};
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
@@ -72,22 +72,24 @@ fn workload(nblocks: u64, ntx: usize) -> Vec<TxPtr> {
     ptrs
 }
 
-/// Grouped reads must be byte-identical to pointwise reads at every
-/// pool size.
+/// Pointer runs must be byte-identical to whole-block reads at every
+/// pool size, one tuple per pointer, repeats included.
 fn assert_equivalence(store: &BlockStore, nblocks: u64, ntx: usize) {
-    let ptrs = workload(nblocks, ntx);
+    let mut ptrs = workload(nblocks, ntx);
+    ptrs.sort();
     let expected: Vec<Vec<u8>> = ptrs
         .iter()
-        .map(|&p| store.read_txs_in_block(p.block, &[p.index]).unwrap()[0].to_bytes())
+        .map(|&p| store.read(p.block).unwrap().transactions[p.index as usize].to_bytes())
         .collect();
     for threads in [1usize, 4] {
         sebdb_parallel::set_max_threads(threads);
-        let got = store.read_txs_grouped(&ptrs).unwrap();
+        let runs = store.fetch_raw(&ptrs).unwrap();
+        let got: Vec<_> = runs.iter().flat_map(RawExtent::tuples).collect();
         assert_eq!(got.len(), ptrs.len());
-        for (i, (tx, want)) in got.iter().zip(&expected).enumerate() {
+        for (i, (t, want)) in got.iter().zip(&expected).enumerate() {
             assert_eq!(
-                &tx.to_bytes(),
-                want,
+                (t.bid, t.canon, t.bytes),
+                (ptrs[i].block, ptrs[i].index, &want[..]),
                 "{threads} thread(s): ptr {i} ({:?}) differs",
                 ptrs[i]
             );
@@ -130,8 +132,9 @@ fn tuple_reads_are_tuple_granular_in_bytes() {
         };
         let block_len = store.read(ptr.block).unwrap().byte_len() as u64;
         store.stats.reset();
-        let tx = store.read_txs_in_block(ptr.block, &[ptr.index]).unwrap();
-        assert_eq!(tx[0].tid, 102, "{name}");
+        let runs = store.fetch_raw(&[ptr]).unwrap();
+        let tx = runs[0].tuples().next().unwrap().decode().unwrap();
+        assert_eq!(tx.tid, 102, "{name}");
         let read = store.stats.bytes_read();
         assert!(
             read <= tuple_len + 16,
