@@ -62,24 +62,26 @@ cargo test --release -q -p sebdb --lib q6_phase_split
 echo "==> cargo test -q -p sebdb-model"
 cargo test -q -p sebdb-model
 
-# Second pass pinned to one worker: every parallel primitive and the
-# staged applier must be observably equivalent to sequential execution
-# (for the applier: to the direct ledger path).
+# Second pass pinned to one worker: the relation-run map, the
+# `sync_writes` fsyncs and the staged applier must be observably
+# equivalent to sequential execution (for the applier: to the direct
+# ledger path).
 echo "==> SEBDB_THREADS=1 cargo test -q"
 SEBDB_THREADS=1 cargo test -q
 
 # Staged-applier equivalence at 4 workers: every pipeline depth must
 # stay byte-identical and query-equivalent to the direct ledger path
 # (`Ledger::append_ordered`, one block at a time on the caller's
-# thread) when the parallel primitives actually fan out (the threads=1
-# case is covered by the full-suite pass above).
+# thread) when the relation-run map and the `sync_writes` fsyncs
+# actually fan out (the threads=1 case is covered by the full-suite
+# pass above).
 echo "==> SEBDB_THREADS=4 cargo test -q -p sebdb --test pipeline_equivalence"
 SEBDB_THREADS=4 cargo test -q -p sebdb --test pipeline_equivalence
 
 # Paged-index equivalence at both worker counts: queries answered
 # through on-disk index checkpoints (fence-pointer top level + bounded
 # index-block cache) must stay byte-identical to the fully-resident
-# reference whether the parallel primitives fan out or not.
+# reference whether the relation-run map fans out or not.
 echo "==> SEBDB_THREADS=1 cargo test -q -p sebdb --test paged_equivalence"
 SEBDB_THREADS=1 cargo test -q -p sebdb --test paged_equivalence
 echo "==> SEBDB_THREADS=4 cargo test -q -p sebdb --test paged_equivalence"

@@ -189,7 +189,7 @@ impl<N: Core> BftEngine<N> {
     }
 
     /// Installs a batch admission verifier: every cut batch has its
-    /// signing-payload MACs checked across workers before ordering, and
+    /// signing-payload MACs checked once each before ordering, and
     /// forged transactions are rejected individually.
     pub fn set_tx_verifier(&self, verifier: Option<Box<AdmissionVerifier>>) {
         self.mempool.set_verifier(verifier);

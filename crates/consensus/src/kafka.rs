@@ -53,7 +53,7 @@ impl KafkaOrderer {
     }
 
     /// Installs a batch admission verifier: every drained batch has its
-    /// signing-payload MACs checked across workers before sealing, and
+    /// signing-payload MACs checked once each before sealing, and
     /// forged transactions are rejected individually.
     pub fn set_tx_verifier(&self, verifier: Option<Box<AdmissionVerifier>>) {
         self.mempool.set_verifier(verifier);

@@ -11,12 +11,10 @@
 //! (the paper's 200 tx / 200 ms policy, §VII-B), exactly the cut rule
 //! the engines already implemented per-transaction.
 //!
-//! Admission is amortized per batch instead of per transaction: with a
-//! verifier installed, [`Mempool::admit`] runs the signing-payload MAC
-//! checks across workers with `sebdb-parallel`'s first-failure search
-//! — the all-valid fast path costs one parallel sweep with early
-//! exit, and only a batch containing a forgery pays the per-verdict
-//! pass that rejects the bad transactions individually.
+//! Admission runs once per batch instead of once per transaction: with
+//! a verifier installed, [`Mempool::admit`] checks each signing-payload
+//! MAC once, in submission order, and rejects the forgeries on their
+//! own ack channels.
 //!
 //! All three engines admit through it (`crate::engine`). Tendermint
 //! runs its serial per-transaction CheckTx before `submit` — that
@@ -158,43 +156,25 @@ impl Mempool {
     }
 
     /// Runs batch admission: with no verifier installed the batch
-    /// passes through untouched. Otherwise all MACs are checked across
-    /// workers with a first-failure search (the all-valid fast path
-    /// exits early); only a batch containing a failure pays the
-    /// per-transaction verdict pass, which rejects the invalid
-    /// transactions on their ack channels and keeps the rest.
+    /// passes through untouched. Otherwise each transaction's MAC is
+    /// checked once, in submission order; a failure is rejected on its
+    /// ack channel and the rest are kept in order.
     pub fn admit(&self, batch: Vec<(Transaction, AckSender)>) -> Vec<(Transaction, AckSender)> {
         let guard = self.verifier.read();
         let Some(verify) = guard.as_ref() else {
             return batch;
         };
-        let all_valid = {
-            let txs: Vec<&Transaction> = batch.iter().map(|(tx, _)| tx).collect();
-            sebdb_parallel::par_find_first(&txs, sebdb_parallel::FLOOR_PREAD, |tx| {
-                (!verify(tx)).then_some(())
-            })
-            .is_none()
-        };
-        if all_valid {
-            return batch;
-        }
-        let verdicts: Vec<bool> = {
-            let txs: Vec<&Transaction> = batch.iter().map(|(tx, _)| tx).collect();
-            sebdb_parallel::par_map(&txs, sebdb_parallel::FLOOR_PREAD, |tx| verify(tx))
-        };
         batch
             .into_iter()
-            .zip(verdicts)
-            .filter_map(|((tx, ack), ok)| {
-                if ok {
-                    Some((tx, ack))
-                } else {
+            .filter(|(tx, ack)| {
+                let ok = verify(tx);
+                if !ok {
                     let _ = ack.send(Err(ConsensusError::Rejected(format!(
                         "transaction from {:?} on '{}' failed MAC admission",
                         tx.sender, tx.tname
                     ))));
-                    None
                 }
+                ok
             })
             .collect()
     }
@@ -293,6 +273,31 @@ mod tests {
         let admitted = pool.admit(batch);
         assert_eq!(admitted.len(), 3);
         // The forged submission was rejected on its ack channel.
+        match acks[2].recv_timeout(Duration::from_secs(2)).unwrap() {
+            Err(ConsensusError::Rejected(_)) => {}
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn admission_verifies_each_transaction_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let pool = Mempool::new(BatchConfig {
+            max_txs: 4,
+            timeout_ms: 50,
+        });
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
+        pool.set_verifier(Some(Box::new(move |tx: &Transaction| {
+            counted.fetch_add(1, Ordering::SeqCst);
+            tx.values != [Value::Int(2)]
+        })));
+        let acks: Vec<_> = (0..4).map(|i| pool.submit(tx(i))).collect();
+        let admitted = pool.admit(pool.next_batch().unwrap());
+        assert_eq!(calls.load(Ordering::SeqCst), 4);
+        let kept: Vec<_> = admitted.iter().map(|(t, _)| t.values.clone()).collect();
+        assert_eq!(kept, [0, 1, 3].map(|i| vec![Value::Int(i)]));
         match acks[2].recv_timeout(Duration::from_secs(2)).unwrap() {
             Err(ConsensusError::Rejected(_)) => {}
             other => panic!("unexpected: {other:?}"),

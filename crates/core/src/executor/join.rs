@@ -241,7 +241,7 @@ impl Executor<'_> {
         // Phase two fetches every distinct pointer once, in pointer
         // runs, and materializes the matched rows in pair order.
         let txs = self.fetch_distinct(matched.iter().flat_map(|&(lp, rp)| [lp, rp]))?;
-        let rows = sebdb_parallel::par_map(&matched, sebdb_parallel::FLOOR_TUPLE, |(lp, rp)| {
+        out.rows.extend(matched.iter().filter_map(|(lp, rp)| {
             let (ltx, rtx) = (&txs[lp], &txs[rp]);
             if !in_window(ltx.ts, window) || !in_window(rtx.ts, window) {
                 return None;
@@ -249,8 +249,7 @@ impl Executor<'_> {
             let mut row = materialize(ltx);
             row.extend(materialize(rtx));
             Some(row)
-        });
-        out.rows.extend(rows.into_iter().flatten());
+        }));
         Ok(())
     }
 }

@@ -115,25 +115,18 @@ impl Executor<'_> {
                 // pointer runs, and materializes matched rows in merge
                 // order.
                 let txs = self.fetch_distinct(matched.iter().map(|(p, _)| *p))?;
-                let row_batches = sebdb_parallel::par_map(
-                    &matched,
-                    sebdb_parallel::FLOOR_TUPLE,
-                    |(p, off_range)| {
-                        let tx = &txs[p];
-                        if !in_window(tx.ts, window) {
-                            return Vec::new();
-                        }
-                        off_rows[off_range.clone()]
-                            .iter()
-                            .map(|off| {
-                                let mut row = materialize(tx);
-                                row.extend(off.clone());
-                                row
-                            })
-                            .collect::<Vec<_>>()
-                    },
-                );
-                out.rows.extend(row_batches.into_iter().flatten());
+                for (p, off_range) in &matched {
+                    let tx = &txs[p];
+                    if !in_window(tx.ts, window) {
+                        continue;
+                    }
+                    out.rows
+                        .extend(off_rows[off_range.clone()].iter().map(|off| {
+                            let mut row = materialize(tx);
+                            row.extend(off.clone());
+                            row
+                        }));
+                }
             }
             arm => {
                 let mask = self.ledger.window_mask(window);

@@ -417,7 +417,8 @@ impl Ledger {
     }
 
     /// Stage two of the write path (after [`Self::seal_ordered`]):
-    /// verifies linkage, integrity, and transaction signatures, then
+    /// verifies linkage, integrity, and transaction signatures (in
+    /// block order; the first failure names its `tid`), then
     /// appends the block to durable storage and advances the chain
     /// tip. Does NOT index and does NOT advance the applied height —
     /// the caller must follow up with [`Self::index_appended`] (the
@@ -437,18 +438,10 @@ impl Ledger {
             )));
         }
         if let Some(verify) = self.tx_verifier.read().as_ref() {
-            // MAC checks are independent per transaction; verify them
-            // across workers and report the first (lowest-index)
-            // failure, exactly as the sequential scan would.
-            let bad = sebdb_parallel::par_find_first(
-                &block.transactions,
-                sebdb_parallel::FLOOR_PREAD,
-                |tx| (!verify(tx)).then_some(tx.tid),
-            );
-            if let Some((_, tid)) = bad {
+            if let Some(bad) = block.transactions.iter().find(|tx| !verify(tx)) {
                 return Err(LedgerError::BadBlock(format!(
-                    "block {} carries transaction {tid} with an invalid signature",
-                    block.header.height
+                    "block {} carries transaction {} with an invalid signature",
+                    block.header.height, bad.tid
                 )));
             }
         }

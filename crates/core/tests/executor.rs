@@ -957,24 +957,18 @@ fn projected_scan_arms_agree_with_every_path() {
     }
 }
 
-/// Every call site that still fans out does so above its floor, and
-/// returns what the sequential loop returns: a chain long enough to
-/// cross the per-block and per-`pread` floors, with enough matching
-/// rows to cross the per-tuple floor, queried at worker caps 1 and 4
-/// (so each parallel branch runs in every CI pass, whatever
-/// `SEBDB_THREADS` says).
+/// The relation-run map — the one intra-query site that fans out —
+/// does so above its floor and returns what the sequential loop
+/// returns: a chain whose relation scans plan at least two floors of
+/// runs each, queried at worker caps 1 and 4 (so the parallel branch
+/// runs in every CI pass, whatever `SEBDB_THREADS` says). The layered
+/// arms run beside them as plain loops and must agree too.
 #[test]
 fn sites_above_their_floors_fan_out_and_match_sequential() {
-    use sebdb_parallel::{FLOOR_BLOCK, FLOOR_PREAD, FLOOR_TUPLE};
-    let blocks = 2 * FLOOR_PREAD as i64 + 8;
+    use sebdb_parallel::FLOOR_BLOCK;
+    let blocks: i64 = 520;
     let transfers_per_block = 4;
     let rows = (blocks * transfers_per_block) as usize;
-    // Block-granular maps: one item per block; relation scans: one item
-    // per planned run (checked once the chain is built). Row maps: one
-    // item per row. (Pointer fetches no longer fan out; the length
-    // still crosses the per-`pread` floor.)
-    assert!(blocks as usize >= 2 * FLOOR_BLOCK.max(FLOOR_PREAD));
-    assert!(rows >= 2 * FLOOR_TUPLE);
     // A memo pads each transfer and distribute so both relation scans —
     // the hash join's probe and build sides — cut into enough
     // byte-sized runs to fan out.
@@ -1003,9 +997,11 @@ fn sites_above_their_floors_fan_out_and_match_sequential() {
         })
         .collect();
     append_blocks(&l, groups);
+    // One fan-out item per planned run of each relation scan.
     let all: Vec<u64> = (0..blocks as u64).collect();
     for relation in ["transfer", "distribute"] {
-        assert!(l.store().relation_runs(&all, relation).len() >= 2 * FLOOR_BLOCK);
+        let runs = l.store().relation_runs(&all, relation).len();
+        assert!(runs >= 2 * FLOOR_BLOCK, "{relation}: {runs} runs");
     }
     let transfer = schema(
         "transfer",
@@ -1040,9 +1036,9 @@ fn sites_above_their_floors_fan_out_and_match_sequential() {
     // transfer and matching distribute (or off-chain row).
     let joined = rows * distributes_per_block;
     let plans = [
-        // Layered: grouped fetch + row map; scan/bitmap: relation runs.
+        // Layered: pointer runs; scan: relation runs.
         (amount_between(&transfer, 0, rows as i64, None), rows),
-        // Layered: row map; scan: relation runs of every partition.
+        // Layered: pointer runs; scan: relation runs of every partition.
         (
             LogicalPlan::Trace {
                 window: None,
@@ -1052,8 +1048,8 @@ fn sites_above_their_floors_fan_out_and_match_sequential() {
             rows,
         ),
         // Scan: hash-join build scan, projection and probe per planned
-        // run, rows assembled in the probe's workers; layered:
-        // matched-pair row map.
+        // run, rows assembled in the probe's workers; layered: one
+        // sort-merge over the second-level leaves.
         (
             LogicalPlan::OnChainJoin {
                 left_col: transfer.resolve("organization").unwrap(),
@@ -1065,7 +1061,7 @@ fn sites_above_their_floors_fan_out_and_match_sequential() {
             joined,
         ),
         // Scan: probe per planned run, rows assembled in its workers;
-        // layered: matched row map.
+        // layered: one sort-merge against the sorted off-chain rows.
         (
             LogicalPlan::OnOffJoin {
                 on_col: transfer.resolve("organization").unwrap(),

@@ -70,54 +70,30 @@ impl MerkleProof {
 
 /// Hashes one level into its parent level: adjacent pairs are combined
 /// with [`node_hash`], an odd trailing node is promoted unchanged.
-/// Levels large enough to pay for a spawn fan the pair hashing out
-/// over `threads` workers; the output is identical to the sequential
-/// reduction either way.
-fn reduce_level(prev: &[Digest], threads: usize) -> Vec<Digest> {
-    let pairs = prev.len() / 2;
-    let mut next: Vec<Digest> =
-        sebdb_parallel::par_chunks(pairs, threads, sebdb_parallel::FLOOR_TUPLE, |range| {
-            range
-                .map(|i| node_hash(&prev[2 * i], &prev[2 * i + 1]))
-                .collect::<Vec<Digest>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    if prev.len() % 2 == 1 {
-        next.push(prev[prev.len() - 1]);
-    }
+fn reduce_level(prev: &[Digest]) -> Vec<Digest> {
+    let pairs = prev.chunks_exact(2);
+    let odd = pairs.remainder();
+    let mut next: Vec<Digest> = pairs.map(|p| node_hash(&p[0], &p[1])).collect();
+    next.extend_from_slice(odd);
     next
 }
 
-/// Hashes raw leaf payloads, in parallel when there are enough of them.
-fn hash_leaves<T: AsRef<[u8]> + Sync>(leaves: &[T], threads: usize) -> Vec<Digest> {
-    sebdb_parallel::par_map_with_threads(leaves, threads, sebdb_parallel::FLOOR_TUPLE, |l| {
-        leaf_hash(l.as_ref())
-    })
+/// Hashes raw leaf payloads.
+fn hash_leaves<T: AsRef<[u8]>>(leaves: &[T]) -> Vec<Digest> {
+    leaves.iter().map(|l| leaf_hash(l.as_ref())).collect()
 }
 
 impl MerkleTree {
     /// Builds a tree over raw leaf payloads.
-    pub fn from_leaves<T: AsRef<[u8]> + Sync>(leaves: &[T]) -> Self {
-        Self::from_leaves_with_threads(leaves, sebdb_parallel::max_threads())
-    }
-
-    /// [`Self::from_leaves`] with an explicit worker count.
-    pub fn from_leaves_with_threads<T: AsRef<[u8]> + Sync>(leaves: &[T], threads: usize) -> Self {
-        Self::from_leaf_hashes_with_threads(hash_leaves(leaves, threads), threads)
+    pub fn from_leaves<T: AsRef<[u8]>>(leaves: &[T]) -> Self {
+        Self::from_leaf_hashes(hash_leaves(leaves))
     }
 
     /// Builds a tree over already-hashed leaves.
     pub fn from_leaf_hashes(hashes: Vec<Digest>) -> Self {
-        Self::from_leaf_hashes_with_threads(hashes, sebdb_parallel::max_threads())
-    }
-
-    /// [`Self::from_leaf_hashes`] with an explicit worker count.
-    pub fn from_leaf_hashes_with_threads(hashes: Vec<Digest>, threads: usize) -> Self {
         let mut levels = vec![hashes];
         while levels.last().unwrap().len() > 1 {
-            let next = reduce_level(levels.last().unwrap(), threads);
+            let next = reduce_level(levels.last().unwrap());
             levels.push(next);
         }
         MerkleTree { levels }
@@ -183,27 +159,17 @@ impl MerkleTree {
 
 /// Computes only the Merkle root of `leaves` without materializing the
 /// tree — the common path when sealing a block.
-pub fn merkle_root<T: AsRef<[u8]> + Sync>(leaves: &[T]) -> Digest {
-    merkle_root_with_threads(leaves, sebdb_parallel::max_threads())
-}
-
-/// [`merkle_root`] with an explicit worker count.
-pub fn merkle_root_with_threads<T: AsRef<[u8]> + Sync>(leaves: &[T], threads: usize) -> Digest {
-    merkle_root_of_hashes_with_threads(hash_leaves(leaves, threads), threads)
+pub fn merkle_root<T: AsRef<[u8]>>(leaves: &[T]) -> Digest {
+    merkle_root_of_hashes(hash_leaves(leaves))
 }
 
 /// Computes the Merkle root over pre-hashed leaves.
-pub fn merkle_root_of_hashes(level: Vec<Digest>) -> Digest {
-    merkle_root_of_hashes_with_threads(level, sebdb_parallel::max_threads())
-}
-
-/// [`merkle_root_of_hashes`] with an explicit worker count.
-pub fn merkle_root_of_hashes_with_threads(mut level: Vec<Digest>, threads: usize) -> Digest {
+pub fn merkle_root_of_hashes(mut level: Vec<Digest>) -> Digest {
     if level.is_empty() {
         return Digest::ZERO;
     }
     while level.len() > 1 {
-        level = reduce_level(&level, threads);
+        level = reduce_level(&level);
     }
     level[0]
 }
@@ -231,7 +197,9 @@ mod tests {
 
     #[test]
     fn root_matches_fast_path() {
-        for n in [1usize, 2, 3, 4, 5, 7, 8, 15, 16, 33, 100] {
+        // Both parities at every level of the small trees, then a
+        // power of two and one past the next.
+        for n in (0..=33usize).chain([64, 100, 257]) {
             let ls = leaves(n);
             let t = MerkleTree::from_leaves(&ls);
             assert_eq!(t.root(), merkle_root(&ls), "n={n}");
@@ -240,7 +208,7 @@ mod tests {
 
     #[test]
     fn proofs_verify_for_all_leaves() {
-        for n in [1usize, 2, 3, 5, 8, 13, 31] {
+        for n in (0..=33usize).chain([64, 257]) {
             let ls = leaves(n);
             let t = MerkleTree::from_leaves(&ls);
             let root = t.root();
@@ -281,46 +249,6 @@ mod tests {
         let b = leaf_hash(b"b");
         let fake_leaf: Vec<u8> = [a.as_bytes(), b.as_bytes()].concat();
         assert_ne!(leaf_hash(&fake_leaf), node_hash(&a, &b));
-    }
-
-    #[test]
-    fn parallel_root_matches_sequential_for_all_small_sizes() {
-        // Small trees of both parities at every level, then sizes
-        // straddling the leaf fan-out (2 × floor leaves) and the
-        // first-level fan-out (2 × floor pairs); explicit thread
-        // counts so the global cap is irrelevant.
-        let f = sebdb_parallel::FLOOR_TUPLE;
-        let straddle = [2 * f - 1, 2 * f, 2 * f + 1, 4 * f - 1, 4 * f, 4 * f + 3];
-        for n in (0..=33usize).chain(straddle) {
-            let ls = leaves(n);
-            let seq = MerkleTree::from_leaves_with_threads(&ls, 1);
-            for threads in [2usize, 3, 4, 8] {
-                let par = MerkleTree::from_leaves_with_threads(&ls, threads);
-                assert_eq!(seq.root(), par.root(), "n={n} threads={threads}");
-                assert_eq!(
-                    seq.root(),
-                    merkle_root_with_threads(&ls, threads),
-                    "fast path n={n} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_proofs_match_sequential() {
-        let f = sebdb_parallel::FLOOR_TUPLE;
-        for n in [64usize, 257, 2 * f + 1, 4 * f + 3] {
-            let ls = leaves(n);
-            let seq = MerkleTree::from_leaves_with_threads(&ls, 1);
-            let par = MerkleTree::from_leaves_with_threads(&ls, 4);
-            let root = seq.root();
-            for (i, leaf) in ls.iter().enumerate() {
-                let ps = seq.proof(i).unwrap();
-                let pp = par.proof(i).unwrap();
-                assert_eq!(ps, pp, "n={n} i={i}");
-                assert!(MerkleTree::verify(&root, leaf, &pp), "n={n} i={i}");
-            }
-        }
     }
 
     #[test]

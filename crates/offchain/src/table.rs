@@ -87,10 +87,8 @@ impl OffTable {
     }
 
     /// Rows matching `pred`, using an index when the predicate is a
-    /// single-column range on an indexed column. The fallback heap scan
-    /// evaluates the predicate across workers in row-range chunks;
-    /// results keep heap (insertion) order, matching the sequential
-    /// scan.
+    /// single-column range on an indexed column and a heap scan
+    /// otherwise; the scan returns rows in heap (insertion) order.
     pub fn select(&self, pred: &Predicate) -> Vec<Vec<Value>> {
         if let Some((col, lo, hi)) = pred.index_range() {
             if let Some(idx) = self.indexes.get(&col) {
@@ -101,22 +99,12 @@ impl OffTable {
                     .collect();
             }
         }
-        sebdb_parallel::par_chunks(
-            self.rows.len(),
-            sebdb_parallel::max_threads(),
-            sebdb_parallel::FLOOR_TUPLE,
-            |range| {
-                self.rows[range]
-                    .iter()
-                    .flatten()
-                    .filter(|r| pred.eval(r))
-                    .cloned()
-                    .collect::<Vec<_>>()
-            },
-        )
-        .into_iter()
-        .flatten()
-        .collect()
+        self.rows
+            .iter()
+            .flatten()
+            .filter(|r| pred.eval(r))
+            .cloned()
+            .collect()
     }
 
     /// Updates rows matching `pred`, assigning `new` to column `col`;
@@ -164,38 +152,22 @@ impl OffTable {
 
     /// Minimum value of column `col` over live rows (ignores NULL).
     pub fn min(&self, col: usize) -> Option<Value> {
-        self.chunked_extreme(col, false)
+        self.live_values(col).min().cloned()
     }
 
     /// Maximum value of column `col` over live rows (ignores NULL).
     pub fn max(&self, col: usize) -> Option<Value> {
-        self.chunked_extreme(col, true)
+        self.live_values(col).max().cloned()
     }
 
-    /// Per-chunk min/max across workers, reduced to the global extreme
-    /// (Algorithm 3 calls these to prune blocks before the on/off
-    /// join, so they sit on the query hot path).
-    fn chunked_extreme(&self, col: usize, take_max: bool) -> Option<Value> {
-        sebdb_parallel::par_chunks(
-            self.rows.len(),
-            sebdb_parallel::max_threads(),
-            sebdb_parallel::FLOOR_TUPLE,
-            |range| {
-                let vals = self.rows[range]
-                    .iter()
-                    .flatten()
-                    .map(|r| &r[col])
-                    .filter(|v| **v != Value::Null);
-                if take_max {
-                    vals.max().cloned()
-                } else {
-                    vals.min().cloned()
-                }
-            },
-        )
-        .into_iter()
-        .flatten()
-        .reduce(|a, b| if (b > a) == take_max { b } else { a })
+    /// Column `col`'s non-NULL values over live rows (Algorithm 3 takes
+    /// their extremes to prune blocks before the on/off join).
+    fn live_values(&self, col: usize) -> impl Iterator<Item = &Value> {
+        self.rows
+            .iter()
+            .flatten()
+            .map(move |r| &r[col])
+            .filter(|v| **v != Value::Null)
     }
 
     /// Distinct values of column `col` in ascending order — Algorithm

@@ -1,15 +1,18 @@
 //! Data-parallel building blocks for SEBDB's hot paths.
 //!
-//! The engine parallelizes three things: Merkle tree construction,
-//! per-transaction MAC verification on the append path, and
-//! block-grouped scan materialization. All of them reduce to a small
-//! set of order-preserving primitives over slices, built here on
-//! `std::thread::scope` so the crate has zero dependencies.
+//! The engine fans out two things: the per-run work of a relation scan
+//! (a hash join's build and probe, an on/off join's probe) and the
+//! per-partition writes and fsyncs of a block append. Both reduce to
+//! one order-preserving map over a slice, [`par_map`], built here on
+//! `std::thread::scope` so the crate has zero dependencies. Every other
+//! per-block loop (Merkle hashing, MAC checks, leaf encoding) runs on
+//! the caller's thread: at the paper's ≈ 200 transactions a block it
+//! never reaches a worker's floor (DESIGN.md §8).
 //!
-//! Every primitive degrades to the exact sequential algorithm when the
-//! effective thread count is 1 (the default can be overridden with
+//! [`par_map`] degrades to the exact sequential map when the effective
+//! thread count is 1 (the default can be overridden with
 //! `SEBDB_THREADS` or [`set_max_threads`]), so single-threaded runs
-//! reproduce the pre-parallel engine byte for byte. `SEBDB_THREADS` is
+//! reproduce the sequential engine byte for byte. `SEBDB_THREADS` is
 //! the only environment variable the engine reads, and this file the
 //! only place that reads it (lint rule `env`).
 
@@ -45,12 +48,12 @@ pub fn max_threads() -> usize {
 }
 
 /// Overrides the engine-wide worker cap. `n` is clamped to >= 1.
-/// Setting 1 makes every primitive run its sequential fallback.
+/// Setting 1 makes [`par_map`] run its sequential fallback.
 pub fn set_max_threads(n: usize) {
     MAX_THREADS.store(n.max(1), Ordering::Relaxed);
 }
 
-/// Per-worker floors by the cost class of one item. A `par_*` call
+/// Per-worker floors by the cost class of one item. A [`par_map`] call
 /// fans out only when every worker gets about half a millisecond of
 /// work — some ten times what opening a `thread::scope` and joining
 /// one worker costs (22 µs at best, 25 µs median, 37 µs p90 on the
@@ -59,21 +62,12 @@ pub fn set_max_threads(n: usize) {
 /// measured per-item costs and the sites in each class are tabled in
 /// DESIGN.md §8.
 ///
-/// Half a microsecond an item and under: materialising, encoding,
-/// hashing or probing one tuple, one Merkle node.
-pub const FLOOR_TUPLE: usize = 1024;
-/// One to two microseconds an item: one tuple-sized `pread` group, one
-/// MAC verification.
-pub const FLOOR_PREAD: usize = 256;
-/// Tens of microseconds an item: reading and decoding one block, one
-/// planned run of a projected relation scan.
+/// Tens of microseconds an item: one planned run of a projected
+/// relation scan.
 pub const FLOOR_BLOCK: usize = 8;
-/// Half a millisecond an item and up: reading a run of whole blocks,
-/// one `fsync`.
+/// Half a millisecond an item and up: one partition's write and
+/// `fsync`.
 pub const FLOOR_RUN: usize = 1;
-// The cost classes are ordered: cheaper items need more of them.
-const _: () =
-    assert!(FLOOR_TUPLE > FLOOR_PREAD && FLOOR_PREAD > FLOOR_BLOCK && FLOOR_BLOCK > FLOOR_RUN);
 
 /// Workers to use for `len` items given a per-thread floor: no point
 /// spinning up a thread for less than `min_per_thread` items. The
@@ -98,14 +92,9 @@ where
     par_map_with_threads(items, max_threads(), min_per_thread, f)
 }
 
-/// [`par_map`] with an explicit thread count (for tests and benches
-/// that must not race on the global cap).
-pub fn par_map_with_threads<T, U, F>(
-    items: &[T],
-    threads: usize,
-    min_per_thread: usize,
-    f: F,
-) -> Vec<U>
+/// [`par_map`]'s body, with an explicit thread count so the tests
+/// need not race on the global cap.
+fn par_map_with_threads<T, U, F>(items: &[T], threads: usize, min_per_thread: usize, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
@@ -129,79 +118,6 @@ where
     out
 }
 
-/// Maps index ranges `0..len` to per-chunk results. Used when the
-/// caller needs slices of an output buffer rather than per-item
-/// values. Results come back in chunk order.
-pub fn par_chunks<U, F>(len: usize, threads: usize, min_per_thread: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(std::ops::Range<usize>) -> U + Sync,
-{
-    let workers = workers_for(len, threads, min_per_thread);
-    if workers == 1 {
-        return vec![f(0..len)];
-    }
-    let chunk = len.div_ceil(workers);
-    let mut out = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..len)
-            .step_by(chunk)
-            .map(|start| {
-                let range = start..(start + chunk).min(len);
-                scope.spawn(|| f(range))
-            })
-            .collect();
-        for handle in handles {
-            out.push(handle.join().expect("parallel chunk worker panicked"));
-        }
-    });
-    out
-}
-
-/// Finds the first item (lowest index) for which `f` returns `Some`,
-/// matching the sequential scan's answer exactly: every chunk reports
-/// its own first hit and the lowest-index hit wins.
-pub fn par_find_first<T, U, F>(items: &[T], min_per_thread: usize, f: F) -> Option<(usize, U)>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> Option<U> + Sync,
-{
-    let workers = workers_for(items.len(), max_threads(), min_per_thread);
-    if workers == 1 {
-        return items
-            .iter()
-            .enumerate()
-            .find_map(|(i, t)| f(t).map(|u| (i, u)));
-    }
-    let chunk = items.len().div_ceil(workers);
-    let mut first: Option<(usize, U)> = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, part)| {
-                let base = ci * chunk;
-                let f = &f;
-                scope.spawn(move || {
-                    part.iter()
-                        .enumerate()
-                        .find_map(|(i, t)| f(t).map(|u| (base + i, u)))
-                })
-            })
-            .collect();
-        // Chunks arrive in index order, so the first Some is the
-        // lowest-index hit.
-        for handle in handles {
-            let hit = handle.join().expect("parallel find worker panicked");
-            if first.is_none() {
-                first = hit;
-            }
-        }
-    });
-    first
-}
-
 /// Spawns a named long-lived service thread (appliers, consensus
 /// replicas, network pumps). This is the one sanctioned way to start
 /// an OS thread outside this crate — the repo lint forbids raw
@@ -222,10 +138,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Tests that mutate the global cap serialize on this lock.
-    static CAP_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn map_preserves_order() {
@@ -246,34 +158,8 @@ mod tests {
     }
 
     #[test]
-    fn chunks_cover_everything_in_order() {
-        let parts = par_chunks(103, 4, 8, |r| r.collect::<Vec<usize>>());
-        let flat: Vec<usize> = parts.into_iter().flatten().collect();
-        assert_eq!(flat, (0..103).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chunks_empty() {
-        let parts = par_chunks(0, 4, 8, |r| r.len());
-        assert_eq!(parts, vec![0]);
-    }
-
-    #[test]
-    fn find_first_matches_sequential() {
-        let _guard = CAP_LOCK.lock().unwrap();
-        set_max_threads(4);
-        let items: Vec<u32> = (0..500).collect();
-        // Hits at 123 and 400; the scan must report 123.
-        let hit = par_find_first(&items, 4, |&x| (x == 123 || x == 400).then_some(x * 2));
-        assert_eq!(hit, Some((123, 246)));
-        let miss = par_find_first(&items, 4, |&x| (x > 1000).then_some(()));
-        assert_eq!(miss, None);
-        set_max_threads(1);
-    }
-
-    #[test]
     fn workers_for_fans_out_from_twice_the_floor() {
-        for floor in [FLOOR_TUPLE, FLOOR_PREAD, FLOOR_BLOCK, FLOOR_RUN] {
+        for floor in [FLOOR_BLOCK, FLOOR_RUN] {
             // Below: one item short of two workers' worth stays put.
             assert_eq!(workers_for(2 * floor - 1, 8, floor), 1, "floor {floor}");
             // At: exactly two workers, each with a full floor.
@@ -297,7 +183,6 @@ mod tests {
 
     #[test]
     fn cap_is_clamped() {
-        let _guard = CAP_LOCK.lock().unwrap();
         set_max_threads(0);
         assert_eq!(max_threads(), 1);
         set_max_threads(6);

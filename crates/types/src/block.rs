@@ -93,9 +93,9 @@ pub struct Block {
 }
 
 /// Encodes each transaction to its canonical bytes (the Merkle
-/// leaves), fanning out across workers for large bodies.
+/// leaves).
 fn encode_tx_leaves(transactions: &[Transaction]) -> Vec<Vec<u8>> {
-    sebdb_parallel::par_map(transactions, sebdb_parallel::FLOOR_TUPLE, |t| t.to_bytes())
+    transactions.iter().map(Transaction::to_bytes).collect()
 }
 
 impl Block {

@@ -3,7 +3,7 @@
 //! forged or tampered transaction never chains; both signature schemes
 //! (HMAC bulk mode and hash-based Lamport OTS) drive the same hook.
 
-use sebdb::Ledger;
+use sebdb::{Ledger, LedgerError};
 use sebdb_consensus::OrderedBlock;
 use sebdb_crypto::sig::{KeyId, LamportKeypair, MacKeypair, Signature, Signer, Verifier};
 use sebdb_storage::{BlockStore, StoreConfig};
@@ -86,6 +86,41 @@ fn mac_verifier_accepts_honest_blocks_and_rejects_forgeries() {
         .unwrap_err();
     assert!(err.to_string().contains("invalid signature"));
     assert_eq!(l.height(), 1, "nothing chained");
+}
+
+#[test]
+fn first_forged_mac_in_a_block_is_the_one_reported() {
+    let alice = MacKeypair::from_key([7; 32]);
+    let l = ledger();
+    let key = alice.clone();
+    l.set_tx_verifier(Some(Box::new(move |tx| {
+        decode_sig(&tx.sig).is_some_and(|sig| key.verify(&tx.signing_payload(), &sig))
+    })));
+    // Forgeries at block positions 2 and 4 (tids 3 and 5): the check
+    // walks the block in order, so tid 3 is the one named.
+    let txs: Vec<Transaction> = (1..=6)
+        .map(|tid| {
+            let mut tx = signed_tx(&alice, tid, 100);
+            if tid == 3 || tid == 5 {
+                tx.values[2] = Value::decimal(1_000_000);
+            }
+            tx
+        })
+        .collect();
+    let block = l
+        .seal_ordered(OrderedBlock {
+            seq: 0,
+            timestamp_ms: 1000,
+            txs,
+        })
+        .unwrap();
+    match l.persist_block(block) {
+        Err(LedgerError::BadBlock(m)) => {
+            assert!(m.contains("transaction 3 "), "{m}");
+        }
+        other => panic!("expected BadBlock, got {other:?}"),
+    }
+    assert_eq!(l.height(), 0, "nothing chained");
 }
 
 #[test]

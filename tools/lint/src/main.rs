@@ -9,7 +9,7 @@
 //!
 //! 1. `spawn`  — no `thread::spawn` outside `crates/parallel` and
 //!    `crates/model`. Everything else goes through
-//!    `sebdb_parallel::spawn_service` or the `par_*` primitives, so
+//!    `sebdb_parallel::spawn_service` or `sebdb_parallel::par_map`, so
 //!    every service thread inherits naming and panic routing and every
 //!    fan-out the `SEBDB_THREADS=1` sequential fallback.
 //! 2. `sleep`  — no `thread::sleep` (sleep-based polling hides lost
@@ -28,11 +28,10 @@
 //!    happens-before race detector's clock propagation — cover every
 //!    lock the engine actually takes.
 //!
-//! 6. `par-floor` — a `par_map` / `par_map_with_threads` /
-//!    `par_chunks` / `par_find_first` call outside `crates/parallel`
-//!    passes a named `sebdb_parallel::FLOOR_*` cost-class constant as
-//!    its per-worker floor, never an integer literal: a floor of `1`
-//!    spawns threads for microseconds of work (DESIGN §8).
+//! 6. `par-floor` — a `par_map` call outside `crates/parallel` passes
+//!    a named `sebdb_parallel::FLOOR_*` cost-class constant as its
+//!    per-worker floor, never an integer literal: a floor of `1` spawns
+//!    threads for microseconds of work (DESIGN §8).
 //! 7. `env` — no `env::var` / `env::var_os` / `env::vars` under
 //!    `crates/` outside `crates/parallel/src/lib.rs` (`SEBDB_THREADS`,
 //!    the one engine setting read from the environment) and
@@ -125,16 +124,11 @@ const ENV_EXEMPT_DIR: &str = "crates/bench/";
 /// them by necessity.
 const STD_SYNC_ALLOWED_DIRS: &[&str] = &["shims/", "crates/model/"];
 
-/// The fan-out primitives (up to the opening parenthesis) and the
-/// position of each one's per-worker floor argument.
-const PAR_PRIMITIVES: &[(&str, usize)] = &[
-    ("par_map_with_threads(", 2),
-    ("par_map(", 1),
-    ("par_chunks(", 2),
-    ("par_find_first(", 1),
-];
+/// The fan-out primitive, up to the opening parenthesis; its second
+/// argument is the per-worker floor.
+const PAR_MAP: &str = "par_map(";
 
-/// The crate that defines the primitives (and may pass floors through).
+/// The crate that defines the primitive (and may pass floors through).
 const PAR_FLOOR_EXEMPT_DIR: &str = "crates/parallel/";
 
 /// The banned `std::sync` lock types (`Arc`, atomics, and `OnceLock`
@@ -466,46 +460,43 @@ fn check_file(rel: &str, source: &str, out: &mut Vec<Violation>) -> usize {
     test_lines.iter().filter(|masked| !**masked).count()
 }
 
-/// Every call of a fan-out primitive in `stripped` whose floor
-/// argument is not a `FLOOR_*` constant, as (0-based line, argument).
-/// Calls span lines, so this walks the whole source, not one line.
+/// Every `par_map` call in `stripped` whose floor argument is not a
+/// `FLOOR_*` constant, as (0-based line, argument). Calls span lines,
+/// so this walks the whole source, not one line.
 fn unnamed_floors(stripped: &str) -> Vec<(usize, String)> {
     let mut out = Vec::new();
-    for &(name, floor_pos) in PAR_PRIMITIVES {
-        for (at, _) in stripped.match_indices(name) {
-            let before = stripped[..at].chars().next_back();
-            if before.is_some_and(|c| c.is_alphanumeric() || c == '_') {
-                continue; // e.g. `par_map(` inside `my_par_map(`
-            }
-            // Split the call's arguments at top-level commas.
-            let mut args = vec![String::new()];
-            let mut depth = 0i32;
-            for ch in stripped[at + name.len()..].chars() {
-                match ch {
-                    '(' | '[' | '{' => depth += 1,
-                    ')' | ']' | '}' if depth == 0 => break,
-                    ')' | ']' | '}' => depth -= 1,
-                    ',' if depth == 0 => {
-                        args.push(String::new());
-                        continue;
-                    }
-                    _ => {}
+    for (at, _) in stripped.match_indices(PAR_MAP) {
+        let before = stripped[..at].chars().next_back();
+        if before.is_some_and(|c| c.is_alphanumeric() || c == '_') {
+            continue; // e.g. `par_map(` inside `my_par_map(`
+        }
+        // Split the call's arguments at top-level commas.
+        let mut args = vec![String::new()];
+        let mut depth = 0i32;
+        for ch in stripped[at + PAR_MAP.len()..].chars() {
+            match ch {
+                '(' | '[' | '{' => depth += 1,
+                ')' | ']' | '}' if depth == 0 => break,
+                ')' | ']' | '}' => depth -= 1,
+                ',' if depth == 0 => {
+                    args.push(String::new());
+                    continue;
                 }
-                if let Some(arg) = args.last_mut() {
-                    arg.push(ch);
-                }
+                _ => {}
             }
-            let floor = args.get(floor_pos).map_or("", |a| a.trim());
-            let constant = floor.rsplit("::").next().unwrap_or(floor);
-            let named = constant.starts_with("FLOOR_")
-                && constant.chars().all(|c| c.is_ascii_uppercase() || c == '_');
-            if !named {
-                let line = stripped[..at].matches('\n').count();
-                out.push((line, floor.to_string()));
+            if let Some(arg) = args.last_mut() {
+                arg.push(ch);
             }
         }
+        let floor = args.get(1).map_or("", |a| a.trim());
+        let constant = floor.rsplit("::").next().unwrap_or(floor);
+        let named = constant.starts_with("FLOOR_")
+            && constant.chars().all(|c| c.is_ascii_uppercase() || c == '_');
+        if !named {
+            let line = stripped[..at].matches('\n').count();
+            out.push((line, floor.to_string()));
+        }
     }
-    out.sort();
     out
 }
 
@@ -907,14 +898,13 @@ mod tests {
 
     #[test]
     fn flags_literal_fan_out_floors() {
-        // A literal floor trips the rule wherever it sits in the call,
-        // across lines and for every primitive.
+        // A literal or computed floor trips the rule wherever the call
+        // sits, across lines too.
         for src in [
             "fn f() { sebdb_parallel::par_map(&xs, 1, |x| x + 1); }\n",
             "fn f() {\n    par_map(\n        &xs,\n        16,\n        |x| g(x, 2),\n    );\n}\n",
-            "fn f() { par_chunks(n, threads, 4096, |r| r.len()); }\n",
-            "fn f() { par_find_first(&xs, MIN, |x| x.then_some(())); }\n",
-            "fn f() { par_map_with_threads(&xs, t, 2 * FLOOR_TUPLE, |x| *x); }\n",
+            "fn f() { par_map(&xs, MIN, |x| x.then_some(())); }\n",
+            "fn f() { par_map(&xs, 2 * FLOOR_BLOCK, |x| *x); }\n",
         ] {
             let mut v = Vec::new();
             check_file("crates/core/src/x.rs", src, &mut v);
@@ -922,7 +912,7 @@ mod tests {
             assert_eq!(v[0].rule, "par-floor");
         }
         let named = "fn f() {\n    sebdb_parallel::par_map(&xs, sebdb_parallel::FLOOR_BLOCK, |x| g(x, 1));\n    \
-                     par_chunks(n, max_threads(), FLOOR_TUPLE, |r| r.len());\n}\n";
+                     par_map(&jobs, FLOOR_RUN, write_job);\n    my_par_map(&xs, 1, f);\n}\n";
         let mut v = Vec::new();
         check_file("crates/core/src/x.rs", named, &mut v);
         assert!(v.is_empty(), "named floors must pass");
