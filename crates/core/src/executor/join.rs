@@ -482,8 +482,9 @@ mod tests {
 
     /// [`q5_phase_split`]'s twin for the on-off join's hash arm: Q6,
     /// `distribute.donee` ⋈ the off-chain `doneeinfo.donee`, on the
-    /// same shapes, phase by phase as `run_onoff_join` runs them
-    /// (assembly again after the probe rather than in its workers).
+    /// same shapes, phase by phase as `run_onoff_join` runs them, all
+    /// under the off-chain table's read guard (assembly again after the
+    /// probe rather than in its workers).
     /// `cargo test --release -p sebdb q6_phase_split -- --nocapture`.
     #[test]
     fn q6_phase_split() {
@@ -517,19 +518,20 @@ mod tests {
                 whole.push(t.elapsed().as_micros());
 
                 laps.start();
-                let (_, off_rows) = conn.sorted_by("doneeinfo", "donee").unwrap();
-                laps.mark(0);
-                let mut arena = Vec::new();
-                let build = off_chain_table(&off_rows, 0, &mut arena).unwrap();
-                laps.mark(1);
-                let probed = exec
-                    .map_relation(&bids, &on.name, |run| {
-                        probe_extents(&run, &on.name, on_col, window, &build)
-                    })
-                    .unwrap();
-                laps.mark(2);
-                rows = assemble(probed, &build, append_off_row).unwrap();
-                laps.mark(3);
+                conn.read_rows("doneeinfo", "donee", |col, off_rows| {
+                    let mut arena = Vec::new();
+                    let build = off_chain_table(&off_rows, col, &mut arena).unwrap();
+                    laps.mark(0);
+                    let probed = exec
+                        .map_relation(&bids, &on.name, |run| {
+                            probe_extents(&run, &on.name, on_col, window, &build)
+                        })
+                        .unwrap();
+                    laps.mark(1);
+                    rows = assemble(probed, &build, append_off_row).unwrap();
+                    laps.mark(2);
+                })
+                .unwrap();
                 assert_eq!(rows, want.rows);
             }
             assert!(rows.len() > 100, "{} rows", rows.len());
@@ -543,8 +545,7 @@ mod tests {
             );
             laps.report(
                 [
-                    "read off-chain rows, sorted",
-                    "encode + hash off-chain keys, link table",
+                    "borrow off-chain rows, encode + hash keys, link table",
                     "scan + project + probe on-chain, decode its matches",
                     "assemble rows, off-chain values after",
                 ],

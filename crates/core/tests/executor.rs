@@ -286,10 +286,10 @@ fn onoff_join_duplicates_and_empty_sides() {
         .unwrap();
 
     let exec = Executor::new(&l, Some(&conn));
-    let plan = LogicalPlan::OnOffJoin {
+    let on_off = |off_table: &str| LogicalPlan::OnOffJoin {
         on_col: on.resolve("donee").unwrap(),
         on_table: on.clone(),
-        off_table: "doneeinfo".into(),
+        off_table: off_table.into(),
         off_col: 0,
         off_columns: vec![
             Column::new("donee", DataType::Str),
@@ -297,6 +297,7 @@ fn onoff_join_duplicates_and_empty_sides() {
         ],
         window: None,
     };
+    let plan = on_off("doneeinfo");
     for strat in [Strategy::Scan, Strategy::Bitmap, Strategy::Layered] {
         assert_eq!(exec.execute(&plan, strat).unwrap().len(), 4, "{strat:?}");
     }
@@ -305,6 +306,16 @@ fn onoff_join_duplicates_and_empty_sides() {
     conn.delete("doneeinfo", &sebdb_offchain::Predicate::True)
         .unwrap();
     assert!(exec.execute(&plan, Strategy::Layered).unwrap().is_empty());
+
+    // An off-chain read that fails is the query's error under every
+    // arm, never an empty join.
+    for strat in [Strategy::Scan, Strategy::Bitmap, Strategy::Layered] {
+        let err = exec.execute(&on_off("nosuch"), strat).unwrap_err();
+        assert!(
+            matches!(err, sebdb::ExecError::Offchain(_)),
+            "{strat:?}: {err}"
+        );
+    }
 }
 
 /// `NULL = NULL` is not a match: a `NULL` key on either side joins
@@ -360,6 +371,81 @@ fn null_keys_never_join_under_any_strategy() {
         for strat in [Strategy::Bitmap, Strategy::Layered, Strategy::Auto] {
             assert_eq!(exec.execute(plan, strat).unwrap().rows, scan, "{strat:?}");
         }
+    }
+}
+
+/// A `NULL` off-chain key joins nothing, and it does not switch off
+/// Algorithm 3's range pruning either: it sorts first, and the
+/// off-chain range is taken over the non-`NULL` keys. With and without
+/// one `NULL` row the `Layered` on-off join on a continuous indexed
+/// column returns the same rows and does the same work — the same
+/// `blocks_read`, `txs_read` and `bytes_read`, and over a frozen index
+/// the same index blocks, which the first level's per-block range test
+/// reads and a fall-back to every block does not.
+#[test]
+fn a_null_offchain_key_keeps_the_layered_range_pruning() {
+    let l = ledger();
+    // Block `b` holds the amounts `b * 100 ..= b * 100 + 19`.
+    let groups: Vec<Vec<(&str, KeyId, Vec<Value>)>> = (0..40)
+        .map(|b| {
+            (0..20)
+                .map(|i| ("donate", A, vec![Value::decimal(b * 100 + i)]))
+                .collect()
+        })
+        .collect();
+    append_blocks(&l, groups);
+    let on = schema("donate", &[("amount", DataType::Decimal)]);
+    l.create_layered_index(&on, "amount", None).unwrap();
+    let off_columns = vec![
+        Column::new("amount", DataType::Decimal),
+        Column::new("note", DataType::Str),
+    ];
+    let grants = |with_null: bool| {
+        let db = Arc::new(OffchainDb::new());
+        db.create_table("grants", off_columns.clone()).unwrap();
+        let conn = db.connect();
+        let mut keys = vec![
+            Value::decimal(1005),
+            Value::decimal(1010),
+            Value::decimal(1005),
+        ];
+        keys.extend(with_null.then_some(Value::Null));
+        keys.push(Value::decimal(1203));
+        for key in keys {
+            conn.insert("grants", vec![key, Value::str("n")]).unwrap();
+        }
+        conn
+    };
+    let plan = LogicalPlan::OnOffJoin {
+        on_col: on.resolve("amount").unwrap(),
+        on_table: on.clone(),
+        off_table: "grants".into(),
+        off_col: 0,
+        off_columns: off_columns.clone(),
+        window: None,
+    };
+    let run = |conn: &sebdb_offchain::OffchainConnection| {
+        let stats = &l.store().stats;
+        stats.reset();
+        let rows = Executor::new(&l, Some(conn))
+            .execute(&plan, Strategy::Layered)
+            .unwrap()
+            .rows;
+        let (blocks, _, txs) = stats.snapshot();
+        let (hits, misses) = stats.index_cache_counts();
+        (rows, (blocks, txs, stats.bytes_read(), hits + misses))
+    };
+    let (plain, with_null) = (grants(false), grants(true));
+    for frozen in [false, true] {
+        if frozen {
+            assert!(l.checkpoint_indexes().unwrap() > 0, "nothing was frozen");
+            // Warms the index-block cache: both runs below hit it.
+            run(&plain);
+        }
+        let (rows, work) = run(&plain);
+        assert_eq!(rows.len(), 4, "frozen: {frozen}");
+        assert_eq!(run(&with_null), (rows, work), "frozen: {frozen}");
+        assert_eq!(work.3 > 0, frozen, "{work:?}");
     }
 }
 

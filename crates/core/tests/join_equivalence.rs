@@ -2,7 +2,10 @@
 //!
 //! One seeded chain — duplicate keys on both sides, `NULL` keys, each
 //! relation absent from some blocks — is joined under every strategy,
-//! flat (`partitions: 1`, relations co-located) and partitioned, twice.
+//! flat (`partitions: 1`, relations co-located) and partitioned, twice,
+//! then a third time with an off-chain index on the on-off join's
+//! column, which must not move a row: the off-chain side is read in
+//! heap order, indexed or not.
 //! The two hash arms (`Scan`, `Bitmap`) must return **the same ordered row vector** as a
 //! nested loop over `read_block` written here; `Layered` the same rows
 //! as a sorted multiset. The hash arms decode only what they return:
@@ -235,7 +238,11 @@ fn cases(ledger: &Ledger, conn: &OffchainConnection) -> Vec<Case> {
         },
         want: nested_loop(&transfers, org, &transfers, |r| r.get(org), row_of),
     });
-    let (_, off_rows) = conn.sorted_by("doneeinfo", "donee").unwrap();
+    let off_rows: Vec<Vec<Value>> = conn
+        .read_rows("doneeinfo", "donee", |_, rows| {
+            rows.iter().map(|r| r.to_vec()).collect()
+        })
+        .unwrap();
     for (name, window) in [("q6", None), ("q6 windowed", partial)] {
         out.push(Case {
             name,
@@ -273,8 +280,8 @@ fn ledger_on(config: StoreConfig) -> Ledger {
 
 #[test]
 fn joins_return_the_nested_loop_rows_everywhere() {
-    let conn = offchain();
     for partitions in [8usize, 1] {
+        let conn = offchain();
         let ledger = ledger_on(StoreConfig {
             partitions,
             ..StoreConfig::default()
@@ -291,8 +298,13 @@ fn joins_return_the_nested_loop_rows_everywhere() {
             );
         }
         let exec = Executor::new(&ledger, Some(&conn));
-        // Twice, so the second pass meets warm index blocks and pages.
-        for pass in 0..2 {
+        // Twice, so the second pass meets warm index blocks and pages;
+        // the third reads an off-chain table with an index on the join
+        // column.
+        for pass in 0..3 {
+            if pass == 2 {
+                conn.create_index("doneeinfo", "donee").unwrap();
+            }
             for case in &cases {
                 let at = format!("{} on p{partitions}, pass {pass}", case.name);
                 for arm in [Strategy::Scan, Strategy::Bitmap] {

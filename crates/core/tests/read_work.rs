@@ -4,16 +4,18 @@
 //! and an authenticated range each move the store's `IoStats`
 //! (`blocks_read`, `txs_read`, `bytes_read`) and issue positioned reads
 //! (counted with the store's read probe) by exactly the constants
-//! below. A change to the read front that moves a read's work shows
-//! here as a changed count.
+//! below; so do a `Bitmap`-arm on-chain hash join and an on-off hash
+//! join against a small off-chain table. A change to the read front
+//! that moves a read's work shows here as a changed count.
 
 use sebdb::{serve_authenticated_query, Executor, Ledger, Strategy};
 use sebdb_consensus::OrderedBlock;
 use sebdb_crypto::sig::{KeyId, MacKeypair};
 use sebdb_index::KeyPredicate;
+use sebdb_offchain::OffchainDb;
 use sebdb_sql::{BoundBlockSelector, BoundPredicate, BoundPredicateKind, CompareOp, LogicalPlan};
 use sebdb_storage::{BlockStore, StoreConfig};
-use sebdb_types::{Column, DataType, TableSchema, Transaction, Value};
+use sebdb_types::{Column, ColumnRef, DataType, TableSchema, Transaction, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -32,6 +34,13 @@ const Q4_POINT: Work = (0, 1, 102, 1);
 /// header again for the row.
 const GET_BLOCK_TID: Work = (1, 0, 801, 4);
 const AUTH_RANGE: Work = (0, 41, 13553, 1);
+/// `donate.donor ⋈ transfer.memo` (Q5's Bitmap arm): each relation's
+/// partition extents of its 40 blocks in one run; no tuple is fetched
+/// by pointer.
+const Q5_BITMAP: Work = (80, 0, 20023, 2);
+/// `donate.donor ⋈ off-chain memoinfo.memo` (Q6's hash arm): `donate`'s
+/// run alone; the off-chain side reads no chain byte.
+const Q6_HASH: Work = (40, 0, 13927, 1);
 
 /// splitmix64: the chain's amounts, memos and senders.
 fn next(state: &mut u64) -> u64 {
@@ -40,6 +49,10 @@ fn next(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+fn transfer() -> TableSchema {
+    TableSchema::new("transfer", vec![Column::new("memo", DataType::Str)])
 }
 
 fn donate() -> TableSchema {
@@ -154,4 +167,42 @@ fn each_read_does_the_pinned_work() {
         (w, w1, w2, w3),
         (Q4_RANGE, Q4_POINT, GET_BLOCK_TID, AUTH_RANGE)
     );
+}
+
+#[test]
+fn each_join_does_the_pinned_work() {
+    let ledger = chain();
+    let db = Arc::new(OffchainDb::new());
+    let off_columns = vec![
+        Column::new("memo", DataType::Str),
+        Column::new("rank", DataType::Int),
+    ];
+    db.create_table("memoinfo", off_columns.clone()).unwrap();
+    let conn = db.connect();
+    // Memos of 0, 8, … 56 characters; a duplicate key among them.
+    for (rank, len) in [0, 8, 16, 24, 32, 40, 48, 56, 8].into_iter().enumerate() {
+        let row = vec![Value::Str("m".repeat(len)), Value::Int(rank as i64)];
+        conn.insert("memoinfo", row).unwrap();
+    }
+    let exec = Executor::new(&ledger, Some(&conn));
+    let q5 = LogicalPlan::OnChainJoin {
+        left: donate(),
+        right: transfer(),
+        left_col: ColumnRef::App(0),
+        right_col: ColumnRef::App(0),
+        window: None,
+    };
+    let (rows, w) = work(&ledger, || exec.execute(&q5, Strategy::Bitmap).unwrap());
+    assert!(rows.len() > 10, "{} rows", rows.len());
+    let q6 = LogicalPlan::OnOffJoin {
+        on_table: donate(),
+        on_col: ColumnRef::App(0),
+        off_table: "memoinfo".into(),
+        off_col: 0,
+        off_columns,
+        window: None,
+    };
+    let (rows, w1) = work(&ledger, || exec.execute(&q6, Strategy::Bitmap).unwrap());
+    assert!(rows.len() > 10, "{} rows", rows.len());
+    assert_eq!((w, w1), (Q5_BITMAP, Q6_HASH));
 }

@@ -57,6 +57,15 @@ impl OffchainDb {
     }
 }
 
+/// `column`'s position in `table`.
+fn column_of(table: &OffTable, column: &str) -> Result<usize, TypeError> {
+    table
+        .column_index(column)
+        .ok_or_else(|| TypeError::NoSuchColumn {
+            column: column.to_owned(),
+        })
+}
+
 /// A connection handle to the off-chain database.
 #[derive(Clone)]
 pub struct OffchainConnection {
@@ -85,11 +94,7 @@ impl OffchainConnection {
     ) -> Result<usize, TypeError> {
         let t = self.db.table(table)?;
         let mut t = t.write();
-        let col = t
-            .column_index(column)
-            .ok_or_else(|| TypeError::NoSuchColumn {
-                column: column.to_owned(),
-            })?;
+        let col = column_of(&t, column)?;
         t.update(pred, col, value)
     }
 
@@ -102,55 +107,36 @@ impl OffchainConnection {
     pub fn create_index(&self, table: &str, column: &str) -> Result<(), TypeError> {
         let t = self.db.table(table)?;
         let mut t = t.write();
-        let col = t
-            .column_index(column)
-            .ok_or_else(|| TypeError::NoSuchColumn {
-                column: column.to_owned(),
-            })?;
+        let col = column_of(&t, column)?;
         t.create_index(col);
         Ok(())
     }
 
-    /// `(min, max)` of `column` — the range Algorithm 3 uses to prune
-    /// blocks. `None` when the table is empty.
+    /// `(min, max)` of `column` over its non-NULL values. `None` when
+    /// the table is empty.
     pub fn min_max(&self, table: &str, column: &str) -> Result<Option<(Value, Value)>, TypeError> {
         let t = self.db.table(table)?;
         let t = t.read();
-        let col = t
-            .column_index(column)
-            .ok_or_else(|| TypeError::NoSuchColumn {
-                column: column.to_owned(),
-            })?;
+        let col = column_of(&t, column)?;
         Ok(t.min(col).zip(t.max(col)))
     }
 
-    /// Distinct values of `column`, ascending.
-    pub fn distinct(&self, table: &str, column: &str) -> Result<Vec<Value>, TypeError> {
-        let t = self.db.table(table)?;
-        let t = t.read();
-        let col = t
-            .column_index(column)
-            .ok_or_else(|| TypeError::NoSuchColumn {
-                column: column.to_owned(),
-            })?;
-        Ok(t.distinct(col))
-    }
-
-    /// All rows sorted by `column`, plus that column's position —
-    /// the sorted stream the on-off sort-merge join consumes.
-    pub fn sorted_by(
+    /// Lends `table`'s live rows, in heap (insertion) order, and
+    /// `column`'s position to `read`, under the table's read lock —
+    /// nothing is copied. Readers share the lock; writers to the table
+    /// wait until `read` returns. The on-off join reads its off-chain
+    /// side this way, once (§V-C), and takes the chain's locks inside
+    /// `read`: the lock order is off-chain table, then store.
+    pub fn read_rows<R>(
         &self,
         table: &str,
         column: &str,
-    ) -> Result<(usize, Vec<Vec<Value>>), TypeError> {
+        read: impl FnOnce(usize, Vec<&[Value]>) -> R,
+    ) -> Result<R, TypeError> {
         let t = self.db.table(table)?;
         let t = t.read();
-        let col = t
-            .column_index(column)
-            .ok_or_else(|| TypeError::NoSuchColumn {
-                column: column.to_owned(),
-            })?;
-        Ok((col, t.sorted_by(col)))
+        let col = column_of(&t, column)?;
+        Ok(read(col, t.rows().collect()))
     }
 
     /// Column metadata for `table`.
@@ -229,7 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn min_max_and_sorted() {
+    fn min_max_and_rows_in_place() {
         let db = db();
         let conn = db.connect();
         for (n, v) in [("a", 5), ("b", 1), ("c", 9)] {
@@ -240,10 +226,34 @@ mod tests {
             conn.min_max("doneeinfo", "income").unwrap(),
             Some((Value::decimal(1), Value::decimal(9)))
         );
-        let (col, rows) = conn.sorted_by("doneeinfo", "income").unwrap();
-        assert_eq!(col, 1);
-        assert!(rows.windows(2).all(|w| w[0][1] <= w[1][1]));
-        assert_eq!(conn.count("doneeinfo").unwrap(), 3);
+        // Live rows in heap order, a deleted one skipped, an index or
+        // not.
+        let b = Predicate::Compare {
+            column: 0,
+            op: CmpOp::Eq,
+            value: Value::str("b"),
+        };
+        assert_eq!(conn.delete("doneeinfo", &b).unwrap(), 1);
+        let want = [
+            vec![Value::str("a"), Value::decimal(5)],
+            vec![Value::str("c"), Value::decimal(9)],
+        ];
+        for indexed in [false, true] {
+            if indexed {
+                conn.create_index("doneeinfo", "income").unwrap();
+            }
+            let (col, rows) = conn
+                .read_rows("doneeinfo", "INCOME", |col, rows| {
+                    (col, rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>())
+                })
+                .unwrap();
+            assert_eq!((col, rows.as_slice()), (1, &want[..]));
+        }
+        assert!(matches!(
+            conn.read_rows("doneeinfo", "salary", |_, _| ()),
+            Err(TypeError::NoSuchColumn { .. })
+        ));
+        assert_eq!(conn.count("doneeinfo").unwrap(), 2);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! # sebdb-offchain
 //!
 //! A mini-RDBMS standing in for the local MySQL instance each SEBDB
-//! node uses for private off-chain data (§IV-A). Provides exactly what
-//! the on-off-chain join (Algorithm 3) needs from the RDBMS side —
-//! predicate selects, per-column B-tree indexes, `min`/`max`,
-//! `DISTINCT`, and sorted retrieval on the join attribute — plus the
-//! usual insert/update/delete. See DESIGN.md §4 for the substitution
-//! note.
+//! node uses for private off-chain data (§IV-A): predicate selects,
+//! per-column B-tree indexes, `min`/`max`, `DISTINCT`, sorted retrieval,
+//! and the usual insert/update/delete. The on-off-chain join
+//! (Algorithm 3) reads a table once, in place, under its read lock
+//! ([`OffchainConnection::read_rows`]), and takes its sorted order,
+//! range and distinct keys from that one read. See DESIGN.md §4 for
+//! the substitution note.
 
 #![warn(missing_docs)]
 

@@ -150,6 +150,11 @@ impl OffTable {
         removed
     }
 
+    /// Live rows in heap (insertion) order, borrowed.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &[Value]> {
+        self.rows.iter().flatten().map(Vec::as_slice)
+    }
+
     /// Minimum value of column `col` over live rows (ignores NULL).
     pub fn min(&self, col: usize) -> Option<Value> {
         self.live_values(col).min().cloned()
@@ -160,19 +165,15 @@ impl OffTable {
         self.live_values(col).max().cloned()
     }
 
-    /// Column `col`'s non-NULL values over live rows (Algorithm 3 takes
-    /// their extremes to prune blocks before the on/off join).
+    /// Column `col`'s non-NULL values over live rows.
     fn live_values(&self, col: usize) -> impl Iterator<Item = &Value> {
-        self.rows
-            .iter()
-            .flatten()
+        self.rows()
             .map(move |r| &r[col])
             .filter(|v| **v != Value::Null)
     }
 
-    /// Distinct values of column `col` in ascending order — Algorithm
-    /// 3's discrete case "queries off-chain database for unique values
-    /// of join attribute".
+    /// Distinct values of column `col` in ascending order (the index's
+    /// keys when `col` is indexed).
     pub fn distinct(&self, col: usize) -> Vec<Value> {
         if let Some(idx) = self.indexes.get(&col) {
             return idx
@@ -181,15 +182,14 @@ impl OffTable {
                 .map(|(v, _)| v.clone())
                 .collect();
         }
-        let mut vs: Vec<Value> = self.column_values(col).collect();
+        let mut vs: Vec<Value> = self.live_values(col).cloned().collect();
         vs.sort();
         vs.dedup();
         vs
     }
 
-    /// All live rows sorted ascending by column `col` — "the query
-    /// results from off-chain data are sorted on join attribute" so the
-    /// per-block sort-merge join of Algorithm 3 can run directly.
+    /// All live rows sorted ascending by column `col` (in the index's
+    /// order when `col` is indexed).
     pub fn sorted_by(&self, col: usize) -> Vec<Vec<Value>> {
         if let Some(idx) = self.indexes.get(&col) {
             return idx
@@ -201,14 +201,6 @@ impl OffTable {
         let mut rows: Vec<Vec<Value>> = self.rows.iter().flatten().cloned().collect();
         rows.sort_by(|a, b| a[col].cmp(&b[col]));
         rows
-    }
-
-    fn column_values(&self, col: usize) -> impl Iterator<Item = Value> + '_ {
-        self.rows
-            .iter()
-            .flatten()
-            .map(move |r| r[col].clone())
-            .filter(|v| *v != Value::Null)
     }
 }
 
