@@ -158,6 +158,14 @@ grep -qF 'chain verified over PBFT' <<<"$out" || { echo "ci: supply_chain did no
 echo "==> cargo run --release -p sebdb-bench --bin figures -- fig7 smoke"
 cargo run -q --release -p sebdb-bench --bin figures -- fig7 smoke
 
+# The join figures' smoke sweeps run Q5 and Q6 under every arm — the
+# `Layered` ones included (Algorithm 2's per-side block pruning,
+# Algorithm 3's range test) — optimized, as the engine ships.
+for fig in fig13 fig15; do
+  echo "==> cargo run --release -p sebdb-bench --bin figures -- $fig smoke"
+  cargo run -q --release -p sebdb-bench --bin figures -- "$fig" smoke
+done
+
 # The end-to-end benchmark package builds against the engine's public
 # surface through one adapter (benchmark/src/engine.rs); a reshaped
 # engine must fail here, not in the measuring pipeline.

@@ -98,10 +98,11 @@ impl Executor<'_> {
     }
 
     /// How `run_trace` answers a trace under `Auto` — from the view
-    /// registered for it, or on the Layered arm, with the one second
-    /// level it probes and, for two dimensions, the partition whose
-    /// tuples the tuple table keeps — and the partitions the Scan and
-    /// Bitmap arms read, with the relations placed in each.
+    /// registered for it; on the Layered arm, with the one second level
+    /// it probes (`sen_id`) and, for two dimensions, the partition whose
+    /// tuples the tuple table keeps; or, for an operation alone, on the
+    /// Bitmap arm — and the partitions the Scan and Bitmap arms read,
+    /// with the relations placed in each.
     fn describe_trace(
         &self,
         window: Option<(Timestamp, Timestamp)>,
@@ -111,24 +112,19 @@ impl Executor<'_> {
         let operator = trace_operator(operator, operation)?;
         let store = self.ledger.store();
         let spec = TraceSpec::new(window, operator.map(|k| k.0), operation);
-        let arm = if self.ledger.trace_views().matching(&spec).is_some() {
-            "auto: the registered view on this trace, no index probed".to_string()
-        } else {
-            let keep = match (operator, operation) {
-                (Some(_), Some(tname)) => match partition_company(store, tname) {
-                    Some(part) => format!(", then the tuple table keeps {tname}'s {part}"),
-                    None => {
-                        format!(", then the tuple table keeps nothing ({tname} not on the chain)")
-                    }
-                },
-                _ => String::new(),
-            };
-            let probe = if operator.is_some() {
-                "sen_id"
-            } else {
-                "tname"
-            };
-            format!("auto: layered, one second-level probe ({probe}){keep}")
+        let probe = "auto: layered, one second-level probe (sen_id)";
+        let arm = match (operator, operation) {
+            _ if self.ledger.trace_views().matching(&spec).is_some() => {
+                "auto: the registered view on this trace, no index probed".to_string()
+            }
+            (None, _) => "auto: bitmap, tname's first level prunes the scan".to_string(),
+            (Some(_), None) => probe.to_string(),
+            (Some(_), Some(tname)) => match partition_company(store, tname) {
+                Some(part) => format!("{probe}, then the tuple table keeps {tname}'s {part}"),
+                None => format!(
+                    "{probe}, then the tuple table keeps nothing ({tname} not on the chain)"
+                ),
+            },
         };
         let scans: Vec<String> = scanned_relations(store, operation)
             .iter()

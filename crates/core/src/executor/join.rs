@@ -9,9 +9,10 @@
 //!   in the blocks the table-level index marks as containing it;
 //! * **layered** — Algorithm 2 proper: first-level bitmaps select the
 //!   candidate blocks per relation, histogram-bucket intersection
-//!   prunes block *pairs*, and the blocks of the surviving pairs are
-//!   joined by one sort-merge over their second-level entries (which
-//!   the index hands out in key order).
+//!   prunes each side to the blocks of the block *pairs* that survive
+//!   (computed per side, not over pairs), and those blocks are joined
+//!   by one sort-merge over their second-level entries (which the index
+//!   hands out in key order).
 
 use super::hash::{assemble, decode_onto, in_order, keyed_runs, probe_extents, KeyTable};
 use super::range::{column_name, in_window};
@@ -209,33 +210,33 @@ impl Executor<'_> {
             ExecError::Unsupported(format!("no layered index on {}'s join column", right.name))
         })?;
         let mask = self.ledger.window_mask(window);
-        // Lines 2–7 + the `intersect` pruning of lines 8–10, computed as
-        // candidate block *pairs* (value-driven for discrete attributes,
-        // bucket-envelope checks for continuous ones).
-        let pairs: Vec<(u64, u64)> = self
+        // Lines 2–7 + the `intersect` pruning of lines 8–10, as the two
+        // block sets the surviving pairs project onto (value-driven for
+        // discrete attributes, bucket unions for continuous ones).
+        let (l_blocks, r_blocks) = self
             .ledger
             .with_layered(Some(&left.name), &l_col, |l_idx| {
                 self.ledger
                     .with_layered(Some(&right.name), &r_col, |r_idx| {
-                        l_idx.join_pairs(&mask, r_idx, &mask)
+                        l_idx.join_blocks(&mask, r_idx, &mask)
                     })
                     .unwrap_or_default()
             })
             .unwrap_or_default();
 
         // Lines 11–12: sort-merge over the second-level leaves. Phase
-        // one merges the sorted entries of every block a surviving pair
-        // names, one run per side, and collects matched pointer pairs
-        // without touching storage. A pruned pair holds no match (the
-        // first level has no false negatives), so merging whole sides
-        // finds exactly the matches of the surviving pairs.
-        let side = |schema: &TableSchema, col: &str, blocks: Bitmap| {
+        // one merges the sorted entries of every surviving block, one
+        // run per side, and collects matched pointer pairs without
+        // touching storage. A pruned pair holds no match (the first
+        // level has no false negatives), so merging whole sides finds
+        // exactly the matches of the surviving pairs.
+        let side = |schema: &TableSchema, col: &str, blocks: &Bitmap| {
             self.ledger
-                .with_layered(Some(&schema.name), col, |idx| idx.sorted_entries(&blocks))
+                .with_layered(Some(&schema.name), col, |idx| idx.sorted_entries(blocks))
                 .ok_or_else(|| ExecError::Unsupported(format!("index on {} vanished", schema.name)))
         };
-        let l_entries = side(left, &l_col, pairs.iter().map(|p| p.0 as usize).collect())?;
-        let r_entries = side(right, &r_col, pairs.iter().map(|p| p.1 as usize).collect())?;
+        let l_entries = side(left, &l_col, &l_blocks)?;
+        let r_entries = side(right, &r_col, &r_blocks)?;
         let mut matched: Vec<(sebdb_storage::TxPtr, sebdb_storage::TxPtr)> = Vec::new();
         sort_merge_pairs(&l_entries, &r_entries, &mut matched);
         // Phase two fetches every distinct pointer once, in pointer

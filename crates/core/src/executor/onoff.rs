@@ -13,7 +13,7 @@
 use super::hash::{assemble, probe_extents, KeyTable, Keyed};
 use super::range::in_window;
 use super::{materialize, ExecError, Executor, QueryResult, Strategy};
-use sebdb_index::Bitmap;
+use sebdb_index::KeyPredicate;
 use sebdb_types::{Column, ColumnRef, Decoder, Encoder, TableSchema, Timestamp, Value};
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
@@ -98,9 +98,14 @@ impl Executor<'_> {
         rows.sort_by(|a, b| a[col].cmp(&b[col]));
         let keyed = &rows[rows.partition_point(|r| r[col] == Value::Null)..];
         // Lines 3–7: the blocks the index cannot rule out for the keys,
-        // by their value range (continuous; the ends of the sorted keys
-        // bound it, and a key with no numeric rank falls through to
-        // every block) or the OR of their distinct values' bitmaps.
+        // by the first level's test of their value range (continuous;
+        // the ends of the sorted keys bound it, a key with no numeric
+        // rank falls through to every block, and so does every frozen
+        // block, whose buckets are not kept) or the OR of their
+        // distinct values' bitmaps. Only `NULL` keys: nothing joins.
+        let (Some(lo), Some(hi)) = (keyed.first(), keyed.last()) else {
+            return Ok(Vec::new());
+        };
         let continuous = on_col.data_type(on_table).is_continuous();
         let blocks = self
             .ledger
@@ -109,19 +114,7 @@ impl Executor<'_> {
                     let distinct = keyed.chunk_by(|a, b| a[col] == b[col]);
                     return idx.blocks_for_values(distinct.map(|run| &run[0][col]));
                 }
-                let rank = |row: Option<&&[Value]>| row.and_then(|r| r[col].numeric_rank());
-                match (rank(keyed.first()), rank(keyed.last())) {
-                    (Some(lo), Some(hi)) => {
-                        let mut b = Bitmap::new();
-                        for bid in idx.all_blocks().iter_ones() {
-                            if idx.block_intersects_range(bid as u64, lo, hi) {
-                                b.set(bid);
-                            }
-                        }
-                        b
-                    }
-                    _ => idx.all_blocks(),
-                }
+                idx.candidate_blocks(&KeyPredicate::Range(lo[col].clone(), hi[col].clone()))
             })
             .ok_or_else(|| index_vanished(on_table))?
             .and(&self.ledger.window_mask(window));

@@ -4,9 +4,12 @@
 //! *operation* (which transaction type, `Tname`) — within a time
 //! window, using the system-wide layered indexes created on those
 //! columns for all tables. The bitmap and scan strategies match the
-//! paper's comparison runs (Fig. 8–10). No arm reads or decodes a
-//! tuple it does not return, save the co-located relations' tuples a
-//! partition holds beside the operation's (DESIGN §4).
+//! paper's comparison runs (Fig. 8–10). Only the operator has a second
+//! level: the `tname` index is its first level, the table-level bitmap
+//! (DESIGN §4), so an operation-only trace runs the Bitmap arm under
+//! every strategy but Scan. No arm reads or decodes a tuple it does not
+//! return, save the co-located relations' tuples a partition holds
+//! beside the operation's (DESIGN §4).
 
 use super::hash::decode_row;
 use super::range::in_window;
@@ -114,63 +117,47 @@ impl Executor<'_> {
         let operator = *operator;
         let mut out = QueryResult::empty(tracking_header());
         let mut mask = self.ledger.window_mask_at(window, height);
-        match strategy {
+        // Algorithm 1, lines 1–4, and the Bitmap arm: window mask ∧ the
+        // first levels of the SenID / Tname system indexes.
+        if strategy != Strategy::Scan {
+            if let Some(op) = &operator {
+                mask = mask.and(&self.sender_blocks(op)?);
+            }
+            if let Some(tname) = operation {
+                mask = mask.and(&self.table_blocks(tname)?);
+            }
+        }
+        out.rows = match (strategy, operator) {
             // Tracking is selective by construction; the layered path
             // dominates unless explicitly overridden (§VII-C).
-            Strategy::Layered | Strategy::Auto => {
-                // Algorithm 1, lines 1–4: window mask ∧ first-level
-                // bitmaps of the SenID / Tname indexes.
-                let dims: Vec<(&str, KeyPredicate)> = [
-                    operator.map(|op| ("sen_id", Value::Bytes(op.as_bytes().to_vec()))),
-                    operation.map(|tname| ("tname", Value::str(tname))),
-                ]
-                .into_iter()
-                .flatten()
-                .map(|(column, v)| (column, KeyPredicate::Eq(v)))
-                .collect();
-                for (column, pred) in &dims {
-                    mask = mask.and(&self.system_blocks(column, pred)?);
-                }
-                // Lines 6–13, one second level: the first dimension's
-                // pointers under the mask, in chain order. With both
-                // dimensions the operation is tested on the resident
-                // tuple table before any read — a tuple outside the
-                // operation's partition is not its relation's. The
-                // surviving pointers' runs then go through the Scan
-                // arm's keep test, which co-located relations need
-                // (DESIGN §4), and back to chain order: an operator
-                // alone crosses partitions.
-                let Some((column, pred)) = dims.first() else {
-                    return Err(ExecError::Unsupported(
-                        "tracking needs at least one dimension".into(),
-                    ));
-                };
+            (Strategy::Layered | Strategy::Auto, Some(op)) => {
+                // Lines 6–13, one second level: the operator's pointers
+                // under the mask, in chain order. With both dimensions
+                // the operation is tested on the resident tuple table
+                // before any read — a tuple outside the operation's
+                // partition is not its relation's. The surviving
+                // pointers' runs then go through the Scan arm's keep
+                // test, which co-located relations need (DESIGN §4),
+                // and back to chain order: an operator alone crosses
+                // partitions.
+                let sender = Value::Bytes(op.as_bytes().to_vec());
+                let pred = KeyPredicate::Eq(sender.clone());
                 let mut ptrs = self
                     .ledger
-                    .with_layered(None, column, |idx| idx.search(pred, &mask))
+                    .with_layered(None, "sen_id", |idx| idx.search(&pred, &mask))
                     .unwrap_or_default();
-                if let (Some(_), Some(tname)) = (operator, operation) {
+                if let Some(tname) = operation {
                     self.ledger.store().retain_in_partition(&mut ptrs, tname);
                 }
                 let runs = self.ledger.fetch_raw(&ptrs)?;
-                let sender = operator.map(|op| Value::Bytes(op.as_bytes().to_vec()));
-                let rows = keep_traced(&runs, sender.as_ref(), operation, window)?;
-                out.rows = in_chain_order(rows);
+                in_chain_order(keep_traced(&runs, Some(&sender), operation, window)?)
             }
-            Strategy::Bitmap | Strategy::Scan => {
-                // Bitmap: the sender / table bitmaps prune blocks
-                // first; both then scan what is left.
-                if strategy == Strategy::Bitmap {
-                    if let Some(op) = &operator {
-                        mask = mask.and(&self.sender_blocks(op)?);
-                    }
-                    if let Some(tname) = operation {
-                        mask = mask.and(&self.table_blocks(tname)?);
-                    }
-                }
-                out.rows = self.scan_trace(&mask, operator, operation, window)?;
-            }
-        }
+            // An operation alone has no second level to probe: the
+            // `tname` index is its first level (DESIGN §4), so Layered
+            // and `Auto` run the Bitmap arm. Scan and Bitmap read the
+            // projected relation scan of what is left.
+            _ => self.scan_trace(&mask, operator, operation, window)?,
+        };
         Ok(out)
     }
 

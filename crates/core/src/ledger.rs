@@ -11,7 +11,8 @@
 //! `Tname` ("created on all tables for all historical transactions",
 //! §V-A) exist from genesis, and their discrete first level is the
 //! table-level bitmap index (one block bitmap per table) and its twin
-//! on senders.
+//! on senders. Only `sen_id` keeps per-block trees, which an operator
+//! trace probes: `tname` is its first level only (DESIGN §4).
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use sebdb_consensus::OrderedBlock;
@@ -126,7 +127,8 @@ pub type IndexFaultHook = dyn Fn(&Block) + Send + Sync;
 impl Ledger {
     /// Creates a ledger over `store` (which must be empty or previously
     /// written by a ledger with the same configuration). The system
-    /// tracking indexes on `SenID` and `Tname` are created immediately.
+    /// tracking indexes on `SenID` and `Tname` are created immediately,
+    /// `Tname`'s first level only: the one place that decides it.
     pub fn new(store: Arc<BlockStore>, signer: MacKeypair) -> Result<Self, LedgerError> {
         let opened = Instant::now();
         let ledger = Ledger {
@@ -148,11 +150,15 @@ impl Ledger {
         // `None` (the store already deleted them) and that family
         // rebuilds from block zero.
         let mut frozen_loaded = 0usize;
-        for col in [ColumnRef::SenId, ColumnRef::Tname] {
+        for cold in [
+            LayeredIndex::new_discrete(None, ColumnRef::SenId),
+            LayeredIndex::new_first_level(None, ColumnRef::Tname),
+        ] {
+            let col = cold.column;
             let key: IndexKey = (None, column_slug(&col));
             let frozen = ledger.reattach_index(None, col)?;
             frozen_loaded += usize::from(frozen.is_some());
-            let index = frozen.unwrap_or_else(|| LayeredIndex::new_discrete(None, col));
+            let index = frozen.unwrap_or(cold);
             ledger
                 .indexes
                 .write()

@@ -56,13 +56,16 @@ impl AuthenticatedResponse {
 /// index's sorted leaves (its frozen half is one value-ordered run, so
 /// the probe costs the result, not the chain). Both phases call this
 /// under the guard they prove under, and nothing else decides a visited
-/// set.
-fn visited_blocks(index: &LayeredIndex, pred: &KeyPredicate, mask: &Bitmap) -> Bitmap {
-    Bitmap::from_bits(index.search(pred, mask).iter().map(|p| p.block as usize))
+/// set. `None` for an index without trees: its probe would find no
+/// block, and an empty VO with a matching digest would verify.
+fn visited_blocks(index: &LayeredIndex, pred: &KeyPredicate, mask: &Bitmap) -> Option<Bitmap> {
+    let ptrs = index.keeps_trees().then(|| index.search(pred, mask))?;
+    Some(Bitmap::from_bits(ptrs.iter().map(|p| p.block as usize)))
 }
 
 /// Server-side phase 1: execute `pred` on `(table, column)`'s index at
-/// the current height.
+/// the current height; `None` for an index without trees (`tname`),
+/// which has nothing to prove.
 pub fn serve_authenticated_query(
     ledger: &Ledger,
     table: Option<&str>,
@@ -73,12 +76,12 @@ pub fn serve_authenticated_query(
     let height = ledger.height();
     let mask = ledger.window_mask_at(window, height);
     let (vo, fanout) = ledger.with_layered(table, column, |index| {
-        let visited = visited_blocks(index, pred, &mask);
-        (
+        let visited = visited_blocks(index, pred, &mask)?;
+        Some((
             index.authenticated_query(pred, Some(&visited), height),
             index.fanout(),
-        )
-    })?;
+        ))
+    })??;
     // Decode the result transactions the VO points at, in VO order.
     let transactions = ledger.read_txs(&vo.result_ptrs()).ok()?;
     Some(AuthenticatedResponse {
@@ -89,7 +92,8 @@ pub fn serve_authenticated_query(
 }
 
 /// Server-side phase 2 (auxiliary full node): digest over the MB-tree
-/// roots the query visits at snapshot `height`.
+/// roots the query visits at snapshot `height`; `None` for an index
+/// without trees, as phase 1.
 pub fn serve_auxiliary_digest(
     ledger: &Ledger,
     table: Option<&str>,
@@ -100,8 +104,8 @@ pub fn serve_auxiliary_digest(
 ) -> Option<Digest> {
     let mask = ledger.window_mask_at(window, height);
     ledger.with_layered(table, column, |index| {
-        index.auxiliary_query(&visited_blocks(index, pred, &mask), height)
-    })
+        Some(index.auxiliary_query(&visited_blocks(index, pred, &mask)?, height))
+    })?
 }
 
 /// A phase-1 response for an authenticated *join* (§VI: "It is

@@ -380,8 +380,8 @@ fn null_keys_never_join_under_any_strategy() {
 /// one `NULL` row the `Layered` on-off join on a continuous indexed
 /// column returns the same rows and does the same work — the same
 /// `blocks_read`, `txs_read` and `bytes_read`, and over a frozen index
-/// the same index blocks, which the first level's per-block range test
-/// reads and a fall-back to every block does not.
+/// the same index blocks (there the range test reads the all-blocks
+/// bitmap alone: a frozen block keeps no bucket bitmap).
 #[test]
 fn a_null_offchain_key_keeps_the_layered_range_pruning() {
     let l = ledger();
@@ -645,10 +645,14 @@ fn explain_says_how_a_trace_runs() {
             "  scan and bitmap arms read partition 0 (transfer, donate), partition 1 (distribute)",
         ]
     );
-    let operation = explain(&trace(None, Some("donate")));
-    assert!(
-        operation[0].ends_with("one second-level probe (tname)]"),
-        "{operation:?}"
+    // An operation alone has no second level to probe: `Auto` runs the
+    // Bitmap arm, whose partitions the next line names.
+    assert_eq!(
+        explain(&trace(None, Some("donate"))),
+        [
+            "Trace [Algorithm 1; auto: bitmap, tname's first level prunes the scan]",
+            "  scan and bitmap arms read partition 0 (transfer, donate)",
+        ]
     );
     let absent = explain(&trace(Some(A), Some("refund")));
     assert!(

@@ -5,7 +5,12 @@
 //! flat (`partitions: 1`, relations co-located) and partitioned, twice,
 //! then a third time with an off-chain index on the on-off join's
 //! column, which must not move a row: the off-chain side is read in
-//! heap order, indexed or not.
+//! heap order, indexed or not; then twice more with every layered index
+//! frozen. The join columns are strings (discrete) and decimals
+//! (continuous): every decimal is a multiple of 50 and the histograms
+//! bound their buckets at the multiples of 100, so half the keys, and
+//! the smallest off-chain key, sit on a bucket bound — where a bucket
+//! `(l, u]` still holds `u`.
 //! The two hash arms (`Scan`, `Bitmap`) must return **the same ordered row vector** as a
 //! nested loop over `read_block` written here; `Layered` the same rows
 //! as a sorted multiset. The hash arms decode only what they return:
@@ -64,8 +69,21 @@ fn distribute() -> TableSchema {
         vec![
             Column::new("organization", DataType::Str),
             Column::new("donee", DataType::Str),
+            Column::new("amount", DataType::Decimal),
         ],
     )
+}
+
+/// A multiple of 50 in `0..=900`.
+fn amount(rng: &mut Rng) -> Value {
+    Value::decimal(50 * rng.below(19) as i64)
+}
+
+fn grants_columns() -> Vec<Column> {
+    vec![
+        Column::new("amount", DataType::Decimal),
+        Column::new("note", DataType::Str),
+    ]
 }
 
 fn doneeinfo_columns() -> Vec<Column> {
@@ -85,11 +103,11 @@ fn build_chain(ledger: &Ledger) {
         let txs: Vec<Transaction> = (0..12)
             .map(|slot| {
                 let (tname, values) = match rng.below(3) {
-                    0 if b % 5 != 0 => (
-                        "transfer",
-                        vec![rng.key("org"), Value::decimal(rng.below(900) as i64)],
+                    0 if b % 5 != 0 => ("transfer", vec![rng.key("org"), amount(&mut rng)]),
+                    1 if b % 7 != 0 => (
+                        "distribute",
+                        vec![rng.key("org"), rng.key("donee"), amount(&mut rng)],
                     ),
-                    1 if b % 7 != 0 => ("distribute", vec![rng.key("org"), rng.key("donee")]),
                     _ => ("donate", vec![Value::str("filler"), Value::decimal(1)]),
                 };
                 let sender = KeyId([1 + rng.below(3) as u8; 8]);
@@ -125,6 +143,15 @@ fn build_chain(ledger: &Ledger) {
     ledger
         .create_layered_index(&distribute(), "donee", None)
         .unwrap();
+    // Buckets bounded at 0, 100, … 900.
+    let sample: Vec<i64> = (0..10)
+        .map(|i| Value::decimal(i * 100).numeric_rank().unwrap())
+        .collect();
+    for schema in [transfer(), distribute()] {
+        ledger
+            .create_layered_index(&schema, "amount", Some(sample.clone()))
+            .unwrap();
+    }
 }
 
 /// Off-chain donees: duplicates, a `NULL` key, keys no tuple carries.
@@ -138,6 +165,17 @@ fn offchain() -> OffchainConnection {
             _ => Value::Str(format!("donee{}", i % 20 + 10)),
         };
         conn.insert("doneeinfo", vec![key, Value::decimal(i)])
+            .unwrap();
+    }
+    // The smallest key, 300, is the upper bound of bucket (200, 300].
+    db.create_table("grants", grants_columns()).unwrap();
+    for (i, key) in [300, 400, 300, -1, 350].into_iter().enumerate() {
+        let key = if key < 0 {
+            Value::Null
+        } else {
+            Value::decimal(key)
+        };
+        conn.insert("grants", vec![key, Value::str(format!("g{i}"))])
             .unwrap();
     }
     conn
@@ -204,6 +242,7 @@ fn cases(ledger: &Ledger, conn: &OffchainConnection) -> Vec<Case> {
     let (t, d) = (transfer(), distribute());
     let org = ColumnRef::App(0);
     let donee = ColumnRef::App(1);
+    let (t_amount, d_amount) = (ColumnRef::App(1), ColumnRef::App(2));
     // Cuts block 20 and block 90 in the middle.
     let partial = Some((20_004, 90_006));
     let mut out = Vec::new();
@@ -222,6 +261,25 @@ fn cases(ledger: &Ledger, conn: &OffchainConnection) -> Vec<Case> {
                 org,
                 &tuples_of(ledger, "distribute", window),
                 |r| r.get(org),
+                row_of,
+            ),
+        });
+    }
+    for (name, window) in [("q5 decimal", None), ("q5 decimal windowed", partial)] {
+        out.push(Case {
+            name,
+            plan: LogicalPlan::OnChainJoin {
+                left: t.clone(),
+                right: d.clone(),
+                left_col: t_amount,
+                right_col: d_amount,
+                window,
+            },
+            want: nested_loop(
+                &tuples_of(ledger, "transfer", window),
+                t_amount,
+                &tuples_of(ledger, "distribute", window),
+                |r| r.get(d_amount),
                 row_of,
             ),
         });
@@ -258,6 +316,31 @@ fn cases(ledger: &Ledger, conn: &OffchainConnection) -> Vec<Case> {
                 &tuples_of(ledger, "distribute", window),
                 donee,
                 &off_rows,
+                |r| Some(r[0].clone()),
+                Vec::clone,
+            ),
+        });
+    }
+    let grants: Vec<Vec<Value>> = conn
+        .read_rows("grants", "amount", |_, rows| {
+            rows.iter().map(|r| r.to_vec()).collect()
+        })
+        .unwrap();
+    for (name, window) in [("q6 decimal", None), ("q6 decimal windowed", partial)] {
+        out.push(Case {
+            name,
+            plan: LogicalPlan::OnOffJoin {
+                on_table: d.clone(),
+                on_col: d_amount,
+                off_table: "grants".into(),
+                off_col: 0,
+                off_columns: grants_columns(),
+                window,
+            },
+            want: nested_loop(
+                &tuples_of(ledger, "distribute", window),
+                d_amount,
+                &grants,
                 |r| Some(r[0].clone()),
                 Vec::clone,
             ),
@@ -300,10 +383,14 @@ fn joins_return_the_nested_loop_rows_everywhere() {
         let exec = Executor::new(&ledger, Some(&conn));
         // Twice, so the second pass meets warm index blocks and pages;
         // the third reads an off-chain table with an index on the join
-        // column.
-        for pass in 0..3 {
+        // column; the last two page every layered index from its
+        // checkpoint.
+        for pass in 0..5 {
             if pass == 2 {
                 conn.create_index("doneeinfo", "donee").unwrap();
+            }
+            if pass == 3 {
+                assert!(ledger.checkpoint_indexes().unwrap() > 0);
             }
             for case in &cases {
                 let at = format!("{} on p{partitions}, pass {pass}", case.name);

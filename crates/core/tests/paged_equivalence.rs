@@ -415,11 +415,16 @@ fn append_all(
 }
 
 /// What the executors ask a layered index: `search` under a block mask
-/// and `sorted_entries` of a block set.
-type IndexAnswers = Vec<(String, Vec<TxPtr>, Vec<(Value, TxPtr)>)>;
+/// and `sorted_entries` of a block set; of a discrete index also its
+/// first level, `candidate_blocks` under the mask (a continuous index
+/// keeps no frozen bucket bitmap, so its frozen candidates are every
+/// indexed block).
+type IndexAnswers = Vec<(String, Vec<TxPtr>, Vec<(Value, TxPtr)>, Vec<usize>)>;
 
 /// `Eq` and `Range` on a continuous and on both discrete indexes × no
-/// mask, a sparse mask and a mask crossing block `seam`.
+/// mask, a sparse mask and a mask crossing block `seam`. The `tname`
+/// index keeps its first level only: it is not searched, and its
+/// candidates are the table-level bitmap.
 fn index_answers(ledger: &Ledger, seam: usize) -> IndexAnswers {
     let range = |lo, hi| KeyPredicate::Range(Value::decimal(lo), Value::decimal(hi));
     let probes = [
@@ -451,14 +456,22 @@ fn index_answers(ledger: &Ledger, seam: usize) -> IndexAnswers {
     for (table, column, pred) in &probes {
         for (mask_name, mask) in &masks {
             let name = format!("{table:?}.{column} {pred:?} under {mask_name}");
-            let (found, entries) = ledger
+            let (found, entries, candidates) = ledger
                 .with_layered(*table, column, |idx| {
-                    (idx.search(pred, mask), idx.sorted_entries(mask))
+                    let candidates = match idx.histogram() {
+                        Some(_) => Vec::new(),
+                        None => idx.candidate_blocks(pred).and(mask).iter_ones().collect(),
+                    };
+                    let found = match idx.keeps_trees() {
+                        true => idx.search(pred, mask),
+                        false => Vec::new(),
+                    };
+                    (found, idx.sorted_entries(mask), candidates)
                 })
                 .unwrap_or_else(|| panic!("no index for {name}"));
             assert!(found.iter().all(|p| mask.get(p.block as usize)), "{name}");
             assert!(found.windows(2).all(|w| w[0] < w[1]), "{name}: chain order");
-            out.push((name, found, entries));
+            out.push((name, found, entries, candidates));
         }
     }
     out
@@ -488,6 +501,8 @@ fn search_and_sorted_entries_match_the_resident_index() {
     };
     assert!(hits("Eq(Decimal(420000)) under all") > 1, "no duplicates");
     assert!(hits("Range(Decimal(100000), Decimal(600000)) under seam") > 1);
+    let tname = want.iter().find(|(n, ..)| n.contains("tname")).unwrap();
+    assert!(tname.2.is_empty() && !tname.3.is_empty(), "{}", tname.0);
     for cache_blocks in [0, 1, 8] {
         let dir = std::env::temp_dir().join(format!(
             "sebdb-pagedeq-seam-c{cache_blocks}-{}",
@@ -599,11 +614,12 @@ fn a_frozen_range_probe_reads_what_it_returns_not_the_chain() {
     assert_eq!(cold_probe_misses(4_000), (misses, 20));
 }
 
-/// A checkpoint in an earlier layout (magic `SEBDBIX4`: blocks and tail
-/// checksummed with FNV-1a; `SEBDBIX3`: per-block leaf lists without
-/// the MB-tree's internal digests; `SEBDBIX2`: a plain and an
-/// authenticated file per column; `SEBDBIX1`: per-block entry lists,
-/// fixed-width lengths) is not migrated and never adopted: it fails
+/// A checkpoint in an earlier layout (magic `SEBDBIX5`: continuous
+/// bucket bitmaps under `0x01`/`0x04` and trees in the `tname` family;
+/// `SEBDBIX4`: blocks and tail checksummed with FNV-1a; `SEBDBIX3`:
+/// per-block leaf lists without the MB-tree's internal digests;
+/// `SEBDBIX2`: a plain and an authenticated file per column) is not
+/// migrated and never adopted: it fails
 /// `open` as corrupt, is deleted, and the families replay the chain —
 /// after which every suite answers as it did before.
 #[test]
@@ -635,8 +651,8 @@ fn an_old_format_checkpoint_is_deleted_and_replayed() {
     for (i, path) in published.iter().enumerate() {
         let mut bytes = std::fs::read(path).unwrap();
         let end = bytes.len();
-        assert_eq!(&bytes[..8], b"SEBDBIX5");
-        let old = [b"SEBDBIX4", b"SEBDBIX3", b"SEBDBIX2", b"SEBDBIX1"][i % 4];
+        assert_eq!(&bytes[..8], b"SEBDBIX6");
+        let old = [b"SEBDBIX5", b"SEBDBIX4", b"SEBDBIX3", b"SEBDBIX2"][i % 4];
         bytes[..8].copy_from_slice(old);
         bytes[end - 8..].copy_from_slice(old);
         std::fs::write(path, bytes).unwrap();

@@ -5,8 +5,12 @@
 //! (`blocks_read`, `txs_read`, `bytes_read`) and issue positioned reads
 //! (counted with the store's read probe) by exactly the constants
 //! below; so do a `Bitmap`-arm on-chain hash join and an on-off hash
-//! join against a small off-chain table. A change to the read front
-//! that moves a read's work shows here as a changed count.
+//! join against a small off-chain table, an operation-only and a
+//! two-dimension `TRACE`, and a `Layered` on-off join over a frozen
+//! index (with the index blocks it touches). Each index family's
+//! checkpoint entries and bytes and its resident bytes are pinned too.
+//! A change to the read front or to what an index keeps shows here as
+//! a changed count.
 
 use sebdb::{serve_authenticated_query, Executor, Ledger, Strategy};
 use sebdb_consensus::OrderedBlock;
@@ -205,4 +209,129 @@ fn each_join_does_the_pinned_work() {
     let (rows, w1) = work(&ledger, || exec.execute(&q6, Strategy::Bitmap).unwrap());
     assert!(rows.len() > 10, "{} rows", rows.len());
     assert_eq!((w, w1), (Q5_BITMAP, Q6_HASH));
+}
+
+/// `TRACE OPERATION = "transfer"` under `Auto`: the Bitmap arm, the
+/// relation scan of `transfer`'s partition in the 40 blocks `tname`'s
+/// first level names, in one run; no tuple is fetched by pointer.
+const TRACE_OPERATION: Work = (40, 0, 6096, 1);
+/// `TRACE OPERATOR = <sender 1>, OPERATION = "transfer"` under `Auto`:
+/// the `sen_id` pointers the tuple table keeps, in one pointer run.
+const TRACE_TWO_DIMENSIONS: Work = (0, 26, 5746, 1);
+
+#[test]
+fn each_trace_does_the_pinned_work() {
+    let ledger = chain();
+    let exec = Executor::new(&ledger, None);
+    let trace = |operator: Option<KeyId>| LogicalPlan::Trace {
+        window: None,
+        operator: operator.map(|k| Value::Bytes(k.as_bytes().to_vec())),
+        operation: Some("transfer".into()),
+    };
+    let (rows, w) = work(&ledger, || {
+        exec.execute(&trace(None), Strategy::Auto).unwrap()
+    });
+    assert_eq!(rows.len() as u64, BLOCKS * TUPLES_PER_BLOCK / 3);
+    let (rows, w1) = work(&ledger, || {
+        exec.execute(&trace(Some(KeyId([1; 8]))), Strategy::Auto)
+            .unwrap()
+    });
+    assert!(rows.len() > 10, "{} rows", rows.len());
+    assert_eq!((w, w1), (TRACE_OPERATION, TRACE_TWO_DIMENSIONS));
+}
+
+/// A `Layered` on-off join on `donate.amount` against three amounts
+/// the chain holds and one it does not, over the frozen index: its
+/// `Work` (`bytes_read` counts the index blocks read on a miss too) and
+/// the index blocks it touches — the all-blocks bitmap, which answers
+/// the frozen half's range test, and the sweep of the value-ordered
+/// run.
+const Q6_LAYERED_FROZEN: (Work, u64) = ((0, 3, 14911, 2), 3);
+
+#[test]
+fn a_frozen_layered_onoff_join_does_the_pinned_work() {
+    let ledger = chain();
+    let db = Arc::new(OffchainDb::new());
+    let off_columns = vec![
+        Column::new("amount", DataType::Decimal),
+        Column::new("note", DataType::Str),
+    ];
+    db.create_table("grants", off_columns.clone()).unwrap();
+    let conn = db.connect();
+    let mut keys: Vec<Value> = [5, 17, 30]
+        .into_iter()
+        .map(|b| ledger.read_block(b).unwrap().transactions[0].values[1].clone())
+        .collect();
+    keys.push(Value::decimal(100_001));
+    for key in keys {
+        conn.insert("grants", vec![key, Value::str("n")]).unwrap();
+    }
+    assert!(ledger.checkpoint_indexes().unwrap() > 0);
+    let q6 = LogicalPlan::OnOffJoin {
+        on_table: donate(),
+        on_col: ColumnRef::App(1),
+        off_table: "grants".into(),
+        off_col: 0,
+        off_columns,
+        window: None,
+    };
+    let exec = Executor::new(&ledger, Some(&conn));
+    let stats = &ledger.store().stats;
+    let touched = || {
+        let (hits, misses) = stats.index_cache_counts();
+        hits + misses
+    };
+    let before = touched();
+    let (rows, w) = work(&ledger, || exec.execute(&q6, Strategy::Layered).unwrap());
+    assert_eq!(rows.len(), 3);
+    assert_eq!((w, touched() - before), Q6_LAYERED_FROZEN);
+}
+
+/// Per family after the chain, fully resident: the checkpoint's entry
+/// count and key + value bytes, and the family's resident bytes; then
+/// `Ledger::index_memory_bytes` over all three. `tname` is its first
+/// level (the all-blocks bitmap and one bitmap per relation), and
+/// `amount` checkpoints no bucket bitmap.
+const FAMILIES: [(&str, usize, usize, usize); 3] = [
+    ("sen_id", 324, 21675, 21664),
+    ("tname", 3, 51, 374),
+    ("amount", 241, 14169, 14592),
+];
+const INDEX_MEMORY: usize = 36630;
+
+#[test]
+fn each_family_keeps_the_pinned_bytes() {
+    let ledger = chain();
+    let got: Vec<(&str, usize, usize, usize)> = [
+        (None, "sen_id"),
+        (None, "tname"),
+        (Some("donate"), "amount"),
+    ]
+    .into_iter()
+    .map(|(table, column)| {
+        ledger
+            .with_layered(table, column, |idx| {
+                let cp = idx.checkpoint();
+                let bytes = cp.entries.iter().map(|(k, v)| k.len() + v.len()).sum();
+                (column, cp.entries.len(), bytes, idx.memory_bytes())
+            })
+            .unwrap()
+    })
+    .collect();
+    assert_eq!(
+        (got.as_slice(), ledger.index_memory_bytes()),
+        (&FAMILIES[..], INDEX_MEMORY)
+    );
+    // `tname` holds no tree, and checkpoints its all-blocks bitmap
+    // (`0x00`) and per-relation bitmaps (`0x02`) alone.
+    let (trees, tags) = ledger
+        .with_layered(None, "tname", |idx| {
+            let cp = idx.checkpoint();
+            (
+                idx.keeps_trees(),
+                cp.entries.iter().map(|(k, _)| k[0]).collect::<Vec<u8>>(),
+            )
+        })
+        .unwrap();
+    assert_eq!((trees, tags), (false, vec![0x00, 0x02, 0x02]));
 }

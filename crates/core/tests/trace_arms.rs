@@ -12,8 +12,8 @@
 //! order. With `transfer` alone in its partition the Layered
 //! two-dimension arm reads exactly the tuples it keeps before the window
 //! filter and touches no `tname` index block past the first level; the
-//! Scan and Bitmap arms read exactly the extents of the partitions they
-//! scan.
+//! Scan and Bitmap arms, and on an operation alone Layered and `Auto`,
+//! read exactly the extents of the partitions they scan.
 
 use sebdb::{Executor, Ledger, Strategy};
 use sebdb_consensus::OrderedBlock;
@@ -243,9 +243,9 @@ fn every_arm_returns_the_oracle_rows_in_chain_order() {
 /// With `transfer` alone in its partition the two-dimension Layered
 /// arm fetches exactly the operator's `transfer` tuples in the window's
 /// blocks — what it keeps before the window filter — and touches the
-/// index blocks of three first levels and one second level; the
-/// second level of `tname` it no longer searches would touch more.
-/// Sharing the partition only adds tuples read, never rows.
+/// index blocks of three first levels and one second level; `tname`
+/// has no second level to search (it keeps no tree). Sharing the
+/// partition only adds tuples read, never rows.
 #[test]
 fn the_two_dimension_layered_arm_reads_only_what_it_keeps() {
     for layout in &LAYOUTS {
@@ -276,10 +276,8 @@ fn the_two_dimension_layered_arm_reads_only_what_it_keeps() {
                     continue;
                 }
                 assert_eq!(txs, kept, "{at}");
-                // The index work the arm does, step by step, and the
-                // `tname` second-level search it no longer does.
+                // The index work the arm does, step by step.
                 let operator = KeyPredicate::Eq(Value::Bytes(A.as_bytes().to_vec()));
-                let operation = KeyPredicate::Eq(Value::str("transfer"));
                 let mut mask = Bitmap::new();
                 let (_, _, first_levels) = cost(&ledger, || {
                     mask = blocks
@@ -294,9 +292,8 @@ fn the_two_dimension_layered_arm_reads_only_what_it_keeps() {
                 };
                 let sen_id = search("sen_id", &operator);
                 assert_eq!(touched, first_levels + sen_id, "{at}");
-                if frozen {
-                    assert!(search("tname", &operation) > 0, "{at}");
-                }
+                let tname = ledger.with_layered(None, "tname", |idx| idx.keeps_trees());
+                assert_eq!(tname, Some(false), "{at}");
             }
         }
     }
@@ -304,7 +301,8 @@ fn the_two_dimension_layered_arm_reads_only_what_it_keeps() {
 
 /// The Scan and Bitmap arms read each block's extent in every
 /// partition they scan — the operation's, or every partition for the
-/// operator alone — once, and nothing else.
+/// operator alone — once, and nothing else; so do Layered and `Auto` on
+/// an operation alone, which run the Bitmap arm.
 #[test]
 fn scan_and_bitmap_arms_read_only_the_scanned_extents() {
     for layout in &LAYOUTS {
@@ -318,9 +316,13 @@ fn scan_and_bitmap_arms_read_only_the_scanned_extents() {
                     .operation
                     .is_none_or(|t| store.partition_of(&tx.tname) == store.partition_of(t))
             };
-            for strategy in [Strategy::Scan, Strategy::Bitmap] {
+            let mut strategies = vec![Strategy::Scan, Strategy::Bitmap];
+            if trace.operator.is_none() {
+                strategies.extend([Strategy::Layered, Strategy::Auto]);
+            }
+            for strategy in strategies {
                 let mut blocks = ledger.window_mask(trace.window);
-                if strategy == Strategy::Bitmap {
+                if strategy != Strategy::Scan {
                     if let Some(op) = &trace.operator {
                         blocks = blocks.and(&exec.sender_blocks(op).unwrap());
                     }

@@ -161,13 +161,15 @@ impl LayeredIndex {
     /// A handed block with no tree or no match has nothing to prove and
     /// is left out, so any superset of the blocks holding a match yields
     /// the same VO; handed exactly those, the query costs the result.
-    /// The first level is not asked.
+    /// The first level is not asked, and an index without trees proves
+    /// nothing.
     pub fn authenticated_query(
         &self,
         pred: &KeyPredicate,
         blocks: Option<&Bitmap>,
         height: BlockId,
     ) -> QueryVo {
+        debug_assert!(self.keeps_trees(), "proving from a first-level-only index");
         let (lo, hi) = pred.bounds();
         let all;
         let blocks = match blocks {
@@ -456,9 +458,9 @@ mod tests {
         assert_eq!(cp.height, 2);
         assert_eq!(cp.family, crate::family_layered(Some("donate"), "app2"));
         assert!(cp.entries.windows(2).all(|w| w[0].0 < w[1].0));
-        // Per block: buckets + entries + root; per row: one run key;
-        // plus all-blocks + bucket inversions.
-        assert!(cp.entries.len() >= 10);
+        // Per block: entries + root; per row: one run key; plus the
+        // all-blocks bitmap (no bucket bitmap is checkpointed).
+        assert_eq!(cp.entries.len(), 2 * 2 + 3 + 1);
         // Leaf lists round-trip through the codec; a block of ≤ fanout
         // entries stores no internal digest.
         let (_, bytes) = cp

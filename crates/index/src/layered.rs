@@ -20,6 +20,11 @@
 //! window from the block-level index) to prune blocks, then use the
 //! per-block trees to fetch exactly the matching transactions.
 //!
+//! An index keeps only what a read reads (DESIGN §4): a discrete index
+//! may keep its first level only (the `tname` system index, no trees),
+//! and a continuous one keeps bucket bitmaps for the resident tail only
+//! — a frozen block counts as holding every bucket.
+//!
 //! The per-block trees buy cheap appends, and the resident tail keeps
 //! them. Freezing merges their leaves into one key per row, ordered
 //! `(value, block, position)`: the same rows, so the same answers, but
@@ -40,14 +45,14 @@ use crate::bitmap::Bitmap;
 use crate::histogram::EqualDepthHistogram;
 use crate::mbtree::{AuthEntry, MbTree, DEFAULT_FANOUT};
 use crate::paged::{
-    bid_key, bitmap_bytes, bitmap_from_bytes, block_tree_bytes, bucket_key, column_slug,
-    decode_entry_key, decode_fail, decode_value_key, entry_key, entry_ptr, family_layered,
-    frozen_bitmap, read_fail, value_key, value_resident_bytes, CheckpointBuilder, TAG_ALL_BLOCKS,
-    TAG_BLOCK_BUCKETS, TAG_BLOCK_ENTRIES, TAG_BLOCK_ROOT, TAG_ENTRY, TAG_VALUE_BLOCKS,
+    bid_key, bitmap_bytes, bitmap_from_bytes, block_tree_bytes, column_slug, decode_entry_key,
+    decode_fail, decode_value_key, entry_key, entry_ptr, family_layered, frozen_bitmap, read_fail,
+    value_key, value_resident_bytes, CheckpointBuilder, TAG_ALL_BLOCKS, TAG_BLOCK_ENTRIES,
+    TAG_BLOCK_ROOT, TAG_ENTRY, TAG_VALUE_BLOCKS,
 };
 use sebdb_storage::{IndexCheckpoint, PagedIndexReader, TxPtr};
 use sebdb_types::{Block, BlockId, ColumnRef, Decoder, Encoder, Transaction, TypeError, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::ControlFlow;
 
 /// A simple predicate over the indexed attribute.
@@ -80,7 +85,8 @@ enum FirstLevel {
     Continuous {
         hist: EqualDepthHistogram,
         /// Per tail block (slot `bid - base`): bitmap over histogram
-        /// buckets (None = block holds no indexed transactions).
+        /// buckets (None = block holds no indexed transactions). Not
+        /// checkpointed: a frozen block may hold any bucket.
         entries: Vec<Option<Bitmap>>,
     },
     Discrete {
@@ -100,8 +106,11 @@ pub struct LayeredIndex {
     /// Indexed column.
     pub column: ColumnRef,
     first: FirstLevel,
-    /// Per-block second-level trees for the tail, slot = `bid - base`.
-    second: Vec<Option<MbTree>>,
+    /// Per-block second-level trees for the tail, slot = `bid - base`;
+    /// `None` for an index that keeps its first level only.
+    second: Option<Vec<Option<MbTree>>>,
+    /// Chain height this index has state for (`base + tail length`).
+    covered: u64,
     /// MB-tree fanout: clients rebuild roots and a frozen block's leaf
     /// pages are cut with it, so it travels in the checkpoint meta.
     fanout: usize,
@@ -110,9 +119,9 @@ pub struct LayeredIndex {
     frozen: Option<PagedIndexReader>,
 }
 
-/// Checkpoint meta: the fanout, then the kind tag (+ histogram bounds
-/// when continuous).
-fn encode_meta(fanout: usize, first: &FirstLevel) -> Vec<u8> {
+/// Checkpoint meta: the fanout, then the kind tag — 0 continuous (+
+/// histogram bounds), 1 discrete, 2 discrete first level only.
+fn encode_meta(fanout: usize, first: &FirstLevel, trees: bool) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.put_u32(fanout as u32);
     match first {
@@ -123,46 +132,50 @@ fn encode_meta(fanout: usize, first: &FirstLevel) -> Vec<u8> {
                 enc.put_i64(*b);
             }
         }
-        FirstLevel::Discrete { .. } => enc.put_u8(1),
+        FirstLevel::Discrete { .. } => enc.put_u8(if trees { 1 } else { 2 }),
     }
     enc.finish()
 }
 
-/// Rebuilds the fanout and the (empty-tail) first level out of
-/// checkpoint meta.
-fn decode_meta(meta: &[u8]) -> (usize, FirstLevel) {
+/// Rebuilds the fanout, the (empty-tail) first level and whether the
+/// index keeps trees out of checkpoint meta.
+fn decode_meta(meta: &[u8]) -> (usize, FirstLevel, bool) {
     let mut dec = Decoder::new(meta);
-    let mut parse = || -> Result<(usize, FirstLevel), TypeError> {
+    let mut parse = || -> Result<(usize, FirstLevel, bool), TypeError> {
         let fanout = dec.get_u32("layered meta fanout")? as usize;
-        let first = match dec.get_u8("layered meta kind")? {
+        let discrete = FirstLevel::Discrete {
+            per_value: HashMap::new(),
+        };
+        let context = "layered meta kind";
+        let (first, trees) = match dec.get_u8(context)? {
             0 => {
                 let n = dec.get_u32("layered meta bounds")?;
                 let mut bounds = Vec::with_capacity(n as usize);
                 for _ in 0..n {
                     bounds.push(dec.get_i64("layered meta bound")?);
                 }
-                FirstLevel::Continuous {
-                    hist: EqualDepthHistogram::from_bounds(bounds),
-                    entries: Vec::new(),
-                }
+                let hist = EqualDepthHistogram::from_bounds(bounds);
+                let entries = Vec::new();
+                (FirstLevel::Continuous { hist, entries }, true)
             }
-            _ => FirstLevel::Discrete {
-                per_value: HashMap::new(),
-            },
+            1 => (discrete, true),
+            2 => (discrete, false),
+            tag => return Err(TypeError::BadTag { context, tag }),
         };
-        Ok((fanout, first))
+        Ok((fanout, first, trees))
     };
     decode_fail("layered index meta", parse())
 }
 
 impl LayeredIndex {
     /// An empty, fully resident index over `first`.
-    fn cold(table: Option<String>, column: ColumnRef, first: FirstLevel) -> Self {
+    fn cold(table: Option<String>, column: ColumnRef, first: FirstLevel, trees: bool) -> Self {
         LayeredIndex {
             table,
             column,
             first,
-            second: Vec::new(),
+            second: trees.then(Vec::new),
+            covered: 0,
             fanout: DEFAULT_FANOUT,
             frozen: None,
         }
@@ -177,25 +190,39 @@ impl LayeredIndex {
         hist: EqualDepthHistogram,
     ) -> Self {
         let entries = Vec::new();
-        Self::cold(table, column, FirstLevel::Continuous { hist, entries })
+        Self::cold(
+            table,
+            column,
+            FirstLevel::Continuous { hist, entries },
+            true,
+        )
     }
 
     /// Creates a discrete-attribute index.
     pub fn new_discrete(table: Option<String>, column: ColumnRef) -> Self {
         let per_value = HashMap::new();
-        Self::cold(table, column, FirstLevel::Discrete { per_value })
+        Self::cold(table, column, FirstLevel::Discrete { per_value }, true)
+    }
+
+    /// Creates a discrete-attribute index that keeps its first level
+    /// only: one block bitmap per value, no per-block trees, so no
+    /// second-level probe and no proof finds anything in it.
+    pub fn new_first_level(table: Option<String>, column: ColumnRef) -> Self {
+        let per_value = HashMap::new();
+        Self::cold(table, column, FirstLevel::Discrete { per_value }, false)
     }
 
     /// Rebuilds an index from a frozen checkpoint: fanout, kind and
     /// histogram come from the checkpoint meta, the tail starts empty
     /// at the checkpoint height.
     pub fn from_frozen(table: Option<String>, column: ColumnRef, reader: PagedIndexReader) -> Self {
-        let (fanout, first) = decode_meta(reader.meta());
+        let (fanout, first, trees) = decode_meta(reader.meta());
         LayeredIndex {
             table,
             column,
             first,
-            second: Vec::new(),
+            second: trees.then(Vec::new),
+            covered: reader.height(),
             fanout,
             frozen: Some(reader),
         }
@@ -214,7 +241,9 @@ impl LayeredIndex {
             FirstLevel::Continuous { entries, .. } => entries.clear(),
             FirstLevel::Discrete { per_value } => per_value.clear(),
         }
-        self.second.clear();
+        if let Some(second) = &mut self.second {
+            second.clear();
+        }
         if let Some(old) = &self.frozen {
             read_fail("layered checkpoint warm-up", reader.warm_from(old));
         }
@@ -228,7 +257,13 @@ impl LayeredIndex {
 
     /// Chain height this index has state for (`base + tail length`).
     pub fn covered(&self) -> u64 {
-        self.base() + self.second.len() as u64
+        self.covered
+    }
+
+    /// Whether the index keeps per-block trees (every index but one
+    /// built by [`Self::new_first_level`]).
+    pub fn keeps_trees(&self) -> bool {
+        self.second.is_some()
     }
 
     /// The family name of this index's checkpoint file.
@@ -241,11 +276,11 @@ impl LayeredIndex {
         self.fanout
     }
 
-    /// Block `bid`'s resident tree (`None` for a frozen block and for
-    /// one with no indexed transactions).
+    /// Block `bid`'s resident tree (`None` for a frozen block, for one
+    /// with no indexed transactions and for an index without trees).
     pub(crate) fn tail_tree(&self, bid: BlockId) -> Option<&MbTree> {
         let slot = bid.checked_sub(self.base())?;
-        self.second.get(slot as usize)?.as_ref()
+        self.second.as_ref()?.get(slot as usize)?.as_ref()
     }
 
     /// Frozen block `bid`'s checkpoint entry under `tag` (`None` for a
@@ -283,6 +318,17 @@ impl LayeredIndex {
         self.update_rows(block, &rows);
     }
 
+    /// The tail slot of block `bid`, advancing the covered height past
+    /// it; `None` for a block the index already covers (replay catching
+    /// up over frozen or indexed blocks has nothing to do).
+    fn next_slot(&mut self, bid: BlockId) -> Option<usize> {
+        if bid < self.covered {
+            return None;
+        }
+        self.covered = bid + 1;
+        Some((bid - self.base()) as usize)
+    }
+
     /// Per-relation maintenance entry point: indexes a newly chained
     /// block from a pre-partitioned tuple set. `rows` are the positions
     /// (ascending) of the block's transactions that belong to this
@@ -293,73 +339,52 @@ impl LayeredIndex {
     /// covered positions, which the caller guarantees.
     pub fn update_rows(&mut self, block: &Block, rows: &[u32]) {
         let bid = block.header.height;
-        let base = self.base();
-        if bid < base {
-            // Already frozen — replay catching up over checkpointed
-            // blocks has nothing to do.
+        let Some(slot) = self.next_slot(bid) else {
+            return;
+        };
+        let keyed: Vec<(u32, &Transaction, Value)> = rows
+            .iter()
+            .filter_map(|&i| {
+                let tx = block.transactions.get(i as usize)?;
+                let key = tx.get(self.column).filter(|key| *key != Value::Null)?;
+                Some((i, tx, key))
+            })
+            .collect();
+        if keyed.is_empty() {
             return;
         }
-        let slot = (bid - base) as usize;
-        if self.second.len() <= slot {
-            self.second.resize_with(slot + 1, || None);
-            if let FirstLevel::Continuous { entries, .. } = &mut self.first {
-                entries.resize_with(slot + 1, || None);
-            }
-        }
-
-        let mut leaves: Vec<AuthEntry> = Vec::new();
-        for &i in rows {
-            let Some(tx) = block.transactions.get(i as usize) else {
-                continue;
-            };
-            let Some(key) = tx.get(self.column) else {
-                continue;
-            };
-            if key == Value::Null {
-                continue;
-            }
-            leaves.push(AuthEntry {
-                key,
-                tx_hash: tx.hash(),
-                ptr: TxPtr {
-                    block: bid as BlockId,
-                    index: i,
-                },
-            });
-        }
-        if leaves.is_empty() {
-            return;
-        }
-
         match &mut self.first {
             FirstLevel::Continuous { hist, entries } => {
                 let mut bucket_map = Bitmap::with_capacity(hist.bucket_count());
-                for rank in leaves.iter().filter_map(|e| e.key.numeric_rank()) {
+                for rank in keyed.iter().filter_map(|(_, _, key)| key.numeric_rank()) {
                     bucket_map.set(hist.bucket_of(rank));
+                }
+                if entries.len() <= slot {
+                    entries.resize_with(slot + 1, || None);
                 }
                 entries[slot] = Some(bucket_map);
             }
             FirstLevel::Discrete { per_value } => {
-                for e in &leaves {
-                    per_value.entry(e.key.clone()).or_default().set(slot);
+                for (_, _, key) in &keyed {
+                    per_value.entry(key.clone()).or_default().set(slot);
                 }
             }
         }
-        self.second[slot] = Some(MbTree::build(leaves, self.fanout));
-    }
-
-    /// Block `bid`'s bucket bitmap, wherever it lives (continuous).
-    fn block_buckets(&self, bid: BlockId) -> Option<Bitmap> {
-        let base = self.base();
-        if bid < base {
-            return self
-                .frozen_entry(TAG_BLOCK_BUCKETS, bid)
-                .map(|bytes| bitmap_from_bytes(&bytes));
-        }
-        let FirstLevel::Continuous { entries, .. } = &self.first else {
-            return None;
+        let Some(second) = &mut self.second else {
+            return;
         };
-        entries.get((bid - base) as usize)?.clone()
+        let leaves = keyed
+            .into_iter()
+            .map(|(index, tx, key)| AuthEntry {
+                key,
+                tx_hash: tx.hash(),
+                ptr: TxPtr { block: bid, index },
+            })
+            .collect();
+        if second.len() <= slot {
+            second.resize_with(slot + 1, || None);
+        }
+        second[slot] = Some(MbTree::build(leaves, self.fanout));
     }
 
     /// The absolute block bitmap of one discrete value, merged across
@@ -454,7 +479,9 @@ impl LayeredIndex {
     }
 
     /// First-level filter: blocks that may contain values matching
-    /// `pred` ("blocks without query results are filtered").
+    /// `pred` ("blocks without query results are filtered"). A
+    /// continuous index keeps no bucket bitmap for a frozen block, so
+    /// every frozen block holding an indexed row is a candidate.
     pub fn candidate_blocks(&self, pred: &KeyPredicate) -> Bitmap {
         let mut out = self.tail_candidates(pred);
         let Some(f) = &self.frozen else {
@@ -462,12 +489,9 @@ impl LayeredIndex {
         };
         let mut or = |what, key: &[u8]| out.or_assign(&frozen_bitmap(f, what, key));
         match (&self.first, pred) {
-            // The inverted bucket→blocks entries answer the frozen
-            // half in O(buckets in range) block reads.
-            (FirstLevel::Continuous { hist, .. }, _) => match Self::buckets_for(hist, pred) {
-                Some(range) => range.for_each(|b| or("layered bucket bitmap", &bucket_key(b))),
-                None => or("layered all-blocks bitmap", &[TAG_ALL_BLOCKS]),
-            },
+            (FirstLevel::Continuous { .. }, _) => {
+                or("layered all-blocks bitmap", &[TAG_ALL_BLOCKS])
+            }
             (_, KeyPredicate::Eq(v)) => or("layered value bitmap", &value_key(v)),
             (_, KeyPredicate::Range(..)) => read_fail(
                 "layered value sweep",
@@ -489,128 +513,115 @@ impl LayeredIndex {
             Some(f) => frozen_bitmap(f, "layered all-blocks bitmap", &[TAG_ALL_BLOCKS]),
             None => Bitmap::new(),
         };
-        // A tail block has a tree exactly when it has a first-level
-        // entry, whichever kind the first level is.
         let base = self.base() as usize;
-        for (slot, tree) in self.second.iter().enumerate() {
-            if tree.is_some() {
-                out.set(base + slot);
+        match &self.first {
+            FirstLevel::Continuous { entries, .. } => {
+                let occupied = entries.iter().enumerate().filter(|(_, e)| e.is_some());
+                occupied.for_each(|(slot, _)| out.set(base + slot));
+            }
+            FirstLevel::Discrete { per_value } => {
+                per_value
+                    .values()
+                    .for_each(|bits| out.or_assign_shifted(bits, base));
             }
         }
         out
     }
 
-    /// Block-pair pruning for on-chain join (Algorithm 2): do blocks
-    /// `bid_r` (this index) and `bid_s` (the `other` index) possibly
-    /// share join keys?
-    pub fn blocks_intersect(&self, bid_r: BlockId, other: &Self, bid_s: BlockId) -> bool {
-        match (&self.first, &other.first) {
-            (FirstLevel::Continuous { hist, .. }, FirstLevel::Continuous { hist: hist_s, .. }) => {
-                let (Some(er), Some(es)) = (self.block_buckets(bid_r), other.block_buckets(bid_s))
-                else {
-                    return false;
-                };
-                // ∃ bucket k in e_r, m in e_s with overlapping bounds
-                // (¬(k.u < m.l ∨ k.l > m.u)).
-                for k in er.iter_ones() {
-                    let (kl, ku) = hist.bucket_bounds(k);
-                    for m in es.iter_ones() {
-                        let (ml, mu) = hist_s.bucket_bounds(m);
-                        let disjoint_low = matches!((ku, ml), (Some(u), Some(l)) if u <= l);
-                        let disjoint_high = matches!((kl, mu), (Some(l), Some(u)) if l >= u);
-                        if !(disjoint_low || disjoint_high) {
-                            return true;
-                        }
-                    }
-                }
-                false
-            }
-            (FirstLevel::Discrete { .. }, FirstLevel::Discrete { .. }) => {
-                // "depends on whether there are join results of each
-                // bitmap key": some shared value present in both blocks.
-                let mut hit = false;
-                self.for_each_value(|v, bits| {
-                    if !hit && bits.get(bid_r as usize) && other.value_blocks(v).get(bid_s as usize)
-                    {
-                        hit = true;
-                    }
-                });
-                hit
-            }
-            // Mixed continuous/discrete join attributes: cannot prune.
-            _ => true,
-        }
-    }
-
-    /// Generates the candidate block *pairs* for an equi-join of this
-    /// index (relation r, masked by `mask_r`) with `other` (relation s,
-    /// masked by `mask_s`) — Algorithm 2's `intersect` pruning, driven
-    /// from the value side for discrete attributes so cost is
-    /// O(values·pairs) instead of O(blocks²·values).
-    pub fn join_pairs(
-        &self,
-        mask_r: &Bitmap,
-        other: &Self,
-        mask_s: &Bitmap,
-    ) -> Vec<(BlockId, BlockId)> {
+    /// Algorithm 2's `intersect` pruning for an equi-join of this index
+    /// (relation r, masked by `mask_r`) with `other` (relation s, masked
+    /// by `mask_s`), as the two block sets the surviving block pairs
+    /// project onto, in O(values + blocks) rather than over pairs:
+    ///
+    /// * continuous: an r block survives when one of its buckets
+    ///   overlaps one a masked s block holds (their union, tested once
+    ///   per block), and the reverse; a frozen block holds every bucket;
+    /// * discrete: the OR of `L(v)` over the values with a masked block
+    ///   on the other side;
+    /// * mixed continuous/discrete attributes cannot prune: every masked
+    ///   block, when both sides have one.
+    pub fn join_blocks(&self, mask_r: &Bitmap, other: &Self, mask_s: &Bitmap) -> (Bitmap, Bitmap) {
+        let (mut r, mut s) = (Bitmap::new(), Bitmap::new());
         match (&self.first, &other.first) {
             (FirstLevel::Discrete { .. }, FirstLevel::Discrete { .. }) => {
-                // The output is an order-insensitive set (sorted below),
-                // so driving from this side is equivalent to driving
-                // from the smaller map.
-                let mut pairs: HashSet<(BlockId, BlockId)> = HashSet::new();
                 self.for_each_value(|v, bits_r| {
-                    let bits_s = other.value_blocks(v);
-                    if bits_s.is_empty() {
+                    let bits_r = bits_r.and(mask_r);
+                    if bits_r.is_empty() {
                         return;
                     }
-                    for br in bits_r.and(mask_r).iter_ones() {
-                        for bs in bits_s.and(mask_s).iter_ones() {
-                            pairs.insert((br as BlockId, bs as BlockId));
-                        }
+                    let bits_s = other.value_blocks(v).and(mask_s);
+                    if !bits_s.is_empty() {
+                        r.or_assign(&bits_r);
+                        s.or_assign(&bits_s);
                     }
                 });
-                let mut out: Vec<_> = pairs.into_iter().collect();
-                out.sort_unstable();
-                out
             }
-            _ => {
-                // Continuous (or mixed): bucket-envelope check per pair;
-                // bucket bitmaps are ≤ histogram depth, so this is cheap.
+            (FirstLevel::Continuous { .. }, FirstLevel::Continuous { .. }) => {
                 let r_blocks = self.all_blocks().and(mask_r);
                 let s_blocks = other.all_blocks().and(mask_s);
-                let mut out = Vec::new();
-                for br in r_blocks.iter_ones() {
-                    for bs in s_blocks.iter_ones() {
-                        if self.blocks_intersect(br as BlockId, other, bs as BlockId) {
-                            out.push((br as BlockId, bs as BlockId));
-                        }
-                    }
+                r = self.blocks_meeting(&r_blocks, other, &s_blocks);
+                s = other.blocks_meeting(&s_blocks, self, &r_blocks);
+            }
+            _ => {
+                let r_blocks = self.all_blocks().and(mask_r);
+                let s_blocks = other.all_blocks().and(mask_s);
+                if !r_blocks.is_empty() && !s_blocks.is_empty() {
+                    (r, s) = (r_blocks, s_blocks);
                 }
-                out
             }
         }
+        (r, s)
     }
 
-    /// On-off-chain pruning (Algorithm 3): does block `bid` possibly
-    /// hold values in the off-chain range `[s_min, s_max]`
-    /// (¬(k.u ≤ s_min ∨ k.l ≥ s_max) for some set bucket k)?
-    pub fn block_intersects_range(&self, bid: BlockId, s_min: i64, s_max: i64) -> bool {
-        match &self.first {
-            FirstLevel::Continuous { hist, .. } => {
-                let Some(entry) = self.block_buckets(bid) else {
-                    return false;
-                };
-                let hit = entry.iter_ones().any(|k| {
-                    let (kl, ku) = hist.bucket_bounds(k);
-                    let below = matches!(ku, Some(u) if u <= s_min);
-                    let above = matches!(kl, Some(l) if l >= s_max);
-                    !(below || above)
-                });
-                hit
+    /// Tail block `bid`'s bucket bitmap (continuous); `None` for a
+    /// frozen block, which keeps none, and for a tail block with no
+    /// indexed transaction.
+    fn tail_buckets(&self, bid: usize) -> Option<&Bitmap> {
+        let FirstLevel::Continuous { entries, .. } = &self.first else {
+            return None;
+        };
+        let slot = bid.checked_sub(self.base() as usize)?;
+        entries.get(slot)?.as_ref()
+    }
+
+    /// The blocks of `blocks` (continuous) holding a bucket that
+    /// overlaps one a block of `theirs` in `other` holds: buckets cover
+    /// `(l, u]`, so bounds that only touch hold no common value. A
+    /// frozen block may hold every bucket: one in `theirs` ends the
+    /// fold, and one in `blocks` meets whatever bucket is in reach.
+    fn blocks_meeting(&self, blocks: &Bitmap, other: &Self, theirs: &Bitmap) -> Bitmap {
+        let (Some(hist), Some(their_hist)) = (self.histogram(), other.histogram()) else {
+            return Bitmap::new();
+        };
+        let held: Bitmap = match theirs.iter_ones().next() {
+            Some(first) if (first as u64) < other.base() => {
+                (0..their_hist.bucket_count()).collect()
             }
-            FirstLevel::Discrete { .. } => true,
+            _ => {
+                let mut held = Bitmap::new();
+                let tail = theirs.iter_ones().filter_map(|b| other.tail_buckets(b));
+                tail.for_each(|buckets| held.or_assign(buckets));
+                held
+            }
+        };
+        let reach: Bitmap = (0..hist.bucket_count())
+            .filter(|&k| {
+                let (kl, ku) = hist.bucket_bounds(k);
+                held.iter_ones().any(|m| {
+                    let (ml, mu) = their_hist.bucket_bounds(m);
+                    let below = matches!((ku, ml), (Some(u), Some(l)) if u <= l);
+                    !(below || matches!((kl, mu), (Some(l), Some(u)) if l >= u))
+                })
+            })
+            .collect();
+        if reach.is_empty() {
+            return Bitmap::new();
         }
+        let base = self.base() as usize;
+        let meets = |&bid: &usize| {
+            bid < base || self.tail_buckets(bid).is_some_and(|b| b.intersects(&reach))
+        };
+        blocks.iter_ones().filter(meets).collect()
     }
 
     /// Blocks holding any of the given discrete values ("execute OR
@@ -651,7 +662,7 @@ impl LayeredIndex {
                 }
             }
         }
-        for tree in self.second.iter().flatten() {
+        for tree in self.second.iter().flatten().flatten() {
             bytes += tree.memory_bytes();
         }
         if let Some(f) = &self.frozen {
@@ -662,39 +673,21 @@ impl LayeredIndex {
 
     /// Freezes the complete state (frozen ∪ tail) into one checkpoint
     /// covering `[0, covered)` — the full-rewrite merge an LSM
-    /// compaction would do, run by the applier's indexer.
+    /// compaction would do, run by the applier's indexer. The first
+    /// level it writes is the all-blocks bitmap and, discrete, each
+    /// value's block bitmap.
     pub fn checkpoint(&self) -> IndexCheckpoint {
         let mut cp = CheckpointBuilder::sweep("layered", self.frozen.as_ref());
         let base = self.base();
-        match &self.first {
-            FirstLevel::Continuous { hist, entries } => {
-                let mut bucket_blocks: Vec<Bitmap> = vec![Bitmap::new(); hist.bucket_count()];
-                for (slot, e) in entries.iter().enumerate() {
-                    let Some(e) = e else { continue };
-                    cp.put(
-                        bid_key(TAG_BLOCK_BUCKETS, base + slot as u64),
-                        bitmap_bytes(e),
-                    );
-                    for bucket in e.iter_ones() {
-                        bucket_blocks[bucket].set(slot);
-                    }
-                }
-                for (bucket, tail_bits) in bucket_blocks.iter().enumerate() {
-                    if !tail_bits.is_empty() {
-                        cp.or_tail(bucket_key(bucket), tail_bits);
-                    }
-                }
-            }
-            FirstLevel::Discrete { per_value } => {
-                for (v, tail_bits) in per_value {
-                    cp.or_tail(value_key(v), tail_bits);
-                }
+        if let FirstLevel::Discrete { per_value } = &self.first {
+            for (v, tail_bits) in per_value {
+                cp.or_tail(value_key(v), tail_bits);
             }
         }
         // One key per row — merged with every other block's, the
         // value-ordered run plain probes scan — and, per block, the
         // leaf list, internal digests and root a proof is built from.
-        for (slot, tree) in self.second.iter().enumerate() {
+        for (slot, tree) in self.second.iter().flatten().enumerate() {
             let Some(tree) = tree else { continue };
             let bid = base + slot as u64;
             for e in tree.entries() {
@@ -710,7 +703,7 @@ impl LayeredIndex {
         cp.finish(
             self.family(),
             self.covered(),
-            encode_meta(self.fanout, &self.first),
+            encode_meta(self.fanout, &self.first, self.keeps_trees()),
         )
     }
 }
@@ -772,13 +765,15 @@ impl LayeredIndex {
     /// The frozen half is a scan of the value-ordered run filtered by
     /// the mask — it reads the index blocks the answer spans and never
     /// consults the first level; the tail half asks the first level
-    /// which resident trees can match and searches those.
+    /// which resident trees can match and searches those. An index
+    /// without trees has no second level to probe.
     pub fn probe(
         &self,
         pred: &KeyPredicate,
         blocks: &Bitmap,
         mut holds: impl FnMut(usize) -> bool,
     ) -> Probe {
+        debug_assert!(self.keeps_trees(), "probing a first-level-only index");
         let mut probe = Probe::default();
         if let Some(f) = &self.frozen {
             for (b0, b1) in self.frozen_runs(pred, blocks) {
@@ -871,7 +866,7 @@ impl LayeredIndex {
                 }),
             );
         }
-        for (slot, tree) in self.second.iter().enumerate() {
+        for (slot, tree) in self.second.iter().flatten().enumerate() {
             if let Some(tree) = tree.as_ref().filter(|_| blocks.get(base as usize + slot)) {
                 out.extend(tree.entries().iter().map(|e| (e.key.clone(), e.ptr)));
             }
@@ -887,6 +882,7 @@ mod tests {
     use super::*;
     use sebdb_crypto::sha256::Digest;
     use sebdb_crypto::sig::KeyId;
+    use sebdb_storage::BlockStore;
 
     /// Builds a block whose donate transactions carry the given amounts.
     fn block(height: u64, amounts: &[i64], tname: &str) -> Block {
@@ -908,11 +904,17 @@ mod tests {
     }
 
     fn amount_index() -> LayeredIndex {
+        amount_index_on("donate")
+    }
+
+    /// A continuous index on `table`'s amounts, ten buckets over
+    /// `0..1000` bounded at the multiples of 100.
+    fn amount_index_on(table: &str) -> LayeredIndex {
         let sample: Vec<i64> = (0..1000)
             .map(|i| Value::decimal(i).numeric_rank().unwrap())
             .collect();
         LayeredIndex::new_continuous(
-            Some("donate".into()),
+            Some(table.into()),
             ColumnRef::App(2),
             EqualDepthHistogram::from_sample(sample, 10),
         )
@@ -988,15 +990,12 @@ mod tests {
         r.update(&block(0, &[10, 20], "donate")); // low
         r.update(&block(1, &[955], "donate")); // high (same bucket as 950/980)
         s.update(&block(0, &[950, 980], "donate")); // high
-        assert!(
-            !r.blocks_intersect(0, &s, 0),
-            "low block shouldn't intersect high block"
-        );
-        assert!(r.blocks_intersect(1, &s, 0), "high blocks should intersect");
-        assert!(
-            !r.blocks_intersect(5, &s, 0),
-            "missing block never intersects"
-        );
+        let all = Bitmap::from_bits(0..8);
+        let (rb, sb) = r.join_blocks(&all, &s, &all);
+        assert_eq!(rb, Bitmap::from_bits([1]), "the low block is pruned");
+        assert_eq!(sb, Bitmap::from_bits([0]));
+        let (rb, sb) = r.join_blocks(&Bitmap::from_bits([0]), &s, &all);
+        assert!(rb.is_empty() && sb.is_empty(), "a low block meets nothing");
     }
 
     #[test]
@@ -1005,21 +1004,250 @@ mod tests {
         let mut s = LayeredIndex::new_discrete(None, ColumnRef::Tname);
         r.update(&block(0, &[1], "donate"));
         s.update(&block(0, &[1], "transfer"));
-        assert!(!r.blocks_intersect(0, &s, 0));
+        let all = Bitmap::from_bits([0]);
+        let (rb, sb) = r.join_blocks(&all, &s, &all);
+        assert!(rb.is_empty() && sb.is_empty());
         let mut s2 = LayeredIndex::new_discrete(None, ColumnRef::Tname);
         s2.update(&block(0, &[1], "donate"));
-        assert!(r.blocks_intersect(0, &s2, 0));
+        assert_eq!(r.join_blocks(&all, &s2, &all), (all.clone(), all));
     }
 
+    /// Algorithm 3's continuous pruning is the first level's range test:
+    /// a block whose bucket ends exactly at the off-chain minimum holds
+    /// that value (buckets cover `(l, u]`) and is kept.
     #[test]
     fn onoff_range_pruning() {
         let mut idx = amount_index();
         idx.update(&block(0, &[10, 20], "donate"));
         idx.update(&block(1, &[900, 950], "donate"));
-        let lo = Value::decimal(800).numeric_rank().unwrap();
-        let hi = Value::decimal(999).numeric_rank().unwrap();
-        assert!(!idx.block_intersects_range(0, lo, hi));
-        assert!(idx.block_intersects_range(1, lo, hi));
+        let range = |lo, hi| KeyPredicate::Range(Value::decimal(lo), Value::decimal(hi));
+        assert_eq!(
+            idx.candidate_blocks(&range(800, 999)),
+            Bitmap::from_bits([1])
+        );
+        let rank = |v| Value::decimal(v).numeric_rank().unwrap();
+        let mut edge = LayeredIndex::new_continuous(
+            Some("donate".into()),
+            ColumnRef::App(2),
+            EqualDepthHistogram::from_bounds(vec![rank(10), rank(20)]),
+        );
+        edge.update(&block(0, &[10], "donate"));
+        assert_eq!(
+            edge.candidate_blocks(&range(10, 15)),
+            Bitmap::from_bits([0])
+        );
+        assert!(edge.candidate_blocks(&range(11, 15)).is_empty());
+    }
+
+    /// xorshift64: the pruning property's chains and masks.
+    fn below(state: &mut u64, n: u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state % n
+    }
+
+    /// A chain of blocks of `(relation, amount)` rows, on a temporary
+    /// store (which a checkpoint may not run ahead of).
+    fn rows_chain(chain: &[Vec<(&str, i64)>]) -> (Vec<Block>, BlockStore) {
+        let store = BlockStore::temporary(sebdb_storage::StoreConfig::default()).unwrap();
+        let mut prev = Digest::ZERO;
+        let blocks = chain
+            .iter()
+            .enumerate()
+            .map(|(h, rows)| {
+                let h = h as u64;
+                let txs = rows
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(tname, a))| {
+                        let values = vec![Value::str("d"), Value::str("p"), Value::decimal(a)];
+                        let mut t = Transaction::new(h, KeyId([1; 8]), tname, values);
+                        t.tid = h * 100 + i as u64;
+                        t
+                    })
+                    .collect();
+                let b = Block::seal(prev, h, h, txs, |_| vec![]);
+                store.append(&b).unwrap();
+                prev = b.header.block_hash;
+                b
+            })
+            .collect();
+        (blocks, store)
+    }
+
+    /// `join_blocks` returns each side of the block pairs a pairwise
+    /// `intersect` keeps — buckets overlap (continuous; a frozen block
+    /// holds every bucket), a value is shared (discrete), or both blocks
+    /// are indexed (mixed) — on seeded chains, resident and with a
+    /// frozen prefix, under random masks.
+    #[test]
+    fn join_blocks_project_the_surviving_pairs() {
+        const BLOCKS: u64 = 24;
+        const FROZEN: u64 = 10;
+        // Amounts on and beside the histogram's bucket bounds (multiples
+        // of 100 in `amount_index`), and a few distinct values.
+        let amounts = [0, 99, 100, 101, 300, 450, 500, 501, 899, 900, 999];
+        for seed in 1..=6u64 {
+            let mut state = seed * 0x9E37_79B9;
+            let chain: Vec<Vec<(&str, i64)>> = (0..BLOCKS)
+                .map(|_| {
+                    (0..below(&mut state, 4))
+                        .map(|_| {
+                            let tname = ["donate", "transfer"][below(&mut state, 2) as usize];
+                            (
+                                tname,
+                                amounts[below(&mut state, amounts.len() as u64) as usize],
+                            )
+                        })
+                        .collect()
+                })
+                .collect();
+            let held = |tname: &str, b: usize| -> Vec<i64> {
+                chain[b]
+                    .iter()
+                    .filter(|r| r.0 == tname)
+                    .map(|r| r.1)
+                    .collect()
+            };
+            let masks: Vec<Bitmap> = (0..2)
+                .map(|_| {
+                    let mask = (0..BLOCKS as usize).filter(|_| below(&mut state, 4) > 0);
+                    mask.collect()
+                })
+                .collect();
+            for frozen in [false, true] {
+                let (blocks, store) = rows_chain(&chain);
+                let kinds = |table: &str| {
+                    let t = Some(table.to_string());
+                    [
+                        amount_index_on(table),
+                        LayeredIndex::new_discrete(t, ColumnRef::App(2)),
+                    ]
+                };
+                let mut indexes = [kinds("donate"), kinds("transfer")];
+                for b in &blocks {
+                    for idx in indexes.iter_mut().flatten() {
+                        if frozen && b.header.height == FROZEN {
+                            let cp = idx.checkpoint();
+                            store.write_index_checkpoint(&cp).unwrap();
+                            let reader = store.load_index_checkpoint(&cp.family).unwrap();
+                            idx.adopt_frozen(reader.unwrap());
+                        }
+                        idx.update(b);
+                    }
+                }
+                let [r_kinds, s_kinds] = &indexes;
+                for (r, s) in r_kinds
+                    .iter()
+                    .flat_map(|r| s_kinds.iter().map(move |s| (r, s)))
+                {
+                    let hist = |idx: &LayeredIndex, tname: &str, b: usize| -> Vec<usize> {
+                        let Some(h) = idx.histogram() else {
+                            return Vec::new();
+                        };
+                        if frozen && (b as u64) < FROZEN {
+                            return (0..h.bucket_count()).collect();
+                        }
+                        let ranks = held(tname, b).into_iter();
+                        ranks
+                            .map(|a| h.bucket_of(Value::decimal(a).numeric_rank().unwrap()))
+                            .collect()
+                    };
+                    let intersect = |br: usize, bs: usize| match (r.histogram(), s.histogram()) {
+                        (Some(hr), Some(hs)) => hist(r, "donate", br).iter().any(|&k| {
+                            hist(s, "transfer", bs).iter().any(|&m| {
+                                let ((kl, ku), (ml, mu)) =
+                                    (hr.bucket_bounds(k), hs.bucket_bounds(m));
+                                !(ku.zip(ml).is_some_and(|(u, l)| u <= l)
+                                    || kl.zip(mu).is_some_and(|(l, u)| l >= u))
+                            })
+                        }),
+                        (None, None) => held("donate", br)
+                            .iter()
+                            .any(|v| held("transfer", bs).contains(v)),
+                        _ => true,
+                    };
+                    for (mask_r, mask_s) in [(&masks[0], &masks[1]), (&masks[1], &masks[0])] {
+                        let (mut want_r, mut want_s) = (Bitmap::new(), Bitmap::new());
+                        for br in mask_r
+                            .iter_ones()
+                            .filter(|&b| !held("donate", b).is_empty())
+                        {
+                            for bs in mask_s
+                                .iter_ones()
+                                .filter(|&b| !held("transfer", b).is_empty())
+                            {
+                                if intersect(br, bs) {
+                                    want_r.set(br);
+                                    want_s.set(bs);
+                                }
+                            }
+                        }
+                        let at = format!(
+                            "seed {seed} frozen {frozen} {:?} {:?}",
+                            r.histogram().is_some(),
+                            s.histogram().is_some()
+                        );
+                        assert_eq!(r.join_blocks(mask_r, s, mask_s), (want_r, want_s), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A first-level-only index answers the first level as a full index
+    /// does, holds no tree and checkpoints only its all-blocks and value
+    /// bitmaps; its meta says so, frozen and reattached.
+    #[test]
+    fn a_first_level_index_keeps_no_tree() {
+        let mut full = LayeredIndex::new_discrete(None, ColumnRef::Tname);
+        let mut bare = LayeredIndex::new_first_level(None, ColumnRef::Tname);
+        let rows: Vec<Vec<(&str, i64)>> = (0..6)
+            .map(|h| vec![(["donate", "transfer"][h % 2], 1), ("audit", 2)])
+            .collect();
+        let (blocks, store) = rows_chain(&rows);
+        for (h, b) in blocks.iter().enumerate() {
+            let h = h as u64;
+            if h == 3 {
+                let cp = bare.checkpoint();
+                assert!(cp
+                    .entries
+                    .iter()
+                    .all(|(k, _)| k[0] == TAG_ALL_BLOCKS || k[0] == TAG_VALUE_BLOCKS));
+                store.write_index_checkpoint(&cp).unwrap();
+                let reader = store.load_index_checkpoint(&cp.family).unwrap().unwrap();
+                let reattached = LayeredIndex::from_frozen(None, ColumnRef::Tname, reader);
+                assert!(!reattached.keeps_trees());
+                bare.adopt_frozen(store.load_index_checkpoint(&cp.family).unwrap().unwrap());
+            }
+            full.update(b);
+            bare.update(b);
+        }
+        assert!(full.keeps_trees() && !bare.keeps_trees());
+        assert_eq!(bare.covered(), 6);
+        assert!((0..6).all(|b| bare.tail_tree(b).is_none()));
+        for name in ["donate", "transfer", "audit", "refund"] {
+            let pred = KeyPredicate::Eq(Value::str(name));
+            assert_eq!(
+                bare.candidate_blocks(&pred),
+                full.candidate_blocks(&pred),
+                "{name}"
+            );
+        }
+        assert_eq!(bare.all_blocks(), full.all_blocks());
+        let cp = bare.checkpoint();
+        let tags: Vec<u8> = cp.entries.iter().map(|(k, _)| k[0]).collect();
+        assert_eq!(
+            tags,
+            [
+                TAG_ALL_BLOCKS,
+                TAG_VALUE_BLOCKS,
+                TAG_VALUE_BLOCKS,
+                TAG_VALUE_BLOCKS
+            ]
+        );
+        assert!(bare.memory_bytes() < full.memory_bytes());
     }
 
     #[test]
@@ -1093,7 +1321,8 @@ mod tests {
         assert_eq!(cp.family, family_layered(Some("donate"), "app2"));
         // Sorted, unique keys — the checkpoint writer's contract.
         assert!(cp.entries.windows(2).all(|w| w[0].0 < w[1].0));
-        // all-blocks + 2 × block buckets + 3 rows + bucket inversions.
-        assert!(cp.entries.len() >= 7);
+        // all-blocks + 3 rows + 2 × (leaf list + root): no bucket
+        // bitmap is checkpointed.
+        assert_eq!(cp.entries.len(), 8);
     }
 }

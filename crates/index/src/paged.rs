@@ -24,11 +24,10 @@ use sebdb_storage::{IndexCheckpoint, PagedIndexReader, StorageError, TxPtr};
 use sebdb_types::{ColumnRef, Decoder, Encoder, TypeError, Value};
 use std::collections::BTreeMap;
 
-/// Key tag: the family's precomputed all-blocks bitmap.
+/// Key tag: the family's precomputed all-blocks bitmap — the whole
+/// frozen first level of a continuous family, whose per-block bucket
+/// bitmaps stay in the resident tail.
 pub const TAG_ALL_BLOCKS: u8 = 0x00;
-/// Key tag: `0x01 ‖ bid(u64 BE)` → the block's bucket bitmap
-/// (continuous first level).
-pub const TAG_BLOCK_BUCKETS: u8 = 0x01;
 /// Key tag: `0x02 ‖ enc(Value)` → the value's absolute block bitmap
 /// (discrete first level).
 pub const TAG_VALUE_BLOCKS: u8 = 0x02;
@@ -36,10 +35,6 @@ pub const TAG_VALUE_BLOCKS: u8 = 0x02;
 /// level and internal digests (what a proof is built from: a VO is per
 /// block, §VI).
 pub const TAG_BLOCK_ENTRIES: u8 = 0x03;
-/// Key tag: `0x04 ‖ bucket(u32 BE)` → the bucket's absolute block
-/// bitmap (continuous first level, inverted — the candidate-block
-/// probe reads O(buckets) entries instead of O(blocks)).
-pub const TAG_BUCKET_BLOCKS: u8 = 0x04;
 /// Key tag: `0x05 ‖ bid(u64 BE)` → the block's 32-byte MB-tree root.
 pub const TAG_BLOCK_ROOT: u8 = 0x05;
 
@@ -115,14 +110,6 @@ pub fn bid_key(tag: u8, bid: u64) -> Vec<u8> {
     let mut k = Vec::with_capacity(9);
     k.push(tag);
     k.extend_from_slice(&bid.to_be_bytes());
-    k
-}
-
-/// `0x04 ‖ bucket(u32 BE)` — per-bucket entry key.
-pub fn bucket_key(bucket: usize) -> Vec<u8> {
-    let mut k = Vec::with_capacity(5);
-    k.push(TAG_BUCKET_BLOCKS);
-    k.extend_from_slice(&(bucket as u32).to_be_bytes());
     k
 }
 

@@ -113,6 +113,22 @@ fn tracking_query_authenticates_too() {
         .unwrap();
 }
 
+/// The `tname` index keeps no trees: it has no proof to give, so both
+/// phases refuse it, resident and frozen, rather than hand the client an
+/// empty answer whose empty digest would verify.
+#[test]
+fn an_authenticated_query_on_the_tname_index_is_refused() {
+    let full = populated_ledger(5, 9);
+    let pred = KeyPredicate::Eq(Value::str("donate"));
+    for frozen in [false, true] {
+        if frozen {
+            assert!(full.checkpoint_indexes().unwrap() > 0);
+        }
+        assert!(serve_authenticated_query(&full, None, "tname", &pred, None).is_none());
+        assert!(serve_auxiliary_digest(&full, None, "tname", &pred, None, full.height()).is_none());
+    }
+}
+
 #[test]
 fn malicious_full_node_dropping_results_is_caught() {
     let full = populated_ledger(6, 10);
