@@ -52,6 +52,11 @@ echo "==> cargo test --release -q -p sebdb --lib q5_phase_split"
 cargo test --release -q -p sebdb --lib q5_phase_split
 echo "==> cargo test --release -q -p sebdb --lib q6_phase_split"
 cargo test --release -q -p sebdb --lib q6_phase_split
+# The authenticated range's split (probe, proofs, payload, auxiliary,
+# client checks) checks that its VO, payload and digest are the served
+# ones and verify, on the optimized build its quoted timings come from.
+echo "==> cargo test --release -q -p sebdb --lib auth_phase_split"
+cargo test --release -q -p sebdb --lib auth_phase_split
 
 # Deterministic interleaving checker: exhaustively explores schedules
 # of the pipeline/view/mempool/index-cache/segment/partition

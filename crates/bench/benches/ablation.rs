@@ -3,8 +3,9 @@
 //! * **histogram depth** — the paper says "the height of histogram is
 //!   configurable for different precisions" (§IV-B); deeper histograms
 //!   prune more blocks at higher first-level cost;
-//! * **MB-tree fanout** — the 4 KB page choice (§VII-A) trades proof
-//!   width (flat trees) against proof depth (binary-ish trees).
+//! * **MB-tree fanout** — the node width (§VII-A's 4 KB page of 64
+//!   entries; 16 by default here) trades proof width (flat trees)
+//!   against proof depth (binary-ish trees).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sebdb_crypto::sha256::Digest;
@@ -93,7 +94,7 @@ fn mbtree_fanout(c: &mut Criterion) {
             },
         })
         .collect();
-    for fanout in [2usize, 8, 64, 256] {
+    for fanout in [2usize, 8, 16, 64, 256] {
         let tree = MbTree::build(entries.clone(), fanout);
         let (results, proof) = tree.range_query(&Value::Int(1000), &Value::Int(1100));
         eprintln!("fanout {fanout}: VO {} bytes", proof.byte_len());

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sebdb_crypto::merkle::merkle_root;
-use sebdb_index::mbtree::{AuthEntry, MbTree};
+use sebdb_index::mbtree::{AuthEntry, MbTree, DEFAULT_FANOUT};
 use sebdb_index::{Bitmap, EqualDepthHistogram};
 use sebdb_storage::TxPtr;
 use sebdb_types::Value;
@@ -62,9 +62,9 @@ fn merkle_and_mbtree(c: &mut Criterion) {
         })
         .collect();
     group.bench_function("mbtree_build_1k", |b| {
-        b.iter(|| MbTree::build(entries.clone(), 64).root())
+        b.iter(|| MbTree::build(entries.clone(), DEFAULT_FANOUT).root())
     });
-    let tree = MbTree::build(entries, 64);
+    let tree = MbTree::build(entries, DEFAULT_FANOUT);
     group.bench_function("mbtree_range_proof", |b| {
         b.iter(|| {
             tree.range_query(&Value::Int(100), &Value::Int(200))
@@ -81,7 +81,7 @@ fn merkle_and_mbtree(c: &mut Criterion) {
                 &Value::Int(200),
                 &results,
                 &proof,
-                64,
+                DEFAULT_FANOUT,
             )
             .unwrap()
         })

@@ -256,7 +256,7 @@ impl Executor<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::super::onoff::{append_off_row, off_chain_table};
     use super::*;
     use crate::Ledger;
@@ -360,7 +360,7 @@ mod tests {
         (if cfg!(debug_assertions) { 400 } else { 4_000 }, 5),
     ];
     /// A debug build is here for the row check, not the timings.
-    const ROUNDS: u128 = if cfg!(debug_assertions) { 2 } else { 20 };
+    pub(crate) const ROUNDS: u128 = if cfg!(debug_assertions) { 2 } else { 20 };
 
     /// The bitmap arm's blocks of `name`: those the table-level index
     /// marks.
@@ -370,13 +370,13 @@ mod tests {
     }
 
     /// Times phases in turn, summed over rounds.
-    struct Laps<const N: usize> {
+    pub(crate) struct Laps<const N: usize> {
         totals: [u128; N],
         at: Instant,
     }
 
     impl<const N: usize> Laps<N> {
-        fn new() -> Self {
+        pub(crate) fn new() -> Self {
             Laps {
                 totals: [0; N],
                 at: Instant::now(),
@@ -384,25 +384,25 @@ mod tests {
         }
 
         /// Starts a round's first phase.
-        fn start(&mut self) {
+        pub(crate) fn start(&mut self) {
             self.at = Instant::now();
         }
 
         /// Ends `phase`, starting the next.
-        fn mark(&mut self, phase: usize) {
+        pub(crate) fn mark(&mut self, phase: usize) {
             self.totals[phase] += self.at.elapsed().as_micros();
             self.at = Instant::now();
         }
 
-        /// Prints each phase's mean and `execute`'s median beside their
-        /// sum.
-        fn report(&self, names: [&str; N], mut whole: Vec<u128>) {
+        /// Prints each phase's mean, and beside their sum the median of
+        /// the `op` the phases split.
+        pub(crate) fn report(&self, names: [&str; N], op: &str, mut whole: Vec<u128>) {
             for (name, total) in names.iter().zip(self.totals) {
                 println!("  {:>5} µs  {name}", total / ROUNDS);
             }
             whole.sort_unstable();
             println!(
-                "  {:>5} µs  phases; execute() median {} µs",
+                "  {:>5} µs  phases; {op} median {} µs",
                 self.totals.iter().sum::<u128>() / ROUNDS,
                 whole[whole.len() / 2]
             );
@@ -476,6 +476,7 @@ mod tests {
                     "scan + project + probe left, decode its matches",
                     "assemble rows, decoding matched right onto them",
                 ],
+                "execute()",
                 whole,
             );
         }
@@ -550,6 +551,7 @@ mod tests {
                     "scan + project + probe on-chain, decode its matches",
                     "assemble rows, off-chain values after",
                 ],
+                "execute()",
                 whole,
             );
         }

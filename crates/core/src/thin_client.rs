@@ -356,6 +356,167 @@ fn binom(n: usize, k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::join::tests::{Laps, ROUNDS};
+    use sebdb_consensus::OrderedBlock;
+    use sebdb_crypto::sig::{KeyId, MacKeypair};
+    use sebdb_storage::{BlockStore, StoreConfig};
+    use sebdb_types::{Column, DataType, TableSchema, Value};
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    /// Amounts are uniform in `[0, AMOUNTS)`, as the benchmark's.
+    const AMOUNTS: u64 = 1_000_000;
+
+    fn donate() -> TableSchema {
+        TableSchema::new(
+            "donate",
+            vec![
+                Column::new("donor", DataType::Str),
+                Column::new("amount", DataType::Decimal),
+            ],
+        )
+    }
+
+    /// A chain of `blocks` × `per_block` tuples on disk, half `donate`
+    /// (a uniform amount) and half `transfer`, with `donate.amount`
+    /// indexed before the load (its histogram sampled from the same
+    /// distribution) and every index frozen after it; `cache` bounds
+    /// the index-block cache, as the benchmark's `deep` does.
+    fn frozen_chain(blocks: u64, per_block: u64, cache: Option<usize>) -> Ledger {
+        let config = StoreConfig {
+            index_cache_blocks: cache,
+            ..StoreConfig::default()
+        };
+        let store = BlockStore::temporary(config).unwrap();
+        let ledger = Ledger::new(Arc::new(store), MacKeypair::from_key([5; 32])).unwrap();
+        let mut state = 7u64;
+        let mut below = |n: u64| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+        };
+        let amount = |a: u64| Value::decimal(a as i64);
+        let sample = (0..2_000)
+            .map(|_| amount(below(AMOUNTS)).numeric_rank().unwrap())
+            .collect();
+        ledger
+            .create_layered_index(&donate(), "amount", Some(sample))
+            .unwrap();
+        for b in 0..blocks {
+            let txs = (0..per_block)
+                .map(|slot| {
+                    let donor = Value::Str(format!("d{}", below(100_000)));
+                    let (tname, values) = match slot % 2 {
+                        0 => ("donate", vec![donor, amount(below(AMOUNTS))]),
+                        _ => ("transfer", vec![donor]),
+                    };
+                    let mut tx = Transaction::new(b * 1000 + slot, KeyId([7; 8]), tname, values);
+                    tx.tid = b * per_block + slot + 1;
+                    tx
+                })
+                .collect();
+            let block = OrderedBlock {
+                seq: b,
+                timestamp_ms: (b + 1) * 1000,
+                txs,
+            };
+            ledger.append_ordered(block).unwrap();
+        }
+        assert!(ledger.checkpoint_indexes().unwrap() > 0);
+        ledger
+    }
+
+    /// Where an authenticated range's time goes (§VI's two phases and
+    /// the client's check), phase by phase in the order
+    /// [`serve_authenticated_query`], [`serve_auxiliary_digest`] and
+    /// [`ThinClient::verify`] run them, on a frozen chain shaped like the
+    /// benchmark's `mixed` preload (80 blocks × 200 tuples) and like its
+    /// `deep` chain (4 000 blocks × 5, an 8-block index cache; a tenth of
+    /// it in a debug build). Each range holds about 20 rows, as the
+    /// benchmark's do. The split's VO, payload and digest must be the
+    /// served ones, and verify. Run with
+    /// `cargo test --release -p sebdb --lib auth_phase_split -- --nocapture`
+    /// for the timings EXPERIMENTS.md quotes.
+    #[test]
+    fn auth_phase_split() {
+        let deep = if cfg!(debug_assertions) { 400 } else { 4_000 };
+        for (blocks, per_block, cache) in [(80, 200, None), (deep, 5, Some(8))] {
+            let ledger = frozen_chain(blocks, per_block, cache);
+            let (table, column) = (Some("donate"), "amount");
+            let width = 20 * AMOUNTS / (blocks * per_block / 2);
+            let mut laps = Laps::new();
+            let (mut whole, mut visited_blocks_seen, mut rows, mut vo_bytes) = (vec![], 0, 0, 0);
+            for round in 0..ROUNDS as u64 {
+                let lo = round * (AMOUNTS - width) / ROUNDS as u64;
+                let pred = KeyPredicate::Range(
+                    Value::decimal(lo as i64),
+                    Value::decimal((lo + width) as i64),
+                );
+                let t = Instant::now();
+                let served =
+                    serve_authenticated_query(&ledger, table, column, &pred, None).unwrap();
+                let height = served.vo.height;
+                let aux = serve_auxiliary_digest(&ledger, table, column, &pred, None, height);
+                ThinClient::new()
+                    .verify(&pred, &served, &[aux.unwrap()], 1)
+                    .unwrap();
+                whole.push(t.elapsed().as_micros());
+
+                laps.start();
+                let mask = ledger.window_mask_at(None, height);
+                let (vo, fanout) = ledger
+                    .with_layered(table, column, |index| {
+                        let visited = visited_blocks(index, &pred, &mask).unwrap();
+                        laps.mark(0);
+                        let vo = index.authenticated_query(&pred, Some(&visited), height);
+                        laps.mark(1);
+                        (vo, index.fanout())
+                    })
+                    .unwrap();
+                let transactions = ledger.read_txs(&vo.result_ptrs()).unwrap();
+                laps.mark(2);
+                let digest = serve_auxiliary_digest(&ledger, table, column, &pred, None, height);
+                let digest = digest.unwrap();
+                laps.mark(3);
+                verify_query_vo(&vo, &pred, &digest, fanout).unwrap();
+                laps.mark(4);
+                let entries = vo.per_block.iter().flat_map(|b| &b.results);
+                assert!(transactions
+                    .iter()
+                    .zip(entries)
+                    .all(|(tx, entry)| tx.hash() == entry.tx_hash));
+                laps.mark(5);
+
+                assert_eq!(format!("{vo:?}"), format!("{:?}", served.vo));
+                assert_eq!((transactions, Some(digest)), (served.transactions, aux));
+                visited_blocks_seen += vo.per_block.len();
+                rows += vo.result_ptrs().len();
+                vo_bytes += vo.byte_len();
+            }
+            let per_op = |n: usize| n as f64 / ROUNDS as f64;
+            assert!(per_op(rows) > 5.0, "{} rows per range", per_op(rows));
+            println!(
+                "authenticated range, frozen {blocks} × {per_block}, index cache {cache:?}, \
+                 mean of {ROUNDS}: {:.1} rows, {:.1} blocks visited, {:.0} VO bytes per op:",
+                per_op(rows),
+                per_op(visited_blocks_seen),
+                per_op(vo_bytes),
+            );
+            laps.report(
+                [
+                    "probe the index for the blocks holding a match",
+                    "prove each visited block (authenticated_query)",
+                    "fetch the payload (read_txs)",
+                    "auxiliary: probe again + one root per visited block",
+                    "client: verify_query_vo",
+                    "client: hash each payload against its entry",
+                ],
+                "serve + auxiliary + verify",
+                whole,
+            );
+        }
+    }
 
     #[test]
     fn byzantine_risk_shrinks_with_more_matches() {

@@ -7,8 +7,10 @@
 //! below; so do a `Bitmap`-arm on-chain hash join and an on-off hash
 //! join against a small off-chain table, an operation-only and a
 //! two-dimension `TRACE`, and a `Layered` on-off join over a frozen
-//! index (with the index blocks it touches). Each index family's
-//! checkpoint entries and bytes and its resident bytes are pinned too.
+//! index (with the index blocks it touches), and an authenticated range
+//! over frozen blocks wider than one MB-tree page (with its VO bytes and
+//! the index blocks it touches). Each index family's checkpoint entries
+//! and bytes and its resident bytes are pinned too.
 //! A change to the read front or to what an index keeps shows here as
 //! a changed count.
 
@@ -69,9 +71,14 @@ fn donate() -> TableSchema {
     )
 }
 
+/// [`chain_of`] at [`BLOCKS`] × [`TUPLES_PER_BLOCK`].
+fn chain() -> Ledger {
+    chain_of(BLOCKS, TUPLES_PER_BLOCK)
+}
+
 /// Two-thirds `donate` (a random amount and a memo of random length),
 /// one-third `transfer`, so a block's tuples span two partitions.
-fn chain() -> Ledger {
+fn chain_of(blocks: u64, tuples_per_block: u64) -> Ledger {
     let ledger = Ledger::new(
         Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
         MacKeypair::from_key([7; 32]),
@@ -79,8 +86,8 @@ fn chain() -> Ledger {
     .unwrap();
     let mut rng = SEED;
     let mut tid = 1;
-    for b in 0..BLOCKS {
-        let txs = (0..TUPLES_PER_BLOCK)
+    for b in 0..blocks {
+        let txs = (0..tuples_per_block)
             .map(|i| {
                 let sender = KeyId([1 + (next(&mut rng) % 3) as u8; 8]);
                 let memo = "m".repeat((next(&mut rng) % 64) as usize);
@@ -287,17 +294,48 @@ fn a_frozen_layered_onoff_join_does_the_pinned_work() {
     assert_eq!((w, touched() - before), Q6_LAYERED_FROZEN);
 }
 
+/// An authenticated range over 8 frozen blocks of 150 tuples, ≈ 100
+/// `donate` rows each — several MB-tree pages a block, so the fanout
+/// sets how much of each visited block a proof hashes and ships. Pinned:
+/// the blocks visited (all 8), the VO's bytes, the `Work` of serving it
+/// (18 tuples in one pointer run, and each visited block's leaf list
+/// read past the cache) and the index blocks it touches through the
+/// cache (the probe's, and each visited block's root).
+const AUTH_RANGE_FROZEN: (usize, usize, Work, u64) = (8, 6802, (0, 18, 71785, 9), 10);
+
+#[test]
+fn a_frozen_authenticated_range_over_wide_blocks_does_the_pinned_work() {
+    let ledger = chain_of(8, 150);
+    assert!(ledger.checkpoint_indexes().unwrap() > 0);
+    let stats = &ledger.store().stats;
+    let touched = || {
+        let (hits, misses) = stats.index_cache_counts();
+        hits + misses
+    };
+    let pred = KeyPredicate::Range(Value::decimal(40_000), Value::decimal(42_000));
+    let before = touched();
+    let (response, w) = work(&ledger, || {
+        serve_authenticated_query(&ledger, Some("donate"), "amount", &pred, None).unwrap()
+    });
+    assert!(response.vo.per_block.iter().all(|b| b.proof.total > 64));
+    let blocks = response.vo.per_block.len();
+    assert_eq!(
+        (blocks, response.vo_bytes(), w, touched() - before),
+        AUTH_RANGE_FROZEN
+    );
+}
+
 /// Per family after the chain, fully resident: the checkpoint's entry
 /// count and key + value bytes, and the family's resident bytes; then
 /// `Ledger::index_memory_bytes` over all three. `tname` is its first
 /// level (the all-blocks bitmap and one bitmap per relation), and
 /// `amount` checkpoints no bucket bitmap.
 const FAMILIES: [(&str, usize, usize, usize); 3] = [
-    ("sen_id", 324, 21675, 21664),
+    ("sen_id", 324, 21675, 22024),
     ("tname", 3, 51, 374),
-    ("amount", 241, 14169, 14592),
+    ("amount", 241, 14169, 14832),
 ];
-const INDEX_MEMORY: usize = 36630;
+const INDEX_MEMORY: usize = 37230;
 
 #[test]
 fn each_family_keeps_the_pinned_bytes() {

@@ -397,9 +397,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not hash to its MB-root")]
     fn a_frozen_leaf_list_must_hash_to_its_root() {
+        use crate::mbtree::DEFAULT_FANOUT as F;
         use sebdb_storage::indexseg::checkpoint_file_name;
-        // Two leaf pages (64 + 36 entries) under one stored level-1 pair.
-        let amounts: Vec<i64> = (0..100).map(|i| i * 10).collect();
+        // Three leaf pages (f, f and f / 2 entries) under one node, so
+        // the stored digests are the pages' level-1 ones.
+        let (n, pages) = (2 * F + F / 2, 3);
+        let amounts: Vec<i64> = (0..n as i64).map(|i| i * 10).collect();
         let mut ali = ali_with_blocks(&[&amounts]);
         let store = sebdb_storage::BlockStore::temporary(Default::default()).unwrap();
         store.append(&block(0, &amounts)).unwrap();
@@ -413,6 +416,7 @@ mod tests {
             .iter()
             .find(|(k, _)| k[0] == TAG_BLOCK_ENTRIES)
             .unwrap();
+        assert_eq!(StoredTree::parse(leaves).upper().len(), pages);
         let path = store
             .dir()
             .join(sebdb_storage::INDEX_CHECKPOINT_DIR)
@@ -423,10 +427,11 @@ mod tests {
             .position(|w| w == leaves)
             .unwrap();
         // The last leaf ends with its 32-byte hash and a 12-byte pointer,
-        // before the two 32-byte level-1 digests.
-        bytes[at + leaves.len() - 64 - 20] ^= 1;
+        // before the pages' 32-byte level-1 digests.
+        bytes[at + leaves.len() - 32 * pages - 20] ^= 1;
         std::fs::write(&path, bytes).unwrap();
-        let pred = KeyPredicate::Range(Value::decimal(900), Value::decimal(990));
+        let last = amounts[n - 1];
+        let pred = KeyPredicate::Range(Value::decimal(last - 90), Value::decimal(last));
         ali.authenticated_query(&pred, None, 1);
     }
 

@@ -8,8 +8,8 @@
 //! ([`MbTree::range`]) is a binary search over it and reads no digest.
 //!
 //! Blocks are immutable, so each per-block MB-tree is *static*: built
-//! once by bulk loading, fanout `F` per node (the 4 KB page of
-//! §VII-A). A range query produces a [`RangeProof`] from which a thin
+//! once by bulk loading, [`DEFAULT_FANOUT`] entries per node (DESIGN §4).
+//! A range query produces a [`RangeProof`] from which a thin
 //! client can re-derive the root and check **soundness** (every result
 //! is genuine) and **completeness** (no result is missing — enforced
 //! through boundary entries, exactly as in the MB-tree range protocol
@@ -21,8 +21,13 @@ use sebdb_storage::TxPtr;
 use sebdb_types::{Encoder, Value};
 use std::borrow::Borrow;
 
-/// Node fanout: entries per 4 KB page at ~64 B per authenticated entry.
-pub const DEFAULT_FANOUT: usize = 64;
+/// Entries per node of a new tree. No node is paged alone, so the width
+/// sets only a proof's hashing and its `(f − 1)·⌈log_f n⌉` siblings; 16,
+/// not §VII-A's 4 KB page of 64, is the narrowest whose extra digests
+/// keep index memory and disk within 2.5 % of 64's (DESIGN §4). Every
+/// MB-root depends on it, so a new value goes with a new
+/// `indexseg::INDEX_MAGIC`: each store then replays its trees at it.
+pub const DEFAULT_FANOUT: usize = 16;
 
 /// One authenticated leaf entry: the key, the pointed-to transaction's
 /// content hash, and its location.
@@ -487,6 +492,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use sebdb_crypto::sha256::sha256;
+
+    /// Every MB-root depends on the fanout, and a checkpoint's magic
+    /// names the trees it holds: a new fanout comes with a new magic, or
+    /// a reopened store keeps roots no fresh replica derives.
+    #[test]
+    fn the_fanout_is_pinned_to_the_checkpoint_format() {
+        use sebdb_storage::indexseg::INDEX_MAGIC;
+        assert_eq!((DEFAULT_FANOUT, INDEX_MAGIC), (16, b"SEBDBIX7"));
+    }
 
     fn entry(k: i64) -> AuthEntry {
         AuthEntry {

@@ -141,8 +141,8 @@ fn indexes(blocks: &[Block], store: Option<&BlockStore>) -> [LayeredIndex; 2] {
 /// resident index would write, so one set of constants serves both
 /// runs.
 const GOLDEN: [&str; 2] = [
-    "57b21e010149c951d3cb919b8ebd89482b307ae9744a6d5c3c2622d60da46c58",
-    "d39cbab0b7c73f5f579d143f7c4f299da6613d40fdaa7e83348c23b656d0997a",
+    "69331f4404dbd8b23837040c083534f8023d0a725a4a4ce08fdd3316d44a2444",
+    "db4a748d9c3b0c0bc4504d3bcc992749c2260f38693b9cb6df26a6eb3156b892",
 ];
 
 /// `(tag, entries, digest)` per index, recorded from the two files each
@@ -240,9 +240,9 @@ fn assert_golden(indexes: &[LayeredIndex; 2]) {
     }
 }
 
-/// One block of 130 `donate` rows: leaf pages of 64, 64 and 2 entries,
-/// so its `0x03` entry carries the three level-1 digests after the
-/// leaves (the golden chain's blocks hold ≤ 6 rows and carry none).
+/// One block of 130 `donate` rows: eight leaf pages of 16 entries and
+/// one of 2, so its `0x03` entry carries the nine level-1 digests after
+/// the leaves (the golden chain's blocks hold ≤ 6 rows and carry none).
 fn fat_block() -> Block {
     let txs: Vec<Transaction> = (0..130u64)
         .map(|n| {
@@ -261,17 +261,17 @@ fn fat_block() -> Block {
 }
 
 /// The fat block's `(0x03 entries, digest)`, and `(SHA-256 of the VO's
-/// debug form, auxiliary digest)` of one range query over it. The VO
-/// and the auxiliary digest were recorded before the internal digests
-/// were stored, while a frozen block's proof still rebuilt its tree.
+/// debug form, auxiliary digest)` of one range query over it, recorded
+/// at fanout 16 from the resident tree; the frozen block must prove the
+/// same bytes.
 const GOLDEN_FAT: ((usize, &str), (&str, &str)) = (
     (
         1,
-        "438fe84d29255736ee80e199fcf620c6d6a739bf6d48f4355046c1b30252e2be",
+        "936238d5152ba749e4f3643dc4579a6d925008bb4e19edc5410d00d906cf9f92",
     ),
     (
-        "4072eee5f71ffd37121ab790c9c4f7921b86f3839ae5903a152610a72675e2bd",
-        "85ff5a40dd96dd9600a8b3b77f645cb91fd9dc13db84b48859f25757d8b46eb8",
+        "bd70673a9a8584c1d7c93beea266ebbceabc36db04f4f0e9af5d613235b333ee",
+        "6acd9cff6c6920875c6d2c08e1bd991ce7b9eceebf7829d0389ab5b662e987c7",
     ),
 );
 

@@ -3,13 +3,18 @@
 //! pages it reveals. It must equal the resident tree's proof byte for
 //! byte, and what it reveals must hash to the stored root.
 //!
-//! Block sizes cover one-, two- and three-level trees: 1, 2, 63, 64,
-//! 65, 100, 128, 129, 200 and 4 097 entries. The ranges start and end
-//! on or next to every page edge. Keys come in equal pairs, so an equal
-//! pair straddles every page edge.
+//! Block sizes follow the fanout `f` (`mbtree::DEFAULT_FANOUT`): 1, 2, f − 1,
+//! f, f + 1, f² − 1, f², f² + 1 and f³ + 1 entries — one page, one level
+//! of pages, two, and a tree of four levels above its leaves — plus
+//! 100 and 200, the sizes of the benchmark's blocks. The ranges start
+//! and end on or next to every page edge. Keys come in equal pairs, so
+//! an equal pair straddles every page edge. The f³ + 1 block is swept
+//! at every page edge, which a debug run does in seconds for f ≤ 32;
+//! a wider fanout wants that size capped.
 
 use sebdb_crypto::sha256::Digest;
 use sebdb_crypto::sig::KeyId;
+use sebdb_index::mbtree::DEFAULT_FANOUT as F;
 use sebdb_index::paged::{StoredTree, TAG_BLOCK_ENTRIES};
 use sebdb_index::{
     verify_query_vo, Bitmap, EqualDepthHistogram, KeyPredicate, LayeredIndex, MbTree, QueryVo,
@@ -19,10 +24,33 @@ use sebdb_storage::{BlockStore, StoreConfig, INDEX_CHECKPOINT_DIR};
 use sebdb_types::{Block, ColumnRef, Transaction, Value};
 
 /// Entries per block of the equivalence chain, one block each.
-const SIZES: [usize; 10] = [1, 2, 63, 64, 65, 100, 128, 129, 200, 4_097];
+const SIZES: [usize; 11] = [
+    1,
+    2,
+    F - 1,
+    F,
+    F + 1,
+    100,
+    200,
+    F * F - 1,
+    F * F,
+    F * F + 1,
+    F * F * F + 1,
+];
+
+/// The digests an `n`-entry block stores beside its leaves: levels 1 …
+/// top − 1, every node but the leaves and the root, at any depth.
+fn stored_digests(n: usize) -> usize {
+    let (mut len, mut stored) = (n.div_ceil(F), 0);
+    while len > 1 {
+        stored += len;
+        len = len.div_ceil(F);
+    }
+    stored
+}
 
 /// The amount at sorted position `p`: 0, 10, 10, 20, 20, … — equal in
-/// pairs, so positions `64k − 1` and `64k` share one.
+/// pairs, so positions `kf − 1` and `kf` share one.
 fn amount(p: usize) -> i64 {
     10 * p.div_ceil(2) as i64
 }
@@ -174,14 +202,7 @@ fn a_stored_tree_proves_what_its_resident_tree_proves() {
         let leaves = (0..n).map(|p| stored.entry(p)).collect();
         let tree = MbTree::build(leaves, fanout);
         assert_eq!(tree.root(), resident.mb_root(bid as u64));
-        // Levels 1 … top−1: none up to one page, one level of
-        // ⌈n/64⌉ up to 64 pages, then one more.
-        let stored_digests = match n.div_ceil(fanout) {
-            1 => 0,
-            pages if pages <= fanout => pages,
-            pages => pages + pages.div_ceil(fanout),
-        };
-        assert_eq!(stored.upper().len(), stored_digests, "block of {n}");
+        assert_eq!(stored.upper().len(), stored_digests(n), "block of {n}");
         for (lo, hi) in edge_ranges(n, fanout) {
             let want = tree.range_query(&lo, &hi);
             let got = MbTree::prove_stored(&stored, &tree.root(), fanout, &lo, &hi);
@@ -192,14 +213,19 @@ fn a_stored_tree_proves_what_its_resident_tree_proves() {
         }
     }
     assert!(empty >= 3 * SIZES.len(), "{empty} empty answers");
+    // The f³ + 1 block stores three levels: f² + 1, f + 1 and 2 nodes.
+    assert_eq!(stored_digests(F * F * F + 1), F * F + F + 4);
 }
 
-/// A frozen 200-entry block (pages of 64, 64, 64 and 8 entries under
-/// four stored level-1 digests) in a store, with the bytes of its
+/// Entries of the block the edit tests tamper with: f − 1 full leaf
+/// pages under one node, so it stores their f − 1 level-1 digests.
+const TAMPERED: usize = F * (F - 1);
+
+/// A frozen [`TAMPERED`]-entry block in a store, with the bytes of its
 /// `0x03` entry edited on disk by `edit`. Returns the index, the
 /// block's root and the store (which owns the file).
 fn tampered(edit: impl FnOnce(&mut [u8])) -> (LayeredIndex, Digest, BlockStore) {
-    let blocks = chain(&[200]);
+    let blocks = chain(&[TAMPERED]);
     let store = store_of(&blocks);
     let (_, frozen) = resident_and_frozen(&blocks, &store);
     // The root is read through the cache: load it before the edit.
@@ -210,7 +236,10 @@ fn tampered(edit: impl FnOnce(&mut [u8])) -> (LayeredIndex, Digest, BlockStore) 
         .iter()
         .find(|(k, _)| k[0] == TAG_BLOCK_ENTRIES)
         .unwrap();
-    assert_eq!(StoredTree::parse(value).upper().len(), 4);
+    assert_eq!(
+        StoredTree::parse(value).upper().len(),
+        stored_digests(TAMPERED)
+    );
     let path = store
         .dir()
         .join(INDEX_CHECKPOINT_DIR)
@@ -248,18 +277,20 @@ fn query(idx: &LayeredIndex, lo: i64, hi: i64) -> QueryVo {
 #[test]
 #[should_panic(expected = "does not hash to its MB-root")]
 fn a_flipped_leaf_on_a_revealed_page_fails_stop() {
-    let (frozen, _, _store) = tampered(|value| flip_leaf(value, 130));
-    // Positions 126..=135 straddle the edge of pages 1 and 2.
-    query(&frozen, amount(127), amount(134));
+    let edge = 2 * F;
+    let (frozen, _, _store) = tampered(|value| flip_leaf(value, edge + 2));
+    // Positions edge − 2 ..= edge + 7 straddle the edge of pages 1 and 2.
+    query(&frozen, amount(edge - 1), amount(edge + 6));
 }
 
 /// A stored internal digest must hash, with its siblings, to the root.
 #[test]
 #[should_panic(expected = "does not hash to its MB-root")]
 fn a_flipped_stored_digest_fails_stop() {
-    let (frozen, _, _store) = tampered(|value| flip_digest(value, 3));
-    // A proof on page 0 ships page 3's digest as a fringe node.
-    query(&frozen, amount(10), amount(20));
+    let last = TAMPERED / F - 1;
+    let (frozen, _, _store) = tampered(|value| flip_digest(value, last));
+    // A proof on page 0 ships the last page's digest as a fringe node.
+    query(&frozen, amount(1), amount(2));
 }
 
 /// The check's scope is what the answer ships: the revealed pages
@@ -270,8 +301,11 @@ fn a_flipped_stored_digest_fails_stop() {
 /// reveals that page fails stop.
 #[test]
 fn a_flipped_leaf_on_an_unrevealed_page_is_outside_the_proof() {
-    let (frozen, root, _store) = tampered(|value| flip_leaf(value, 190));
-    let (lo, hi) = (amount(10), amount(20));
+    let flipped = TAMPERED - 10;
+    let (frozen, root, _store) = tampered(|value| flip_leaf(value, flipped));
+    // Positions 0 ..= 3 lie on page 0, the flipped leaf on a later one.
+    assert!(flipped / F > 0);
+    let (lo, hi) = (amount(1), amount(2));
     let vo = query(&frozen, lo, hi);
     assert_eq!(vo.per_block.len(), 1);
     assert_eq!(vo.per_block[0].mb_root, root);
@@ -279,11 +313,11 @@ fn a_flipped_leaf_on_an_unrevealed_page_is_outside_the_proof() {
     let digest = frozen.auxiliary_query(&Bitmap::from_bits([0]), 1);
     verify_query_vo(&vo, &pred, &digest, frozen.fanout()).unwrap();
     let revealing = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        query(&frozen, amount(189), amount(191))
+        query(&frozen, amount(flipped - 1), amount(flipped + 1))
     }));
     assert!(
         revealing.is_err(),
-        "a query revealing page 2 must fail stop"
+        "a query revealing the flipped leaf's page must fail stop"
     );
 }
 

@@ -32,12 +32,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Checkpoint file magic, versioned with the format (`SEBDBIX5` files
-/// held continuous bucket bitmaps under `0x01`/`0x04` and `tname`'s
-/// trees, `SEBDBIX4` files were checksummed with FNV-1a, `SEBDBIX3`
-/// ones had no internal MB-tree digests in their `0x03` entries; no
-/// code migrates them).
-pub const INDEX_MAGIC: &[u8; 8] = b"SEBDBIX6";
+/// Checkpoint file magic, versioned with the format (`SEBDBIX6` files
+/// held MB-trees of 64-entry nodes, `SEBDBIX5` ones continuous bucket
+/// bitmaps under `0x01`/`0x04` and `tname`'s trees, `SEBDBIX4` files
+/// were checksummed with FNV-1a, `SEBDBIX3` ones had no internal
+/// MB-tree digests in their `0x03` entries; no code migrates them).
+pub const INDEX_MAGIC: &[u8; 8] = b"SEBDBIX7";
 /// Target payload size of one level-1 index block (one disk page).
 pub const INDEX_BLOCK_TARGET: usize = 4 * 1024;
 /// Subdirectory of the store holding index checkpoints.

@@ -7,8 +7,10 @@ use sebdb::{byzantine_risk, serve_authenticated_query, serve_auxiliary_digest, T
 use sebdb_consensus::OrderedBlock;
 use sebdb_crypto::sha256::sha256;
 use sebdb_crypto::sig::{KeyId, MacKeypair};
+use sebdb_index::mbtree::DEFAULT_FANOUT;
 use sebdb_index::KeyPredicate;
-use sebdb_storage::{BlockStore, StoreConfig};
+use sebdb_storage::indexseg::INDEX_MAGIC;
+use sebdb_storage::{BlockStore, StoreConfig, INDEX_CHECKPOINT_DIR};
 use sebdb_types::{Column, DataType, TableSchema, Transaction, Value};
 use std::sync::Arc;
 
@@ -28,11 +30,13 @@ fn donate_schema() -> TableSchema {
 /// A ledger with `blocks` blocks of donate transactions; amounts are
 /// `100 * (global index)`; every third transaction is sent by org1.
 fn populated_ledger(blocks: u64, per_block: usize) -> Ledger {
-    let ledger = Ledger::new(
-        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
-        MacKeypair::from_key([1; 32]),
-    )
-    .unwrap();
+    let store = BlockStore::temporary(StoreConfig::default()).unwrap();
+    populated_on(store, blocks, per_block)
+}
+
+/// [`populated_ledger`] on `store`.
+fn populated_on(store: BlockStore, blocks: u64, per_block: usize) -> Ledger {
+    let ledger = Ledger::new(Arc::new(store), MacKeypair::from_key([1; 32])).unwrap();
     let mut tid = 1u64;
     for b in 0..blocks {
         let txs: Vec<Transaction> = (0..per_block)
@@ -212,6 +216,74 @@ fn byzantine_auxiliary_minority_is_outvoted() {
         ThinClient::new().verify(&pred, &response, &[honest], 2),
         Err(sebdb::ClientVerifyError::InsufficientDigests { .. })
     ));
+}
+
+/// The roots a query visits are a function of the chain alone, so a
+/// node that reopens an index checkpoint of the previous format
+/// (`SEBDBIX6`, whose MB-trees had 64-entry nodes) must not prove from
+/// it: the checkpoint is deleted, the family replays the chain at the
+/// current fanout, and phase 1 and phase 2 answer as a fresh replica's
+/// do, byte for byte. The magic is read before anything else in the
+/// file, so rewriting it stands for a file written at 64.
+#[test]
+fn a_previous_format_checkpoint_is_replayed_and_agrees_with_a_fresh_replica() {
+    let (blocks, per_block) = (6, 2 * DEFAULT_FANOUT + 8);
+    let dir = std::env::temp_dir().join(format!("sebdb-auth-refanout-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = StoreConfig {
+        sync_writes: false,
+        ..StoreConfig::default()
+    };
+    let open = || BlockStore::open(&dir, config.clone()).unwrap();
+    let ledger = populated_on(open(), blocks, per_block);
+    assert!(ledger.checkpoint_indexes().unwrap() > 0);
+    drop(ledger);
+    let icps = || -> Vec<std::path::PathBuf> {
+        std::fs::read_dir(dir.join(INDEX_CHECKPOINT_DIR))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "icp"))
+            .collect()
+    };
+    for path in icps() {
+        let mut bytes = std::fs::read(&path).unwrap();
+        let end = bytes.len();
+        assert_eq!(&bytes[..8], INDEX_MAGIC);
+        bytes[..8].copy_from_slice(b"SEBDBIX6");
+        bytes[end - 8..].copy_from_slice(b"SEBDBIX6");
+        std::fs::write(&path, bytes).unwrap();
+    }
+    let reopened = Ledger::new(Arc::new(open()), MacKeypair::from_key([1; 32])).unwrap();
+    reopened
+        .create_layered_index(&donate_schema(), "amount", None)
+        .unwrap();
+    assert_eq!(icps(), Vec::<std::path::PathBuf>::new());
+
+    let fresh = populated_ledger(blocks, per_block);
+    let pred = amount_range(1_000, 100 * (5 * per_block as i64 - 10));
+    let serve = |ledger: &Ledger| {
+        let response =
+            serve_authenticated_query(ledger, Some("donate"), "amount", &pred, None).unwrap();
+        let h = response.vo.height;
+        let digest = serve_auxiliary_digest(ledger, Some("donate"), "amount", &pred, None, h);
+        (response, digest.unwrap())
+    };
+    let (response, digest) = serve(&reopened);
+    assert_eq!(response.vo.per_block.len(), 5);
+    assert!(response
+        .vo
+        .per_block
+        .iter()
+        .all(|b| b.proof.total > DEFAULT_FANOUT));
+    let (want, want_digest) = serve(&fresh);
+    assert_eq!(format!("{:?}", response.vo), format!("{:?}", want.vo));
+    assert_eq!(digest, want_digest);
+    // Either node's VO verifies against the other's digest.
+    ThinClient::new()
+        .verify(&pred, &response, &[want_digest, want_digest], 2)
+        .unwrap();
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
