@@ -68,14 +68,14 @@ echo "==> cargo test -q -p sebdb-model"
 cargo test -q -p sebdb-model
 
 # Second pass pinned to one worker: the relation-run map, the
-# `sync_writes` fsyncs and the staged applier must be observably
+# `sync_writes` fsyncs and the applier thread must be observably
 # equivalent to sequential execution (for the applier: to the direct
 # ledger path).
 echo "==> SEBDB_THREADS=1 cargo test -q"
 SEBDB_THREADS=1 cargo test -q
 
-# Staged-applier equivalence at 4 workers: every pipeline depth must
-# stay byte-identical and query-equivalent to the direct ledger path
+# Applier equivalence at 4 workers: the one applier thread must stay
+# byte-identical and query-equivalent to the direct ledger path
 # (`Ledger::append_ordered`, one block at a time on the caller's
 # thread) when the relation-run map and the `sync_writes` fsyncs
 # actually fan out (the threads=1 case is covered by the full-suite

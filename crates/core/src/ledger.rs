@@ -97,9 +97,10 @@ pub struct Ledger {
     signer: MacKeypair,
     tx_verifier: RwLock<Option<Box<TxVerifier>>>,
     /// Fully-applied height: blocks `0..applied` are persisted AND
-    /// indexed (schemas included, at the node layer). The write
-    /// pipeline persists ahead of this; readers never see a height
-    /// whose indexes are still being built.
+    /// indexed (schemas included, at the node layer). The store's
+    /// height runs ahead of it only inside a block's apply steps or
+    /// after a failed one; readers never see a height whose indexes
+    /// are still being built.
     ///
     /// The applied height carries the zero-cost [`Tracked`] marker:
     /// the pipeline model suite wraps the same state in the model
@@ -110,8 +111,9 @@ pub struct Ledger {
     height_watch: Mutex<()>,
     height_cv: Condvar,
     /// Fault-injection hook run before a block's indexes are built.
-    /// Concurrency tests use it to panic or park the indexer stage at
-    /// a precise block boundary; production paths never install one.
+    /// Concurrency tests use it to panic or park the applier's index
+    /// step at a precise block boundary; production paths never install
+    /// one.
     index_fault: RwLock<Option<Box<IndexFaultHook>>>,
     /// Automatic index-checkpoint cadence in blocks (`0` = disabled).
     checkpoint_every: AtomicU64,
@@ -176,7 +178,7 @@ impl Ledger {
         let replay_from = ledger.replay_floor().min(height);
         for bid in replay_from..height {
             let block = ledger.store.read(bid)?;
-            ledger.index_block(&block, &Self::relation_rows(&block));
+            ledger.index_block(&block);
         }
         if height > 0 {
             *ledger.last_hash.write() = ledger.store.read(height - 1)?.header.block_hash;
@@ -240,8 +242,9 @@ impl Ledger {
         self.applied.load(Ordering::Acquire)
     }
 
-    /// Persisted chain height (may run ahead of [`Self::height`] while
-    /// the write pipeline's indexer stage catches up).
+    /// Persisted chain height: ahead of [`Self::height`] only between
+    /// a block's persist and its index step, or after the applier
+    /// failed there.
     pub fn chain_height(&self) -> BlockId {
         self.store.height()
     }
@@ -286,8 +289,8 @@ impl Ledger {
     }
 
     /// Advances the applied height to `to` and wakes height waiters;
-    /// the pipeline's indexer runs it after [`Self::index_block`].
-    pub(crate) fn advance_applied(&self, to: BlockId) {
+    /// [`Self::apply_persisted`] runs it after [`Self::index_block`].
+    fn advance_applied(&self, to: BlockId) {
         let guard = self.height_watch.lock();
         if to > self.applied.load(Ordering::Acquire) {
             self.applied.store(to, Ordering::Release);
@@ -369,19 +372,7 @@ impl Ledger {
     /// transactions move into the sealed block instead of being
     /// copied, which matters at thousand-transaction block sizes.
     pub fn seal_ordered(&self, ordered: OrderedBlock) -> Result<Block, LedgerError> {
-        self.seal_ordered_at(self.tip_hash(), self.store.height(), ordered)
-    }
-
-    /// [`Self::seal_ordered`] against an explicit `(prev, height)` chain
-    /// position instead of the store's current tip. The three-stage
-    /// pipeline's sealer tracks its own chain cursor so it can seal
-    /// block *N+1* while the persister is still appending block *N*.
-    pub fn seal_ordered_at(
-        &self,
-        prev: Digest,
-        height: BlockId,
-        ordered: OrderedBlock,
-    ) -> Result<Block, LedgerError> {
+        let height = self.store.height();
         if ordered.seq != height {
             return Err(LedgerError::BadBlock(format!(
                 "ordered batch seq {} but chain height {height}",
@@ -389,7 +380,7 @@ impl Ledger {
             )));
         }
         Ok(Block::seal(
-            prev,
+            self.tip_hash(),
             height,
             ordered.timestamp_ms,
             ordered.txs,
@@ -413,23 +404,21 @@ impl Ledger {
 
     /// Appends an externally sealed block (e.g. received via gossip),
     /// verifying linkage, integrity, and (when a verifier is installed)
-    /// every transaction signature first. Runs both write stages —
-    /// persist then index — so the applied height advances before this
-    /// returns.
+    /// every transaction signature first. Persists, then runs the
+    /// post-persist step, so the applied height advances before this
+    /// returns; an error after the persist is the view fold's.
     pub fn append_block(&self, block: Block) -> Result<Arc<Block>, LedgerError> {
         let block = self.persist_block(block)?;
-        self.index_appended(&block);
+        self.apply_persisted(&block)?;
         Ok(block)
     }
 
-    /// Stage two of the write path (after [`Self::seal_ordered`]):
+    /// The persist step of the write path (after [`Self::seal_ordered`]):
     /// verifies linkage, integrity, and transaction signatures (in
     /// block order; the first failure names its `tid`), then
     /// appends the block to durable storage and advances the chain
     /// tip. Does NOT index and does NOT advance the applied height —
-    /// the caller must follow up with [`Self::index_appended`] (the
-    /// pipeline runs that on a separate thread, overlapped with
-    /// sealing the next block).
+    /// the caller must follow up with [`Self::index_appended`].
     pub fn persist_block(&self, block: Block) -> Result<Arc<Block>, LedgerError> {
         if block.header.prev_hash != self.tip_hash() {
             return Err(LedgerError::BadBlock(format!(
@@ -456,20 +445,13 @@ impl Ledger {
         Ok(Arc::new(block))
     }
 
-    /// Stage three of the write path: updates every index family for a
-    /// block previously appended via [`Self::persist_block`] — the
-    /// pipeline indexer's work, on the caller's thread — then advances
-    /// the applied height and wakes height waiters. Blocks must be
-    /// indexed in height order.
+    /// The post-persist step on a block previously appended via
+    /// [`Self::persist_block`], with a failed view fold reported on
+    /// stderr: a fold that cannot read the chain leaves the view stale,
+    /// and the serve path's catch-up surfaces the error to the query
+    /// that needs the rows. Blocks must be indexed in height order.
     pub fn index_appended(&self, block: &Block) {
-        self.index_block(block, &Self::relation_rows(block));
-        self.advance_applied(block.header.height + 1);
-        // Fold materialized views after the applied-height advance, so
-        // a view never observes a height above `height()`. Best-effort
-        // here: a fold that cannot read the chain leaves the view
-        // stale, and the serve path's catch-up surfaces the error to
-        // the query that needs the rows.
-        if let Err(e) = self.fold_views(block, None) {
+        if let Err(e) = self.apply_persisted(block) {
             eprintln!(
                 "sebdb: view fold failed at height {}: {e}",
                 block.header.height
@@ -477,39 +459,43 @@ impl Ledger {
         }
     }
 
+    /// The post-persist step the applier, [`Self::append_block`] and
+    /// [`Self::index_appended`] share: indexes the persisted `block`
+    /// into every family, advances the applied height and wakes height
+    /// waiters, then folds the block into the registered views — after
+    /// the advance, so a view never observes a height above
+    /// [`Self::height`]. Returns the fold's error.
+    pub(crate) fn apply_persisted(&self, block: &Block) -> Result<(), LedgerError> {
+        self.index_block(block);
+        self.advance_applied(block.header.height + 1);
+        self.fold_views(block)
+    }
+
     /// Installs (or clears) a fault-injection hook invoked with each
     /// block just before its indexes are built. Test instrumentation
-    /// for the pipeline's failure paths — a hook that panics simulates
-    /// an indexer-stage crash mid-block.
+    /// for the applier's failure paths — a hook that panics simulates
+    /// a crash in the index step mid-block.
     pub fn set_index_fault(&self, hook: Option<Box<IndexFaultHook>>) {
         *self.index_fault.write() = hook;
     }
 
-    /// Partitions a block's tuples by (lowercased) relation name:
-    /// `table → ascending tuple positions`. Computed once per block by
-    /// the pipeline's persist stage and shared (behind an `Arc`) by the
-    /// indexer and the view folder.
-    pub fn relation_rows(block: &Block) -> HashMap<String, Vec<u32>> {
+    /// Indexes `block` into every family: the one index step
+    /// [`Self::apply_persisted`] and the restart replay run. The block's
+    /// tuples are partitioned by (lowercased) relation once, so each
+    /// per-table family is handed exactly its rows; the system
+    /// (`None`-table) families walk every tuple. On a cadence boundary
+    /// each family freezes behind a checkpoint right after its update.
+    /// Blocks must arrive in height order; each family skips blocks it
+    /// already covers.
+    fn index_block(&self, block: &Block) {
+        if let Some(hook) = self.index_fault.read().as_ref() {
+            hook(block);
+        }
         let mut rows: HashMap<String, Vec<u32>> = HashMap::new();
         for (i, tx) in block.transactions.iter().enumerate() {
             rows.entry(tx.tname.to_ascii_lowercase())
                 .or_default()
                 .push(i as u32);
-        }
-        rows
-    }
-
-    /// Indexes `block` into every family: the one index step the
-    /// pipeline's indexer, [`Self::index_appended`] and the restart
-    /// replay run. `rows` is the block's [`Self::relation_rows`]: each
-    /// per-table family is handed exactly its rows, the system
-    /// (`None`-table) families walk every tuple. On a cadence boundary
-    /// each family freezes behind a checkpoint right after its update.
-    /// Blocks must arrive in height order; each family skips blocks it
-    /// already covers.
-    pub(crate) fn index_block(&self, block: &Block, rows: &HashMap<String, Vec<u32>>) {
-        if let Some(hook) = self.index_fault.read().as_ref() {
-            hook(block);
         }
         let checkpoint = self.checkpoint_due(block.header.height + 1);
         for ((table, _), family) in self.families() {
@@ -618,9 +604,9 @@ impl Ledger {
                 }
             }
         };
-        // Replay only applied blocks: a block the pipeline has persisted
-        // but not yet indexed will reach the new index through
-        // `index_appended` once it is registered below. (Index creation
+        // Replay only applied blocks: a block the applier has persisted
+        // but not yet indexed will reach the new index through its
+        // index step once it is registered below. (Index creation
         // is a control-plane operation; callers run it with the applier
         // quiescent, as before.) The frozen prefix is not replayed.
         for bid in index.covered()..self.height() {
@@ -681,8 +667,8 @@ impl Ledger {
     /// (conservative), or all blocks when `window` is `None`.
     pub fn window_mask(&self, window: Option<(Timestamp, Timestamp)>) -> Bitmap {
         // Scans are bounded by the applied height: a persisted block
-        // whose indexes are still being built is invisible until the
-        // indexer stage finishes it, so every strategy (scan, bitmap,
+        // whose indexes are still being built is invisible until its
+        // index step finishes, so every strategy (scan, bitmap,
         // layered) answers over the same prefix of the chain.
         self.window_mask_at(window, self.height())
     }
@@ -949,8 +935,8 @@ mod tests {
             let store = Arc::new(BlockStore::open(&dir.0, cfg.clone()).unwrap());
             let l = Ledger::new(store, signer()).unwrap();
             l.append_ordered(ordered(0, &[10])).unwrap();
-            // Simulate the applier dying between the persist and index
-            // stages: block 1 reaches the store but no index family.
+            // Simulate the applier dying between its persist and index
+            // steps: block 1 reaches the store but no index family.
             let sealed = l.seal_ordered(ordered(1, &[20, 30])).unwrap();
             l.persist_block(sealed).unwrap();
             assert_eq!((l.chain_height(), l.height()), (2, 1));

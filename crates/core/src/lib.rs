@@ -40,9 +40,7 @@ pub use contract::{Contract, ContractError, ContractRegistry};
 pub use executor::{ExecError, Executor, QueryResult, Strategy};
 pub use ledger::{Ledger, LedgerError};
 pub use node::{ExecOutcome, NodeError, SebdbNode};
-pub use pipeline::{
-    auto_applier_lanes, auto_pipeline_depth, ApplierHealth, ApplyPipeline, DEFAULT_PIPELINE_DEPTH,
-};
+pub use pipeline::{auto_applier_lanes, auto_pipeline_depth, ApplierHealth, ApplyPipeline};
 pub use schema_mgr::{SchemaManager, SCHEMA_TABLE};
 pub use thin_client::{
     byzantine_risk, serve_authenticated_join, serve_authenticated_query, serve_auxiliary_digest,

@@ -9,7 +9,7 @@
 use crate::access::{AccessController, Permission};
 use crate::executor::{ExecError, Executor, QueryResult, Strategy};
 use crate::ledger::Ledger;
-use crate::pipeline::{auto_pipeline_depth, ApplierHealth, ApplyPipeline};
+use crate::pipeline::{ApplierHealth, ApplyPipeline};
 use crate::schema_mgr::SchemaManager;
 use parking_lot::RwLock;
 use sebdb_consensus::traits::now_ms;
@@ -37,8 +37,8 @@ pub enum NodeError {
     Denied(crate::access::AccessDenied),
     /// Write acknowledged but not yet applied within the timeout.
     ApplyTimeout,
-    /// The applier pipeline died; the chain will not advance until the
-    /// node restarts. Carries the stage error that killed it.
+    /// The applier died; the chain will not advance until the
+    /// node restarts. Carries the step error that killed it.
     ApplierDead(String),
     /// Anything else.
     Other(String),
@@ -52,7 +52,7 @@ impl std::fmt::Display for NodeError {
             NodeError::Consensus(e) => write!(f, "{e}"),
             NodeError::Denied(e) => write!(f, "{e}"),
             NodeError::ApplyTimeout => write!(f, "write committed but not applied in time"),
-            NodeError::ApplierDead(m) => write!(f, "applier pipeline dead: {m}"),
+            NodeError::ApplierDead(m) => write!(f, "applier dead: {m}"),
             NodeError::Other(m) => f.write_str(m),
         }
     }
@@ -124,21 +124,19 @@ pub struct SebdbNode {
 
 impl SebdbNode {
     /// Starts a node: subscribes to the consensus stream and begins
-    /// applying ordered blocks to the ledger and schema catalog through
-    /// the staged write pipeline — four threads, `sealer`, `persister`,
-    /// `indexer` and `view-folder` — its depth derived from the host's
-    /// core count ([`auto_pipeline_depth`]). Sealing block N overlaps
-    /// indexing block N−1 at every depth. The persist stage
-    /// additionally fans each block's tuples across the store's
-    /// per-relation partition segments (`StoreConfig::partitions`),
-    /// committed by a single chain-order manifest record.
+    /// applying ordered blocks to the ledger and schema catalog on one
+    /// applier thread ([`ApplyPipeline`]): each block is sealed,
+    /// persisted — its tuples routed to the store's per-relation
+    /// partition segments (`StoreConfig::partitions`), committed by a
+    /// single chain-order manifest record — then its schemas applied,
+    /// its indexes built and its views folded, in the direct
+    /// `Ledger::append_ordered` path's order.
     pub fn start(
         store: Arc<BlockStore>,
         consensus: Arc<dyn Consensus>,
         offchain: Option<OffchainConnection>,
         identity: MacKeypair,
     ) -> Result<Arc<Self>, NodeError> {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let ledger = Arc::new(
             Ledger::new(store, identity.clone()).map_err(|e| NodeError::Other(e.to_string()))?,
         );
@@ -150,7 +148,6 @@ impl SebdbNode {
             Arc::clone(&schemas),
             consensus.subscribe(),
             Arc::clone(&stopped),
-            auto_pipeline_depth(cores),
         );
         let health = Arc::clone(pipeline.health());
 
@@ -354,7 +351,7 @@ impl SebdbNode {
         if reached {
             Ok(())
         } else if let Some(err) = health.error() {
-            // Fail fast with the stage error instead of burning the
+            // Fail fast with the step error instead of burning the
             // full apply timeout against a dead applier.
             Err(NodeError::ApplierDead(err.to_string()))
         } else {
@@ -370,7 +367,7 @@ impl SebdbNode {
             .wait_for_height(height, Instant::now() + timeout, || health.is_poisoned())
     }
 
-    /// Stops the applier pipeline.
+    /// Stops the applier.
     pub fn shutdown(&self) {
         self.stopped.store(true, Ordering::Relaxed);
         if let Some(mut p) = self.pipeline.lock().take() {

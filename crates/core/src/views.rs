@@ -20,13 +20,11 @@
 //! after every block by `tests/view_equivalence.rs` and on every
 //! interleaving by the model twin (`sebdb-model`'s `view_model.rs`).
 //!
-//! Position in the write path: the staged pipeline folds from a
-//! dedicated **view-folder** consumer downstream of the indexer —
-//! it waits for [`Ledger::height`] to cover a block before folding it,
-//! so a view never observes a height above the applied height. The
-//! direct ledger path folds inline at the end of
-//! [`Ledger::index_appended`], after the applied-height advance, with
-//! the same guarantee.
+//! Position in the write path: the fold is the last part of the
+//! post-persist step the applier and the direct ledger path share
+//! (index, advance the applied height, fold), so a block is folded
+//! right after [`Ledger::height`] covers it, on the same thread, and a
+//! view never observes a height above the applied height.
 //!
 //! Restart story: only the registrations persist (a versioned byte
 //! encoding behind the store's `.tmp` → rename commit point); rows are
@@ -43,7 +41,6 @@ use parking_lot::RwLock;
 use sebdb_parallel::Tracked;
 use sebdb_sql::TraceSpec;
 use sebdb_types::{Block, BlockId, Decoder, Encoder, Transaction, TypeError, Value};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -261,40 +258,18 @@ fn matches(spec: &TraceSpec, tx: &Transaction) -> bool {
     }
 }
 
-/// Appends `block`'s delta to `state.rows` and advances the fold
-/// cursor. With an operation dimension and the persist stage's
-/// relation→rows partition at hand, only that relation's tuple
-/// positions are visited (the same partition the indexer consumes);
-/// otherwise the block's tuples are walked.
+/// Appends `block`'s delta — its tuples that [`matches`] keeps, in
+/// block order — to `state.rows` and advances the fold cursor.
 /// Returns the number of rows appended.
-fn fold_delta(
-    state: &mut ViewState,
-    spec: &TraceSpec,
-    block: &Block,
-    rows: Option<&HashMap<String, Vec<u32>>>,
-) -> u64 {
+fn fold_delta(state: &mut ViewState, spec: &TraceSpec, block: &Block) -> u64 {
     debug_assert_eq!(
         state.folded, block.header.height,
         "fold must be contiguous in height"
     );
     let before = state.rows.len();
-    match (spec.operation.as_deref(), rows) {
-        (Some(t), Some(map)) => {
-            if let Some(positions) = map.get(t) {
-                for &i in positions {
-                    let tx = &block.transactions[i as usize];
-                    if matches(spec, tx) {
-                        state.rows.push(crate::executor::materialize(tx));
-                    }
-                }
-            }
-        }
-        _ => {
-            for tx in &block.transactions {
-                if matches(spec, tx) {
-                    state.rows.push(crate::executor::materialize(tx));
-                }
-            }
+    for tx in &block.transactions {
+        if matches(spec, tx) {
+            state.rows.push(crate::executor::materialize(tx));
         }
     }
     state.folded = block.header.height + 1;
@@ -355,7 +330,7 @@ impl Ledger {
 
     /// Serves a `TRACE` whose spec matches a registered view: catches
     /// the view up to the applied height (healing any staleness from a
-    /// crash, restart, or stopped pipeline), then clones the
+    /// crash, restart, or stopped applier), then clones the
     /// materialized rows — zero index probes. `None` when no view
     /// matches `spec`.
     pub fn serve_trace_view(&self, spec: &TraceSpec) -> Result<Option<QueryResult>, LedgerError> {
@@ -381,21 +356,14 @@ impl Ledger {
         self.trace_views().matching(spec).map(|v| v.folded())
     }
 
-    /// Folds one applied block into every registered view. Callers
-    /// guarantee the block is at or below the applied height (the
-    /// direct ledger path calls this after the applied-height advance;
-    /// the pipeline's view-folder stage waits on
-    /// [`Ledger::wait_for_height`] first), so a view's cursor never
-    /// runs ahead of [`Ledger::height`]. Idempotent per block: a block
-    /// below a view's cursor is skipped, so a re-fold after a healed
-    /// crash is harmless. A gap (view registered mid-stream before its
+    /// Folds one applied block into every registered view. The
+    /// post-persist step calls this after the applied-height advance,
+    /// so a view's cursor never runs ahead of [`Ledger::height`].
+    /// Idempotent per block: a block below a view's cursor is skipped,
+    /// so a re-fold after a healed crash is harmless. A gap (view registered mid-stream before its
     /// registry insert was visible to this path) is closed by catching
     /// up from the store.
-    pub(crate) fn fold_views(
-        &self,
-        block: &Block,
-        rows: Option<&HashMap<String, Vec<u32>>>,
-    ) -> Result<(), LedgerError> {
+    pub(crate) fn fold_views(&self, block: &Block) -> Result<(), LedgerError> {
         if self.trace_views().is_empty() {
             return Ok(());
         }
@@ -414,7 +382,7 @@ impl Ledger {
             if state.folded < height {
                 self.catch_up_locked(view.spec(), &mut state, height)?;
             }
-            let delta = fold_delta(&mut state, view.spec(), block, rows);
+            let delta = fold_delta(&mut state, view.spec(), block);
             let stats = self.trace_views().stats();
             stats.refreshes.fetch_add(1, Ordering::Relaxed);
             stats.delta_rows.fetch_add(delta, Ordering::Relaxed);
@@ -432,7 +400,7 @@ impl Ledger {
     ) -> Result<(), LedgerError> {
         while state.folded < target {
             let block = self.read_block(state.folded)?;
-            let delta = fold_delta(state, spec, &block, None);
+            let delta = fold_delta(state, spec, &block);
             let stats = self.trace_views().stats();
             stats.refreshes.fetch_add(1, Ordering::Relaxed);
             stats.delta_rows.fetch_add(delta, Ordering::Relaxed);

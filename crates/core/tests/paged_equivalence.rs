@@ -5,8 +5,8 @@
 //! index-block cache — must be an invisible representation change:
 //! every query suite (point, range, tracking, join) answers
 //! byte-identically to the fully-resident reference (no checkpoints,
-//! the `cache=∞` configuration), at pipeline depths 2 and 4, with a
-//! cold and a warm index-block cache, and across a restart that
+//! the `cache=∞` configuration), behind a roomy and a tiny index-block
+//! cache, cold and warm, and across a restart that
 //! replays only the tail behind the newest checkpoints.
 //!
 //! CI drives this suite at both `SEBDB_THREADS=1` and `SEBDB_THREADS=4`.
@@ -83,11 +83,10 @@ fn mixed_blocks(count: u64) -> Vec<OrderedBlock> {
 }
 
 /// Drives `blocks` through an [`ApplyPipeline`] over `store` with the
-/// given depth and index-checkpoint cadence (`0` = never checkpoint —
-/// the fully-resident reference).
+/// given index-checkpoint cadence (`0` = never checkpoint — the
+/// fully-resident reference).
 fn run_pipeline_on(
     store: Arc<BlockStore>,
-    depth: usize,
     checkpoint_every: u64,
     blocks: &[OrderedBlock],
 ) -> (Arc<Ledger>, Arc<SchemaManager>) {
@@ -101,7 +100,6 @@ fn run_pipeline_on(
         Arc::clone(&schemas),
         rx,
         Arc::clone(&stopped),
-        depth,
     );
     for b in blocks {
         tx.send(b.clone()).unwrap();
@@ -112,7 +110,7 @@ fn run_pipeline_on(
             Instant::now() + Duration::from_secs(60),
             || pipe.health().is_poisoned()
         ),
-        "pipeline depth {depth} never applied all blocks: {:?}",
+        "the applier never applied all blocks: {:?}",
         pipe.health().error()
     );
     stopped.store(true, Ordering::Relaxed);
@@ -249,16 +247,15 @@ fn index_amount(ledger: &Ledger, schemas: &SchemaManager) {
 }
 
 /// Core acceptance: paged (mid-chain checkpoints, bounded cache)
-/// equals resident (no checkpoints) byte for byte, at pipeline `depth`,
-/// cold and warm cache, and across a restart.
-fn paged_matches_resident(depth: usize, cache_blocks: usize) {
+/// equals resident (no checkpoints) byte for byte, behind a cache of
+/// `cache_blocks` index blocks, cold and warm, and across a restart.
+fn paged_matches_resident(cache_blocks: usize) {
     let blocks = mixed_blocks(BLOCKS);
 
-    // Reference: sequential, and fully resident because nothing ever
-    // checkpoints it (cadence 0, no `checkpoint_indexes`).
+    // Reference: fully resident because nothing ever checkpoints it
+    // (cadence 0, no `checkpoint_indexes`).
     let (ref_ledger, ref_schemas) = run_pipeline_on(
         Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
-        1,
         0,
         &blocks,
     );
@@ -268,7 +265,7 @@ fn paged_matches_resident(depth: usize, cache_blocks: usize) {
 
     // Paged: checkpoint cadence, bounded index-block cache.
     let dir = std::env::temp_dir().join(format!(
-        "sebdb-pagedeq-d{depth}-c{cache_blocks}-{}",
+        "sebdb-pagedeq-c{cache_blocks}-{}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -279,12 +276,12 @@ fn paged_matches_resident(depth: usize, cache_blocks: usize) {
     };
     {
         let store = Arc::new(BlockStore::open(&dir, cfg.clone()).unwrap());
-        let (ledger, schemas) = run_pipeline_on(store, depth, CHECKPOINT_EVERY, &blocks);
+        let (ledger, schemas) = run_pipeline_on(store, CHECKPOINT_EVERY, &blocks);
         for bid in 0..BLOCKS {
             assert_eq!(
                 ref_ledger.read_block(bid).unwrap().to_bytes(),
                 ledger.read_block(bid).unwrap().to_bytes(),
-                "block {bid} differs (depth {depth})"
+                "block {bid} differs (cache {cache_blocks})"
             );
         }
         index_amount(&ledger, &schemas);
@@ -326,7 +323,7 @@ fn paged_matches_resident(depth: usize, cache_blocks: usize) {
     let (cold_hits, cold_misses) = store.stats.index_cache_counts();
     assert!(
         cold_misses > 0,
-        "cold suites never paged an index block (depth {depth})"
+        "cold suites never paged an index block (cache {cache_blocks})"
     );
     assert_suites_match(
         &reference,
@@ -336,7 +333,7 @@ fn paged_matches_resident(depth: usize, cache_blocks: usize) {
     let (warm_hits, _) = store.stats.index_cache_counts();
     assert!(
         warm_hits > cold_hits,
-        "warm suites never hit the index-block cache (depth {depth})"
+        "warm suites never hit the index-block cache (cache {cache_blocks})"
     );
     // The cache tier stays within its configured bound.
     assert!(
@@ -348,14 +345,14 @@ fn paged_matches_resident(depth: usize, cache_blocks: usize) {
 
 #[test]
 fn paged_indexes_match_resident_reference_depth2() {
-    paged_matches_resident(2, 1024);
+    paged_matches_resident(1024);
 }
 
 #[test]
 fn paged_indexes_match_resident_reference_depth4_tiny_cache() {
     // An eviction-heavy cache (8 blocks across 8 shards) must only be
     // slower, never different.
-    paged_matches_resident(4, 8);
+    paged_matches_resident(8);
 }
 
 /// O(1)-open contract: with up-to-date checkpoints the restart replays
@@ -372,7 +369,7 @@ fn open_replays_only_the_tail_behind_checkpoints() {
     };
     {
         let store = Arc::new(BlockStore::open(&dir, cfg.clone()).unwrap());
-        let (ledger, _) = run_pipeline_on(store, 2, CHECKPOINT_EVERY, &blocks);
+        let (ledger, _) = run_pipeline_on(store, CHECKPOINT_EVERY, &blocks);
         // Freeze the complete state so the replayed tail is empty.
         ledger.checkpoint_indexes().unwrap();
     }

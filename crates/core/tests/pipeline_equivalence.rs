@@ -1,11 +1,11 @@
-//! Staged-applier equivalence against the direct ledger path.
+//! Applier equivalence against the direct ledger path.
 //!
-//! The acceptance bar for the one applier: every depth of
-//! [`ApplyPipeline`], 1 included, must produce
-//! byte-identical blocks and identical `QueryResult`s to
+//! The acceptance bar for the applier thread ([`ApplyPipeline`]): it
+//! must produce byte-identical blocks and identical `QueryResult`s to
 //! `Ledger::append_ordered` + `SchemaManager::apply_block` run one
-//! block at a time on the caller's thread. Plus the
-//! crash-at-stage-boundary and dead-applier failure modes.
+//! block at a time on the caller's thread, over the unpartitioned and
+//! the 8-way partitioned store. Plus the crash-between-steps and
+//! dead-applier failure modes.
 
 use sebdb::{ApplyPipeline, Executor, Ledger, NodeError, SchemaManager, SebdbNode, Strategy};
 use sebdb_consensus::{BatchConfig, KafkaOrderer, OrderedBlock};
@@ -74,21 +74,10 @@ fn mixed_blocks(count: u64) -> Vec<OrderedBlock> {
         .collect()
 }
 
-/// Drives `blocks` through an [`ApplyPipeline`] of the given depth
-/// over a fresh ledger; returns the ledger and schema catalog once
-/// everything is applied.
-fn run_pipeline(depth: usize, blocks: &[OrderedBlock]) -> (Arc<Ledger>, Arc<SchemaManager>) {
-    run_pipeline_on(
-        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
-        depth,
-        blocks,
-    )
-}
-
-/// [`run_pipeline`] over an explicit store.
+/// Drives `blocks` through an [`ApplyPipeline`] over `store`; returns
+/// the ledger and schema catalog once everything is applied.
 fn run_pipeline_on(
     store: Arc<BlockStore>,
-    depth: usize,
     blocks: &[OrderedBlock],
 ) -> (Arc<Ledger>, Arc<SchemaManager>) {
     let ledger = Arc::new(Ledger::new(store, signer()).unwrap());
@@ -100,7 +89,6 @@ fn run_pipeline_on(
         Arc::clone(&schemas),
         rx,
         Arc::clone(&stopped),
-        depth,
     );
     for b in blocks {
         tx.send(b.clone()).unwrap();
@@ -111,7 +99,7 @@ fn run_pipeline_on(
             Instant::now() + Duration::from_secs(30),
             || pipe.health().is_poisoned()
         ),
-        "pipeline depth {depth} never applied all blocks: {:?}",
+        "the applier never applied all blocks: {:?}",
         pipe.health().error()
     );
     stopped.store(true, Ordering::Relaxed);
@@ -151,87 +139,80 @@ fn range_query(schema: TableSchema) -> LogicalPlan {
     }
 }
 
-/// The one-core shape (depth 1) and a deep one (depth 4) against the
-/// direct path on the 120-block mixed DDL/insert workload, under the
-/// ambient `SEBDB_THREADS` cap: CI runs this suite at caps 1 and 4,
-/// covering the depth × threads matrix.
+/// The applier against the direct path on the 120-block mixed
+/// DDL/insert workload, under the ambient `SEBDB_THREADS` cap: CI runs
+/// this suite at caps 1 and 4.
 #[test]
 fn pipelined_apply_is_byte_identical_and_query_equivalent() {
     let blocks = mixed_blocks(120);
     let (direct_ledger, direct_schemas) = run_direct(&blocks);
     assert_eq!(direct_ledger.height(), 120);
     direct_ledger.verify_chain().unwrap();
+    let (pipe_ledger, pipe_schemas) = run_pipeline_on(
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
+        &blocks,
+    );
+    assert_eq!(pipe_ledger.height(), 120);
+    assert_eq!(direct_ledger.tip_hash(), pipe_ledger.tip_hash());
+    for bid in 0..120 {
+        let a = direct_ledger.read_block(bid).unwrap();
+        let b = pipe_ledger.read_block(bid).unwrap();
+        assert_eq!(a.to_bytes(), b.to_bytes(), "block {bid} differs");
+    }
+    pipe_ledger.verify_chain().unwrap();
+
+    // Both catalogs saw every CREATE.
+    for t in 0..12 {
+        let name = format!("donate{t}");
+        assert!(
+            direct_schemas.get(&name).is_some(),
+            "{name} missing (direct)"
+        );
+        assert!(
+            pipe_schemas.get(&name).is_some(),
+            "{name} missing (applier)"
+        );
+    }
+
     // A per-table layered index built on each ledger (control-plane,
-    // applier quiescent) answers identically too.
+    // applier quiescent) answers identically too: identical
+    // QueryResults across strategies and operators.
     let schema = direct_schemas.get("donate3").unwrap();
-    direct_ledger
-        .create_layered_index(&schema, "amount", None)
-        .unwrap();
+    for ledger in [&direct_ledger, &pipe_ledger] {
+        ledger
+            .create_layered_index(&schema, "amount", None)
+            .unwrap();
+    }
     let direct_exec = Executor::new(&direct_ledger, None);
+    let pipe_exec = Executor::new(&pipe_ledger, None);
+    for strat in [Strategy::Scan, Strategy::Bitmap, Strategy::Layered] {
+        let a = direct_exec
+            .execute(&range_query(schema.clone()), strat)
+            .unwrap();
+        let b = pipe_exec
+            .execute(&range_query(schema.clone()), strat)
+            .unwrap();
+        assert_eq!(a, b, "{strat:?} range query diverged");
+        assert!(!a.is_empty());
+    }
     let trace = LogicalPlan::Trace {
         window: None,
         operator: Some(Value::Bytes(SENDER.as_bytes().to_vec())),
         operation: None,
     };
-
-    for depth in [1, 4] {
-        let (pipe_ledger, pipe_schemas) = run_pipeline(depth, &blocks);
-        assert_eq!(pipe_ledger.height(), 120);
-        assert_eq!(direct_ledger.tip_hash(), pipe_ledger.tip_hash());
-        for bid in 0..120 {
-            let a = direct_ledger.read_block(bid).unwrap();
-            let b = pipe_ledger.read_block(bid).unwrap();
-            assert_eq!(
-                a.to_bytes(),
-                b.to_bytes(),
-                "depth {depth}: block {bid} differs"
-            );
-        }
-        pipe_ledger.verify_chain().unwrap();
-
-        // Both catalogs saw every CREATE.
-        for t in 0..12 {
-            let name = format!("donate{t}");
-            assert!(
-                direct_schemas.get(&name).is_some(),
-                "{name} missing (direct)"
-            );
-            assert!(
-                pipe_schemas.get(&name).is_some(),
-                "{name} missing (depth {depth})"
-            );
-        }
-
-        // Identical QueryResults across strategies and operators.
-        pipe_ledger
-            .create_layered_index(&schema, "amount", None)
-            .unwrap();
-        let pipe_exec = Executor::new(&pipe_ledger, None);
-        for strat in [Strategy::Scan, Strategy::Bitmap, Strategy::Layered] {
-            let a = direct_exec
-                .execute(&range_query(schema.clone()), strat)
-                .unwrap();
-            let b = pipe_exec
-                .execute(&range_query(schema.clone()), strat)
-                .unwrap();
-            assert_eq!(a, b, "depth {depth}: {strat:?} range query diverged");
-            assert!(!a.is_empty());
-        }
-        let a = direct_exec.execute(&trace, Strategy::Layered).unwrap();
-        let b = pipe_exec.execute(&trace, Strategy::Layered).unwrap();
-        assert_eq!(a, b, "depth {depth}: trace diverged");
-        // Provenance tracking covers the application tables' inserts
-        // (the schema-sync rows live in the reserved catalog table).
-        assert_eq!(a.len(), 120 * 5);
-    }
+    let a = direct_exec.execute(&trace, Strategy::Layered).unwrap();
+    let b = pipe_exec.execute(&trace, Strategy::Layered).unwrap();
+    assert_eq!(a, b, "trace diverged");
+    // Provenance tracking covers the application tables' inserts
+    // (the schema-sync rows live in the reserved catalog table).
+    assert_eq!(a.len(), 120 * 5);
 }
 
-/// Tentpole acceptance for the partitioned layout: pipeline depth ×
-/// storage partitions must be invisible. Depth-1 and depth-4
-/// pipelines persisting to the unpartitioned and the 8-way
-/// partitioned disk layouts produce byte-identical blocks and
-/// identical `QueryResult`s to the direct ledger path over the
-/// unpartitioned (partitions = 1) layout.
+/// Storage partitions must be invisible: the applier persisting to
+/// the unpartitioned and the 8-way partitioned disk layouts produces
+/// byte-identical blocks and identical `QueryResult`s to the direct
+/// ledger path over the unpartitioned (partitions = 1) layout. (The
+/// name keeps its old "depths" axis; the applier has one depth now.)
 #[test]
 fn depths_by_partitions_match_sequential_reference() {
     let blocks = mixed_blocks(60);
@@ -254,35 +235,33 @@ fn depths_by_partitions_match_sequential_reference() {
         operator: Some(Value::Bytes(SENDER.as_bytes().to_vec())),
         operation: None,
     };
-    for depth in [1, 4] {
-        for partitions in [1, 8] {
-            let shape = format!("depth {depth} x partitions {partitions}");
-            let (par_ledger, par_schemas) = run_pipeline_on(store(partitions), depth, &blocks);
-            assert_eq!(par_ledger.height(), 60);
-            assert_eq!(ref_ledger.tip_hash(), par_ledger.tip_hash());
-            for bid in 0..60 {
-                let a = ref_ledger.read_block(bid).unwrap();
-                let b = par_ledger.read_block(bid).unwrap();
-                assert_eq!(a.to_bytes(), b.to_bytes(), "{shape}: block {bid} differs");
-            }
-            par_ledger.verify_chain().unwrap();
-            assert!(par_schemas.get("donate3").is_some());
-
-            let par_exec = Executor::new(&par_ledger, None);
-            for strat in [Strategy::Scan, Strategy::Bitmap] {
-                let a = ref_exec
-                    .execute(&range_query(schema.clone()), strat)
-                    .unwrap();
-                let b = par_exec
-                    .execute(&range_query(schema.clone()), strat)
-                    .unwrap();
-                assert_eq!(a, b, "{shape}: {strat:?} diverged");
-                assert!(!a.is_empty());
-            }
-            let a = ref_exec.execute(&trace, Strategy::Layered).unwrap();
-            let b = par_exec.execute(&trace, Strategy::Layered).unwrap();
-            assert_eq!(a, b, "{shape}: trace diverged");
+    for partitions in [1, 8] {
+        let shape = format!("partitions {partitions}");
+        let (par_ledger, par_schemas) = run_pipeline_on(store(partitions), &blocks);
+        assert_eq!(par_ledger.height(), 60);
+        assert_eq!(ref_ledger.tip_hash(), par_ledger.tip_hash());
+        for bid in 0..60 {
+            let a = ref_ledger.read_block(bid).unwrap();
+            let b = par_ledger.read_block(bid).unwrap();
+            assert_eq!(a.to_bytes(), b.to_bytes(), "{shape}: block {bid} differs");
         }
+        par_ledger.verify_chain().unwrap();
+        assert!(par_schemas.get("donate3").is_some());
+
+        let par_exec = Executor::new(&par_ledger, None);
+        for strat in [Strategy::Scan, Strategy::Bitmap] {
+            let a = ref_exec
+                .execute(&range_query(schema.clone()), strat)
+                .unwrap();
+            let b = par_exec
+                .execute(&range_query(schema.clone()), strat)
+                .unwrap();
+            assert_eq!(a, b, "{shape}: {strat:?} diverged");
+            assert!(!a.is_empty());
+        }
+        let a = ref_exec.execute(&trace, Strategy::Layered).unwrap();
+        let b = par_exec.execute(&trace, Strategy::Layered).unwrap();
+        assert_eq!(a, b, "{shape}: trace diverged");
     }
 }
 
@@ -294,7 +273,7 @@ fn crash_between_stages_restarts_consistent_and_pipeline_continues() {
     let blocks = mixed_blocks(20);
     {
         // Apply the first 10 blocks normally, then die between the
-        // persist and index stages of block 10.
+        // persist and index steps of block 10.
         let store = Arc::new(BlockStore::open(&dir, cfg.clone()).unwrap());
         let l = Ledger::new(store, signer()).unwrap();
         let schemas = SchemaManager::new(None);
@@ -307,7 +286,7 @@ fn crash_between_stages_restarts_consistent_and_pipeline_continues() {
         assert_eq!((l.chain_height(), l.height()), (11, 10));
         // "Crash": the ledger drops with block 10 persisted, unindexed.
     }
-    // Restart: replay heals the index gap, then the pipeline applies
+    // Restart: replay heals the index gap, then the applier applies
     // the rest. The result must match a crash-free direct run.
     let store = Arc::new(BlockStore::open(&dir, cfg).unwrap());
     let ledger = Arc::new(Ledger::new(store, signer()).unwrap());
@@ -323,7 +302,6 @@ fn crash_between_stages_restarts_consistent_and_pipeline_continues() {
         Arc::clone(&schemas),
         rx,
         Arc::clone(&stopped),
-        3,
     );
     for b in &blocks[11..] {
         tx.send(b.clone()).unwrap();
@@ -352,8 +330,8 @@ fn crash_between_stages_restarts_consistent_and_pipeline_continues() {
 #[test]
 fn dead_applier_fails_fast_with_descriptive_error() {
     // Pre-populate the store so the node's chain starts at height 1
-    // while the fresh ordering service emits seq 0: the sealer rejects
-    // the gap, poisons the pipeline, and writers must fail fast with
+    // while the fresh ordering service emits seq 0: the seal step
+    // rejects the gap, poisons the applier, and writers must fail fast with
     // ApplierDead instead of burning the 10 s apply timeout.
     let store = Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap());
     {
@@ -368,7 +346,7 @@ fn dead_applier_fails_fast_with_descriptive_error() {
     // The first write's awaited height (seq 0 applied ⇒ height 1) is
     // already satisfied by the pre-existing block, so it may race the
     // poison and "succeed" against the stale chain — either outcome is
-    // acceptable here. The sealer is dead afterwards regardless.
+    // acceptable here. The applier is dead afterwards regardless.
     let _ = node.execute("CREATE TABLE quick (x INT)", &[]);
     let started = Instant::now();
     let err = node

@@ -4,8 +4,8 @@
 //! same (chain) order — across the backfill→incremental seam, a
 //! restart (views re-backfill from their persisted registration), a
 //! crash between persist and view-fold (replay heals, the view
-//! re-folds idempotently), and under the staged pipeline's view-folder
-//! consumer.
+//! re-folds idempotently), and under the applier thread, which folds
+//! exactly as the direct ledger path does.
 
 use sebdb::{ApplyPipeline, Executor, Ledger, QueryResult, SchemaManager, Strategy};
 use sebdb_consensus::OrderedBlock;
@@ -240,6 +240,32 @@ fn crash_between_persist_and_fold_heals_on_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runs `blocks` through an [`ApplyPipeline`] over `ledger`, calling
+/// `between` once the first `pause` are applied, then stops it.
+fn run_applier(ledger: &Arc<Ledger>, blocks: u64, pause: u64, between: impl FnOnce()) {
+    let schemas = Arc::new(SchemaManager::new(None));
+    let stopped = Arc::new(AtomicBool::new(false));
+    let (tx, rx) = crossbeam::channel::unbounded();
+    let mut pipe = ApplyPipeline::start(Arc::clone(ledger), schemas, rx, Arc::clone(&stopped));
+    let mut between = Some(between);
+    for (start, end) in [(0, pause), (pause, blocks)] {
+        for seq in start..end {
+            tx.send(mixed_block(seq)).unwrap();
+        }
+        assert!(
+            ledger.wait_for_height(end, Instant::now() + Duration::from_secs(30), || pipe
+                .health()
+                .is_poisoned())
+        );
+        if let Some(f) = between.take() {
+            f();
+        }
+    }
+    stopped.store(true, Ordering::Relaxed);
+    drop(tx);
+    pipe.join();
+}
+
 #[test]
 fn pipeline_view_folder_folds_behind_the_indexer() {
     let ledger = Arc::new(
@@ -251,44 +277,50 @@ fn pipeline_view_folder_folds_behind_the_indexer() {
     );
     let v1 = TraceSpec::new(None, None, Some("donate"));
     ledger.register_trace_view(v1.clone()).unwrap();
-
-    let schemas = Arc::new(SchemaManager::new(None));
-    let stopped = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = crossbeam::channel::unbounded();
-    let mut pipe = ApplyPipeline::start(Arc::clone(&ledger), schemas, rx, Arc::clone(&stopped), 3);
-    for seq in 0..15u64 {
-        tx.send(mixed_block(seq)).unwrap();
-    }
-    assert!(
-        ledger.wait_for_height(15, Instant::now() + Duration::from_secs(30), || pipe
-            .health()
-            .is_poisoned())
-    );
-    // Mid-stream registration under a live pipeline: the backfill seam
+    // Mid-stream registration under a live applier: the backfill seam
     // races real folds and must still agree.
     let v2 = TraceSpec::new(None, Some(ORG2.0), None);
-    ledger.register_trace_view(v2.clone()).unwrap();
-    for seq in 15..30u64 {
-        tx.send(mixed_block(seq)).unwrap();
-    }
-    assert!(
-        ledger.wait_for_height(30, Instant::now() + Duration::from_secs(30), || pipe
-            .health()
-            .is_poisoned())
-    );
-    stopped.store(true, Ordering::Relaxed);
-    drop(tx);
-    pipe.join();
+    run_applier(&ledger, 30, 15, || {
+        ledger.register_trace_view(v2.clone()).unwrap();
+    });
 
-    // The folder stage (not the serve path) brought both views to the
-    // tip: the cursors are final before any serve-time catch-up runs.
+    // The applier (not the serve path) brought both views to the tip:
+    // the cursors are final before any serve-time catch-up runs.
     assert_eq!(ledger.trace_view_folded(&v1), Some(30));
     assert_eq!(ledger.trace_view_folded(&v2), Some(30));
     assert_view_equivalent(&ledger, &v1, "after pipeline");
     assert_view_equivalent(&ledger, &v2, "after pipeline");
     let (backfills, refreshes, ..) = ledger.trace_views().stats().snapshot();
     assert_eq!(backfills, 2);
-    assert!(refreshes >= 30, "the folder stage must fold every block");
+    assert!(refreshes >= 30, "the applier must fold every block");
+}
+
+/// A spec built field by field keeps its operation's case
+/// (`TraceSpec::new` lowercases it). The applier and the direct path
+/// fold it alike: every `transfer` row, matched case-insensitively.
+#[test]
+fn mixed_case_operation_folds_alike_on_the_applier_and_the_direct_path() {
+    let spec = TraceSpec {
+        window: None,
+        operator: None,
+        operation: Some("Transfer".into()),
+    };
+    let ledger = || {
+        let store = BlockStore::temporary(StoreConfig::default()).unwrap();
+        let ledger = Arc::new(Ledger::new(Arc::new(store), signer()).unwrap());
+        assert!(ledger.register_trace_view(spec.clone()).unwrap());
+        ledger
+    };
+    let direct = ledger();
+    for seq in 0..20u64 {
+        direct.append_ordered(mixed_block(seq)).unwrap();
+    }
+    let applied = ledger();
+    run_applier(&applied, 20, 10, || {});
+    let a = direct.serve_trace_view(&spec).unwrap().unwrap();
+    let b = applied.serve_trace_view(&spec).unwrap().unwrap();
+    assert_eq!(a.len(), 30, "every transfer row is kept");
+    assert_eq!(a, b, "the applier folded the view differently");
 }
 
 /// Registration validation: a dimensionless spec is rejected, and the

@@ -1,18 +1,15 @@
-//! Model of the apply pipeline (crates/core/src/pipeline.rs): a sealer
-//! stage persists blocks and hands them to an indexer stage over a
-//! depth-1 channel; the indexer indexes and then advances the applied
-//! height, which height-waiters observe through a condvar.
+//! Model of the applier (crates/core/src/pipeline.rs): one applier
+//! thread persists each block, indexes it and then advances the
+//! applied height, which height waiters observe through a condvar.
 //!
-//! The invariants under test are the ledger's height contract —
+//! The invariant under test is the ledger's height contract —
 //! `applied <= indexed <= persisted` at every observable point, so the
 //! applied height only advances once a block is both persisted and
-//! indexed (chain height may run ahead; applied height never does) —
-//! and chain order: the indexer sees every block exactly once, in
-//! sealed order. Seeded negative models (applied advanced before the
-//! index write; blocks handed over out of order) prove the checker
-//! catches both.
+//! indexed (chain height may run ahead inside a block's steps; applied
+//! height never does). A seeded negative model (applied advanced
+//! before the index write) proves the checker catches a violation.
 
-use sebdb_model::{channel, check, explore, race::Tracked, sync, thread, Options};
+use sebdb_model::{check, explore, race::Tracked, sync, thread, Options};
 use std::sync::Arc;
 
 const BLOCKS: u64 = 2;
@@ -55,85 +52,52 @@ impl Ledger {
     }
 }
 
-/// The seeded bug a [`main_model`] run carries, if any.
-#[derive(Clone, Copy, PartialEq)]
-enum Bug {
-    None,
-    /// The indexer advances applied before the index write lands.
-    ApplyFirst,
-    /// The sealer hands blocks over in reverse chain order.
-    Reorder,
-}
-
-/// Sealer stage: persist each block, then hand it to the indexer.
-/// Returns early if the indexer is gone (crash model). With `reorder`
-/// (the seeded bug) everything is persisted up front and handed over
-/// in reverse, so only the ordering check can fire.
-fn run_sealer(ledger: &Ledger, to_indexer: &channel::Sender<u64>, reorder: bool) {
-    let heights: Vec<u64> = if reorder {
-        ledger.heights.lock().persisted.set(BLOCKS);
-        (1..=BLOCKS).rev().collect()
-    } else {
-        (1..=BLOCKS).collect()
-    };
-    for h in heights {
-        if !reorder {
-            ledger.heights.lock().persisted.set(h);
-        }
-        if to_indexer.send(h).is_err() {
+/// Applies blocks `1..=BLOCKS` in order: persist, index, advance the
+/// applied height (each its own lock acquisition), wake waiters. With
+/// `apply_first` (the seeded bug) the height advances before the index
+/// write lands, so waiters can observe an applied block that is not
+/// yet indexed. Stops short with the block at `crash_at` persisted but
+/// not indexed.
+fn run_applier(ledger: &Ledger, apply_first: bool, crash_at: Option<u64>) {
+    for h in 1..=BLOCKS {
+        ledger.heights.lock().persisted.set(h);
+        if crash_at == Some(h) {
             return;
         }
+        if apply_first {
+            ledger.heights.lock().applied.set(h);
+            ledger.heights.lock().indexed.set(h);
+        } else {
+            ledger.heights.lock().indexed.set(h);
+            ledger.heights.lock().applied.set(h);
+        }
+        ledger.advanced.notify_all();
     }
 }
 
-fn main_model(ledger: Arc<Ledger>, bug: Bug) {
-    let (seal_tx, seal_rx) = channel::bounded::<u64>(1);
-    let sealer = {
+/// A height waiter: observes the counters at every wakeup and at every
+/// spurious/timeout wakeup the scheduler chooses to fire.
+fn run_waiter(ledger: &Ledger) {
+    let mut guard = ledger.heights.lock();
+    while guard.applied.get() < BLOCKS {
+        Ledger::check_invariant(&guard);
+        ledger
+            .advanced
+            .wait_timeout(&mut guard, std::time::Duration::from_millis(50));
+    }
+    Ledger::check_invariant(&guard);
+}
+
+fn main_model(ledger: Arc<Ledger>, apply_first: bool) {
+    let applier = {
         let ledger = Arc::clone(&ledger);
-        thread::spawn(move || run_sealer(&ledger, &seal_tx, bug == Bug::Reorder))
+        thread::spawn(move || run_applier(&ledger, apply_first, None))
     };
-    let indexer = {
-        let ledger = Arc::clone(&ledger);
-        thread::spawn(move || {
-            let mut last = 0u64;
-            while let Ok(h) = seal_rx.recv() {
-                assert_eq!(
-                    h,
-                    last + 1,
-                    "indexer received height {h} after {last}: chain order broken"
-                );
-                last = h;
-                if bug == Bug::ApplyFirst {
-                    // The seeded bug: applied advances before the index
-                    // write lands — waiters can observe an applied
-                    // block that is not yet indexed.
-                    ledger.heights.lock().applied.set(h);
-                    ledger.heights.lock().indexed.set(h);
-                } else {
-                    ledger.heights.lock().indexed.set(h);
-                    ledger.heights.lock().applied.set(h);
-                }
-                ledger.advanced.notify_all();
-            }
-        })
-    };
-    // Height waiter: observes the counters at every wakeup and at every
-    // spurious/timeout wakeup the scheduler chooses to fire.
     let waiter = {
         let ledger = Arc::clone(&ledger);
-        thread::spawn(move || {
-            let mut guard = ledger.heights.lock();
-            while guard.applied.get() < BLOCKS {
-                Ledger::check_invariant(&guard);
-                ledger
-                    .advanced
-                    .wait_timeout(&mut guard, std::time::Duration::from_millis(50));
-            }
-            Ledger::check_invariant(&guard);
-        })
+        thread::spawn(move || run_waiter(&ledger))
     };
-    sealer.join();
-    indexer.join();
+    applier.join();
     waiter.join();
     let h = ledger.heights.lock();
     assert_eq!(h.applied.get(), BLOCKS);
@@ -149,7 +113,7 @@ fn height_invariant_holds_on_every_schedule() {
             max_depth: 40,
             prune: false,
         },
-        || main_model(Ledger::new(), Bug::None),
+        || main_model(Ledger::new(), false),
     );
     assert!(
         report.schedules >= 500,
@@ -175,7 +139,7 @@ fn applied_before_indexed_is_caught() {
             max_depth: 40,
             prune: false,
         },
-        || main_model(Ledger::new(), Bug::ApplyFirst),
+        || main_model(Ledger::new(), true),
     );
     let failure = report
         .failure
@@ -187,30 +151,10 @@ fn applied_before_indexed_is_caught() {
     );
 }
 
-#[test]
-fn reordered_delivery_is_caught() {
-    let report = explore(
-        Options {
-            max_schedules: 20_000,
-            max_depth: 40,
-            prune: false,
-        },
-        || main_model(Ledger::new(), Bug::Reorder),
-    );
-    let failure = report
-        .failure
-        .expect("the reordered-delivery bug must be caught");
-    assert!(
-        failure.message.contains("chain order broken"),
-        "unexpected failure: {}",
-        failure.message
-    );
-}
-
-/// The indexer stage "panics" mid-block (modelled as the PoisonOnPanic
-/// drop guard firing: poison the health flag, wake every waiter, tear
-/// down the stage). Waiters block *without* a timeout here so a lost
-/// poison wakeup shows up as a hard deadlock.
+/// The applier "panics" in the index step of the last block (modelled
+/// as the PoisonOnPanic drop guard firing: poison the health flag, wake
+/// every waiter, end the thread). Waiters block *without* a timeout
+/// here so a lost poison wakeup shows up as a hard deadlock.
 #[test]
 fn indexer_poison_wakes_height_waiters() {
     check(
@@ -222,27 +166,14 @@ fn indexer_poison_wakes_height_waiters() {
         },
         || {
             let ledger = Ledger::new();
-            let (seal_tx, seal_rx) = channel::bounded::<u64>(1);
-            let sealer = {
-                let ledger = Arc::clone(&ledger);
-                thread::spawn(move || run_sealer(&ledger, &seal_tx, false))
-            };
-            let indexer = {
+            let applier = {
                 let ledger = Arc::clone(&ledger);
                 thread::spawn(move || {
-                    while let Ok(h) = seal_rx.recv() {
-                        if h == BLOCKS {
-                            // Panic mid-block: the drop guard poisons
-                            // health and wakes waiters; the stage (and
-                            // its receiver) goes away.
-                            ledger.heights.lock().poisoned.set(true);
-                            ledger.advanced.notify_all();
-                            return;
-                        }
-                        ledger.heights.lock().indexed.set(h);
-                        ledger.heights.lock().applied.set(h);
-                        ledger.advanced.notify_all();
-                    }
+                    run_applier(&ledger, false, Some(BLOCKS));
+                    // Panic mid-block: the drop guard poisons health
+                    // and wakes waiters.
+                    ledger.heights.lock().poisoned.set(true);
+                    ledger.advanced.notify_all();
                 })
             };
             let waiter = {
@@ -257,8 +188,7 @@ fn indexer_poison_wakes_height_waiters() {
                     guard.poisoned.get()
                 })
             };
-            sealer.join();
-            indexer.join();
+            applier.join();
             let saw_poison = waiter.join();
             assert!(saw_poison, "waiter exited without poison at h < BLOCKS");
             let h = ledger.heights.lock();
@@ -268,10 +198,11 @@ fn indexer_poison_wakes_height_waiters() {
     );
 }
 
-/// The indexer crashes at the stage boundary: the block is persisted
-/// but not yet indexed. Recovery (restart) observes indexed < persisted
-/// and replays the index step; the applied height must stay behind
-/// until it does.
+/// The applier crashes between the persist and index steps of the
+/// last block: it is persisted but not indexed. Recovery (restart)
+/// observes indexed < persisted and replays the index step; the
+/// applied height must stay behind until it does, as a height waiter
+/// watching from before the crash sees.
 #[test]
 fn crash_at_stage_boundary_recovers() {
     check(
@@ -283,36 +214,35 @@ fn crash_at_stage_boundary_recovers() {
         },
         || {
             let ledger = Ledger::new();
-            let (seal_tx, seal_rx) = channel::bounded::<u64>(1);
-            let sealer = {
-                let ledger = Arc::clone(&ledger);
-                thread::spawn(move || run_sealer(&ledger, &seal_tx, false))
-            };
-            let indexer = {
+            let waiter = {
                 let ledger = Arc::clone(&ledger);
                 thread::spawn(move || {
-                    // Crashes after block 1: block 2 may land persisted
-                    // but unindexed.
-                    if let Ok(h) = seal_rx.recv() {
-                        ledger.heights.lock().indexed.set(h);
-                        ledger.heights.lock().applied.set(h);
-                        ledger.advanced.notify_all();
+                    let mut guard = ledger.heights.lock();
+                    while guard.applied.get() < BLOCKS {
+                        Ledger::check_invariant(&guard);
+                        ledger.advanced.wait(&mut guard);
                     }
+                    Ledger::check_invariant(&guard);
                 })
             };
-            sealer.join();
-            indexer.join();
+            let applier = {
+                let ledger = Arc::clone(&ledger);
+                thread::spawn(move || run_applier(&ledger, false, Some(BLOCKS)))
+            };
+            applier.join();
             // Restart path: replay everything persisted but unindexed.
             {
                 let guard = ledger.heights.lock();
                 Ledger::check_invariant(&guard);
-                if guard.indexed.get() < guard.persisted.get() {
-                    guard.indexed.set(guard.persisted.get());
-                }
-                guard.applied.set(guard.indexed.get());
-                Ledger::check_invariant(&guard);
+                assert!(
+                    guard.indexed.get() < guard.persisted.get(),
+                    "the crash must leave a persisted, unindexed block"
+                );
+                guard.indexed.set(guard.persisted.get());
             }
+            ledger.heights.lock().applied.set(BLOCKS);
             ledger.advanced.notify_all();
+            waiter.join();
             let h = ledger.heights.lock();
             assert_eq!(
                 h.applied.get(),

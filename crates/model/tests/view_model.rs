@@ -1,10 +1,10 @@
-//! Model of the materialized-view fold stage
-//! (crates/core/src/views.rs + pipeline.rs): the persister fans each
-//! block to a view-folder consumer over a bounded channel; the folder
-//! waits until the applied height covers the block (views never
-//! observe a height above `Ledger::height()`), then folds the block's
-//! delta into the view exactly once; the serve path catches a lagging
-//! view up under the same lock before answering.
+//! Model of the materialized-view fold
+//! (crates/core/src/views.rs + pipeline.rs): the applier advances the
+//! applied height over each block and then, on the same thread, folds
+//! the block's delta into the view exactly once (views never observe a
+//! height above `Ledger::height()`); the serve path catches a lagging
+//! view up under the same lock before answering, racing the applier's
+//! fold.
 //!
 //! The folded delta of block `h` is modelled as the number `h + 1`, so
 //! the view's "rows" reduce to the running sum `folded·(folded+1)/2` —
@@ -16,15 +16,13 @@
 //! - **No height skew**: `folded ≤ applied` always — the view never
 //!   reflects a block readers cannot yet query.
 //! - **Exactly-once fold**: `rows == prefix_sum(folded)` always, even
-//!   with the serve-path catch-up racing the folder stage.
-//! - **Poison propagation**: an applier that dies mid-stream wakes the
-//!   folder's no-timeout height wait (a lost wakeup is a deadlock).
+//!   with the serve-path catch-up racing the applier's fold.
 //!
-//! Seeded negative models (a folder that skips the idempotence check;
-//! a folder that folds without waiting for the applied height) prove
-//! the checker catches both classes of bug.
+//! Seeded negative models (a fold that skips the idempotence check; a
+//! fold that runs before the applied-height advance) prove the checker
+//! catches both classes of bug.
 
-use sebdb_model::{channel, check, explore, race::Tracked, sync, thread, Options};
+use sebdb_model::{check, explore, race::Tracked, sync, thread, Options};
 use std::sync::Arc;
 
 const BLOCKS: u64 = 3;
@@ -34,16 +32,15 @@ fn prefix_sum(n: u64) -> u64 {
     n * (n + 1) / 2
 }
 
-/// The model ledger-plus-view: the applied chain height, the view's
-/// fold cursor and accumulated rows, and the poison flag — all behind
-/// one lock standing in for the view's `RwLock` + `height_watch`, with
-/// a condvar for height waiters.
+/// The model ledger-plus-view: the applied chain height and the view's
+/// fold cursor and accumulated rows — all behind one lock standing in
+/// for the view's `RwLock` + `height_watch`, with a condvar for height
+/// waiters.
 #[derive(Hash)]
 struct State {
     applied: Tracked<u64>,
     folded: Tracked<u64>,
     rows: Tracked<u64>,
-    poisoned: Tracked<bool>,
 }
 
 struct Model {
@@ -58,7 +55,6 @@ impl Model {
                 applied: Tracked::new(0),
                 folded: Tracked::new(0),
                 rows: Tracked::new(0),
-                poisoned: Tracked::new(false),
             }),
             advanced: sync::Condvar::new(),
         })
@@ -115,43 +111,24 @@ impl Model {
     }
 }
 
-/// Applier: persist-and-index block `h` (send it downstream first, as
-/// the persister hands it out before the indexer finishes), then
-/// advance the applied height and wake waiters.
-fn run_applier(model: &Model, folder: channel::Sender<u64>, die_at: Option<u64>) {
+/// The applier: for each block, advance the applied height and wake
+/// waiters, then fold the block under the view's lock — the
+/// post-persist step's order. `skip_idempotence` is the seeded
+/// double-fold bug; `fold_first` (the seeded skew bug) folds before
+/// the advance.
+fn run_applier(model: &Model, skip_idempotence: bool, fold_first: bool) {
     for h in 0..BLOCKS {
-        if die_at == Some(h) {
-            // PoisonOnPanic drop guard: poison, wake every waiter.
-            model.state.lock().poisoned.set(true);
-            model.advanced.notify_all();
-            return;
-        }
-        if folder.send(h).is_err() {
-            return;
+        if fold_first {
+            Model::fold_block(&model.state.lock(), h, skip_idempotence);
         }
         let s = model.state.lock();
         s.applied.set(h + 1);
         Model::check_invariant(&s);
         drop(s);
         model.advanced.notify_all();
-    }
-}
-
-/// The view-folder stage: wait (no timeout — a lost wakeup deadlocks)
-/// until the applied height covers the block or the pipeline poisons,
-/// then fold. `skew_bug` folds immediately without the height wait.
-fn run_folder(model: &Model, rx: &channel::Receiver<u64>, skip_idempotence: bool, skew_bug: bool) {
-    while let Ok(h) = rx.recv() {
-        let mut s = model.state.lock();
-        if !skew_bug {
-            while s.applied.get() < h + 1 && !s.poisoned.get() {
-                model.advanced.wait(&mut s);
-            }
-            if s.poisoned.get() {
-                return;
-            }
+        if !fold_first {
+            Model::fold_block(&model.state.lock(), h, skip_idempotence);
         }
-        Model::fold_block(&s, h, skip_idempotence);
     }
 }
 
@@ -162,7 +139,7 @@ fn run_reader(model: &Model) {
     loop {
         model.serve();
         let mut s = model.state.lock();
-        if s.poisoned.get() || (s.applied.get() == BLOCKS && s.folded.get() == BLOCKS) {
+        if s.applied.get() == BLOCKS && s.folded.get() == BLOCKS {
             return;
         }
         model
@@ -171,22 +148,16 @@ fn run_reader(model: &Model) {
     }
 }
 
-fn main_model(model: Arc<Model>, skip_idempotence: bool, skew_bug: bool) {
-    let (tx, rx) = channel::bounded::<u64>(1);
-    let folder = {
-        let model = Arc::clone(&model);
-        thread::spawn(move || run_folder(&model, &rx, skip_idempotence, skew_bug))
-    };
+fn main_model(model: Arc<Model>, skip_idempotence: bool, fold_first: bool) {
     let reader = {
         let model = Arc::clone(&model);
         thread::spawn(move || run_reader(&model))
     };
     let applier = {
         let model = Arc::clone(&model);
-        thread::spawn(move || run_applier(&model, tx, None))
+        thread::spawn(move || run_applier(&model, skip_idempotence, fold_first))
     };
     applier.join();
-    folder.join();
     reader.join();
     let s = model.state.lock();
     assert_eq!(s.applied.get(), BLOCKS);
@@ -221,49 +192,10 @@ fn fold_cursor_and_rescan_equivalence_hold_on_every_schedule() {
     );
 }
 
-/// The applier dies mid-stream; the folder is parked in its no-timeout
-/// height wait for a block the chain will never apply. The poison
-/// wakeup must reach it — a lost wakeup here is a hard deadlock, which
-/// the checker reports.
-#[test]
-fn poison_wakes_the_folder_out_of_its_height_wait() {
-    check(
-        "view-fold-poison",
-        Options {
-            max_schedules: 20_000,
-            max_depth: 60,
-            prune: false,
-        },
-        || {
-            let model = Model::new();
-            let (tx, rx) = channel::bounded::<u64>(1);
-            let folder = {
-                let model = Arc::clone(&model);
-                thread::spawn(move || run_folder(&model, &rx, false, false))
-            };
-            let applier = {
-                let model = Arc::clone(&model);
-                // Send block 1 downstream but die before applying it.
-                thread::spawn(move || {
-                    run_applier(&model, tx, Some(1));
-                })
-            };
-            applier.join();
-            folder.join();
-            let s = model.state.lock();
-            assert!(s.poisoned.get());
-            assert!(
-                s.folded.get() <= s.applied.get(),
-                "poisoned teardown still must not skew the view"
-            );
-            Model::check_invariant(&s);
-        },
-    );
-}
-
-/// Seeded bug: the folder folds without the `folded > h` idempotence
-/// check. The serve-path catch-up can fold a block first; the folder
-/// then folds it again and the view's rows drift off the rescan sum.
+/// Seeded bug: the applier folds without the `folded > h` idempotence
+/// check. The serve-path catch-up can fold a block first, between the
+/// applier's height advance and its fold; the applier then folds it
+/// again and the view's rows drift off the rescan sum.
 #[test]
 fn double_fold_without_idempotence_check_is_caught() {
     let report = explore(
@@ -283,9 +215,9 @@ fn double_fold_without_idempotence_check_is_caught() {
     );
 }
 
-/// Seeded bug: the folder folds as soon as the block arrives, without
-/// waiting for the applied height — the view observes a block readers
-/// cannot query yet, violating the no-skew invariant.
+/// Seeded bug: the applier folds a block before advancing the applied
+/// height over it — the view observes a block readers cannot query
+/// yet, violating the no-skew invariant.
 #[test]
 fn folding_ahead_of_the_applied_height_is_caught() {
     let report = explore(
