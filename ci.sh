@@ -129,8 +129,9 @@ done
 
 # Materialized-view bench smoke: the mode=rescan|view sweep must run
 # end to end, emit a well-formed JSON (schema spot-checks below), and
-# its built-in assertion must hold — serving the delta-maintained view
-# beats re-running the trace on repeat queries, at 1 CPU.
+# its built-in assertion must hold — serving the view, which each read
+# extends over the blocks applied since the last, beats re-running the
+# trace on repeat queries, at 1 CPU.
 echo "==> SEBDB_BENCH_SMOKE=1 cargo bench -p sebdb-bench --bench tracking"
 SEBDB_BENCH_SMOKE=1 cargo bench -q -p sebdb-bench --bench tracking >/dev/null
 smoke=target/BENCH_views_smoke.json

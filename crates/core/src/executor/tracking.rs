@@ -20,6 +20,7 @@ use sebdb_index::{Bitmap, KeyPredicate};
 use sebdb_sql::TraceSpec;
 use sebdb_storage::RawExtent;
 use sebdb_types::{BlockId, ColumnRef, Timestamp, Value};
+use std::ops::Range;
 
 /// Internal transaction types (schema sync) are invisible to tracking.
 fn is_internal(tname: &str) -> bool {
@@ -99,24 +100,30 @@ impl Executor<'_> {
                 return Ok(result);
             }
         }
-        self.run_trace_bounded(window, &operator, operation, strategy, self.ledger.height())
+        let blocks = 0..self.ledger.height();
+        self.run_trace_bounded(window, &operator, operation, strategy, blocks)
     }
 
-    /// The physical tracking walk over blocks `0..height`, past view
-    /// routing: Algorithm 1 under the chosen strategy. View backfills
-    /// call this directly with a captured height; normal execution
-    /// passes the current applied height.
+    /// The physical tracking walk over `blocks`, past view routing:
+    /// Algorithm 1 under the chosen strategy. A view's serve calls this
+    /// directly over the blocks applied since its cursor; normal
+    /// execution passes `0..` the current applied height.
     pub(crate) fn run_trace_bounded(
         &self,
         window: Option<(Timestamp, Timestamp)>,
         operator: &Option<KeyId>,
         operation: Option<&str>,
         strategy: Strategy,
-        height: BlockId,
+        blocks: Range<BlockId>,
     ) -> Result<QueryResult, ExecError> {
         let operator = *operator;
         let mut out = QueryResult::empty(tracking_header());
-        let mut mask = self.ledger.window_mask_at(window, height);
+        let mut mask = self.ledger.window_mask_at(window, blocks.end);
+        if blocks.start > 0 {
+            let mut tail = Bitmap::new();
+            tail.set_range(blocks.start as usize, blocks.end as usize - 1);
+            mask = mask.and(&tail);
+        }
         // Algorithm 1, lines 1–4, and the Bitmap arm: window mask ∧ the
         // first levels of the SenID / Tname system indexes.
         if strategy != Strategy::Scan {

@@ -184,10 +184,9 @@ impl Ledger {
             *ledger.last_hash.write() = ledger.store.read(height - 1)?.header.block_hash;
         }
         ledger.applied.store(height, Ordering::Release);
-        // Re-register persisted tracking views last: the chain and
-        // every index are whole at this point, so each registration
-        // re-backfills against a consistent applied height.
-        let views_loaded = ledger.load_trace_views()?;
+        // Persisted tracking views come back empty; each one's first
+        // serve extends it from block 0.
+        ledger.load_trace_views()?;
         ledger
             .store
             .stats
@@ -198,9 +197,6 @@ impl Ledger {
                 "sebdb: ledger open loaded {frozen_loaded} index checkpoint(s), replayed {} tail block(s)",
                 height - replay_from
             );
-        }
-        if views_loaded > 0 {
-            eprintln!("sebdb: ledger open re-backfilled {views_loaded} tracking view(s)");
         }
         Ok(ledger)
     }
@@ -289,7 +285,7 @@ impl Ledger {
     }
 
     /// Advances the applied height to `to` and wakes height waiters;
-    /// [`Self::apply_persisted`] runs it after [`Self::index_block`].
+    /// [`Self::index_appended`] runs it after [`Self::index_block`].
     fn advance_applied(&self, to: BlockId) {
         let guard = self.height_watch.lock();
         if to > self.applied.load(Ordering::Acquire) {
@@ -404,12 +400,11 @@ impl Ledger {
 
     /// Appends an externally sealed block (e.g. received via gossip),
     /// verifying linkage, integrity, and (when a verifier is installed)
-    /// every transaction signature first. Persists, then runs the
-    /// post-persist step, so the applied height advances before this
-    /// returns; an error after the persist is the view fold's.
+    /// every transaction signature first. Persists, then indexes, so
+    /// the applied height advances before this returns.
     pub fn append_block(&self, block: Block) -> Result<Arc<Block>, LedgerError> {
         let block = self.persist_block(block)?;
-        self.apply_persisted(&block)?;
+        self.index_appended(&block);
         Ok(block)
     }
 
@@ -445,30 +440,14 @@ impl Ledger {
         Ok(Arc::new(block))
     }
 
-    /// The post-persist step on a block previously appended via
-    /// [`Self::persist_block`], with a failed view fold reported on
-    /// stderr: a fold that cannot read the chain leaves the view stale,
-    /// and the serve path's catch-up surfaces the error to the query
-    /// that needs the rows. Blocks must be indexed in height order.
+    /// The post-persist step the applier and [`Self::append_block`]
+    /// share, on a block previously appended via
+    /// [`Self::persist_block`]: indexes it into every family, then
+    /// advances the applied height and wakes height waiters. Blocks
+    /// must be indexed in height order.
     pub fn index_appended(&self, block: &Block) {
-        if let Err(e) = self.apply_persisted(block) {
-            eprintln!(
-                "sebdb: view fold failed at height {}: {e}",
-                block.header.height
-            );
-        }
-    }
-
-    /// The post-persist step the applier, [`Self::append_block`] and
-    /// [`Self::index_appended`] share: indexes the persisted `block`
-    /// into every family, advances the applied height and wakes height
-    /// waiters, then folds the block into the registered views — after
-    /// the advance, so a view never observes a height above
-    /// [`Self::height`]. Returns the fold's error.
-    pub(crate) fn apply_persisted(&self, block: &Block) -> Result<(), LedgerError> {
         self.index_block(block);
         self.advance_applied(block.header.height + 1);
-        self.fold_views(block)
     }
 
     /// Installs (or clears) a fault-injection hook invoked with each
@@ -480,7 +459,7 @@ impl Ledger {
     }
 
     /// Indexes `block` into every family: the one index step
-    /// [`Self::apply_persisted`] and the restart replay run. The block's
+    /// [`Self::index_appended`] and the restart replay run. The block's
     /// tuples are partitioned by (lowercased) relation once, so each
     /// per-table family is handed exactly its rows; the system
     /// (`None`-table) families walk every tuple. On a cadence boundary
@@ -674,10 +653,10 @@ impl Ledger {
     }
 
     /// [`Self::window_mask`] bounded at an explicit `height` instead
-    /// of the current applied height. A view backfill captures the
-    /// applied height once and masks at it, so the backfilled rows
-    /// cover exactly the blocks below the fold cursor even if the
-    /// applier advances mid-backfill.
+    /// of the current applied height. A view's serve captures the
+    /// applied height once and masks at it, so the rows it appends
+    /// cover exactly the blocks below its new cursor even if the
+    /// applier advances mid-walk.
     pub fn window_mask_at(
         &self,
         window: Option<(Timestamp, Timestamp)>,

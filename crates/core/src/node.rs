@@ -128,9 +128,9 @@ impl SebdbNode {
     /// applier thread ([`ApplyPipeline`]): each block is sealed,
     /// persisted — its tuples routed to the store's per-relation
     /// partition segments (`StoreConfig::partitions`), committed by a
-    /// single chain-order manifest record — then its schemas applied,
-    /// its indexes built and its views folded, in the direct
-    /// `Ledger::append_ordered` path's order.
+    /// single chain-order manifest record — then its schemas applied
+    /// and its indexes built, in the direct `Ledger::append_ordered`
+    /// path's order.
     pub fn start(
         store: Arc<BlockStore>,
         consensus: Arc<dyn Consensus>,
@@ -186,13 +186,13 @@ impl SebdbNode {
             .copied()
     }
 
-    /// Registers an incremental materialized view for a `TRACE`
-    /// predicate: `window` over `Ts`, `operator` as a registered name
-    /// (resolved through the same registry `TRACE OPERATOR` queries
-    /// use), `operation` as a transaction type. Backfills immediately
-    /// and folds every applied block from then on; an `Auto`-strategy
-    /// `TRACE` with the same predicate is served from the view.
-    /// Returns whether the view is newly registered.
+    /// Registers a materialized view for a `TRACE` predicate: `window`
+    /// over `Ts`, `operator` as a registered name (resolved through the
+    /// same registry `TRACE OPERATOR` queries use), `operation` as a
+    /// transaction type. An `Auto`-strategy `TRACE` with the same
+    /// predicate is served from the view, which each such read extends
+    /// over the blocks applied since the last. Returns whether the
+    /// view is newly registered.
     pub fn register_trace_view(
         &self,
         window: Option<(sebdb_types::Timestamp, sebdb_types::Timestamp)>,

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //!  consensus stream ──▶ [applier]  seal_ordered → persist_block → SchemaManager::apply_block
-//!                                  → index_block → advance_applied → fold_views
+//!                                  → index_appended (index_block → advance_applied)
 //! ```
 //!
 //! Each block runs the direct path's steps ([`Ledger::append_ordered`],
@@ -10,17 +10,17 @@
 //! (Merkle root, MAC), persist (verify, then the store's append, whose
 //! `sync_writes` fsyncs fan out over the block's partitions), apply the
 //! block's schema transactions, then the post-persist step the direct
-//! path shares — index every family, advance the applied height, fold
-//! the registered `TRACE` views (see [`crate::views`]). One thread, not
-//! stages over channels: overlapping the seal of one block with the
-//! index of the one before measured no faster on a two-core host
-//! (DESIGN §8.1).
+//! path shares — index every family, advance the applied height. A
+//! registered `TRACE` view is not the applier's: the read that serves
+//! it extends it (see [`crate::views`]). One thread, not stages over
+//! channels: overlapping the seal of one block with the index of the
+//! one before measured no faster on a two-core host (DESIGN §8.1).
 //!
 //! Invariant: [`Ledger::height`] (the applied height — what
 //! `wait_applied` and every reader observe) advances only once every
-//! index family holds a block and the catalog has its schemas, and a
-//! view folds a block only after that advance. [`Ledger::chain_height`]
-//! runs ahead of it only inside a step or after a failed one.
+//! index family holds a block and the catalog has its schemas.
+//! [`Ledger::chain_height`] runs ahead of it only inside a step or
+//! after a failed one.
 //!
 //! Failure mode: a step's error or panic poisons the shared
 //! [`ApplierHealth`] with a message naming the step, wakes every height
@@ -114,9 +114,8 @@ fn apply(
     *step = "schema";
     schemas.apply_block(&block);
     *step = "index";
-    ledger
-        .apply_persisted(&block)
-        .inspect_err(|_| *step = "fold")
+    ledger.index_appended(&block);
+    Ok(())
 }
 
 /// The running applier. Owns the applier thread;

@@ -1,6 +1,6 @@
 //! The work each read does, pinned: over one fixed, seeded chain, a
 //! layered Q4 range, a Q4 point lookup, `GET BLOCK TID` (which reads
-//! its block through `Ledger::read_block`, as a view's catch-up does)
+//! its block through `Ledger::read_block`)
 //! and an authenticated range each move the store's `IoStats`
 //! (`blocks_read`, `txs_read`, `bytes_read`) and issue positioned reads
 //! (counted with the store's read probe) by exactly the constants
@@ -10,7 +10,10 @@
 //! index (with the index blocks it touches), and an authenticated range
 //! over frozen blocks wider than one MB-tree page (with its VO bytes and
 //! the index blocks it touches). Each index family's checkpoint entries
-//! and bytes and its resident bytes are pinned too.
+//! and bytes and its resident bytes are pinned too, and so is a
+//! tracking view's work: none to register it, none beyond a plain
+//! reopen to load it, none to serve it caught up, and one block's
+//! tracking walk to serve it one block behind.
 //! A change to the read front or to what an index keeps shows here as
 //! a changed count.
 
@@ -19,7 +22,9 @@ use sebdb_consensus::OrderedBlock;
 use sebdb_crypto::sig::{KeyId, MacKeypair};
 use sebdb_index::KeyPredicate;
 use sebdb_offchain::OffchainDb;
-use sebdb_sql::{BoundBlockSelector, BoundPredicate, BoundPredicateKind, CompareOp, LogicalPlan};
+use sebdb_sql::{
+    BoundBlockSelector, BoundPredicate, BoundPredicateKind, CompareOp, LogicalPlan, TraceSpec,
+};
 use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::{Column, ColumnRef, DataType, TableSchema, Transaction, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,14 +81,23 @@ fn chain() -> Ledger {
     chain_of(BLOCKS, TUPLES_PER_BLOCK)
 }
 
+/// [`chain_in`] on a temporary store.
+fn chain_of(blocks: u64, tuples_per_block: u64) -> Ledger {
+    chain_in(
+        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
+        blocks,
+        tuples_per_block,
+    )
+}
+
+fn signer() -> MacKeypair {
+    MacKeypair::from_key([7; 32])
+}
+
 /// Two-thirds `donate` (a random amount and a memo of random length),
 /// one-third `transfer`, so a block's tuples span two partitions.
-fn chain_of(blocks: u64, tuples_per_block: u64) -> Ledger {
-    let ledger = Ledger::new(
-        Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
-        MacKeypair::from_key([7; 32]),
-    )
-    .unwrap();
+fn chain_in(store: Arc<BlockStore>, blocks: u64, tuples_per_block: u64) -> Ledger {
+    let ledger = Ledger::new(store, signer()).unwrap();
     let mut rng = SEED;
     let mut tid = 1;
     for b in 0..blocks {
@@ -118,7 +132,11 @@ fn chain_of(blocks: u64, tuples_per_block: u64) -> Ledger {
 
 /// The work `f` does against `ledger`'s store.
 fn work<T>(ledger: &Ledger, f: impl FnOnce() -> T) -> (T, Work) {
-    let store = ledger.store();
+    store_work(ledger.store(), f)
+}
+
+/// The work `f` does against `store`.
+fn store_work<T>(store: &BlockStore, f: impl FnOnce() -> T) -> (T, Work) {
     let preads = Arc::new(AtomicU64::new(0));
     let seen = Arc::clone(&preads);
     store.read_gauges().set_read_probe(Some(Box::new(move |_| {
@@ -245,6 +263,72 @@ fn each_trace_does_the_pinned_work() {
     });
     assert!(rows.len() > 10, "{} rows", rows.len());
     assert_eq!((w, w1), (TRACE_OPERATION, TRACE_TWO_DIMENSIONS));
+}
+
+/// Reopening the [`chain`] on disk, with or without a registered view:
+/// the restart replay of its 40 blocks, then the tip block for its
+/// hash.
+const REOPEN: Work = (41, 0, 26614, 123);
+/// `TRACE OPERATOR = <sender 1>, OPERATION = "transfer"` served from its
+/// view one block behind: the Layered walk over the appended block, one
+/// `sen_id` pointer the tuple table keeps, in one pointer run.
+const VIEW_SERVE_ONE_BLOCK: Work = (0, 1, 50, 1);
+const NOTHING: Work = (0, 0, 0, 0);
+
+#[test]
+fn a_view_reads_only_the_blocks_a_serve_appends() {
+    let dir = std::env::temp_dir().join(format!("sebdb-readwork-view-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let reopen = || {
+        let store = Arc::new(BlockStore::open(&dir, StoreConfig::default()).unwrap());
+        store_work(&store, || {
+            Ledger::new(Arc::clone(&store), signer()).unwrap()
+        })
+    };
+    let store = Arc::new(BlockStore::open(&dir, StoreConfig::default()).unwrap());
+    drop(chain_in(store, BLOCKS, TUPLES_PER_BLOCK));
+    let spec = TraceSpec::new(None, Some([1; 8]), Some("transfer"));
+    let (ledger, plain) = reopen();
+    let (registered, w) = work(&ledger, || ledger.register_trace_view(spec.clone()));
+    assert!(registered.unwrap());
+    drop(ledger);
+    let (ledger, viewed) = reopen();
+    let serve = || ledger.serve_trace_view(&spec).unwrap().unwrap();
+    let backfilled = serve().len();
+    let (_, w1) = work(&ledger, serve);
+    let sender = KeyId([1; 8]);
+    let mut txs = vec![
+        Transaction::new(BLOCKS * 1000, sender, "transfer", vec![Value::str("m")]),
+        Transaction::new(
+            BLOCKS * 1000 + 1,
+            KeyId([2; 8]),
+            "transfer",
+            vec![Value::str("m")],
+        ),
+        Transaction::new(
+            BLOCKS * 1000 + 2,
+            sender,
+            "donate",
+            vec![Value::str("m"), Value::decimal(1)],
+        ),
+    ];
+    for (i, tx) in txs.iter_mut().enumerate() {
+        tx.tid = BLOCKS * TUPLES_PER_BLOCK + 1 + i as u64;
+    }
+    let block = OrderedBlock {
+        seq: BLOCKS,
+        timestamp_ms: (BLOCKS + 1) * 1000,
+        txs,
+    };
+    ledger.append_ordered(block).unwrap();
+    let (served, w2) = work(&ledger, serve);
+    assert_eq!(served.len(), backfilled + 1);
+    drop(ledger);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        (w, plain, viewed, w1, w2),
+        (NOTHING, REOPEN, REOPEN, NOTHING, VIEW_SERVE_ONE_BLOCK)
+    );
 }
 
 /// A `Layered` on-off join on `donate.amount` against three amounts

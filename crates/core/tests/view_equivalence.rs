@@ -1,11 +1,12 @@
 //! The view engine's non-negotiable equivalence gate: after every
 //! applied block, a registered view's materialized result must equal a
 //! fresh `run_trace` re-execution **byte for byte** — same row set,
-//! same (chain) order — across the backfill→incremental seam, a
-//! restart (views re-backfill from their persisted registration), a
-//! crash between persist and view-fold (replay heals, the view
-//! re-folds idempotently), and under the applier thread, which folds
-//! exactly as the direct ledger path does.
+//! same (chain) order — across the backfill→refresh seam, a restart
+//! (a reopened view starts empty and its first serve extends it from
+//! block 0), a crash between persist and index (replay heals, the
+//! view never passes the applied height), and beside the applier
+//! thread, which never touches a view: the serve that reads a view is
+//! the one path that extends it.
 
 use sebdb::{ApplyPipeline, Executor, Ledger, QueryResult, SchemaManager, Strategy};
 use sebdb_consensus::OrderedBlock;
@@ -14,7 +15,7 @@ use sebdb_sql::{LogicalPlan, TraceSpec};
 use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::{Transaction, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 const ORG1: KeyId = KeyId([1; 8]);
@@ -128,13 +129,13 @@ fn view_matches_rescan_after_every_block_across_backfill_seam() {
         }
     }
 
-    // The fold cursors track the applied height exactly.
+    // The serves moved every cursor to the applied height.
     for spec in &registered {
         assert_eq!(ledger.trace_view_folded(spec), Some(120));
     }
     let (backfills, refreshes, delta_rows, serve_hits) = ledger.trace_views().stats().snapshot();
     assert_eq!(backfills, 3);
-    assert!(refreshes > 0, "steady state must fold, not re-backfill");
+    assert!(refreshes > 0, "steady state must extend, not re-backfill");
     assert!(delta_rows > 0);
     assert!(serve_hits > 0);
 
@@ -188,15 +189,17 @@ fn views_survive_restart_and_rebackfill() {
         assert_view_equivalent(&ledger, &v1, "before restart");
         assert_view_equivalent(&ledger, &v2, "before restart");
     }
-    // Reopen: registrations load from disk, rows re-backfill, and the
-    // views keep folding newly appended blocks.
+    // Reopen: registrations load from disk with no block read, the
+    // first serve re-backfills, and later serves keep extending the
+    // views over newly appended blocks.
     let ledger = Ledger::new(disk_store(&dir), signer()).unwrap();
     let mut specs = ledger.trace_views().specs();
     specs.sort_by_key(|s| s.operation.is_some());
     assert_eq!(specs, vec![v2.clone(), v1.clone()]);
-    assert_eq!(ledger.trace_view_folded(&v1), Some(60));
+    assert_eq!(ledger.trace_view_folded(&v1), Some(0));
     assert_view_equivalent(&ledger, &v1, "after restart");
     assert_view_equivalent(&ledger, &v2, "after restart");
+    assert_eq!(ledger.trace_view_folded(&v1), Some(60));
     for seq in 60..80u64 {
         ledger.append_ordered(mixed_block(seq)).unwrap();
         assert_view_equivalent(&ledger, &v1, "appending after restart");
@@ -205,12 +208,12 @@ fn views_survive_restart_and_rebackfill() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Crash ladder at the persist/index/view boundaries: a block that was
-/// persisted but neither indexed nor folded is healed by the restart
-/// replay, after which the re-backfilled view agrees with a fresh
-/// re-execution; folds that already ran are not double-counted.
+/// Crash ladder at the persist/index boundary: a block that was
+/// persisted but not indexed stays out of the view (its serve is
+/// bounded by the applied height) and is healed by the restart replay,
+/// after which the re-backfilled view agrees with a fresh re-execution.
 #[test]
-fn crash_between_persist_and_fold_heals_on_reopen() {
+fn crash_between_persist_and_index_heals_on_reopen() {
     let dir = std::env::temp_dir().join(format!("sebdb-viewcrash-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let spec = TraceSpec::new(None, Some(ORG1.0), Some("donate"));
@@ -220,19 +223,21 @@ fn crash_between_persist_and_fold_heals_on_reopen() {
         for seq in 0..20u64 {
             ledger.append_ordered(mixed_block(seq)).unwrap();
         }
+        assert_view_equivalent(&ledger, &spec, "before the crash");
         // "Crash": block 20 reaches durable storage but the process
-        // dies before the index and view-fold stages run.
+        // dies before the index step runs.
         let block = ledger.seal_ordered(mixed_block(20)).unwrap();
         ledger.persist_block(block).unwrap();
         assert_eq!(ledger.height(), 20);
         assert_eq!(ledger.chain_height(), 21);
+        assert_view_equivalent(&ledger, &spec, "persisted, not indexed");
         assert_eq!(ledger.trace_view_folded(&spec), Some(20));
     }
     let ledger = Ledger::new(disk_store(&dir), signer()).unwrap();
-    // Replay healed the torn block; the view re-backfilled over it.
+    // Replay healed the torn block; the first serve re-backfills over it.
     assert_eq!(ledger.height(), 21);
-    assert_eq!(ledger.trace_view_folded(&spec), Some(21));
     assert_view_equivalent(&ledger, &spec, "after crash heal");
+    assert_eq!(ledger.trace_view_folded(&spec), Some(21));
     for seq in 21..30u64 {
         ledger.append_ordered(mixed_block(seq)).unwrap();
         assert_view_equivalent(&ledger, &spec, "appending after crash heal");
@@ -267,7 +272,7 @@ fn run_applier(ledger: &Arc<Ledger>, blocks: u64, pause: u64, between: impl FnOn
 }
 
 #[test]
-fn pipeline_view_folder_folds_behind_the_indexer() {
+fn a_live_appliers_views_serve_the_rescans_rows() {
     let ledger = Arc::new(
         Ledger::new(
             Arc::new(BlockStore::temporary(StoreConfig::default()).unwrap()),
@@ -277,27 +282,30 @@ fn pipeline_view_folder_folds_behind_the_indexer() {
     );
     let v1 = TraceSpec::new(None, None, Some("donate"));
     ledger.register_trace_view(v1.clone()).unwrap();
-    // Mid-stream registration under a live applier: the backfill seam
-    // races real folds and must still agree.
+    // Mid-stream, with the applier live: v2 registers and v1 serves
+    // (its backfill) at height 15.
     let v2 = TraceSpec::new(None, Some(ORG2.0), None);
     run_applier(&ledger, 30, 15, || {
         ledger.register_trace_view(v2.clone()).unwrap();
+        assert_view_equivalent(&ledger, &v1, "mid pipeline");
     });
 
-    // The applier (not the serve path) brought both views to the tip:
-    // the cursors are final before any serve-time catch-up runs.
-    assert_eq!(ledger.trace_view_folded(&v1), Some(30));
-    assert_eq!(ledger.trace_view_folded(&v2), Some(30));
+    // The applier moved no cursor: v1 sits where its serve left it,
+    // v2 where its registration did.
+    assert_eq!(ledger.trace_view_folded(&v1), Some(15));
+    assert_eq!(ledger.trace_view_folded(&v2), Some(0));
     assert_view_equivalent(&ledger, &v1, "after pipeline");
     assert_view_equivalent(&ledger, &v2, "after pipeline");
+    assert_eq!(ledger.trace_view_folded(&v1), Some(30));
+    assert_eq!(ledger.trace_view_folded(&v2), Some(30));
     let (backfills, refreshes, ..) = ledger.trace_views().stats().snapshot();
-    assert_eq!(backfills, 2);
-    assert!(refreshes >= 30, "the applier must fold every block");
+    assert_eq!((backfills, refreshes), (2, 1));
 }
 
 /// A spec built field by field keeps its operation's case
-/// (`TraceSpec::new` lowercases it). The applier and the direct path
-/// fold it alike: every `transfer` row, matched case-insensitively.
+/// (`TraceSpec::new` lowercases it). Chains built by the applier and by
+/// the direct path serve it alike: every `transfer` row, matched
+/// case-insensitively.
 #[test]
 fn mixed_case_operation_folds_alike_on_the_applier_and_the_direct_path() {
     let spec = TraceSpec {
@@ -320,7 +328,41 @@ fn mixed_case_operation_folds_alike_on_the_applier_and_the_direct_path() {
     let a = direct.serve_trace_view(&spec).unwrap().unwrap();
     let b = applied.serve_trace_view(&spec).unwrap().unwrap();
     assert_eq!(a.len(), 30, "every transfer row is kept");
-    assert_eq!(a, b, "the applier folded the view differently");
+    assert_eq!(a, b, "the applier's chain served the view differently");
+}
+
+/// Four threads register one spec at once on a 60-block chain: the
+/// check and the insert share one hold of the registry's write lock,
+/// so exactly one call registers it, and the store keeps it once.
+#[test]
+fn concurrent_registrations_of_one_spec_register_it_once() {
+    let dir = std::env::temp_dir().join(format!("sebdb-viewrace-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = TraceSpec::new(None, Some(ORG1.0), Some("donate"));
+    {
+        let ledger = Ledger::new(disk_store(&dir), signer()).unwrap();
+        for seq in 0..60u64 {
+            ledger.append_ordered(mixed_block(seq)).unwrap();
+        }
+        let barrier = Barrier::new(4);
+        let registered: Vec<bool> = std::thread::scope(|s| {
+            let calls: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        ledger.register_trace_view(spec.clone()).unwrap()
+                    })
+                })
+                .collect();
+            calls.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        assert_eq!(registered.iter().filter(|&&r| r).count(), 1);
+        assert_eq!(ledger.trace_views().len(), 1);
+        assert_view_equivalent(&ledger, &spec, "after the race");
+    }
+    let ledger = Ledger::new(disk_store(&dir), signer()).unwrap();
+    assert_eq!(ledger.trace_views().specs(), vec![spec]);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Registration validation: a dimensionless spec is rejected, and the

@@ -3,8 +3,8 @@
 //!
 //! The crate re-exports model versions of the primitives the engine is
 //! built on — the parking_lot shim's `Mutex`/`RwLock`/`Condvar`
-//! ([`sync`]), the crossbeam shim's bounded channel ([`channel`]), and
-//! `sebdb-parallel`-style thread spawn/join ([`thread`]) — with
+//! ([`sync`]) and `sebdb-parallel`-style thread spawn/join
+//! ([`thread`]) — with
 //! identical APIs, so a small model of a component reads like the
 //! component itself. [`explore`] then runs the model under every
 //! schedule a bounded-depth DFS can reach: exactly one model thread
@@ -23,7 +23,7 @@
 //!   explored.
 //! - **Data races**: every model thread carries a vector clock and the
 //!   primitives propagate happens-before edges (lock release→acquire,
-//!   channel send→recv, condvar notify→wake, spawn/join); a
+//!   condvar notify→wake, spawn/join); a
 //!   [`race::Tracked`] cell records each read/write with the accessing
 //!   thread's clock and fails the run when two conflicting accesses are
 //!   unordered, reporting both access sites. See DESIGN.md §14.
@@ -38,7 +38,6 @@
 
 mod sched;
 
-pub mod channel;
 pub mod race;
 pub mod sync;
 pub mod thread;
@@ -393,27 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_disconnect_and_timeout_paths() {
-        check("channel-paths", opts(5_000, 30), || {
-            let (tx, rx) = channel::bounded::<u64>(1);
-            let producer = thread::spawn(move || {
-                tx.send(7).expect("receiver alive");
-                // Sender drops here: receiver must observe disconnect.
-            });
-            let mut got = Vec::new();
-            loop {
-                match rx.recv_timeout(std::time::Duration::from_millis(10)) {
-                    Ok(v) => got.push(v),
-                    Err(channel::RecvTimeoutError::Timeout) => continue,
-                    Err(channel::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            producer.join();
-            assert_eq!(got, vec![7]);
-        });
-    }
-
-    #[test]
     fn race_detector_flags_unsynchronized_write_read() {
         let report = explore(opts(5_000, 30), || {
             let cell = Arc::new(race::Tracked::new(0u64));
@@ -451,26 +429,6 @@ mod tests {
         });
         assert_eq!(report.races_found, 0);
         assert!(report.schedules > 1);
-    }
-
-    #[test]
-    fn channel_send_recv_orders_tracked_accesses() {
-        let report = check("channel-hb", opts(5_000, 30), || {
-            let cell = Arc::new(race::Tracked::new(0u64));
-            let (tx, rx) = channel::bounded::<u64>(1);
-            let producer = {
-                let cell = Arc::clone(&cell);
-                thread::spawn(move || {
-                    cell.set(7);
-                    tx.send(1).expect("receiver alive");
-                })
-            };
-            rx.recv().expect("sender alive");
-            // Ordered after the producer's write via send→recv.
-            assert_eq!(cell.get(), 7);
-            producer.join();
-        });
-        assert_eq!(report.races_found, 0);
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! Every model thread carries a vector clock (see `sched.rs`); the
 //! model primitives propagate clocks along every synchronisation edge
 //! the engine can legally order accesses with — `Mutex`/`RwLock`
-//! release→acquire, channel send→recv (per message), `Condvar`
-//! notify→wake (timeouts and spurious wakeups synchronise with
-//! nothing), and thread spawn/join. A [`Tracked`] cell then timestamps
+//! release→acquire, `Condvar` notify→wake (timeouts and spurious
+//! wakeups synchronise with nothing), and thread spawn/join. A [`Tracked`] cell then timestamps
 //! each read and write with the accessing thread's clock: two accesses
 //! to the same cell race when at least one is a write, they come from
 //! different threads, and neither clock dominates the other's epoch.

@@ -230,22 +230,6 @@ impl Execution {
         vjoin(&mut st.threads[me].clock, &oc);
     }
 
-    /// Snapshot of `me`'s clock for a message send (channel send→recv
-    /// edge); bumps `me`'s epoch like a release.
-    pub(crate) fn send_clock(&self, me: usize) -> VClock {
-        let mut st = self.lock();
-        let snap = st.threads[me].clock.clone();
-        st.threads[me].clock[me] += 1;
-        snap
-    }
-
-    /// Joins a received message's clock into `me`'s (the recv side of
-    /// the send→recv edge).
-    pub(crate) fn recv_clock(&self, me: usize, clock: &VClock) {
-        let mut st = self.lock();
-        vjoin(&mut st.threads[me].clock, clock);
-    }
-
     /// Snapshot of `me`'s current clock, for stamping a `Tracked`
     /// access.
     pub(crate) fn access_clock(&self, me: usize) -> VClock {

@@ -1,181 +1,204 @@
-//! Model of the materialized-view fold
-//! (crates/core/src/views.rs + pipeline.rs): the applier advances the
-//! applied height over each block and then, on the same thread, folds
-//! the block's delta into the view exactly once (views never observe a
-//! height above `Ledger::height()`); the serve path catches a lagging
-//! view up under the same lock before answering, racing the applier's
-//! fold.
+//! Model of a materialized view's one maintenance path
+//! (crates/core/src/views.rs): the applier advances the persisted and
+//! then the applied height and never touches a view; two clients each
+//! register the view's spec and serve it twice. A serve reads the
+//! applied height, takes the view's write lock, extends the view over
+//! the blocks from its cursor to that height and moves the cursor
+//! there. A registration checks and inserts the spec under one hold of
+//! the registry's write lock.
 //!
-//! The folded delta of block `h` is modelled as the number `h + 1`, so
-//! the view's "rows" reduce to the running sum `folded·(folded+1)/2` —
-//! any double fold, skipped fold, or out-of-order fold shifts the sum
-//! and is caught by the invariant, which is exactly the equivalence
-//! gate (view == fresh rescan) in miniature.
+//! The rows block `h` contributes are modelled as the number `h + 1`,
+//! so the view's "rows" reduce to the running sum `folded·(folded+1)/2`
+//! — a block extended twice, skipped, or taken out of order shifts the
+//! sum and is caught by the invariant, which is the equivalence gate
+//! (view == fresh rescan) in miniature.
 //!
 //! Invariants under test:
 //! - **No height skew**: `folded ≤ applied` always — the view never
 //!   reflects a block readers cannot yet query.
-//! - **Exactly-once fold**: `rows == prefix_sum(folded)` always, even
-//!   with the serve-path catch-up racing the applier's fold.
+//! - **Exactly-once extension**: `rows == prefix_sum(folded)` always,
+//!   with two serves racing each other and the applier.
+//! - **One registration**: exactly one `register` call returns `true`,
+//!   and the registry holds the spec once.
 //!
-//! Seeded negative models (a fold that skips the idempotence check; a
-//! fold that runs before the applied-height advance) prove the checker
-//! catches both classes of bug.
+//! Seeded negative models prove the checker catches each class: a
+//! cursor read outside the write lock's hold (double extension), an
+//! extension to the persisted height (ahead of the applied one), and a
+//! registration check outside the registry's write lock (duplicate).
 
 use sebdb_model::{check, explore, race::Tracked, sync, thread, Options};
 use std::sync::Arc;
 
-const BLOCKS: u64 = 3;
+const BLOCKS: u64 = 2;
+const SPEC: u64 = 7;
 
 /// Sum of deltas over blocks `0..n` with `delta(h) = h + 1`.
 fn prefix_sum(n: u64) -> u64 {
     n * (n + 1) / 2
 }
 
-/// The model ledger-plus-view: the applied chain height and the view's
-/// fold cursor and accumulated rows — all behind one lock standing in
-/// for the view's `RwLock` + `height_watch`, with a condvar for height
-/// waiters.
+/// A seeded bug, or none.
+#[derive(Clone, Copy, PartialEq)]
+enum Bug {
+    None,
+    /// The serve reads the cursor under a read lock it drops before
+    /// taking the write lock, then extends from the stale cursor.
+    CursorOutsideLock,
+    /// The serve extends to the persisted height, not the applied one.
+    ToPersistedHeight,
+    /// The registration checks the registry under a read lock it drops
+    /// before inserting under the write lock.
+    CheckOutsideLock,
+}
+
+/// The ledger's two heights, behind the lock standing in for the
+/// applied height's atomic and `height_watch`.
 #[derive(Hash)]
-struct State {
+struct Heights {
+    persisted: Tracked<u64>,
     applied: Tracked<u64>,
+}
+
+/// The view's cursor and rows, behind the view's lock.
+#[derive(Hash)]
+struct ViewState {
     folded: Tracked<u64>,
     rows: Tracked<u64>,
 }
 
 struct Model {
-    state: sync::Mutex<State>,
-    advanced: sync::Condvar,
+    heights: sync::Mutex<Heights>,
+    view: sync::RwLock<ViewState>,
+    registry: sync::RwLock<Vec<u64>>,
+    bug: Bug,
 }
 
 impl Model {
-    fn new() -> Arc<Model> {
+    /// A model whose chain starts `applied` blocks high.
+    fn new(bug: Bug, applied: u64) -> Arc<Model> {
         Arc::new(Model {
-            state: sync::Mutex::new(State {
-                applied: Tracked::new(0),
+            heights: sync::Mutex::new(Heights {
+                persisted: Tracked::new(applied),
+                applied: Tracked::new(applied),
+            }),
+            view: sync::RwLock::new(ViewState {
                 folded: Tracked::new(0),
                 rows: Tracked::new(0),
             }),
-            advanced: sync::Condvar::new(),
+            registry: sync::RwLock::new(Vec::new()),
+            bug,
         })
     }
 
-    fn check_invariant(s: &State) {
+    /// Both invariants, with the view's lock held by the caller.
+    fn check_invariant(&self, v: &ViewState) {
+        let applied = self.heights.lock().applied.get();
         assert!(
-            s.folded.get() <= s.applied.get(),
-            "view ran ahead of the applied height: folded={} applied={}",
-            s.folded.get(),
-            s.applied.get()
+            v.folded.get() <= applied,
+            "view ran ahead of the applied height: folded={} applied={applied}",
+            v.folded.get(),
         );
         assert_eq!(
-            s.rows.get(),
-            prefix_sum(s.folded.get()),
+            v.rows.get(),
+            prefix_sum(v.folded.get()),
             "view diverged from a fresh rescan at folded={}",
-            s.folded.get()
+            v.folded.get()
         );
     }
 
-    /// `fold_views` for one block under the lock: idempotence skip,
-    /// gap catch-up, then the delta fold. `skip_idempotence` is the
-    /// seeded double-fold bug.
-    fn fold_block(s: &State, h: u64, skip_idempotence: bool) {
-        if !skip_idempotence && s.folded.get() > h {
-            return; // already folded (serve-path catch-up won the race)
+    /// `register_trace_view`: whether this call registered the spec.
+    fn register(&self) -> bool {
+        if self.bug == Bug::CheckOutsideLock {
+            if self.registry.read().contains(&SPEC) {
+                return false;
+            }
+            self.registry.write().push(SPEC);
+            return true;
         }
-        while s.folded.get() < h {
-            let gap = s.folded.get();
-            s.rows.set(s.rows.get() + gap + 1);
-            s.folded.set(gap + 1);
+        let mut registry = self.registry.write();
+        if registry.contains(&SPEC) {
+            return false;
         }
-        s.rows.set(s.rows.get() + h + 1);
-        s.folded.set(h + 1);
-        Model::check_invariant(s);
+        registry.push(SPEC);
+        true
     }
 
-    /// The serve path: catch the view up to the applied height under
-    /// the lock, then "answer" — the answer must equal a fresh rescan
-    /// of the applied prefix.
+    /// `serve_trace_view`: read the height, take the view's write lock,
+    /// extend from the cursor to the height, answer.
     fn serve(&self) {
-        let s = self.state.lock();
-        let target = s.applied.get();
-        while s.folded.get() < target {
-            let h = s.folded.get();
-            Model::fold_block(&s, h, false);
+        let height = {
+            let h = self.heights.lock();
+            match self.bug {
+                Bug::ToPersistedHeight => h.persisted.get(),
+                _ => h.applied.get(),
+            }
+        };
+        let stale = (self.bug == Bug::CursorOutsideLock).then(|| self.view.read().folded.get());
+        let v = self.view.write();
+        let from = stale.unwrap_or_else(|| v.folded.get());
+        if from < height {
+            let delta: u64 = (from..height).map(|h| h + 1).sum();
+            v.rows.set(v.rows.get() + delta);
+            v.folded.set(height);
         }
-        assert_eq!(
-            s.rows.get(),
-            prefix_sum(target),
-            "served result diverged from rescan at height {target}"
-        );
-        Model::check_invariant(&s);
+        self.check_invariant(&v);
     }
 }
 
-/// The applier: for each block, advance the applied height and wake
-/// waiters, then fold the block under the view's lock — the
-/// post-persist step's order. `skip_idempotence` is the seeded
-/// double-fold bug; `fold_first` (the seeded skew bug) folds before
-/// the advance.
-fn run_applier(model: &Model, skip_idempotence: bool, fold_first: bool) {
-    for h in 0..BLOCKS {
-        if fold_first {
-            Model::fold_block(&model.state.lock(), h, skip_idempotence);
-        }
-        let s = model.state.lock();
-        s.applied.set(h + 1);
-        Model::check_invariant(&s);
-        drop(s);
-        model.advanced.notify_all();
-        if !fold_first {
-            Model::fold_block(&model.state.lock(), h, skip_idempotence);
-        }
+/// The applier: for each block left to apply, persist (the persisted
+/// height), then index and advance the applied height. It never touches
+/// the view.
+fn run_applier(model: &Model) {
+    let start = model.heights.lock().applied.get();
+    for h in start..BLOCKS {
+        model.heights.lock().persisted.set(h + 1);
+        model.heights.lock().applied.set(h + 1);
     }
 }
 
-/// A tracking query arriving at arbitrary points: serve (with
-/// catch-up) after every observed height advance until the chain is
-/// fully applied and folded.
-fn run_reader(model: &Model) {
-    loop {
-        model.serve();
-        let mut s = model.state.lock();
-        if s.applied.get() == BLOCKS && s.folded.get() == BLOCKS {
-            return;
-        }
-        model
-            .advanced
-            .wait_timeout(&mut s, std::time::Duration::from_millis(50));
-    }
-}
-
-fn main_model(model: Arc<Model>, skip_idempotence: bool, fold_first: bool) {
-    let reader = {
-        let model = Arc::clone(&model);
-        thread::spawn(move || run_reader(&model))
-    };
+fn main_model(model: Arc<Model>) {
+    let clients: Vec<_> = (0..2)
+        .map(|_| {
+            let model = Arc::clone(&model);
+            thread::spawn(move || {
+                let registered = model.register();
+                model.serve();
+                registered
+            })
+        })
+        .collect();
     let applier = {
         let model = Arc::clone(&model);
-        thread::spawn(move || run_applier(&model, skip_idempotence, fold_first))
+        thread::spawn(move || run_applier(&model))
     };
     applier.join();
-    reader.join();
-    let s = model.state.lock();
-    assert_eq!(s.applied.get(), BLOCKS);
-    assert_eq!(s.folded.get(), BLOCKS, "view must reach the tip");
-    Model::check_invariant(&s);
+    let registered = clients.into_iter().map(|c| c.join());
+    let registered = registered.filter(|&r| r).count();
+    assert_eq!(
+        (registered, model.registry.read().len()),
+        (1, 1),
+        "spec registered twice"
+    );
+    // A read after the applier stops catches the view up to the tip.
+    model.serve();
+    let v = model.view.read();
+    assert_eq!(v.folded.get(), BLOCKS, "view must reach the tip");
+    model.check_invariant(&v);
+}
+
+fn options() -> Options {
+    Options {
+        max_schedules: 20_000,
+        max_depth: 60,
+        prune: false,
+    }
 }
 
 #[test]
 fn fold_cursor_and_rescan_equivalence_hold_on_every_schedule() {
-    let report = check(
-        "view-fold-invariant",
-        Options {
-            max_schedules: 20_000,
-            max_depth: 60,
-            prune: false,
-        },
-        || main_model(Model::new(), false, false),
-    );
+    let report = check("view-extension-invariant", options(), || {
+        main_model(Model::new(Bug::None, 0))
+    });
     assert!(
         report.schedules >= 200,
         "expected >= 200 schedules, explored {}",
@@ -192,46 +215,42 @@ fn fold_cursor_and_rescan_equivalence_hold_on_every_schedule() {
     );
 }
 
-/// Seeded bug: the applier folds without the `folded > h` idempotence
-/// check. The serve-path catch-up can fold a block first, between the
-/// applier's height advance and its fold; the applier then folds it
-/// again and the view's rows drift off the rescan sum.
-#[test]
-fn double_fold_without_idempotence_check_is_caught() {
-    let report = explore(
-        Options {
-            max_schedules: 20_000,
-            max_depth: 60,
-            prune: false,
-        },
-        || main_model(Model::new(), true, false),
-    );
-    let failure = report.failure.expect("the double-fold bug must be caught");
+/// The failure `bug` must be caught with, on a chain `applied` blocks
+/// high at the start: its message holds `expect`.
+fn assert_caught(bug: Bug, applied: u64, expect: &str) {
+    let report = explore(options(), move || main_model(Model::new(bug, applied)));
+    let failure = report.failure.expect("the seeded bug must be caught");
     assert!(
-        failure.message.contains("diverged from a fresh rescan")
-            || failure.message.contains("diverged from rescan"),
+        failure.message.contains(expect),
         "unexpected failure: {}",
         failure.message
     );
 }
 
-/// Seeded bug: the applier folds a block before advancing the applied
-/// height over it — the view observes a block readers cannot query
-/// yet, violating the no-skew invariant.
+/// Seeded bug: a serve reads the cursor before it holds the write
+/// lock. Two serves read the same cursor, and the second extends the
+/// view over blocks the first already appended.
+#[test]
+fn double_fold_without_idempotence_check_is_caught() {
+    assert_caught(
+        Bug::CursorOutsideLock,
+        BLOCKS,
+        "diverged from a fresh rescan",
+    );
+}
+
+/// Seeded bug: a serve extends to the persisted height. Between a
+/// block's persist and its index the view then holds a block readers
+/// cannot query yet, violating the no-skew invariant.
 #[test]
 fn folding_ahead_of_the_applied_height_is_caught() {
-    let report = explore(
-        Options {
-            max_schedules: 20_000,
-            max_depth: 60,
-            prune: false,
-        },
-        || main_model(Model::new(), false, true),
-    );
-    let failure = report.failure.expect("the height-skew bug must be caught");
-    assert!(
-        failure.message.contains("ran ahead of the applied height"),
-        "unexpected failure: {}",
-        failure.message
-    );
+    assert_caught(Bug::ToPersistedHeight, 0, "ran ahead of the applied height");
+}
+
+/// Seeded bug: a registration checks the registry under a read lock it
+/// drops before inserting. Both clients pass the check and both
+/// register the spec.
+#[test]
+fn registration_checked_outside_the_registry_lock_is_caught() {
+    assert_caught(Bug::CheckOutsideLock, BLOCKS, "spec registered twice");
 }

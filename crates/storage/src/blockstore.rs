@@ -662,9 +662,9 @@ impl BlockStore {
     /// versioned byte encoding owned by the core crate) behind the
     /// same `.tmp` → rename commit point the index checkpoints use.
     /// Registrations are *advisory* durable state: only the predicate
-    /// specs are saved — materialized rows are always rebuilt by
-    /// re-backfilling on open, so a torn or missing file costs a
-    /// backfill, never correctness.
+    /// specs are saved — materialized rows are rebuilt by a view's
+    /// first serve after a reopen, so a torn or missing file costs the
+    /// registrations, never correctness.
     pub fn save_view_registrations(&self, bytes: &[u8]) -> Result<()> {
         publish::publish_atomically(
             &self.dir.join(VIEW_REGISTRATIONS),
