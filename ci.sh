@@ -132,8 +132,8 @@ done
 # its built-in assertion must hold — serving the view, which each read
 # extends over the blocks applied since the last, beats re-running the
 # trace on repeat queries, at 1 CPU.
-echo "==> SEBDB_BENCH_SMOKE=1 cargo bench -p sebdb-bench --bench tracking"
-SEBDB_BENCH_SMOKE=1 cargo bench -q -p sebdb-bench --bench tracking >/dev/null
+echo "==> SEBDB_BENCH_SMOKE=1 cargo bench -p sebdb-bench --bench views"
+SEBDB_BENCH_SMOKE=1 cargo bench -q -p sebdb-bench --bench views >/dev/null
 smoke=target/BENCH_views_smoke.json
 for key in '"bench": "views"' '"cpus":' '"blocks"' '"mode"' \
            '"repeat_query_us"' '"append_us_per_block"' '"result_rows"'; do

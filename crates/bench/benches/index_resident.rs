@@ -20,13 +20,13 @@
 //!   (`store_resident_bytes`, `BlockStore::metadata_bytes`): O(tuples
 //!   ever written), whatever the index does.
 //!
-//! Besides the criterion output, the run writes
-//! `BENCH_indexresident.json` at the repository root.
+//! The run writes `BENCH_indexresident.json` at the repository root.
 //! `SEBDB_BENCH_SMOKE=1` runs a tiny sweep and writes
 //! `target/BENCH_indexresident_smoke.json` instead (CI schema check),
 //! leaving the committed numbers untouched.
+//!
+//! Run it with `cargo bench -p sebdb-bench --bench index_resident`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sebdb::{Executor, Ledger, SchemaManager, Strategy};
 use sebdb_consensus::OrderedBlock;
 use sebdb_crypto::sig::{KeyId, MacKeypair};
@@ -35,7 +35,7 @@ use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::{Column, DataType, TableSchema, Transaction, Value};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const SENDER: KeyId = KeyId([0xB7; 8]);
 /// Amounts cycle modulo this prime so every probe key exists on chains
@@ -201,27 +201,15 @@ struct Row {
     cache_misses: u64,
 }
 
-fn index_resident(c: &mut Criterion) {
+fn main() {
     let sw = sweep();
     let mut rows: Vec<Row> = Vec::new();
-
-    let mut group = c.benchmark_group("index_resident");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(200));
     for &nblocks in sw.chain_lengths {
         let dir = std::env::temp_dir().join(format!(
             "sebdb-bench-indexresident-n{nblocks}-{}",
             std::process::id()
         ));
         build_chain(&dir, nblocks);
-
-        if !smoke() {
-            group.bench_function(BenchmarkId::new("open_checkpointed", nblocks), |b| {
-                b.iter(|| open_ledger(&dir, CACHE_BLOCKS[0]))
-            });
-        }
 
         // Checkpointed opens across the cache-capacity sweep, each
         // followed by the probe workload that pages the frozen index.
@@ -270,8 +258,6 @@ fn index_resident(c: &mut Criterion) {
 
         let _ = std::fs::remove_dir_all(&dir);
     }
-    group.finish();
-
     write_json(&rows);
 }
 
@@ -333,6 +319,3 @@ fn write_json(rows: &[Row]) {
     std::fs::write(path, body).expect("write BENCH_indexresident.json");
     eprintln!("wrote {path}");
 }
-
-criterion_group!(benches, index_resident);
-criterion_main!(benches);

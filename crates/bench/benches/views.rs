@@ -1,95 +1,28 @@
-//! Criterion benches for Figs. 8–10: the track-trace operation under
-//! scan / bitmap / layered access paths, uniform and Gaussian
-//! placement, one and two dimensions — plus the materialized-view
-//! sweep (DESIGN §15): a repeated `TRACE` served from a view
-//! (`mode=view`, O(result) per query, the view extended by each read
-//! over the blocks applied since the last) against fresh re-execution
-//! (`mode=rescan`, O(chain) per query).
+//! Materialized-view sweep (DESIGN §15): a repeated `TRACE` served
+//! from a view (`mode=view`, O(result) per query, the view extended by
+//! each read over the blocks applied since the last) against fresh
+//! re-execution (`mode=rescan`, O(chain) per query).
 //!
-//! Besides the criterion output, the views sweep writes
-//! `BENCH_views.json` at the repository root. `SEBDB_BENCH_SMOKE=1`
-//! runs a tiny sweep, writes `target/BENCH_views_smoke.json` instead
-//! (CI schema check), skips the criterion-only figure groups, and
+//! The run writes `BENCH_views.json` at the repository root.
+//! `SEBDB_BENCH_SMOKE=1` runs a tiny sweep, writes
+//! `target/BENCH_views_smoke.json` instead (CI schema check), and
 //! asserts the view, extended on read, beats the rescan on repeat
 //! queries even on a one-CPU host.
+//!
+//! Run it with `cargo bench -p sebdb-bench --bench views`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sebdb::{Executor, Ledger, Strategy};
-use sebdb_bench::datagen::{tracking2_bed, tracking_bed, Placement, TestBed};
-use sebdb_bench::workload::{run_q2, run_q3};
 use sebdb_consensus::OrderedBlock;
 use sebdb_crypto::sig::{KeyId, MacKeypair};
 use sebdb_sql::{LogicalPlan, TraceSpec};
 use sebdb_storage::{BlockStore, StoreConfig};
 use sebdb_types::{Transaction, Value};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn smoke() -> bool {
     std::env::var("SEBDB_BENCH_SMOKE").is_ok()
 }
-
-fn fig8_tracking_by_chain_size(c: &mut Criterion) {
-    if smoke() {
-        return;
-    }
-    let mut group = c.benchmark_group("fig8_tracking_q2");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(300));
-    for blocks in [20u64, 40] {
-        for (label, strategy, placement) in [
-            ("SU", Strategy::Scan, Placement::Uniform),
-            ("BU", Strategy::Bitmap, Placement::Uniform),
-            ("LU", Strategy::Layered, Placement::Uniform),
-            (
-                "LG",
-                Strategy::Layered,
-                Placement::Gaussian { std_blocks: 4.0 },
-            ),
-        ] {
-            let bed = tracking_bed(blocks, 50, 200, placement, 1);
-            group.bench_with_input(BenchmarkId::new(label, blocks), &bed, |b, bed| {
-                b.iter(|| run_q2(bed, strategy).len())
-            });
-        }
-    }
-    group.finish();
-}
-
-fn fig10_two_dimension_windows(c: &mut Criterion) {
-    if smoke() {
-        return;
-    }
-    let mut group = c.benchmark_group("fig10_tracking_q3");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(300));
-    let bed = tracking2_bed(40, 50, 400, 400, 100, Placement::Uniform, 2);
-    for i in 1..=3u32 {
-        let span = 40 / 2u64.pow(i - 1);
-        let (s, e) = TestBed::window_covering_blocks(40 - span, 39);
-        group.bench_with_input(BenchmarkId::new("TI", format!("TW{i}")), &bed, |b, bed| {
-            b.iter(|| run_q3(bed, Some((s, e)), true, true, Strategy::Layered).len())
-        });
-        group.bench_with_input(BenchmarkId::new("SI", format!("TW{i}")), &bed, |b, bed| {
-            b.iter(|| {
-                run_q3(bed, Some((s, e)), true, false, Strategy::Layered)
-                    .rows
-                    .iter()
-                    .filter(|r| r[4] == sebdb_types::Value::str("transfer"))
-                    .count()
-            })
-        });
-    }
-    group.finish();
-}
-
-// ---------------------------------------------------------------------------
-// Materialized-view sweep (mode=rescan | mode=view)
-// ---------------------------------------------------------------------------
 
 const TRACKED: KeyId = KeyId([0xA1; 8]);
 const OTHER: KeyId = KeyId([0xA2; 8]);
@@ -204,15 +137,9 @@ struct ViewRow {
     result_rows: usize,
 }
 
-fn views_delta_vs_rescan(c: &mut Criterion) {
+fn main() {
     let sw = views_sweep();
     let mut rows: Vec<ViewRow> = Vec::new();
-
-    let mut group = c.benchmark_group("views_tracking");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(200));
     for &blocks in sw.chain_lengths {
         // Each mode builds, measures, and drops its chain before the
         // other starts, so neither's resident indexes skew the other's
@@ -230,11 +157,6 @@ fn views_delta_vs_rescan(c: &mut Criterion) {
                 append_us_per_block: plain_append,
                 result_rows: result.len(),
             });
-            if !smoke() {
-                group.bench_function(BenchmarkId::new("rescan", blocks), |b| {
-                    b.iter(|| trace_query(&plain, Strategy::Layered).len())
-                });
-            }
             result
         };
 
@@ -253,13 +175,7 @@ fn views_delta_vs_rescan(c: &mut Criterion) {
             append_us_per_block: view_append,
             result_rows: view_result.len(),
         });
-        if !smoke() {
-            group.bench_function(BenchmarkId::new("view", blocks), |b| {
-                b.iter(|| trace_query(&viewed, Strategy::Auto).len())
-            });
-        }
     }
-    group.finish();
 
     if smoke() {
         // The whole point, asserted at 1 CPU on the largest smoke
@@ -321,11 +237,3 @@ fn write_views_json(rows: &[ViewRow]) {
     std::fs::write(path, body).expect("write BENCH_views.json");
     eprintln!("wrote {path}");
 }
-
-criterion_group!(
-    benches,
-    fig8_tracking_by_chain_size,
-    fig10_two_dimension_windows,
-    views_delta_vs_rescan
-);
-criterion_main!(benches);

@@ -5,8 +5,9 @@
 //! uniform/Gaussian [`datagen`] ("time dimension" and "data
 //! distribution in attributes"), the Q1–Q7 [`workload`] (Table II),
 //! and [`metrics`] for figure-style output. The `figures` binary
-//! regenerates every figure of §VII; the Criterion benches under
-//! `benches/` cover the same experiments for statistical timing.
+//! regenerates and times every figure of §VII; the two sweeps under
+//! `benches/` (`index_resident`, `views`) time designs no figure
+//! covers and write `BENCH_*.json`.
 
 #![warn(missing_docs)]
 

@@ -97,12 +97,13 @@ impl Executor<'_> {
         )
     }
 
-    /// How `run_trace` answers a trace under `Auto` — from the view
-    /// registered for it; on the Layered arm, with the one second level
-    /// it probes (`sen_id`) and, for two dimensions, the partition whose
-    /// tuples the tuple table keeps; or, for an operation alone, on the
-    /// Bitmap arm — and the partitions the Scan and Bitmap arms read,
-    /// with the relations placed in each.
+    /// How `run_trace` answers a trace under `Auto` — on the Layered
+    /// arm, with the one second level it probes (`sen_id`) and, for two
+    /// dimensions, the partition whose tuples the tuple table keeps; or,
+    /// for an operation alone, on the Bitmap arm; or from the view
+    /// registered for it, which a serve first extends by that arm over
+    /// the blocks applied since its cursor — and the partitions the Scan
+    /// and Bitmap arms read, with the relations placed in each.
     fn describe_trace(
         &self,
         window: Option<(Timestamp, Timestamp)>,
@@ -112,17 +113,24 @@ impl Executor<'_> {
         let operator = trace_operator(operator, operation)?;
         let store = self.ledger.store();
         let spec = TraceSpec::new(window, operator.map(|k| k.0), operation);
-        let probe = "auto: layered, one second-level probe (sen_id)";
+        let probe = "layered, one second-level probe (sen_id)";
         let arm = match (operator, operation) {
-            _ if self.ledger.trace_views().matching(&spec).is_some() => {
-                "auto: the registered view on this trace, no index probed".to_string()
-            }
-            (None, _) => "auto: bitmap, tname's first level prunes the scan".to_string(),
+            (None, _) => "bitmap, tname's first level prunes the scan".to_string(),
             (Some(_), None) => probe.to_string(),
             (Some(_), Some(tname)) => match partition_company(store, tname) {
                 Some(part) => format!("{probe}, then the tuple table keeps {tname}'s {part}"),
                 None => format!(
                     "{probe}, then the tuple table keeps nothing ({tname} not on the chain)"
+                ),
+            },
+        };
+        let arm = match self.ledger.trace_views().matching(&spec) {
+            None => format!("auto: {arm}"),
+            Some(view) => match self.ledger.height().saturating_sub(view.folded()) {
+                0 => "auto: the registered view on this trace, no index probed".to_string(),
+                lag => format!(
+                    "auto: the registered view on this trace, {lag} blocks behind; \
+                     the serve extends it by {arm}"
                 ),
             },
         };

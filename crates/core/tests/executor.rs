@@ -664,12 +664,21 @@ fn explain_says_how_a_trace_runs() {
         "  scan and bitmap arms read nothing (not on the chain)"
     );
     // A registered view serves the trace it was registered for, and
-    // only that one.
+    // only that one. Until a serve extends it, it is behind by every
+    // applied block, and the serve extends it by the unviewed arm.
     let spec = sebdb_sql::TraceSpec::new(None, Some(A.0), Some("transfer"));
     assert!(l.register_trace_view(spec).unwrap());
     let viewed = explain(&trace(Some(A), Some("transfer")));
     assert_eq!(
         viewed[0],
+        "Trace [Algorithm 1; auto: the registered view on this trace, 3 blocks behind; \
+         the serve extends it by layered, one second-level probe (sen_id), \
+         then the tuple table keeps transfer's partition 0 (shared with donate)]"
+    );
+    let served = Executor::new(&l, None).execute(&trace(Some(A), Some("transfer")), Strategy::Auto);
+    assert_eq!(served.unwrap().len(), 1);
+    assert_eq!(
+        explain(&trace(Some(A), Some("transfer")))[0],
         "Trace [Algorithm 1; auto: the registered view on this trace, no index probed]"
     );
     assert!(explain(&trace(Some(B), Some("transfer")))[0].contains("auto: layered"));

@@ -30,11 +30,8 @@
 //!
 //! Bounds and caveats (see DESIGN.md §9): branching stops at
 //! `max_depth` decisions (beyond it the scheduler picks the first
-//! runnable thread, preferring non-timeout progress), `notify_one`
-//! deterministically wakes the lowest-id waiter, and optional
-//! state-hash pruning treats two states with equal fingerprints as
-//! identical — sound for these models' `Hash`-faithful payloads, but a
-//! fingerprint collision could in principle hide a schedule.
+//! runnable thread, preferring non-timeout progress), and `notify_one`
+//! deterministically wakes the lowest-id waiter.
 
 mod sched;
 
@@ -45,7 +42,7 @@ pub mod thread;
 use sched::{Execution, ModelAbort};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Exploration bounds.
 #[derive(Debug, Clone, Copy)]
@@ -56,18 +53,6 @@ pub struct Options {
     /// Scheduling decisions the DFS may branch over; beyond this depth
     /// every run takes the default (first-runnable) choice.
     pub max_depth: usize,
-    /// Skip branching at states whose fingerprint was already expanded.
-    pub prune: bool,
-}
-
-impl Default for Options {
-    fn default() -> Options {
-        Options {
-            max_schedules: 20_000,
-            max_depth: 40,
-            prune: true,
-        }
-    }
 }
 
 /// A failing schedule: the message plus the decision vector that
@@ -84,8 +69,7 @@ pub struct Report {
     /// Complete runs executed.
     pub schedules: usize,
     /// Distinct schedule traces among them (hash of the actual thread
-    /// interleaving — runs that only differ in pruned branches
-    /// collapse).
+    /// interleaving).
     pub distinct_traces: usize,
     /// The first failing schedule, if any. Exploration stops at the
     /// first failure.
@@ -116,15 +100,12 @@ where
     F: Fn() + Send + Sync + 'static,
 {
     let f = Arc::new(f);
-    let visited = opts
-        .prune
-        .then(|| Arc::new(Mutex::new(HashSet::<u64>::new())));
     let mut replay: Vec<usize> = Vec::new();
     let mut schedules = 0usize;
     let mut races = 0usize;
     let mut traces = HashSet::new();
     loop {
-        let ex = Execution::new(replay.clone(), opts.max_depth, visited.clone());
+        let ex = Execution::new(replay.clone(), opts.max_depth);
         let root_tid = ex.register_thread(None);
         // Hand thread 0 the slot before it exists so its first park
         // returns immediately — no startup race.
@@ -190,7 +171,7 @@ where
     F: Fn() + Send + Sync + 'static,
 {
     let f = Arc::new(f);
-    let ex = Execution::new(decisions.to_vec(), 0, None);
+    let ex = Execution::new(decisions.to_vec(), 0);
     let root_tid = ex.register_thread(None);
     ex.start();
     let root = {
@@ -284,7 +265,6 @@ mod tests {
         Options {
             max_schedules,
             max_depth,
-            prune: false,
         }
     }
 
@@ -473,40 +453,5 @@ mod tests {
         });
         assert_eq!(report.races_found, 0);
         assert!(report.schedules > 1);
-    }
-
-    #[test]
-    fn pruning_reduces_schedules_without_losing_failures() {
-        let run = |prune: bool| {
-            explore(
-                Options {
-                    max_schedules: 20_000,
-                    max_depth: 30,
-                    prune,
-                },
-                || {
-                    let counter = Arc::new(sync::Mutex::new(0u64));
-                    let workers: Vec<_> = (0..3)
-                        .map(|_| {
-                            let counter = Arc::clone(&counter);
-                            thread::spawn(move || *counter.lock() += 1)
-                        })
-                        .collect();
-                    for w in workers {
-                        w.join();
-                    }
-                    assert_eq!(*counter.lock(), 3);
-                },
-            )
-        };
-        let full = run(false);
-        let pruned = run(true);
-        assert!(full.failure.is_none() && pruned.failure.is_none());
-        assert!(
-            pruned.schedules <= full.schedules,
-            "pruning must not add schedules ({} > {})",
-            pruned.schedules,
-            full.schedules
-        );
     }
 }

@@ -23,7 +23,6 @@
 //! (what must be tracked, what is exempt) are in DESIGN.md §14.
 
 use crate::sched::{ctx, ventry, VClock};
-use std::hash::{Hash, Hasher};
 use std::panic::Location;
 use std::sync::{Mutex, PoisonError};
 
@@ -174,17 +173,6 @@ impl<T> Tracked<T> {
              is unordered with {kind} by thread {me} at {}",
             self.created, prev.tid, prev.site, site
         ))
-    }
-}
-
-/// Hashes the payload only — race bookkeeping is exploration state,
-/// not model state, and must not perturb state-signature pruning.
-impl<T: Hash> Hash for Tracked<T> {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        self.data
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .hash(h);
     }
 }
 

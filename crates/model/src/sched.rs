@@ -8,10 +8,7 @@
 //! replayable from its decision vector alone.
 
 use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Why a blocked thread resumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +58,7 @@ pub(crate) fn ventry(clock: &VClock, tid: usize) -> u64 {
 struct ThreadRec {
     status: Status,
     wake: Option<Wake>,
-    /// Operations executed — part of the state signature.
+    /// Operations executed — part of the schedule trace hash.
     ops: u64,
     /// Object id joiners block on.
     join_obj: u64,
@@ -77,13 +74,6 @@ pub(crate) struct Decision {
     pub options: usize,
 }
 
-/// Internal state-fingerprint hook: every model object reports a hash
-/// of its current contents so the explorer can recognise revisited
-/// states.
-pub(crate) trait StateSig: Send + Sync {
-    fn sig(&self) -> u64;
-}
-
 pub(crate) struct ExecState {
     threads: Vec<ThreadRec>,
     current: Option<usize>,
@@ -92,12 +82,10 @@ pub(crate) struct ExecState {
     /// Rolling hash over (thread, op-count) pairs — identifies the
     /// schedule.
     pub(crate) trace_hash: u64,
-    /// Registered model objects, in creation order (creation order is
-    /// deterministic per run, so ids line up across replays).
-    objects: Vec<Option<Weak<dyn StateSig>>>,
     /// Per-object vector clocks: the join of every clock released into
     /// the object (lock release, condvar notify, thread exit). Indexed
-    /// by object id, parallel to `objects`.
+    /// by object id; ids are handed out in creation order, which is
+    /// deterministic per run, so they line up across replays.
     obj_clocks: Vec<VClock>,
     pub(crate) failure: Option<String>,
     /// Data races reported by `Tracked` cells during this run.
@@ -113,10 +101,6 @@ pub(crate) struct ExecState {
 pub struct Execution {
     state: Mutex<ExecState>,
     cv: Condvar,
-    /// State signatures seen at earlier decision points (shared across
-    /// the whole exploration when state-hash pruning is enabled): a
-    /// revisited state does not branch again.
-    visited: Option<Arc<Mutex<HashSet<u64>>>>,
 }
 
 thread_local! {
@@ -153,11 +137,7 @@ fn mix(h: &mut u64, v: u64) {
 }
 
 impl Execution {
-    pub(crate) fn new(
-        replay: Vec<usize>,
-        max_depth: usize,
-        visited: Option<Arc<Mutex<HashSet<u64>>>>,
-    ) -> Arc<Execution> {
+    pub(crate) fn new(replay: Vec<usize>, max_depth: usize) -> Arc<Execution> {
         Arc::new(Execution {
             state: Mutex::new(ExecState {
                 threads: Vec::new(),
@@ -165,7 +145,6 @@ impl Execution {
                 replay,
                 decisions: Vec::new(),
                 trace_hash: 0xcbf29ce484222325,
-                objects: Vec::new(),
                 obj_clocks: Vec::new(),
                 failure: None,
                 races: 0,
@@ -173,7 +152,6 @@ impl Execution {
                 max_depth,
             }),
             cv: Condvar::new(),
-            visited,
         })
     }
 
@@ -188,7 +166,7 @@ impl Execution {
     /// accesses stay unordered with the child.
     pub(crate) fn register_thread(&self, parent: Option<usize>) -> usize {
         let mut st = self.lock();
-        let join_obj = st.alloc_object_id(None);
+        let join_obj = st.alloc_object_id();
         let tid = st.threads.len();
         let mut clock = match parent {
             Some(p) => {
@@ -243,8 +221,8 @@ impl Execution {
     }
 
     /// Registers a model object; returns its id.
-    pub(crate) fn register_object(&self, sig: Weak<dyn StateSig>) -> u64 {
-        self.lock().alloc_object_id(Some(sig))
+    pub(crate) fn register_object(&self) -> u64 {
+        self.lock().alloc_object_id()
     }
 
     pub(crate) fn join_obj(&self, tid: usize) -> u64 {
@@ -434,20 +412,7 @@ impl Execution {
         } else {
             0
         };
-        let mut branchable = if d < st.max_depth { options.len() } else { 1 };
-        // State-hash pruning: if this exact global state was already
-        // expanded at some decision point, its subtree is explored —
-        // do not branch here again. (Only prunes *new* expansion: the
-        // replayed prefix is always honoured.)
-        if branchable > 1 && d >= st.replay.len() {
-            if let Some(visited) = &self.visited {
-                let sig = st.signature();
-                let mut seen = visited.lock().unwrap_or_else(|e| e.into_inner());
-                if !seen.insert(sig) {
-                    branchable = 1;
-                }
-            }
-        }
+        let branchable = if d < st.max_depth { options.len() } else { 1 };
         st.decisions.push(Decision {
             chosen: idx,
             options: branchable,
@@ -484,32 +449,9 @@ impl Execution {
 }
 
 impl ExecState {
-    /// Signature of the global state at the current decision point:
-    /// thread statuses/positions plus every live object's content
-    /// fingerprint. Called with the execution lock held; object `sig()`
-    /// implementations take only their own internal locks (model
-    /// primitives never call back into the scheduler from `sig()`).
-    fn signature(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        for t in &self.threads {
-            (t.ops, std::mem::discriminant(&t.status)).hash(&mut h);
-            if let Status::Blocked(o) | Status::TimedWait(o) = t.status {
-                o.hash(&mut h);
-            }
-        }
-        for obj in self.objects.iter().flatten() {
-            match obj.upgrade() {
-                Some(o) => o.sig().hash(&mut h),
-                None => 0u64.hash(&mut h),
-            }
-        }
-        h.finish()
-    }
-
-    fn alloc_object_id(&mut self, sig: Option<Weak<dyn StateSig>>) -> u64 {
-        self.objects.push(sig);
+    fn alloc_object_id(&mut self) -> u64 {
         self.obj_clocks.push(VClock::new());
-        self.objects.len() as u64 - 1
+        self.obj_clocks.len() as u64 - 1
     }
 
     fn all_finished(&self) -> bool {

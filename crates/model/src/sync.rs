@@ -6,28 +6,10 @@
 //! but deliberately do NOT yield — `Drop` must never unwind, and the
 //! released state is explored at the next thread's own scheduling
 //! point.
-//!
-//! Payloads must be `Hash`: every object contributes a content
-//! fingerprint to the state signature used for revisited-state pruning.
 
-use crate::sched::{ctx, ctx_opt, StateSig, Wake};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock, PoisonError, Weak};
+use crate::sched::{ctx, ctx_opt, Wake};
+use std::sync::PoisonError;
 use std::time::Duration;
-
-fn fingerprint(tag: u64, parts: &[u64]) -> u64 {
-    let mut h = DefaultHasher::new();
-    tag.hash(&mut h);
-    parts.hash(&mut h);
-    h.finish()
-}
-
-fn hash_of<T: Hash>(value: &T) -> u64 {
-    let mut h = DefaultHasher::new();
-    value.hash(&mut h);
-    h.finish()
-}
 
 // ---------------------------------------------------------------------
 // Mutex
@@ -38,31 +20,18 @@ struct MutexCore<T> {
     /// Real storage; uncontended by construction (only the model holder
     /// touches it).
     data: std::sync::Mutex<T>,
-    id: OnceLock<u64>,
+    id: u64,
 }
 
 impl<T> MutexCore<T> {
     fn id(&self) -> u64 {
-        *self.id.get().expect("model object not registered")
-    }
-}
-
-impl<T: Hash + Send + 'static> StateSig for MutexCore<T> {
-    fn sig(&self) -> u64 {
-        let locked = *self.meta.lock().unwrap_or_else(PoisonError::into_inner);
-        // While a guard is out the holder owns the data; its progress
-        // is captured by the holder thread's op counter instead.
-        let content = match self.data.try_lock() {
-            Ok(guard) => hash_of(&*guard),
-            Err(_) => 0x6865_6c64, // "held"
-        };
-        fingerprint(1, &[locked as u64, content])
+        self.id
     }
 }
 
 /// A model mutex with the parking_lot shim's `lock()` API.
 pub struct Mutex<T> {
-    core: Arc<MutexCore<T>>,
+    core: MutexCore<T>,
 }
 
 pub struct MutexGuard<'a, T> {
@@ -70,20 +39,18 @@ pub struct MutexGuard<'a, T> {
     inner: Option<std::sync::MutexGuard<'a, T>>,
 }
 
-impl<T: Hash + Send + 'static> Mutex<T> {
+impl<T> Mutex<T> {
     /// Creates and registers the mutex with the current execution —
     /// model objects must be built inside the `explore` closure.
     pub fn new(value: T) -> Mutex<T> {
-        let core = Arc::new(MutexCore {
-            meta: std::sync::Mutex::new(false),
-            data: std::sync::Mutex::new(value),
-            id: OnceLock::new(),
-        });
         let (ex, _) = ctx();
-        let weak: Weak<dyn StateSig> = Arc::downgrade(&core) as Weak<dyn StateSig>;
-        let id = ex.register_object(weak);
-        core.id.set(id).expect("object registered twice");
-        Mutex { core }
+        Mutex {
+            core: MutexCore {
+                meta: std::sync::Mutex::new(false),
+                data: std::sync::Mutex::new(value),
+                id: ex.register_object(),
+            },
+        }
     }
 
     pub fn lock(&self) -> MutexGuard<'_, T> {
@@ -198,12 +165,12 @@ struct RwMeta {
 struct RwLockCore<T> {
     meta: std::sync::Mutex<RwMeta>,
     data: std::sync::RwLock<T>,
-    id: OnceLock<u64>,
+    id: u64,
 }
 
 impl<T> RwLockCore<T> {
     fn id(&self) -> u64 {
-        *self.id.get().expect("model object not registered")
+        self.id
     }
 
     fn release_read(&self) {
@@ -230,20 +197,9 @@ impl<T> RwLockCore<T> {
     }
 }
 
-impl<T: Hash + Send + Sync + 'static> StateSig for RwLockCore<T> {
-    fn sig(&self) -> u64 {
-        let meta = self.meta.lock().unwrap_or_else(PoisonError::into_inner);
-        let content = match self.data.try_read() {
-            Ok(guard) => hash_of(&*guard),
-            Err(_) => 0x6865_6c64,
-        };
-        fingerprint(2, &[meta.readers as u64, meta.writer as u64, content])
-    }
-}
-
 /// A model reader-writer lock with the parking_lot shim's API.
 pub struct RwLock<T> {
-    core: Arc<RwLockCore<T>>,
+    core: RwLockCore<T>,
 }
 
 pub struct RwLockReadGuard<'a, T> {
@@ -256,21 +212,19 @@ pub struct RwLockWriteGuard<'a, T> {
     inner: Option<std::sync::RwLockWriteGuard<'a, T>>,
 }
 
-impl<T: Hash + Send + Sync + 'static> RwLock<T> {
+impl<T> RwLock<T> {
     pub fn new(value: T) -> RwLock<T> {
-        let core = Arc::new(RwLockCore {
-            meta: std::sync::Mutex::new(RwMeta {
-                readers: 0,
-                writer: false,
-            }),
-            data: std::sync::RwLock::new(value),
-            id: OnceLock::new(),
-        });
         let (ex, _) = ctx();
-        let weak: Weak<dyn StateSig> = Arc::downgrade(&core) as Weak<dyn StateSig>;
-        let id = ex.register_object(weak);
-        core.id.set(id).expect("object registered twice");
-        RwLock { core }
+        RwLock {
+            core: RwLockCore {
+                meta: std::sync::Mutex::new(RwMeta {
+                    readers: 0,
+                    writer: false,
+                }),
+                data: std::sync::RwLock::new(value),
+                id: ex.register_object(),
+            },
+        }
     }
 
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
@@ -369,18 +323,6 @@ impl<T> Drop for RwLockWriteGuard<'_, T> {
 // ---------------------------------------------------------------------
 // Condvar
 
-struct CvCore {
-    id: OnceLock<u64>,
-}
-
-impl StateSig for CvCore {
-    fn sig(&self) -> u64 {
-        // A condvar carries no state of its own; waiters show up in the
-        // thread-status part of the signature.
-        fingerprint(3, &[])
-    }
-}
-
 /// Result of a model [`Condvar::wait_timeout`].
 #[derive(Debug, Clone, Copy)]
 pub struct WaitTimeoutResult {
@@ -398,7 +340,7 @@ impl WaitTimeoutResult {
 /// scheduler may fire a `wait_timeout` at any point, which doubles as
 /// the spurious-wakeup model.
 pub struct Condvar {
-    core: Arc<CvCore>,
+    id: u64,
 }
 
 impl Default for Condvar {
@@ -409,18 +351,14 @@ impl Default for Condvar {
 
 impl Condvar {
     pub fn new() -> Condvar {
-        let core = Arc::new(CvCore {
-            id: OnceLock::new(),
-        });
         let (ex, _) = ctx();
-        let weak: Weak<dyn StateSig> = Arc::downgrade(&core) as Weak<dyn StateSig>;
-        let id = ex.register_object(weak);
-        core.id.set(id).expect("object registered twice");
-        Condvar { core }
+        Condvar {
+            id: ex.register_object(),
+        }
     }
 
     fn id(&self) -> u64 {
-        *self.core.id.get().expect("model object not registered")
+        self.id
     }
 
     /// Atomically releases the mutex and blocks until notified; the

@@ -20,7 +20,6 @@ use std::sync::Arc;
 /// for resident blocks, `inflight[block]` marks loads in progress.
 /// Every field is a `Tracked` cell so the race detector proves the
 /// shard-lock discipline orders all accesses.
-#[derive(Hash)]
 struct Shard {
     map: Tracked<Vec<Option<(u64, u64)>>>,
     inflight: Tracked<Vec<bool>>,
@@ -119,7 +118,6 @@ fn racing_first_reads_load_once_per_block() {
         Options {
             max_schedules: 20_000,
             max_depth: 60,
-            prune: false,
         },
         || {
             let cache = CacheModel::new(2, 2, true);
@@ -165,7 +163,6 @@ fn eviction_under_pressure_stays_consistent_and_bounded() {
         Options {
             max_schedules: 20_000,
             max_depth: 60,
-            prune: false,
         },
         || {
             let cache = CacheModel::new(2, 1, true);
@@ -214,7 +211,6 @@ fn seeded_double_load_is_caught() {
         Options {
             max_schedules: 20_000,
             max_depth: 60,
-            prune: false,
         },
         || {
             let cache = CacheModel::new(1, 1, false);

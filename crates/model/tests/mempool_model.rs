@@ -14,7 +14,6 @@ use std::time::Duration;
 
 const MAX_TXS: usize = 2;
 
-#[derive(Hash)]
 struct PoolState {
     queue: Tracked<Vec<u64>>,
     closed: Tracked<bool>,
@@ -102,7 +101,6 @@ fn timeout_flush_racing_submit_delivers_exactly_once() {
         Options {
             max_schedules: 20_000,
             max_depth: 40,
-            prune: false,
         },
         || {
             let pool = Pool::new(true);
@@ -159,7 +157,6 @@ fn close_wakes_blocked_producer() {
         Options {
             max_schedules: 20_000,
             max_depth: 40,
-            prune: false,
         },
         || {
             let pool = Pool::new(true);
@@ -185,7 +182,6 @@ fn missing_submit_notify_is_caught_as_lost_wakeup() {
         Options {
             max_schedules: 20_000,
             max_depth: 40,
-            prune: false,
         },
         || {
             let pool = Pool::new(false);

@@ -121,7 +121,6 @@ fn manifest_commits_only_after_partition_writes() {
         Options {
             max_schedules: 20_000,
             max_depth: 60,
-            prune: false,
         },
         || {
             let disk = Disk::new();
@@ -163,7 +162,6 @@ fn seeded_manifest_before_partition_fsync_is_caught() {
         Options {
             max_schedules: 20_000,
             max_depth: 60,
-            prune: false,
         },
         || {
             let disk = Disk::new();
@@ -284,7 +282,6 @@ fn racing_first_reads_open_each_partition_segment_once() {
         Options {
             max_schedules: 20_000,
             max_depth: 60,
-            prune: false,
         },
         || {
             let caches = Arc::new(PartCaches {

@@ -17,7 +17,6 @@ const BLOCKS: u64 = 2;
 /// The model ledger: three height counters and the poison flag, each
 /// update its own lock acquisition so the explorer can preempt between
 /// them, plus a condvar for height waiters.
-#[derive(Hash)]
 struct Heights {
     persisted: Tracked<u64>,
     indexed: Tracked<u64>,
@@ -111,7 +110,6 @@ fn height_invariant_holds_on_every_schedule() {
         Options {
             max_schedules: 20_000,
             max_depth: 40,
-            prune: false,
         },
         || main_model(Ledger::new(), false),
     );
@@ -137,7 +135,6 @@ fn applied_before_indexed_is_caught() {
         Options {
             max_schedules: 20_000,
             max_depth: 40,
-            prune: false,
         },
         || main_model(Ledger::new(), true),
     );
@@ -162,7 +159,6 @@ fn indexer_poison_wakes_height_waiters() {
         Options {
             max_schedules: 20_000,
             max_depth: 40,
-            prune: false,
         },
         || {
             let ledger = Ledger::new();
@@ -210,7 +206,6 @@ fn crash_at_stage_boundary_recovers() {
         Options {
             max_schedules: 20_000,
             max_depth: 40,
-            prune: false,
         },
         || {
             let ledger = Ledger::new();

@@ -22,7 +22,6 @@ fn opts() -> Options {
     Options {
         max_schedules: 20_000,
         max_depth: 60,
-        prune: false,
     }
 }
 

@@ -78,7 +78,6 @@ fn racing_first_reads_open_once_per_segment() {
         Options {
             max_schedules: 20_000,
             max_depth: 60,
-            prune: false,
         },
         || {
             let cache = HandleCache::new(3, false);
@@ -124,7 +123,6 @@ fn seeded_double_open_is_caught() {
         Options {
             max_schedules: 20_000,
             max_depth: 60,
-            prune: false,
         },
         || {
             let cache = HandleCache::new(1, true);
@@ -164,7 +162,6 @@ fn positioned_reads_never_tear() {
         Options {
             max_schedules: 20_000,
             max_depth: 60,
-            prune: false,
         },
         || {
             // Record r lives at "offset" r and holds (r, r) — a torn
@@ -200,7 +197,6 @@ fn seeded_shared_cursor_tear_is_caught() {
         Options {
             max_schedules: 20_000,
             max_depth: 60,
-            prune: false,
         },
         || {
             let cursor = Arc::new(sync::Mutex::new(0u64));

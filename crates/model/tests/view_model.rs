@@ -53,14 +53,12 @@ enum Bug {
 
 /// The ledger's two heights, behind the lock standing in for the
 /// applied height's atomic and `height_watch`.
-#[derive(Hash)]
 struct Heights {
     persisted: Tracked<u64>,
     applied: Tracked<u64>,
 }
 
 /// The view's cursor and rows, behind the view's lock.
-#[derive(Hash)]
 struct ViewState {
     folded: Tracked<u64>,
     rows: Tracked<u64>,
@@ -190,7 +188,6 @@ fn options() -> Options {
     Options {
         max_schedules: 20_000,
         max_depth: 60,
-        prune: false,
     }
 }
 
