@@ -3,10 +3,12 @@
 //! Models the paper's KAFKA deployment (§VII-B: "we start 1 broker and
 //! create a transaction topic with 1 partition"): a single broker
 //! thread consumes the partition in arrival order, assigns offsets
-//! (tids), cuts blocks at `max_txs` or on the packaging timeout, and
-//! fans the ordered blocks out to all subscribed nodes. Crash fault
-//! tolerant only — no Byzantine protection, which is why it is faster
-//! than the BFT engines in Fig. 7.
+//! (tids), cuts blocks by the mempool's rules (a schema-sync
+//! transaction alone and at once, else at `max_txs` or on the
+//! packaging timeout), and fans the ordered blocks out to all
+//! subscribed nodes. Crash fault tolerant only — no Byzantine
+//! protection, which is why it is faster than the BFT engines in
+//! Fig. 7.
 
 use crate::engine::{admit_batches, Fanout};
 use crate::mempool::{AdmissionVerifier, Mempool};
@@ -91,7 +93,7 @@ impl Drop for KafkaOrderer {
 mod tests {
     use super::*;
     use sebdb_crypto::sig::{KeyId, MacKeypair, Signer, Verifier};
-    use sebdb_types::Value;
+    use sebdb_types::{Value, SCHEMA_TABLE};
     use std::time::Duration;
 
     fn tx(i: i64) -> Transaction {
@@ -133,6 +135,36 @@ mod tests {
             .recv_timeout(Duration::from_secs(2))
             .unwrap()
             .is_ok());
+        k.shutdown();
+    }
+
+    #[test]
+    fn a_forged_schema_transaction_is_refused_and_leaves_no_empty_block() {
+        let keys = MacKeypair::from_key([8u8; 32]);
+        let k = KafkaOrderer::start(BatchConfig {
+            max_txs: 200,
+            timeout_ms: 60_000,
+        });
+        let verify_keys = keys.clone();
+        k.set_tx_verifier(Some(Box::new(move |tx: &Transaction| {
+            sebdb_crypto::sig::Signature::from_bytes(&tx.sig)
+                .is_some_and(|sig| verify_keys.verify(&tx.signing_payload(), &sig))
+        })));
+        let sub = k.subscribe();
+        let schema = || Transaction::new(now_ms(), KeyId([1; 8]), SCHEMA_TABLE, Vec::new());
+        // Cut alone at once, its batch empties at admission.
+        match k.submit(schema()).recv_timeout(Duration::from_secs(5)) {
+            Ok(Err(ConsensusError::Rejected(_))) => {}
+            other => panic!("unexpected: {other:?}"),
+        }
+        let mut signed = schema();
+        signed.sig = keys.sign(&signed.signing_payload()).to_bytes();
+        let ack = k.submit(signed).recv_timeout(Duration::from_secs(5));
+        assert_eq!(ack.unwrap().unwrap().seq, 0);
+        let block = sub.recv_timeout(Duration::from_secs(2)).unwrap();
+        assert_eq!((block.seq, block.txs.len()), (0, 1));
+        assert!(block.txs[0].is_schema_sync());
+        assert!(sub.try_recv().is_err(), "no empty block was delivered");
         k.shutdown();
     }
 

@@ -5,11 +5,24 @@
 //! over a channel, so ingest was one channel round-trip per
 //! transaction and the producer woke once per submission. The mempool
 //! inverts that: submitters enqueue into a condvar-guarded pending
-//! buffer, and the block producer drains up to
-//! [`BatchConfig::max_txs`] transactions per round — cut at `max_txs`
-//! or on the packaging timeout since the first pending transaction
-//! (the paper's 200 tx / 200 ms policy, §VII-B), exactly the cut rule
-//! the engines already implemented per-transaction.
+//! buffer, and the block producer drains one batch per round by three
+//! cut rules, checked in this order:
+//!
+//! 1. a pending schema-sync transaction
+//!    ([`Transaction::is_schema_sync`], a `CREATE`) cuts the
+//!    transactions queued before it at once, as their own batch (at
+//!    most [`BatchConfig::max_txs`] of them);
+//! 2. a schema-sync transaction at the head of the queue ships alone,
+//!    at once;
+//! 3. otherwise transactions are cut at `max_txs` or on the packaging
+//!    timeout since the first pending transaction (the paper's
+//!    200 tx / 200 ms policy, §VII-B).
+//!
+//! Rule 3 is a throughput rule for data. A `CREATE`'s client blocks on
+//! its ack and every later statement on the table waits behind it, so
+//! rules 1 and 2 keep it off the timer, as Fabric's orderer puts a
+//! configuration transaction in a block of its own. All three depend
+//! only on the queue's contents.
 //!
 //! Admission runs once per batch instead of once per transaction: with
 //! a verifier installed, [`Mempool::admit`] checks each signing-payload
@@ -42,6 +55,13 @@ pub type AdmissionVerifier = dyn Fn(&Transaction) -> bool + Send + Sync;
 /// below (DESIGN.md §14).
 struct PoolState {
     queue: Tracked<VecDeque<(Transaction, AckSender)>>,
+    /// Arrival number of the queue's front: `queue[i]` arrived as
+    /// number `head + i`.
+    head: Tracked<u64>,
+    /// Arrival numbers of the pending schema-sync transactions, oldest
+    /// first — recorded at enqueue, so a cut finds the first one
+    /// without scanning the queue.
+    schema: Tracked<VecDeque<u64>>,
     /// Arrival time of the oldest pending transaction — the packaging
     /// timeout counts from here.
     first_pending: Tracked<Option<Instant>>,
@@ -63,6 +83,8 @@ impl Mempool {
         Mempool {
             state: Mutex::new(PoolState {
                 queue: Tracked::new(VecDeque::new()),
+                head: Tracked::new(0),
+                schema: Tracked::new(VecDeque::new()),
                 first_pending: Tracked::new(None),
                 closed: Tracked::new(false),
             }),
@@ -97,6 +119,10 @@ impl Mempool {
         if st.queue.with(VecDeque::is_empty) {
             st.first_pending.set(Some(Instant::now()));
         }
+        if tx.is_schema_sync() {
+            let at = st.head.get() + st.queue.with(VecDeque::len) as u64;
+            st.schema.with_mut(|s| s.push_back(at));
+        }
         st.queue.with_mut(|q| q.push_back((tx, ack)));
         drop(st);
         self.arrived.notify_one();
@@ -112,17 +138,29 @@ impl Mempool {
         self.len() == 0
     }
 
-    /// Blocks until a batch is ready — `max_txs` pending, or the
-    /// packaging timeout elapsed since the first pending transaction —
-    /// and drains up to `max_txs` in submission order. Returns `None`
-    /// once the pool is closed; the caller then rejects leftovers via
-    /// [`Self::take_remaining`].
+    /// Blocks until a batch is ready and drains it in submission order,
+    /// by the module's three cut rules: the transactions before a
+    /// pending schema-sync transaction at once (at most `max_txs`),
+    /// then the schema-sync transaction alone at once, else `max_txs`
+    /// pending or the packaging timeout elapsed since the first pending
+    /// transaction. Returns `None` once the pool is closed; the caller
+    /// then rejects leftovers via [`Self::take_remaining`].
     pub fn next_batch(&self) -> Option<Vec<(Transaction, AckSender)>> {
         let timeout = Duration::from_millis(self.config.timeout_ms);
         let mut st = self.state.lock();
         loop {
             if st.closed.get() {
                 return None;
+            }
+            // Before the count cut, which would ship a schema-sync
+            // transaction among data.
+            if let Some(before) = st.first_schema() {
+                let n = if before == 0 {
+                    1
+                } else {
+                    before.min(self.config.max_txs)
+                };
+                return Some(Self::drain(&mut st, n));
             }
             if st.queue.with(VecDeque::len) >= self.config.max_txs {
                 return Some(Self::drain(&mut st, self.config.max_txs));
@@ -144,12 +182,20 @@ impl Mempool {
 
     fn drain(st: &mut PoolState, n: usize) -> Vec<(Transaction, AckSender)> {
         let batch: Vec<_> = st.queue.with_mut(|q| q.drain(..n).collect());
+        let head = st.head.get() + n as u64;
+        st.head.set(head);
+        st.schema.with_mut(|s| {
+            while s.front().is_some_and(|&at| at < head) {
+                s.pop_front();
+            }
+        });
         st.first_pending.set(if st.queue.with(VecDeque::is_empty) {
             None
         } else {
             // Leftovers start a fresh packaging window: their original
-            // arrival instant is not tracked per transaction, and a
-            // backlog this deep will hit the max_txs cut first anyway.
+            // arrival instant is not tracked per transaction. Behind a
+            // count cut the backlog will hit the max_txs cut first
+            // anyway; behind a schema cut they wait one window at most.
             Some(Instant::now())
         });
         batch
@@ -191,8 +237,17 @@ impl Mempool {
     /// reject leftovers).
     pub fn take_remaining(&self) -> Vec<(Transaction, AckSender)> {
         let mut st = self.state.lock();
-        st.first_pending.set(None);
-        st.queue.with_mut(|q| q.drain(..).collect())
+        let n = st.queue.with(VecDeque::len);
+        Self::drain(&mut st, n)
+    }
+}
+
+impl PoolState {
+    /// Queue position of the first pending schema-sync transaction.
+    fn first_schema(&self) -> Option<usize> {
+        let head = self.head.get();
+        self.schema
+            .with(|s| s.front().map(|&at| (at - head) as usize))
     }
 }
 
@@ -201,10 +256,100 @@ mod tests {
     use super::*;
     use crate::traits::now_ms;
     use sebdb_crypto::sig::{KeyId, MacKeypair, Signer, Verifier};
-    use sebdb_types::Value;
+    use sebdb_types::{Value, SCHEMA_TABLE};
 
     fn tx(i: i64) -> Transaction {
         Transaction::new(now_ms(), KeyId([1; 8]), "donate", vec![Value::Int(i)])
+    }
+
+    fn schema_tx() -> Transaction {
+        Transaction::new(now_ms(), KeyId([1; 8]), SCHEMA_TABLE, Vec::new())
+    }
+
+    /// A pool whose timer never fires within a test: every cut below is
+    /// by count or by the schema rules.
+    fn untimed(max_txs: usize) -> Mempool {
+        Mempool::new(BatchConfig {
+            max_txs,
+            timeout_ms: 60_000,
+        })
+    }
+
+    /// What a batch holds: `Some(i)` for data transaction `i`, `None`
+    /// for a schema-sync transaction.
+    fn contents(batch: &[(Transaction, AckSender)]) -> Vec<Option<i64>> {
+        batch
+            .iter()
+            .map(|(tx, _)| match tx.values.first() {
+                _ if tx.is_schema_sync() => None,
+                Some(Value::Int(i)) => Some(*i),
+                other => panic!("unexpected value {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_schema_transaction_in_an_empty_pool_ships_alone_at_once() {
+        let pool = untimed(200);
+        pool.submit(schema_tx());
+        let start = Instant::now();
+        assert_eq!(contents(&pool.next_batch().unwrap()), [None]);
+        assert!(start.elapsed() < Duration::from_secs(5));
+        assert!(pool.is_empty());
+    }
+
+    #[test]
+    fn a_schema_transaction_cuts_the_data_before_it_then_ships_alone() {
+        let pool = untimed(200);
+        for i in 0..3 {
+            pool.submit(tx(i));
+        }
+        pool.submit(schema_tx());
+        for i in 3..5 {
+            pool.submit(tx(i));
+        }
+        let start = Instant::now();
+        assert_eq!(contents(&pool.next_batch().unwrap()), [0, 1, 2].map(Some));
+        assert_eq!(contents(&pool.next_batch().unwrap()), [None]);
+        assert!(start.elapsed() < Duration::from_secs(5));
+        assert_eq!(pool.len(), 2, "the data behind it waits for a cut");
+    }
+
+    #[test]
+    fn the_count_cut_stops_before_a_schema_transaction() {
+        // A backlog of max_txs or more with a schema transaction inside
+        // the first max_txs: the count cut must not carry it.
+        let pool = untimed(4);
+        for i in 0..2 {
+            pool.submit(tx(i));
+        }
+        pool.submit(schema_tx());
+        for i in 2..7 {
+            pool.submit(tx(i));
+        }
+        assert_eq!(contents(&pool.next_batch().unwrap()), [0, 1].map(Some));
+        assert_eq!(contents(&pool.next_batch().unwrap()), [None]);
+        assert_eq!(
+            contents(&pool.next_batch().unwrap()),
+            [2, 3, 4, 5].map(Some)
+        );
+        assert_eq!(pool.len(), 1);
+
+        // Past max_txs, the data before it drains in max_txs chunks.
+        let pool = untimed(4);
+        for i in 0..6 {
+            pool.submit(tx(i));
+        }
+        pool.submit(schema_tx());
+        pool.submit(schema_tx());
+        assert_eq!(
+            contents(&pool.next_batch().unwrap()),
+            [0, 1, 2, 3].map(Some)
+        );
+        assert_eq!(contents(&pool.next_batch().unwrap()), [4, 5].map(Some));
+        assert_eq!(contents(&pool.next_batch().unwrap()), [None]);
+        assert_eq!(contents(&pool.next_batch().unwrap()), [None]);
+        assert!(pool.is_empty());
     }
 
     #[test]

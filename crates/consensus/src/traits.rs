@@ -73,9 +73,12 @@ pub trait Consensus: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-/// Packaging policy shared by all engines: cut a block at `max_txs`
-/// transactions or after `timeout_ms` since the first pending
-/// transaction (the paper's 200 tx / 200 ms defaults, §VII-B).
+/// Packaging policy shared by all engines, applied by the mempool's
+/// three cut rules in order: a pending schema-sync transaction cuts the
+/// transactions queued before it at once (at most `max_txs`), then ships
+/// alone at once; otherwise a block is cut at `max_txs` transactions or
+/// after `timeout_ms` since the first pending transaction (the paper's
+/// 200 tx / 200 ms defaults, §VII-B).
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
     /// Maximum transactions per block.

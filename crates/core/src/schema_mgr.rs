@@ -11,11 +11,9 @@
 use parking_lot::RwLock;
 use sebdb_offchain::OffchainConnection;
 use sebdb_sql::Catalog;
+pub use sebdb_types::SCHEMA_TABLE;
 use sebdb_types::{Block, Codec, Column, TableSchema, Transaction, TypeError, Value};
 use std::collections::HashMap;
-
-/// Reserved transaction type carrying schema definitions.
-pub const SCHEMA_TABLE: &str = "__schema__";
 
 /// The schema catalog of one node.
 pub struct SchemaManager {
@@ -53,7 +51,7 @@ impl SchemaManager {
     pub fn apply_block(&self, block: &Block) -> Vec<String> {
         let mut created = Vec::new();
         for tx in &block.transactions {
-            if !tx.tname.eq_ignore_ascii_case(SCHEMA_TABLE) {
+            if !tx.is_schema_sync() {
                 continue;
             }
             let Some(Value::Bytes(bytes)) = tx.values.first() else {

@@ -18,5 +18,5 @@ pub use block::{Block, BlockHeader};
 pub use codec::{Codec, Decoder, Encoder, RawValue};
 pub use error::TypeError;
 pub use schema::{Column, ColumnRef, TableSchema};
-pub use tx::{BlockId, Timestamp, Transaction, TxId, TxProjection};
+pub use tx::{BlockId, Timestamp, Transaction, TxId, TxProjection, SCHEMA_TABLE};
 pub use value::{DataType, Value};

@@ -17,6 +17,10 @@ use sebdb_crypto::sig::KeyId;
 pub type TxId = u64;
 /// Block height / block id.
 pub type BlockId = u64;
+
+/// Reserved transaction type carrying schema definitions: a `CREATE`
+/// travels through consensus as one transaction of this type (§IV-A).
+pub const SCHEMA_TABLE: &str = "__schema__";
 /// Milliseconds since the Unix epoch.
 pub type Timestamp = u64;
 
@@ -48,6 +52,13 @@ impl Transaction {
             tname: tname.into(),
             values,
         }
+    }
+
+    /// Whether this is a schema-sync transaction, i.e. of the reserved
+    /// type [`SCHEMA_TABLE`] (compared case-insensitively, as table
+    /// names are).
+    pub fn is_schema_sync(&self) -> bool {
+        self.tname.eq_ignore_ascii_case(SCHEMA_TABLE)
     }
 
     /// Canonical bytes covered by the signature: everything except `tid`
@@ -227,6 +238,14 @@ mod tests {
                 Value::decimal(100),
             ],
         )
+    }
+
+    #[test]
+    fn schema_sync_is_the_reserved_type_in_any_case() {
+        assert!(!sample().is_schema_sync());
+        for tname in [SCHEMA_TABLE, "__SCHEMA__", "__Schema__"] {
+            assert!(Transaction::new(0, KeyId([0; 8]), tname, Vec::new()).is_schema_sync());
+        }
     }
 
     #[test]
